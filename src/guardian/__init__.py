@@ -26,7 +26,6 @@ from .harness import (
     ExperimentConfig,
     MetricsReport,
     compute_metrics,
-    export_graph,
     make_corpus,
     run_experiment,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "ExperimentConfig",
     "MetricsReport",
     "compute_metrics",
-    "export_graph",
     "make_corpus",
     "run_experiment",
     "ParamStore",

@@ -35,15 +35,12 @@ class AnomalyScore:
 class DetectionPolicy:
     mode: str = "top1_on_no_consensus"
     tau: float = 0.0
-    max_removals_per_round: int = 1
 
     def __post_init__(self) -> None:
         if self.mode not in POLICY_MODES:
             raise PolicyError(f"unknown policy mode {self.mode!r}")
         if self.mode == "threshold" and self.tau < 0.0:
             raise PolicyError(f"threshold mode requires tau >= 0, got {self.tau}")
-        if self.max_removals_per_round != 1:
-            raise PolicyError("only one removal per round is supported")
 
 
 def score_nodes(recon: Reconstruction, alpha: float) -> list[AnomalyScore]:
@@ -74,13 +71,7 @@ def select_anomalies(
     return {top.agent}
 
 
-def prune(
-    g: TemporalGraph,
-    selected: set[AgentId],
-    round_: int,
-    scores: list[AnomalyScore] | None = None,
-) -> None:
-    """Remove the selected agents from all rounds after `round_`, logging scores."""
-    by_agent = {s.agent: s.value for s in scores or []}
+def prune(g: TemporalGraph, selected: set[AgentId], round_: int) -> None:
+    """Remove the selected agents from all rounds after `round_`."""
     for agent in sorted(selected):
-        g.remove_node(agent, round_, score=by_agent.get(agent))
+        g.remove_node(agent, round_)

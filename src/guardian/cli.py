@@ -17,7 +17,6 @@ import argparse
 import sys
 from pathlib import Path
 
-from .detector import save_checkpoint
 from .harness import (
     ExperimentConfig,
     HarnessError,
@@ -27,6 +26,7 @@ from .harness import (
     metrics_csv,
     parse_config_file,
     run_experiment,
+    run_trials,
 )
 
 __all__ = ["main"]
@@ -94,40 +94,14 @@ def _cmd_run(args: argparse.Namespace, defense: bool) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    from .harness import build_pipeline, make_corpus, load_corpus
-    from .pipeline import run_stream
-    from .seeding import derive_seed
-    from .simulator import AgentSpec, AttackPlan, run_episode
-
     cfg = _config_from_args(args, defense=True)
     cfg.attack = "none"
-    tasks = load_corpus(cfg.corpus) if cfg.corpus else make_corpus(cfg.n_tasks, cfg.seed)
-    stream_seed = derive_seed(cfg.seed, "trial", 0)
-    state = build_pipeline(cfg, stream_seed)
-    specs = [
-        AgentSpec(id=i, p_correct=cfg.p_correct, p_follow=cfg.p_follow)
-        for i in range(cfg.n_agents)
-    ]
-    plan = AttackPlan(kind="none", seed=derive_seed(stream_seed, "attack"))
-
-    def _run(task, st):
-        return run_episode(
-            task,
-            specs,
-            cfg.topology,
-            plan,
-            pipeline=st,
-            max_rounds=cfg.max_rounds,
-            min_rounds=cfg.min_rounds,
-            seed=derive_seed(stream_seed, "episode", task.id),
-        )
-
-    run_stream(state, tasks, _run)
+    logs, state = run_trials(cfg, trials=1)
     out = args.out or Path(".")
     out.mkdir(parents=True, exist_ok=True)
     ckpt = out / "guardian.ckpt"
-    save_checkpoint(ckpt, state.det_cfg, state.params)
-    sys.stdout.write(f"trained on {len(tasks)} clean episode(s); checkpoint: {ckpt}\n")
+    state.save(ckpt)
+    sys.stdout.write(f"trained on {len(logs)} clean episode(s); checkpoint: {ckpt}\n")
     return 0
 
 

@@ -49,7 +49,6 @@ __all__ = [
     "decode_attributes",
     "decode_structure",
     "compose_losses",
-    "compute_losses",
     "run_forward",
     "fit",
     "infer",
@@ -90,8 +89,6 @@ def gib_gamma(lambda_: float, beta: float) -> float:
 class DetectorConfig:
     k: int = 64
     d: int = 32
-    gcn_layers: int = 2
-    heads: int = 1
     alpha: float = 0.4
     beta: float = 1.0
     lambda_: float = 0.01
@@ -110,10 +107,6 @@ class DetectorConfig:
             raise DetectorError(f"lambda must be >= 0, got {self.lambda_}")
         if self.k < 1 or self.d < 1:
             raise DetectorError("k and d must be positive")
-        if self.gcn_layers != 2:
-            raise DetectorError("only the two-layer graph encoder is supported")
-        if self.heads != 1:
-            raise DetectorError("only single-head temporal attention is supported")
         if self.variant not in ("temporal", "static"):
             raise DetectorError(f"unknown variant {self.variant!r}")
 
@@ -374,30 +367,6 @@ def run_forward(
     )
 
 
-def compute_losses(
-    features: Tensor2D,
-    observed_adj: np.ndarray,
-    recon: Reconstruction,
-    kl: float,
-    cfg: DetectorConfig,
-) -> LossBreakdown:
-    """Loss terms from a finished reconstruction (reporting path, no tape).
-
-    `observed_adj` is the raw boolean adjacency; the structure target is
-    its self-looped symmetrization, matching training.
-    """
-    x_hat = recon.x_hat.data
-    if x_hat.shape != features.shape:
-        raise DetectorError("reconstruction/feature shape mismatch")
-    n = features.rows
-    l_att = float(((features.data - x_hat) ** 2).sum() / n)
-    target = ((observed_adj | observed_adj.T) | np.eye(n, dtype=bool)).astype(np.float64)
-    p = recon.edge_probs.data
-    ll = target * np.log(p) + (1.0 - target) * np.log(1.0 - p)
-    l_stru = float(-ll.sum() / (n * n))
-    return compose_losses(l_att, l_stru, kl, cfg.alpha, cfg.gamma)
-
-
 def fit(
     batch: HistoryBatch,
     cfg: DetectorConfig,
@@ -446,6 +415,12 @@ def _config_to_doc(cfg: DetectorConfig) -> dict:
 
 
 def _config_from_doc(doc: dict) -> DetectorConfig:
+    expected = _config_to_doc(DetectorConfig()).keys()
+    unknown, missing = sorted(doc.keys() - expected), sorted(expected - doc.keys())
+    if unknown or missing:
+        raise DetectorError(
+            f"checkpoint config has unknown keys {unknown} and missing keys {missing}"
+        )
     doc = dict(doc)
     doc["lambda_"] = doc.pop("lambda")
     return DetectorConfig(**doc)
@@ -474,8 +449,21 @@ def load_checkpoint(path: str | Path) -> tuple[DetectorConfig, ParamStore]:
         raise DetectorError(f"not a checkpoint file (bad magic {header!r})")
     doc = json.loads(body)
     cfg = _config_from_doc(doc["config"])
+    shapes = {rec["name"]: (rec["rows"], rec["cols"]) for rec in doc["params"]}
+    expected = {name: v.shape for name, v in init_params(cfg, np.random.default_rng(0)).entries()}
+    for name in sorted(shapes.keys() | expected.keys()):
+        if shapes.get(name) != expected.get(name):
+            raise DetectorError(
+                f"checkpoint parameter {name!r}: file has shape {shapes.get(name)}, "
+                f"its config needs {expected.get(name)}"
+            )
     params = ParamStore()
     for rec in doc["params"]:
+        if len(rec["values"]) != rec["rows"] * rec["cols"]:
+            raise DetectorError(
+                f"checkpoint parameter {rec['name']!r}: {len(rec['values'])} values "
+                f"for shape {(rec['rows'], rec['cols'])}"
+            )
         values = np.asarray(rec["values"], dtype=np.float64).reshape(rec["rows"], rec["cols"])
         params.add(rec["name"], values)
     return cfg, params

@@ -2,10 +2,9 @@
 
 One ``Snapshot`` per round holds the active agents, their response
 embeddings and an agent-level adjacency: ``adjacency[i][j]`` is true when
-agent j consumed agent i's previous-round output this round. Inter-round
-communication is additionally kept as layered edges ``(t-1, src, t, dst)``
-for export and bookkeeping. Round 1 has no incoming communication, so its
-adjacency is empty until self-loops are added during normalization.
+agent j consumed agent i's previous-round output this round. Round 1 has
+no incoming communication, so its adjacency is empty until self-loops are
+added during normalization.
 
 Node removal is permanent and forward-only: history before the removal
 round is preserved, later rounds never see the agent again.
@@ -26,7 +25,6 @@ __all__ = [
     "GraphError",
     "Snapshot",
     "TemporalGraph",
-    "RemovalRecord",
     "HistoryBatch",
     "sample_topology",
     "topology_edges",
@@ -67,17 +65,6 @@ class Snapshot:
         if len(self.response_texts) != n:
             raise GraphError(f"round {self.round}: response/agent count mismatch")
 
-    def index_of(self, agent: AgentId) -> int:
-        return self.agents.index(agent)
-
-
-@dataclass
-class RemovalRecord:
-    agent: AgentId
-    round: int
-    score: float | None = None
-    duplicate: bool = False  # flagged when removing an already-removed agent
-
 
 @dataclass
 class HistoryBatch:
@@ -86,13 +73,17 @@ class HistoryBatch:
     snapshots: list[Snapshot]
     presence: dict[AgentId, list[bool]]
 
+    @classmethod
+    def of(cls, snapshots: list[Snapshot]) -> "HistoryBatch":
+        """The batch of `snapshots`, with a mask for every agent they contain."""
+        agents = sorted({a for s in snapshots for a in s.agents})
+        return cls(snapshots, {a: [a in s.agents for s in snapshots] for a in agents})
+
 
 class TemporalGraph:
     def __init__(self) -> None:
         self.snapshots: list[Snapshot] = []
-        self.layered_edges: list[tuple[int, AgentId, int, AgentId]] = []
         self.removed: dict[AgentId, int] = {}  # agent -> round after which gone
-        self.removal_log: list[RemovalRecord] = []
 
     @property
     def latest_round(self) -> int:
@@ -117,42 +108,27 @@ class TemporalGraph:
                 raise GraphError(f"agent {a} was removed after round {self.removed[a]}")
         if self.snapshots:
             prev = self.snapshots[-1]
-            for i, src in enumerate(s.agents):
-                for j, dst in enumerate(s.agents):
-                    if s.adjacency[i, j]:
-                        if src not in prev.agents:
-                            raise GraphError(
-                                f"edge source {src} was not active at round {prev.round}"
-                            )
-                        self.layered_edges.append((prev.round, src, s.round, dst))
+            for src, sends in zip(s.agents, s.adjacency.any(axis=1)):
+                if sends and src not in prev.agents:
+                    raise GraphError(f"edge source {src} was not active at round {prev.round}")
         elif bool(s.adjacency.any()):
             raise GraphError("round-1 snapshot cannot have incoming communication")
         self.snapshots.append(s)
 
-    def remove_node(self, agent: AgentId, from_round: int, score: float | None = None) -> None:
+    def remove_node(self, agent: AgentId, from_round: int) -> None:
         """Exclude `agent` from every round after `from_round`.
 
-        Idempotent: repeating a removal is a logged no-op. The agent must
-        have been active at `from_round`.
+        Idempotent: repeating a removal is a no-op. The agent must have
+        been active at `from_round`.
         """
         if agent in self.removed:
-            self.removal_log.append(
-                RemovalRecord(agent=agent, round=from_round, score=score, duplicate=True)
-            )
             return
-        snap = self.snapshot_at(from_round)
-        if agent not in snap.agents:
+        if agent not in self.snapshot_at(from_round).agents:
             raise GraphError(f"agent {agent} is not active at round {from_round}")
         self.removed[agent] = from_round
-        self.layered_edges = [
-            e
-            for e in self.layered_edges
-            if not ((e[1] == agent or e[3] == agent) and e[2] > from_round)
-        ]
         for idx, s in enumerate(self.snapshots):
             if s.round > from_round and agent in s.agents:
                 self.snapshots[idx] = _drop_agent(s, agent)
-        self.removal_log.append(RemovalRecord(agent=agent, round=from_round, score=score))
 
 
 def _drop_agent(s: Snapshot, agent: AgentId) -> Snapshot:
@@ -250,38 +226,18 @@ def truncate_history(batch: HistoryBatch, window: int) -> HistoryBatch:
     """Keep only the trailing `window` snapshots, recomputing presence masks."""
     if window <= 0:
         raise GraphError(f"history window must be positive, got {window}")
-    kept = batch.snapshots[-window:]
-    seen: set[AgentId] = set()
-    for s in kept:
-        seen.update(s.agents)
-    presence = {a: [a in s.agents for s in kept] for a in sorted(seen)}
-    return HistoryBatch(snapshots=kept, presence=presence)
+    return HistoryBatch.of(batch.snapshots[-window:])
 
 
 def merge_history(g: TemporalGraph, upto: int) -> HistoryBatch:
-    """Snapshots 1..upto with removed agents filtered out per round.
+    """Snapshots 1..upto; removed agents are already absent after their round.
 
-    An agent removed after round r is kept in snapshots up to and
-    including r (history is preserved) and dropped afterwards. The
-    presence mask records, per agent ever seen, which of the returned
-    snapshots contain it; temporal attention aligns on it.
+    An agent removed after round r stays in snapshots up to and including
+    r (history is preserved): ``remove_node`` drops it from later stored
+    snapshots and ``append_snapshot`` refuses it in new ones. The presence
+    mask records, per agent ever seen, which of the returned snapshots
+    contain it; temporal attention aligns on it.
     """
     if upto > g.latest_round:
         raise GraphError(f"merge_history upto={upto} exceeds latest round {g.latest_round}")
-    snapshots: list[Snapshot] = []
-    for s in g.snapshots:
-        if s.round > upto:
-            break
-        dropped = [a for a in s.agents if a in g.removed and s.round > g.removed[a]]
-        filtered = s
-        for a in dropped:
-            filtered = _drop_agent(filtered, a)
-        snapshots.append(filtered)
-
-    seen: set[AgentId] = set()
-    for s in snapshots:
-        seen.update(s.agents)
-    presence = {
-        a: [a in s.agents for s in snapshots] for a in sorted(seen)
-    }
-    return HistoryBatch(snapshots=snapshots, presence=presence)
+    return HistoryBatch.of([s for s in g.snapshots if s.round <= upto])

@@ -24,7 +24,6 @@ from typing import Mapping, Sequence
 
 from .anomaly import DetectionPolicy
 from .detector import DetectorConfig
-from .graph import TemporalGraph
 from .pipeline import PipelineState, run_stream
 from .embedder import EmbeddingConfig, make_embedder, remote_embed
 from .seeding import derive_rng, derive_seed
@@ -47,11 +46,11 @@ __all__ = [
     "load_corpus",
     "save_corpus",
     "compute_metrics",
+    "run_trials",
     "run_experiment",
     "episode_to_json",
     "episode_from_json",
     "validate_episode_json",
-    "export_graph",
     "export_episode_graph",
     "metrics_csv",
 ]
@@ -140,6 +139,7 @@ class ExperimentConfig:
 
     def config_hash(self) -> str:
         doc = dataclasses.asdict(self)
+        doc["timing"] = False  # timing changes no result, so it must not change the hash
         text = "\n".join(f"{k}={doc[k]}" for k in sorted(doc))
         return hashlib.blake2b(text.encode(), digest_size=8).hexdigest()
 
@@ -370,40 +370,41 @@ def build_pipeline(cfg: ExperimentConfig, stream_seed: int) -> PipelineState:
     )
 
 
-def run_experiment(
-    cfg: ExperimentConfig, out_dir: str | Path | None = None
-) -> tuple[MetricsReport, list[EpisodeLog]]:
-    """Run trials x corpus episodes and (optionally) write all artifacts."""
-    if cfg.corpus:
-        tasks = load_corpus(cfg.corpus)
-    else:
-        tasks = make_corpus(cfg.n_tasks, cfg.seed)
+def run_trials(
+    cfg: ExperimentConfig, trials: int
+) -> tuple[list[EpisodeLog], PipelineState | None]:
+    """Run the corpus once per trial; every trial has its own seeds and,
+    when defended, its own pipeline stream.
 
-    started = time.perf_counter()
+    Returns the episode logs in trial order and the last trial's pipeline
+    (None without defense).
+    """
+    tasks = load_corpus(cfg.corpus) if cfg.corpus else make_corpus(cfg.n_tasks, cfg.seed)
     # With a remote endpoint configured, every agent is driven over HTTP
     # (ground-truth labels are then unavailable; see simulator docs).
     remote = RemoteAgentConfig.from_env()
     kind = "remote" if remote else "scripted"
+    specs = [
+        AgentSpec(id=i, kind=kind, p_correct=cfg.p_correct, p_follow=cfg.p_follow)
+        for i in range(cfg.n_agents)
+    ]
     logs: list[EpisodeLog] = []
-    for trial in range(cfg.trials):
+    state = None
+    for trial in range(trials):
         trial_seed = derive_seed(cfg.seed, "trial", trial)
-        specs = [
-            AgentSpec(id=i, kind=kind, p_correct=cfg.p_correct, p_follow=cfg.p_follow)
-            for i in range(cfg.n_agents)
-        ]
         plan = AttackPlan(
             kind=cfg.attack,
             seed=derive_seed(trial_seed, "attack"),
             persuasion=cfg.persuasion,
         )
 
-        def _run(task: Task, state: PipelineState | None) -> EpisodeLog:
+        def _run(task: Task, pipeline: PipelineState | None) -> EpisodeLog:
             return run_episode(
                 task,
                 specs,
                 cfg.topology,
                 plan,
-                pipeline=state,
+                pipeline=pipeline,
                 max_rounds=cfg.max_rounds,
                 min_rounds=cfg.min_rounds,
                 seed=derive_seed(trial_seed, "episode", task.id),
@@ -415,7 +416,15 @@ def run_experiment(
             logs.extend(run_stream(state, tasks, _run))
         else:
             logs.extend(_run(task, None) for task in tasks)
+    return logs, state
 
+
+def run_experiment(
+    cfg: ExperimentConfig, out_dir: str | Path | None = None
+) -> tuple[MetricsReport, list[EpisodeLog]]:
+    """Run trials x corpus episodes and (optionally) write all artifacts."""
+    started = time.perf_counter()
+    logs, _ = run_trials(cfg, cfg.trials)
     report = compute_metrics(
         logs, decay=cfg.decay, decay_lambda=cfg.decay_lambda, pooling=cfg.pooling
     )
@@ -427,9 +436,9 @@ def run_experiment(
         out.mkdir(parents=True, exist_ok=True)
         episodes_dir = out / "episodes"
         episodes_dir.mkdir(exist_ok=True)
-        per_trial = len(tasks)
+        per_trial = len(logs) // cfg.trials
         for i, log in enumerate(logs):
-            trial, slot = divmod(i, per_trial)
+            trial = i // per_trial
             name = f"trial{trial:02d}_{log.task.id}.json"
             (episodes_dir / name).write_text(episode_to_json(log))
         (out / "metrics.csv").write_text(metrics_csv(cfg, report))
@@ -575,56 +584,6 @@ def metrics_csv(cfg: ExperimentConfig, report: MetricsReport) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _graph_records(
-    g: TemporalGraph,
-    scores: Mapping[tuple[int, int], float] | None,
-    corrupted: set[tuple[int, int, int, int]] | None,
-) -> tuple[list[dict], list[dict]]:
-    scores = scores or {}
-    corrupted = corrupted or set()
-    nodes = []
-    for snap in g.snapshots:
-        for agent in snap.agents:
-            nodes.append(
-                {
-                    "round": snap.round,
-                    "agent": agent,
-                    "score": scores.get((snap.round, agent)),
-                    "removed": g.removed.get(agent) == snap.round,
-                }
-            )
-    edges = [
-        {
-            "src_round": e[0],
-            "src_agent": e[1],
-            "dst_round": e[2],
-            "dst_agent": e[3],
-            "kind": "comm",
-            "corrupted": tuple(e) in corrupted,
-        }
-        for e in g.layered_edges
-    ]
-    for prev, cur in zip(g.snapshots, g.snapshots[1:]):
-        for agent in prev.agents:
-            if agent in cur.agents:
-                edges.append(
-                    {
-                        "src_round": prev.round,
-                        "src_agent": agent,
-                        "dst_round": cur.round,
-                        "dst_agent": agent,
-                        "kind": "continuity",
-                        "corrupted": False,
-                    }
-                )
-    edges.sort(key=lambda e: (e["src_round"], e["src_agent"], e["dst_agent"], e["kind"]))
-    return nodes, edges
-
-
-def _render_graph_json(nodes: list[dict], edges: list[dict]) -> str:
-    return json.dumps({"nodes": nodes, "edges": edges}, sort_keys=True, indent=2) + "\n"
-
-
 def _render_graph_dot(nodes: list[dict], edges: list[dict]) -> str:
     lines = ["digraph guardian {", "  rankdir=LR;"]
     rounds = sorted({n["round"] for n in nodes})
@@ -657,21 +616,6 @@ def _render_graph_dot(nodes: list[dict], edges: list[dict]) -> str:
         )
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def export_graph(
-    g: TemporalGraph,
-    scores: Mapping[tuple[int, int], float] | None = None,
-    fmt: str = "json",
-    corrupted: set[tuple[int, int, int, int]] | None = None,
-) -> str:
-    """Layered graph export: node records plus comm and continuity edges."""
-    nodes, edges = _graph_records(g, scores, corrupted)
-    if fmt == "json":
-        return _render_graph_json(nodes, edges)
-    if fmt == "dot":
-        return _render_graph_dot(nodes, edges)
-    raise HarnessError(f"unknown export format {fmt!r}")
 
 
 def export_episode_graph(log: EpisodeLog, fmt: str = "json") -> str:
@@ -721,7 +665,7 @@ def export_episode_graph(log: EpisodeLog, fmt: str = "json") -> str:
                 )
     edges.sort(key=lambda e: (e["src_round"], e["src_agent"], e["dst_agent"], e["kind"]))
     if fmt == "json":
-        return _render_graph_json(nodes, edges)
+        return json.dumps({"nodes": nodes, "edges": edges}, sort_keys=True, indent=2) + "\n"
     if fmt == "dot":
         return _render_graph_dot(nodes, edges)
     raise HarnessError(f"unknown export format {fmt!r}")

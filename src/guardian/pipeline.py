@@ -104,6 +104,7 @@ class PipelineState:
             history_window=history_window,
         )
         state.params = params
+        state._fitted_once = True
         return state
 
     def begin_episode(self) -> None:
@@ -170,7 +171,7 @@ class PipelineState:
         recon, losses = infer(batch, self.det_cfg, self.params)
         scores = score_nodes(recon, self.det_cfg.alpha)
         selected = select_anomalies(scores, self.policy, consensus_reached)
-        prune(self.graph, selected, round_, scores)
+        prune(self.graph, selected, round_)
 
         removed = min(selected) if selected else None
         decision = Decision(

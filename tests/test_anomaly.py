@@ -102,8 +102,6 @@ def test_policy_validation():
         DetectionPolicy(mode="everything")
     with pytest.raises(PolicyError):
         DetectionPolicy(mode="threshold", tau=-1.0)
-    with pytest.raises(PolicyError):
-        DetectionPolicy(max_removals_per_round=2)
 
 
 def _graph_with_rounds():
@@ -128,20 +126,11 @@ def test_prune_empty_selection_no_change():
     g = _graph_with_rounds()
     prune(g, set(), 2)
     assert g.removed == {}
-    assert g.removal_log == []
 
 
 def test_prune_drops_active_count():
     g = _graph_with_rounds()
-    scores = _scores([0.1, 0.8, 0.2], round_=1)
-    prune(g, {1}, 1, scores)
+    prune(g, {1}, 1)
     assert g.removed == {1: 1}
     assert g.snapshot_at(2).agents == [0, 2]
 
-
-def test_prune_logs_triggering_score():
-    g = _graph_with_rounds()
-    scores = _scores([0.1, 0.8, 0.2], round_=2)
-    prune(g, {1}, 2, scores)
-    rec = g.removal_log[-1]
-    assert (rec.agent, rec.round, rec.score) == (1, 2, 0.8)

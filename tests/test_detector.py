@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -9,8 +10,9 @@ from guardian.detector import (
     CHECKPOINT_MAGIC,
     DetectorConfig,
     DetectorError,
+    _attribute_loss,
+    _structure_loss,
     compose_losses,
-    compute_losses,
     decode_attributes,
     decode_structure,
     fit,
@@ -27,7 +29,7 @@ from guardian.detector import (
     split_latent,
     temporal_fuse,
 )
-from guardian.graph import HistoryBatch, Snapshot
+from guardian.graph import HistoryBatch, Snapshot, self_looped_adjacency
 from guardian.numerics import ParamStore, Tensor2D, grad_check
 
 
@@ -44,12 +46,6 @@ def _snapshot(round_, agents, features, adjacency=None):
     )
 
 
-def _batch(snapshots):
-    agents = sorted({a for s in snapshots for a in s.agents})
-    presence = {a: [a in s.agents for s in snapshots] for a in agents}
-    return HistoryBatch(snapshots=snapshots, presence=presence)
-
-
 def _random_batch(rng, n_agents, rounds, k, normalize=False):
     snaps = []
     for t in range(1, rounds + 1):
@@ -61,7 +57,7 @@ def _random_batch(rng, n_agents, rounds, k, normalize=False):
         if normalize:
             x /= np.linalg.norm(x, axis=1, keepdims=True)
         snaps.append(_snapshot(t, list(range(n_agents)), x, adjacency))
-    return _batch(snaps)
+    return HistoryBatch.of(snaps)
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +185,7 @@ def test_fuse_single_round_is_value_projection():
     d = 3
     params = _attn_params(d, rng)
     z = rng.normal(size=(4, d))
-    batch = _batch([_snapshot(1, [0, 1, 2, 3], np.zeros((4, 2)))])
+    batch = HistoryBatch.of([_snapshot(1, [0, 1, 2, 3], np.zeros((4, 2)))])
     fused = temporal_fuse([Tensor2D(z)], batch, params, d, positional=False)
     assert np.allclose(fused.data, z @ params.value("attn.wv"))
 
@@ -199,7 +195,7 @@ def test_fuse_identical_latents_half_half_weights():
     d = 4
     params = _attn_params(d, rng)
     z = rng.normal(size=(2, d))
-    batch = _batch(
+    batch = HistoryBatch.of(
         [_snapshot(1, [0, 1], np.zeros((2, 2))), _snapshot(2, [0, 1], np.zeros((2, 2)))]
     )
     weights: list[np.ndarray] = []
@@ -219,7 +215,7 @@ def test_fuse_two_position_matches_numpy_oracle():
     params = _attn_params(d, wq=wq, wk=wk, wv=wv)
     z1 = np.array([[0.2, -1.1], [0.4, 0.9]])
     z2 = np.array([[1.3, 0.5], [-0.6, 0.1]])
-    batch = _batch(
+    batch = HistoryBatch.of(
         [_snapshot(1, [0, 1], np.zeros((2, 2))), _snapshot(2, [0, 1], np.zeros((2, 2)))]
     )
     fused = temporal_fuse([Tensor2D(z1), Tensor2D(z2)], batch, params, d, positional=True)
@@ -241,7 +237,7 @@ def test_fuse_excludes_absent_rounds():
     params = _attn_params(d, rng)
     s1 = _snapshot(1, [0, 1], np.zeros((2, 2)))
     s2 = _snapshot(2, [1], np.zeros((1, 2)))
-    batch = _batch([s1, s2])
+    batch = HistoryBatch.of([s1, s2])
     z1, z2 = Tensor2D(rng.normal(size=(2, d))), Tensor2D(rng.normal(size=(1, d)))
     fused = temporal_fuse([z1, z2], batch, params, d)
     assert fused.shape == (1, d)  # only agent 1 is active at the final round
@@ -310,36 +306,25 @@ def test_decode_structure_symmetric():
 # ---------------------------------------------------------------------------
 
 
-def _recon_from(features, x_hat, edge_probs, agents=None):
-    from guardian.detector import Reconstruction
-
-    n = features.shape[0]
-    target = np.ones((n, n))
-    return Reconstruction(
-        round=1,
-        agents=agents or list(range(n)),
-        x_hat=Tensor2D(x_hat),
-        edge_probs=Tensor2D(edge_probs),
-        r_x=Tensor2D(features - x_hat),
-        r_e=Tensor2D(target - edge_probs),
-    )
+def _losses(x, x_hat, adjacency, edge_probs, alpha=0.4):
+    """The training losses of one reconstruction, through the tape's loss functions."""
+    target = self_looped_adjacency(_snapshot(1, range(len(x)), x, adjacency))
+    l_att = _attribute_loss(Tensor2D(x), Tensor2D(x_hat)).item()
+    l_stru = _structure_loss(target, Tensor2D(edge_probs)).item()
+    return compose_losses(l_att, l_stru, 0.0, alpha, 0.0)
 
 
 def test_losses_perfect_attribute_reconstruction():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(3, 4))
-    recon = _recon_from(x, x.copy(), np.full((3, 3), 0.5))
-    cfg = DetectorConfig(k=4, d=2)
-    out = compute_losses(Tensor2D(x), np.zeros((3, 3), dtype=bool), recon, kl=0.0, cfg=cfg)
+    out = _losses(x, x.copy(), np.zeros((3, 3), dtype=bool), np.full((3, 3), 0.5))
     assert out.l_att == 0.0
 
 
 def test_losses_half_probs_give_ln2():
     x = np.zeros((4, 3))
-    recon = _recon_from(x, x.copy(), np.full((4, 4), 0.5))
-    cfg = DetectorConfig(k=3, d=2)
     for adjacency in (np.zeros((4, 4), dtype=bool), ~np.eye(4, dtype=bool)):
-        out = compute_losses(Tensor2D(x), adjacency, recon, kl=0.0, cfg=cfg)
+        out = _losses(x, x.copy(), adjacency, np.full((4, 4), 0.5))
         assert abs(out.l_stru - math.log(2.0)) < 1e-9
 
 
@@ -347,10 +332,9 @@ def test_losses_alpha_endpoints():
     rng = np.random.default_rng(1)
     x = rng.normal(size=(3, 4))
     x_hat = x + rng.normal(size=(3, 4))
-    recon = _recon_from(x, x_hat, np.full((3, 3), 0.4))
     adjacency = np.zeros((3, 3), dtype=bool)
-    at1 = compute_losses(Tensor2D(x), adjacency, recon, 0.0, DetectorConfig(k=4, d=2, alpha=1.0))
-    at0 = compute_losses(Tensor2D(x), adjacency, recon, 0.0, DetectorConfig(k=4, d=2, alpha=0.0))
+    at1 = _losses(x, x_hat, adjacency, np.full((3, 3), 0.4), alpha=1.0)
+    at0 = _losses(x, x_hat, adjacency, np.full((3, 3), 0.4), alpha=0.0)
     assert at1.l_rec == at1.l_att
     assert at0.l_rec == at0.l_stru
 
@@ -407,16 +391,18 @@ def test_forward_breakdown_matches_reporting_path():
     batch = _random_batch(rng, 4, 2, cfg.k)
     result = run_forward(batch, cfg, params, rng=None)
     recon, breakdown = infer(batch, cfg, params)
-    np_losses = compute_losses(
-        batch.snapshots[-1].features,
-        batch.snapshots[-1].adjacency,
-        recon,
-        result.kl.item(),
-        cfg,
-    )
-    assert abs(np_losses.l_att - breakdown.l_att) < 1e-12
-    assert abs(np_losses.l_stru - breakdown.l_stru) < 1e-12
-    assert abs(np_losses.l_total - breakdown.l_total) < 1e-12
+
+    # Independent oracle: the loss terms of the reconstruction in plain numpy.
+    final = batch.snapshots[-1]
+    x, n = final.features.data, len(final.agents)
+    l_att = ((x - recon.x_hat.data) ** 2).sum() / n
+    target = (final.adjacency | final.adjacency.T | np.eye(n, dtype=bool)).astype(float)
+    p = recon.edge_probs.data
+    l_stru = -(target * np.log(p) + (1.0 - target) * np.log(1.0 - p)).sum() / (n * n)
+    l_total = cfg.alpha * l_att + (1.0 - cfg.alpha) * l_stru + cfg.gamma * result.kl.item()
+    assert abs(l_att - breakdown.l_att) < 1e-12
+    assert abs(l_stru - breakdown.l_stru) < 1e-12
+    assert abs(l_total - breakdown.l_total) < 1e-12
 
 
 def test_fit_zero_epochs_no_change():
@@ -555,4 +541,51 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_text("NOT-A-CKPT\n{}")
     with pytest.raises(DetectorError, match="magic"):
+        load_checkpoint(path)
+
+
+def _write_checkpoint_doc(path, edit):
+    cfg = _small_cfg()
+    save_checkpoint(path, cfg, init_params(cfg, np.random.default_rng(21)))
+    header, _, body = path.read_text().partition("\n")
+    doc = json.loads(body)
+    edit(doc)
+    path.write_text(header + "\n" + json.dumps(doc) + "\n")
+
+
+@pytest.mark.parametrize(
+    "edit, key",
+    [
+        (lambda doc: doc["config"].update(gcn_layers=2), "gcn_layers"),
+        (lambda doc: doc["config"].pop("epochs_initial"), "epochs_initial"),
+    ],
+)
+def test_checkpoint_rejects_unknown_or_missing_config_key(tmp_path, edit, key):
+    path = tmp_path / "model.ckpt"
+    _write_checkpoint_doc(path, edit)
+    with pytest.raises(DetectorError, match=key):
+        load_checkpoint(path)
+
+
+def _rename_param(doc, old, new):
+    next(rec for rec in doc["params"] if rec["name"] == old)["name"] = new
+
+
+def _shrink_param(doc, name):
+    rec = next(rec for rec in doc["params"] if rec["name"] == name)
+    rec["rows"], rec["values"] = rec["rows"] - 1, rec["values"][rec["cols"] :]
+
+
+@pytest.mark.parametrize(
+    "edit, name",
+    [
+        (lambda doc: _rename_param(doc, "gcn.w1", "gcn.w2"), "gcn.w1"),
+        (lambda doc: _shrink_param(doc, "dec.w0"), "dec.w0"),
+        (lambda doc: doc["params"][0]["values"].pop(), "attn.wk"),
+    ],
+)
+def test_checkpoint_rejects_params_not_matching_config(tmp_path, edit, name):
+    path = tmp_path / "model.ckpt"
+    _write_checkpoint_doc(path, edit)
+    with pytest.raises(DetectorError, match=name):
         load_checkpoint(path)

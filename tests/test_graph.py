@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from guardian.embedder import EmbeddingConfig, make_embedder
 from guardian.graph import (
@@ -138,31 +140,12 @@ def test_append_snapshot_requires_increasing_rounds():
         g.append_snapshot(_snapshot(1, [0, 1]))
 
 
-def test_layered_edges_span_exactly_one_round():
-    g = _three_round_graph()
-    assert len(g.layered_edges) == 24  # 2 transitions x 4x3 ordered pairs
-    for src_round, _, dst_round, _ in g.layered_edges:
-        assert dst_round == src_round + 1
-
-
 def test_remove_node_preserves_history():
     g = _three_round_graph()
     g.remove_node(1, from_round=1)
     assert 1 in g.snapshot_at(1).agents
     assert 1 not in g.snapshot_at(2).agents
     assert 1 not in g.snapshot_at(3).agents
-
-
-def test_remove_after_round1_leaves_six_layered_edges():
-    # 4 agents, one removed after round 1: round-2 snapshot has 3 agents and
-    # 3*2 directed layered edges under the full topology.
-    g = TemporalGraph()
-    g.append_snapshot(_snapshot(1, [0, 1, 2, 3]))
-    g.remove_node(1, from_round=1)
-    active = [0, 2, 3]
-    g.append_snapshot(_snapshot(2, active, _full_topology(active)))
-    assert len(g.snapshot_at(2).agents) == 3
-    assert len(g.layered_edges) == 6
 
 
 def test_remove_node_rejects_inactive():
@@ -178,7 +161,7 @@ def test_remove_node_idempotent_flagged():
     before = [s.agents for s in g.snapshots]
     g.remove_node(2, from_round=3)
     assert [s.agents for s in g.snapshots] == before
-    assert g.removal_log[-1].duplicate
+    assert g.removed == {2: 2}
 
 
 def test_remove_sole_agent_empties_future_rounds():
@@ -250,3 +233,63 @@ def test_truncate_history_window_one():
     batch = truncate_history(merge_history(g, 3), 1)
     assert [s.round for s in batch.snapshots] == [3]
     assert batch.presence[0] == [True]
+
+
+# ---------------------------------------------------------------------------
+# properties over random rounds and removals
+# ---------------------------------------------------------------------------
+
+AGENTS = st.integers(1, 5)
+# One entry per round: -1 keeps every agent, k >= 0 then removes the k-th
+# active agent (modulo the active count).
+PICKS = st.lists(st.integers(-1, 4), min_size=1, max_size=5)
+
+
+def _grow_with_removals(n_agents, picks):
+    g = TemporalGraph()
+    active = list(range(n_agents))
+    for t, pick in enumerate(picks, start=1):
+        if not active:
+            break
+        g.append_snapshot(_snapshot(t, active, _full_topology(active)))
+        if pick >= 0:
+            g.remove_node(active[pick % len(active)], from_round=t)
+            active = [a for a in active if a not in g.removed]
+    return g
+
+
+@settings(max_examples=50, deadline=None)
+@given(AGENTS, PICKS, st.integers(1, 6))
+def test_history_presence_masks_match_snapshots(n_agents, picks, window):
+    g = _grow_with_removals(n_agents, picks)
+    for upto in range(1, g.latest_round + 1):
+        merged = merge_history(g, upto)
+        assert [s.round for s in merged.snapshots] == list(range(1, upto + 1))
+        truncated = truncate_history(merged, window)
+        assert truncated.snapshots == merged.snapshots[-window:]
+        for batch in (merged, truncated):
+            seen = sorted({a for s in batch.snapshots for a in s.agents})
+            assert batch.presence == {a: [a in s.agents for s in batch.snapshots] for a in seen}
+
+
+@settings(max_examples=50, deadline=None)
+@given(AGENTS, PICKS, st.lists(st.tuples(st.integers(0, 4), st.integers(1, 5)), max_size=4))
+def test_removal_is_forward_only(n_agents, picks, later_removals):
+    g = _grow_with_removals(n_agents, picks)
+    for agent, from_round in later_removals:
+        from_round = min(from_round, g.latest_round)
+        if agent not in g.removed and agent not in g.snapshot_at(from_round).agents:
+            with pytest.raises(GraphError, match="not active"):
+                g.remove_node(agent, from_round)
+            continue
+        before = [(s.round, list(s.agents), s.features.data.copy()) for s in g.snapshots]
+        removed_before = dict(g.removed)
+        g.remove_node(agent, from_round)
+        cut = removed_before.get(agent, from_round)  # a repeat keeps the first removal
+        assert g.removed == {**removed_before, agent: cut}
+        for (t, agents, features), s in zip(before, g.snapshots):
+            keep = [i for i, a in enumerate(agents) if a != agent or t <= cut]
+            assert s.agents == [agents[i] for i in keep]
+            assert np.array_equal(s.features.data, features[keep])
+    for agent, cut in g.removed.items():
+        assert all(agent not in s.agents for s in g.snapshots if s.round > cut)

@@ -12,7 +12,6 @@ from guardian.harness import (
     episode_from_json,
     episode_to_json,
     export_episode_graph,
-    export_graph,
     load_corpus,
     make_corpus,
     metrics_csv,
@@ -21,7 +20,6 @@ from guardian.harness import (
     save_corpus,
     validate_episode_json,
 )
-from guardian.graph import TemporalGraph
 from guardian.simulator import EpisodeLog, GroundTruth, RoundRecord, Task
 
 TASK = Task(id="m0", question="q", answer_space=("8", "57"), correct="8")
@@ -232,6 +230,9 @@ def test_config_hash_stable_and_sensitive():
     c = ExperimentConfig(seed=2)
     assert a.config_hash() == b.config_hash()
     assert a.config_hash() != c.config_hash()
+    # timing changes no result, so it leaves the hash alone
+    assert ExperimentConfig().config_hash() == "b52dde71bc054b75"
+    assert ExperimentConfig(timing=True).config_hash() == "b52dde71bc054b75"
 
 
 # ---------------------------------------------------------------------------
@@ -346,32 +347,38 @@ def _assert_dot_wellformed(text: str) -> None:
     assert depth == 0
 
 
+def _episode(rounds):
+    return EpisodeLog(task=TASK, rounds=rounds, ground_truth=None, final_answer="8", api_calls=0)
+
+
+def _round(t, edges, scores=None):
+    return RoundRecord(
+        t=t, agents=[0, 1], responses=["a", "b"], answers=["8", "8"], edges=edges, scores=scores
+    )
+
+
 def test_export_empty_graph():
-    doc = json.loads(export_graph(TemporalGraph(), fmt="json"))
+    doc = json.loads(export_episode_graph(_episode([]), fmt="json"))
     assert doc == {"nodes": [], "edges": []}
-    _assert_dot_wellformed(export_graph(TemporalGraph(), fmt="dot"))
+    _assert_dot_wellformed(export_episode_graph(_episode([]), fmt="dot"))
 
 
 def test_export_two_rounds_two_agents_counts():
     # 2 rounds x 2 agents, full topology: 4 node records; 2 communication
     # edges plus 2 per-agent continuity edges = 4 edge records.
-    from guardian.embedder import EmbeddingConfig, make_embedder
-    from guardian.graph import build_snapshot
-
-    embed = make_embedder(EmbeddingConfig(dim=16))
-    g = TemporalGraph()
-    g.append_snapshot(build_snapshot(1, [(0, "a"), (1, "b")], None, embed))
-    g.append_snapshot(
-        build_snapshot(2, [(0, "c"), (1, "d")], {0: (1,), 1: (0,)}, embed)
-    )
-    doc = json.loads(export_graph(g, scores={(2, 0): 0.25}, fmt="json"))
+    log = _episode([_round(1, []), _round(2, [(0, 1), (1, 0)], scores=[0.25, 0.75])])
+    doc = json.loads(export_episode_graph(log, fmt="json"))
     assert len(doc["nodes"]) == 4
     assert len(doc["edges"]) == 4
     kinds = sorted(e["kind"] for e in doc["edges"])
     assert kinds == ["comm", "comm", "continuity", "continuity"]
+    assert all(e["dst_round"] == e["src_round"] + 1 for e in doc["edges"])
     scored = [n for n in doc["nodes"] if n["score"] is not None]
-    assert scored == [{"round": 2, "agent": 0, "score": 0.25, "removed": False}]
-    _assert_dot_wellformed(export_graph(g, fmt="dot"))
+    assert scored == [
+        {"round": 2, "agent": 0, "score": 0.25, "removed": False},
+        {"round": 2, "agent": 1, "score": 0.75, "removed": False},
+    ]
+    _assert_dot_wellformed(export_episode_graph(log, fmt="dot"))
 
 
 def test_export_episode_graph_marks_corruption_and_removal(tmp_path):
@@ -389,5 +396,5 @@ def test_export_episode_graph_marks_corruption_and_removal(tmp_path):
 
 
 def test_export_rejects_unknown_format():
-    with pytest.raises(HarnessError):
-        export_graph(TemporalGraph(), fmt="svg")
+    with pytest.raises(HarnessError, match="svg"):
+        export_episode_graph(_episode([]), fmt="svg")

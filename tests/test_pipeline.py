@@ -236,7 +236,9 @@ def test_carry_off_reinitializes_per_episode():
 
 
 def test_checkpoint_roundtrip_at_stream_boundary(tmp_path):
-    state = PipelineState(_cfg(epochs_initial=5), DetectionPolicy(), EMBED, seed=13)
+    state = PipelineState(
+        _cfg(epochs_initial=5, epochs_incremental=2), DetectionPolicy(), EMBED, seed=13
+    )
     state.begin_episode()
     state.ingest_round(_responses(1, {a: "8" for a in range(3)}), {}, True)
     path = tmp_path / "stream.ckpt"
@@ -245,3 +247,7 @@ def test_checkpoint_roundtrip_at_stream_boundary(tmp_path):
     assert restored.det_cfg == state.det_cfg
     for name, value in state.params.entries():
         assert np.array_equal(restored.params.value(name), value)
+    # A loaded detector is already fitted: its first round runs the incremental epochs.
+    restored.begin_episode()
+    restored.ingest_round(_responses(1, {a: "8" for a in range(3)}), {}, True)
+    assert restored.params.step_count("gcn.w0") == restored.det_cfg.epochs_incremental
