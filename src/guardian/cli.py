@@ -95,6 +95,8 @@ def _cmd_run(args: argparse.Namespace, defense: bool) -> int:
 
 def _cmd_train(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args, defense=True)
+    if cfg.trials != 1:
+        raise HarnessError(f"train fits one stream: --trials must be 1, got {cfg.trials}")
     cfg.attack = "none"
     logs, state = run_trials(cfg, trials=1)
     out = args.out or Path(".")

@@ -15,6 +15,11 @@ Per round the pipeline feeds a batch of snapshots through:
 Training minimizes  l_total = alpha*l_att + (1-alpha)*l_stru + gamma*kl
 by full-batch Adam; inference disables sampling and hands the
 reconstruction residuals to the scoring module.
+
+``fit`` and ``infer`` run one hand-written forward and backward pass over
+the whole history in batched numpy (``_Pass``). The per-stage functions
+and ``run_forward`` build the same computation on the ``numerics``
+gradient tape; the tests hold the hand-written pass to them.
 """
 
 from __future__ import annotations
@@ -367,6 +372,149 @@ def run_forward(
     )
 
 
+class _History:
+    """What one fit or inference holds fixed over its epochs.
+
+    The snapshots are stacked row-wise into ``rows`` nodes, so each graph
+    convolution is one product with the batch's block-diagonal normalized
+    adjacency. ``gather[i, t]`` is the row of final agent i in snapshot t
+    and ``present[i, t]`` says whether that row exists; absent entries
+    point at row 0 and are masked out of the attention.
+    """
+
+    def __init__(self, batch: HistoryBatch, cfg: DetectorConfig):
+        snapshots = batch.snapshots
+        if not snapshots:
+            raise DetectorError("empty snapshot batch")
+        final = snapshots[-1]
+        if not final.agents:
+            raise DetectorError("no active agents at the final round")
+        features = np.vstack([s.features.data for s in snapshots])
+        if features.shape[1] != cfg.k:
+            raise DetectorError(
+                f"feature dim {features.shape[1]} does not match encoder input {cfg.k}"
+            )
+        self.a_hat = normalized_adjacency(batch).data
+        self.a_hat_x = self.a_hat @ features
+        sizes = [len(s.agents) for s in snapshots]
+        self.rows = sum(sizes)
+        # kl is the mean over snapshots of the per-node average KL
+        self.kl_weight = np.repeat([0.5 / (n * len(sizes)) for n in sizes], sizes)[:, None]
+        self.gather = np.zeros((len(final.agents), len(snapshots)), dtype=np.intp)
+        self.present = np.zeros(self.gather.shape, dtype=bool)
+        offset = 0
+        for t, s in enumerate(snapshots):
+            row_of = {a: offset + i for i, a in enumerate(s.agents)}
+            for i, agent in enumerate(final.agents):
+                if batch.presence[agent][t]:
+                    self.gather[i, t] = row_of[agent]
+                    self.present[i, t] = True
+            offset += len(s.agents)
+        self.present_rows = self.gather[self.present]
+        self.pe = positional_encoding([s.round for s in snapshots], cfg.d)
+        self.d, self.alpha, self.gamma = cfg.d, cfg.alpha, cfg.gamma
+        self.inv_sqrt_d = 1.0 / math.sqrt(cfg.d)
+        self.features = final.features.data
+        self.target = self_looped_adjacency(final)
+        self.edge = self.target > 0.0
+
+
+class _Pass:
+    """The forward pass of ``run_forward`` over a whole history, without the tape,
+    and its hand-written backward pass.
+
+    Only the last attention position feeds the decoders, so each final
+    agent's fused row is its last query attending, in one masked softmax,
+    over the rounds it is present in. ``noise`` is None at inference.
+    """
+
+    def __init__(self, h: _History, w: dict[str, np.ndarray], noise: np.ndarray | None):
+        self.h, self.w, self.noise = h, w, noise
+        d = h.d
+        self.h1_pre = h.a_hat_x @ w["gcn.w0"]
+        self.h1 = np.maximum(self.h1_pre, 0.0)
+        self.a_hat_h1 = h.a_hat @ self.h1
+        hidden = self.a_hat_h1 @ w["gcn.w1"]
+        self.mean = hidden[:, :d]
+        self.log_var_raw = hidden[:, d:]
+        # np.minimum/np.maximum clamp like np.clip, at a fraction of its call overhead
+        self.log_var = np.minimum(np.maximum(self.log_var_raw, LOGVAR_MIN), LOGVAR_MAX)
+        self.var = np.exp(self.log_var)
+        if noise is None:
+            z = self.mean
+        else:
+            self.std = np.exp(self.log_var * 0.5)
+            z = self.mean + self.std * noise
+        kl = float(((self.var + self.mean * self.mean - 1.0 - self.log_var) * h.kl_weight).sum())
+
+        self.seq = z[h.gather] + h.pe
+        self.q = self.seq[:, -1] @ w["attn.wq"]
+        self.u = self.q @ w["attn.wk"].T  # q . (seq_t wk) == seq_t . u
+        logits = (self.seq @ self.u[:, :, None])[:, :, 0] * h.inv_sqrt_d
+        logits = np.where(h.present, logits, -np.inf)
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        self.attn = e / e.sum(axis=1, keepdims=True)
+        self.context = (self.attn[:, None, :] @ self.seq)[:, 0]
+        self.fused = self.context @ w["attn.wv"]
+
+        self.dec_pre = self.fused @ w["dec.w0"] + w["dec.b0"]
+        self.dec_h = np.maximum(self.dec_pre, 0.0)
+        self.x_hat = self.dec_h @ w["dec.w1"] + w["dec.b1"]
+        clamp = nm.SIGMOID_CLAMP
+        clamped = np.minimum(np.maximum(self.fused @ self.fused.T, -clamp), clamp)
+        self.edge_probs = 1.0 / (1.0 + np.exp(-clamped))
+
+        n = len(h.features)
+        self.r_x = h.features - self.x_hat
+        l_att = float((self.r_x * self.r_x).sum()) * (1.0 / n)
+        # the target is 0/1, so a log p + (1 - a) log(1 - p) is one of the two logs
+        likelihood = np.where(h.edge, self.edge_probs, 1.0 - self.edge_probs)
+        l_stru = float(np.log(likelihood).sum()) * (-1.0 / (n * n))
+        self.breakdown = compose_losses(l_att, l_stru, kl, h.alpha, h.gamma)
+
+    def backward(self, g: dict[str, np.ndarray]) -> None:
+        """Write d l_total / d parameter into each array of `g`, overwriting it."""
+        h, w = self.h, self.w
+        n, d = len(h.features), h.d
+        d_x_hat = self.r_x * (-2.0 * h.alpha / n)
+        # cross-entropy through the sigmoid; as on the tape, the clamp passes gradient
+        d_logits = (self.edge_probs - h.target) * ((1.0 - h.alpha) / (n * n))
+
+        np.matmul(self.dec_h.T, d_x_hat, out=g["dec.w1"])
+        g["dec.b1"][:] = d_x_hat.sum(axis=0)
+        d_dec = (d_x_hat @ w["dec.w1"].T) * (self.dec_pre > 0.0)
+        np.matmul(self.fused.T, d_dec, out=g["dec.w0"])
+        g["dec.b0"][:] = d_dec.sum(axis=0)
+        d_fused = d_dec @ w["dec.w0"].T + (d_logits + d_logits.T) @ self.fused
+
+        np.matmul(self.context.T, d_fused, out=g["attn.wv"])
+        d_context = d_fused @ w["attn.wv"].T
+        d_attn = (self.seq @ d_context[:, :, None])[:, :, 0]
+        inner = (self.attn * d_attn).sum(axis=1, keepdims=True)
+        d_scores = self.attn * (d_attn - inner) * h.inv_sqrt_d
+        d_seq = self.attn[:, :, None] * d_context[:, None, :]
+        d_seq += d_scores[:, :, None] * self.u[:, None, :]
+        d_u = (d_scores[:, None, :] @ self.seq)[:, 0]
+        d_q = d_u @ w["attn.wk"]
+        np.matmul(d_u.T, self.q, out=g["attn.wk"])
+        np.matmul(self.seq[:, -1].T, d_q, out=g["attn.wq"])
+        d_seq[:, -1] += d_q @ w["attn.wq"].T
+        d_z = np.zeros((h.rows, d))
+        d_z[h.present_rows] = d_seq[h.present]
+
+        d_hidden = np.empty((h.rows, 2 * d))
+        d_hidden[:, :d] = d_z + (2.0 * h.gamma) * h.kl_weight * self.mean
+        d_log_var = h.gamma * h.kl_weight * (self.var - 1.0)
+        if self.noise is not None:
+            d_log_var += d_z * self.noise * self.std * 0.5
+        d_hidden[:, d:] = d_log_var * (self.log_var == self.log_var_raw)  # not clamped
+
+        np.matmul(self.a_hat_h1.T, d_hidden, out=g["gcn.w1"])
+        d_h1 = h.a_hat.T @ (d_hidden @ w["gcn.w1"].T)
+        d_h1 *= self.h1_pre > 0.0
+        np.matmul(h.a_hat_x.T, d_h1, out=g["gcn.w0"])
+
+
 def fit(
     batch: HistoryBatch,
     cfg: DetectorConfig,
@@ -374,19 +522,27 @@ def fit(
     rng: np.random.Generator,
     epochs: int | None = None,
 ) -> list[LossBreakdown]:
-    """Full-batch gradient descent on l_total; returns per-epoch losses."""
+    """Full-batch Adam on l_total; returns per-epoch losses.
+
+    Each epoch draws one standard-normal row per node in snapshot order,
+    which is the stream ``run_forward`` draws snapshot by snapshot.
+    """
     if epochs is None:
         epochs = cfg.epochs_initial
+    history = _History(batch, cfg)
+    values = dict(params.entries())
+    grads = {name: params.grad(name) for name in values}
     trace: list[LossBreakdown] = []
-    for epoch in range(epochs):
-        params.zero_grads()
-        try:
-            result = run_forward(batch, cfg, params, rng)
-        except NonFiniteError as err:
-            raise TrainingDiverged(epoch, trace[-1] if trace else None, str(err)) from err
-        trace.append(result.breakdown)
-        result.loss_total.backward()
-        nm.adam_step(params, lr=cfg.lr)
+    with np.errstate(over="ignore", invalid="ignore"):  # the loss check below reports it
+        for epoch in range(epochs):
+            step = _Pass(history, values, rng.standard_normal((history.rows, cfg.d)))
+            if not math.isfinite(step.breakdown.l_total):
+                raise TrainingDiverged(
+                    epoch, trace[-1] if trace else None, f"non-finite loss {step.breakdown}"
+                )
+            trace.append(step.breakdown)
+            step.backward(grads)
+            nm.adam_step(params, lr=cfg.lr)
     return trace
 
 
@@ -394,16 +550,19 @@ def infer(
     batch: HistoryBatch, cfg: DetectorConfig, params: ParamStore
 ) -> tuple[Reconstruction, LossBreakdown]:
     """Deterministic reconstruction of the final snapshot (no sampling)."""
-    result = run_forward(batch, cfg, params, rng=None)
+    history = _History(batch, cfg)
+    with np.errstate(over="ignore", invalid="ignore"):  # the loss check below reports it
+        result = _Pass(history, dict(params.entries()), noise=None)
+    if not math.isfinite(result.breakdown.l_total):
+        raise NonFiniteError(f"non-finite loss at inference: {result.breakdown}")
     final = batch.snapshots[-1]
-    target = self_looped_adjacency(final)
     recon = Reconstruction(
         round=final.round,
         agents=list(final.agents),
-        x_hat=Tensor2D(result.x_hat.data.copy()),
-        edge_probs=Tensor2D(result.edge_probs.data.copy()),
-        r_x=Tensor2D(final.features.data - result.x_hat.data),
-        r_e=Tensor2D(target - result.edge_probs.data),
+        x_hat=Tensor2D(result.x_hat),
+        edge_probs=Tensor2D(result.edge_probs),
+        r_x=Tensor2D(result.r_x),
+        r_e=Tensor2D(history.target - result.edge_probs),
     )
     return recon, result.breakdown
 

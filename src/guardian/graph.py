@@ -79,6 +79,17 @@ class HistoryBatch:
         agents = sorted({a for s in snapshots for a in s.agents})
         return cls(snapshots, {a: [a in s.agents for s in snapshots] for a in agents})
 
+    @property
+    def adjacency(self) -> np.ndarray:
+        """The snapshots' adjacencies as one block-diagonal matrix, in snapshot order."""
+        sizes = [len(s.agents) for s in self.snapshots]
+        out = np.zeros((sum(sizes), sum(sizes)), dtype=bool)
+        offset = 0
+        for s, n in zip(self.snapshots, sizes):
+            out[offset : offset + n, offset : offset + n] = s.adjacency
+            offset += n
+        return out
+
 
 class TemporalGraph:
     def __init__(self) -> None:
@@ -209,9 +220,13 @@ def build_snapshot(
     )
 
 
-def normalized_adjacency(s: Snapshot) -> Tensor2D:
-    """Symmetric renormalized adjacency with self-loops: D^-1/2 (A_sym + I) D^-1/2."""
-    a_hat = (s.adjacency | s.adjacency.T).astype(np.float64) + np.eye(len(s.agents))
+def normalized_adjacency(s: Snapshot | HistoryBatch) -> Tensor2D:
+    """Symmetric renormalized adjacency with self-loops: D^-1/2 (A_sym + I) D^-1/2.
+
+    Of a batch it is block-diagonal, one snapshot's normalized adjacency
+    per block, because no edge crosses a snapshot.
+    """
+    a_hat = (s.adjacency | s.adjacency.T).astype(np.float64) + np.eye(len(s.adjacency))
     d_inv_sqrt = 1.0 / np.sqrt(a_hat.sum(axis=1))
     return Tensor2D(a_hat * d_inv_sqrt[:, None] * d_inv_sqrt[None, :])
 

@@ -253,8 +253,14 @@ def save_corpus(tasks: Sequence[Task], path: str | Path) -> None:
 
 
 def load_corpus(path: str | Path) -> list[Task]:
-    """Tab-separated: id, question, |-separated answers, correct index."""
+    """Tab-separated: id, question, |-separated answers, correct index.
+
+    Task ids name the episode files (``trial{NN}_{id}.json``), so an id must
+    be unique and a plain file name: not empty, not ``.`` or ``..``, and
+    without ``/``, ``\\`` or NUL.
+    """
     tasks = []
+    first_line: dict[str, int] = {}
     try:
         text = Path(path).read_text()
     except OSError as err:
@@ -266,6 +272,13 @@ def load_corpus(path: str | Path) -> list[Task]:
         if len(parts) != 4:
             raise HarnessError(f"{path}:{lineno}: expected 4 tab-separated fields, got {len(parts)}")
         task_id, question, answers_raw, index_raw = parts
+        if task_id in ("", ".", "..") or any(c in task_id for c in "/\\\0"):
+            raise HarnessError(f"{path}:{lineno}: task id {task_id!r} is not a plain file name")
+        if task_id in first_line:
+            raise HarnessError(
+                f"{path}:{lineno}: task id {task_id!r} repeats line {first_line[task_id]}"
+            )
+        first_line[task_id] = lineno
         answers = tuple(answers_raw.split("|"))
         try:
             correct = answers[int(index_raw)]

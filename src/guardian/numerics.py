@@ -380,25 +380,37 @@ def vstack(parts: Sequence[Tensor2D]) -> Tensor2D:
 
 
 class _ParamEntry:
-    __slots__ = ("value", "grad", "m", "v", "step")
+    __slots__ = ("value", "grad")
 
-    def __init__(self, value: np.ndarray):
+    def __init__(self, value: np.ndarray, grad: np.ndarray):
         self.value = value
-        self.grad = np.zeros_like(value)
-        self.m = np.zeros_like(value)
-        self.v = np.zeros_like(value)
-        self.step = 0
+        self.grad = grad
 
 
 class ParamStore:
-    """Named trainable matrices with gradient and Adam moment buffers."""
+    """Named trainable matrices with gradient and Adam moment buffers.
+
+    Values, gradients and both Adam moments are each one flat float64
+    buffer; an entry's arrays are reshaped views into them, so an optimizer
+    step is one vectorised update over every parameter. Adding an entry
+    reallocates the buffers, so views taken before an ``add`` are detached;
+    entries can only be added before the first optimizer step, which every
+    entry then shares.
+    """
 
     def __init__(self) -> None:
         self._entries: dict[str, _ParamEntry] = {}
+        self._value = np.zeros(0)
+        self._grad = np.zeros(0)
+        self._m = np.zeros(0)
+        self._v = np.zeros(0)
+        self._step = 0
 
     def add(self, name: str, value) -> None:
         if name in self._entries:
             raise NumericsError(f"duplicate parameter {name!r}")
+        if self._step:
+            raise NumericsError(f"cannot add parameter {name!r} after an optimizer step")
         arr = np.array(value, dtype=np.float64)
         if arr.ndim == 1:
             arr = arr.reshape(1, -1)
@@ -406,7 +418,20 @@ class ParamStore:
             raise NumericsError(f"parameter {name!r} must be 2-D")
         if not np.all(np.isfinite(arr)):
             raise NonFiniteError(f"parameter {name!r} contains non-finite values")
-        self._entries[name] = _ParamEntry(arr)
+        shapes = {n: e.value.shape for n, e in self._entries.items()}
+        shapes[name] = arr.shape
+        self._value = np.concatenate([self._value, arr.ravel()])
+        self._grad = np.concatenate([self._grad, np.zeros(arr.size)])
+        # no optimizer step has run, so both moments are still zero
+        self._m = np.zeros_like(self._value)
+        self._v = np.zeros_like(self._value)
+        offset = 0
+        for n, shape in shapes.items():
+            end = offset + shape[0] * shape[1]
+            self._entries[n] = _ParamEntry(
+                self._value[offset:end].reshape(shape), self._grad[offset:end].reshape(shape)
+            )
+            offset = end
 
     def names(self) -> list[str]:
         return sorted(self._entries)
@@ -424,7 +449,9 @@ class ParamStore:
         return self._entries[name].grad
 
     def step_count(self, name: str) -> int:
-        return self._entries[name].step
+        if name not in self._entries:
+            raise KeyError(name)
+        return self._step
 
     def leaf(self, name: str) -> Tensor2D:
         """A tape leaf whose grad buffer aliases the stored gradient."""
@@ -435,8 +462,7 @@ class ParamStore:
         return t
 
     def zero_grads(self) -> None:
-        for entry in self._entries.values():
-            entry.grad[:] = 0.0
+        self._grad[:] = 0.0
 
     def clone(self) -> "ParamStore":
         other = ParamStore()
@@ -449,7 +475,7 @@ class ParamStore:
             yield name, self._entries[name].value
 
     def total_size(self) -> int:
-        return sum(e.value.size for e in self._entries.values())
+        return self._value.size
 
 
 def adam_step(
@@ -459,21 +485,28 @@ def adam_step(
     b2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """One bias-corrected Adam update for every entry.
+    """One bias-corrected Adam update of every entry, vectorised over the store.
 
+    Elementwise it is the textbook per-entry update, in the same order of
+    operations, so the result is bit-identical to updating entry by entry.
     Gradients are left untouched; the caller decides when to zero them.
     """
-    for name in store.names():
-        entry = store._entries[name]
-        entry.step += 1
-        g = entry.grad
-        entry.m[:] = b1 * entry.m + (1.0 - b1) * g
-        entry.v[:] = b2 * entry.v + (1.0 - b2) * (g * g)
-        m_hat = entry.m / (1.0 - b1**entry.step)
-        v_hat = entry.v / (1.0 - b2**entry.step)
-        entry.value -= lr * m_hat / (np.sqrt(v_hat) + eps)
-        if not np.all(np.isfinite(entry.value)):
-            raise NonFiniteError(f"parameter {name!r} diverged during adam_step")
+    store._step += 1
+    value, g, m, v = store._value, store._grad, store._m, store._v
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * (g * g)
+    update = m / (1.0 - b1**store._step)
+    update *= lr
+    denom = v / (1.0 - b2**store._step)
+    np.sqrt(denom, out=denom)
+    denom += eps
+    update /= denom
+    value -= update
+    if not np.all(np.isfinite(value)):
+        name = next(n for n, e in store.entries() if not np.all(np.isfinite(e)))
+        raise NonFiniteError(f"parameter {name!r} diverged during adam_step")
 
 
 def grad_check(

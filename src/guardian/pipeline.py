@@ -34,6 +34,7 @@ from .graph import (
     merge_history,
     truncate_history,
 )
+from .numerics import ParamStore
 from .seeding import derive_rng
 
 __all__ = ["PipelineError", "EpisodeExhausted", "Decision", "PipelineState", "run_stream"]
@@ -79,6 +80,7 @@ class PipelineState:
         self.decisions: list[Decision] = []
         self._fitted_once = False
         self._episode_index = -1
+        self._loaded: ParamStore | None = None  # a checkpoint's parameters, kept pristine
 
     def save(self, path) -> None:
         """Checkpoint the detector at a stream boundary."""
@@ -104,19 +106,28 @@ class PipelineState:
             history_window=history_window,
         )
         state.params = params
+        state._loaded = params.clone()
         state._fitted_once = True
         return state
 
     def begin_episode(self) -> None:
-        """Fresh graph and round counter; parameters persist unless carry is off."""
+        """Fresh graph and round counter; parameters persist unless carry is off.
+
+        With carry off every episode restarts from the same detector: the
+        checkpoint's parameters, still fitted, when the state was loaded
+        from one, else a fresh initialisation.
+        """
         self._episode_index += 1
         self.graph = TemporalGraph()
         self.round = 0
         if not self.carry_params:
             ep = self._episode_index
-            self.params = init_params(self.det_cfg, derive_rng(self.seed, "init", ep))
+            if self._loaded is not None:
+                self.params = self._loaded.clone()
+            else:
+                self.params = init_params(self.det_cfg, derive_rng(self.seed, "init", ep))
+                self._fitted_once = False
             self.noise_rng = derive_rng(self.seed, "noise", ep)
-            self._fitted_once = False
 
     def active_agents(self) -> list[AgentId] | None:
         if self.round == 0:

@@ -49,6 +49,15 @@ def test_cli_train_saves_checkpoint(tmp_path):
     assert ckpt.read_text().startswith(CHECKPOINT_MAGIC)
 
 
+@pytest.mark.parametrize("trials", ["2", "3"])
+def test_cli_train_rejects_trials_other_than_one(tmp_path, capsys, trials):
+    out = tmp_path / "model"
+    code = main(["train", *_fast_flags(tmp_path), "--trials", trials, "--out", str(out)])
+    assert code == 2
+    assert "--trials" in capsys.readouterr().err
+    assert not (out / "guardian.ckpt").exists()
+
+
 def test_cli_metrics_recomputes_from_logs(tmp_path, capsys):
     out = tmp_path / "run"
     main(["defend", *_fast_flags(tmp_path), "--attack", "agent", "--out", str(out)])

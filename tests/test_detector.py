@@ -8,8 +8,12 @@ import pytest
 
 from guardian.detector import (
     CHECKPOINT_MAGIC,
+    LOGVAR_MAX,
     DetectorConfig,
     DetectorError,
+    TrainingDiverged,
+    _History,
+    _Pass,
     _attribute_loss,
     _structure_loss,
     compose_losses,
@@ -519,6 +523,180 @@ def test_grad_check_with_sampling_frozen():
 
 
 # ---------------------------------------------------------------------------
+# the fused kernel that fit and infer run, against the tape
+# ---------------------------------------------------------------------------
+
+
+def _history_with_gaps(rng, n_agents, rounds, k):
+    """Random rounds in which agents leave for good or join late, so that
+    presence masks are partial; agent 0 stays throughout."""
+    join = np.where(rng.random(n_agents) < 0.7, 1, rng.integers(1, rounds + 1, n_agents))
+    leave = np.where(rng.random(n_agents) < 0.6, rounds, rng.integers(join, rounds + 1))
+    join[0], leave[0] = 1, rounds
+    snaps = []
+    for t in range(1, rounds + 1):
+        agents = [a for a in range(n_agents) if join[a] <= t <= leave[a]]
+        n = len(agents)
+        adjacency = rng.random((n, n)) < 0.5 if t > 1 else np.zeros((n, n), dtype=bool)
+        np.fill_diagonal(adjacency, False)
+        snaps.append(_snapshot(t, agents, rng.normal(size=(n, k)), adjacency))
+    return HistoryBatch.of(snaps)
+
+
+def _kernel(batch, cfg, params, noise_seed):
+    """The kernel's breakdown and gradients, with the tape's noise when sampling."""
+    history = _History(batch, cfg)
+    noise = None
+    if noise_seed is not None:
+        noise = np.random.default_rng(noise_seed).standard_normal((history.rows, cfg.d))
+    step = _Pass(history, dict(params.entries()), noise)
+    grads = {name: np.full_like(value, np.nan) for name, value in params.entries()}
+    step.backward(grads)
+    return step.breakdown, grads
+
+
+def _assert_relative(actual, expected, bound, what):
+    scale = np.max(np.abs(expected))
+    err = np.max(np.abs(actual - expected))
+    assert err <= bound * scale if scale else err == 0.0, f"{what}: {err:.3g} of {scale:.3g}"
+
+
+@pytest.mark.parametrize("sampling", [False, True])
+@pytest.mark.parametrize("seed", range(12))
+def test_kernel_matches_tape_loss_and_every_gradient(seed, sampling):
+    rng = np.random.default_rng(seed)
+    n_agents, rounds = int(rng.integers(1, 9)), int(rng.integers(1, 11))
+    cfg = DetectorConfig(
+        k=int(rng.integers(2, 9)),
+        d=int(rng.integers(1, 9)),
+        alpha=float(rng.uniform(0.0, 1.0)),
+        lambda_=float(rng.uniform(0.0, 0.5)),
+    )
+    params = init_params(cfg, rng)
+    batch = _history_with_gaps(rng, n_agents, rounds, cfg.k)
+    noise_seed = 100 + seed if sampling else None
+
+    breakdown, grads = _kernel(batch, cfg, params, noise_seed)
+    params.zero_grads()
+    noise_rng = None if noise_seed is None else np.random.default_rng(noise_seed)
+    tape = run_forward(batch, cfg, params, noise_rng)
+    tape.loss_total.backward()
+    for field in ("l_att", "l_stru", "kl", "l_total"):
+        _assert_relative(getattr(breakdown, field), getattr(tape.breakdown, field), 1e-10, field)
+    for name in params.names():
+        _assert_relative(grads[name], params.grad(name), 1e-10, name)
+
+
+@pytest.mark.parametrize("sampling", [False, True])
+def test_kernel_matches_tape_where_log_variance_clamps(sampling):
+    rng = np.random.default_rng(25)
+    cfg = DetectorConfig(k=6, d=4, lambda_=0.3)
+    params = init_params(cfg, rng)
+    params.value("gcn.w1")[:, cfg.d :] *= 40.0
+    batch = _history_with_gaps(rng, 6, 4, cfg.k)
+    history = _History(batch, cfg)
+    log_var = _Pass(history, dict(params.entries()), None).log_var_raw
+    assert (np.abs(log_var) > LOGVAR_MAX).any() and (np.abs(log_var) < LOGVAR_MAX).any()
+
+    breakdown, grads = _kernel(batch, cfg, params, 7 if sampling else None)
+    tape = run_forward(batch, cfg, params, np.random.default_rng(7) if sampling else None)
+    tape.loss_total.backward()
+    _assert_relative(breakdown.l_total, tape.breakdown.l_total, 1e-10, "l_total")
+    for name in params.names():
+        _assert_relative(grads[name], params.grad(name), 1e-10, name)
+
+
+def test_fit_first_epoch_is_the_tapes_sampled_pass():
+    # one noise draw per epoch for all snapshots equals the tape's per-snapshot draws
+    rng = np.random.default_rng(22)
+    cfg = _small_cfg(lambda_=0.2)
+    params = init_params(cfg, rng)
+    reference = params.clone()
+    batch = _history_with_gaps(rng, 5, 4, cfg.k)
+    trace = fit(batch, cfg, params, np.random.default_rng(3), epochs=1)
+    tape = run_forward(batch, cfg, reference, np.random.default_rng(3))
+    tape.loss_total.backward()
+    _assert_relative(trace[0].l_total, tape.breakdown.l_total, 1e-10, "l_total")
+    for name in params.names():
+        _assert_relative(params.grad(name), reference.grad(name), 1e-10, name)
+
+
+@pytest.mark.parametrize("sampling", [False, True])
+def test_kernel_gradients_match_finite_differences(sampling):
+    # criterion 1's configurations and bound, on the kernel's l_total
+    config_rng = np.random.default_rng(1001)
+    worst = 0.0
+    for i in range(10):
+        n = int(config_rng.integers(2, 6))
+        rounds = int(config_rng.integers(1, 4))
+        d = int(config_rng.integers(2, 9))
+        k = int(config_rng.integers(3, 9))
+        cfg = DetectorConfig(
+            k=k,
+            d=d,
+            alpha=float(config_rng.uniform(0.2, 0.8)),
+            lambda_=float(config_rng.uniform(0.01, 0.5)),
+        )
+        params = init_params(cfg, np.random.default_rng(2000 + i))
+        batch = _random_batch(np.random.default_rng(3000 + i), n, rounds, k, normalize=True)
+        history = _History(batch, cfg)
+        noise = None
+        if sampling:
+            noise = np.random.default_rng(5000 + i).standard_normal((history.rows, d))
+        values = dict(params.entries())
+        grads = {name: np.empty_like(value) for name, value in values.items()}
+        _Pass(history, values, noise).backward(grads)
+
+        def loss():
+            return _Pass(history, values, noise).breakdown.l_total
+
+        coord_rng = np.random.default_rng(4000 + i)
+        eps = 1e-4
+        for name, value in values.items():
+            flat = value.reshape(-1)
+            for c in coord_rng.choice(flat.size, size=min(6, flat.size), replace=False):
+                orig = flat[c]
+                flat[c] = orig + eps
+                up = loss()
+                flat[c] = orig - eps
+                down = loss()
+                flat[c] = orig
+                numeric = (up - down) / (2.0 * eps)
+                analytic = grads[name].reshape(-1)[c]
+                worst = max(worst, abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1.0))
+    assert worst < 1e-4
+
+
+def test_fit_overflowing_loss_diverges_at_epoch_zero():
+    rng = np.random.default_rng(23)
+    cfg = _small_cfg()
+    params = init_params(cfg, rng)
+    params.value("dec.b1")[:] = 1e200  # squared residuals overflow
+    with pytest.raises(TrainingDiverged) as info:
+        fit(_random_batch(rng, 3, 2, cfg.k), cfg, params, rng, epochs=10)
+    assert info.value.epoch == 0
+    assert info.value.breakdown is None
+
+
+def test_fit_builds_no_tape(monkeypatch):
+    rng = np.random.default_rng(24)
+    cfg = _small_cfg()
+    params = init_params(cfg, rng)
+    batch = _random_batch(rng, 4, 3, cfg.k)
+    built = []
+    original = Tensor2D.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tensor2D, "__init__", counting)
+    fit(batch, cfg, params, rng, epochs=10)
+    # one: the batch's block-diagonal adjacency as graph.normalized_adjacency returns it
+    assert len(built) == 1
+
+
+# ---------------------------------------------------------------------------
 # checkpoints
 # ---------------------------------------------------------------------------
 
@@ -535,6 +713,9 @@ def test_checkpoint_roundtrip(tmp_path):
     assert params2.names() == params.names()
     for name, value in params.entries():
         assert np.array_equal(params2.value(name), value)
+    # the loaded store trains like a fresh one
+    fit(_random_batch(rng, 3, 2, cfg.k), cfg, params2, np.random.default_rng(1), epochs=2)
+    assert params2.step_count("gcn.w0") == 2
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path):

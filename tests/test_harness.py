@@ -185,6 +185,21 @@ def test_corpus_bad_index_reported(tmp_path):
         load_corpus(path)
 
 
+@pytest.mark.parametrize("task_id", ["", ".", "..", "a/b", "..\\up", "nul\0id"])
+def test_corpus_rejects_task_ids_unsafe_as_file_names(tmp_path, task_id):
+    path = tmp_path / "ids.tsv"
+    path.write_text(f"t0\tq\t8|9\t0\n{task_id}\tq\t8|9\t0\n")
+    with pytest.raises(HarnessError, match=r"ids\.tsv:2: task id"):
+        load_corpus(path)
+
+
+def test_corpus_rejects_duplicate_task_ids(tmp_path):
+    path = tmp_path / "dup.tsv"
+    path.write_text("t0\tq\t8|9\t0\nt1\tq\t8|9\t0\nt0\tq2\t8|9\t1\n")
+    with pytest.raises(HarnessError, match=r"dup\.tsv:3: task id 't0' repeats line 1"):
+        load_corpus(path)
+
+
 def test_corpus_missing_file():
     with pytest.raises(HarnessError, match="cannot read"):
         load_corpus("/nonexistent/corpus.tsv")

@@ -156,6 +156,77 @@ def test_adam_deterministic():
     assert np.array_equal(run(), run())
 
 
+def _adam_per_entry(values, grads, steps, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """The textbook update, one entry at a time, as the reference."""
+    values = {n: v.copy() for n, v in values.items()}
+    m = {n: np.zeros_like(v) for n, v in values.items()}
+    v2 = {n: np.zeros_like(v) for n, v in values.items()}
+    for step in range(1, steps + 1):
+        for n in sorted(values):
+            g = grads[step - 1][n]
+            m[n] = b1 * m[n] + (1.0 - b1) * g
+            v2[n] = b2 * v2[n] + (1.0 - b2) * (g * g)
+            m_hat = m[n] / (1.0 - b1**step)
+            v_hat = v2[n] / (1.0 - b2**step)
+            values[n] = values[n] - lr * m_hat / (np.sqrt(v_hat) + eps)
+    return values
+
+
+def test_adam_flat_store_bit_identical_to_per_entry_update():
+    rng = np.random.default_rng(5)
+    shapes = {"w": (3, 4), "b": (1, 4), "u": (4, 2)}
+    values = {n: rng.normal(size=s) for n, s in shapes.items()}
+    grads = [
+        {n: rng.normal(size=s) * 10.0 ** rng.integers(-6, 3) for n, s in shapes.items()}
+        for _ in range(7)
+    ]
+    store = ParamStore()
+    for n, v in values.items():
+        store.add(n, v)
+    for g in grads:
+        for n in shapes:
+            store.grad(n)[:] = g[n]
+        adam_step(store, lr=0.02)
+    expected = _adam_per_entry(values, grads, len(grads), lr=0.02)
+    for n in shapes:
+        assert store.value(n).tobytes() == expected[n].tobytes()
+        assert store.step_count(n) == len(grads)
+    assert store.total_size() == sum(a * b for a, b in shapes.values())
+
+
+def test_param_store_entries_are_views_of_the_flat_buffers():
+    store = ParamStore()
+    store.add("a", [[1.0, 2.0]])
+    store.add("b", [[3.0], [4.0]])
+    leaf = store.leaf("b")
+    assert leaf.data is store.value("b") and leaf.grad is store.grad("b")
+    nm.sum_all(nm.scale(leaf, 2.0)).backward()
+    assert store.grad("b").tolist() == [[2.0], [2.0]]
+    store.grad("a")[:] = 1.0
+    adam_step(store, lr=0.5)
+    assert leaf.data.tolist() != [[3.0], [4.0]]  # the leaf sees the update
+    store.zero_grads()
+    assert not store.grad("a").any() and not store.grad("b").any()
+
+    copy = store.clone()
+    assert copy.names() == store.names() and copy.step_count("a") == 0
+    copy.value("a")[:] = 0.0
+    assert store.value("a").tolist() != [[0.0, 0.0]]
+    with pytest.raises(KeyError):
+        store.step_count("missing")
+    with pytest.raises(NumericsError, match="after an optimizer step"):
+        store.add("c", [[1.0]])
+
+
+def test_adam_names_the_diverged_parameter():
+    store = ParamStore()
+    store.add("a", [[0.0]])
+    store.add("b", [[1e308]])
+    store.grad("b")[:] = -1.0
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="'b' diverged"):
+        adam_step(store, lr=1e308)
+
+
 def test_grad_check_quadratic_is_tight():
     store = ParamStore()
     rng = np.random.default_rng(3)

@@ -251,3 +251,25 @@ def test_checkpoint_roundtrip_at_stream_boundary(tmp_path):
     restored.begin_episode()
     restored.ingest_round(_responses(1, {a: "8" for a in range(3)}), {}, True)
     assert restored.params.step_count("gcn.w0") == restored.det_cfg.epochs_incremental
+
+
+def test_carry_off_restarts_every_episode_from_the_checkpoint(tmp_path):
+    state = PipelineState(
+        _cfg(epochs_initial=5, epochs_incremental=2), DetectionPolicy(), EMBED, seed=14
+    )
+    state.begin_episode()
+    state.ingest_round(_responses(1, {a: "8" for a in range(3)}), {}, True)
+    path = tmp_path / "stream.ckpt"
+    state.save(path)
+    saved = {name: value.copy() for name, value in state.params.entries()}
+
+    restored = PipelineState.from_checkpoint(
+        path, DetectionPolicy(), EMBED, seed=14, carry_params=False
+    )
+    for _ in range(2):
+        restored.begin_episode()
+        for name, value in restored.params.entries():
+            assert np.array_equal(value, saved[name])
+        restored.ingest_round(_responses(1, {a: "8" for a in range(3)}), {}, True)
+        # still treated as fitted: the first round runs the incremental epochs
+        assert restored.params.step_count("gcn.w0") == restored.det_cfg.epochs_incremental
