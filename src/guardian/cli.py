@@ -28,6 +28,7 @@ from .harness import (
     run_experiment,
     run_trials,
 )
+from .simulator import EpisodeLog
 
 __all__ = ["main"]
 
@@ -107,13 +108,25 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
+def _read_episode(path: Path) -> EpisodeLog:
+    """One episode JSON file; every way it can be unusable is a HarnessError naming it."""
+    try:
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as err:
+        raise HarnessError(f"cannot read episode {path}: {err}") from err
+    try:
+        return episode_from_json(text)
+    except HarnessError as err:
+        raise HarnessError(f"{path}: {err}") from err
+
+
 def _cmd_metrics(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args, defense=True)
     logs_dir = Path(args.logs)
     paths = sorted(logs_dir.glob("*.json"))
     if not paths:
         raise HarnessError(f"no episode JSON files under {logs_dir}")
-    logs = [episode_from_json(p.read_text()) for p in paths]
+    logs = [_read_episode(p) for p in paths]
     report = compute_metrics(
         logs, decay=cfg.decay, decay_lambda=cfg.decay_lambda, pooling=cfg.pooling
     )
@@ -126,7 +139,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    log = episode_from_json(Path(args.episode).read_text())
+    log = _read_episode(Path(args.episode))
     rendered = export_episode_graph(log, fmt=args.format)
     if args.out:
         args.out.mkdir(parents=True, exist_ok=True)

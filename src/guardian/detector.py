@@ -224,12 +224,12 @@ def kl_term(mean: Tensor2D, log_variance: Tensor2D) -> Tensor2D:
 
 
 def positional_encoding(rounds: list[int], d: int) -> np.ndarray:
-    """Sinusoidal encodings of absolute round numbers, one row per round."""
-    pe = np.zeros((len(rounds), d), dtype=np.float64)
-    for r_idx, t in enumerate(rounds):
-        for j in range(d):
-            angle = t / (10000.0 ** (2 * (j // 2) / d))
-            pe[r_idx, j] = math.sin(angle) if j % 2 == 0 else math.cos(angle)
+    """Sinusoidal encodings of absolute round numbers, one row per round:
+    sin in even columns, cos in odd ones, of ``t / 10000 ** (2 * (j // 2) / d)``."""
+    divisors = np.array([10000.0 ** (2 * (j // 2) / d) for j in range(d)])
+    angles = np.asarray(rounds, dtype=np.float64)[:, None] / divisors
+    pe = np.cos(angles)
+    pe[:, 0::2] = np.sin(angles[:, 0::2])
     return pe
 
 

@@ -19,6 +19,8 @@ import json
 import os
 import time
 from dataclasses import dataclass
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -34,6 +36,7 @@ from .simulator import (
     GroundTruth,
     RemoteAgentConfig,
     RoundRecord,
+    SimulatorError,
     Task,
     run_episode,
 )
@@ -459,6 +462,84 @@ def run_experiment(
 
 
 # ---------------------------------------------------------------------------
+# JSON text
+# ---------------------------------------------------------------------------
+
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(value: float) -> str:
+    text = float.__repr__(value)
+    return _NONFINITE.get(text, text)
+
+
+# Exact type -> text, for the scalars that json writes without a subclass check.
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_text,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
+def _dumps_indent2(doc) -> str:
+    """``json.dumps(doc, sort_keys=True, indent=2)``, byte for byte.
+
+    CPython's json encodes in C only without ``indent``; with it, every
+    value passes through generators written in Python. This writer joins
+    strings over one recursion and escapes strings with json's C
+    ``encode_basestring_ascii``. Subclasses (of str, int, float, list,
+    tuple and dict, numpy float scalars among them) are written as json
+    writes them, and other types raise json's TypeError. A container that
+    holds itself exhausts the recursion limit instead of raising json's
+    ValueError; every document written here is a fresh tree.
+    """
+    text = _SCALAR_TEXT.get(type(doc))
+    return text(doc) if text is not None else _nested_text(doc, "\n")
+
+
+def _nested_text(value, indent: str) -> str:
+    """Text of a value that is not of an exact scalar type; `indent` is the
+    newline and indentation of the line the value starts on."""
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [
+            text(v) if (text := _SCALAR_TEXT.get(type(v))) is not None else _nested_text(v, inner)
+            for v in value
+        ]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [
+            encode_basestring_ascii(k if type(k) is str else _key_text(k))
+            + ": "
+            + (text(v) if (text := _SCALAR_TEXT.get(type(v))) is not None else _nested_text(v, inner))
+            for k, v in sorted(value.items())
+        ]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_text(value)
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def _key_text(key) -> str:
+    """A dict key that is not exactly a str, converted as json converts it."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):  # bool is an int
+        return _dumps_indent2(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+# ---------------------------------------------------------------------------
 # Episode JSON (stable schema)
 # ---------------------------------------------------------------------------
 
@@ -493,18 +574,25 @@ def episode_to_json(log: EpisodeLog) -> str:
         "final_answer": log.final_answer,
         "api_calls": log.api_calls,
     }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return _dumps_indent2(doc) + "\n"
 
 
 def episode_from_json(text: str) -> EpisodeLog:
-    doc = json.loads(text)
+    """Parse one episode JSON; malformed text raises HarnessError."""
+    try:
+        doc = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as err:
+        raise HarnessError(f"episode JSON invalid: {err}") from err
     validate_episode_json(doc)
-    task = Task(
-        id=doc["task"]["id"],
-        question=doc["task"]["question"],
-        answer_space=tuple(doc["task"]["answer_space"]),
-        correct=doc["task"]["correct"],
-    )
+    try:
+        task = Task(
+            id=doc["task"]["id"],
+            question=doc["task"]["question"],
+            answer_space=tuple(doc["task"]["answer_space"]),
+            correct=doc["task"]["correct"],
+        )
+    except SimulatorError as err:
+        raise HarnessError(f"episode JSON invalid: {err}") from err
     rounds = [
         RoundRecord(
             t=rec["t"],
@@ -534,42 +622,99 @@ def episode_from_json(text: str) -> EpisodeLog:
     )
 
 
+# The checks below compare exact types: JSON true/false load as bool, which
+# isinstance would accept as an int.
+
+
+def _is_int(value) -> bool:
+    return type(value) is int
+
+
+def _is_list_of(value, kind, length: int | None = None) -> bool:
+    return (
+        type(value) is list
+        and (length is None or len(value) == length)
+        and set(map(type, value)) <= {kind}
+    )
+
+
+def _is_int_rows(value, width: int) -> bool:
+    """A list of lists of `width` ints each, as edges are written."""
+    return (
+        type(value) is list
+        and set(map(type, value)) <= {list}
+        and set(map(len, value)) <= {width}
+        and set(map(type, chain.from_iterable(value))) <= {int}
+    )
+
+
 def validate_episode_json(doc) -> None:
-    """Structural check of the stable episode schema; raises on deviation."""
+    """Check a parsed episode JSON against the stable schema, down to the
+    type of every element; raises HarnessError naming the first deviation."""
 
     def need(cond: bool, msg: str) -> None:
         if not cond:
             raise HarnessError(f"episode JSON invalid: {msg}")
 
-    need(isinstance(doc, dict), "top level must be an object")
+    need(type(doc) is dict, "top level must be an object")
     need(set(doc) == {"task", "rounds", "ground_truth", "final_answer", "api_calls"}, "bad keys")
     t = doc["task"]
-    need(isinstance(t, dict) and {"id", "question", "answer_space", "correct"} <= set(t), "bad task")
-    need(isinstance(doc["final_answer"], str), "final_answer must be a string")
-    need(isinstance(doc["api_calls"], int) and doc["api_calls"] >= 0, "api_calls must be >= 0")
-    need(isinstance(doc["rounds"], list), "rounds must be a list")
-    for rec in doc["rounds"]:
-        need(set(rec) == {"t", "agents", "responses", "answers", "edges", "removed", "scores"}, "bad round keys")
-        need(isinstance(rec["t"], int) and rec["t"] >= 1, "round t must be >= 1")
-        n = len(rec["agents"])
-        need(len(rec["responses"]) == n and len(rec["answers"]) == n, "round arrays misaligned")
-        need(all(isinstance(a, int) for a in rec["agents"]), "agents must be ints")
-        need(all(isinstance(e, list) and len(e) == 2 for e in rec["edges"]), "edges must be pairs")
-        need(rec["removed"] is None or isinstance(rec["removed"], int), "removed must be int or null")
+    need(type(t) is dict and {"id", "question", "answer_space", "correct"} <= set(t), "bad task")
+    need(
+        all(type(t[key]) is str for key in ("id", "question", "correct")),
+        "task id, question and correct must be strings",
+    )
+    need(_is_list_of(t["answer_space"], str), "task answer_space must be a list of strings")
+    need(type(doc["final_answer"]) is str, "final_answer must be a string")
+    need(_is_int(doc["api_calls"]) and doc["api_calls"] >= 0, "api_calls must be an int >= 0")
+    rounds = doc["rounds"]
+    need(type(rounds) is list, "rounds must be a list")
+    for rec in rounds:
         need(
-            rec["scores"] is None or (isinstance(rec["scores"], list) and len(rec["scores"]) == n),
-            "scores must be null or one per agent",
+            type(rec) is dict
+            and set(rec) == {"t", "agents", "responses", "answers", "edges", "removed", "scores"},
+            "each round must be an object with the round keys",
+        )
+        need(_is_int(rec["t"]) and rec["t"] >= 1, "round t must be an int >= 1")
+        agents = rec["agents"]
+        need(_is_list_of(agents, int), "agents must be a list of ints")
+        n = len(agents)
+        need(
+            _is_list_of(rec["responses"], str, n) and _is_list_of(rec["answers"], str, n),
+            "responses and answers must be one string per agent",
+        )
+        need(
+            _is_int_rows(rec["edges"], 2),
+            "edges must be [int, int] pairs",
+        )
+        removed = rec["removed"]
+        need(
+            removed is None or (_is_int(removed) and removed in agents),
+            "removed must be null or one of the round's agents",
+        )
+        scores = rec["scores"]
+        need(
+            scores is None
+            or (
+                type(scores) is list
+                and len(scores) == n
+                and set(map(type, scores)) <= {float, int}
+            ),
+            "scores must be null or one number per agent",
         )
     gt = doc["ground_truth"]
     if gt is not None:
-        need(set(gt) == {"h", "err", "corrupted_edges"}, "bad ground_truth keys")
-        need(len(gt["h"]) == len(doc["rounds"]) and len(gt["err"]) == len(doc["rounds"]), "label rows != rounds")
-        for r_idx, rec in enumerate(doc["rounds"]):
-            need(len(gt["h"][r_idx]) == len(rec["agents"]), "h row misaligned")
-            need(len(gt["err"][r_idx]) == len(rec["agents"]), "err row misaligned")
+        need(type(gt) is dict and set(gt) == {"h", "err", "corrupted_edges"}, "bad ground_truth keys")
+        for key in ("h", "err"):
+            rows = gt[key]
+            need(type(rows) is list and len(rows) == len(rounds), f"{key} must have one row per round")
+            need(
+                all(_is_list_of(row, bool, len(rec["agents"])) for row, rec in zip(rows, rounds)),
+                f"{key} rows must be one bool per agent",
+            )
         need(
-            all(isinstance(e, list) and len(e) == 4 for e in gt["corrupted_edges"]),
-            "corrupted_edges must be 4-tuples",
+            _is_int_rows(gt["corrupted_edges"], 4),
+            "corrupted_edges must be lists of 4 ints",
         )
 
 
@@ -678,7 +823,7 @@ def export_episode_graph(log: EpisodeLog, fmt: str = "json") -> str:
                 )
     edges.sort(key=lambda e: (e["src_round"], e["src_agent"], e["dst_agent"], e["kind"]))
     if fmt == "json":
-        return json.dumps({"nodes": nodes, "edges": edges}, sort_keys=True, indent=2) + "\n"
+        return _dumps_indent2({"nodes": nodes, "edges": edges}) + "\n"
     if fmt == "dot":
         return _render_graph_dot(nodes, edges)
     raise HarnessError(f"unknown export format {fmt!r}")

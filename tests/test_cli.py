@@ -102,6 +102,55 @@ def test_cli_export_stdout(tmp_path, capsys):
     assert set(doc) == {"nodes", "edges"}
 
 
+def _defended_episodes(tmp_path):
+    out = tmp_path / "run"
+    main(["defend", *_fast_flags(tmp_path), "--out", str(out)])
+    return sorted((out / "episodes").glob("*.json"))
+
+
+def _with_value(text, value, *path):
+    doc = json.loads(text)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda text: text[: len(text) // 2],
+        lambda text: _with_value(text, 5, "rounds", 0),
+        lambda text: _with_value(text, 3, "rounds", 0, "agents"),
+        lambda text: _with_value(text, ["1"], "task", "answer_space"),
+        None,
+    ],
+    ids=["truncated", "round is a number", "agents is a number", "one answer", "missing file"],
+)
+def test_cli_export_malformed_episode_fails_naming_the_file(tmp_path, capsys, corrupt):
+    episode = _defended_episodes(tmp_path)[0]
+    if corrupt is None:
+        episode.unlink()
+    else:
+        episode.write_text(corrupt(episode.read_text()))
+    capsys.readouterr()
+    assert main(["export", "--episode", str(episode)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and str(episode) in captured.err
+    assert captured.out == ""
+
+
+def test_cli_metrics_malformed_episode_fails_naming_the_file(tmp_path, capsys):
+    episodes = _defended_episodes(tmp_path)
+    episodes[-1].write_text(episodes[-1].read_text()[:-10])
+    capsys.readouterr()
+    code = main(["metrics", *_fast_flags(tmp_path), "--logs", str(episodes[-1].parent)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(episodes[-1]) in err
+
+
 def test_cli_bad_corpus_fails_fast(tmp_path, capsys):
     code = main(["simulate", "--corpus", str(tmp_path / "missing.tsv")])
     assert code == 2

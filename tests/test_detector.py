@@ -235,6 +235,25 @@ def test_fuse_two_position_matches_numpy_oracle():
         assert np.allclose(fused.data[i], expected, atol=1e-12)
 
 
+def _positional_encoding_loop(rounds, d):
+    pe = np.zeros((len(rounds), d), dtype=np.float64)
+    for r_idx, t in enumerate(rounds):
+        for j in range(d):
+            angle = t / (10000.0 ** (2 * (j // 2) / d))
+            pe[r_idx, j] = math.sin(angle) if j % 2 == 0 else math.cos(angle)
+    return pe
+
+
+@pytest.mark.parametrize("d", [1, 7, 8, 16, 32, 64])
+def test_positional_encoding_equals_scalar_loop(d):
+    # Same divisors and the same division as the per-entry loop, so the
+    # vectorised table must agree bit for bit, not within a tolerance.
+    for rounds in (list(range(1, 201)), [3, 7, 9], [1], []):
+        table = positional_encoding(rounds, d)
+        assert table.shape == (len(rounds), d)
+        assert np.array_equal(table, _positional_encoding_loop(rounds, d))
+
+
 def test_fuse_excludes_absent_rounds():
     rng = np.random.default_rng(8)
     d = 2

@@ -1,13 +1,20 @@
 from __future__ import annotations
 
+import collections
+import enum
+import hashlib
 import json
 import re
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from guardian.harness import (
     ExperimentConfig,
     HarnessError,
+    _dumps_indent2,
     compute_metrics,
     episode_from_json,
     episode_to_json,
@@ -299,6 +306,247 @@ def test_validate_rejects_malformed_docs():
     bad["ground_truth"]["h"] = bad["ground_truth"]["h"][:-1]
     with pytest.raises(HarnessError):
         validate_episode_json(bad)
+
+
+def _episode_doc(**changes):
+    """A valid episode document with the values at some paths replaced; a
+    path joins keys and list indices with ``__``, as in ``rounds__0__agents``."""
+    doc = json.loads(episode_to_json(_log({1: 0}, {1: True})))
+    for path, value in changes.items():
+        *parents, last = path.split("__")
+        node = doc
+        for key in parents:
+            node = node[int(key)] if isinstance(node, list) else node[key]
+        node[int(last) if isinstance(node, list) else last] = value
+    return doc
+
+
+_MALFORMED = {
+    "round is a number": _episode_doc(rounds__0=5),
+    "rounds is an object": _episode_doc(rounds={}),
+    "agents is a number": _episode_doc(rounds__0__agents=3),
+    "agent is a bool": _episode_doc(rounds__0__agents__0=True),
+    "responses is a string": _episode_doc(rounds__0__responses="abcd"),
+    "answer is a number": _episode_doc(rounds__0__answers__0=8),
+    "edge is a number": _episode_doc(rounds__1__edges=[7]),
+    "edge holds strings": _episode_doc(rounds__1__edges=[["0", "1"]]),
+    "edge has three ends": _episode_doc(rounds__1__edges=[[0, 1, 2]]),
+    "score is a string": _episode_doc(rounds__0__scores__0="0.1"),
+    "score is a bool": _episode_doc(rounds__0__scores__0=False),
+    "removed is not an agent": _episode_doc(rounds__0__removed=9),
+    "label row is a number": _episode_doc(ground_truth__h__0=1),
+    "label is a number": _episode_doc(ground_truth__err__0__0=0),
+    "corrupted edge holds a string": _episode_doc(ground_truth__corrupted_edges=[[1, 0, 2, "1"]]),
+    "task is a list": _episode_doc(task=[]),
+    "answer_space is a string": _episode_doc(task__answer_space="8|57"),
+    "api_calls is a bool": _episode_doc(api_calls=True),
+    "one candidate answer": _episode_doc(task__answer_space=["8"]),
+    "correct answer not a candidate": _episode_doc(task__correct="9"),
+    "top level is a list": [],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_episode_from_json_rejects_malformed_docs(case):
+    with pytest.raises(HarnessError, match="episode JSON invalid"):
+        episode_from_json(json.dumps(_MALFORMED[case]))
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", "{", '{"task": ', "not json", "[" * 100_000],
+    ids=["empty", "brace", "cut in a value", "words", "nested too deep"],
+)
+def test_episode_from_json_rejects_text_that_is_not_json(text):
+    with pytest.raises(HarnessError, match="episode JSON invalid"):
+        episode_from_json(text)
+
+
+def test_episode_from_json_rejects_truncated_file():
+    text = episode_to_json(_log({1: 0}, {1: True}))
+    with pytest.raises(HarnessError, match="episode JSON invalid"):
+        episode_from_json(text[: len(text) // 2])
+
+
+# ---------------------------------------------------------------------------
+# JSON text: the indent-2 writer and the round trip
+# ---------------------------------------------------------------------------
+
+
+def _stdlib_text(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2)
+
+
+_ANY_CHAR = st.characters(exclude_categories=())  # control characters and lone surrogates too
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**63),
+    st.floats(),  # NaN and both infinities included
+    st.text(_ANY_CHAR, max_size=6),
+)
+_JSON_DOCS = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(st.text(_ANY_CHAR, max_size=4), inner, max_size=4),
+        st.dictionaries(st.integers(-5, 5), inner, max_size=3),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_JSON_DOCS)
+def test_dumps_indent2_matches_stdlib(doc):
+    assert _dumps_indent2(doc) == _stdlib_text(doc)
+
+
+class _Level(enum.IntEnum):
+    HIGH = 3
+
+
+class _Name(str):
+    pass
+
+
+def test_dumps_indent2_matches_stdlib_on_edge_cases():
+    deep: object = []
+    for depth in range(60):
+        deep = [deep] if depth % 2 else {"k": deep, "e": [], "o": {}}
+    docs = [
+        deep,
+        [],
+        {},
+        [[], {}, [[]], [{}]],
+        "caf\u00e9 \x00\x1f\u2028 \"quoted\" \\ \ud800",
+        [float("nan"), float("inf"), -float("inf"), -0.0, 1e-320, 1e300, 0.1],
+        [True, False, None, 0, -(10**40), 10**40],
+        {"t": (1, (2, [3])), "b": True},
+        {1.5: "a", 0.5: "b"},
+        {True: "t"},
+        {False: "f"},
+        {None: "n"},
+        {10: "ten", 2: "two", -1: "minus one"},
+        [_Level.HIGH, np.float64(0.25), np.float64("nan"), _Name("sub")],
+        {_Name("b"): 1, "a": 2},
+        collections.OrderedDict([("z", 1), ("a", [])]),
+        _Level.HIGH,
+        np.float64(2.5),
+        None,
+        "top-level string",
+    ]
+    for doc in docs:
+        assert _dumps_indent2(doc) == _stdlib_text(doc), doc
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [np.int64(3), [np.bool_(True)], {"a": {1, 2}}, [object()], {(1, 2): 0}, {1: 0, "a": 1}, {True: 0, None: 1}],
+    ids=["numpy int", "numpy bool", "set", "object", "tuple key", "mixed keys", "bool and null keys"],
+)
+def test_dumps_indent2_raises_what_stdlib_raises(doc):
+    with pytest.raises(TypeError) as expected:
+        _stdlib_text(doc)
+    with pytest.raises(TypeError) as got:
+        _dumps_indent2(doc)
+    assert str(got.value) == str(expected.value)
+
+
+_WORDS = st.text(_ANY_CHAR, max_size=5)
+_AGENT = st.integers(-2, 40)
+
+
+@st.composite
+def _episode_logs(draw) -> EpisodeLog:
+    answers = draw(st.lists(_WORDS, min_size=2, max_size=4, unique=True))
+    task = Task(
+        id=draw(_WORDS),
+        question=draw(_WORDS),
+        answer_space=tuple(answers),
+        correct=draw(st.sampled_from(answers)),
+    )
+    rounds, h, err = [], [], []
+    for t in range(1, draw(st.integers(0, 3)) + 1):
+        agents = draw(st.lists(_AGENT, max_size=4, unique=True))
+        n = len(agents)
+        words = st.lists(_WORDS, min_size=n, max_size=n)
+        rounds.append(
+            RoundRecord(
+                t=t,
+                agents=agents,
+                responses=draw(words),
+                answers=draw(words),
+                edges=draw(st.lists(st.tuples(_AGENT, _AGENT), max_size=4)),
+                removed=draw(st.none() | st.sampled_from(agents)) if agents else None,
+                scores=draw(
+                    st.none() | st.lists(st.floats(allow_nan=False), min_size=n, max_size=n)
+                ),
+            )
+        )
+        h.append(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        err.append(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    ground_truth = None
+    if draw(st.booleans()):
+        edges = st.lists(st.tuples(st.integers(1, 3), _AGENT, st.integers(1, 3), _AGENT), max_size=3)
+        ground_truth = GroundTruth(h=h, err=err, corrupted_edges=draw(edges))
+    return EpisodeLog(
+        task=task,
+        rounds=rounds,
+        ground_truth=ground_truth,
+        final_answer=draw(_WORDS),
+        api_calls=draw(st.integers(0, 10**6)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_episode_logs())
+def test_episode_json_round_trip_is_identity(log):
+    text = episode_to_json(log)
+    assert episode_from_json(text) == log
+    assert episode_to_json(episode_from_json(text)) == text
+
+
+# sha256 of what `_artifact_digests` writes, recorded before the indent-2
+# writer replaced json.dumps. A change that alters any artifact byte fails here.
+_PINNED_ARTIFACTS = {
+    "simulate-hallucination": "97c08ea7507a8cc140a1b0681a4539538972d2ca13cca857ca16395d3e2732f9",
+    "simulate-agent": "3c5d8bfd8fbc970147fdedcae3bcbcf7869e47ad76876d139802d52dae900054",
+    "simulate-comm": "873ba8932505409cee52d9b6f475c160d5973b37dcd9fc42643f158323cd42f7",
+    "defend-hallucination": "36e0b205855a472394ad1b07b37059269c15eb875df8d2e4d7fe374dd107da0c",
+    "defend-agent": "91af88cc3b7028dde84068edc89fde552ffbb231a664a80da92d55bf494c08d1",
+    "defend-comm": "f2bc7adc7928e9880a27145d24928d8f2259accdf63c928b9a4832a04ff31607",
+    "graph.json": "0b221cc45b8d5d980c012d1e43e22f6e19a1aeb1e88053fff587f4e2f4d55692",
+    "graph.dot": "26cf09c17d86c1a7f50dd326288ab2f0456780f9dd02d674d0fd5182b82c9103",
+}
+
+
+def _artifact_digests(root) -> dict[str, str]:
+    """One digest per `run_experiment` output directory (every file name and
+    its bytes), and one per graph export of a defended comm-attack episode
+    with a removal, scores and corrupted edges."""
+    digests = {}
+    for defense in (False, True):
+        for attack in ("hallucination", "agent", "comm"):
+            cfg = _fast_cfg(n_tasks=4, min_rounds=2, defense=defense, attack=attack)
+            run_dir = root / f"{'defend' if defense else 'simulate'}-{attack}"
+            _, logs = run_experiment(cfg, out_dir=run_dir)
+            h = hashlib.sha256()
+            for path in sorted(p for p in run_dir.rglob("*") if p.is_file()):
+                h.update(path.relative_to(run_dir).as_posix().encode() + b"\0")
+                h.update(path.read_bytes() + b"\0")
+            digests[run_dir.name] = h.hexdigest()
+    log = logs[0]
+    assert log.ground_truth.corrupted_edges and any(rec.removed is not None for rec in log.rounds)
+    for fmt in ("json", "dot"):
+        digests[f"graph.{fmt}"] = hashlib.sha256(export_episode_graph(log, fmt).encode()).hexdigest()
+    return digests
+
+
+def test_artifact_bytes_are_pinned(tmp_path):
+    assert _artifact_digests(tmp_path) == _PINNED_ARTIFACTS
 
 
 def test_run_experiment_clean_accuracy_one(tmp_path):
