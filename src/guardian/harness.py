@@ -473,7 +473,7 @@ def _float_text(value: float) -> str:
     return _NONFINITE.get(text, text)
 
 
-# Exact type -> text, for the scalars that json writes without a subclass check.
+# Text of each scalar by exact type; subclasses take the isinstance checks in _nested_text.
 _SCALAR_TEXT = {
     str: encode_basestring_ascii,
     int: int.__repr__,

@@ -102,9 +102,9 @@ def test_cli_export_stdout(tmp_path, capsys):
     assert set(doc) == {"nodes", "edges"}
 
 
-def _defended_episodes(tmp_path):
+def _episode_files(tmp_path):
     out = tmp_path / "run"
-    main(["defend", *_fast_flags(tmp_path), "--out", str(out)])
+    main(["simulate", *_fast_flags(tmp_path), "--out", str(out)])
     return sorted((out / "episodes").glob("*.json"))
 
 
@@ -129,7 +129,7 @@ def _with_value(text, value, *path):
     ids=["truncated", "round is a number", "agents is a number", "one answer", "missing file"],
 )
 def test_cli_export_malformed_episode_fails_naming_the_file(tmp_path, capsys, corrupt):
-    episode = _defended_episodes(tmp_path)[0]
+    episode = _episode_files(tmp_path)[0]
     if corrupt is None:
         episode.unlink()
     else:
@@ -142,7 +142,7 @@ def test_cli_export_malformed_episode_fails_naming_the_file(tmp_path, capsys, co
 
 
 def test_cli_metrics_malformed_episode_fails_naming_the_file(tmp_path, capsys):
-    episodes = _defended_episodes(tmp_path)
+    episodes = _episode_files(tmp_path)
     episodes[-1].write_text(episodes[-1].read_text()[:-10])
     capsys.readouterr()
     code = main(["metrics", *_fast_flags(tmp_path), "--logs", str(episodes[-1].parent)])

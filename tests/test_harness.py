@@ -308,10 +308,13 @@ def test_validate_rejects_malformed_docs():
         validate_episode_json(bad)
 
 
+_EPISODE_TEXT = episode_to_json(_log({1: 0}, {1: True}))
+
+
 def _episode_doc(**changes):
     """A valid episode document with the values at some paths replaced; a
     path joins keys and list indices with ``__``, as in ``rounds__0__agents``."""
-    doc = json.loads(episode_to_json(_log({1: 0}, {1: True})))
+    doc = json.loads(_EPISODE_TEXT)
     for path, value in changes.items():
         *parents, last = path.split("__")
         node = doc
@@ -354,18 +357,12 @@ def test_episode_from_json_rejects_malformed_docs(case):
 
 @pytest.mark.parametrize(
     "text",
-    ["", "{", '{"task": ', "not json", "[" * 100_000],
-    ids=["empty", "brace", "cut in a value", "words", "nested too deep"],
+    ["", "{", "not json", "[" * 100_000, _EPISODE_TEXT[: len(_EPISODE_TEXT) // 2]],
+    ids=["empty", "brace", "words", "nested too deep", "truncated file"],
 )
 def test_episode_from_json_rejects_text_that_is_not_json(text):
     with pytest.raises(HarnessError, match="episode JSON invalid"):
         episode_from_json(text)
-
-
-def test_episode_from_json_rejects_truncated_file():
-    text = episode_to_json(_log({1: 0}, {1: True}))
-    with pytest.raises(HarnessError, match="episode JSON invalid"):
-        episode_from_json(text[: len(text) // 2])
 
 
 # ---------------------------------------------------------------------------
