@@ -16,10 +16,12 @@ Training minimizes  l_total = alpha*l_att + (1-alpha)*l_stru + gamma*kl
 by full-batch Adam; inference disables sampling and hands the
 reconstruction residuals to the scoring module.
 
-``fit`` and ``infer`` run one hand-written forward and backward pass over
-the whole history in batched numpy (``_Pass``). The per-stage functions
-and ``run_forward`` build the same computation on the ``numerics``
-gradient tape; the tests hold the hand-written pass to them.
+The model is one pass in batched numpy over the whole history
+(``_Pass``): the stage functions ``gcn_forward`` through
+``decode_structure`` run it forward, and its hand-written backward pass
+gives the gradient of any weighted sum of l_att, l_stru and kl. ``fit``
+and ``infer`` run it; ``run_forward`` exposes one pass's loss terms as
+1x1 tensors whose ``backward()`` writes that term's gradient.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ __all__ = [
     "DetectorError",
     "TrainingDiverged",
     "DetectorConfig",
-    "LatentState",
     "Reconstruction",
     "LossBreakdown",
     "gib_gamma",
@@ -54,6 +55,7 @@ __all__ = [
     "decode_attributes",
     "decode_structure",
     "compose_losses",
+    "LossTerms",
     "run_forward",
     "fit",
     "infer",
@@ -66,6 +68,8 @@ CHECKPOINT_MAGIC = "GUARDIAN-CKPT-1"
 
 LOGVAR_MIN = -10.0
 LOGVAR_MAX = 10.0
+# Edge logits are clamped here so the structure loss stays finite for saturated logits.
+SIGMOID_CLAMP = 30.0
 
 
 class DetectorError(ValueError):
@@ -121,13 +125,6 @@ class DetectorConfig:
 
 
 @dataclass
-class LatentState:
-    mean: Tensor2D
-    log_variance: Tensor2D
-    sample: Tensor2D
-
-
-@dataclass
 class Reconstruction:
     round: int
     agents: list[int]
@@ -174,53 +171,47 @@ def init_params(cfg: DetectorConfig, rng: np.random.Generator) -> ParamStore:
     return store
 
 
-def gcn_forward(features: Tensor2D, norm_adj: Tensor2D, params: ParamStore) -> Tensor2D:
+def gcn_forward(
+    a_hat: np.ndarray, a_hat_x: np.ndarray, w0: np.ndarray, w1: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Two rounds of propagate-and-transform; the last layer stays linear
-    so the downstream mean/log-variance split is sign-unconstrained."""
-    w0 = params.leaf("gcn.w0")
-    w1 = params.leaf("gcn.w1")
-    if norm_adj.rows != norm_adj.cols or norm_adj.rows != features.rows:
-        raise DetectorError(
-            f"adjacency {norm_adj.shape} incompatible with features {features.shape}"
-        )
-    if features.cols != w0.rows:
-        raise DetectorError(
-            f"feature dim {features.cols} does not match encoder input {w0.rows}"
-        )
-    h1 = nm.relu(nm.matmul(nm.matmul(norm_adj, features), w0))
-    return nm.matmul(nm.matmul(norm_adj, h1), w1)
+    so the downstream mean/log-variance split is sign-unconstrained.
+
+    ``a_hat_x`` is ``a_hat @ features``, which a fit holds fixed. Returns
+    the first layer's pre-activation, ``a_hat`` times its output, and the
+    encoder output.
+    """
+    h1_pre = a_hat_x @ w0
+    a_hat_h1 = a_hat @ np.maximum(h1_pre, 0.0)
+    return h1_pre, a_hat_h1, a_hat_h1 @ w1
 
 
-def split_latent(hidden: Tensor2D, d: int) -> tuple[Tensor2D, Tensor2D]:
-    """Split encoder output into mean and clamped log-variance halves."""
-    if hidden.cols != 2 * d:
-        raise DetectorError(f"encoder output width {hidden.cols} != 2*d ({2 * d})")
-    mean = nm.slice_cols(hidden, 0, d)
-    log_variance = nm.clamp(nm.slice_cols(hidden, d, 2 * d), LOGVAR_MIN, LOGVAR_MAX)
-    return mean, log_variance
+def split_latent(hidden: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Encoder output's mean half, its log-variance half, and that half
+    clamped to [LOGVAR_MIN, LOGVAR_MAX]."""
+    log_var_raw = hidden[:, d:]
+    # np.minimum/np.maximum clamp like np.clip, at a fraction of its call overhead
+    return hidden[:, :d], log_var_raw, np.minimum(np.maximum(log_var_raw, LOGVAR_MIN), LOGVAR_MAX)
 
 
 def reparameterize(
-    mean: Tensor2D, log_variance: Tensor2D, rng: np.random.Generator | None
-) -> Tensor2D:
-    """mean + exp(log_variance / 2) * standard normal; mean when rng is None."""
-    if mean.shape != log_variance.shape:
-        raise DetectorError("mean and log-variance shapes differ")
-    if rng is None:
-        return mean
-    noise = Tensor2D(rng.standard_normal(mean.shape))
-    std = nm.exp(nm.scale(log_variance, 0.5))
-    return nm.add(mean, nm.mul(std, noise))
+    mean: np.ndarray, log_var: np.ndarray, noise: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The sample mean + exp(log_var / 2) * noise and that standard
+    deviation; the mean and None when noise is None (inference)."""
+    if noise is None:
+        return mean, None
+    std = np.exp(log_var * 0.5)
+    return mean + std * noise, std
 
 
 def kl_term(mean: Tensor2D, log_variance: Tensor2D) -> Tensor2D:
     """Per-node average KL( N(mean, exp(logvar)) || N(0, I) ), a 1x1 tensor."""
     if mean.shape != log_variance.shape:
         raise DetectorError("mean and log-variance shapes differ")
-    var = nm.exp(log_variance)
-    sq = nm.mul(mean, mean)
-    inner = nm.sub(nm.add_const(nm.add(var, sq), -1.0), log_variance)
-    return nm.scale(nm.sum_all(inner), 0.5 / mean.rows)
+    m, log_var = mean.data, log_variance.data
+    inner = np.exp(log_var) + m * m - 1.0 - log_var
+    return Tensor2D([[inner.sum() * (0.5 / len(m))]])
 
 
 def positional_encoding(rounds: list[int], d: int) -> np.ndarray:
@@ -234,92 +225,53 @@ def positional_encoding(rounds: list[int], d: int) -> np.ndarray:
 
 
 def temporal_fuse(
-    samples: list[Tensor2D],
-    batch: HistoryBatch,
-    params: ParamStore,
-    d: int,
-    positional: bool = True,
-    collect_weights: list | None = None,
-) -> Tensor2D:
+    z: np.ndarray, h: _History, wq: np.ndarray, wk: np.ndarray, wv: np.ndarray
+) -> tuple[np.ndarray, ...]:
     """Fuse each final-round agent's latent trajectory with self-attention.
 
-    The attention sequence contains only rounds where the agent is present
-    (absent rounds never enter the softmax); the output at the last
-    position is the fused embedding. With a single round this degenerates
-    to the value projection of that round's latent row.
+    Only the last attention position feeds the decoders, so each final
+    agent's fused row is its last query attending, in one masked softmax,
+    over the rounds it is present in; absent rounds never enter the
+    softmax. With a single round this is the value projection of that
+    round's latent row. Returns the position-encoded sequences, the last
+    queries, ``u`` = query @ wk.T, the attention weights, the attended
+    contexts and the fused rows.
     """
-    snapshots = batch.snapshots
-    if len(samples) != len(snapshots):
-        raise DetectorError("one latent sample per snapshot required")
-    final = snapshots[-1]
-    if not final.agents:
-        raise DetectorError("no active agents at the final round")
-    wq = params.leaf("attn.wq")
-    wk = params.leaf("attn.wk")
-    wv = params.leaf("attn.wv")
-    inv_sqrt_d = 1.0 / math.sqrt(d)
-
-    fused_rows: list[Tensor2D] = []
-    for agent in final.agents:
-        present = [ti for ti in range(len(snapshots)) if batch.presence[agent][ti]]
-        seq = nm.vstack(
-            [nm.row(samples[ti], snapshots[ti].agents.index(agent)) for ti in present]
-        )
-        if positional:
-            pe = positional_encoding([snapshots[ti].round for ti in present], d)
-            seq = nm.add(seq, Tensor2D(pe))
-        q = nm.matmul(seq, wq)
-        k = nm.matmul(seq, wk)
-        v = nm.matmul(seq, wv)
-        attn = nm.softmax_rows(nm.scale(nm.matmul(q, nm.transpose(k)), inv_sqrt_d))
-        if collect_weights is not None:
-            collect_weights.append(attn.data.copy())
-        out = nm.matmul(attn, v)
-        fused_rows.append(nm.row(out, out.rows - 1))
-    return nm.vstack(fused_rows)
+    seq = z[h.gather] + h.pe
+    q = seq[:, -1] @ wq
+    u = q @ wk.T  # q . (seq_t wk) == seq_t . u
+    logits = (seq @ u[:, :, None])[:, :, 0] * h.inv_sqrt_d
+    logits = np.where(h.present, logits, -np.inf)
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    attn = e / e.sum(axis=1, keepdims=True)
+    context = (attn[:, None, :] @ seq)[:, 0]
+    return seq, q, u, attn, context, context @ wv
 
 
-def decode_attributes(z: Tensor2D, params: ParamStore) -> Tensor2D:
-    w0 = params.leaf("dec.w0")
-    b0 = params.leaf("dec.b0")
-    w1 = params.leaf("dec.w1")
-    b1 = params.leaf("dec.b1")
-    if z.cols != w0.rows:
-        raise DetectorError(f"latent dim {z.cols} does not match decoder input {w0.rows}")
-    hidden = nm.relu(nm.add_rowvec(nm.matmul(z, w0), b0))
-    return nm.add_rowvec(nm.matmul(hidden, w1), b1)
+def decode_attributes(
+    z: np.ndarray, w0: np.ndarray, b0: np.ndarray, w1: np.ndarray, b1: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The attribute decoder's hidden pre-activation, hidden layer and output."""
+    pre = z @ w0 + b0
+    hidden = np.maximum(pre, 0.0)
+    return pre, hidden, hidden @ w1 + b1
 
 
-def decode_structure(z: Tensor2D) -> Tensor2D:
-    """Edge probabilities sigmoid(z_i . z_j) over all ordered pairs."""
-    return nm.sigmoid(nm.matmul(z, nm.transpose(z)))
+def decode_structure(z: np.ndarray) -> np.ndarray:
+    """Edge probabilities sigmoid(z_i . z_j) over all ordered pairs, the
+    logits clamped to +-SIGMOID_CLAMP so that both logs of the loss stay finite."""
+    clamped = np.minimum(np.maximum(z @ z.T, -SIGMOID_CLAMP), SIGMOID_CLAMP)
+    return 1.0 / (1.0 + np.exp(-clamped))
 
 
-def _attribute_loss(features: Tensor2D, x_hat: Tensor2D) -> Tensor2D:
-    r = nm.sub(features, x_hat)
-    return nm.scale(nm.sum_all(nm.mul(r, r)), 1.0 / features.rows)
+@dataclass(frozen=True)
+class LossTerms:
+    """One pass's loss terms as 1x1 tensors. ``backward()`` on any of them
+    overwrites the store's gradients with that term's gradient."""
 
-
-def _structure_loss(adj_target: np.ndarray, edge_probs: Tensor2D) -> Tensor2D:
-    n = edge_probs.rows
-    pos = Tensor2D(adj_target)
-    neg = Tensor2D(1.0 - adj_target)
-    ll = nm.add(
-        nm.mul(pos, nm.log(edge_probs)),
-        nm.mul(neg, nm.log(nm.rsub_const(1.0, edge_probs))),
-    )
-    return nm.scale(nm.sum_all(ll), -1.0 / (n * n))
-
-
-@dataclass
-class ForwardResult:
-    latents: list[LatentState]
-    fused: Tensor2D
-    x_hat: Tensor2D
-    edge_probs: Tensor2D
-    kl: Tensor2D
     l_att: Tensor2D
     l_stru: Tensor2D
+    kl: Tensor2D
     loss_total: Tensor2D
     breakdown: LossBreakdown
 
@@ -329,46 +281,23 @@ def run_forward(
     cfg: DetectorConfig,
     params: ParamStore,
     rng: np.random.Generator | None,
-) -> ForwardResult:
-    """One full differentiable pass; rng=None disables sampling (inference)."""
-    if not batch.snapshots:
-        raise DetectorError("empty snapshot batch")
-    latents: list[LatentState] = []
-    kl_parts: list[Tensor2D] = []
-    for snap in batch.snapshots:
-        hidden = gcn_forward(snap.features, normalized_adjacency(snap), params)
-        mean, log_variance = split_latent(hidden, cfg.d)
-        sample = reparameterize(mean, log_variance, rng)
-        latents.append(LatentState(mean=mean, log_variance=log_variance, sample=sample))
-        kl_parts.append(kl_term(mean, log_variance))
+) -> LossTerms:
+    """One pass of the model, as ``fit`` runs it; rng=None disables sampling (inference)."""
+    history = _History(batch, cfg)
+    noise = None if rng is None else rng.standard_normal((history.rows, cfg.d))
+    step = _Pass(history, dict(params.entries()), noise)
+    grads = {name: params.grad(name) for name in params.names()}
+    b = step.breakdown
 
-    kl = kl_parts[0]
-    for part in kl_parts[1:]:
-        kl = nm.add(kl, part)
-    kl = nm.scale(kl, 1.0 / len(kl_parts))
+    def term(value: float, *coefficients: float) -> Tensor2D:
+        return Tensor2D([[value]], backward=lambda: step.backward(grads, *coefficients))
 
-    fused = temporal_fuse([ls.sample for ls in latents], batch, params, cfg.d)
-    x_hat = decode_attributes(fused, params)
-    edge_probs = decode_structure(fused)
-
-    final = batch.snapshots[-1]
-    l_att = _attribute_loss(final.features, x_hat)
-    l_stru = _structure_loss(self_looped_adjacency(final), edge_probs)
-    l_rec = nm.add(nm.scale(l_att, cfg.alpha), nm.scale(l_stru, 1.0 - cfg.alpha))
-    loss_total = nm.add(l_rec, nm.scale(kl, cfg.gamma))
-    breakdown = compose_losses(
-        l_att.item(), l_stru.item(), kl.item(), cfg.alpha, cfg.gamma
-    )
-    return ForwardResult(
-        latents=latents,
-        fused=fused,
-        x_hat=x_hat,
-        edge_probs=edge_probs,
-        kl=kl,
-        l_att=l_att,
-        l_stru=l_stru,
-        loss_total=loss_total,
-        breakdown=breakdown,
+    return LossTerms(
+        l_att=term(b.l_att, 1.0, 0.0, 0.0),
+        l_stru=term(b.l_stru, 0.0, 1.0, 0.0),
+        kl=term(b.kl, 0.0, 0.0, 1.0),
+        loss_total=term(b.l_total, cfg.alpha, 1.0 - cfg.alpha, cfg.gamma),
+        breakdown=b,
     )
 
 
@@ -420,49 +349,26 @@ class _History:
 
 
 class _Pass:
-    """The forward pass of ``run_forward`` over a whole history, without the tape,
-    and its hand-written backward pass.
-
-    Only the last attention position feeds the decoders, so each final
-    agent's fused row is its last query attending, in one masked softmax,
-    over the rounds it is present in. ``noise`` is None at inference.
-    """
+    """One forward pass over a whole history, through the stage functions,
+    and its hand-written backward pass. ``noise`` is None at inference."""
 
     def __init__(self, h: _History, w: dict[str, np.ndarray], noise: np.ndarray | None):
         self.h, self.w, self.noise = h, w, noise
-        d = h.d
-        self.h1_pre = h.a_hat_x @ w["gcn.w0"]
-        self.h1 = np.maximum(self.h1_pre, 0.0)
-        self.a_hat_h1 = h.a_hat @ self.h1
-        hidden = self.a_hat_h1 @ w["gcn.w1"]
-        self.mean = hidden[:, :d]
-        self.log_var_raw = hidden[:, d:]
-        # np.minimum/np.maximum clamp like np.clip, at a fraction of its call overhead
-        self.log_var = np.minimum(np.maximum(self.log_var_raw, LOGVAR_MIN), LOGVAR_MAX)
+        self.h1_pre, self.a_hat_h1, hidden = gcn_forward(
+            h.a_hat, h.a_hat_x, w["gcn.w0"], w["gcn.w1"]
+        )
+        self.mean, self.log_var_raw, self.log_var = split_latent(hidden, h.d)
         self.var = np.exp(self.log_var)
-        if noise is None:
-            z = self.mean
-        else:
-            self.std = np.exp(self.log_var * 0.5)
-            z = self.mean + self.std * noise
+        z, self.std = reparameterize(self.mean, self.log_var, noise)
         kl = float(((self.var + self.mean * self.mean - 1.0 - self.log_var) * h.kl_weight).sum())
 
-        self.seq = z[h.gather] + h.pe
-        self.q = self.seq[:, -1] @ w["attn.wq"]
-        self.u = self.q @ w["attn.wk"].T  # q . (seq_t wk) == seq_t . u
-        logits = (self.seq @ self.u[:, :, None])[:, :, 0] * h.inv_sqrt_d
-        logits = np.where(h.present, logits, -np.inf)
-        e = np.exp(logits - logits.max(axis=1, keepdims=True))
-        self.attn = e / e.sum(axis=1, keepdims=True)
-        self.context = (self.attn[:, None, :] @ self.seq)[:, 0]
-        self.fused = self.context @ w["attn.wv"]
-
-        self.dec_pre = self.fused @ w["dec.w0"] + w["dec.b0"]
-        self.dec_h = np.maximum(self.dec_pre, 0.0)
-        self.x_hat = self.dec_h @ w["dec.w1"] + w["dec.b1"]
-        clamp = nm.SIGMOID_CLAMP
-        clamped = np.minimum(np.maximum(self.fused @ self.fused.T, -clamp), clamp)
-        self.edge_probs = 1.0 / (1.0 + np.exp(-clamped))
+        self.seq, self.q, self.u, self.attn, self.context, self.fused = temporal_fuse(
+            z, h, w["attn.wq"], w["attn.wk"], w["attn.wv"]
+        )
+        self.dec_pre, self.dec_h, self.x_hat = decode_attributes(
+            self.fused, w["dec.w0"], w["dec.b0"], w["dec.w1"], w["dec.b1"]
+        )
+        self.edge_probs = decode_structure(self.fused)
 
         n = len(h.features)
         self.r_x = h.features - self.x_hat
@@ -472,13 +378,14 @@ class _Pass:
         l_stru = float(np.log(likelihood).sum()) * (-1.0 / (n * n))
         self.breakdown = compose_losses(l_att, l_stru, kl, h.alpha, h.gamma)
 
-    def backward(self, g: dict[str, np.ndarray]) -> None:
-        """Write d l_total / d parameter into each array of `g`, overwriting it."""
+    def backward(self, g: dict[str, np.ndarray], c_att: float, c_stru: float, c_kl: float) -> None:
+        """Write d (c_att*l_att + c_stru*l_stru + c_kl*kl) / d parameter into
+        each array of `g`, overwriting it."""
         h, w = self.h, self.w
         n, d = len(h.features), h.d
-        d_x_hat = self.r_x * (-2.0 * h.alpha / n)
-        # cross-entropy through the sigmoid; as on the tape, the clamp passes gradient
-        d_logits = (self.edge_probs - h.target) * ((1.0 - h.alpha) / (n * n))
+        d_x_hat = self.r_x * (-2.0 * c_att / n)
+        # cross-entropy through the sigmoid; the clamp passes gradient straight through
+        d_logits = (self.edge_probs - h.target) * (c_stru / (n * n))
 
         np.matmul(self.dec_h.T, d_x_hat, out=g["dec.w1"])
         g["dec.b1"][:] = d_x_hat.sum(axis=0)
@@ -503,8 +410,8 @@ class _Pass:
         d_z[h.present_rows] = d_seq[h.present]
 
         d_hidden = np.empty((h.rows, 2 * d))
-        d_hidden[:, :d] = d_z + (2.0 * h.gamma) * h.kl_weight * self.mean
-        d_log_var = h.gamma * h.kl_weight * (self.var - 1.0)
+        d_hidden[:, :d] = d_z + (2.0 * c_kl) * h.kl_weight * self.mean
+        d_log_var = c_kl * h.kl_weight * (self.var - 1.0)
         if self.noise is not None:
             d_log_var += d_z * self.noise * self.std * 0.5
         d_hidden[:, d:] = d_log_var * (self.log_var == self.log_var_raw)  # not clamped
@@ -524,12 +431,13 @@ def fit(
 ) -> list[LossBreakdown]:
     """Full-batch Adam on l_total; returns per-epoch losses.
 
-    Each epoch draws one standard-normal row per node in snapshot order,
-    which is the stream ``run_forward`` draws snapshot by snapshot.
+    Each epoch draws one standard-normal row per node, snapshot after
+    snapshot, as ``run_forward`` does.
     """
     if epochs is None:
         epochs = cfg.epochs_initial
     history = _History(batch, cfg)
+    coefficients = (cfg.alpha, 1.0 - cfg.alpha, cfg.gamma)
     values = dict(params.entries())
     grads = {name: params.grad(name) for name in values}
     trace: list[LossBreakdown] = []
@@ -541,7 +449,7 @@ def fit(
                     epoch, trace[-1] if trace else None, f"non-finite loss {step.breakdown}"
                 )
             trace.append(step.breakdown)
-            step.backward(grads)
+            step.backward(grads, *coefficients)
             nm.adam_step(params, lr=cfg.lr)
     return trace
 

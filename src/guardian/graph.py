@@ -54,9 +54,9 @@ class Snapshot:
         n = len(self.agents)
         if len(set(self.agents)) != n:
             raise GraphError(f"duplicate agent ids in round {self.round}")
-        if self.features.rows != n:
+        if self.features.shape[0] != n:
             raise GraphError(
-                f"round {self.round}: {self.features.rows} feature rows for {n} agents"
+                f"round {self.round}: {self.features.shape[0]} feature rows for {n} agents"
             )
         if self.adjacency.shape != (n, n):
             raise GraphError(f"round {self.round}: adjacency shape {self.adjacency.shape}")

@@ -147,7 +147,7 @@ class ExperimentConfig:
         return hashlib.blake2b(text.encode(), digest_size=8).hexdigest()
 
     @classmethod
-    def from_sources(cls, file_kv: Mapping[str, str] | None = None, **overrides) -> "ExperimentConfig":
+    def from_sources(cls, file_kv: Mapping[str, object] | None = None, **overrides) -> "ExperimentConfig":
         """Config file values first, CLI overrides on top, defaults underneath."""
         merged: dict = {}
         if file_kv:
@@ -172,39 +172,53 @@ def _canonical_key(key: str) -> str:
     return key
 
 
+_NUMBER_KINDS = {"int": int, "int | None": int, "float": float, "float | None": float}
+
+
 def _parse_field(key: str, raw):
+    """The value of a config field from its text; field types are annotation strings."""
     if not isinstance(raw, str):
         return raw
     raw = raw.strip()
     kind = _FIELD_TYPES[key]
-    if raw.lower() in ("none", "null", ""):
+    if kind.endswith("| None") and raw.lower() in ("none", "null", ""):
         return None
-    if kind in ("int", int):
-        return int(raw)
-    if kind in ("float", float, "float | None"):
-        return float(raw)
-    if kind in ("bool", bool):
+    if kind == "bool":
         if raw.lower() in ("true", "1", "yes", "on"):
             return True
         if raw.lower() in ("false", "0", "no", "off"):
             return False
         raise HarnessError(f"config key {key!r}: cannot parse bool from {raw!r}")
-    if kind == "int | None":
-        return int(raw)
-    return raw
+    number = _NUMBER_KINDS.get(kind)
+    if number is None:
+        return raw
+    try:
+        return number(raw)
+    except ValueError:
+        raise HarnessError(f"config key {key!r}: cannot parse {number.__name__} from {raw!r}") from None
 
 
-def parse_config_file(path: str | Path) -> dict[str, str]:
-    """Flat `key = value` lines; '#' starts a comment."""
-    result: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+def parse_config_file(path: str | Path) -> dict[str, object]:
+    """Flat `key = value` lines; '#' starts a comment. Returns each field's
+    parsed value; a bad line, key or value raises HarnessError naming the
+    file and line."""
+    try:
+        text = Path(path).read_text()
+    except OSError as err:
+        raise HarnessError(f"cannot read config {path}: {err}") from err
+    result: dict[str, object] = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:
             raise HarnessError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, _, value = stripped.partition("=")
-        result[key.strip()] = value.strip()
+        try:
+            key = _canonical_key(key)
+            result[key] = _parse_field(key, value)
+        except HarnessError as err:
+            raise HarnessError(f"{path}:{lineno}: {err}") from err
     return result
 
 
@@ -284,10 +298,19 @@ def load_corpus(path: str | Path) -> list[Task]:
         first_line[task_id] = lineno
         answers = tuple(answers_raw.split("|"))
         try:
-            correct = answers[int(index_raw)]
-        except (ValueError, IndexError) as err:
+            index = int(index_raw)
+        except ValueError as err:
             raise HarnessError(f"{path}:{lineno}: bad correct-answer index {index_raw!r}") from err
-        tasks.append(Task(id=task_id, question=question, answer_space=answers, correct=correct))
+        if not 0 <= index < len(answers):
+            raise HarnessError(
+                f"{path}:{lineno}: bad correct-answer index {index_raw!r} "
+                f"for {len(answers)} answers"
+            )
+        try:
+            task = Task(id=task_id, question=question, answer_space=answers, correct=answers[index])
+        except SimulatorError as err:
+            raise HarnessError(f"{path}:{lineno}: {err}") from err
+        tasks.append(task)
     if not tasks:
         raise HarnessError(f"{path}: corpus is empty")
     return tasks

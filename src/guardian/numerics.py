@@ -1,18 +1,15 @@
-"""Dense 2-D tensors with recorded reverse-mode gradients.
+"""Dense float64 matrices and the optimizer the detector trains with.
 
-Everything the detector trains on is a small float64 matrix, so the whole
-substrate is plain numpy plus a per-forward operation tape: each public op
-returns a new ``Tensor2D`` that remembers its inputs and how to push
-gradients back to them. Calling ``backward()`` on a scalar result walks the
-recorded graph once in reverse topological order.
-
-There is deliberately no broadcasting beyond row vectors, no batching and
-no sparse storage; the graphs here have at most a handful of nodes.
+``Tensor2D`` holds one finite 2-D float64 matrix: snapshot features,
+adjacencies, reconstructions and loss values. A 1x1 loss may carry a
+``backward`` hook that writes its gradient into the ``ParamStore`` it was
+computed from; the detector's hand-written backward pass supplies it, and
+``grad_check`` holds it to central differences.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -21,32 +18,9 @@ __all__ = [
     "NonFiniteError",
     "Tensor2D",
     "ParamStore",
-    "matmul",
-    "add",
-    "add_rowvec",
-    "sub",
-    "mul",
-    "scale",
-    "add_const",
-    "rsub_const",
-    "transpose",
-    "relu",
-    "sigmoid",
-    "activation",
-    "exp",
-    "log",
-    "clamp",
-    "softmax_rows",
-    "sum_all",
-    "row",
-    "slice_cols",
-    "vstack",
     "adam_step",
     "grad_check",
 ]
-
-# Sigmoid inputs are clamped here so BCE stays finite for saturated logits.
-SIGMOID_CLAMP = 30.0
 
 
 class NumericsError(ValueError):
@@ -54,20 +28,19 @@ class NumericsError(ValueError):
 
 
 class NonFiniteError(NumericsError):
-    """A public operation produced NaN or infinity."""
+    """A tensor or parameter would hold NaN or infinity."""
 
 
 class Tensor2D:
-    """A rows x cols float64 matrix node in the gradient tape.
+    """A finite rows x cols float64 matrix, row-major (numpy C order).
 
-    ``data`` is row-major (numpy C order). ``grad`` is allocated lazily
-    during ``backward()`` except for parameter leaves, whose grad buffer is
-    aliased to their ``ParamStore`` entry so accumulation lands in the store.
+    ``backward``, when given, is called by ``backward()`` to write the
+    gradient of this tensor's value into the parameters it came from.
     """
 
-    __slots__ = ("data", "grad", "_parents", "_backward")
+    __slots__ = ("data", "_backward")
 
-    def __init__(self, data, parents: tuple = ()):
+    def __init__(self, data, backward: Callable[[], None] | None = None):
         arr = np.asarray(data, dtype=np.float64)
         if arr.ndim == 1:
             arr = arr.reshape(1, -1)
@@ -76,307 +49,22 @@ class Tensor2D:
         if not np.all(np.isfinite(arr)):
             raise NonFiniteError("Tensor2D contains non-finite values")
         self.data = arr
-        self.grad: np.ndarray | None = None
-        self._parents = parents
-        self._backward: Callable[[np.ndarray], None] | None = None
-
-    @property
-    def rows(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.data.shape[1]
+        self._backward = backward
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.data.shape
-
-    @property
-    def values(self) -> list[float]:
-        """Flat row-major copy of the contents."""
-        return self.data.ravel().tolist()
 
     def item(self) -> float:
         if self.data.size != 1:
             raise NumericsError(f"item() on non-scalar tensor of shape {self.shape}")
         return float(self.data[0, 0])
 
-    def tolist(self) -> list[list[float]]:
-        return self.data.tolist()
-
     def backward(self) -> None:
-        """Reverse-mode sweep from a scalar result through the recorded ops."""
-        if self.data.size != 1:
-            raise NumericsError(f"backward() requires a scalar, got shape {self.shape}")
-        order: list[Tensor2D] = []
-        seen: set[int] = set()
-        stack: list[tuple[Tensor2D, bool]] = [(self, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in seen:
-                    stack.append((p, False))
-        _accumulate(self, np.ones_like(self.data))
-        for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
-
-    # Light operator sugar; the module-level functions are the real API.
-    def __matmul__(self, other: "Tensor2D") -> "Tensor2D":
-        return matmul(self, other)
-
-    def __add__(self, other: "Tensor2D") -> "Tensor2D":
-        return add(self, other)
-
-    def __sub__(self, other: "Tensor2D") -> "Tensor2D":
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor2D):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    def __rmul__(self, other):
-        return scale(self, float(other))
-
-    def __repr__(self) -> str:
-        return f"Tensor2D({self.rows}x{self.cols})"
-
-
-def _accumulate(node: Tensor2D, g: np.ndarray) -> None:
-    if node.grad is None:
-        node.grad = np.zeros_like(node.data)
-    node.grad += g
-
-
-def _op(data: np.ndarray, parents: tuple, backward: Callable[[np.ndarray], None]) -> Tensor2D:
-    out = Tensor2D(data, parents=parents)
-    out._backward = backward
-    return out
-
-
-def matmul(a: Tensor2D, b: Tensor2D) -> Tensor2D:
-    """Matrix product; rejects mismatched inner dimensions with both shapes."""
-    if a.cols != b.rows:
-        raise NumericsError(
-            f"matmul dimension mismatch: ({a.rows}x{a.cols}) @ ({b.rows}x{b.cols})"
-        )
-
-    def bw(g: np.ndarray) -> None:
-        _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
-
-    return _op(a.data @ b.data, (a, b), bw)
-
-
-def _require_same_shape(a: Tensor2D, b: Tensor2D, name: str) -> None:
-    if a.shape != b.shape:
-        raise NumericsError(f"{name} shape mismatch: {a.shape} vs {b.shape}")
-
-
-def add(a: Tensor2D, b: Tensor2D) -> Tensor2D:
-    _require_same_shape(a, b, "add")
-
-    def bw(g: np.ndarray) -> None:
-        _accumulate(a, g)
-        _accumulate(b, g)
-
-    return _op(a.data + b.data, (a, b), bw)
-
-
-def add_rowvec(m: Tensor2D, v: Tensor2D) -> Tensor2D:
-    """Add a 1 x cols row vector to every row (bias broadcast)."""
-    if v.rows != 1 or v.cols != m.cols:
-        raise NumericsError(f"add_rowvec expects 1x{m.cols} vector, got {v.shape}")
-
-    def bw(g: np.ndarray) -> None:
-        _accumulate(m, g)
-        _accumulate(v, g.sum(axis=0, keepdims=True))
-
-    return _op(m.data + v.data, (m, v), bw)
-
-
-def sub(a: Tensor2D, b: Tensor2D) -> Tensor2D:
-    _require_same_shape(a, b, "sub")
-
-    def bw(g: np.ndarray) -> None:
-        _accumulate(a, g)
-        _accumulate(b, -g)
-
-    return _op(a.data - b.data, (a, b), bw)
-
-
-def mul(a: Tensor2D, b: Tensor2D) -> Tensor2D:
-    """Elementwise product. a and b may be the same node (squaring)."""
-    _require_same_shape(a, b, "mul")
-
-    def bw(g: np.ndarray) -> None:
-        _accumulate(a, g * b.data)
-        _accumulate(b, g * a.data)
-
-    return _op(a.data * b.data, (a, b), bw)
-
-
-def scale(a: Tensor2D, c: float) -> Tensor2D:
-    def bw(g: np.ndarray) -> None:
-        _accumulate(a, g * c)
-
-    return _op(a.data * c, (a,), bw)
-
-
-def add_const(a: Tensor2D, c: float) -> Tensor2D:
-    def bw(g: np.ndarray) -> None:
-        _accumulate(a, g)
-
-    return _op(a.data + c, (a,), bw)
-
-
-def rsub_const(c: float, a: Tensor2D) -> Tensor2D:
-    """c - a, elementwise."""
-
-    def bw(g: np.ndarray) -> None:
-        _accumulate(a, -g)
-
-    return _op(c - a.data, (a,), bw)
-
-
-def transpose(a: Tensor2D) -> Tensor2D:
-    def bw(g: np.ndarray) -> None:
-        _accumulate(a, g.T)
-
-    return _op(a.data.T.copy(), (a,), bw)
-
-
-def relu(m: Tensor2D) -> Tensor2D:
-    mask = m.data > 0.0
-
-    def bw(g: np.ndarray) -> None:
-        _accumulate(m, g * mask)
-
-    return _op(np.where(mask, m.data, 0.0), (m,), bw)
-
-
-def sigmoid(m: Tensor2D) -> Tensor2D:
-    """Logistic function with inputs clamped to +-SIGMOID_CLAMP.
-
-    Output therefore lives strictly inside (0, 1), keeping log(p) and
-    log(1-p) finite downstream.
-    """
-    x = np.clip(m.data, -SIGMOID_CLAMP, SIGMOID_CLAMP)
-    y = 1.0 / (1.0 + np.exp(-x))
-
-    def bw(g: np.ndarray) -> None:
-        _accumulate(m, g * y * (1.0 - y))
-
-    return _op(y, (m,), bw)
-
-
-def activation(kind: str, m: Tensor2D) -> Tensor2D:
-    if kind == "relu":
-        return relu(m)
-    if kind == "sigmoid":
-        return sigmoid(m)
-    raise NumericsError(f"unknown activation kind: {kind!r}")
-
-
-def exp(m: Tensor2D) -> Tensor2D:
-    with np.errstate(over="ignore"):  # overflow becomes inf, rejected below
-        y = np.exp(m.data)
-
-    def bw(g: np.ndarray) -> None:
-        _accumulate(m, g * y)
-
-    return _op(y, (m,), bw)
-
-
-def log(m: Tensor2D) -> Tensor2D:
-    with np.errstate(divide="raise", invalid="raise"):
-        try:
-            y = np.log(m.data)
-        except FloatingPointError as err:
-            raise NonFiniteError("log of non-positive value") from err
-
-    def bw(g: np.ndarray) -> None:
-        _accumulate(m, g / m.data)
-
-    return _op(y, (m,), bw)
-
-
-def clamp(m: Tensor2D, lo: float, hi: float) -> Tensor2D:
-    mask = (m.data >= lo) & (m.data <= hi)
-
-    def bw(g: np.ndarray) -> None:
-        _accumulate(m, g * mask)
-
-    return _op(np.clip(m.data, lo, hi), (m,), bw)
-
-
-def softmax_rows(m: Tensor2D) -> Tensor2D:
-    """Row-wise softmax with row-max subtraction for overflow safety."""
-    shifted = m.data - m.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=1, keepdims=True)
-
-    def bw(g: np.ndarray) -> None:
-        inner = (g * y).sum(axis=1, keepdims=True)
-        _accumulate(m, y * (g - inner))
-
-    return _op(y, (m,), bw)
-
-
-def sum_all(m: Tensor2D) -> Tensor2D:
-    def bw(g: np.ndarray) -> None:
-        _accumulate(m, np.full_like(m.data, g[0, 0]))
-
-    return _op(np.array([[m.data.sum()]]), (m,), bw)
-
-
-def row(m: Tensor2D, i: int) -> Tensor2D:
-    if not 0 <= i < m.rows:
-        raise NumericsError(f"row index {i} out of range for {m.rows} rows")
-
-    def bw(g: np.ndarray) -> None:
-        full = np.zeros_like(m.data)
-        full[i, :] = g[0, :]
-        _accumulate(m, full)
-
-    return _op(m.data[i : i + 1, :].copy(), (m,), bw)
-
-
-def slice_cols(m: Tensor2D, j0: int, j1: int) -> Tensor2D:
-    if not 0 <= j0 < j1 <= m.cols:
-        raise NumericsError(f"column slice [{j0}:{j1}] out of range for {m.cols} cols")
-
-    def bw(g: np.ndarray) -> None:
-        full = np.zeros_like(m.data)
-        full[:, j0:j1] = g
-        _accumulate(m, full)
-
-    return _op(m.data[:, j0:j1].copy(), (m,), bw)
-
-
-def vstack(parts: Sequence[Tensor2D]) -> Tensor2D:
-    if not parts:
-        raise NumericsError("vstack of zero tensors")
-    cols = parts[0].cols
-    for p in parts:
-        if p.cols != cols:
-            raise NumericsError("vstack column mismatch")
-    offsets = np.cumsum([0] + [p.rows for p in parts])
-
-    def bw(g: np.ndarray) -> None:
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            _accumulate(p, g[lo:hi, :])
-
-    return _op(np.vstack([p.data for p in parts]), tuple(parts), bw)
+        """Write the gradient of this loss into its parameter store's gradients."""
+        if self._backward is None:
+            raise NumericsError(f"backward() on a {self.shape} tensor that carries no gradient")
+        self._backward()
 
 
 class _ParamEntry:
@@ -453,14 +141,6 @@ class ParamStore:
             raise KeyError(name)
         return self._step
 
-    def leaf(self, name: str) -> Tensor2D:
-        """A tape leaf whose grad buffer aliases the stored gradient."""
-        entry = self._entries[name]
-        t = Tensor2D(entry.value)
-        t.data = entry.value  # share storage so optimizer updates are seen
-        t.grad = entry.grad
-        return t
-
     def zero_grads(self) -> None:
         self._grad[:] = 0.0
 
@@ -516,7 +196,8 @@ def grad_check(
     rng: np.random.Generator | None = None,
     max_coords_per_param: int = 16,
 ) -> float:
-    """Worst relative error between tape gradients and central differences.
+    """Worst relative error between the gradients ``backward()`` writes into
+    the store and central differences.
 
     ``loss_fn`` must be deterministic in the store contents (freeze any
     sampling before calling). A random subset of coordinates per parameter

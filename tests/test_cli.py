@@ -157,6 +157,24 @@ def test_cli_bad_corpus_fails_fast(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cli_bad_config_value_fails_naming_the_line(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("# experiment\nn_tasks = 2\nn_agents = abc\n")
+    code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {cfg}:3: config key 'n_agents': cannot parse int from 'abc'\n"
+    )
+
+
+def test_cli_corpus_line_with_one_answer_fails_naming_the_line(tmp_path, capsys):
+    corpus = tmp_path / "corpus.tsv"
+    corpus.write_text("t0\tq\t8|9\t0\nt1\tq\t8\t0\n")
+    code = main(["simulate", *_fast_flags(tmp_path), "--corpus", str(corpus)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {corpus}:2: ")
+
+
 def test_cli_flag_overrides_config(tmp_path):
     out = tmp_path / "run"
     cfg = tmp_path / "exp.cfg"

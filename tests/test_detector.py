@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import tape
 from guardian.detector import (
     CHECKPOINT_MAGIC,
     LOGVAR_MAX,
@@ -14,8 +15,6 @@ from guardian.detector import (
     TrainingDiverged,
     _History,
     _Pass,
-    _attribute_loss,
-    _structure_loss,
     compose_losses,
     decode_attributes,
     decode_structure,
@@ -31,10 +30,10 @@ from guardian.detector import (
     run_forward,
     save_checkpoint,
     split_latent,
-    temporal_fuse,
 )
 from guardian.graph import HistoryBatch, Snapshot, self_looped_adjacency
 from guardian.numerics import ParamStore, Tensor2D, grad_check
+from tape import Tensor, temporal_fuse
 
 
 def _snapshot(round_, agents, features, adjacency=None):
@@ -69,23 +68,22 @@ def _random_batch(rng, n_agents, rounds, k, normalize=False):
 # ---------------------------------------------------------------------------
 
 
+def _gcn(x, a_hat, w0, w1):
+    """The encoder output of the kernel's graph convolution stage."""
+    return gcn_forward(a_hat, a_hat @ x, w0, w1)[2]
+
+
 def test_gcn_zero_features_zero_output():
-    params = ParamStore()
-    params.add("gcn.w0", np.eye(3))
-    params.add("gcn.w1", np.eye(3))
-    out = gcn_forward(Tensor2D(np.zeros((4, 3))), Tensor2D(np.eye(4)), params)
-    assert np.array_equal(out.data, np.zeros((4, 3)))
+    out = _gcn(np.zeros((4, 3)), np.eye(4), np.eye(3), np.eye(3))
+    assert np.array_equal(out, np.zeros((4, 3)))
 
 
 def test_gcn_two_node_hand_propagation():
     # A_hat = [[.5,.5],[.5,.5]], X = [1;3], W0 = W1 = [1]:
     # H1 = ReLU(A X) = [2;2]; H2 = A H1 = [2;2]
-    params = ParamStore()
-    params.add("gcn.w0", [[1.0]])
-    params.add("gcn.w1", [[1.0]])
-    adj = Tensor2D([[0.5, 0.5], [0.5, 0.5]])
-    out = gcn_forward(Tensor2D([[1.0], [3.0]]), adj, params)
-    assert np.allclose(out.data, [[2.0], [2.0]])
+    adj = np.array([[0.5, 0.5], [0.5, 0.5]])
+    out = _gcn(np.array([[1.0], [3.0]]), adj, np.ones((1, 1)), np.ones((1, 1)))
+    assert np.allclose(out, [[2.0], [2.0]])
 
 
 def test_gcn_permutation_equivariance():
@@ -103,10 +101,9 @@ def test_gcn_permutation_equivariance():
     )
     perm = [2, 0, 3, 1]
     p_mat = np.eye(4)[perm]
-    out = gcn_forward(Tensor2D(x), Tensor2D(a_sym), params).data
-    out_perm = gcn_forward(
-        Tensor2D(p_mat @ x), Tensor2D(p_mat @ a_sym @ p_mat.T), params
-    ).data
+    w0, w1 = params.value("gcn.w0"), params.value("gcn.w1")
+    out = _gcn(x, a_sym, w0, w1)
+    out_perm = _gcn(p_mat @ x, p_mat @ a_sym @ p_mat.T, w0, w1)
     assert np.allclose(out_perm, p_mat @ out)
 
 
@@ -115,9 +112,13 @@ def test_gcn_shape_validation():
     params.add("gcn.w0", np.eye(3))
     params.add("gcn.w1", np.eye(3))
     with pytest.raises(DetectorError):
-        gcn_forward(Tensor2D(np.zeros((4, 2))), Tensor2D(np.eye(4)), params)
+        tape.gcn_forward(Tensor(np.zeros((4, 2))), Tensor(np.eye(4)), params)
     with pytest.raises(DetectorError):
-        gcn_forward(Tensor2D(np.zeros((4, 3))), Tensor2D(np.eye(3)), params)
+        tape.gcn_forward(Tensor(np.zeros((4, 3))), Tensor(np.eye(3)), params)
+    # the kernel checks the feature width once per history
+    batch = _random_batch(np.random.default_rng(0), 2, 1, 5)
+    with pytest.raises(DetectorError, match="feature dim 5"):
+        _History(batch, DetectorConfig(k=3, d=2))
 
 
 # ---------------------------------------------------------------------------
@@ -147,25 +148,30 @@ def test_kl_nonnegative_random():
 
 
 def test_reparameterize_inference_returns_mean():
-    mean = Tensor2D([[1.0, -2.0]])
-    logvar = Tensor2D([[0.3, 0.3]])
-    assert reparameterize(mean, logvar, None) is mean
+    mean = np.array([[1.0, -2.0]])
+    logvar = np.array([[0.3, 0.3]])
+    assert reparameterize(mean, logvar, None)[0] is mean
+    assert tape.reparameterize(Tensor(mean), Tensor(logvar), None).data is mean
 
 
 def test_reparameterize_training_statistics():
     rng = np.random.default_rng(1)
-    mean = Tensor2D(np.full((1, 2), 5.0))
-    logvar = Tensor2D(np.zeros((1, 2)))  # std = 1
+    mean = np.full((1, 2), 5.0)
+    logvar = np.zeros((1, 2))  # std = 1
     draws = np.array(
-        [reparameterize(mean, logvar, rng).data[0] for _ in range(4000)]
+        [reparameterize(mean, logvar, rng.standard_normal((1, 2)))[0][0] for _ in range(4000)]
     )
     assert np.allclose(draws.mean(axis=0), 5.0, atol=0.1)
     assert np.allclose(draws.std(axis=0), 1.0, atol=0.1)
 
 
 def test_split_latent_clamps_log_variance():
-    hidden = Tensor2D([[0.0, 1.0, -50.0, 50.0]])
-    mean, logvar = split_latent(hidden, 2)
+    hidden = np.array([[0.0, 1.0, -50.0, 50.0]])
+    mean, raw, logvar = split_latent(hidden, 2)
+    assert mean.tolist() == [[0.0, 1.0]]
+    assert raw.tolist() == [[-50.0, 50.0]]
+    assert logvar.tolist() == [[-10.0, 10.0]]
+    mean, logvar = tape.split_latent(Tensor(hidden), 2)
     assert mean.tolist() == [[0.0, 1.0]]
     assert logvar.tolist() == [[-10.0, 10.0]]
 
@@ -190,7 +196,7 @@ def test_fuse_single_round_is_value_projection():
     params = _attn_params(d, rng)
     z = rng.normal(size=(4, d))
     batch = HistoryBatch.of([_snapshot(1, [0, 1, 2, 3], np.zeros((4, 2)))])
-    fused = temporal_fuse([Tensor2D(z)], batch, params, d, positional=False)
+    fused = temporal_fuse([Tensor(z)], batch, params, d, positional=False)
     assert np.allclose(fused.data, z @ params.value("attn.wv"))
 
 
@@ -204,7 +210,7 @@ def test_fuse_identical_latents_half_half_weights():
     )
     weights: list[np.ndarray] = []
     temporal_fuse(
-        [Tensor2D(z), Tensor2D(z)], batch, params, d, positional=False, collect_weights=weights
+        [Tensor(z), Tensor(z)], batch, params, d, positional=False, collect_weights=weights
     )
     for w in weights:
         assert np.allclose(w, 0.5)
@@ -222,7 +228,7 @@ def test_fuse_two_position_matches_numpy_oracle():
     batch = HistoryBatch.of(
         [_snapshot(1, [0, 1], np.zeros((2, 2))), _snapshot(2, [0, 1], np.zeros((2, 2)))]
     )
-    fused = temporal_fuse([Tensor2D(z1), Tensor2D(z2)], batch, params, d, positional=True)
+    fused = temporal_fuse([Tensor(z1), Tensor(z2)], batch, params, d, positional=True)
 
     pe = positional_encoding([1, 2], d)
     for i in range(2):
@@ -261,7 +267,7 @@ def test_fuse_excludes_absent_rounds():
     s1 = _snapshot(1, [0, 1], np.zeros((2, 2)))
     s2 = _snapshot(2, [1], np.zeros((1, 2)))
     batch = HistoryBatch.of([s1, s2])
-    z1, z2 = Tensor2D(rng.normal(size=(2, d))), Tensor2D(rng.normal(size=(1, d)))
+    z1, z2 = Tensor(rng.normal(size=(2, d))), Tensor(rng.normal(size=(1, d)))
     fused = temporal_fuse([z1, z2], batch, params, d)
     assert fused.shape == (1, d)  # only agent 1 is active at the final round
 
@@ -285,33 +291,39 @@ def _decoder_params(d, k, fill=None, rng=None):
     return params
 
 
+def _decode(z, params):
+    """The x_hat of the kernel's attribute decoder stage."""
+    names = ("dec.w0", "dec.b0", "dec.w1", "dec.b1")
+    return decode_attributes(z, *(params.value(n) for n in names))[2]
+
+
 def test_decode_attributes_zero_input_zero_output():
     params = _decoder_params(3, 5, rng=np.random.default_rng(1))
-    out = decode_attributes(Tensor2D(np.zeros((2, 3))), params)
-    assert np.array_equal(out.data, np.zeros((2, 5)))
+    out = _decode(np.zeros((2, 3)), params)
+    assert np.array_equal(out, np.zeros((2, 5)))
 
 
 def test_decode_attributes_identity_chain():
     # d = k = 1, all weights 1, zero biases: 2 -> relu(2) -> 2
     params = _decoder_params(1, 1, fill=1.0)
-    out = decode_attributes(Tensor2D([[2.0]]), params)
+    out = _decode(np.array([[2.0]]), params)
     assert out.tolist() == [[2.0]]
 
 
 def test_decode_attributes_shape_contract():
     params = _decoder_params(4, 7, rng=np.random.default_rng(2))
-    out = decode_attributes(Tensor2D(np.random.default_rng(0).normal(size=(6, 4))), params)
+    out = _decode(np.random.default_rng(0).normal(size=(6, 4)), params)
     assert out.shape == (6, 7)
 
 
 def test_decode_structure_zero_latents():
-    probs = decode_structure(Tensor2D(np.zeros((3, 4))))
-    assert np.allclose(probs.data, 0.5)
+    probs = decode_structure(np.zeros((3, 4)))
+    assert np.allclose(probs, 0.5)
 
 
 def test_decode_structure_orthogonal_unit_rows():
-    z = Tensor2D(np.eye(3))
-    probs = decode_structure(z).data
+    z = np.eye(3)
+    probs = decode_structure(z)
     sig1 = 1.0 / (1.0 + math.exp(-1.0))
     assert np.allclose(np.diag(probs), sig1)
     off = probs[~np.eye(3, dtype=bool)]
@@ -319,8 +331,8 @@ def test_decode_structure_orthogonal_unit_rows():
 
 
 def test_decode_structure_symmetric():
-    z = Tensor2D(np.random.default_rng(5).normal(size=(4, 3)))
-    probs = decode_structure(z).data
+    z = np.random.default_rng(5).normal(size=(4, 3))
+    probs = decode_structure(z)
     assert np.allclose(probs, probs.T)
 
 
@@ -332,8 +344,8 @@ def test_decode_structure_symmetric():
 def _losses(x, x_hat, adjacency, edge_probs, alpha=0.4):
     """The training losses of one reconstruction, through the tape's loss functions."""
     target = self_looped_adjacency(_snapshot(1, range(len(x)), x, adjacency))
-    l_att = _attribute_loss(Tensor2D(x), Tensor2D(x_hat)).item()
-    l_stru = _structure_loss(target, Tensor2D(edge_probs)).item()
+    l_att = tape.attribute_loss(Tensor(x), Tensor(x_hat)).item()
+    l_stru = tape.structure_loss(target, Tensor(edge_probs)).item()
     return compose_losses(l_att, l_stru, 0.0, alpha, 0.0)
 
 
@@ -412,7 +424,7 @@ def test_forward_breakdown_matches_reporting_path():
     cfg = _small_cfg()
     params = init_params(cfg, rng)
     batch = _random_batch(rng, 4, 2, cfg.k)
-    result = run_forward(batch, cfg, params, rng=None)
+    result = tape.run_forward(batch, cfg, params, rng=None)
     recon, breakdown = infer(batch, cfg, params)
 
     # Independent oracle: the loss terms of the reconstruction in plain numpy.
@@ -487,7 +499,7 @@ def test_static_batch_consumes_single_snapshot():
     cfg = _small_cfg(variant="static")
     params = init_params(cfg, rng)
     batch = _random_batch(rng, 3, 1, cfg.k)
-    result = run_forward(batch, cfg, params, rng=None)
+    result = tape.run_forward(batch, cfg, params, rng=None)
     assert len(result.latents) == 1
 
 
@@ -496,10 +508,10 @@ def test_static_batch_consumes_single_snapshot():
 # ---------------------------------------------------------------------------
 
 
-def _loss_fn(batch, cfg, term, noise_seed=None):
+def _loss_fn(forward, batch, cfg, term, noise_seed=None):
     def fn(params: ParamStore):
         rng = None if noise_seed is None else np.random.default_rng(noise_seed)
-        result = run_forward(batch, cfg, params, rng)
+        result = forward(batch, cfg, params, rng)
         return {
             "total": result.loss_total,
             "att": result.l_att,
@@ -516,14 +528,15 @@ def test_grad_check_each_loss_term(term):
     cfg = DetectorConfig(k=5, d=3, lambda_=0.05)
     params = init_params(cfg, rng)
     batch = _random_batch(rng, 4, 2, cfg.k)
-    err = grad_check(
-        _loss_fn(batch, cfg, term),
-        params,
-        eps=1e-4,
-        rng=np.random.default_rng(0),
-        max_coords_per_param=10,
-    )
-    assert err < 1e-4, f"term {term}: relative error {err}"
+    for forward in (run_forward, tape.run_forward):
+        err = grad_check(
+            _loss_fn(forward, batch, cfg, term),
+            params,
+            eps=1e-4,
+            rng=np.random.default_rng(0),
+            max_coords_per_param=10,
+        )
+        assert err < 1e-4, f"{forward.__module__} term {term}: relative error {err}"
 
 
 def test_grad_check_with_sampling_frozen():
@@ -531,14 +544,15 @@ def test_grad_check_with_sampling_frozen():
     cfg = DetectorConfig(k=4, d=3, lambda_=0.1)
     params = init_params(cfg, rng)
     batch = _random_batch(rng, 3, 3, cfg.k)
-    err = grad_check(
-        _loss_fn(batch, cfg, "total", noise_seed=42),
-        params,
-        eps=1e-4,
-        rng=np.random.default_rng(1),
-        max_coords_per_param=8,
-    )
-    assert err < 1e-4
+    for forward in (run_forward, tape.run_forward):
+        err = grad_check(
+            _loss_fn(forward, batch, cfg, "total", noise_seed=42),
+            params,
+            eps=1e-4,
+            rng=np.random.default_rng(1),
+            max_coords_per_param=8,
+        )
+        assert err < 1e-4, f"{forward.__module__}: relative error {err}"
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +584,7 @@ def _kernel(batch, cfg, params, noise_seed):
         noise = np.random.default_rng(noise_seed).standard_normal((history.rows, cfg.d))
     step = _Pass(history, dict(params.entries()), noise)
     grads = {name: np.full_like(value, np.nan) for name, value in params.entries()}
-    step.backward(grads)
+    step.backward(grads, cfg.alpha, 1.0 - cfg.alpha, cfg.gamma)
     return step.breakdown, grads
 
 
@@ -597,13 +611,26 @@ def test_kernel_matches_tape_loss_and_every_gradient(seed, sampling):
 
     breakdown, grads = _kernel(batch, cfg, params, noise_seed)
     params.zero_grads()
-    noise_rng = None if noise_seed is None else np.random.default_rng(noise_seed)
-    tape = run_forward(batch, cfg, params, noise_rng)
-    tape.loss_total.backward()
+
+    def noise_rng():
+        return None if noise_seed is None else np.random.default_rng(noise_seed)
+
+    reference = tape.run_forward(batch, cfg, params, noise_rng())
+    reference.loss_total.backward()
     for field in ("l_att", "l_stru", "kl", "l_total"):
-        _assert_relative(getattr(breakdown, field), getattr(tape.breakdown, field), 1e-10, field)
+        _assert_relative(getattr(breakdown, field), getattr(reference.breakdown, field), 1e-10, field)
     for name in params.names():
         _assert_relative(grads[name], params.grad(name), 1e-10, name)
+
+    # each term alone, as run_forward's tensors write it
+    for term in ("l_att", "l_stru", "kl", "loss_total"):
+        params.zero_grads()
+        getattr(tape.run_forward(batch, cfg, params, noise_rng()), term).backward()
+        expected = {name: params.grad(name).copy() for name in params.names()}
+        params.grad("gcn.w0")[:] = np.nan  # backward overwrites every gradient
+        getattr(run_forward(batch, cfg, params, noise_rng()), term).backward()
+        for name in params.names():
+            _assert_relative(params.grad(name), expected[name], 1e-10, f"{term} {name}")
 
 
 @pytest.mark.parametrize("sampling", [False, True])
@@ -618,9 +645,9 @@ def test_kernel_matches_tape_where_log_variance_clamps(sampling):
     assert (np.abs(log_var) > LOGVAR_MAX).any() and (np.abs(log_var) < LOGVAR_MAX).any()
 
     breakdown, grads = _kernel(batch, cfg, params, 7 if sampling else None)
-    tape = run_forward(batch, cfg, params, np.random.default_rng(7) if sampling else None)
-    tape.loss_total.backward()
-    _assert_relative(breakdown.l_total, tape.breakdown.l_total, 1e-10, "l_total")
+    reference = tape.run_forward(batch, cfg, params, np.random.default_rng(7) if sampling else None)
+    reference.loss_total.backward()
+    _assert_relative(breakdown.l_total, reference.breakdown.l_total, 1e-10, "l_total")
     for name in params.names():
         _assert_relative(grads[name], params.grad(name), 1e-10, name)
 
@@ -633,9 +660,9 @@ def test_fit_first_epoch_is_the_tapes_sampled_pass():
     reference = params.clone()
     batch = _history_with_gaps(rng, 5, 4, cfg.k)
     trace = fit(batch, cfg, params, np.random.default_rng(3), epochs=1)
-    tape = run_forward(batch, cfg, reference, np.random.default_rng(3))
-    tape.loss_total.backward()
-    _assert_relative(trace[0].l_total, tape.breakdown.l_total, 1e-10, "l_total")
+    on_tape = tape.run_forward(batch, cfg, reference, np.random.default_rng(3))
+    on_tape.loss_total.backward()
+    _assert_relative(trace[0].l_total, on_tape.breakdown.l_total, 1e-10, "l_total")
     for name in params.names():
         _assert_relative(params.grad(name), reference.grad(name), 1e-10, name)
 
@@ -664,7 +691,7 @@ def test_kernel_gradients_match_finite_differences(sampling):
             noise = np.random.default_rng(5000 + i).standard_normal((history.rows, d))
         values = dict(params.entries())
         grads = {name: np.empty_like(value) for name, value in values.items()}
-        _Pass(history, values, noise).backward(grads)
+        _Pass(history, values, noise).backward(grads, cfg.alpha, 1.0 - cfg.alpha, cfg.gamma)
 
         def loss():
             return _Pass(history, values, noise).breakdown.l_total

@@ -83,7 +83,7 @@ def test_sample_topology_single_agent_empty():
 
 def test_normalized_adjacency_single_node():
     s = _snapshot(1, [0])
-    assert normalized_adjacency(s).tolist() == [[1.0]]
+    assert normalized_adjacency(s).data.tolist() == [[1.0]]
 
 
 def test_normalized_adjacency_two_node_hand_value():

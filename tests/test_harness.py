@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import collections
+import dataclasses
 import enum
 import hashlib
 import json
@@ -11,7 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from guardian.anomaly import POLICY_MODES
 from guardian.harness import (
+    ATTACK_ALIASES,
+    TOPOLOGY_FRACTIONS,
     ExperimentConfig,
     HarnessError,
     _dumps_indent2,
@@ -207,6 +211,18 @@ def test_corpus_rejects_duplicate_task_ids(tmp_path):
         load_corpus(path)
 
 
+@pytest.mark.parametrize(
+    "answers_and_index",
+    ["8|9\t-1", "8|9|10\t-3", "8\t0"],
+    ids=["negative index", "index wrapping to the first answer", "one answer"],
+)
+def test_corpus_rejects_answer_fields_no_task_can_hold(tmp_path, answers_and_index):
+    path = tmp_path / "answers.tsv"
+    path.write_text(f"t0\tq\t8|9\t0\nt1\tq\t{answers_and_index}\n")
+    with pytest.raises(HarnessError, match=r"answers\.tsv:2: "):
+        load_corpus(path)
+
+
 def test_corpus_missing_file():
     with pytest.raises(HarnessError, match="cannot read"):
         load_corpus("/nonexistent/corpus.tsv")
@@ -237,6 +253,87 @@ def test_config_rejects_unknown_key(tmp_path):
     path.write_text("frobnicate = 3\n")
     with pytest.raises(HarnessError, match="frobnicate"):
         ExperimentConfig.from_sources(parse_config_file(path))
+
+
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+_NAMES = st.text("abcdefghijklmnopqrstuvwxyz0123456789_./-", min_size=1, max_size=12)
+# Fields whose values ExperimentConfig constrains, or that are text; the rest
+# take any value of their annotated type.
+_FIELD_VALUES = {
+    "topology": st.sampled_from(TOPOLOGY_FRACTIONS),
+    "attack": st.sampled_from(sorted(set(ATTACK_ALIASES.values()))),
+    "trials": st.integers(1, 10**6),
+    "decay": st.sampled_from(["exponential", "linear"]),
+    "pooling": st.sampled_from(["pooled", "per_episode"]),
+    "variant": st.sampled_from(["temporal", "static"]),
+    "policy": st.sampled_from(sorted(POLICY_MODES)),
+    # 'none' and 'null' are how the format writes None
+    "corpus": st.none() | _NAMES.filter(lambda s: s not in ("none", "null")),
+}
+_KIND_VALUES = {
+    "int": st.integers(-(10**12), 10**12),
+    "float": _FLOATS,
+    "bool": st.booleans(),
+    "float | None": st.none() | _FLOATS,
+    "int | None": st.none() | st.integers(-(10**12), 10**12),
+}
+
+
+@st.composite
+def _experiment_configs(draw):
+    values = {
+        f.name: draw(_FIELD_VALUES[f.name] if f.name in _FIELD_VALUES else _KIND_VALUES[f.type])
+        for f in dataclasses.fields(ExperimentConfig)
+    }
+    values["min_rounds"], values["max_rounds"] = sorted((values["min_rounds"], values["max_rounds"]))
+    return ExperimentConfig(**values)
+
+
+def _config_line(key: str, value) -> str:
+    if value is None:
+        text = "none"
+    elif isinstance(value, bool):
+        text = str(value).lower()
+    else:
+        text = repr(value) if isinstance(value, float) else str(value)
+    return f"{'lambda' if key == 'lambda_' else key} = {text}"
+
+
+@settings(max_examples=150, deadline=None)
+@given(cfg=_experiment_configs(), data=st.data())
+def test_config_file_round_trip_is_identity(tmp_path_factory, cfg, data):
+    lines = [_config_line(k, v) for k, v in dataclasses.asdict(cfg).items()]
+    lines = data.draw(st.permutations(lines)) + ["# a comment", ""]
+    path = tmp_path_factory.mktemp("cfg") / "exp.cfg"
+    path.write_text("\n".join(lines) + "\n")
+    assert ExperimentConfig.from_sources(parse_config_file(path)) == cfg
+
+
+_BAD_VALUES = {
+    "int": ["abc", "1.5", "none", "", "1e3", "--2"],
+    "float": ["abc", "none", "", "1..2", "0,5"],
+    "bool": ["abc", "none", "", "2", "truthy"],
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_config_file_malformed_value_names_key_and_line(tmp_path_factory, data):
+    fields = [f for f in dataclasses.fields(ExperimentConfig) if f.type in _BAD_VALUES]
+    field = data.draw(st.sampled_from(fields))
+    bad = data.draw(st.sampled_from(_BAD_VALUES[field.type]))
+    before = data.draw(st.lists(st.sampled_from(["# note", "", "seed = 4", "alpha = 0.5"])))
+    key = "lambda" if field.name == "lambda_" else field.name
+    path = tmp_path_factory.mktemp("cfg") / "bad.cfg"
+    path.write_text("\n".join([*before, f"{key} = {bad}  # bad", "trials = 2"]) + "\n")
+    with pytest.raises(HarnessError) as info:
+        parse_config_file(path)
+    assert str(info.value).startswith(f"{path}:{len(before) + 1}: config key {field.name!r}: ")
+
+
+def test_config_file_missing_is_a_harness_error(tmp_path):
+    with pytest.raises(HarnessError, match="cannot read config"):
+        parse_config_file(tmp_path / "missing.cfg")
 
 
 def test_config_validates_topology_and_trials():

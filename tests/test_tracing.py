@@ -1,0 +1,61 @@
+"""The benchmark's tracer must install on the package as it is.
+
+``bench/run.py --trace 1`` wraps the functions it times by name; a rename in
+``guardian`` would make it fail. This test installs the tracer, runs one
+short fit through the wrapped names and checks that every wrapper is gone
+afterwards.
+"""
+
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+
+from bench.tracing import Patches, Tracer  # noqa: E402
+from bench.workloads import load_modules  # noqa: E402
+from guardian.detector import DetectorConfig, init_params  # noqa: E402
+from guardian.graph import HistoryBatch, Snapshot  # noqa: E402
+from guardian.numerics import Tensor2D  # noqa: E402
+
+
+def _batch(rng, rounds: int, k: int) -> HistoryBatch:
+    snaps = [
+        Snapshot(
+            round=t,
+            agents=[0, 1, 2],
+            features=Tensor2D(rng.normal(size=(3, k))),
+            adjacency=~np.eye(3, dtype=bool) if t > 1 else np.zeros((3, 3), dtype=bool),
+            response_texts=["r"] * 3,
+        )
+        for t in range(1, rounds + 1)
+    ]
+    return HistoryBatch.of(snaps)
+
+
+def test_tracer_installs_on_the_package_and_restores_it():
+    modules = load_modules()
+    owners = [vars(m) for m in vars(modules).values()]
+    owners += [vars(modules.numerics.Tensor2D), vars(modules.pipeline.PipelineState)]
+    before = [dict(owner) for owner in owners]
+
+    patches, tracer = Patches(), Tracer()
+    tracer.install(patches, modules)
+    try:
+        cfg = DetectorConfig(k=6, d=4)
+        rng = np.random.default_rng(0)
+        params = init_params(cfg, rng)
+        modules.pipeline.fit(_batch(rng, 3, cfg.k), cfg, params, rng, epochs=2)
+    finally:
+        patches.restore()
+
+    assert [dict(owner) for owner in owners] == before
+    # the kernel's stages run through the names the tracer wraps
+    for name in ("detector.fit", "detector.gcn", "detector.temporal_fuse", "numerics.adam_step"):
+        assert name in tracer.names, name
+    assert tracer.names.count("detector.gcn") == 2
