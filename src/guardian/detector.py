@@ -110,12 +110,18 @@ class DetectorConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.alpha <= 1.0:
             raise DetectorError(f"alpha must be in [0, 1], got {self.alpha}")
-        if self.beta <= 0.0:
+        if not self.beta > 0.0:
             raise DetectorError(f"beta must be > 0, got {self.beta}")
-        if self.lambda_ < 0.0:
+        if not self.lambda_ >= 0.0:
             raise DetectorError(f"lambda must be >= 0, got {self.lambda_}")
-        if self.k < 1 or self.d < 1:
-            raise DetectorError("k and d must be positive")
+        if not self.lr > 0.0:
+            raise DetectorError(f"lr must be > 0, got {self.lr}")
+        for name in ("k", "d"):
+            if getattr(self, name) < 1:
+                raise DetectorError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("epochs_initial", "epochs_incremental"):
+            if getattr(self, name) < 0:
+                raise DetectorError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.variant not in ("temporal", "static"):
             raise DetectorError(f"unknown variant {self.variant!r}")
 
@@ -158,17 +164,19 @@ def init_params(cfg: DetectorConfig, rng: np.random.Generator) -> ParamStore:
         bound = math.sqrt(6.0 / (fan_in + fan_out))
         return rng.uniform(-bound, bound, size=(fan_in, fan_out))
 
-    store = ParamStore()
-    store.add("attn.wk", glorot(cfg.d, cfg.d))
-    store.add("attn.wq", glorot(cfg.d, cfg.d))
-    store.add("attn.wv", glorot(cfg.d, cfg.d))
-    store.add("dec.b0", np.zeros((1, cfg.d)))
-    store.add("dec.b1", np.zeros((1, cfg.k)))
-    store.add("dec.w0", glorot(cfg.d, cfg.d))
-    store.add("dec.w1", glorot(cfg.d, cfg.k))
-    store.add("gcn.w0", glorot(cfg.k, 2 * cfg.d))
-    store.add("gcn.w1", glorot(2 * cfg.d, 2 * cfg.d))
-    return store
+    return ParamStore(
+        {
+            "attn.wk": glorot(cfg.d, cfg.d),
+            "attn.wq": glorot(cfg.d, cfg.d),
+            "attn.wv": glorot(cfg.d, cfg.d),
+            "dec.b0": np.zeros((1, cfg.d)),
+            "dec.b1": np.zeros((1, cfg.k)),
+            "dec.w0": glorot(cfg.d, cfg.d),
+            "dec.w1": glorot(cfg.d, cfg.k),
+            "gcn.w0": glorot(cfg.k, 2 * cfg.d),
+            "gcn.w1": glorot(2 * cfg.d, 2 * cfg.d),
+        }
+    )
 
 
 def gcn_forward(
@@ -340,6 +348,8 @@ class _History:
                     self.present[i, t] = True
             offset += len(s.agents)
         self.present_rows = self.gather[self.present]
+        # attention over one snapshot is the identity, which _Pass skips
+        self.single = len(snapshots) == 1
         self.pe = positional_encoding([s.round for s in snapshots], cfg.d)
         self.d, self.alpha, self.gamma = cfg.d, cfg.alpha, cfg.gamma
         self.inv_sqrt_d = 1.0 / math.sqrt(cfg.d)
@@ -362,9 +372,17 @@ class _Pass:
         z, self.std = reparameterize(self.mean, self.log_var, noise)
         kl = float(((self.var + self.mean * self.mean - 1.0 - self.log_var) * h.kl_weight).sum())
 
-        self.seq, self.q, self.u, self.attn, self.context, self.fused = temporal_fuse(
-            z, h, w["attn.wq"], w["attn.wk"], w["attn.wv"]
-        )
+        if h.single:
+            # One snapshot: each agent's last query attends over its one
+            # round, with the weight exp(0) / 1 == 1.0 exactly, and
+            # 1.0 * x == x, so the context is the position-encoded latent
+            # and this equals temporal_fuse bit for bit.
+            self.context = z + h.pe
+            self.fused = self.context @ w["attn.wv"]
+        else:
+            self.seq, self.q, self.u, self.attn, self.context, self.fused = temporal_fuse(
+                z, h, w["attn.wq"], w["attn.wk"], w["attn.wv"]
+            )
         self.dec_pre, self.dec_h, self.x_hat = decode_attributes(
             self.fused, w["dec.w0"], w["dec.b0"], w["dec.w1"], w["dec.b1"]
         )
@@ -396,18 +414,26 @@ class _Pass:
 
         np.matmul(self.context.T, d_fused, out=g["attn.wv"])
         d_context = d_fused @ w["attn.wv"].T
-        d_attn = (self.seq @ d_context[:, :, None])[:, :, 0]
-        inner = (self.attn * d_attn).sum(axis=1, keepdims=True)
-        d_scores = self.attn * (d_attn - inner) * h.inv_sqrt_d
-        d_seq = self.attn[:, :, None] * d_context[:, None, :]
-        d_seq += d_scores[:, :, None] * self.u[:, None, :]
-        d_u = (d_scores[:, None, :] @ self.seq)[:, 0]
-        d_q = d_u @ w["attn.wk"]
-        np.matmul(d_u.T, self.q, out=g["attn.wk"])
-        np.matmul(self.seq[:, -1].T, d_q, out=g["attn.wq"])
-        d_seq[:, -1] += d_q @ w["attn.wq"].T
-        d_z = np.zeros((h.rows, d))
-        d_z[h.present_rows] = d_seq[h.present]
+        if h.single:
+            # With the weight 1.0, d_attn - inner == 0 exactly: the scores,
+            # and through them the query and key, get no gradient, and the
+            # context's gradient is the latent's.
+            g["attn.wk"].fill(0.0)
+            g["attn.wq"].fill(0.0)
+            d_z = d_context
+        else:
+            d_attn = (self.seq @ d_context[:, :, None])[:, :, 0]
+            inner = (self.attn * d_attn).sum(axis=1, keepdims=True)
+            d_scores = self.attn * (d_attn - inner) * h.inv_sqrt_d
+            d_seq = self.attn[:, :, None] * d_context[:, None, :]
+            d_seq += d_scores[:, :, None] * self.u[:, None, :]
+            d_u = (d_scores[:, None, :] @ self.seq)[:, 0]
+            d_q = d_u @ w["attn.wk"]
+            np.matmul(d_u.T, self.q, out=g["attn.wk"])
+            np.matmul(self.seq[:, -1].T, d_q, out=g["attn.wq"])
+            d_seq[:, -1] += d_q @ w["attn.wq"].T
+            d_z = np.zeros((h.rows, d))
+            d_z[h.present_rows] = d_seq[h.present]
 
         d_hidden = np.empty((h.rows, 2 * d))
         d_hidden[:, :d] = d_z + (2.0 * c_kl) * h.kl_weight * self.mean
@@ -524,13 +550,16 @@ def load_checkpoint(path: str | Path) -> tuple[DetectorConfig, ParamStore]:
                 f"checkpoint parameter {name!r}: file has shape {shapes.get(name)}, "
                 f"its config needs {expected.get(name)}"
             )
-    params = ParamStore()
+    values = {}
     for rec in doc["params"]:
+        if rec["name"] in values:
+            raise DetectorError(f"checkpoint parameter {rec['name']!r} appears twice")
         if len(rec["values"]) != rec["rows"] * rec["cols"]:
             raise DetectorError(
                 f"checkpoint parameter {rec['name']!r}: {len(rec['values'])} values "
                 f"for shape {(rec['rows'], rec['cols'])}"
             )
-        values = np.asarray(rec["values"], dtype=np.float64).reshape(rec["rows"], rec["cols"])
-        params.add(rec["name"], values)
-    return cfg, params
+        values[rec["name"]] = np.asarray(rec["values"], dtype=np.float64).reshape(
+            rec["rows"], rec["cols"]
+        )
+    return cfg, ParamStore(values)

@@ -24,8 +24,8 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .anomaly import DetectionPolicy
-from .detector import DetectorConfig
+from .anomaly import DetectionPolicy, PolicyError
+from .detector import DetectorConfig, DetectorError
 from .pipeline import PipelineState, run_stream
 from .embedder import EmbeddingConfig, make_embedder, remote_embed
 from .seeding import derive_rng, derive_seed
@@ -120,8 +120,25 @@ class ExperimentConfig:
             raise HarnessError(f"unknown decay {self.decay!r}")
         if self.pooling not in ("pooled", "per_episode"):
             raise HarnessError(f"unknown pooling {self.pooling!r}")
+        for name in ("n_agents", "max_rounds", "min_rounds", "n_tasks"):
+            if getattr(self, name) < 1:
+                raise HarnessError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.min_rounds > self.max_rounds:
             raise HarnessError("min_rounds cannot exceed max_rounds")
+        if self.history_window is not None and self.history_window < 1:
+            raise HarnessError(f"history_window must be >= 1, got {self.history_window}")
+        for name in ("p_correct", "p_follow"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise HarnessError(f"{name} must be in [0, 1], got {getattr(self, name)}")
+        if self.persuasion is not None and not self.persuasion >= 0.0:
+            raise HarnessError(f"persuasion must be >= 0, got {self.persuasion}")
+        if not 0.0 < self.decay_lambda <= 1.0:
+            raise HarnessError(f"decay_lambda must be in (0, 1], got {self.decay_lambda}")
+        try:
+            self.detector_config(seed=0)
+            self.detection_policy()
+        except (DetectorError, PolicyError) as err:
+            raise HarnessError(str(err)) from None
 
     def detector_config(self, seed: int) -> DetectorConfig:
         return DetectorConfig(

@@ -9,7 +9,8 @@ computed from; the detector's hand-written backward pass supplies it, and
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+import math
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -80,46 +81,48 @@ class ParamStore:
 
     Values, gradients and both Adam moments are each one flat float64
     buffer; an entry's arrays are reshaped views into them, so an optimizer
-    step is one vectorised update over every parameter. Adding an entry
-    reallocates the buffers, so views taken before an ``add`` are detached;
-    entries can only be added before the first optimizer step, which every
-    entry then shares.
+    step is one vectorised update over every parameter. ``ParamStore(entries)``
+    copies a name -> matrix mapping into the buffers in one allocation, laid
+    out in the mapping's order. Adding an entry reallocates the buffers, so
+    views taken before an ``add`` are detached; entries can only be added
+    before the first optimizer step, which every entry then shares.
     """
 
-    def __init__(self) -> None:
-        self._entries: dict[str, _ParamEntry] = {}
-        self._value = np.zeros(0)
-        self._grad = np.zeros(0)
-        self._m = np.zeros(0)
-        self._v = np.zeros(0)
+    def __init__(self, entries: Mapping[str, object] | None = None) -> None:
         self._step = 0
+        self._allocate({name: _matrix(name, value) for name, value in (entries or {}).items()})
+
+    def _allocate(self, arrays: dict[str, np.ndarray]) -> None:
+        """Lay ``arrays`` out in fresh buffers: values copied, gradients and
+        both moments zero (no optimizer step has run). The store is left as
+        it was if a value is not finite."""
+        sizes = [arr.size for arr in arrays.values()]
+        total = sum(sizes)
+        value, grad = np.empty(total), np.zeros(total)
+        entries: dict[str, _ParamEntry] = {}
+        offset = 0
+        for (name, arr), size in zip(arrays.items(), sizes):
+            end = offset + size
+            view = value[offset:end].reshape(arr.shape)
+            view[...] = arr
+            entries[name] = _ParamEntry(view, grad[offset:end].reshape(arr.shape))
+            offset = end
+        if not np.all(np.isfinite(value)):
+            name = next(n for n, e in entries.items() if not np.all(np.isfinite(e.value)))
+            raise NonFiniteError(f"parameter {name!r} contains non-finite values")
+        self._entries, self._value, self._grad = entries, value, grad
+        self._m, self._v = np.zeros(total), np.zeros(total)
+        # adam_step's temporaries
+        self._scratch = (np.empty(total), np.empty(total))
 
     def add(self, name: str, value) -> None:
         if name in self._entries:
             raise NumericsError(f"duplicate parameter {name!r}")
         if self._step:
             raise NumericsError(f"cannot add parameter {name!r} after an optimizer step")
-        arr = np.array(value, dtype=np.float64)
-        if arr.ndim == 1:
-            arr = arr.reshape(1, -1)
-        if arr.ndim != 2:
-            raise NumericsError(f"parameter {name!r} must be 2-D")
-        if not np.all(np.isfinite(arr)):
-            raise NonFiniteError(f"parameter {name!r} contains non-finite values")
-        shapes = {n: e.value.shape for n, e in self._entries.items()}
-        shapes[name] = arr.shape
-        self._value = np.concatenate([self._value, arr.ravel()])
-        self._grad = np.concatenate([self._grad, np.zeros(arr.size)])
-        # no optimizer step has run, so both moments are still zero
-        self._m = np.zeros_like(self._value)
-        self._v = np.zeros_like(self._value)
-        offset = 0
-        for n, shape in shapes.items():
-            end = offset + shape[0] * shape[1]
-            self._entries[n] = _ParamEntry(
-                self._value[offset:end].reshape(shape), self._grad[offset:end].reshape(shape)
-            )
-            offset = end
+        arrays = {n: e.value for n, e in self._entries.items()}
+        arrays[name] = _matrix(name, value)
+        self._allocate(arrays)
 
     def names(self) -> list[str]:
         return sorted(self._entries)
@@ -145,10 +148,7 @@ class ParamStore:
         self._grad[:] = 0.0
 
     def clone(self) -> "ParamStore":
-        other = ParamStore()
-        for name in self.names():
-            other.add(name, self._entries[name].value.copy())
-        return other
+        return ParamStore(dict(self.entries()))
 
     def entries(self) -> Iterable[tuple[str, np.ndarray]]:
         for name in self.names():
@@ -156,6 +156,16 @@ class ParamStore:
 
     def total_size(self) -> int:
         return self._value.size
+
+
+def _matrix(name: str, value) -> np.ndarray:
+    """``value`` as a 2-D float64 array; a 1-D value is one row."""
+    arr = np.asarray(value, dtype=np.float64)
+    if arr.ndim == 1:
+        arr = arr.reshape(1, -1)
+    if arr.ndim != 2:
+        raise NumericsError(f"parameter {name!r} must be 2-D")
+    return arr
 
 
 def adam_step(
@@ -169,22 +179,29 @@ def adam_step(
 
     Elementwise it is the textbook per-entry update, in the same order of
     operations, so the result is bit-identical to updating entry by entry.
-    Gradients are left untouched; the caller decides when to zero them.
+    Temporaries live in the store's two scratch buffers. Gradients are left
+    untouched; the caller decides when to zero them.
     """
     store._step += 1
     value, g, m, v = store._value, store._grad, store._m, store._v
+    update, denom = store._scratch
     m *= b1
-    m += (1.0 - b1) * g
+    np.multiply(g, 1.0 - b1, out=update)
+    m += update
     v *= b2
-    v += (1.0 - b2) * (g * g)
-    update = m / (1.0 - b1**store._step)
+    np.multiply(g, g, out=update)
+    update *= 1.0 - b2
+    v += update
+    np.divide(m, 1.0 - b1**store._step, out=update)
     update *= lr
-    denom = v / (1.0 - b2**store._step)
+    np.divide(v, 1.0 - b2**store._step, out=denom)
     np.sqrt(denom, out=denom)
     denom += eps
     update /= denom
     value -= update
-    if not np.all(np.isfinite(value)):
+    # A sum is finite only if every element is; finite values whose sum
+    # overflows fall through to the elementwise scan, which clears them.
+    if not math.isfinite(np.add.reduce(value)) and not np.all(np.isfinite(value)):
         name = next(n for n, e in store.entries() if not np.all(np.isfinite(e)))
         raise NonFiniteError(f"parameter {name!r} diverged during adam_step")
 

@@ -167,6 +167,37 @@ def test_cli_bad_config_value_fails_naming_the_line(tmp_path, capsys):
     )
 
 
+# One config line out of its key's range, for every range the config checks.
+_OUT_OF_RANGE = {
+    "n_agents": "n_agents = 0",
+    "alpha": "alpha = 2",
+    "history_window": "history_window = 0",
+    "n_tasks": "n_tasks = 0",
+    "p_correct": "p_correct = 2",
+    "k": "k = 0",
+    "lr": "lr = -1",
+    "epochs_initial": "epochs_initial = -1",
+    "decay_lambda": "decay_lambda = -1",
+    "min_rounds": "min_rounds = 0",
+    "p_follow": "p_follow = -0.5",
+    "d": "d = 0",
+    "epochs_incremental": "epochs_incremental = -1",
+    "persuasion": "attack = comm\npersuasion = -5",
+    "tau": "policy = threshold\ntau = -1",
+}
+
+
+@pytest.mark.parametrize("key", _OUT_OF_RANGE)
+def test_cli_out_of_range_config_value_fails_naming_the_key(tmp_path, capsys, key):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"n_tasks = 2\nepochs_initial = 5\nepochs_incremental = 2\n{_OUT_OF_RANGE[key]}\n")
+    code = main(["defend", "--config", str(cfg), "--seed", "3", "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and key in err and err.count("\n") == 1, err
+    assert not (tmp_path / "run").exists()
+
+
 def test_cli_corpus_line_with_one_answer_fails_naming_the_line(tmp_path, capsys):
     corpus = tmp_path / "corpus.tsv"
     corpus.write_text("t0\tq\t8|9\t0\nt1\tq\t8\t0\n")

@@ -595,10 +595,16 @@ def _assert_relative(actual, expected, bound, what):
 
 
 @pytest.mark.parametrize("sampling", [False, True])
-@pytest.mark.parametrize("seed", range(12))
-def test_kernel_matches_tape_loss_and_every_gradient(seed, sampling):
+@pytest.mark.parametrize(
+    "seed, rounds",
+    [pytest.param(seed, None, id=str(seed)) for seed in range(12)]
+    + [pytest.param(seed, 1, id=f"{seed}-rounds1") for seed in range(12, 16)],
+)
+def test_kernel_matches_tape_loss_and_every_gradient(seed, rounds, sampling):
+    """``rounds`` None draws the history length; 1 takes the single-snapshot form."""
     rng = np.random.default_rng(seed)
-    n_agents, rounds = int(rng.integers(1, 9)), int(rng.integers(1, 11))
+    n_agents, drawn = int(rng.integers(1, 9)), int(rng.integers(1, 11))
+    rounds = drawn if rounds is None else rounds
     cfg = DetectorConfig(
         k=int(rng.integers(2, 9)),
         d=int(rng.integers(1, 9)),
@@ -631,6 +637,43 @@ def test_kernel_matches_tape_loss_and_every_gradient(seed, sampling):
         getattr(run_forward(batch, cfg, params, noise_rng()), term).backward()
         for name in params.names():
             _assert_relative(params.grad(name), expected[name], 1e-10, f"{term} {name}")
+
+
+@pytest.mark.parametrize("sampling", [False, True])
+@pytest.mark.parametrize("seed", range(4))
+def test_single_snapshot_closed_form_equals_temporal_fuse(seed, sampling):
+    rng = np.random.default_rng(40 + seed)
+    cfg = DetectorConfig(
+        k=int(rng.integers(2, 9)),
+        d=int(rng.integers(1, 9)),
+        alpha=float(rng.uniform(0.0, 1.0)),
+        lambda_=float(rng.uniform(0.0, 0.5)),
+    )
+    params = init_params(cfg, rng)
+    batch = _history_with_gaps(rng, int(rng.integers(1, 9)), 1, cfg.k)
+    history = _History(batch, cfg)
+    assert history.single
+    noise = rng.standard_normal((history.rows, cfg.d)) if sampling else None
+    values = dict(params.entries())
+
+    passes, grads = [], []
+    for single in (True, False):  # False: the same history through temporal_fuse
+        history.single = single
+        step = _Pass(history, values, noise)
+        g = {name: np.full_like(value, np.nan) for name, value in values.items()}
+        step.backward(g, cfg.alpha, 1.0 - cfg.alpha, cfg.gamma)
+        passes.append(step)
+        grads.append(g)
+    closed, general = passes
+    assert np.array_equal(closed.fused, general.fused)
+    assert closed.breakdown == general.breakdown
+    for name in values:
+        assert np.array_equal(grads[0][name], grads[1][name]), name
+    assert not grads[0]["attn.wq"].any() and not grads[0]["attn.wk"].any()
+
+    _, kernel_grads = _kernel(batch, cfg, params, 7 if sampling else None)
+    for name, g in kernel_grads.items():
+        assert not np.isnan(g).any(), f"{name} not overwritten"
 
 
 @pytest.mark.parametrize("sampling", [False, True])

@@ -258,7 +258,7 @@ def test_config_rejects_unknown_key(tmp_path):
 _FLOATS = st.floats(allow_nan=False, allow_infinity=False)
 _NAMES = st.text("abcdefghijklmnopqrstuvwxyz0123456789_./-", min_size=1, max_size=12)
 # Fields whose values ExperimentConfig constrains, or that are text; the rest
-# take any value of their annotated type.
+# take any value of their annotated type (tau is constrained with the policy).
 _FIELD_VALUES = {
     "topology": st.sampled_from(TOPOLOGY_FRACTIONS),
     "attack": st.sampled_from(sorted(set(ATTACK_ALIASES.values()))),
@@ -269,6 +269,23 @@ _FIELD_VALUES = {
     "policy": st.sampled_from(sorted(POLICY_MODES)),
     # 'none' and 'null' are how the format writes None
     "corpus": st.none() | _NAMES.filter(lambda s: s not in ("none", "null")),
+    "n_agents": st.integers(1, 10**12),
+    "max_rounds": st.integers(1, 10**12),
+    "min_rounds": st.integers(1, 10**12),
+    "n_tasks": st.integers(1, 10**12),
+    "history_window": st.none() | st.integers(1, 10**12),
+    "p_correct": st.floats(0.0, 1.0),
+    "p_follow": st.floats(0.0, 1.0),
+    "decay_lambda": st.floats(0.0, 1.0, exclude_min=True),
+    "persuasion": st.none() | st.floats(0.0, allow_infinity=False),
+    "k": st.integers(1, 10**12),
+    "d": st.integers(1, 10**12),
+    "alpha": st.floats(0.0, 1.0),
+    "beta": st.floats(0.0, exclude_min=True, allow_infinity=False),
+    "lambda_": st.floats(0.0, allow_infinity=False),
+    "lr": st.floats(0.0, exclude_min=True, allow_infinity=False),
+    "epochs_initial": st.integers(0, 10**12),
+    "epochs_incremental": st.integers(0, 10**12),
 }
 _KIND_VALUES = {
     "int": st.integers(-(10**12), 10**12),
@@ -286,6 +303,8 @@ def _experiment_configs(draw):
         for f in dataclasses.fields(ExperimentConfig)
     }
     values["min_rounds"], values["max_rounds"] = sorted((values["min_rounds"], values["max_rounds"]))
+    if values["policy"] == "threshold":
+        values["tau"] = abs(values["tau"])
     return ExperimentConfig(**values)
 
 

@@ -219,6 +219,68 @@ def test_param_store_entries_are_views_of_the_flat_buffers():
         store.add("c", [[1.0]])
 
 
+def test_param_store_from_mapping_equals_entries_added_one_by_one():
+    rng = np.random.default_rng(8)
+    values = {"w": rng.normal(size=(3, 4)), "b": [0.5, -1.0], "u": rng.normal(size=(4, 2))}
+    built = ParamStore(values)
+    added = ParamStore()
+    for name, value in values.items():
+        added.add(name, value)
+    assert built.names() == added.names() == ["b", "u", "w"]
+    assert built.total_size() == added.total_size() == 12 + 2 + 8
+    assert built._value.tobytes() == added._value.tobytes()  # the same layout
+    for name in values:
+        assert built.value(name).tobytes() == added.value(name).tobytes()
+        assert built.value(name).base is built._value and built.grad(name).base is built._grad
+    assert built.value("b").shape == (1, 2)
+    values["w"][0, 0] = 99.0  # the store holds a copy
+    assert built.value("w")[0, 0] != 99.0
+
+
+def test_param_store_from_mapping_rejects_what_add_rejects():
+    with pytest.raises(NumericsError, match="'c' must be 2-D"):
+        ParamStore({"a": [[1.0]], "c": np.zeros((1, 1, 1))})
+    with pytest.raises(NonFiniteError, match="'b' contains non-finite"):
+        ParamStore({"a": [[1.0]], "b": [[0.0, float("inf")]]})
+    store = ParamStore({"a": [[1.0]]})
+    with pytest.raises(NonFiniteError):
+        store.add("b", [[float("nan")]])
+    assert store.names() == ["a"] and store.total_size() == 1  # unchanged
+
+
+def test_param_store_clone_is_independent_of_its_source():
+    store = ParamStore({"a": [[1.0, 2.0]], "b": [[3.0]]})
+    store.grad("a")[:] = 1.0
+    adam_step(store, lr=0.1)
+    copy = store.clone()
+    assert copy.names() == store.names() and copy.step_count("a") == 0
+    assert not copy.grad("a").any()
+    for name in store.names():
+        assert copy.value(name).tobytes() == store.value(name).tobytes()
+    before = store.value("a").copy()
+    copy.value("a")[:] = 0.0
+    copy.grad("b")[:] = 5.0
+    adam_step(copy, lr=0.1)
+    assert store.value("a").tobytes() == before.tobytes()
+    assert not store.grad("b").any() and store.step_count("a") == 1
+    store.value("b")[:] = -7.0
+    assert copy.value("b")[0, 0] != -7.0
+
+
+def test_adam_steps_a_finite_store_whose_sum_overflows():
+    store = ParamStore({"a": [[1e308]], "b": [[1e308]]})
+    with np.errstate(over="ignore"):  # the finite check's sum overflows to inf
+        adam_step(store, lr=0.1)
+    assert store.value("a").tolist() == [[1e308]] and store.value("b").tolist() == [[1e308]]
+
+
+def test_adam_names_the_parameter_a_nan_reaches():
+    store = ParamStore({"a": [[0.0, 1.0]], "b": [[2.0]], "c": [[3.0]]})
+    store.grad("b")[:] = np.nan
+    with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError, match="'b' diverged"):
+        adam_step(store, lr=0.1)
+
+
 def test_adam_names_the_diverged_parameter():
     store = ParamStore()
     store.add("a", [[0.0]])
