@@ -56,22 +56,21 @@ def score_nodes(recon: Reconstruction, alpha: float) -> list[AnomalyScore]:
 
 def select_anomalies(
     scores: list[AnomalyScore], policy: DetectionPolicy, consensus_reached: bool
-) -> set[AgentId]:
-    """At most one agent. Ties go to the lowest agent id."""
+) -> AgentId | None:
+    """The agent to prune, or None. Ties go to the lowest agent id."""
     if not scores:
         raise PolicyError("select_anomalies requires at least one score")
     if policy.mode == "top1_on_no_consensus" and consensus_reached:
-        return set()
+        return None
     candidates = scores
     if policy.mode == "threshold":
         candidates = [s for s in scores if s.value > policy.tau]
         if not candidates:
-            return set()
-    top = max(candidates, key=lambda s: (s.value, -s.agent))
-    return {top.agent}
+            return None
+    return max(candidates, key=lambda s: (s.value, -s.agent)).agent
 
 
-def prune(g: TemporalGraph, selected: set[AgentId], round_: int) -> None:
-    """Remove the selected agents from all rounds after `round_`."""
-    for agent in sorted(selected):
+def prune(g: TemporalGraph, agent: AgentId | None, round_: int) -> None:
+    """Remove `agent`, when there is one, from all rounds after `round_`."""
+    if agent is not None:
         g.remove_node(agent, round_)

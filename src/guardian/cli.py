@@ -71,6 +71,16 @@ def _config_from_args(args: argparse.Namespace, defense: bool) -> ExperimentConf
     return cfg
 
 
+def _make_out_dir(out: Path | None) -> None:
+    """Create the output directory up front, so an unusable path fails before any work."""
+    if out is None:
+        return
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise HarnessError(f"cannot write to {out}: {err}") from err
+
+
 def _report_lines(cfg: ExperimentConfig, report) -> str:
     def show(v):
         return "n/a" if v is None else f"{v:.4f}"
@@ -87,6 +97,7 @@ def _report_lines(cfg: ExperimentConfig, report) -> str:
 
 def _cmd_run(args: argparse.Namespace, defense: bool) -> int:
     cfg = _config_from_args(args, defense=defense)
+    _make_out_dir(args.out)
     report, _ = run_experiment(cfg, out_dir=args.out)
     sys.stdout.write(_report_lines(cfg, report))
     if args.out:
@@ -99,9 +110,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
     if cfg.trials != 1:
         raise HarnessError(f"train fits one stream: --trials must be 1, got {cfg.trials}")
     cfg.attack = "none"
-    logs, state = run_trials(cfg, trials=1)
     out = args.out or Path(".")
-    out.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(out)
+    logs, state = run_trials(cfg, trials=1)
     ckpt = out / "guardian.ckpt"
     state.save(ckpt)
     sys.stdout.write(f"trained on {len(logs)} clean episode(s); checkpoint: {ckpt}\n")
@@ -122,6 +133,7 @@ def _read_episode(path: Path) -> EpisodeLog:
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args, defense=True)
+    _make_out_dir(args.out)
     logs_dir = Path(args.logs)
     paths = sorted(logs_dir.glob("*.json"))
     if not paths:
@@ -132,7 +144,6 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     )
     sys.stdout.write(_report_lines(cfg, report))
     if args.out:
-        args.out.mkdir(parents=True, exist_ok=True)
         (args.out / "metrics.csv").write_text(metrics_csv(cfg, report))
         sys.stdout.write(f"metrics written to {args.out / 'metrics.csv'}\n")
     return 0
@@ -142,7 +153,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
     log = _read_episode(Path(args.episode))
     rendered = export_episode_graph(log, fmt=args.format)
     if args.out:
-        args.out.mkdir(parents=True, exist_ok=True)
+        _make_out_dir(args.out)
         target = args.out / f"{Path(args.episode).stem}.{args.format}"
         target.write_text(rendered)
         sys.stdout.write(f"graph written to {target}\n")

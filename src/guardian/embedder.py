@@ -23,6 +23,7 @@ import numpy as np
 __all__ = ["EmbeddingConfig", "EmbeddingError", "embed", "make_embedder", "remote_embed"]
 
 _TOKEN_RE = re.compile(r"[0-9A-Za-z]+")
+_HASH_KEY = (0x5EED).to_bytes(8, "little")
 
 
 class EmbeddingError(RuntimeError):
@@ -32,31 +33,22 @@ class EmbeddingError(RuntimeError):
 @dataclass(frozen=True)
 class EmbeddingConfig:
     dim: int = 64
-    hash_seed: int = 0x5EED
-    lowercase: bool = True
 
     def __post_init__(self) -> None:
         if self.dim < 8:
             raise EmbeddingError(f"embedding dim must be >= 8, got {self.dim}")
 
 
-def _token_hash(token: str, seed: int) -> bytes:
-    key = (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
-    return hashlib.blake2b(token.encode("utf-8"), digest_size=9, key=key).digest()
-
-
 def embed(cfg: EmbeddingConfig, text: str) -> np.ndarray:
     """Hash a text into a unit-norm vector of length cfg.dim.
 
-    Tokens are maximal alphanumeric runs; each contributes +-1 to one
-    bucket (bucket from the hash body, sign from a separate hash byte).
-    The empty token set yields the zero vector.
+    Tokens are maximal alphanumeric runs of the lower-cased text; each
+    contributes +-1 to one bucket (bucket from the keyed hash body, sign
+    from a separate hash byte). The empty token set yields the zero vector.
     """
-    if cfg.lowercase:
-        text = text.lower()
     vec = np.zeros(cfg.dim, dtype=np.float64)
-    for token in _TOKEN_RE.findall(text):
-        digest = _token_hash(token, cfg.hash_seed)
+    for token in _TOKEN_RE.findall(text.lower()):
+        digest = hashlib.blake2b(token.encode("utf-8"), digest_size=9, key=_HASH_KEY).digest()
         bucket = int.from_bytes(digest[:8], "little") % cfg.dim
         sign = 1.0 if digest[8] & 1 else -1.0
         vec[bucket] += sign

@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 from .anomaly import DetectionPolicy, PolicyError
 from .detector import DetectorConfig, DetectorError
 from .pipeline import PipelineState, run_stream
-from .embedder import EmbeddingConfig, make_embedder, remote_embed
+from .embedder import EmbeddingConfig, EmbeddingError, make_embedder, remote_embed
 from .seeding import derive_rng, derive_seed
 from .simulator import (
     AgentSpec,
@@ -47,7 +47,6 @@ __all__ = [
     "MetricsReport",
     "make_corpus",
     "load_corpus",
-    "save_corpus",
     "compute_metrics",
     "run_trials",
     "run_experiment",
@@ -165,16 +164,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_sources(cls, file_kv: Mapping[str, object] | None = None, **overrides) -> "ExperimentConfig":
-        """Config file values first, CLI overrides on top, defaults underneath."""
-        merged: dict = {}
-        if file_kv:
-            for key, raw in file_kv.items():
-                merged[_canonical_key(key)] = raw
-        parsed = {k: _parse_field(k, v) for k, v in merged.items()}
-        for key, value in overrides.items():
-            if value is not None:
-                parsed[_canonical_key(key)] = value
-        return cls(**parsed)
+        """``parse_config_file``'s values first, overrides that are not None on
+        top, defaults underneath."""
+        merged = dict(file_kv or {})
+        merged.update((key, value) for key, value in overrides.items() if value is not None)
+        return cls(**merged)
 
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
@@ -192,10 +186,8 @@ def _canonical_key(key: str) -> str:
 _NUMBER_KINDS = {"int": int, "int | None": int, "float": float, "float | None": float}
 
 
-def _parse_field(key: str, raw):
+def _parse_field(key: str, raw: str):
     """The value of a config field from its text; field types are annotation strings."""
-    if not isinstance(raw, str):
-        return raw
     raw = raw.strip()
     kind = _FIELD_TYPES[key]
     if kind.endswith("| None") and raw.lower() in ("none", "null", ""):
@@ -276,14 +268,6 @@ def make_corpus(n_tasks: int, seed: int) -> list[Task]:
             )
         )
     return tasks
-
-
-def save_corpus(tasks: Sequence[Task], path: str | Path) -> None:
-    lines = []
-    for t in tasks:
-        answers = "|".join(t.answer_space)
-        lines.append(f"{t.id}\t{t.question}\t{answers}\t{t.answer_space.index(t.correct)}")
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def load_corpus(path: str | Path) -> list[Task]:
@@ -412,7 +396,10 @@ def _embed_fn(cfg: ExperimentConfig):
     url = os.environ.get("GUARDIAN_EMBEDDER_URL")
     if url:
         return lambda text: remote_embed(url, text, dim=cfg.k)
-    return make_embedder(EmbeddingConfig(dim=cfg.k))
+    try:
+        return make_embedder(EmbeddingConfig(dim=cfg.k))
+    except EmbeddingError as err:
+        raise HarnessError(f"k = {cfg.k} is too small for the hashing embedder: {err}") from None
 
 
 def build_pipeline(cfg: ExperimentConfig, stream_seed: int) -> PipelineState:
@@ -439,9 +426,8 @@ def run_trials(
     # With a remote endpoint configured, every agent is driven over HTTP
     # (ground-truth labels are then unavailable; see simulator docs).
     remote = RemoteAgentConfig.from_env()
-    kind = "remote" if remote else "scripted"
     specs = [
-        AgentSpec(id=i, kind=kind, p_correct=cfg.p_correct, p_follow=cfg.p_follow)
+        AgentSpec(id=i, p_correct=cfg.p_correct, p_follow=cfg.p_follow)
         for i in range(cfg.n_agents)
     ]
     logs: list[EpisodeLog] = []

@@ -43,8 +43,6 @@ class Tensor2D:
 
     def __init__(self, data, backward: Callable[[], None] | None = None):
         arr = np.asarray(data, dtype=np.float64)
-        if arr.ndim == 1:
-            arr = arr.reshape(1, -1)
         if arr.ndim != 2:
             raise NumericsError(f"Tensor2D requires 2-D data, got ndim={arr.ndim}")
         if not np.all(np.isfinite(arr)):
@@ -68,79 +66,52 @@ class Tensor2D:
         self._backward()
 
 
-class _ParamEntry:
-    __slots__ = ("value", "grad")
-
-    def __init__(self, value: np.ndarray, grad: np.ndarray):
-        self.value = value
-        self.grad = grad
-
-
 class ParamStore:
     """Named trainable matrices with gradient and Adam moment buffers.
 
-    Values, gradients and both Adam moments are each one flat float64
-    buffer; an entry's arrays are reshaped views into them, so an optimizer
-    step is one vectorised update over every parameter. ``ParamStore(entries)``
-    copies a name -> matrix mapping into the buffers in one allocation, laid
-    out in the mapping's order. Adding an entry reallocates the buffers, so
-    views taken before an ``add`` are detached; entries can only be added
-    before the first optimizer step, which every entry then shares.
+    ``ParamStore(entries)`` copies a name -> 2-D matrix mapping, in one
+    allocation, into flat float64 buffers for the values, the gradients and
+    both Adam moments, laid out in name order. An entry's value and gradient
+    are reshaped views into them, so an optimizer step is one vectorised
+    update over every parameter. The layout is fixed at construction.
     """
 
-    def __init__(self, entries: Mapping[str, object] | None = None) -> None:
-        self._step = 0
-        self._allocate({name: _matrix(name, value) for name, value in (entries or {}).items()})
-
-    def _allocate(self, arrays: dict[str, np.ndarray]) -> None:
-        """Lay ``arrays`` out in fresh buffers: values copied, gradients and
-        both moments zero (no optimizer step has run). The store is left as
-        it was if a value is not finite."""
-        sizes = [arr.size for arr in arrays.values()]
-        total = sum(sizes)
-        value, grad = np.empty(total), np.zeros(total)
-        entries: dict[str, _ParamEntry] = {}
+    def __init__(self, entries: Mapping[str, object]) -> None:
+        arrays = {name: np.asarray(entries[name], dtype=np.float64) for name in sorted(entries)}
+        total = 0
+        for name, arr in arrays.items():
+            if arr.ndim != 2:
+                raise NumericsError(f"parameter {name!r} must be 2-D, got ndim={arr.ndim}")
+            total += arr.size
+        self._value, self._grad = np.empty(total), np.zeros(total)
+        self._values: dict[str, np.ndarray] = {}
+        self._grads: dict[str, np.ndarray] = {}
         offset = 0
-        for (name, arr), size in zip(arrays.items(), sizes):
-            end = offset + size
-            view = value[offset:end].reshape(arr.shape)
-            view[...] = arr
-            entries[name] = _ParamEntry(view, grad[offset:end].reshape(arr.shape))
+        for name, arr in arrays.items():
+            end = offset + arr.size
+            self._values[name] = self._value[offset:end].reshape(arr.shape)
+            self._values[name][...] = arr
+            self._grads[name] = self._grad[offset:end].reshape(arr.shape)
             offset = end
-        if not np.all(np.isfinite(value)):
-            name = next(n for n, e in entries.items() if not np.all(np.isfinite(e.value)))
+        if not np.all(np.isfinite(self._value)):
+            name = next(n for n, v in self._values.items() if not np.all(np.isfinite(v)))
             raise NonFiniteError(f"parameter {name!r} contains non-finite values")
-        self._entries, self._value, self._grad = entries, value, grad
         self._m, self._v = np.zeros(total), np.zeros(total)
+        self._step = 0
         # adam_step's temporaries
         self._scratch = (np.empty(total), np.empty(total))
 
-    def add(self, name: str, value) -> None:
-        if name in self._entries:
-            raise NumericsError(f"duplicate parameter {name!r}")
-        if self._step:
-            raise NumericsError(f"cannot add parameter {name!r} after an optimizer step")
-        arrays = {n: e.value for n, e in self._entries.items()}
-        arrays[name] = _matrix(name, value)
-        self._allocate(arrays)
-
     def names(self) -> list[str]:
-        return sorted(self._entries)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
+        return list(self._values)
 
     def value(self, name: str) -> np.ndarray:
-        return self._entries[name].value
+        return self._values[name]
 
     def grad(self, name: str) -> np.ndarray:
-        return self._entries[name].grad
+        return self._grads[name]
 
     def step_count(self, name: str) -> int:
-        if name not in self._entries:
+        if name not in self._values:
             raise KeyError(name)
         return self._step
 
@@ -148,40 +119,27 @@ class ParamStore:
         self._grad[:] = 0.0
 
     def clone(self) -> "ParamStore":
-        return ParamStore(dict(self.entries()))
+        return ParamStore(self._values)
 
     def entries(self) -> Iterable[tuple[str, np.ndarray]]:
-        for name in self.names():
-            yield name, self._entries[name].value
-
-    def total_size(self) -> int:
-        return self._value.size
+        return self._values.items()
 
 
-def _matrix(name: str, value) -> np.ndarray:
-    """``value`` as a 2-D float64 array; a 1-D value is one row."""
-    arr = np.asarray(value, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr.reshape(1, -1)
-    if arr.ndim != 2:
-        raise NumericsError(f"parameter {name!r} must be 2-D")
-    return arr
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
-def adam_step(
-    store: ParamStore,
-    lr: float = 1e-3,
-    b1: float = 0.9,
-    b2: float = 0.999,
-    eps: float = 1e-8,
-) -> None:
+def adam_step(store: ParamStore, lr: float = 1e-3) -> None:
     """One bias-corrected Adam update of every entry, vectorised over the store.
 
-    Elementwise it is the textbook per-entry update, in the same order of
-    operations, so the result is bit-identical to updating entry by entry.
-    Temporaries live in the store's two scratch buffers. Gradients are left
-    untouched; the caller decides when to zero them.
+    Elementwise it is the textbook per-entry update with ``ADAM_BETA1``,
+    ``ADAM_BETA2`` and ``ADAM_EPS``, in the same order of operations, so the
+    result is bit-identical to updating entry by entry. Temporaries live in
+    the store's two scratch buffers. Gradients are left untouched; the
+    caller decides when to zero them.
     """
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     store._step += 1
     value, g, m, v = store._value, store._grad, store._m, store._v
     update, denom = store._scratch
@@ -196,7 +154,7 @@ def adam_step(
     update *= lr
     np.divide(v, 1.0 - b2**store._step, out=denom)
     np.sqrt(denom, out=denom)
-    denom += eps
+    denom += ADAM_EPS
     update /= denom
     value -= update
     # A sum is finite only if every element is; finite values whose sum

@@ -181,10 +181,9 @@ class PipelineState:
 
         recon, losses = infer(batch, self.det_cfg, self.params)
         scores = score_nodes(recon, self.det_cfg.alpha)
-        selected = select_anomalies(scores, self.policy, consensus_reached)
-        prune(self.graph, selected, round_)
+        removed = select_anomalies(scores, self.policy, consensus_reached)
+        prune(self.graph, removed, round_)
 
-        removed = min(selected) if selected else None
         decision = Decision(
             round=round_,
             removed=removed,

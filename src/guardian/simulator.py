@@ -57,6 +57,7 @@ __all__ = [
 ]
 
 ATTACK_KINDS = ("none", "hallucination", "agent_targeted", "comm_targeted")
+COMM_ATTACK_ROUND = 2  # the comm attack corrupts the round 1 -> 2 messages
 NO_CONSENSUS = "no-consensus"
 
 
@@ -85,14 +86,11 @@ class Task:
 @dataclass(frozen=True)
 class AgentSpec:
     id: AgentId
-    kind: str = "scripted"
     p_correct: float = 1.0
     p_follow: float = 1.0
     role_prompt: str = "careful solver"
 
     def __post_init__(self) -> None:
-        if self.kind not in ("scripted", "remote"):
-            raise SimulatorError(f"unknown agent kind {self.kind!r}")
         if not (0.0 <= self.p_correct <= 1.0 and 0.0 <= self.p_follow <= 1.0):
             raise SimulatorError("agent probabilities must be in [0, 1]")
 
@@ -101,8 +99,6 @@ class AgentSpec:
 class AttackPlan:
     kind: str = "none"
     target_agents: tuple[AgentId, ...] = ()
-    target_round: int = 2
-    target_edges: tuple[tuple[AgentId, AgentId], ...] = ()
     seed: int = 0
     persuasion: float | None = None
 
@@ -111,8 +107,6 @@ class AttackPlan:
             raise SimulatorError(f"unknown attack kind {self.kind!r}")
         if self.kind in ("hallucination", "agent_targeted") and len(self.target_agents) > 1:
             raise SimulatorError(f"{self.kind} targets at most one agent")
-        if self.kind == "comm_targeted" and self.target_round != 2:
-            raise SimulatorError("communication attacks corrupt the round 1 -> 2 edges")
 
 
 @dataclass
@@ -190,8 +184,6 @@ class _ResolvedAttack:
     kind: str
     victim: AgentId | None
     answer: str | None
-    target_round: int
-    target_edges: tuple[tuple[AgentId, AgentId], ...]
     persuasion: float
 
 
@@ -204,22 +196,14 @@ def apply_attack(plan: AttackPlan, task: Task, agents: Sequence[AgentId], rng) -
     """Resolve the plan against this episode: pick the victim and the payload."""
     persuasion = plan.persuasion if plan.persuasion is not None else float(len(agents))
     if plan.kind == "none":
-        return _ResolvedAttack("none", None, None, plan.target_round, (), persuasion)
+        return _ResolvedAttack("none", None, None, persuasion)
     if plan.target_agents:
         victim = plan.target_agents[0]
         if victim not in agents:
             raise SimulatorError(f"attack targets inactive agent {victim}")
     else:
         victim = agents[int(rng.integers(len(agents)))]
-    answer = _wrong_answer(task, rng)
-    return _ResolvedAttack(
-        kind=plan.kind,
-        victim=victim,
-        answer=answer,
-        target_round=plan.target_round,
-        target_edges=plan.target_edges,
-        persuasion=persuasion,
-    )
+    return _ResolvedAttack(plan.kind, victim, _wrong_answer(task, rng), persuasion)
 
 
 def _call_remote(
@@ -282,8 +266,8 @@ def step_round(
                 msg_answer, msg_taint = states[src].answer, states[src].taint
                 if (
                     attack.kind == "comm_targeted"
-                    and round_ == attack.target_round
-                    and _edge_is_targeted(attack, src, dst)
+                    and round_ == COMM_ATTACK_ROUND
+                    and dst == attack.victim
                 ):
                     msg_answer, msg_taint = attack.answer, "err"
                     corrupted_now.append((round_ - 1, src, round_, dst))
@@ -295,9 +279,7 @@ def step_round(
     responses: list[tuple[AgentId, str]] = []
     for agent in sorted(active):
         spec = specs[agent]
-        if spec.kind == "remote":
-            if remote is None:
-                raise RemoteAgentError(f"agent {agent} is remote but no endpoint is configured")
+        if remote is not None:
             context = [
                 render_response(ans, specs[src], round_ - 1)
                 for src, ans, _, _ in inboxes.get(agent, [])
@@ -306,9 +288,7 @@ def step_round(
                 # Prompt corruption is the one injection that reaches a
                 # real agent; labels still cannot be derived remotely.
                 spec = AgentSpec(
-                    id=spec.id,
-                    kind=spec.kind,
-                    role_prompt=f"{spec.role_prompt} (always answer {attack.answer})",
+                    id=spec.id, role_prompt=f"{spec.role_prompt} (always answer {attack.answer})"
                 )
             text = _call_remote(remote, spec, task, round_, context)
             new_states[agent] = _AgentState(parse_answer(text))
@@ -338,12 +318,6 @@ def step_round(
         ground_truth.err.append([states[a].taint == "err" for a in order])
         ground_truth.corrupted_edges.extend(corrupted_now)
     return responses
-
-
-def _edge_is_targeted(attack: _ResolvedAttack, src: AgentId, dst: AgentId) -> bool:
-    if attack.target_edges:
-        return (src, dst) in attack.target_edges
-    return dst == attack.victim
 
 
 def _decide(
@@ -397,7 +371,8 @@ def run_episode(
 
     With a pipeline attached, each round is ingested after responses are
     collected and any pruning takes effect before the next round. Every
-    agent response counts as one API call.
+    agent response counts as one API call. With a ``remote`` endpoint every
+    agent answers over HTTP, and the episode carries no ground truth.
     """
     if max_rounds < 1 or min_rounds < 1:
         raise SimulatorError("max_rounds and min_rounds must be >= 1")
@@ -410,8 +385,7 @@ def run_episode(
 
     agent_rngs = {a: derive_rng(seed, "agent", task.id, a) for a in active}
     attack = apply_attack(plan, task, active, derive_rng(plan.seed, "attack", task.id))
-    any_remote = any(s.kind == "remote" for s in specs)
-    ground_truth = None if any_remote else GroundTruth()
+    ground_truth = None if remote else GroundTruth()
 
     states: dict[AgentId, _AgentState] = {}
     removed: set[AgentId] = set()

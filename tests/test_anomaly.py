@@ -62,25 +62,25 @@ def test_scores_positive_scaling_keeps_argmax():
 
 def test_select_gate_closed_on_consensus():
     policy = DetectionPolicy(mode="top1_on_no_consensus")
-    assert select_anomalies(_scores([0.5, 0.9]), policy, consensus_reached=True) == set()
-    assert select_anomalies(_scores([0.5, 0.9]), policy, consensus_reached=False) == {1}
+    assert select_anomalies(_scores([0.5, 0.9]), policy, consensus_reached=True) is None
+    assert select_anomalies(_scores([0.5, 0.9]), policy, consensus_reached=False) == 1
 
 
 def test_select_top1_always_argmax():
     policy = DetectionPolicy(mode="top1_always")
     scores = _scores([0.1, 0.9, 0.3, 0.2])
-    assert select_anomalies(scores, policy, consensus_reached=True) == {1}
+    assert select_anomalies(scores, policy, consensus_reached=True) == 1
 
 
 def test_select_threshold_mode():
     policy = DetectionPolicy(mode="threshold", tau=1.0)
-    assert select_anomalies(_scores([0.2, 0.9]), policy, False) == set()
-    assert select_anomalies(_scores([0.2, 1.4, 1.2]), policy, False) == {1}
+    assert select_anomalies(_scores([0.2, 0.9]), policy, False) is None
+    assert select_anomalies(_scores([0.2, 1.4, 1.2]), policy, False) == 1
 
 
 def test_select_tie_breaks_lowest_id():
     policy = DetectionPolicy(mode="top1_always")
-    assert select_anomalies(_scores([0.7, 0.7, 0.7]), policy, False) == {0}
+    assert select_anomalies(_scores([0.7, 0.7, 0.7]), policy, False) == 0
 
 
 def test_select_at_most_one_every_mode():
@@ -89,7 +89,8 @@ def test_select_at_most_one_every_mode():
         policy = DetectionPolicy(mode=mode, tau=tau)
         for _ in range(50):
             scores = _scores(rng.uniform(0, 1, size=rng.integers(1, 6)).tolist())
-            assert len(select_anomalies(scores, policy, False)) <= 1
+            selected = select_anomalies(scores, policy, False)
+            assert selected is None or selected in range(len(scores))
 
 
 def test_select_requires_scores():
@@ -124,13 +125,13 @@ def _graph_with_rounds():
 
 def test_prune_empty_selection_no_change():
     g = _graph_with_rounds()
-    prune(g, set(), 2)
+    prune(g, None, 2)
     assert g.removed == {}
 
 
 def test_prune_drops_active_count():
     g = _graph_with_rounds()
-    prune(g, {1}, 1)
+    prune(g, 1, 1)
     assert g.removed == {1: 1}
     assert g.snapshot_at(2).agents == [0, 2]
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from guardian import harness
 from guardian.cli import main
 from guardian.detector import CHECKPOINT_MAGIC
 from guardian.harness import validate_episode_json
@@ -196,6 +197,42 @@ def test_cli_out_of_range_config_value_fails_naming_the_key(tmp_path, capsys, ke
     assert code == 2
     assert err.startswith("error: ") and key in err and err.count("\n") == 1, err
     assert not (tmp_path / "run").exists()
+
+
+def test_cli_k_below_the_hashing_embedders_floor_fails_naming_k(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("GUARDIAN_EMBEDDER_URL", raising=False)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("n_tasks = 2\nepochs_initial = 5\nepochs_incremental = 2\nk = 4\n")
+    # simulate never embeds, so k only matters once the detector runs
+    assert main(["simulate", "--config", str(cfg), "--seed", "3"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(harness, "run_episode", _no_episode)
+    assert main(["defend", "--config", str(cfg), "--seed", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: k = 4 ") and err.count("\n") == 1, err
+
+
+def _no_episode(*args, **kwargs):
+    raise AssertionError("an episode ran")
+
+
+@pytest.mark.parametrize("command", ["simulate", "defend", "train", "metrics", "export"])
+def test_cli_out_naming_a_file_fails_before_any_episode(tmp_path, capsys, monkeypatch, command):
+    episode = _episode_files(tmp_path)[0]
+    blocker = tmp_path / "not-a-dir"
+    blocker.write_text("")
+    monkeypatch.setattr(harness, "run_episode", _no_episode)
+    if command == "export":
+        argv = ["export", "--episode", str(episode)]
+    elif command == "metrics":
+        argv = ["metrics", *_fast_flags(tmp_path), "--logs", str(episode.parent)]
+    else:
+        argv = [command, *_fast_flags(tmp_path)]
+    capsys.readouterr()
+    assert main([*argv, "--out", str(blocker)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write to {blocker}: ")
+    assert captured.err.count("\n") == 1 and captured.out == ""
 
 
 def test_cli_corpus_line_with_one_answer_fails_naming_the_line(tmp_path, capsys):

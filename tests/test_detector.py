@@ -108,9 +108,7 @@ def test_gcn_permutation_equivariance():
 
 
 def test_gcn_shape_validation():
-    params = ParamStore()
-    params.add("gcn.w0", np.eye(3))
-    params.add("gcn.w1", np.eye(3))
+    params = ParamStore({"gcn.w0": np.eye(3), "gcn.w1": np.eye(3)})
     with pytest.raises(DetectorError):
         tape.gcn_forward(Tensor(np.zeros((4, 2))), Tensor(np.eye(4)), params)
     with pytest.raises(DetectorError):
@@ -182,12 +180,14 @@ def test_split_latent_clamps_log_variance():
 
 
 def _attn_params(d, rng=None, wq=None, wk=None, wv=None):
-    params = ParamStore()
     rng = rng or np.random.default_rng(0)
-    params.add("attn.wq", wq if wq is not None else rng.normal(size=(d, d)))
-    params.add("attn.wk", wk if wk is not None else rng.normal(size=(d, d)))
-    params.add("attn.wv", wv if wv is not None else rng.normal(size=(d, d)))
-    return params
+    return ParamStore(
+        {
+            "attn.wq": wq if wq is not None else rng.normal(size=(d, d)),
+            "attn.wk": wk if wk is not None else rng.normal(size=(d, d)),
+            "attn.wv": wv if wv is not None else rng.normal(size=(d, d)),
+        }
+    )
 
 
 def test_fuse_single_round_is_value_projection():
@@ -278,17 +278,12 @@ def test_fuse_excludes_absent_rounds():
 
 
 def _decoder_params(d, k, fill=None, rng=None):
-    params = ParamStore()
     if fill is not None:
-        params.add("dec.w0", np.full((d, d), fill))
-        params.add("dec.w1", np.full((d, k), fill))
+        weights = {"dec.w0": np.full((d, d), fill), "dec.w1": np.full((d, k), fill)}
     else:
         rng = rng or np.random.default_rng(0)
-        params.add("dec.w0", rng.normal(size=(d, d)))
-        params.add("dec.w1", rng.normal(size=(d, k)))
-    params.add("dec.b0", np.zeros((1, d)))
-    params.add("dec.b1", np.zeros((1, k)))
-    return params
+        weights = {"dec.w0": rng.normal(size=(d, d)), "dec.w1": rng.normal(size=(d, k))}
+    return ParamStore({**weights, "dec.b0": np.zeros((1, d)), "dec.b1": np.zeros((1, k))})
 
 
 def _decode(z, params):

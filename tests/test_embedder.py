@@ -9,7 +9,7 @@ import pytest
 
 from guardian.embedder import EmbeddingConfig, EmbeddingError, embed, make_embedder, remote_embed
 
-CFG = EmbeddingConfig(dim=64, hash_seed=12345)
+CFG = EmbeddingConfig(dim=64)
 
 
 def test_empty_text_is_zero_vector():
@@ -29,11 +29,6 @@ def test_bag_of_tokens_commutativity_with_lowercase():
     assert np.array_equal(a, b)
 
 
-def test_lowercase_off_distinguishes_case():
-    cfg = EmbeddingConfig(dim=64, hash_seed=1, lowercase=False)
-    assert not np.array_equal(embed(cfg, "Alpha"), embed(cfg, "alpha"))
-
-
 def test_norm_zero_or_one():
     rng = np.random.default_rng(7)
     words = ["solve", "answer", "42", "graph", "debate", "agent", "round"]
@@ -41,16 +36,6 @@ def test_norm_zero_or_one():
         text = " ".join(rng.choice(words, size=rng.integers(0, 6)))
         norm = float(np.linalg.norm(embed(CFG, text)))
         assert norm == 0.0 or abs(norm - 1.0) < 1e-9
-
-
-def test_hash_seed_changes_outputs():
-    corpus = [f"response number {i} says the answer is {i * 3}" for i in range(100)]
-    a_cfg = EmbeddingConfig(dim=64, hash_seed=1)
-    b_cfg = EmbeddingConfig(dim=64, hash_seed=2)
-    differing = sum(
-        1 for text in corpus if not np.array_equal(embed(a_cfg, text), embed(b_cfg, text))
-    )
-    assert differing >= 99
 
 
 def test_template_answers_are_separable():

@@ -28,7 +28,6 @@ from guardian.harness import (
     metrics_csv,
     parse_config_file,
     run_experiment,
-    save_corpus,
     validate_episode_json,
 )
 from guardian.simulator import EpisodeLog, GroundTruth, RoundRecord, Task
@@ -178,7 +177,11 @@ def test_make_corpus_deterministic():
 def test_corpus_tsv_roundtrip(tmp_path):
     tasks = make_corpus(5, seed=1)
     path = tmp_path / "corpus.tsv"
-    save_corpus(tasks, path)
+    lines = [
+        f"{t.id}\t{t.question}\t{'|'.join(t.answer_space)}\t{t.answer_space.index(t.correct)}"
+        for t in tasks
+    ]
+    path.write_text("\n".join(lines) + "\n")
     assert load_corpus(path) == tasks
 
 

@@ -9,6 +9,9 @@ from hypothesis import strategies as st
 
 import tape
 from guardian.numerics import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     NonFiniteError,
     NumericsError,
     ParamStore,
@@ -22,7 +25,8 @@ def test_tensor_values_row_major():
     t = Tensor2D([[1.0, 2.0], [3.0, 4.0]])
     assert t.shape == (2, 2)
     assert t.data.ravel().tolist() == [1.0, 2.0, 3.0, 4.0]
-    assert Tensor2D([5.0, 6.0]).shape == (1, 2)
+    with pytest.raises(NumericsError, match="2-D"):
+        Tensor2D([5.0, 6.0])
 
 
 def test_tensor_rejects_non_finite():
@@ -114,21 +118,15 @@ def test_softmax_rows_sum_to_one(rows):
     assert np.all(out.data >= 0.0)
 
 
-def _single(name: str, value) -> ParamStore:
-    store = ParamStore()
-    store.add(name, value)
-    return store
-
-
 def test_adam_zero_gradient_keeps_values():
-    store = _single("w", [[1.5, -2.0]])
+    store = ParamStore({"w": [[1.5, -2.0]]})
     adam_step(store, lr=0.1)
     assert store.value("w").tolist() == [[1.5, -2.0]]
 
 
 def test_adam_first_step_hand_computed():
     # grad = 1: m_hat = 1, v_hat = 1, step = lr * 1 / (1 + eps) ~= lr
-    store = _single("w", [[0.0]])
+    store = ParamStore({"w": [[0.0]]})
     store.grad("w")[:] = 1.0
     adam_step(store, lr=0.1)
     assert abs(store.value("w")[0, 0] + 0.1) < 1e-8
@@ -136,9 +134,7 @@ def test_adam_first_step_hand_computed():
 
 
 def test_adam_identical_entries_stay_identical():
-    store = ParamStore()
-    store.add("a", [[0.3, -0.7]])
-    store.add("b", [[0.3, -0.7]])
+    store = ParamStore({"a": [[0.3, -0.7]], "b": [[0.3, -0.7]]})
     store.grad("a")[:] = [[0.2, -0.1]]
     store.grad("b")[:] = [[0.2, -0.1]]
     for _ in range(5):
@@ -148,7 +144,7 @@ def test_adam_identical_entries_stay_identical():
 
 def test_adam_deterministic():
     def run():
-        store = _single("w", [[1.0, 2.0]])
+        store = ParamStore({"w": [[1.0, 2.0]]})
         store.grad("w")[:] = [[0.5, -0.25]]
         for _ in range(3):
             adam_step(store, lr=0.01)
@@ -157,8 +153,9 @@ def test_adam_deterministic():
     assert np.array_equal(run(), run())
 
 
-def _adam_per_entry(values, grads, steps, lr, b1=0.9, b2=0.999, eps=1e-8):
+def _adam_per_entry(values, grads, steps, lr):
     """The textbook update, one entry at a time, as the reference."""
+    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     values = {n: v.copy() for n, v in values.items()}
     m = {n: np.zeros_like(v) for n, v in values.items()}
     v2 = {n: np.zeros_like(v) for n, v in values.items()}
@@ -181,9 +178,7 @@ def test_adam_flat_store_bit_identical_to_per_entry_update():
         {n: rng.normal(size=s) * 10.0 ** rng.integers(-6, 3) for n, s in shapes.items()}
         for _ in range(7)
     ]
-    store = ParamStore()
-    for n, v in values.items():
-        store.add(n, v)
+    store = ParamStore(values)
     for g in grads:
         for n in shapes:
             store.grad(n)[:] = g[n]
@@ -192,13 +187,17 @@ def test_adam_flat_store_bit_identical_to_per_entry_update():
     for n in shapes:
         assert store.value(n).tobytes() == expected[n].tobytes()
         assert store.step_count(n) == len(grads)
-    assert store.total_size() == sum(a * b for a, b in shapes.values())
 
 
 def test_param_store_entries_are_views_of_the_flat_buffers():
-    store = ParamStore()
-    store.add("a", [[1.0, 2.0]])
-    store.add("b", [[3.0], [4.0]])
+    values = {"b": np.array([[3.0], [4.0]]), "a": [[1.0, 2.0]]}
+    store = ParamStore(values)
+    assert store.names() == ["a", "b"]
+    assert store._value.tolist() == [1.0, 2.0, 3.0, 4.0]  # laid out in name order
+    for name in values:
+        assert store.value(name).base is store._value and store.grad(name).base is store._grad
+    values["b"][0, 0] = 99.0  # the store holds a copy
+    assert store.value("b").tolist() == [[3.0], [4.0]]
     leaf = tape.leaf(store, "b")
     assert leaf.data is store.value("b") and leaf.grad is store.grad("b")
     tape.sum_all(tape.scale(leaf, 2.0)).backward()
@@ -215,37 +214,17 @@ def test_param_store_entries_are_views_of_the_flat_buffers():
     assert store.value("a").tolist() != [[0.0, 0.0]]
     with pytest.raises(KeyError):
         store.step_count("missing")
-    with pytest.raises(NumericsError, match="after an optimizer step"):
-        store.add("c", [[1.0]])
 
 
-def test_param_store_from_mapping_equals_entries_added_one_by_one():
-    rng = np.random.default_rng(8)
-    values = {"w": rng.normal(size=(3, 4)), "b": [0.5, -1.0], "u": rng.normal(size=(4, 2))}
-    built = ParamStore(values)
-    added = ParamStore()
-    for name, value in values.items():
-        added.add(name, value)
-    assert built.names() == added.names() == ["b", "u", "w"]
-    assert built.total_size() == added.total_size() == 12 + 2 + 8
-    assert built._value.tobytes() == added._value.tobytes()  # the same layout
-    for name in values:
-        assert built.value(name).tobytes() == added.value(name).tobytes()
-        assert built.value(name).base is built._value and built.grad(name).base is built._grad
-    assert built.value("b").shape == (1, 2)
-    values["w"][0, 0] = 99.0  # the store holds a copy
-    assert built.value("w")[0, 0] != 99.0
-
-
-def test_param_store_from_mapping_rejects_what_add_rejects():
+def test_param_store_rejects_non_2d_and_non_finite_values():
     with pytest.raises(NumericsError, match="'c' must be 2-D"):
         ParamStore({"a": [[1.0]], "c": np.zeros((1, 1, 1))})
+    with pytest.raises(NumericsError, match="'b' must be 2-D"):
+        ParamStore({"a": [[1.0]], "b": [0.5, -1.0]})
     with pytest.raises(NonFiniteError, match="'b' contains non-finite"):
         ParamStore({"a": [[1.0]], "b": [[0.0, float("inf")]]})
-    store = ParamStore({"a": [[1.0]]})
-    with pytest.raises(NonFiniteError):
-        store.add("b", [[float("nan")]])
-    assert store.names() == ["a"] and store.total_size() == 1  # unchanged
+    with pytest.raises(NonFiniteError, match="'bad' contains non-finite"):
+        ParamStore({"w": [[1.0]], "bad": [[float("nan")]]})
 
 
 def test_param_store_clone_is_independent_of_its_source():
@@ -282,19 +261,15 @@ def test_adam_names_the_parameter_a_nan_reaches():
 
 
 def test_adam_names_the_diverged_parameter():
-    store = ParamStore()
-    store.add("a", [[0.0]])
-    store.add("b", [[1e308]])
+    store = ParamStore({"a": [[0.0]], "b": [[1e308]]})
     store.grad("b")[:] = -1.0
     with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="'b' diverged"):
         adam_step(store, lr=1e308)
 
 
 def test_grad_check_quadratic_is_tight():
-    store = ParamStore()
     rng = np.random.default_rng(3)
-    store.add("w", rng.normal(size=(3, 4)))
-    store.add("b", rng.normal(size=(1, 4)))
+    store = ParamStore({"w": rng.normal(size=(3, 4)), "b": rng.normal(size=(1, 4))})
 
     def loss(s: ParamStore) -> Tensor2D:
         w, b = tape.leaf(s, "w"), tape.leaf(s, "b")
@@ -304,7 +279,7 @@ def test_grad_check_quadratic_is_tight():
 
 
 def test_grad_check_constant_loss():
-    store = _single("w", [[1.0, 2.0]])
+    store = ParamStore({"w": [[1.0, 2.0]]})
 
     def loss(s: ParamStore) -> Tensor2D:
         return Tensor2D([[4.2]], backward=lambda: None)
@@ -313,7 +288,7 @@ def test_grad_check_constant_loss():
 
 
 def test_grad_check_rejects_non_finite_loss():
-    store = _single("w", [[1.0]])
+    store = ParamStore({"w": [[1.0]]})
 
     def loss(s: ParamStore) -> Tensor2D:
         return tape.log(tape.add_const(tape.leaf(s, "w"), -10.0))  # log of negative
@@ -324,11 +299,14 @@ def test_grad_check_rejects_non_finite_loss():
 
 def test_grad_check_all_ops_composite():
     """Every op participates in one loss; tape grads must match differences."""
-    store = ParamStore()
     rng = np.random.default_rng(11)
-    store.add("w1", rng.normal(size=(3, 3)) * 0.6)
-    store.add("w2", rng.normal(size=(3, 2)) * 0.6)
-    store.add("bias", rng.normal(size=(1, 2)) * 0.3)
+    store = ParamStore(
+        {
+            "w1": rng.normal(size=(3, 3)) * 0.6,
+            "w2": rng.normal(size=(3, 2)) * 0.6,
+            "bias": rng.normal(size=(1, 2)) * 0.3,
+        }
+    )
     x = tape.Tensor(rng.normal(size=(4, 3)))
 
     def loss(s: ParamStore) -> Tensor2D:
@@ -353,14 +331,6 @@ def test_backward_requires_scalar():
         Tensor2D([[1.0]]).backward()
     with pytest.raises(NumericsError, match="requires a scalar"):
         tape.Tensor([[1.0, 2.0]]).backward()
-
-
-def test_param_store_rejects_duplicates_and_bad_values():
-    store = _single("w", [[1.0]])
-    with pytest.raises(NumericsError):
-        store.add("w", [[2.0]])
-    with pytest.raises(NonFiniteError):
-        store.add("bad", [[float("nan")]])
 
 
 def test_ops_preserve_finiteness():

@@ -1,9 +1,18 @@
 from __future__ import annotations
 
+import dataclasses
 import importlib
+import inspect
 import pkgutil
 
 import guardian
+from guardian.anomaly import DetectionPolicy
+from guardian.detector import DetectorConfig, fit, infer
+from guardian.embedder import EmbeddingConfig
+from guardian.harness import ExperimentConfig
+from guardian.numerics import adam_step
+from guardian.pipeline import PipelineState
+from guardian.simulator import AgentSpec, AttackPlan, RemoteAgentConfig, run_episode
 
 
 def test_every_public_name_resolves():
@@ -14,3 +23,44 @@ def test_every_public_name_resolves():
     for module in modules:
         missing = [name for name in module.__all__ if not hasattr(module, name)]
         assert missing == [], f"{module.__name__}.__all__ names missing attributes {missing}"
+
+
+# Every value a caller can set. A new field or parameter is a new option:
+# adding one means editing this list, where review sees it.
+_SETTABLE = {
+    ExperimentConfig: [
+        "n_agents", "max_rounds", "min_rounds", "topology", "attack", "trials", "seed",
+        "decay", "decay_lambda", "pooling", "variant", "defense", "p_correct", "p_follow",
+        "persuasion", "corpus", "n_tasks", "carry_params", "history_window", "k", "d",
+        "alpha", "beta", "lambda_", "lr", "epochs_initial", "epochs_incremental", "policy",
+        "tau", "timing",
+    ],
+    DetectorConfig: [
+        "k", "d", "alpha", "beta", "lambda_", "lr", "epochs_initial", "epochs_incremental",
+        "seed", "variant",
+    ],
+    DetectionPolicy: ["mode", "tau"],
+    EmbeddingConfig: ["dim"],
+    AgentSpec: ["id", "p_correct", "p_follow", "role_prompt"],
+    AttackPlan: ["kind", "target_agents", "seed", "persuasion"],
+    RemoteAgentConfig: ["url", "token", "timeout"],
+    adam_step: ["store", "lr"],
+    fit: ["batch", "cfg", "params", "rng", "epochs"],
+    infer: ["batch", "cfg", "params"],
+    run_episode: [
+        "task", "specs", "topology_fraction", "plan", "pipeline", "max_rounds", "min_rounds",
+        "seed", "remote",
+    ],
+    PipelineState.__init__: [
+        "self", "det_cfg", "policy", "embed_fn", "seed", "carry_params", "history_window",
+    ],
+}
+
+
+def test_settable_surface_is_pinned():
+    for owner, expected in _SETTABLE.items():
+        if dataclasses.is_dataclass(owner):
+            got = [f.name for f in dataclasses.fields(owner)]
+        else:
+            got = list(inspect.signature(owner).parameters)
+        assert got == expected, owner.__qualname__

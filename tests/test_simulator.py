@@ -40,8 +40,6 @@ def test_attack_plan_validation():
         AttackPlan(kind="meteor")
     with pytest.raises(SimulatorError):
         AttackPlan(kind="agent_targeted", target_agents=(0, 1))
-    with pytest.raises(SimulatorError):
-        AttackPlan(kind="comm_targeted", target_round=3)
 
 
 def test_render_and_parse_roundtrip():
@@ -317,31 +315,30 @@ def remote_server():
 
 def test_remote_agent_protocol(remote_server):
     remote = RemoteAgentConfig(url=remote_server, token="sekrit")
-    specs = [AgentSpec(id=0), AgentSpec(id=1, kind="remote")]
     log = run_episode(
-        TASK, specs, 1.0, AttackPlan(), max_rounds=2, min_rounds=1, seed=31, remote=remote
+        TASK, _specs(3), 1.0, AttackPlan(), max_rounds=2, min_rounds=2, seed=31, remote=remote
     )
     assert log.final_answer == "8"
     assert log.ground_truth is None  # labels unavailable in remote mode
-    first = _RemoteHandler.seen[0]
-    assert first["auth"] == "Bearer sekrit"
-    assert set(first["body"]) == {"agent_id", "round", "prompt", "question", "context"}
-    assert first["body"]["agent_id"] == 1
-    assert first["body"]["question"] == TASK.question
+    seen = _RemoteHandler.seen
+    # every agent is remote: one request per agent per round
+    assert [(r["body"]["round"], r["body"]["agent_id"]) for r in seen] == [
+        (1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)
+    ]
+    assert log.api_calls == len(seen)
+    for request in seen:
+        assert request["auth"] == "Bearer sekrit"
+        assert set(request["body"]) == {"agent_id", "round", "prompt", "question", "context"}
+        assert request["body"]["question"] == TASK.question
+    assert [r["body"]["context"] for r in seen[:3]] == [[], [], []]
+    assert all(len(r["body"]["context"]) == 2 for r in seen[3:])  # full topology
 
 
 def test_remote_agent_failure_aborts_episode(remote_server):
     _RemoteHandler.fail = True
     remote = RemoteAgentConfig(url=remote_server)
-    specs = [AgentSpec(id=0), AgentSpec(id=1, kind="remote")]
     with pytest.raises(RemoteAgentError):
-        run_episode(TASK, specs, 1.0, AttackPlan(), max_rounds=2, seed=31, remote=remote)
-
-
-def test_remote_agent_without_endpoint_rejected():
-    specs = [AgentSpec(id=0, kind="remote")]
-    with pytest.raises(RemoteAgentError, match="no endpoint"):
-        run_episode(TASK, specs, 1.0, AttackPlan(), max_rounds=1, seed=0)
+        run_episode(TASK, _specs(2), 1.0, AttackPlan(), max_rounds=2, seed=31, remote=remote)
 
 
 def test_remote_config_from_env(monkeypatch):
