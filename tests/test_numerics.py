@@ -190,14 +190,7 @@ def test_adam_flat_store_bit_identical_to_per_entry_update():
 
 
 def test_param_store_entries_are_views_of_the_flat_buffers():
-    values = {"b": np.array([[3.0], [4.0]]), "a": [[1.0, 2.0]]}
-    store = ParamStore(values)
-    assert store.names() == ["a", "b"]
-    assert store._value.tolist() == [1.0, 2.0, 3.0, 4.0]  # laid out in name order
-    for name in values:
-        assert store.value(name).base is store._value and store.grad(name).base is store._grad
-    values["b"][0, 0] = 99.0  # the store holds a copy
-    assert store.value("b").tolist() == [[3.0], [4.0]]
+    store = ParamStore({"a": [[1.0, 2.0]], "b": [[3.0], [4.0]]})
     leaf = tape.leaf(store, "b")
     assert leaf.data is store.value("b") and leaf.grad is store.grad("b")
     tape.sum_all(tape.scale(leaf, 2.0)).backward()
@@ -216,15 +209,34 @@ def test_param_store_entries_are_views_of_the_flat_buffers():
         store.step_count("missing")
 
 
-def test_param_store_rejects_non_2d_and_non_finite_values():
-    with pytest.raises(NumericsError, match="'c' must be 2-D"):
-        ParamStore({"a": [[1.0]], "c": np.zeros((1, 1, 1))})
-    with pytest.raises(NumericsError, match="'b' must be 2-D"):
-        ParamStore({"a": [[1.0]], "b": [0.5, -1.0]})
-    with pytest.raises(NonFiniteError, match="'b' contains non-finite"):
-        ParamStore({"a": [[1.0]], "b": [[0.0, float("inf")]]})
-    with pytest.raises(NonFiniteError, match="'bad' contains non-finite"):
-        ParamStore({"w": [[1.0]], "bad": [[float("nan")]]})
+def test_param_store_from_mapping_equals_entries_added_one_by_one():
+    rng = np.random.default_rng(8)
+    values = {"w": rng.normal(size=(3, 4)), "b": [[0.5, -1.0]], "u": rng.normal(size=(4, 2))}
+    built = ParamStore(values)
+    singles = {name: ParamStore({name: value}) for name, value in values.items()}
+    assert built.names() == ["b", "u", "w"]
+    # the layout is the one-entry stores laid one after another in name order
+    assert built._value.tobytes() == b"".join(singles[n]._value.tobytes() for n in built.names())
+    assert built._value.size == 12 + 2 + 8
+    for name in values:
+        assert built.value(name).tobytes() == singles[name].value(name).tobytes()
+        assert built.value(name).base is built._value and built.grad(name).base is built._grad
+    assert built.value("b").shape == (1, 2)
+    reordered = ParamStore({n: values[n] for n in ["u", "w", "b"]})
+    assert reordered._value.tobytes() == built._value.tobytes()  # insertion order is irrelevant
+    values["w"][0, 0] = 99.0  # the store holds a copy
+    assert built.value("w")[0, 0] != 99.0
+
+
+def test_param_store_from_mapping_rejects_what_add_rejects():
+    # a bad entry among good ones is rejected as it is on its own
+    for name, value in {"c": np.zeros((1, 1, 1)), "b": [0.5, -1.0]}.items():
+        for entries in ({name: value}, {"a": [[1.0]], name: value}):
+            with pytest.raises(NumericsError, match=f"'{name}' must be 2-D"):
+                ParamStore(entries)
+    for entries in ({"b": [[0.0, float("inf")]]}, {"a": [[1.0]], "b": [[0.0, float("inf")]]}):
+        with pytest.raises(NonFiniteError, match="'b' contains non-finite"):
+            ParamStore(entries)
 
 
 def test_param_store_clone_is_independent_of_its_source():
@@ -331,6 +343,16 @@ def test_backward_requires_scalar():
         Tensor2D([[1.0]]).backward()
     with pytest.raises(NumericsError, match="requires a scalar"):
         tape.Tensor([[1.0, 2.0]]).backward()
+
+
+def test_param_store_rejects_duplicates_and_bad_values():
+    # one array under two names gives two entries, not one aliased twice
+    shared = np.array([[1.0]])
+    store = ParamStore({"w": shared, "v": shared})
+    store.value("w")[:] = 2.0
+    assert store.value("v").tolist() == [[1.0]] and shared.tolist() == [[1.0]]
+    with pytest.raises(NonFiniteError, match="'bad' contains non-finite"):
+        ParamStore({"w": [[1.0]], "bad": [[float("nan")]]})
 
 
 def test_ops_preserve_finiteness():
