@@ -70,7 +70,7 @@ def select_anomalies(
     return max(candidates, key=lambda s: (s.value, -s.agent)).agent
 
 
-def prune(g: TemporalGraph, agent: AgentId | None, round_: int) -> None:
-    """Remove `agent`, when there is one, from all rounds after `round_`."""
+def prune(g: TemporalGraph, agent: AgentId | None) -> None:
+    """Remove `agent`, when there is one, from all rounds after the latest."""
     if agent is not None:
-        g.remove_node(agent, round_)
+        g.remove_node(agent)

@@ -27,6 +27,7 @@ from .harness import (
     parse_config_file,
     run_experiment,
     run_trials,
+    write_artifact,
 )
 from .simulator import EpisodeLog
 
@@ -144,7 +145,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     )
     sys.stdout.write(_report_lines(cfg, report))
     if args.out:
-        (args.out / "metrics.csv").write_text(metrics_csv(cfg, report))
+        write_artifact(args.out / "metrics.csv", metrics_csv(cfg, report))
         sys.stdout.write(f"metrics written to {args.out / 'metrics.csv'}\n")
     return 0
 
@@ -155,7 +156,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
     if args.out:
         _make_out_dir(args.out)
         target = args.out / f"{Path(args.episode).stem}.{args.format}"
-        target.write_text(rendered)
+        write_artifact(target, rendered)
         sys.stdout.write(f"graph written to {target}\n")
     else:
         sys.stdout.write(rendered)

@@ -238,18 +238,17 @@ def temporal_fuse(
     """Fuse each final-round agent's latent trajectory with self-attention.
 
     Only the last attention position feeds the decoders, so each final
-    agent's fused row is its last query attending, in one masked softmax,
-    over the rounds it is present in; absent rounds never enter the
-    softmax. With a single round this is the value projection of that
-    round's latent row. Returns the position-encoded sequences, the last
-    queries, ``u`` = query @ wk.T, the attention weights, the attended
-    contexts and the fused rows.
+    agent's fused row is its last query attending, in one softmax, over
+    every round of the history: an agent active at the final round was
+    active in all earlier ones. With a single round this is the value
+    projection of that round's latent row. Returns the position-encoded
+    sequences, the last queries, ``u`` = query @ wk.T, the attention
+    weights, the attended contexts and the fused rows.
     """
     seq = z[h.gather] + h.pe
     q = seq[:, -1] @ wq
     u = q @ wk.T  # q . (seq_t wk) == seq_t . u
     logits = (seq @ u[:, :, None])[:, :, 0] * h.inv_sqrt_d
-    logits = np.where(h.present, logits, -np.inf)
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
     attn = e / e.sum(axis=1, keepdims=True)
     context = (attn[:, None, :] @ seq)[:, 0]
@@ -314,9 +313,8 @@ class _History:
 
     The snapshots are stacked row-wise into ``rows`` nodes, so each graph
     convolution is one product with the batch's block-diagonal normalized
-    adjacency. ``gather[i, t]`` is the row of final agent i in snapshot t
-    and ``present[i, t]`` says whether that row exists; absent entries
-    point at row 0 and are masked out of the attention.
+    adjacency. ``gather[i, t]`` is the row of final agent i in snapshot t;
+    a final agent missing from an earlier snapshot is a DetectorError.
     """
 
     def __init__(self, batch: HistoryBatch, cfg: DetectorConfig):
@@ -337,17 +335,15 @@ class _History:
         self.rows = sum(sizes)
         # kl is the mean over snapshots of the per-node average KL
         self.kl_weight = np.repeat([0.5 / (n * len(sizes)) for n in sizes], sizes)[:, None]
-        self.gather = np.zeros((len(final.agents), len(snapshots)), dtype=np.intp)
-        self.present = np.zeros(self.gather.shape, dtype=bool)
+        self.gather = np.empty((len(final.agents), len(snapshots)), dtype=np.intp)
         offset = 0
         for t, s in enumerate(snapshots):
             row_of = {a: offset + i for i, a in enumerate(s.agents)}
             for i, agent in enumerate(final.agents):
-                if batch.presence[agent][t]:
-                    self.gather[i, t] = row_of[agent]
-                    self.present[i, t] = True
+                if agent not in row_of:
+                    raise DetectorError(f"final agent {agent} is absent from round {s.round}")
+                self.gather[i, t] = row_of[agent]
             offset += len(s.agents)
-        self.present_rows = self.gather[self.present]
         # attention over one snapshot is the identity, which _Pass skips
         self.single = len(snapshots) == 1
         self.pe = positional_encoding([s.round for s in snapshots], cfg.d)
@@ -433,7 +429,7 @@ class _Pass:
             np.matmul(self.seq[:, -1].T, d_q, out=g["attn.wq"])
             d_seq[:, -1] += d_q @ w["attn.wq"].T
             d_z = np.zeros((h.rows, d))
-            d_z[h.present_rows] = d_seq[h.present]
+            d_z[h.gather] = d_seq
 
         d_hidden = np.empty((h.rows, 2 * d))
         d_hidden[:, :d] = d_z + (2.0 * c_kl) * h.kl_weight * self.mean

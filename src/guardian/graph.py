@@ -6,8 +6,11 @@ agent j consumed agent i's previous-round output this round. Round 1 has
 no incoming communication, so its adjacency is empty until self-loops are
 added during normalization.
 
-Node removal is permanent and forward-only: history before the removal
-round is preserved, later rounds never see the agent again.
+Agents only leave. ``TemporalGraph`` holds one invariant: each round holds
+exactly the previous round's agents minus those removed after it (the
+pipeline removes at most one), and a removal takes effect after the
+latest round. Stored snapshots are never rewritten, so every final-round
+agent is present in every earlier round.
 """
 
 from __future__ import annotations
@@ -68,7 +71,7 @@ class Snapshot:
 
 @dataclass
 class HistoryBatch:
-    """Filtered snapshots 1..upto plus per-agent presence masks."""
+    """Snapshots of one history plus per-agent presence masks."""
 
     snapshots: list[Snapshot]
     presence: dict[AgentId, list[bool]]
@@ -92,6 +95,8 @@ class HistoryBatch:
 
 
 class TemporalGraph:
+    """One episode's snapshots, appended round by round, and its removals."""
+
     def __init__(self) -> None:
         self.snapshots: list[Snapshot] = []
         self.removed: dict[AgentId, int] = {}  # agent -> round after which gone
@@ -100,57 +105,33 @@ class TemporalGraph:
     def latest_round(self) -> int:
         return self.snapshots[-1].round if self.snapshots else 0
 
-    def snapshot_at(self, round_: int) -> Snapshot:
-        for s in self.snapshots:
-            if s.round == round_:
-                return s
-        raise GraphError(f"no snapshot for round {round_}")
-
-    def active_agents(self, round_: int) -> list[AgentId]:
-        return list(self.snapshot_at(round_).agents)
-
     def append_snapshot(self, s: Snapshot) -> None:
-        if self.snapshots and s.round <= self.snapshots[-1].round:
-            raise GraphError(
-                f"snapshot rounds must increase: got {s.round} after {self.snapshots[-1].round}"
-            )
-        for a in s.agents:
-            if a in self.removed and s.round > self.removed[a]:
-                raise GraphError(f"agent {a} was removed after round {self.removed[a]}")
+        """Store the next round, whose agents must be the active set after the latest."""
         if self.snapshots:
             prev = self.snapshots[-1]
-            for src, sends in zip(s.agents, s.adjacency.any(axis=1)):
-                if sends and src not in prev.agents:
-                    raise GraphError(f"edge source {src} was not active at round {prev.round}")
+            if s.round <= prev.round:
+                raise GraphError(
+                    f"snapshot rounds must increase: got {s.round} after {prev.round}"
+                )
+            active = sorted(a for a in prev.agents if a not in self.removed)
+            if sorted(s.agents) != active:
+                raise GraphError(
+                    f"round {s.round} agents {sorted(s.agents)} do not match active set {active}"
+                )
         elif bool(s.adjacency.any()):
             raise GraphError("round-1 snapshot cannot have incoming communication")
         self.snapshots.append(s)
 
-    def remove_node(self, agent: AgentId, from_round: int) -> None:
-        """Exclude `agent` from every round after `from_round`.
+    def remove_node(self, agent: AgentId) -> None:
+        """Exclude `agent`, active at the latest round, from every later round.
 
-        Idempotent: repeating a removal is a no-op. The agent must have
-        been active at `from_round`.
+        Idempotent: repeating a removal is a no-op.
         """
         if agent in self.removed:
             return
-        if agent not in self.snapshot_at(from_round).agents:
-            raise GraphError(f"agent {agent} is not active at round {from_round}")
-        self.removed[agent] = from_round
-        for idx, s in enumerate(self.snapshots):
-            if s.round > from_round and agent in s.agents:
-                self.snapshots[idx] = _drop_agent(s, agent)
-
-
-def _drop_agent(s: Snapshot, agent: AgentId) -> Snapshot:
-    keep = [i for i, a in enumerate(s.agents) if a != agent]
-    return Snapshot(
-        round=s.round,
-        agents=[s.agents[i] for i in keep],
-        features=Tensor2D(s.features.data[keep, :].copy()),
-        adjacency=s.adjacency[np.ix_(keep, keep)].copy(),
-        response_texts=[s.response_texts[i] for i in keep],
-    )
+        if not self.snapshots or agent not in self.snapshots[-1].agents:
+            raise GraphError(f"agent {agent} is not active at round {self.latest_round}")
+        self.removed[agent] = self.latest_round
 
 
 def sample_topology(
@@ -245,13 +226,10 @@ def truncate_history(batch: HistoryBatch, window: int) -> HistoryBatch:
 
 
 def merge_history(g: TemporalGraph, upto: int) -> HistoryBatch:
-    """Snapshots 1..upto; removed agents are already absent after their round.
+    """Snapshots 1..upto, as stored.
 
-    An agent removed after round r stays in snapshots up to and including
-    r (history is preserved): ``remove_node`` drops it from later stored
-    snapshots and ``append_snapshot`` refuses it in new ones. The presence
-    mask records, per agent ever seen, which of the returned snapshots
-    contain it; temporal attention aligns on it.
+    An agent removed after round r is in snapshots 1..r and in none after,
+    so every agent of the last returned snapshot is in all of them.
     """
     if upto > g.latest_round:
         raise GraphError(f"merge_history upto={upto} exceeds latest round {g.latest_round}")

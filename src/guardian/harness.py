@@ -55,6 +55,7 @@ __all__ = [
     "validate_episode_json",
     "export_episode_graph",
     "metrics_csv",
+    "write_artifact",
 ]
 
 TOPOLOGY_FRACTIONS = (0.25, 0.5, 0.75, 1.0)
@@ -475,16 +476,23 @@ def run_experiment(
 
     if out_dir is not None:
         out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        episodes_dir = out / "episodes"
-        episodes_dir.mkdir(exist_ok=True)
         per_trial = len(logs) // cfg.trials
         for i, log in enumerate(logs):
             trial = i // per_trial
             name = f"trial{trial:02d}_{log.task.id}.json"
-            (episodes_dir / name).write_text(episode_to_json(log))
-        (out / "metrics.csv").write_text(metrics_csv(cfg, report))
+            write_artifact(out / "episodes" / name, episode_to_json(log))
+        write_artifact(out / "metrics.csv", metrics_csv(cfg, report))
     return report, logs
+
+
+def write_artifact(path: Path, text: str) -> None:
+    """Write `text` to `path`, creating its directory; an OS failure is a
+    HarnessError naming the path."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as err:
+        raise HarnessError(f"cannot write to {path}: {err}") from err
 
 
 # ---------------------------------------------------------------------------

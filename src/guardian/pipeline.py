@@ -76,7 +76,6 @@ class PipelineState:
         self.params = init_params(det_cfg, derive_rng(self.seed, "init"))
         self.noise_rng = derive_rng(self.seed, "noise")
         self.graph = TemporalGraph()
-        self.round = 0
         self.decisions: list[Decision] = []
         self._fitted_once = False
         self._episode_index = -1
@@ -111,7 +110,7 @@ class PipelineState:
         return state
 
     def begin_episode(self) -> None:
-        """Fresh graph and round counter; parameters persist unless carry is off.
+        """Fresh graph; parameters persist unless carry is off.
 
         With carry off every episode restarts from the same detector: the
         checkpoint's parameters, still fitted, when the state was loaded
@@ -119,7 +118,6 @@ class PipelineState:
         """
         self._episode_index += 1
         self.graph = TemporalGraph()
-        self.round = 0
         if not self.carry_params:
             ep = self._episode_index
             if self._loaded is not None:
@@ -129,13 +127,8 @@ class PipelineState:
                 self._fitted_once = False
             self.noise_rng = derive_rng(self.seed, "noise", ep)
 
-    def active_agents(self) -> list[AgentId] | None:
-        if self.round == 0:
-            return None
-        return self.graph.active_agents(self.round)
-
     def _assemble_batch(self) -> HistoryBatch:
-        batch = merge_history(self.graph, self.round)
+        batch = merge_history(self.graph, self.graph.latest_round)
         if self.det_cfg.variant == "static":
             return truncate_history(batch, 1)
         if self.history_window is not None:
@@ -153,24 +146,13 @@ class PipelineState:
         `responses` must cover exactly the agents still active; an empty
         round signals an exhausted episode.
         """
+        round_ = self.graph.latest_round + 1
         if not responses:
-            raise EpisodeExhausted(f"no active agents at round {self.round + 1}")
-        expected = self.active_agents()
-        if expected is not None:
-            got = sorted(a for a, _ in responses)
-            still_active = sorted(a for a in expected if a not in self.graph.removed)
-            if got != still_active:
-                raise PipelineError(
-                    f"round {self.round + 1} responses {got} do not match active set {still_active}"
-                )
-
-        round_ = self.round + 1
-        snapshot = build_snapshot(round_, responses, topology, self.embed_fn)
+            raise EpisodeExhausted(f"no active agents at round {round_}")
         try:
-            self.graph.append_snapshot(snapshot)
+            self.graph.append_snapshot(build_snapshot(round_, responses, topology, self.embed_fn))
         except GraphError as err:
             raise PipelineError(str(err)) from err
-        self.round = round_
 
         batch = self._assemble_batch()
         epochs = (
@@ -182,7 +164,7 @@ class PipelineState:
         recon, losses = infer(batch, self.det_cfg, self.params)
         scores = score_nodes(recon, self.det_cfg.alpha)
         removed = select_anomalies(scores, self.policy, consensus_reached)
-        prune(self.graph, removed, round_)
+        prune(self.graph, removed)
 
         decision = Decision(
             round=round_,

@@ -105,33 +105,34 @@ def test_policy_validation():
         DetectionPolicy(mode="threshold", tau=-1.0)
 
 
+def _round(t, agents):
+    n = len(agents)
+    return Snapshot(
+        round=t,
+        agents=agents,
+        features=Tensor2D(np.zeros((n, 4))),
+        adjacency=np.zeros((n, n), dtype=bool) if t == 1 else ~np.eye(n, dtype=bool),
+        response_texts=["x"] * n,
+    )
+
+
 def _graph_with_rounds():
     g = TemporalGraph()
     for t in (1, 2):
-        agents = [0, 1, 2]
-        n = len(agents)
-        adjacency = np.zeros((n, n), dtype=bool) if t == 1 else ~np.eye(n, dtype=bool)
-        g.append_snapshot(
-            Snapshot(
-                round=t,
-                agents=agents,
-                features=Tensor2D(np.zeros((n, 4))),
-                adjacency=adjacency,
-                response_texts=["x"] * n,
-            )
-        )
+        g.append_snapshot(_round(t, [0, 1, 2]))
     return g
 
 
 def test_prune_empty_selection_no_change():
     g = _graph_with_rounds()
-    prune(g, None, 2)
+    prune(g, None)
     assert g.removed == {}
 
 
 def test_prune_drops_active_count():
     g = _graph_with_rounds()
-    prune(g, 1, 1)
-    assert g.removed == {1: 1}
-    assert g.snapshot_at(2).agents == [0, 2]
-
+    prune(g, 1)
+    assert g.removed == {1: 2}
+    assert [s.agents for s in g.snapshots] == [[0, 1, 2], [0, 1, 2]]  # history kept
+    g.append_snapshot(_round(3, [0, 2]))
+    assert g.snapshots[-1].agents == [0, 2]

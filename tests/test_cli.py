@@ -235,6 +235,26 @@ def test_cli_out_naming_a_file_fails_before_any_episode(tmp_path, capsys, monkey
     assert captured.err.count("\n") == 1 and captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["simulate", "defend", "metrics", "export"])
+def test_cli_write_failure_under_out_fails_naming_the_file(tmp_path, capsys, command):
+    episode = _episode_files(tmp_path)[0]
+    out = tmp_path / "out"
+    if command == "export":
+        argv = ["export", "--episode", str(episode)]
+        blocker = out / f"{episode.stem}.json"
+    elif command == "metrics":
+        argv = ["metrics", *_fast_flags(tmp_path), "--logs", str(episode.parent)]
+        blocker = out / "metrics.csv"
+    else:
+        argv = [command, *_fast_flags(tmp_path)]
+        blocker = out / "episodes" / episode.name
+    blocker.mkdir(parents=True)  # a directory where the file goes
+    capsys.readouterr()
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write to {blocker}: ") and err.count("\n") == 1, err
+
+
 def test_cli_corpus_line_with_one_answer_fails_naming_the_line(tmp_path, capsys):
     corpus = tmp_path / "corpus.tsv"
     corpus.write_text("t0\tq\t8|9\t0\nt1\tq\t8\t0\n")

@@ -8,6 +8,7 @@ change fails here too, not only in the benchmark.
 
 from __future__ import annotations
 
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -21,6 +22,13 @@ from bench.workloads import configs, load_modules, run_pass  # noqa: E402
 
 # seed 7, the benchmark's default
 DIGESTS = {"defend_c5": "250c97f9099bdc43", "defend_long": "bff2f2a4002b726f"}
+# defend_long with the history cut by truncate_history, a path no workload
+# runs. (defend_c5 removes only at rounds 1 and 2, and its digest reads the
+# same with the history truncated, so it would not tell the paths apart.)
+TRUNCATED = {
+    "static": ({"variant": "static"}, "242ec4bbfdab96ae"),
+    "window2": ({"history_window": 2}, "751b6d8eb413d753"),
+}
 
 
 @pytest.mark.parametrize("workload", DIGESTS)
@@ -28,3 +36,11 @@ def test_benchmark_decisions_are_pinned(workload):
     modules = load_modules()
     result = run_pass(modules, workload, configs(modules, workload, seed=7), keep=False)
     assert result.digest == DIGESTS[workload]
+
+
+@pytest.mark.parametrize("case", TRUNCATED)
+def test_truncated_history_decisions_are_pinned(case):
+    overrides, digest = TRUNCATED[case]
+    modules = load_modules()
+    cfgs = [dataclasses.replace(c, **overrides) for c in configs(modules, "defend_long", seed=7)]
+    assert run_pass(modules, "defend_long", cfgs, keep=False).digest == digest

@@ -435,6 +435,27 @@ def test_forward_breakdown_matches_reporting_path():
     assert abs(l_total - breakdown.l_total) < 1e-12
 
 
+@pytest.mark.parametrize("entry", ["fit", "infer", "run_forward"])
+def test_final_agent_absent_from_an_earlier_round_is_rejected(entry):
+    # agent 2 joins at round 2, which a debate never does
+    rng = np.random.default_rng(4)
+    cfg = _small_cfg()
+    params = init_params(cfg, rng)
+    batch = HistoryBatch.of(
+        [
+            _snapshot(1, [0, 1], rng.normal(size=(2, cfg.k))),
+            _snapshot(2, [0, 1, 2], rng.normal(size=(3, cfg.k)), ~np.eye(3, dtype=bool)),
+        ]
+    )
+    calls = {
+        "fit": lambda: fit(batch, cfg, params, rng, epochs=1),
+        "infer": lambda: infer(batch, cfg, params),
+        "run_forward": lambda: run_forward(batch, cfg, params, None),
+    }
+    with pytest.raises(DetectorError, match="final agent 2 is absent from round 1"):
+        calls[entry]()
+
+
 def test_fit_zero_epochs_no_change():
     rng = np.random.default_rng(7)
     cfg = _small_cfg()
@@ -556,14 +577,13 @@ def test_grad_check_with_sampling_frozen():
 
 
 def _history_with_gaps(rng, n_agents, rounds, k):
-    """Random rounds in which agents leave for good or join late, so that
-    presence masks are partial; agent 0 stays throughout."""
-    join = np.where(rng.random(n_agents) < 0.7, 1, rng.integers(1, rounds + 1, n_agents))
-    leave = np.where(rng.random(n_agents) < 0.6, rounds, rng.integers(join, rounds + 1))
-    join[0], leave[0] = 1, rounds
+    """Random rounds in which agents leave for good, so that earlier rounds
+    hold agents the final one lacks; agent 0 stays throughout."""
+    leave = np.where(rng.random(n_agents) < 0.6, rounds, rng.integers(1, rounds + 1, n_agents))
+    leave[0] = rounds
     snaps = []
     for t in range(1, rounds + 1):
-        agents = [a for a in range(n_agents) if join[a] <= t <= leave[a]]
+        agents = [a for a in range(n_agents) if t <= leave[a]]
         n = len(agents)
         adjacency = rng.random((n, n)) < 0.5 if t > 1 else np.zeros((n, n), dtype=bool)
         np.fill_diagonal(adjacency, False)

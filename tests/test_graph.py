@@ -123,14 +123,25 @@ def test_self_looped_adjacency_is_binary_symmetric():
     assert np.array_equal(target, np.ones((4, 4)))
 
 
-def _three_round_graph(agents=(0, 1, 2, 3)):
+def _three_round_graph(remove_after=None):
+    """Rounds 1-3 over agents 0-3; ``remove_after[t]`` is removed after round t."""
     g = TemporalGraph()
-    agents = list(agents)
-    g.append_snapshot(_snapshot(1, agents))
-    for t in (2, 3):
-        active = [a for a in agents if a not in g.removed]
+    for t in (1, 2, 3):
+        active = [a for a in range(4) if a not in g.removed]
         g.append_snapshot(_snapshot(t, active, _full_topology(active)))
+        if remove_after and t in remove_after:
+            g.remove_node(remove_after[t])
     return g
+
+
+def _snapshot_bytes(s):
+    return (
+        s.round,
+        tuple(s.agents),
+        s.features.data.tobytes(),
+        s.adjacency.tobytes(),
+        tuple(s.response_texts),
+    )
 
 
 def test_append_snapshot_requires_increasing_rounds():
@@ -142,45 +153,52 @@ def test_append_snapshot_requires_increasing_rounds():
 
 def test_remove_node_preserves_history():
     g = _three_round_graph()
-    g.remove_node(1, from_round=1)
-    assert 1 in g.snapshot_at(1).agents
-    assert 1 not in g.snapshot_at(2).agents
-    assert 1 not in g.snapshot_at(3).agents
+    before = [_snapshot_bytes(s) for s in g.snapshots]
+    g.remove_node(1)
+    assert g.removed == {1: 3}
+    assert [_snapshot_bytes(s) for s in g.snapshots] == before
+    with pytest.raises(GraphError, match="active set"):
+        g.append_snapshot(_snapshot(4, [0, 1, 2, 3], _full_topology([0, 1, 2, 3])))
+    g.append_snapshot(_snapshot(4, [0, 2, 3], _full_topology([0, 2, 3])))
 
 
 def test_remove_node_rejects_inactive():
+    with pytest.raises(GraphError, match="not active"):
+        TemporalGraph().remove_node(0)
     g = TemporalGraph()
     g.append_snapshot(_snapshot(1, [0, 1]))
     with pytest.raises(GraphError, match="not active"):
-        g.remove_node(5, from_round=1)
+        g.remove_node(5)
 
 
 def test_remove_node_idempotent_flagged():
-    g = _three_round_graph()
-    g.remove_node(2, from_round=2)
-    before = [s.agents for s in g.snapshots]
-    g.remove_node(2, from_round=3)
-    assert [s.agents for s in g.snapshots] == before
+    g = _three_round_graph({2: 2})
+    before = [_snapshot_bytes(s) for s in g.snapshots]
+    g.remove_node(2)  # absent from round 3, but already removed: a no-op
+    assert [_snapshot_bytes(s) for s in g.snapshots] == before
     assert g.removed == {2: 2}
 
 
 def test_remove_sole_agent_empties_future_rounds():
     g = TemporalGraph()
     g.append_snapshot(_snapshot(1, [0]))
-    g.remove_node(0, from_round=1)
+    g.remove_node(0)
     assert g.removed == {0: 1}
     # the runner sees an empty active set and terminates the episode
-    assert [a for a in g.snapshot_at(1).agents if a not in g.removed] == []
+    assert [a for a in g.snapshots[-1].agents if a not in g.removed] == []
 
 
 def test_removal_monotone_under_repeats():
-    g = _three_round_graph()
-    g.remove_node(3, from_round=1)
-    sizes_first = [len(s.agents) for s in g.snapshots]
-    g.remove_node(3, from_round=2)  # duplicate, no-op
-    g.remove_node(0, from_round=2)
-    sizes_second = [len(s.agents) for s in g.snapshots]
-    assert all(b <= a for a, b in zip(sizes_first, sizes_second))
+    g = TemporalGraph()
+    g.append_snapshot(_snapshot(1, [0, 1, 2, 3]))
+    g.remove_node(3)
+    g.append_snapshot(_snapshot(2, [0, 1, 2], _full_topology([0, 1, 2])))
+    g.remove_node(3)  # duplicate, no-op
+    g.remove_node(0)
+    g.append_snapshot(_snapshot(3, [1, 2], _full_topology([1, 2])))
+    assert g.removed == {3: 1, 0: 2}
+    sizes = [len(s.agents) for s in g.snapshots]
+    assert sizes == [4, 3, 2]
 
 
 def test_merge_history_no_removals_verbatim():
@@ -193,7 +211,7 @@ def test_merge_history_no_removals_verbatim():
 def test_merge_history_filters_removed_agent():
     g = TemporalGraph()
     g.append_snapshot(_snapshot(1, [0, 1, 2, 3]))
-    g.remove_node(1, from_round=1)
+    g.remove_node(1)
     active = [0, 2, 3]
     g.append_snapshot(_snapshot(2, active, _full_topology(active)))
     batch = merge_history(g, 2)
@@ -210,8 +228,7 @@ def test_merge_history_upto_one_is_singleton():
 
 
 def test_merge_history_prefix_consistent():
-    g = _three_round_graph()
-    g.remove_node(0, from_round=2)
+    g = _three_round_graph({2: 0})
     first = merge_history(g, 3)
     second = merge_history(g, 3)
     assert [s.agents for s in first.snapshots] == [s.agents for s in second.snapshots]
@@ -253,7 +270,7 @@ def _grow_with_removals(n_agents, picks):
             break
         g.append_snapshot(_snapshot(t, active, _full_topology(active)))
         if pick >= 0:
-            g.remove_node(active[pick % len(active)], from_round=t)
+            g.remove_node(active[pick % len(active)])
             active = [a for a in active if a not in g.removed]
     return g
 
@@ -270,26 +287,33 @@ def test_history_presence_masks_match_snapshots(n_agents, picks, window):
         for batch in (merged, truncated):
             seen = sorted({a for s in batch.snapshots for a in s.agents})
             assert batch.presence == {a: [a in s.agents for s in batch.snapshots] for a in seen}
+            # agents only leave: every final agent is in every snapshot
+            assert all(all(batch.presence[a]) for a in batch.snapshots[-1].agents)
 
 
 @settings(max_examples=50, deadline=None)
-@given(AGENTS, PICKS, st.lists(st.tuples(st.integers(0, 4), st.integers(1, 5)), max_size=4))
-def test_removal_is_forward_only(n_agents, picks, later_removals):
-    g = _grow_with_removals(n_agents, picks)
-    for agent, from_round in later_removals:
-        from_round = min(from_round, g.latest_round)
-        if agent not in g.removed and agent not in g.snapshot_at(from_round).agents:
-            with pytest.raises(GraphError, match="not active"):
-                g.remove_node(agent, from_round)
-            continue
-        before = [(s.round, list(s.agents), s.features.data.copy()) for s in g.snapshots]
-        removed_before = dict(g.removed)
-        g.remove_node(agent, from_round)
-        cut = removed_before.get(agent, from_round)  # a repeat keeps the first removal
-        assert g.removed == {**removed_before, agent: cut}
-        for (t, agents, features), s in zip(before, g.snapshots):
-            keep = [i for i, a in enumerate(agents) if a != agent or t <= cut]
-            assert s.agents == [agents[i] for i in keep]
-            assert np.array_equal(s.features.data, features[keep])
+@given(AGENTS, PICKS)
+def test_removal_is_forward_only(n_agents, picks):
+    g = TemporalGraph()
+    active = list(range(n_agents))
+    for t, pick in enumerate(picks, start=1):
+        if not active:
+            break
+        # after round 1, a round refuses a removed agent, a late joiner and a
+        # silent departure
+        wrong = [sorted(active + [gone]) for gone in g.removed]
+        if t > 1:
+            wrong += [active + [n_agents], active[1:]]
+        for agents in filter(None, wrong):  # an empty round is the runner's to end
+            with pytest.raises(GraphError, match="active set"):
+                g.append_snapshot(_snapshot(t, agents, _full_topology(agents)))
+        g.append_snapshot(_snapshot(t, active, _full_topology(active)))
+        if pick >= 0:
+            agent = active.pop(pick % len(active))
+            before = [_snapshot_bytes(s) for s in g.snapshots]
+            g.remove_node(agent)
+            g.remove_node(agent)  # a repeat is a no-op
+            assert g.removed[agent] == t
+            assert [_snapshot_bytes(s) for s in g.snapshots] == before
     for agent, cut in g.removed.items():
         assert all(agent not in s.agents for s in g.snapshots if s.round > cut)

@@ -54,6 +54,31 @@ def test_ingest_requires_matching_active_set():
         state.ingest_round(_responses(2, {0: "8", 1: "8"}), _topo([0, 1], 2), True)
 
 
+def _no_fit(*args, **kwargs):
+    raise AssertionError("a rejected round reached fit")
+
+
+def test_mismatched_round_is_rejected_before_any_fit(monkeypatch):
+    state = PipelineState(_cfg(epochs_initial=2), DetectionPolicy(), EMBED, seed=2)
+    state.begin_episode()
+    state.ingest_round(_responses(1, {a: "8" for a in range(4)}), {}, True)
+    monkeypatch.setattr(pipeline_mod, "fit", _no_fit)
+    with pytest.raises(PipelineError, match="active set"):
+        state.ingest_round(_responses(2, {a: "8" for a in range(5)}), _topo(range(5), 2), True)
+    assert state.graph.latest_round == 1
+
+
+@pytest.mark.parametrize("round_", [1, 2])
+def test_duplicate_agent_ids_are_a_pipeline_error_in_every_round(round_):
+    state = PipelineState(_cfg(epochs_initial=2), DetectionPolicy(), EMBED, seed=2)
+    state.begin_episode()
+    if round_ == 2:
+        state.ingest_round(_responses(1, {a: "8" for a in range(3)}), {}, True)
+    responses = _responses(round_, {a: "8" for a in range(3)}) + [(0, "Answer: 9.")]
+    with pytest.raises(PipelineError, match="duplicate"):
+        state.ingest_round(responses, _topo(range(3), round_), True)
+
+
 def test_ingest_empty_responses_signals_exhausted():
     state = PipelineState(_cfg(), DetectionPolicy(), EMBED, seed=3)
     state.begin_episode()
