@@ -30,7 +30,7 @@ from .harness import (
     run_experiment,
 )
 from .numerics import ParamStore, Tensor2D, adam_step, grad_check
-from .pipeline import PipelineState, run_stream
+from .pipeline import PipelineState
 from .simulator import AgentSpec, AttackPlan, EpisodeLog, Task, run_episode
 
 __version__ = "0.1.0"
@@ -67,7 +67,6 @@ __all__ = [
     "adam_step",
     "grad_check",
     "PipelineState",
-    "run_stream",
     "AgentSpec",
     "AttackPlan",
     "EpisodeLog",

@@ -14,6 +14,7 @@ ExperimentConfig field names.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -32,6 +33,8 @@ from .harness import (
 from .simulator import EpisodeLog
 
 __all__ = ["main"]
+
+_CONFIG_FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -52,24 +55,12 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", type=Path, default=None, help="artifact output directory")
 
 
-def _config_from_args(args: argparse.Namespace, defense: bool) -> ExperimentConfig:
+def _config_from_args(args: argparse.Namespace, **settings) -> ExperimentConfig:
+    """Config file, then every flag given whose dest is a config field, then
+    `settings`, each over the one before."""
     file_kv = parse_config_file(args.config) if args.config else None
-    overrides = {
-        "seed": args.seed,
-        "n_agents": args.n_agents,
-        "max_rounds": args.max_rounds,
-        "min_rounds": args.min_rounds,
-        "topology": args.topology,
-        "attack": args.attack,
-        "variant": args.variant,
-        "trials": args.trials,
-        "n_tasks": args.n_tasks,
-        "corpus": args.corpus,
-        "timing": args.timing,
-    }
-    cfg = ExperimentConfig.from_sources(file_kv, **overrides)
-    cfg.defense = defense
-    return cfg
+    flags = {key: value for key, value in vars(args).items() if key in _CONFIG_FIELDS}
+    return ExperimentConfig.from_sources(file_kv, **{**flags, **settings})
 
 
 def _make_out_dir(out: Path | None) -> None:
@@ -107,15 +98,17 @@ def _cmd_run(args: argparse.Namespace, defense: bool) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args, defense=True)
+    cfg = _config_from_args(args, defense=True, attack="none")
     if cfg.trials != 1:
         raise HarnessError(f"train fits one stream: --trials must be 1, got {cfg.trials}")
-    cfg.attack = "none"
     out = args.out or Path(".")
     _make_out_dir(out)
-    logs, state = run_trials(cfg, trials=1)
+    logs, state = run_trials(cfg)
     ckpt = out / "guardian.ckpt"
-    state.save(ckpt)
+    try:
+        state.save(ckpt)
+    except OSError as err:
+        raise HarnessError(f"cannot write to {ckpt}: {err}") from err
     sys.stdout.write(f"trained on {len(logs)} clean episode(s); checkpoint: {ckpt}\n")
     return 0
 

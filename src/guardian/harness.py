@@ -26,7 +26,7 @@ from typing import Mapping, Sequence
 
 from .anomaly import DetectionPolicy, PolicyError
 from .detector import DetectorConfig, DetectorError
-from .pipeline import PipelineState, run_stream
+from .pipeline import PipelineState
 from .embedder import EmbeddingConfig, EmbeddingError, make_embedder, remote_embed
 from .seeding import derive_rng, derive_seed
 from .simulator import (
@@ -73,6 +73,10 @@ class HarnessError(ValueError):
     pass
 
 
+# DetectorConfig's fields that ExperimentConfig holds too: all but the per-stream seed.
+_DETECTOR_FIELDS = [f.name for f in dataclasses.fields(DetectorConfig) if f.name != "seed"]
+
+
 @dataclass
 class ExperimentConfig:
     n_agents: int = 4
@@ -85,7 +89,7 @@ class ExperimentConfig:
     decay: str = "exponential"
     decay_lambda: float = 0.5
     pooling: str = "pooled"
-    variant: str = "temporal"
+    variant: str = DetectorConfig.variant
     defense: bool = True
     p_correct: float = 1.0
     p_follow: float = 1.0
@@ -94,16 +98,16 @@ class ExperimentConfig:
     n_tasks: int = 20
     carry_params: bool = True
     history_window: int | None = None
-    k: int = 64
-    d: int = 32
-    alpha: float = 0.4
-    beta: float = 1.0
-    lambda_: float = 0.01
-    lr: float = 0.02
-    epochs_initial: int = 50
-    epochs_incremental: int = 10
-    policy: str = "top1_on_no_consensus"
-    tau: float = 0.0
+    k: int = DetectorConfig.k
+    d: int = DetectorConfig.d
+    alpha: float = DetectorConfig.alpha
+    beta: float = DetectorConfig.beta
+    lambda_: float = DetectorConfig.lambda_
+    lr: float = DetectorConfig.lr
+    epochs_initial: int = DetectorConfig.epochs_initial
+    epochs_incremental: int = DetectorConfig.epochs_incremental
+    policy: str = DetectionPolicy.mode
+    tau: float = DetectionPolicy.tau
     timing: bool = False
 
     def __post_init__(self) -> None:
@@ -141,18 +145,8 @@ class ExperimentConfig:
             raise HarnessError(str(err)) from None
 
     def detector_config(self, seed: int) -> DetectorConfig:
-        return DetectorConfig(
-            k=self.k,
-            d=self.d,
-            alpha=self.alpha,
-            beta=self.beta,
-            lambda_=self.lambda_,
-            lr=self.lr,
-            epochs_initial=self.epochs_initial,
-            epochs_incremental=self.epochs_incremental,
-            seed=seed,
-            variant=self.variant,
-        )
+        shared = {name: getattr(self, name) for name in _DETECTOR_FIELDS}
+        return DetectorConfig(seed=seed, **shared)
 
     def detection_policy(self) -> DetectionPolicy:
         return DetectionPolicy(mode=self.policy, tau=self.tau)
@@ -414,11 +408,9 @@ def build_pipeline(cfg: ExperimentConfig, stream_seed: int) -> PipelineState:
     )
 
 
-def run_trials(
-    cfg: ExperimentConfig, trials: int
-) -> tuple[list[EpisodeLog], PipelineState | None]:
+def run_trials(cfg: ExperimentConfig) -> tuple[list[EpisodeLog], PipelineState | None]:
     """Run the corpus once per trial; every trial has its own seeds and,
-    when defended, its own pipeline stream.
+    when defended, its own pipeline, carried across the trial's episodes.
 
     Returns the episode logs in trial order and the last trial's pipeline
     (None without defense).
@@ -433,32 +425,29 @@ def run_trials(
     ]
     logs: list[EpisodeLog] = []
     state = None
-    for trial in range(trials):
+    for trial in range(cfg.trials):
         trial_seed = derive_seed(cfg.seed, "trial", trial)
         plan = AttackPlan(
             kind=cfg.attack,
             seed=derive_seed(trial_seed, "attack"),
             persuasion=cfg.persuasion,
         )
-
-        def _run(task: Task, pipeline: PipelineState | None) -> EpisodeLog:
-            return run_episode(
+        state = build_pipeline(cfg, trial_seed) if cfg.defense else None
+        for task in tasks:
+            if state is not None:
+                state.begin_episode()
+            log = run_episode(
                 task,
                 specs,
                 cfg.topology,
                 plan,
-                pipeline=pipeline,
+                pipeline=state,
                 max_rounds=cfg.max_rounds,
                 min_rounds=cfg.min_rounds,
                 seed=derive_seed(trial_seed, "episode", task.id),
                 remote=remote,
             )
-
-        if cfg.defense:
-            state = build_pipeline(cfg, trial_seed)
-            logs.extend(run_stream(state, tasks, _run))
-        else:
-            logs.extend(_run(task, None) for task in tasks)
+            logs.append(log)
     return logs, state
 
 
@@ -467,7 +456,7 @@ def run_experiment(
 ) -> tuple[MetricsReport, list[EpisodeLog]]:
     """Run trials x corpus episodes and (optionally) write all artifacts."""
     started = time.perf_counter()
-    logs, _ = run_trials(cfg, cfg.trials)
+    logs, _ = run_trials(cfg)
     report = compute_metrics(
         logs, decay=cfg.decay, decay_lambda=cfg.decay_lambda, pooling=cfg.pooling
     )

@@ -37,7 +37,7 @@ from .graph import (
 from .numerics import ParamStore
 from .seeding import derive_rng
 
-__all__ = ["PipelineError", "EpisodeExhausted", "Decision", "PipelineState", "run_stream"]
+__all__ = ["PipelineError", "EpisodeExhausted", "Decision", "PipelineState"]
 
 
 class PipelineError(RuntimeError):
@@ -175,18 +175,3 @@ class PipelineState:
         )
         self.decisions.append(decision)
         return decision
-
-
-def run_stream(
-    state: PipelineState,
-    tasks: Sequence,
-    episode_runner: Callable[[object, PipelineState], object],
-) -> list:
-    """Run episodes sequentially, carrying detector parameters across them."""
-    if not tasks:
-        raise PipelineError("run_stream requires at least one task")
-    results = []
-    for task in tasks:
-        state.begin_episode()
-        results.append(episode_runner(task, state))
-    return results

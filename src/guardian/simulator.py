@@ -261,8 +261,6 @@ def step_round(
         for dst in active:
             inbox = []
             for src in topology.get(dst, ()):
-                if src in removed or src not in states:
-                    continue
                 msg_answer, msg_taint = states[src].answer, states[src].taint
                 if (
                     attack.kind == "comm_targeted"

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from guardian import harness
+from guardian import cli, harness
 from guardian.cli import main
 from guardian.detector import CHECKPOINT_MAGIC
 from guardian.harness import validate_episode_json
@@ -48,6 +48,44 @@ def test_cli_train_saves_checkpoint(tmp_path):
     assert code == 0
     ckpt = out / "guardian.ckpt"
     assert ckpt.read_text().startswith(CHECKPOINT_MAGIC)
+
+
+def test_cli_train_unwritable_checkpoint_fails_naming_it(tmp_path, capsys):
+    out = tmp_path / "model"
+    ckpt = out / "guardian.ckpt"
+    ckpt.mkdir(parents=True)  # a directory where the checkpoint goes
+    assert main(["train", *_fast_flags(tmp_path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write to {ckpt}: ")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+def test_cli_train_ignores_the_attack(tmp_path, monkeypatch):
+    # train fits a clean stream whatever --attack or the config file says
+    streams = []
+
+    def recording_run_trials(*args, **kwargs):
+        logs, state = harness.run_trials(*args, **kwargs)
+        streams.append(logs)
+        return logs, state
+
+    monkeypatch.setattr(cli, "run_trials", recording_run_trials)
+    attacked = tmp_path / "attacked.cfg"
+    attacked.write_text("n_tasks = 2\nepochs_initial = 5\nepochs_incremental = 2\nattack = comm\n")
+    ckpts = []
+    for i, argv in enumerate(
+        [
+            _fast_flags(tmp_path),
+            _fast_flags(tmp_path, "--attack", "agent"),
+            ["--config", str(attacked), "--seed", "3"],
+        ]
+    ):
+        out = tmp_path / f"model{i}"
+        assert main(["train", *argv, "--out", str(out)]) == 0
+        ckpts.append((out / "guardian.ckpt").read_bytes())
+    assert ckpts[1] == ckpts[0] and ckpts[2] == ckpts[0]
+    for log in streams[1] + streams[2]:
+        assert not any(map(any, log.ground_truth.h + log.ground_truth.err))
 
 
 @pytest.mark.parametrize("trials", ["2", "3"])
@@ -270,6 +308,50 @@ def test_cli_flag_overrides_config(tmp_path):
     main(["simulate", "--config", str(cfg), "--agents", "3", "--seed", "1", "--out", str(out)])
     doc = json.loads(sorted((out / "episodes").glob("*.json"))[0].read_text())
     assert doc["rounds"][0]["agents"] == [0, 1, 2]
+
+
+class _Captured(Exception):
+    pass
+
+
+# Each common flag that sets a config field: flag, its value, the field, a
+# config-file line for that field, and the value the flag must leave.
+_FLAGS = [
+    (["--seed", "3"], "seed", "seed = 9", 3),
+    (["--agents", "3"], "n_agents", "n_agents = 6", 3),
+    (["--rounds", "5"], "max_rounds", "max_rounds = 4", 5),
+    (["--min-rounds", "2"], "min_rounds", "min_rounds = 1", 2),
+    (["--topology", "0.5"], "topology", "topology = 0.75", 0.5),
+    (["--attack", "comm"], "attack", "attack = agent", "comm_targeted"),
+    (["--variant", "static"], "variant", "variant = temporal", "static"),
+    (["--trials", "2"], "trials", "trials = 3", 2),
+    (["--tasks", "2"], "n_tasks", "n_tasks = 5", 2),
+    (["--corpus", "flag.tsv"], "corpus", "corpus = file.tsv", "flag.tsv"),
+    (["--timing"], "timing", "timing = false", True),
+]
+
+
+@pytest.mark.parametrize("flag, field, line, expected", _FLAGS, ids=[f[1] for f in _FLAGS])
+def test_cli_flag_lands_in_its_field_over_the_config_file(
+    tmp_path, monkeypatch, flag, field, line, expected
+):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(line + "\n")
+    seen = []
+
+    def capture(cfg, out_dir=None):
+        seen.append(cfg)
+        raise _Captured
+
+    monkeypatch.setattr(cli, "run_experiment", capture)
+    with pytest.raises(_Captured):
+        main(["defend", "--config", str(cfg_path), *flag])
+    assert getattr(seen[0], field) == expected
+    assert seen[0].defense is True
+    # without the flag the file's value stands
+    with pytest.raises(_Captured):
+        main(["defend", "--config", str(cfg_path)])
+    assert getattr(seen[1], field) != expected
 
 
 def test_cli_requires_command(capsys):

@@ -19,6 +19,7 @@ from guardian.harness import (
     ExperimentConfig,
     HarnessError,
     _dumps_indent2,
+    build_pipeline,
     compute_metrics,
     episode_from_json,
     episode_to_json,
@@ -28,9 +29,19 @@ from guardian.harness import (
     metrics_csv,
     parse_config_file,
     run_experiment,
+    run_trials,
     validate_episode_json,
 )
-from guardian.simulator import EpisodeLog, GroundTruth, RoundRecord, Task
+from guardian.seeding import derive_seed
+from guardian.simulator import (
+    AgentSpec,
+    AttackPlan,
+    EpisodeLog,
+    GroundTruth,
+    RoundRecord,
+    Task,
+    run_episode,
+)
 
 TASK = Task(id="m0", question="q", answer_space=("8", "57"), correct="8")
 
@@ -636,28 +647,37 @@ _PINNED_ARTIFACTS = {
     "defend-comm": "f2bc7adc7928e9880a27145d24928d8f2259accdf63c928b9a4832a04ff31607",
     "graph.json": "0b221cc45b8d5d980c012d1e43e22f6e19a1aeb1e88053fff587f4e2f4d55692",
     "graph.dot": "26cf09c17d86c1a7f50dd326288ab2f0456780f9dd02d674d0fd5182b82c9103",
+    # two trials: a fresh pipeline and fresh seeds per trial, and the trial01_ file names
+    "defend-agent-trials2": "e51a9bc795e7eebca5aa4cf3783f8d2e6b41b444edb4173e9d05a82db6cced48",
 }
 
 
 def _artifact_digests(root) -> dict[str, str]:
     """One digest per `run_experiment` output directory (every file name and
-    its bytes), and one per graph export of a defended comm-attack episode
-    with a removal, scores and corrupted edges."""
+    its bytes; the last run has two trials), and one per graph export of a
+    defended comm-attack episode with a removal, scores and corrupted edges."""
     digests = {}
+
+    def run(name, **kw):
+        run_dir = root / name
+        _, logs = run_experiment(_fast_cfg(n_tasks=4, min_rounds=2, **kw), out_dir=run_dir)
+        h = hashlib.sha256()
+        for path in sorted(p for p in run_dir.rglob("*") if p.is_file()):
+            h.update(path.relative_to(run_dir).as_posix().encode() + b"\0")
+            h.update(path.read_bytes() + b"\0")
+        digests[name] = h.hexdigest()
+        return logs
+
     for defense in (False, True):
         for attack in ("hallucination", "agent", "comm"):
-            cfg = _fast_cfg(n_tasks=4, min_rounds=2, defense=defense, attack=attack)
-            run_dir = root / f"{'defend' if defense else 'simulate'}-{attack}"
-            _, logs = run_experiment(cfg, out_dir=run_dir)
-            h = hashlib.sha256()
-            for path in sorted(p for p in run_dir.rglob("*") if p.is_file()):
-                h.update(path.relative_to(run_dir).as_posix().encode() + b"\0")
-                h.update(path.read_bytes() + b"\0")
-            digests[run_dir.name] = h.hexdigest()
+            name = f"{'defend' if defense else 'simulate'}-{attack}"
+            logs = run(name, defense=defense, attack=attack)
     log = logs[0]
     assert log.ground_truth.corrupted_edges and any(rec.removed is not None for rec in log.rounds)
     for fmt in ("json", "dot"):
         digests[f"graph.{fmt}"] = hashlib.sha256(export_episode_graph(log, fmt).encode()).hexdigest()
+    run("defend-agent-trials2", attack="agent", trials=2)
+    assert len(list((root / "defend-agent-trials2" / "episodes").glob("trial01_*.json"))) == 4
     return digests
 
 
@@ -695,6 +715,35 @@ def test_metrics_csv_format():
     assert cells[0] == cfg.config_hash()
     assert cells[1] == "1"
     assert cells[6] == "0.000000"  # timing off -> deterministic zero
+
+
+def test_run_trials_matches_build_pipeline_episodes():
+    # A defended stream is one pipeline per trial, begun before each task's episode.
+    cfg = _fast_cfg(n_tasks=2, min_rounds=2, attack="agent")
+    logs, state = run_trials(cfg)
+    trial_seed = derive_seed(cfg.seed, "trial", 0)
+    manual = build_pipeline(cfg, trial_seed)
+    plan = AttackPlan(kind=cfg.attack, seed=derive_seed(trial_seed, "attack"))
+    specs = [AgentSpec(id=i) for i in range(cfg.n_agents)]
+    expected = []
+    for task in make_corpus(cfg.n_tasks, cfg.seed):
+        manual.begin_episode()
+        expected.append(
+            run_episode(
+                task,
+                specs,
+                cfg.topology,
+                plan,
+                pipeline=manual,
+                max_rounds=cfg.max_rounds,
+                min_rounds=cfg.min_rounds,
+                seed=derive_seed(trial_seed, "episode", task.id),
+            )
+        )
+    assert len(logs) == 2 and logs == expected
+    assert state.decisions == manual.decisions
+    for name, value in state.params.entries():
+        assert np.array_equal(value, manual.params.value(name)), name
 
 
 def test_trials_multiply_episodes():

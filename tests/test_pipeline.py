@@ -8,7 +8,7 @@ from guardian.anomaly import DetectionPolicy
 from guardian.detector import DetectorConfig
 from guardian.embedder import EmbeddingConfig, make_embedder
 from guardian.graph import sample_topology
-from guardian.pipeline import EpisodeExhausted, PipelineError, PipelineState, run_stream
+from guardian.pipeline import EpisodeExhausted, PipelineError, PipelineState
 from guardian.seeding import derive_rng
 from guardian.simulator import AgentSpec, AttackPlan, Task, run_episode
 
@@ -193,34 +193,6 @@ def test_outlier_agent_is_argmax_at_later_rounds():
     assert hits >= 90, f"outlier argmax hit only {hits}/100 at round 2"
 
 
-def test_run_stream_matches_manual_ingests():
-    task = Task(id="s0", question="q", answer_space=("8", "57"), correct="8")
-    specs = [AgentSpec(id=i) for i in range(3)]
-    plan = AttackPlan(kind="none")
-
-    def make_state():
-        return PipelineState(
-            _cfg(epochs_initial=5, epochs_incremental=2), DetectionPolicy(), EMBED, seed=9
-        )
-
-    state_a = make_state()
-    logs = run_stream(
-        state_a,
-        [task],
-        lambda t, st: run_episode(t, specs, 1.0, plan, pipeline=st, max_rounds=2, seed=77),
-    )
-    state_b = make_state()
-    state_b.begin_episode()
-    log_b = run_episode(task, specs, 1.0, plan, pipeline=state_b, max_rounds=2, seed=77)
-    assert logs[0] == log_b
-
-
-def test_run_stream_requires_tasks():
-    state = PipelineState(_cfg(), DetectionPolicy(), EMBED, seed=10)
-    with pytest.raises(PipelineError):
-        run_stream(state, [], lambda t, st: None)
-
-
 def test_params_carry_across_episodes_and_losses_improve():
     # A 20-task clean stream: knowledge accumulates, so the mean per-round
     # training loss in the last episode beats the first episode's.
@@ -235,19 +207,12 @@ def test_params_carry_across_episodes_and_losses_improve():
     )
     param_obj = state.params
     per_episode_losses = []
-
-    def runner(task, st):
-        start = len(st.decisions)
-        log = run_episode(
-            task, specs, 1.0, plan, pipeline=st, max_rounds=2, min_rounds=2, seed=42
-        )
-        rounds = st.decisions[start:]
-        per_episode_losses.append(
-            sum(d.losses.l_total for d in rounds) / len(rounds)
-        )
-        return log
-
-    run_stream(state, tasks, runner)
+    for task in tasks:
+        state.begin_episode()
+        start = len(state.decisions)
+        run_episode(task, specs, 1.0, plan, pipeline=state, max_rounds=2, min_rounds=2, seed=42)
+        rounds = state.decisions[start:]
+        per_episode_losses.append(sum(d.losses.l_total for d in rounds) / len(rounds))
     assert state.params is param_obj  # never reinitialized mid-stream
     assert per_episode_losses[19] < per_episode_losses[0]
 

@@ -1,9 +1,11 @@
 """The benchmark's tracer must install on the package as it is.
 
 ``bench/run.py --trace 1`` wraps the functions it times by name; a rename in
-``guardian`` would make it fail. This test installs the tracer, runs one
-short fit through the wrapped names and checks that every wrapper is gone
-afterwards.
+``guardian`` would make it fail. These tests install the tracer, run one
+short fit through the wrapped names and check that every wrapper is gone
+afterwards, and run one defended episode through ``harness.run_experiment``
+with the round clock installed too, so that a run loop that bypasses the
+wrapped names fails here instead of emptying the benchmark's round metrics.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ ROOT = Path(__file__).resolve().parents[1]
 if str(ROOT) not in sys.path:
     sys.path.insert(0, str(ROOT))
 
-from bench.tracing import Patches, Tracer  # noqa: E402
+from bench.hostclock import HostClock  # noqa: E402
+from bench.tracing import Patches, RoundClock, Tracer  # noqa: E402
 from bench.workloads import load_modules  # noqa: E402
 from guardian.detector import DetectorConfig, init_params  # noqa: E402
 from guardian.graph import HistoryBatch, Snapshot  # noqa: E402
@@ -59,3 +62,28 @@ def test_tracer_installs_on_the_package_and_restores_it():
     for name in ("detector.fit", "detector.gcn", "detector.temporal_fuse", "numerics.adam_step"):
         assert name in tracer.names, name
     assert tracer.names.count("detector.gcn") == 2
+
+
+def test_round_clock_and_tracer_see_every_round_of_a_defended_run():
+    modules = load_modules()
+    cfg = modules.harness.ExperimentConfig(
+        n_tasks=1, min_rounds=3, attack="hallucination", epochs_initial=2, epochs_incremental=1
+    )
+    patches, tracer = Patches(), Tracer()
+    clock = RoundClock(HostClock(enabled=False))
+    clock.install(patches, modules.simulator, modules.harness)
+    tracer.install(patches, modules)
+    try:
+        _, logs = modules.harness.run_experiment(cfg)
+    finally:
+        patches.restore()
+    clock.close_pass()
+
+    rounds = len(logs[0].rounds)
+    assert rounds == 3
+    assert tracer.names.count("simulator.run_episode") == 1
+    assert tracer.names.count("pipeline.ingest_round") == rounds
+    steps = [i for i, name in enumerate(tracer.names) if name == "simulator.step_round"]
+    assert len(steps) == rounds
+    assert all(tracer.names[tracer.parents[i]] == "simulator.run_episode" for i in steps)
+    assert (len(clock.first), len(clock.later)) == (1, rounds - 1)
