@@ -15,9 +15,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
+import tempfile
 from pathlib import Path
 
+from .embedder import EmbeddingError
 from .harness import (
     ExperimentConfig,
     HarnessError,
@@ -30,7 +33,7 @@ from .harness import (
     run_trials,
     write_artifact,
 )
-from .simulator import EpisodeLog
+from .simulator import EpisodeLog, RemoteAgentError
 
 __all__ = ["main"]
 
@@ -103,8 +106,15 @@ def _cmd_train(args: argparse.Namespace) -> int:
         raise HarnessError(f"train fits one stream: --trials must be 1, got {cfg.trials}")
     out = args.out or Path(".")
     _make_out_dir(out)
-    logs, state = run_trials(cfg)
     ckpt = out / "guardian.ckpt"
+    try:  # fail before training if the checkpoint could not be written; create, truncate nothing
+        if ckpt.exists():
+            os.close(os.open(ckpt, os.O_WRONLY | os.O_APPEND))
+        else:
+            tempfile.TemporaryFile(dir=out).close()
+    except OSError as err:
+        raise HarnessError(f"cannot write to {ckpt}: {err}") from err
+    logs, state = run_trials(cfg)
     try:
         state.save(ckpt)
     except OSError as err:
@@ -189,7 +199,7 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_metrics(args)
         if args.command == "export":
             return _cmd_export(args)
-    except HarnessError as err:
+    except (HarnessError, EmbeddingError, RemoteAgentError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 2
     return 0

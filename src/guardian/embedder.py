@@ -12,13 +12,13 @@ a small HTTP protocol for plugging in a real encoder service.
 from __future__ import annotations
 
 import hashlib
-import json
 import re
-import urllib.error
-import urllib.request
+import sys
 from dataclasses import dataclass
 
 import numpy as np
+
+from .remote import post_json
 
 __all__ = ["EmbeddingConfig", "EmbeddingError", "embed", "make_embedder", "remote_embed"]
 
@@ -68,28 +68,18 @@ def make_embedder(cfg: EmbeddingConfig):
 
 
 def remote_embed(url: str, text: str, dim: int, timeout: float = 30.0) -> np.ndarray:
-    """POST {"text": ...} to an encoder service, expect {"vector": [floats]}.
+    """POST {"text": ...} to an encoder service, expect {"vector": [dim numbers]}.
 
-    Timeouts, non-200 responses and malformed bodies all raise
-    EmbeddingError so the episode runner can abort with a diagnostic.
+    A failed call, any reply but HTTP 200 with a JSON object, and a vector
+    that is not `dim` finite numbers all raise EmbeddingError naming `url`.
     """
-    body = json.dumps({"text": text}).encode("utf-8")
-    req = urllib.request.Request(
-        url, data=body, headers={"Content-Type": "application/json"}, method="POST"
-    )
     try:
-        with urllib.request.urlopen(req, timeout=timeout) as resp:
-            if resp.status != 200:
-                raise EmbeddingError(f"embedder at {url} returned HTTP {resp.status}")
-            payload = json.loads(resp.read().decode("utf-8"))
-    except (urllib.error.URLError, TimeoutError, json.JSONDecodeError, OSError) as err:
+        vector = post_json(url, {"text": text}, timeout).get("vector")
+    except (OSError, ValueError) as err:
         raise EmbeddingError(f"embedder request to {url} failed: {err}") from err
-    vector = payload.get("vector")
-    if not isinstance(vector, list) or len(vector) != dim:
-        raise EmbeddingError(
-            f"embedder at {url} returned a bad vector (expected {dim} floats)"
-        )
-    arr = np.asarray(vector, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise EmbeddingError(f"embedder at {url} returned non-finite values")
-    return arr
+    # type() rejects bools; an int compares with a float exactly, so a huge one cannot overflow
+    if not isinstance(vector, list) or len(vector) != dim or not all(
+        type(v) in (int, float) and abs(v) <= sys.float_info.max for v in vector
+    ):
+        raise EmbeddingError(f"embedder at {url} returned a bad vector (expected {dim} finite numbers)")
+    return np.array(vector, dtype=np.float64)

@@ -26,16 +26,14 @@ against an honest majority.
 
 from __future__ import annotations
 
-import json
 import os
 import re
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .graph import AgentId, sample_topology, topology_edges
 from .pipeline import PipelineState
+from .remote import post_json
 from .seeding import derive_rng
 
 __all__ = [
@@ -216,22 +214,12 @@ def _call_remote(
         "question": task.question,
         "context": context,
     }
-    headers = {"Content-Type": "application/json"}
-    if remote.token:
-        headers["Authorization"] = f"Bearer {remote.token}"
-    req = urllib.request.Request(
-        remote.url, data=json.dumps(payload).encode("utf-8"), headers=headers, method="POST"
-    )
     try:
-        with urllib.request.urlopen(req, timeout=remote.timeout) as resp:
-            if resp.status != 200:
-                raise RemoteAgentError(f"remote agent returned HTTP {resp.status}")
-            body = json.loads(resp.read().decode("utf-8"))
-    except (urllib.error.URLError, TimeoutError, OSError, json.JSONDecodeError) as err:
-        raise RemoteAgentError(f"remote agent call failed for agent {spec.id}: {err}") from err
-    response = body.get("response")
+        response = post_json(remote.url, payload, remote.timeout, remote.token).get("response")
+    except (OSError, ValueError) as err:
+        raise RemoteAgentError(f"remote agent {remote.url} failed for agent {spec.id}: {err}") from err
     if not isinstance(response, str):
-        raise RemoteAgentError(f"remote agent returned no response text for agent {spec.id}")
+        raise RemoteAgentError(f"remote agent {remote.url} sent no response text for agent {spec.id}")
     return response
 
 
@@ -244,7 +232,6 @@ def step_round(
     round_: int,
     rngs: Mapping[AgentId, object],
     attack: _ResolvedAttack,
-    removed: set[AgentId],
     ground_truth: GroundTruth | None,
     remote: RemoteAgentConfig | None = None,
 ) -> list[tuple[AgentId, str]]:
@@ -305,7 +292,7 @@ def step_round(
             else:
                 state = _AgentState(_wrong_answer(task, rng))
         else:
-            state = _decide(prev, inboxes.get(agent, []), spec, rng, removed)
+            state = _decide(prev, inboxes.get(agent, []), spec, rng, active)
         new_states[agent] = state
         responses.append((agent, render_response(state.answer, spec, round_)))
 
@@ -323,15 +310,14 @@ def _decide(
     inbox: list[tuple[AgentId, str, str | None, float]],
     spec: AgentSpec,
     rng,
-    removed: set[AgentId],
+    active: list[AgentId],
 ) -> _AgentState:
-    """One scripted agent's round t > 1 answer update."""
-    tainted = prev.taint is not None
-    if tainted and not prev.sources <= removed:
-        # Absorbing: the taint's sources are still in the network.
-        return _AgentState(prev.answer, prev.taint, prev.sources)
+    """One scripted agent's round t > 1 answer update; keeping the answer returns `prev`."""
+    if prev.taint is not None and not prev.sources.isdisjoint(active):
+        # Absorbing: a taint source is still in the network (agents only leave).
+        return prev
     if rng.random() >= spec.p_follow or not inbox:
-        return _AgentState(prev.answer, prev.taint, prev.sources)
+        return prev
 
     weights: dict[str, float] = {}
     for _, answer, _, weight in inbox:
@@ -339,7 +325,7 @@ def _decide(
     best = max(weights.values())
     leaders = sorted(a for a, w in weights.items() if w == best)
     if len(leaders) > 1:
-        return _AgentState(prev.answer, prev.taint, prev.sources)
+        return prev
 
     adopted = leaders[0]
     taint = None
@@ -350,7 +336,7 @@ def _decide(
             if taint != "err":
                 taint = msg_taint
     if taint is None and adopted == prev.answer:
-        return _AgentState(prev.answer, prev.taint, prev.sources)
+        return prev
     return _AgentState(adopted, taint, frozenset(sources))
 
 
@@ -386,7 +372,6 @@ def run_episode(
     ground_truth = None if remote else GroundTruth()
 
     states: dict[AgentId, _AgentState] = {}
-    removed: set[AgentId] = set()
     rounds: list[RoundRecord] = []
     api_calls = 0
     final_answer: str | None = None
@@ -400,7 +385,7 @@ def run_episode(
             else sample_topology(active, topology_fraction, derive_rng(seed, "topology", task.id, t))
         )
         responses = step_round(
-            task, spec_map, states, active, topo, t, agent_rngs, attack, removed, ground_truth, remote
+            task, spec_map, states, active, topo, t, agent_rngs, attack, ground_truth, remote
         )
         api_calls += len(responses)
         order = [a for a, _ in responses]
@@ -419,7 +404,6 @@ def run_episode(
             record.scores = [s.value for s in decision.scores]
             record.removed = decision.removed
             if decision.removed is not None:
-                removed.add(decision.removed)
                 active = [a for a in active if a != decision.removed]
         rounds.append(record)
 

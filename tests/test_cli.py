@@ -50,14 +50,53 @@ def test_cli_train_saves_checkpoint(tmp_path):
     assert ckpt.read_text().startswith(CHECKPOINT_MAGIC)
 
 
-def test_cli_train_unwritable_checkpoint_fails_naming_it(tmp_path, capsys):
+def test_cli_train_unwritable_checkpoint_fails_naming_it(tmp_path, capsys, monkeypatch):
     out = tmp_path / "model"
     ckpt = out / "guardian.ckpt"
     ckpt.mkdir(parents=True)  # a directory where the checkpoint goes
+    monkeypatch.setattr(harness, "run_episode", _no_episode)  # checked before any episode
     assert main(["train", *_fast_flags(tmp_path), "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: cannot write to {ckpt}: ")
     assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["absent", "existing"])
+def test_cli_train_checkpoint_check_leaves_the_checkpoint_alone(tmp_path, monkeypatch, existing):
+    out = tmp_path / "model"
+    out.mkdir()
+    ckpt = out / "guardian.ckpt"
+    if existing:
+        ckpt.write_text("an older checkpoint\n")
+    monkeypatch.setattr(harness, "run_episode", _no_episode)
+    with pytest.raises(AssertionError, match="an episode ran"):
+        main(["train", *_fast_flags(tmp_path), "--out", str(out)])
+    assert sorted(out.iterdir()) == ([ckpt] if existing else [])
+    if existing:
+        assert ckpt.read_text() == "an older checkpoint\n"
+
+
+_CLOSED_PORT = "http://127.0.0.1:9/"
+
+
+@pytest.mark.parametrize(
+    "command, variable",
+    [
+        ("simulate", "GUARDIAN_REMOTE_AGENT_URL"),
+        ("defend", "GUARDIAN_EMBEDDER_URL"),
+        ("train", "GUARDIAN_EMBEDDER_URL"),
+    ],
+)
+def test_cli_dead_endpoint_exits_2_naming_the_url(tmp_path, capsys, monkeypatch, command, variable):
+    monkeypatch.delenv("GUARDIAN_REMOTE_AGENT_URL", raising=False)
+    monkeypatch.delenv("GUARDIAN_EMBEDDER_URL", raising=False)
+    monkeypatch.setenv(variable, _CLOSED_PORT)
+    out = tmp_path / "out"
+    assert main([command, *_fast_flags(tmp_path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and _CLOSED_PORT in captured.err, captured.err
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert list(out.iterdir()) == []
 
 
 def test_cli_train_ignores_the_attack(tmp_path, monkeypatch):

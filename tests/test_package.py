@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import ast
 import dataclasses
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import guardian
 from guardian.anomaly import DetectionPolicy
@@ -23,6 +25,29 @@ def test_every_public_name_resolves():
     for module in modules:
         missing = [name for name in module.__all__ if not hasattr(module, name)]
         assert missing == [], f"{module.__name__}.__all__ names missing attributes {missing}"
+
+
+def _imported_modules(tree: ast.AST) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            names.add("." * node.level + (node.module or ""))
+    return names
+
+
+def test_one_module_speaks_http_and_the_package_reexports_nothing():
+    package = Path(guardian.__file__).parent
+    speakers = []
+    for path in sorted(package.glob("*.py")):
+        tops = {name.split(".")[0] for name in _imported_modules(ast.parse(path.read_text()))}
+        if tops & {"urllib", "http"}:
+            speakers.append(path.stem)
+    assert speakers == ["remote"]
+    # public names are imported from their modules, never from the package
+    assert _imported_modules(ast.parse((package / "__init__.py").read_text())) == set()
+    assert guardian.__all__ == ["__version__"]
 
 
 # Every value a caller can set. A new field or parameter is a new option:
