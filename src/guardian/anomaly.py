@@ -8,6 +8,7 @@ agent id for reproducibility.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,6 @@ class PolicyError(ValueError):
 @dataclass(frozen=True)
 class AnomalyScore:
     agent: AgentId
-    round: int
     value: float
 
 
@@ -39,19 +39,16 @@ class DetectionPolicy:
     def __post_init__(self) -> None:
         if self.mode not in POLICY_MODES:
             raise PolicyError(f"unknown policy mode {self.mode!r}")
-        if self.mode == "threshold" and self.tau < 0.0:
-            raise PolicyError(f"threshold mode requires tau >= 0, got {self.tau}")
+        if self.mode == "threshold" and not 0.0 <= self.tau < math.inf:
+            raise PolicyError(f"tau must be finite and >= 0 in threshold mode, got {self.tau}")
 
 
 def score_nodes(recon: Reconstruction, alpha: float) -> list[AnomalyScore]:
     """s_i = alpha * ||attribute residual row i|| + (1-alpha) * ||structure residual row i||."""
-    att = np.linalg.norm(recon.r_x.data, axis=1)
-    stru = np.linalg.norm(recon.r_e.data, axis=1)
+    att = np.linalg.norm(recon.r_x, axis=1)
+    stru = np.linalg.norm(recon.r_e, axis=1)
     values = alpha * att + (1.0 - alpha) * stru
-    return [
-        AnomalyScore(agent=a, round=recon.round, value=float(v))
-        for a, v in zip(recon.agents, values)
-    ]
+    return [AnomalyScore(agent=a, value=float(v)) for a, v in zip(recon.agents, values)]
 
 
 def select_anomalies(

@@ -20,6 +20,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+from .detector import TrainingDiverged
 from .embedder import EmbeddingError
 from .harness import (
     ExperimentConfig,
@@ -33,6 +34,7 @@ from .harness import (
     run_trials,
     write_artifact,
 )
+from .numerics import NonFiniteError
 from .simulator import EpisodeLog, RemoteAgentError
 
 __all__ = ["main"]
@@ -201,6 +203,11 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_export(args)
     except (HarnessError, EmbeddingError, RemoteAgentError) as err:
         sys.stderr.write(f"error: {err}\n")
+        return 2
+    except (TrainingDiverged, NonFiniteError) as err:
+        # TrainingDiverged's own message starts with "training diverged"
+        message = err if isinstance(err, TrainingDiverged) else f"training diverged: {err}"
+        sys.stderr.write(f"error: {message}\n")
         return 2
     return 0
 

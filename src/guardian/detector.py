@@ -110,12 +110,12 @@ class DetectorConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.alpha <= 1.0:
             raise DetectorError(f"alpha must be in [0, 1], got {self.alpha}")
-        if not self.beta > 0.0:
-            raise DetectorError(f"beta must be > 0, got {self.beta}")
-        if not self.lambda_ >= 0.0:
-            raise DetectorError(f"lambda must be >= 0, got {self.lambda_}")
-        if not self.lr > 0.0:
-            raise DetectorError(f"lr must be > 0, got {self.lr}")
+        if not 0.0 < self.beta < math.inf:
+            raise DetectorError(f"beta must be finite and > 0, got {self.beta}")
+        if not 0.0 <= self.lambda_ < math.inf:
+            raise DetectorError(f"lambda must be finite and >= 0, got {self.lambda_}")
+        if not 0.0 < self.lr < math.inf:
+            raise DetectorError(f"lr must be finite and > 0, got {self.lr}")
         for name in ("k", "d"):
             if getattr(self, name) < 1:
                 raise DetectorError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -132,12 +132,11 @@ class DetectorConfig:
 
 @dataclass
 class Reconstruction:
-    round: int
+    """The final snapshot's residuals, one row per agent of ``agents``."""
+
     agents: list[int]
-    x_hat: Tensor2D
-    edge_probs: Tensor2D
-    r_x: Tensor2D  # observed attributes minus x_hat
-    r_e: Tensor2D  # observed (self-looped symmetrized) adjacency minus edge_probs
+    r_x: np.ndarray  # observed attributes minus the decoded ones
+    r_e: np.ndarray  # observed (self-looped symmetrized) adjacency minus the edge probabilities
 
 
 @dataclass(frozen=True)
@@ -449,15 +448,13 @@ def fit(
     cfg: DetectorConfig,
     params: ParamStore,
     rng: np.random.Generator,
-    epochs: int | None = None,
+    epochs: int,
 ) -> list[LossBreakdown]:
-    """Full-batch Adam on l_total; returns per-epoch losses.
+    """Full-batch Adam on l_total for `epochs` epochs; returns per-epoch losses.
 
     Each epoch draws one standard-normal row per node, snapshot after
     snapshot, as ``run_forward`` does.
     """
-    if epochs is None:
-        epochs = cfg.epochs_initial
     history = _History(batch, cfg)
     coefficients = (cfg.alpha, 1.0 - cfg.alpha, cfg.gamma)
     values = dict(params.entries())
@@ -479,20 +476,20 @@ def fit(
 def infer(
     batch: HistoryBatch, cfg: DetectorConfig, params: ParamStore
 ) -> tuple[Reconstruction, LossBreakdown]:
-    """Deterministic reconstruction of the final snapshot (no sampling)."""
+    """Deterministic reconstruction of the final snapshot (no sampling).
+
+    A finite l_total is a finite sum of squared attribute residuals and of
+    logs of clamped edge probabilities, so both residuals are finite too.
+    """
     history = _History(batch, cfg)
     with np.errstate(over="ignore", invalid="ignore"):  # the loss check below reports it
         result = _Pass(history, dict(params.entries()), noise=None)
     if not math.isfinite(result.breakdown.l_total):
         raise NonFiniteError(f"non-finite loss at inference: {result.breakdown}")
-    final = batch.snapshots[-1]
     recon = Reconstruction(
-        round=final.round,
-        agents=list(final.agents),
-        x_hat=Tensor2D(result.x_hat),
-        edge_probs=Tensor2D(result.edge_probs),
-        r_x=Tensor2D(result.r_x),
-        r_e=Tensor2D(history.target - result.edge_probs),
+        agents=list(batch.snapshots[-1].agents),
+        r_x=result.r_x,
+        r_e=history.target - result.edge_probs,
     )
     return recon, result.breakdown
 
@@ -507,9 +504,7 @@ def _config_from_doc(doc: dict) -> DetectorConfig:
     expected = _config_to_doc(DetectorConfig()).keys()
     unknown, missing = sorted(doc.keys() - expected), sorted(expected - doc.keys())
     if unknown or missing:
-        raise DetectorError(
-            f"checkpoint config has unknown keys {unknown} and missing keys {missing}"
-        )
+        raise DetectorError(f"config has unknown keys {unknown} and missing keys {missing}")
     doc = dict(doc)
     doc["lambda_"] = doc.pop("lambda")
     return DetectorConfig(**doc)
@@ -532,27 +527,46 @@ def save_checkpoint(path: str | Path, cfg: DetectorConfig, params: ParamStore) -
 
 
 def load_checkpoint(path: str | Path) -> tuple[DetectorConfig, ParamStore]:
-    text = Path(path).read_text()
-    header, _, body = text.partition("\n")
-    if header != CHECKPOINT_MAGIC:
-        raise DetectorError(f"not a checkpoint file (bad magic {header!r})")
-    doc = json.loads(body)
+    """The config and parameters `save_checkpoint` wrote to `path`. A file
+    that cannot be read as a checkpoint is a DetectorError naming `path`."""
+    try:
+        header, _, body = Path(path).read_text().partition("\n")
+        if header != CHECKPOINT_MAGIC:
+            raise DetectorError(f"not a checkpoint file (bad magic {header!r})")
+        return _checkpoint_from_doc(json.loads(body))
+    except (OSError, ValueError, TypeError) as err:  # DetectorError and JSON/UTF-8 errors are ValueErrors
+        raise DetectorError(f"checkpoint {path}: {err}") from err
+
+
+_PARAM_KEYS = {"name", "rows", "cols", "values"}
+
+
+def _checkpoint_from_doc(doc) -> tuple[DetectorConfig, ParamStore]:
+    if not (
+        type(doc) is dict
+        and type(doc.get("config")) is dict
+        and type(doc.get("params")) is list
+        and all(type(rec) is dict and rec.keys() == _PARAM_KEYS for rec in doc["params"])
+    ):
+        raise DetectorError(
+            f"expected a config object and a params list of objects with keys {sorted(_PARAM_KEYS)}"
+        )
     cfg = _config_from_doc(doc["config"])
     shapes = {rec["name"]: (rec["rows"], rec["cols"]) for rec in doc["params"]}
     expected = {name: v.shape for name, v in init_params(cfg, np.random.default_rng(0)).entries()}
     for name in sorted(shapes.keys() | expected.keys()):
         if shapes.get(name) != expected.get(name):
             raise DetectorError(
-                f"checkpoint parameter {name!r}: file has shape {shapes.get(name)}, "
+                f"parameter {name!r}: file has shape {shapes.get(name)}, "
                 f"its config needs {expected.get(name)}"
             )
     values = {}
     for rec in doc["params"]:
         if rec["name"] in values:
-            raise DetectorError(f"checkpoint parameter {rec['name']!r} appears twice")
+            raise DetectorError(f"parameter {rec['name']!r} appears twice")
         if len(rec["values"]) != rec["rows"] * rec["cols"]:
             raise DetectorError(
-                f"checkpoint parameter {rec['name']!r}: {len(rec['values'])} values "
+                f"parameter {rec['name']!r}: {len(rec['values'])} values "
                 f"for shape {(rec['rows'], rec['cols'])}"
             )
         values[rec["name"]] = np.asarray(rec["values"], dtype=np.float64).reshape(

@@ -496,7 +496,7 @@ def _float_text(value: float) -> str:
     return _NONFINITE.get(text, text)
 
 
-# Text of each scalar by exact type; subclasses take the isinstance checks in _nested_text.
+# Text of each scalar, by exact type.
 _SCALAR_TEXT = {
     str: encode_basestring_ascii,
     int: int.__repr__,
@@ -507,26 +507,27 @@ _SCALAR_TEXT = {
 
 
 def _dumps_indent2(doc) -> str:
-    """``json.dumps(doc, sort_keys=True, indent=2)``, byte for byte.
+    """``json.dumps(doc, sort_keys=True, indent=2)``, byte for byte, for the
+    program's own documents.
 
     CPython's json encodes in C only without ``indent``; with it, every
     value passes through generators written in Python. This writer joins
     strings over one recursion and escapes strings with json's C
-    ``encode_basestring_ascii``. Subclasses (of str, int, float, list,
-    tuple and dict, numpy float scalars among them) are written as json
-    writes them, and other types raise json's TypeError. A container that
-    holds itself exhausts the recursion limit instead of raising json's
-    ValueError; every document written here is a fresh tree.
+    ``encode_basestring_ascii``. It writes exact JSON types only: a dict
+    with str keys, a list, str, int, float, bool and None. Anything else,
+    a tuple or a subclass (numpy float scalars among them) included, raises
+    TypeError, as does a non-str key. A container that holds itself
+    exhausts the recursion limit; every document written here is a fresh tree.
     """
     text = _SCALAR_TEXT.get(type(doc))
     return text(doc) if text is not None else _nested_text(doc, "\n")
 
 
 def _nested_text(value, indent: str) -> str:
-    """Text of a value that is not of an exact scalar type; `indent` is the
-    newline and indentation of the line the value starts on."""
+    """Text of a list or dict; `indent` is the newline and indentation of
+    the line the value starts on."""
     inner = indent + "  "
-    if isinstance(value, (list, tuple)):
+    if type(value) is list:
         if not value:
             return "[]"
         items = [
@@ -534,32 +535,17 @@ def _nested_text(value, indent: str) -> str:
             for v in value
         ]
         return "[" + inner + ("," + inner).join(items) + indent + "]"
-    if isinstance(value, dict):
+    if type(value) is dict:
         if not value:
             return "{}"
         items = [
-            encode_basestring_ascii(k if type(k) is str else _key_text(k))
+            encode_basestring_ascii(k)  # a TypeError unless k is a str
             + ": "
             + (text(v) if (text := _SCALAR_TEXT.get(type(v))) is not None else _nested_text(v, inner))
             for k, v in sorted(value.items())
         ]
         return "{" + inner + ("," + inner).join(items) + indent + "}"
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _float_text(value)
     raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
-
-
-def _key_text(key) -> str:
-    """A dict key that is not exactly a str, converted as json converts it."""
-    if isinstance(key, str):
-        return key
-    if key is None or isinstance(key, (int, float)):  # bool is an int
-        return _dumps_indent2(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
 # ---------------------------------------------------------------------------

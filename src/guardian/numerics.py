@@ -74,6 +74,7 @@ class ParamStore:
     both Adam moments, laid out in name order. An entry's value and gradient
     are reshaped views into them, so an optimizer step is one vectorised
     update over every parameter. The layout is fixed at construction.
+    ``step`` counts the Adam updates applied to the whole store.
     """
 
     def __init__(self, entries: Mapping[str, object]) -> None:
@@ -97,7 +98,7 @@ class ParamStore:
             name = next(n for n, v in self._values.items() if not np.all(np.isfinite(v)))
             raise NonFiniteError(f"parameter {name!r} contains non-finite values")
         self._m, self._v = np.zeros(total), np.zeros(total)
-        self._step = 0
+        self.step = 0
         # adam_step's temporaries
         self._scratch = (np.empty(total), np.empty(total))
 
@@ -109,11 +110,6 @@ class ParamStore:
 
     def grad(self, name: str) -> np.ndarray:
         return self._grads[name]
-
-    def step_count(self, name: str) -> int:
-        if name not in self._values:
-            raise KeyError(name)
-        return self._step
 
     def zero_grads(self) -> None:
         self._grad[:] = 0.0
@@ -130,7 +126,7 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-def adam_step(store: ParamStore, lr: float = 1e-3) -> None:
+def adam_step(store: ParamStore, lr: float) -> None:
     """One bias-corrected Adam update of every entry, vectorised over the store.
 
     Elementwise it is the textbook per-entry update with ``ADAM_BETA1``,
@@ -140,7 +136,7 @@ def adam_step(store: ParamStore, lr: float = 1e-3) -> None:
     caller decides when to zero them.
     """
     b1, b2 = ADAM_BETA1, ADAM_BETA2
-    store._step += 1
+    store.step += 1
     value, g, m, v = store._value, store._grad, store._m, store._v
     update, denom = store._scratch
     m *= b1
@@ -150,9 +146,9 @@ def adam_step(store: ParamStore, lr: float = 1e-3) -> None:
     np.multiply(g, g, out=update)
     update *= 1.0 - b2
     v += update
-    np.divide(m, 1.0 - b1**store._step, out=update)
+    np.divide(m, 1.0 - b1**store.step, out=update)
     update *= lr
-    np.divide(v, 1.0 - b2**store._step, out=denom)
+    np.divide(v, 1.0 - b2**store.step, out=denom)
     np.sqrt(denom, out=denom)
     denom += ADAM_EPS
     update /= denom

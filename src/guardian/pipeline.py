@@ -53,7 +53,6 @@ class Decision:
     round: int
     removed: AgentId | None
     scores: list[AnomalyScore]
-    consensus_reached: bool
     losses: LossBreakdown
 
 
@@ -170,7 +169,6 @@ class PipelineState:
             round=round_,
             removed=removed,
             scores=scores,
-            consensus_reached=consensus_reached,
             losses=trace[-1] if trace else losses,
         )
         self.decisions.append(decision)

@@ -96,15 +96,12 @@ class AgentSpec:
 @dataclass(frozen=True)
 class AttackPlan:
     kind: str = "none"
-    target_agents: tuple[AgentId, ...] = ()
     seed: int = 0
     persuasion: float | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in ATTACK_KINDS:
             raise SimulatorError(f"unknown attack kind {self.kind!r}")
-        if self.kind in ("hallucination", "agent_targeted") and len(self.target_agents) > 1:
-            raise SimulatorError(f"{self.kind} targets at most one agent")
 
 
 @dataclass
@@ -191,16 +188,11 @@ def _wrong_answer(task: Task, rng) -> str:
 
 
 def apply_attack(plan: AttackPlan, task: Task, agents: Sequence[AgentId], rng) -> _ResolvedAttack:
-    """Resolve the plan against this episode: pick the victim and the payload."""
+    """Resolve the plan against this episode: draw the victim, then the payload."""
     persuasion = plan.persuasion if plan.persuasion is not None else float(len(agents))
     if plan.kind == "none":
         return _ResolvedAttack("none", None, None, persuasion)
-    if plan.target_agents:
-        victim = plan.target_agents[0]
-        if victim not in agents:
-            raise SimulatorError(f"attack targets inactive agent {victim}")
-    else:
-        victim = agents[int(rng.integers(len(agents)))]
+    victim = agents[int(rng.integers(len(agents)))]
     return _ResolvedAttack(plan.kind, victim, _wrong_answer(task, rng), persuasion)
 
 

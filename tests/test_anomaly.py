@@ -16,20 +16,12 @@ from guardian.graph import Snapshot, TemporalGraph
 from guardian.numerics import Tensor2D
 
 
-def _recon(r_x: np.ndarray, r_e: np.ndarray, agents=None, round_=1) -> Reconstruction:
-    n = r_x.shape[0]
-    return Reconstruction(
-        round=round_,
-        agents=agents or list(range(n)),
-        x_hat=Tensor2D(np.zeros_like(r_x)),
-        edge_probs=Tensor2D(np.full((n, n), 0.5)),
-        r_x=Tensor2D(r_x),
-        r_e=Tensor2D(r_e),
-    )
+def _recon(r_x: np.ndarray, r_e: np.ndarray) -> Reconstruction:
+    return Reconstruction(agents=list(range(r_x.shape[0])), r_x=r_x, r_e=r_e)
 
 
-def _scores(values, round_=1):
-    return [AnomalyScore(agent=i, round=round_, value=v) for i, v in enumerate(values)]
+def _scores(values):
+    return [AnomalyScore(agent=i, value=v) for i, v in enumerate(values)]
 
 
 def test_scores_zero_for_perfect_reconstruction():
@@ -103,6 +95,9 @@ def test_policy_validation():
         DetectionPolicy(mode="everything")
     with pytest.raises(PolicyError):
         DetectionPolicy(mode="threshold", tau=-1.0)
+    for tau in (float("nan"), float("inf")):
+        with pytest.raises(PolicyError, match="tau must be finite"):
+            DetectionPolicy(mode="threshold", tau=tau)
 
 
 def _round(t, agents):

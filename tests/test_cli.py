@@ -8,6 +8,7 @@ from guardian import cli, harness
 from guardian.cli import main
 from guardian.detector import CHECKPOINT_MAGIC
 from guardian.harness import validate_episode_json
+from guardian.numerics import NonFiniteError
 
 
 def _fast_flags(tmp_path, *extra):
@@ -274,6 +275,44 @@ def test_cli_out_of_range_config_value_fails_naming_the_key(tmp_path, capsys, ke
     assert code == 2
     assert err.startswith("error: ") and key in err and err.count("\n") == 1, err
     assert not (tmp_path / "run").exists()
+
+
+# Config values that parse as floats but are not finite.
+_NON_FINITE = {
+    "lr": "lr = inf",
+    "lambda": "lambda = inf",
+    "beta": "beta = inf",
+    "tau": "policy = threshold\ntau = nan",
+}
+
+
+@pytest.mark.parametrize("key", _NON_FINITE)
+def test_cli_non_finite_config_value_fails_naming_the_key(tmp_path, capsys, monkeypatch, key):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"n_tasks = 2\nepochs_initial = 5\nepochs_incremental = 2\n{_NON_FINITE[key]}\n")
+    monkeypatch.setattr(harness, "run_episode", _no_episode)
+    code = main(["defend", "--config", str(cfg), "--seed", "3", "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {key} must be finite") and err.count("\n") == 1, err
+    assert not (tmp_path / "run").exists()
+
+
+def _non_finite_parameter(*args, **kwargs):
+    raise NonFiniteError("parameter 'gcn.w0' diverged during adam_step")
+
+
+@pytest.mark.parametrize("cause", ["loss", "parameter"])
+def test_cli_diverged_fit_exits_2_with_a_diagnostic(tmp_path, capsys, monkeypatch, cause):
+    cfg = tmp_path / "exp.cfg"
+    # lr = 1e300 is finite, so it passes validation, but the loss goes non-finite
+    cfg.write_text("n_tasks = 1\nepochs_initial = 5\nepochs_incremental = 2\nlr = 1e300\n")
+    if cause == "parameter":
+        monkeypatch.setattr(harness, "run_episode", _non_finite_parameter)
+    code = main(["defend", "--config", str(cfg), "--seed", "3"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: training diverged") and err.count("\n") == 1, err
 
 
 def test_cli_k_below_the_hashing_embedders_floor_fails_naming_k(tmp_path, capsys, monkeypatch):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -422,12 +423,12 @@ def test_forward_breakdown_matches_reporting_path():
     result = tape.run_forward(batch, cfg, params, rng=None)
     recon, breakdown = infer(batch, cfg, params)
 
-    # Independent oracle: the loss terms of the reconstruction in plain numpy.
+    # Independent oracle: the loss terms of the residuals in plain numpy.
     final = batch.snapshots[-1]
-    x, n = final.features.data, len(final.agents)
-    l_att = ((x - recon.x_hat.data) ** 2).sum() / n
+    n = len(final.agents)
+    l_att = (recon.r_x**2).sum() / n
     target = (final.adjacency | final.adjacency.T | np.eye(n, dtype=bool)).astype(float)
-    p = recon.edge_probs.data
+    p = target - recon.r_e
     l_stru = -(target * np.log(p) + (1.0 - target) * np.log(1.0 - p)).sum() / (n * n)
     l_total = cfg.alpha * l_att + (1.0 - cfg.alpha) * l_stru + cfg.gamma * result.kl.item()
     assert abs(l_att - breakdown.l_att) < 1e-12
@@ -495,7 +496,7 @@ def test_infer_deterministic():
     batch = _random_batch(rng, 3, 2, cfg.k)
     r1, b1 = infer(batch, cfg, params)
     r2, b2 = infer(batch, cfg, params)
-    assert np.array_equal(r1.x_hat.data, r2.x_hat.data)
+    assert np.array_equal(r1.r_x, r2.r_x) and np.array_equal(r1.r_e, r2.r_e)
     assert b1 == b2
 
 
@@ -506,8 +507,15 @@ def test_infer_residual_definitions():
     batch = _random_batch(rng, 3, 1, cfg.k)
     recon, _ = infer(batch, cfg, params)
     final = batch.snapshots[-1]
-    assert np.allclose(recon.r_x.data, final.features.data - recon.x_hat.data)
-    assert np.all(recon.edge_probs.data > 0.0) and np.all(recon.edge_probs.data < 1.0)
+    reference = tape.run_forward(batch, cfg, params, rng=None)
+    # plain residual arrays, one row per final agent
+    assert type(recon.r_x) is np.ndarray and type(recon.r_e) is np.ndarray
+    assert recon.agents == list(final.agents)
+    assert np.allclose(recon.r_x, final.features.data - reference.x_hat.data)
+    target = self_looped_adjacency(final)
+    assert np.allclose(recon.r_e, target - reference.edge_probs.data)
+    edge_probs = target - recon.r_e
+    assert np.all(edge_probs > 0.0) and np.all(edge_probs < 1.0)
 
 
 def test_static_batch_consumes_single_snapshot():
@@ -819,7 +827,7 @@ def test_checkpoint_roundtrip(tmp_path):
         assert np.array_equal(params2.value(name), value)
     # the loaded store trains like a fresh one
     fit(_random_batch(rng, 3, 2, cfg.k), cfg, params2, np.random.default_rng(1), epochs=2)
-    assert params2.step_count("gcn.w0") == 2
+    assert params2.step == 2
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path):
@@ -873,4 +881,48 @@ def test_checkpoint_rejects_params_not_matching_config(tmp_path, edit, name):
     path = tmp_path / "model.ckpt"
     _write_checkpoint_doc(path, edit)
     with pytest.raises(DetectorError, match=name):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        lambda text: text[: len(text) // 2].encode(),
+        lambda text: (CHECKPOINT_MAGIC + "\n[1, 2]\n").encode(),
+        lambda text: text.encode()[:-40] + b"\xff\xfe\n",
+        lambda text: (CHECKPOINT_MAGIC + "\n" + json.dumps({"config": {}, "params": 3}) + "\n").encode(),
+        lambda text: (CHECKPOINT_MAGIC + "\n" + json.dumps({"config": []}) + "\n").encode(),
+    ],
+    ids=["truncated body", "JSON array body", "not UTF-8", "params not a list", "config not an object"],
+)
+def test_checkpoint_malformed_file_fails_naming_its_path(tmp_path, body):
+    path = tmp_path / "model.ckpt"
+    cfg = _small_cfg()
+    save_checkpoint(path, cfg, init_params(cfg, np.random.default_rng(21)))
+    path.write_bytes(body(path.read_text()))
+    with pytest.raises(DetectorError, match=re.escape(f"checkpoint {path}: ")):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: doc["params"][0].pop("rows"),
+        lambda doc: doc["params"][0].update(values="many"),
+        lambda doc: doc["params"][0]["values"].__setitem__(0, "x"),
+        lambda doc: doc["params"][0]["values"].__setitem__(0, float("nan")),
+        lambda doc: doc["config"].update(k="64"),
+    ],
+    ids=["param record missing a key", "values not a list", "a value not a number", "a NaN value", "k a string"],
+)
+def test_checkpoint_malformed_record_fails_naming_its_path(tmp_path, edit):
+    path = tmp_path / "model.ckpt"
+    _write_checkpoint_doc(path, edit)
+    with pytest.raises(DetectorError, match=re.escape(f"checkpoint {path}: ")):
+        load_checkpoint(path)
+
+
+def test_checkpoint_missing_file_fails_naming_its_path(tmp_path):
+    path = tmp_path / "absent.ckpt"
+    with pytest.raises(DetectorError, match=re.escape(f"checkpoint {path}: ")):
         load_checkpoint(path)

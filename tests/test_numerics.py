@@ -130,7 +130,7 @@ def test_adam_first_step_hand_computed():
     store.grad("w")[:] = 1.0
     adam_step(store, lr=0.1)
     assert abs(store.value("w")[0, 0] + 0.1) < 1e-8
-    assert store.step_count("w") == 1
+    assert store.step == 1
 
 
 def test_adam_identical_entries_stay_identical():
@@ -186,7 +186,7 @@ def test_adam_flat_store_bit_identical_to_per_entry_update():
     expected = _adam_per_entry(values, grads, len(grads), lr=0.02)
     for n in shapes:
         assert store.value(n).tobytes() == expected[n].tobytes()
-        assert store.step_count(n) == len(grads)
+    assert store.step == len(grads)
 
 
 def test_param_store_entries_are_views_of_the_flat_buffers():
@@ -202,11 +202,9 @@ def test_param_store_entries_are_views_of_the_flat_buffers():
     assert not store.grad("a").any() and not store.grad("b").any()
 
     copy = store.clone()
-    assert copy.names() == store.names() and copy.step_count("a") == 0
+    assert copy.names() == store.names() and copy.step == 0
     copy.value("a")[:] = 0.0
     assert store.value("a").tolist() != [[0.0, 0.0]]
-    with pytest.raises(KeyError):
-        store.step_count("missing")
 
 
 def test_param_store_from_mapping_equals_entries_added_one_by_one():
@@ -244,7 +242,7 @@ def test_param_store_clone_is_independent_of_its_source():
     store.grad("a")[:] = 1.0
     adam_step(store, lr=0.1)
     copy = store.clone()
-    assert copy.names() == store.names() and copy.step_count("a") == 0
+    assert copy.names() == store.names() and copy.step == 0
     assert not copy.grad("a").any()
     for name in store.names():
         assert copy.value(name).tobytes() == store.value(name).tobytes()
@@ -253,7 +251,7 @@ def test_param_store_clone_is_independent_of_its_source():
     copy.grad("b")[:] = 5.0
     adam_step(copy, lr=0.1)
     assert store.value("a").tobytes() == before.tobytes()
-    assert not store.grad("b").any() and store.step_count("a") == 1
+    assert not store.grad("b").any() and store.step == 1
     store.value("b")[:] = -7.0
     assert copy.value("b")[0, 0] != -7.0
 

@@ -8,12 +8,12 @@ import pkgutil
 from pathlib import Path
 
 import guardian
-from guardian.anomaly import DetectionPolicy
-from guardian.detector import DetectorConfig, fit, infer
+from guardian.anomaly import AnomalyScore, DetectionPolicy
+from guardian.detector import DetectorConfig, Reconstruction, fit, infer
 from guardian.embedder import EmbeddingConfig
 from guardian.harness import ExperimentConfig
 from guardian.numerics import adam_step
-from guardian.pipeline import PipelineState
+from guardian.pipeline import Decision, PipelineState
 from guardian.simulator import AgentSpec, AttackPlan, RemoteAgentConfig, run_episode
 
 
@@ -67,7 +67,7 @@ _SETTABLE = {
     DetectionPolicy: ["mode", "tau"],
     EmbeddingConfig: ["dim"],
     AgentSpec: ["id", "p_correct", "p_follow", "role_prompt"],
-    AttackPlan: ["kind", "target_agents", "seed", "persuasion"],
+    AttackPlan: ["kind", "seed", "persuasion"],
     RemoteAgentConfig: ["url", "token", "timeout"],
     adam_step: ["store", "lr"],
     fit: ["batch", "cfg", "params", "rng", "epochs"],
@@ -89,3 +89,17 @@ def test_settable_surface_is_pinned():
         else:
             got = list(inspect.signature(owner).parameters)
         assert got == expected, owner.__qualname__
+
+
+# What each round hands on. A new field is something a later step must read:
+# adding one means editing this list, where review sees it.
+_ROUND_RESULT_FIELDS = {
+    Reconstruction: ["agents", "r_x", "r_e"],
+    AnomalyScore: ["agent", "value"],
+    Decision: ["round", "removed", "scores", "losses"],
+}
+
+
+def test_round_result_fields_are_pinned():
+    for owner, expected in _ROUND_RESULT_FIELDS.items():
+        assert [f.name for f in dataclasses.fields(owner)] == expected, owner.__qualname__

@@ -240,7 +240,7 @@ def test_checkpoint_roundtrip_at_stream_boundary(tmp_path):
     # A loaded detector is already fitted: its first round runs the incremental epochs.
     restored.begin_episode()
     restored.ingest_round(_responses(1, {a: "8" for a in range(3)}), {}, True)
-    assert restored.params.step_count("gcn.w0") == restored.det_cfg.epochs_incremental
+    assert restored.params.step == restored.det_cfg.epochs_incremental
 
 
 def test_carry_off_restarts_every_episode_from_the_checkpoint(tmp_path):
@@ -262,4 +262,4 @@ def test_carry_off_restarts_every_episode_from_the_checkpoint(tmp_path):
             assert np.array_equal(value, saved[name])
         restored.ingest_round(_responses(1, {a: "8" for a in range(3)}), {}, True)
         # still treated as fitted: the first round runs the incremental epochs
-        assert restored.params.step_count("gcn.w0") == restored.det_cfg.epochs_incremental
+        assert restored.params.step == restored.det_cfg.epochs_incremental

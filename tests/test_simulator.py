@@ -1,11 +1,18 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from guardian.anomaly import AnomalyScore, DetectionPolicy
+from guardian.detector import DetectorConfig, compose_losses
+from guardian.embedder import EmbeddingConfig, make_embedder
+from guardian.pipeline import Decision, PipelineState
 from guardian.simulator import (
     AgentSpec,
     AttackPlan,
@@ -14,11 +21,13 @@ from guardian.simulator import (
     RemoteAgentError,
     SimulatorError,
     Task,
+    apply_attack,
     check_consensus,
     parse_answer,
     render_response,
     run_episode,
 )
+from guardian.seeding import derive_rng
 
 TASK = Task(id="t0", question="What is 3 plus 5?", answer_space=("8", "15", "21", "4"), correct="8")
 TWO_ANSWERS = Task(id="t1", question="pick", answer_space=("A", "B"), correct="A")
@@ -26,6 +35,11 @@ TWO_ANSWERS = Task(id="t1", question="pick", answer_space=("A", "B"), correct="A
 
 def _specs(n, **kw):
     return [AgentSpec(id=i, **kw) for i in range(n)]
+
+
+def _victim(plan, task, n):
+    """The agent that `run_episode` attacks under `plan` among agents 0..n-1."""
+    return apply_attack(plan, task, list(range(n)), derive_rng(plan.seed, "attack", task.id)).victim
 
 
 def test_task_validation():
@@ -38,8 +52,8 @@ def test_task_validation():
 def test_attack_plan_validation():
     with pytest.raises(SimulatorError):
         AttackPlan(kind="meteor")
-    with pytest.raises(SimulatorError):
-        AttackPlan(kind="agent_targeted", target_agents=(0, 1))
+    with pytest.raises(TypeError):  # the victim is always drawn
+        AttackPlan(kind="agent_targeted", target_agents=(0,))
 
 
 def test_render_and_parse_roundtrip():
@@ -90,20 +104,22 @@ def test_agent_targeted_err_counts_1_4_4():
     # Adversary holds one agent; with persuasion weight n=4 its answer
     # out-votes the two honest messages each other agent sees, so the
     # infection is total by round 2 and absorbing afterwards.
-    plan = AttackPlan(kind="agent_targeted", target_agents=(2,), seed=3)
+    plan = AttackPlan(kind="agent_targeted", seed=3)
+    victim = _victim(plan, TASK, 4)
     log = run_episode(TASK, _specs(4), 1.0, plan, max_rounds=3, min_rounds=3, seed=7)
     err_counts = [sum(row) for row in log.ground_truth.err]
-    assert err_counts == [1, 4, 4]
+    assert err_counts == [1, 4, 4] and log.ground_truth.err[0][victim]
     h_counts = [sum(row) for row in log.ground_truth.h]
     assert h_counts == [0, 0, 0]
     assert log.final_answer != TASK.correct
 
 
 def test_hallucination_source_and_adopters_labeled():
-    plan = AttackPlan(kind="hallucination", target_agents=(1,), seed=4)
+    plan = AttackPlan(kind="hallucination", seed=4)
+    victim = _victim(plan, TASK, 4)
     log = run_episode(TASK, _specs(4), 1.0, plan, max_rounds=3, min_rounds=3, seed=8)
     h = log.ground_truth.h
-    assert sum(h[0]) == 1 and h[0][1]  # only the seeded agent at round 1
+    assert sum(h[0]) == 1 and h[0][victim]  # only the seeded agent at round 1
     counts = [sum(row) for row in h]
     assert counts == sorted(counts)  # nondecreasing
     assert counts[-1] == 4
@@ -111,16 +127,17 @@ def test_hallucination_source_and_adopters_labeled():
 
 
 def test_comm_attack_corrupts_exactly_victims_inedges():
-    plan = AttackPlan(kind="comm_targeted", target_agents=(3,), seed=5)
+    plan = AttackPlan(kind="comm_targeted", seed=5)
+    victim = _victim(plan, TASK, 4)
     log = run_episode(TASK, _specs(4), 1.0, plan, max_rounds=3, min_rounds=3, seed=9)
     edges = log.ground_truth.corrupted_edges
-    assert len(edges) == 3  # full topology: all three in-edges of agent 3
+    assert len(edges) == 3  # full topology: all three in-edges of the victim
     for src_round, src, dst_round, dst in edges:
-        assert (src_round, dst_round, dst) == (1, 2, 3)
-        assert src != 3
+        assert (src_round, dst_round, dst) == (1, 2, victim)
+        assert src != victim
     err = log.ground_truth.err
     assert sum(err[0]) == 0  # nothing anomalous before the perturbation
-    assert err[1][3]  # victim adopts the substituted answer at round 2
+    assert err[1][victim]  # victim adopts the substituted answer at round 2
 
 
 def test_attack_none_ground_truth_all_false():
@@ -129,10 +146,15 @@ def test_attack_none_ground_truth_all_false():
     assert not any(any(r) for r in log.ground_truth.err)
 
 
-def test_attack_rejects_inactive_target():
-    plan = AttackPlan(kind="agent_targeted", target_agents=(9,))
-    with pytest.raises(SimulatorError, match="inactive"):
-        run_episode(TASK, _specs(4), 1.0, plan, seed=0)
+def test_attack_victim_is_drawn_from_the_active_agents():
+    agents = [1, 4, 6]
+    for kind in ("hallucination", "agent_targeted", "comm_targeted"):
+        victims = {
+            apply_attack(AttackPlan(kind=kind), TASK, agents, derive_rng(seed)).victim
+            for seed in range(40)
+        }
+        assert victims == set(agents), kind
+    assert apply_attack(AttackPlan(), TASK, agents, derive_rng(0)).victim is None
 
 
 def test_sparse_topology_visibility():
@@ -201,19 +223,14 @@ class _StubPipeline:
         self.victim = victim
 
     def ingest_round(self, responses, topology, consensus_reached):
-        from guardian.anomaly import AnomalyScore
-        from guardian.pipeline import Decision
-        from guardian.detector import compose_losses
-
         agents = [a for a, _ in responses]
         round_ = 1 if len(agents) == 4 else 2  # only used for bookkeeping
-        scores = [AnomalyScore(agent=a, round=round_, value=float(a == self.victim)) for a in agents]
+        scores = [AnomalyScore(agent=a, value=float(a == self.victim)) for a in agents]
         removed = self.victim if self.victim in agents and len(agents) == 4 else None
         return Decision(
             round=round_,
             removed=removed,
             scores=scores,
-            consensus_reached=consensus_reached,
             losses=compose_losses(0.0, 0.0, 0.0, 0.4, 0.0),
         )
 
@@ -247,16 +264,11 @@ def test_fixed_seed_episodes_identical():
 def test_all_agents_pruned_yields_no_consensus():
     class _PruneAll:
         def ingest_round(self, responses, topology, consensus_reached):
-            from guardian.anomaly import AnomalyScore
-            from guardian.pipeline import Decision
-            from guardian.detector import compose_losses
-
             agents = [a for a, _ in responses]
             return Decision(
                 round=0,
                 removed=agents[0],
-                scores=[AnomalyScore(agent=a, round=0, value=0.0) for a in agents],
-                consensus_reached=consensus_reached,
+                scores=[AnomalyScore(agent=a, value=0.0) for a in agents],
                 losses=compose_losses(0.0, 0.0, 0.0, 0.4, 0.0),
             )
 
@@ -271,6 +283,89 @@ def test_all_agents_pruned_yields_no_consensus():
         seed=29,
     )
     assert log.final_answer == NO_CONSENSUS
+
+
+# ---------------------------------------------------------------------------
+# properties over random debates
+# ---------------------------------------------------------------------------
+
+_DEBATES = st.fixed_dictionaries(
+    {
+        "n_agents": st.integers(1, 8),
+        "fraction": st.sampled_from([0.25, 0.5, 0.75, 1.0]),
+        "kind": st.sampled_from(["none", "hallucination", "agent_targeted", "comm_targeted"]),
+        "p_correct": st.floats(0.0, 1.0),
+        "p_follow": st.floats(0.0, 1.0),
+        "max_rounds": st.integers(1, 4),
+        "persuasion": st.none() | st.floats(0.0, 16.0),
+        "attack_seed": st.integers(0, 2**32),
+        "seed": st.integers(0, 2**32),
+    }
+)
+
+
+def _debate(d, pipeline=None):
+    """Run the episode that a `_DEBATES` draw describes, all rounds forced."""
+    return run_episode(
+        TASK,
+        _specs(d["n_agents"], p_correct=d["p_correct"], p_follow=d["p_follow"]),
+        d["fraction"],
+        AttackPlan(kind=d["kind"], seed=d["attack_seed"], persuasion=d["persuasion"]),
+        pipeline=pipeline,
+        max_rounds=d["max_rounds"],
+        min_rounds=d["max_rounds"],
+        seed=d["seed"],
+    )
+
+
+class _PickPruner:
+    """Duck-typed defense that removes, each round, the active agent at the
+    next of `picks` (modulo the active count), or nobody for None."""
+
+    def __init__(self, picks):
+        self.picks = iter(picks)
+
+    def ingest_round(self, responses, topology, consensus_reached):
+        agents = [a for a, _ in responses]
+        pick = next(self.picks, None)
+        return Decision(
+            round=0,
+            removed=None if pick is None else agents[pick % len(agents)],
+            scores=[AnomalyScore(agent=a, value=0.0) for a in agents],
+            losses=compose_losses(0.0, 0.0, 0.0, 0.4, 0.0),
+        )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_DEBATES, st.lists(st.none() | st.integers(0, 7), max_size=4))
+def test_api_calls_count_every_active_agent_and_removed_agents_stay_silent(d, picks):
+    log = _debate(d, _PickPruner(picks))
+    assert log.api_calls == sum(len(rec.agents) for rec in log.rounds)
+    gone: set[int] = set()
+    for rec in log.rounds:
+        assert len(rec.responses) == len(rec.answers) == len(rec.agents)
+        assert gone.isdisjoint(rec.agents)
+        if rec.removed is not None:
+            gone.add(rec.removed)
+
+
+_SMALL_DETECTOR = DetectorConfig(k=8, d=4, epochs_initial=1, epochs_incremental=1)
+_NEVER_REMOVE = DetectionPolicy(mode="threshold", tau=1e9)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_DEBATES)
+def test_a_defense_that_removes_nobody_changes_nothing_but_the_scores(d):
+    state = PipelineState(
+        _SMALL_DETECTOR, _NEVER_REMOVE, make_embedder(EmbeddingConfig(dim=_SMALL_DETECTOR.k))
+    )
+    state.begin_episode()
+    defended, undefended = _debate(d, state), _debate(d)
+    for rec in defended.rounds:
+        assert len(rec.scores) == len(rec.agents) and max(rec.scores) < _NEVER_REMOVE.tau
+        assert rec.removed is None
+    stripped = [dataclasses.replace(rec, scores=None) for rec in defended.rounds]
+    assert dataclasses.replace(defended, rounds=stripped) == undefended
 
 
 # ---------------------------------------------------------------------------
