@@ -27,6 +27,7 @@ and ``infer`` run it; ``run_forward`` exposes one pass's loss terms as
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -221,11 +222,17 @@ def kl_term(mean: Tensor2D, log_variance: Tensor2D) -> Tensor2D:
     return Tensor2D([[inner.sum() * (0.5 / len(m))]])
 
 
+@functools.cache
+def _pe_divisors(d: int) -> np.ndarray:
+    divisors = np.array([10000.0 ** (2 * (j // 2) / d) for j in range(d)])
+    divisors.flags.writeable = False
+    return divisors
+
+
 def positional_encoding(rounds: list[int], d: int) -> np.ndarray:
     """Sinusoidal encodings of absolute round numbers, one row per round:
     sin in even columns, cos in odd ones, of ``t / 10000 ** (2 * (j // 2) / d)``."""
-    divisors = np.array([10000.0 ** (2 * (j // 2) / d) for j in range(d)])
-    angles = np.asarray(rounds, dtype=np.float64)[:, None] / divisors
+    angles = np.asarray(rounds, dtype=np.float64)[:, None] / _pe_divisors(d)
     pe = np.cos(angles)
     pe[:, 0::2] = np.sin(angles[:, 0::2])
     return pe
@@ -353,6 +360,30 @@ class _History:
         self.edge = self.target > 0.0
 
 
+class _LastHistory:
+    """The last history built, with its batch and the config values it
+    depends on, so that a round's fit and infer share one.
+
+    Keyed by the batch's identity, which the held reference keeps from
+    being reused; a batch is not changed after it is built.
+    """
+
+    def __init__(self) -> None:
+        # one tuple, read and replaced whole, so concurrent callers never mix entries
+        self.entry: tuple[HistoryBatch | None, tuple, _History | None] = (None, (), None)
+
+    def __call__(self, batch: HistoryBatch, cfg: DetectorConfig) -> _History:
+        key = (cfg.k, cfg.d, cfg.alpha, cfg.gamma)
+        cached_batch, cached_key, history = self.entry
+        if cached_batch is not batch or cached_key != key:
+            history = _History(batch, cfg)
+            self.entry = (batch, key, history)
+        return history
+
+
+_history = _LastHistory()
+
+
 class _Pass:
     """One forward pass over a whole history, through the stage functions,
     and its hand-written backward pass. ``noise`` is None at inference."""
@@ -443,6 +474,11 @@ class _Pass:
         np.matmul(h.a_hat_x.T, d_h1, out=g["gcn.w0"])
 
 
+# Epochs of noise drawn in one call: a fit at the default epoch counts
+# draws once, and a long one holds at most this many epochs' noise.
+_NOISE_EPOCHS = 64
+
+
 def fit(
     batch: HistoryBatch,
     cfg: DetectorConfig,
@@ -452,24 +488,37 @@ def fit(
 ) -> list[LossBreakdown]:
     """Full-batch Adam on l_total for `epochs` epochs; returns per-epoch losses.
 
-    Each epoch draws one standard-normal row per node, snapshot after
-    snapshot, as ``run_forward`` does.
+    Each epoch samples with one standard-normal row per node, snapshot
+    after snapshot, as ``run_forward`` does. The noise is drawn once per
+    fit (per ``_NOISE_EPOCHS`` epochs of a longer one): one ``(epochs,
+    rows, d)`` draw gives the same values, and leaves ``rng`` in the same
+    state, as one ``(rows, d)`` draw per epoch.
     """
-    history = _History(batch, cfg)
+    history = _history(batch, cfg)
     coefficients = (cfg.alpha, 1.0 - cfg.alpha, cfg.gamma)
     values = dict(params.entries())
     grads = {name: params.grad(name) for name in values}
+    # attn.wk and attn.wq lead the name-ordered layout. A one-snapshot pass
+    # gives them zero gradients, so while their moments are zero Adam's
+    # update of them is exactly 0, for the whole fit: the step skips them.
+    idle = 2 * cfg.d * cfg.d
+    start = idle if history.single and params.moments_are_zero(idle) else 0
     trace: list[LossBreakdown] = []
     with np.errstate(over="ignore", invalid="ignore"):  # the loss check below reports it
         for epoch in range(epochs):
-            step = _Pass(history, values, rng.standard_normal((history.rows, cfg.d)))
+            at = epoch % _NOISE_EPOCHS
+            if at == 0:
+                noise = rng.standard_normal(
+                    (min(_NOISE_EPOCHS, epochs - epoch), history.rows, cfg.d)
+                )
+            step = _Pass(history, values, noise[at])
             if not math.isfinite(step.breakdown.l_total):
                 raise TrainingDiverged(
                     epoch, trace[-1] if trace else None, f"non-finite loss {step.breakdown}"
                 )
             trace.append(step.breakdown)
             step.backward(grads, *coefficients)
-            nm.adam_step(params, lr=cfg.lr)
+            nm.adam_step(params, lr=cfg.lr, start=start)
     return trace
 
 
@@ -481,7 +530,7 @@ def infer(
     A finite l_total is a finite sum of squared attribute residuals and of
     logs of clamped edge probabilities, so both residuals are finite too.
     """
-    history = _History(batch, cfg)
+    history = _history(batch, cfg)
     with np.errstate(over="ignore", invalid="ignore"):  # the loss check below reports it
         result = _Pass(history, dict(params.entries()), noise=None)
     if not math.isfinite(result.breakdown.l_total):

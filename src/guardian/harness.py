@@ -399,13 +399,19 @@ def _embed_fn(cfg: ExperimentConfig):
 
 def build_pipeline(cfg: ExperimentConfig, stream_seed: int) -> PipelineState:
     det_cfg = cfg.detector_config(seed=derive_seed(stream_seed, "detector"))
-    return PipelineState(
-        det_cfg,
-        cfg.detection_policy(),
-        _embed_fn(cfg),
-        carry_params=cfg.carry_params,
-        history_window=cfg.history_window,
-    )
+    policy, embed_fn = cfg.detection_policy(), _embed_fn(cfg)
+    try:
+        return PipelineState(
+            det_cfg,
+            policy,
+            embed_fn,
+            carry_params=cfg.carry_params,
+            history_window=cfg.history_window,
+        )
+    except MemoryError:
+        raise HarnessError(
+            f"k = {cfg.k} and d = {cfg.d}: not enough memory for the detector's parameters"
+        ) from None
 
 
 def run_trials(cfg: ExperimentConfig) -> tuple[list[EpisodeLog], PipelineState | None]:

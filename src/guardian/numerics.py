@@ -114,6 +114,11 @@ class ParamStore:
     def zero_grads(self) -> None:
         self._grad[:] = 0.0
 
+    def moments_are_zero(self, stop: int) -> bool:
+        """Whether both Adam moments hold +0.0, bit for bit, in the first
+        ``stop`` entries of the name-ordered layout."""
+        return not (self._m[:stop].view(np.uint64).any() or self._v[:stop].view(np.uint64).any())
+
     def clone(self) -> "ParamStore":
         return ParamStore(self._values)
 
@@ -126,19 +131,24 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-def adam_step(store: ParamStore, lr: float) -> None:
-    """One bias-corrected Adam update of every entry, vectorised over the store.
+def adam_step(store: ParamStore, lr: float, start: int) -> None:
+    """One bias-corrected Adam update of the store's entries from flat index
+    ``start`` on, vectorised over them.
 
     Elementwise it is the textbook per-entry update with ``ADAM_BETA1``,
     ``ADAM_BETA2`` and ``ADAM_EPS``, in the same order of operations, so the
-    result is bit-identical to updating entry by entry. Temporaries live in
-    the store's two scratch buffers. Gradients are left untouched; the
-    caller decides when to zero them.
+    result is bit-identical to updating entry by entry. An entry whose
+    gradient and both moments are +0.0 gets the update 0 and keeps its
+    moments, so skipping the entries before ``start`` equals the full step
+    bit for bit where that holds of each of them (``moments_are_zero``
+    checks the moments). Temporaries live in the store's two scratch
+    buffers. Gradients are left untouched; the caller decides when to zero
+    them.
     """
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     store.step += 1
-    value, g, m, v = store._value, store._grad, store._m, store._v
-    update, denom = store._scratch
+    value, g, m, v = (a[start:] for a in (store._value, store._grad, store._m, store._v))
+    update, denom = (a[start:] for a in store._scratch)
     m *= b1
     np.multiply(g, 1.0 - b1, out=update)
     m += update
@@ -155,6 +165,7 @@ def adam_step(store: ParamStore, lr: float) -> None:
     value -= update
     # A sum is finite only if every element is; finite values whose sum
     # overflows fall through to the elementwise scan, which clears them.
+    # Entries before `start` kept their finite values.
     if not math.isfinite(np.add.reduce(value)) and not np.all(np.isfinite(value)):
         name = next(n for n, e in store.entries() if not np.all(np.isfinite(e)))
         raise NonFiniteError(f"parameter {name!r} diverged during adam_step")

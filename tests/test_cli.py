@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from guardian import cli, harness
+from guardian import cli, harness, pipeline
 from guardian.cli import main
 from guardian.detector import CHECKPOINT_MAGIC
 from guardian.harness import validate_episode_json
@@ -330,6 +330,21 @@ def test_cli_k_below_the_hashing_embedders_floor_fails_naming_k(tmp_path, capsys
 
 def _no_episode(*args, **kwargs):
     raise AssertionError("an episode ran")
+
+
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError
+
+
+def test_cli_detector_too_large_for_memory_fails_naming_k_and_d(tmp_path, capsys, monkeypatch):
+    # init_params stands in for the allocation that a huge d would fail; nothing large is made
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("n_tasks = 2\nd = 100000\n")
+    monkeypatch.setattr(pipeline, "init_params", _out_of_memory)
+    monkeypatch.setattr(harness, "run_episode", _no_episode)
+    assert main(["defend", "--config", str(cfg), "--seed", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: k = 64 and d = 100000: ") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("command", ["simulate", "defend", "train", "metrics", "export"])

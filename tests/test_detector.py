@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import tape
+from guardian import numerics
 from guardian.detector import (
     CHECKPOINT_MAGIC,
     LOGVAR_MAX,
@@ -33,7 +34,7 @@ from guardian.detector import (
     split_latent,
 )
 from guardian.graph import HistoryBatch, Snapshot, self_looped_adjacency
-from guardian.numerics import ParamStore, Tensor2D, grad_check
+from guardian.numerics import ParamStore, Tensor2D, adam_step, grad_check
 from tape import Tensor, temporal_fuse
 
 
@@ -731,6 +732,88 @@ def test_fit_first_epoch_is_the_tapes_sampled_pass():
     _assert_relative(trace[0].l_total, on_tape.breakdown.l_total, 1e-10, "l_total")
     for name in params.names():
         _assert_relative(params.grad(name), reference.grad(name), 1e-10, name)
+
+
+def _reference_fit(batch, cfg, params, rng, epochs):
+    """``fit`` as a plain loop: one noise draw per epoch and the full Adam step."""
+    history = _History(batch, cfg)
+    values = dict(params.entries())
+    grads = {name: params.grad(name) for name in values}
+    trace = []
+    for _ in range(epochs):
+        step = _Pass(history, values, rng.standard_normal((history.rows, cfg.d)))
+        trace.append(step.breakdown)
+        step.backward(grads, cfg.alpha, 1.0 - cfg.alpha, cfg.gamma)
+        adam_step(params, lr=cfg.lr, start=0)
+    return trace
+
+
+def _assert_same_bits(got: ParamStore, expected: ParamStore):
+    for buffer in ("_value", "_grad", "_m", "_v"):
+        assert getattr(got, buffer).tobytes() == getattr(expected, buffer).tobytes(), buffer
+    assert got.step == expected.step
+
+
+def _record_adam_starts(monkeypatch):
+    starts = []
+    original = numerics.adam_step
+
+    def recording(store, lr, start):
+        starts.append(start)
+        original(store, lr, start)
+
+    monkeypatch.setattr(numerics, "adam_step", recording)
+    return starts
+
+
+def test_attention_query_and_key_lead_the_parameter_layout():
+    cfg = _small_cfg(d=3)
+    store = init_params(cfg, np.random.default_rng(0))
+    assert store.names()[:2] == ["attn.wk", "attn.wq"]
+    assert store.value("attn.wk").size + store.value("attn.wq").size == 2 * cfg.d * cfg.d
+
+
+# 70 epochs cross the boundary of one noise draw
+@pytest.mark.parametrize("epochs", [0, 1, 12, 70])
+@pytest.mark.parametrize("rounds", [1, 3])
+def test_fit_equals_a_loop_drawing_noise_per_epoch_with_full_adam_steps(
+    monkeypatch, rounds, epochs
+):
+    rng = np.random.default_rng(30 + rounds)
+    cfg = _small_cfg(lambda_=0.2)
+    params = init_params(cfg, rng)
+    reference = params.clone()
+    batch = _history_with_gaps(rng, 5, rounds, cfg.k)
+    got_rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+    starts = _record_adam_starts(monkeypatch)
+    trace = fit(batch, cfg, params, got_rng, epochs=epochs)
+    monkeypatch.undo()
+    assert trace == _reference_fit(batch, cfg, reference, ref_rng, epochs)
+    _assert_same_bits(params, reference)
+    assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+    # a fresh one-snapshot fit leaves the idle query and key out of every step
+    assert starts == [2 * cfg.d * cfg.d if rounds == 1 else 0] * epochs
+
+
+def test_a_one_snapshot_fit_after_a_longer_one_still_moves_the_query_and_key(monkeypatch):
+    # a carried detector, as in defend_long: the moments a multi-snapshot fit
+    # left move attn.wq and attn.wk although their gradients are now zero
+    rng = np.random.default_rng(33)
+    cfg = _small_cfg()
+    params = init_params(cfg, rng)
+    reference = params.clone()
+    longer, single = _history_with_gaps(rng, 4, 3, cfg.k), _history_with_gaps(rng, 4, 1, cfg.k)
+    fit(longer, cfg, params, np.random.default_rng(5), epochs=5)
+    _reference_fit(longer, cfg, reference, np.random.default_rng(5), 5)
+    before = {name: params.value(name).copy() for name in ("attn.wk", "attn.wq")}
+    starts = _record_adam_starts(monkeypatch)
+    trace = fit(single, cfg, params, np.random.default_rng(6), epochs=5)
+    monkeypatch.undo()
+    assert trace == _reference_fit(single, cfg, reference, np.random.default_rng(6), 5)
+    _assert_same_bits(params, reference)
+    assert starts == [0] * 5
+    for name, value in before.items():
+        assert not np.array_equal(params.value(name), value), name
 
 
 @pytest.mark.parametrize("sampling", [False, True])

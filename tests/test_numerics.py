@@ -120,7 +120,7 @@ def test_softmax_rows_sum_to_one(rows):
 
 def test_adam_zero_gradient_keeps_values():
     store = ParamStore({"w": [[1.5, -2.0]]})
-    adam_step(store, lr=0.1)
+    adam_step(store, lr=0.1, start=0)
     assert store.value("w").tolist() == [[1.5, -2.0]]
 
 
@@ -128,7 +128,7 @@ def test_adam_first_step_hand_computed():
     # grad = 1: m_hat = 1, v_hat = 1, step = lr * 1 / (1 + eps) ~= lr
     store = ParamStore({"w": [[0.0]]})
     store.grad("w")[:] = 1.0
-    adam_step(store, lr=0.1)
+    adam_step(store, lr=0.1, start=0)
     assert abs(store.value("w")[0, 0] + 0.1) < 1e-8
     assert store.step == 1
 
@@ -138,7 +138,7 @@ def test_adam_identical_entries_stay_identical():
     store.grad("a")[:] = [[0.2, -0.1]]
     store.grad("b")[:] = [[0.2, -0.1]]
     for _ in range(5):
-        adam_step(store, lr=0.05)
+        adam_step(store, lr=0.05, start=0)
     assert store.value("a").tolist() == store.value("b").tolist()
 
 
@@ -147,7 +147,7 @@ def test_adam_deterministic():
         store = ParamStore({"w": [[1.0, 2.0]]})
         store.grad("w")[:] = [[0.5, -0.25]]
         for _ in range(3):
-            adam_step(store, lr=0.01)
+            adam_step(store, lr=0.01, start=0)
         return store.value("w").copy()
 
     assert np.array_equal(run(), run())
@@ -182,11 +182,51 @@ def test_adam_flat_store_bit_identical_to_per_entry_update():
     for g in grads:
         for n in shapes:
             store.grad(n)[:] = g[n]
-        adam_step(store, lr=0.02)
+        adam_step(store, lr=0.02, start=0)
     expected = _adam_per_entry(values, grads, len(grads), lr=0.02)
     for n in shapes:
         assert store.value(n).tobytes() == expected[n].tobytes()
     assert store.step == len(grads)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 5),
+    st.integers(1, 5),
+    st.integers(1, 8),
+    st.floats(1e-4, 1.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_adam_skipping_an_idle_leading_span_equals_the_full_step(idle_rows, rows, steps, lr, seed):
+    # entries before `start` whose gradients and moments are zero, as attn.wk
+    # and attn.wq are in a one-snapshot fit from fresh moments
+    rng = np.random.default_rng(seed)
+    values = {"a": rng.normal(size=(idle_rows, 3)), "b": rng.normal(size=(rows, 2))}
+    values["a"][0, 0] = -0.0  # x - 0.0 keeps the sign of a zero
+    start = values["a"].size
+    partial, full = ParamStore(values), ParamStore(values)
+    assert partial.moments_are_zero(start)
+    for _ in range(steps):
+        g = rng.normal(size=(rows, 2)) * 10.0 ** rng.integers(-6, 3, size=(rows, 2))
+        g[rng.random((rows, 2)) < 0.2] = 0.0
+        for store in (partial, full):
+            store.grad("b")[:] = g
+        adam_step(partial, lr=lr, start=start)
+        adam_step(full, lr=lr, start=0)
+    for buffer in ("_value", "_grad", "_m", "_v"):
+        assert getattr(partial, buffer).tobytes() == getattr(full, buffer).tobytes(), buffer
+    assert partial.step == full.step == steps
+    assert partial.moments_are_zero(start)
+
+
+def test_moments_are_zero_compares_bits():
+    store = ParamStore({"a": [[1.0, 2.0]], "b": [[3.0]]})
+    assert store.moments_are_zero(3)
+    store.grad("b")[:] = 1.0
+    adam_step(store, lr=0.1, start=0)
+    assert store.moments_are_zero(2) and not store.moments_are_zero(3)
+    store._m[0] = -0.0  # a full step would turn it into +0.0
+    assert not store.moments_are_zero(2)
 
 
 def test_param_store_entries_are_views_of_the_flat_buffers():
@@ -196,7 +236,7 @@ def test_param_store_entries_are_views_of_the_flat_buffers():
     tape.sum_all(tape.scale(leaf, 2.0)).backward()
     assert store.grad("b").tolist() == [[2.0], [2.0]]
     store.grad("a")[:] = 1.0
-    adam_step(store, lr=0.5)
+    adam_step(store, lr=0.5, start=0)
     assert leaf.data.tolist() != [[3.0], [4.0]]  # the leaf sees the update
     store.zero_grads()
     assert not store.grad("a").any() and not store.grad("b").any()
@@ -240,7 +280,7 @@ def test_param_store_from_mapping_rejects_what_add_rejects():
 def test_param_store_clone_is_independent_of_its_source():
     store = ParamStore({"a": [[1.0, 2.0]], "b": [[3.0]]})
     store.grad("a")[:] = 1.0
-    adam_step(store, lr=0.1)
+    adam_step(store, lr=0.1, start=0)
     copy = store.clone()
     assert copy.names() == store.names() and copy.step == 0
     assert not copy.grad("a").any()
@@ -249,7 +289,7 @@ def test_param_store_clone_is_independent_of_its_source():
     before = store.value("a").copy()
     copy.value("a")[:] = 0.0
     copy.grad("b")[:] = 5.0
-    adam_step(copy, lr=0.1)
+    adam_step(copy, lr=0.1, start=0)
     assert store.value("a").tobytes() == before.tobytes()
     assert not store.grad("b").any() and store.step == 1
     store.value("b")[:] = -7.0
@@ -259,7 +299,7 @@ def test_param_store_clone_is_independent_of_its_source():
 def test_adam_steps_a_finite_store_whose_sum_overflows():
     store = ParamStore({"a": [[1e308]], "b": [[1e308]]})
     with np.errstate(over="ignore"):  # the finite check's sum overflows to inf
-        adam_step(store, lr=0.1)
+        adam_step(store, lr=0.1, start=0)
     assert store.value("a").tolist() == [[1e308]] and store.value("b").tolist() == [[1e308]]
 
 
@@ -267,14 +307,14 @@ def test_adam_names_the_parameter_a_nan_reaches():
     store = ParamStore({"a": [[0.0, 1.0]], "b": [[2.0]], "c": [[3.0]]})
     store.grad("b")[:] = np.nan
     with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError, match="'b' diverged"):
-        adam_step(store, lr=0.1)
+        adam_step(store, lr=0.1, start=0)
 
 
 def test_adam_names_the_diverged_parameter():
     store = ParamStore({"a": [[0.0]], "b": [[1e308]]})
     store.grad("b")[:] = -1.0
     with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="'b' diverged"):
-        adam_step(store, lr=1e308)
+        adam_step(store, lr=1e308, start=0)
 
 
 def test_grad_check_quadratic_is_tight():

@@ -349,6 +349,15 @@ def test_api_calls_count_every_active_agent_and_removed_agents_stay_silent(d, pi
             gone.add(rec.removed)
 
 
+@settings(max_examples=60, deadline=None)
+@given(_DEBATES)
+def test_undefended_label_counts_never_decrease(d):
+    log = _debate(d)
+    for series in (log.ground_truth.h, log.ground_truth.err):
+        counts = [sum(row) for row in series]
+        assert counts == sorted(counts), counts
+
+
 _SMALL_DETECTOR = DetectorConfig(k=8, d=4, epochs_initial=1, epochs_incremental=1)
 _NEVER_REMOVE = DetectionPolicy(mode="threshold", tau=1e9)
 

@@ -6,6 +6,10 @@ short fit through the wrapped names and check that every wrapper is gone
 afterwards, and run one defended episode through ``harness.run_experiment``
 with the round clock installed too, so that a run loop that bypasses the
 wrapped names fails here instead of emptying the benchmark's round metrics.
+One more defended episode runs under the benchmark's score capture, whose
+``infer`` takes exactly three positional arguments, and its tracer, whose
+``fit`` span reads ``epochs`` as a keyword: a round must still build one
+history for both.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ ROOT = Path(__file__).resolve().parents[1]
 if str(ROOT) not in sys.path:
     sys.path.insert(0, str(ROOT))
 
+from bench.checks import ScoreCapture  # noqa: E402
 from bench.hostclock import HostClock  # noqa: E402
 from bench.tracing import Patches, RoundClock, Tracer  # noqa: E402
 from bench.workloads import load_modules  # noqa: E402
@@ -87,3 +92,31 @@ def test_round_clock_and_tracer_see_every_round_of_a_defended_run():
     assert len(steps) == rounds
     assert all(tracer.names[tracer.parents[i]] == "simulator.run_episode" for i in steps)
     assert (len(clock.first), len(clock.later)) == (1, rounds - 1)
+
+
+def test_a_round_builds_one_history_under_the_benchmarks_wrappers(monkeypatch):
+    modules = load_modules()
+    built = []
+
+    class CountingHistory(modules.detector._History):
+        def __init__(self, batch, cfg):
+            built.append(batch.snapshots[-1].round)
+            super().__init__(batch, cfg)
+
+    monkeypatch.setattr(modules.detector, "_History", CountingHistory)
+    cfg = modules.harness.ExperimentConfig(
+        n_tasks=1, min_rounds=3, attack="hallucination", epochs_initial=2, epochs_incremental=1
+    )
+    patches, tracer, capture = Patches(), Tracer(), ScoreCapture()
+    tracer.install(patches, modules)
+    capture.install(patches, modules.pipeline)
+    try:
+        _, logs = modules.harness.run_experiment(cfg)
+    finally:
+        patches.restore()
+
+    rounds = [rec.t for rec in logs[0].rounds]
+    assert len(rounds) == len(capture.rounds) == 3
+    assert tracer.names.count("detector.fit") == tracer.names.count("detector.infer") == 3
+    assert tracer.names.count("graph.normalized_adjacency") == 3
+    assert built == rounds
