@@ -157,26 +157,32 @@ def compose_losses(
     return LossBreakdown(l_att=l_att, l_stru=l_stru, l_rec=l_rec, kl=kl, l_total=l_total)
 
 
+def _param_shapes(cfg: DetectorConfig) -> dict[str, tuple[int, int]]:
+    """Every parameter's (rows, cols), in name order; ``.b*`` names are biases."""
+    k, d = cfg.k, cfg.d
+    return {
+        "attn.wk": (d, d),
+        "attn.wq": (d, d),
+        "attn.wv": (d, d),
+        "dec.b0": (1, d),
+        "dec.b1": (1, k),
+        "dec.w0": (d, d),
+        "dec.w1": (d, k),
+        "gcn.w0": (k, 2 * d),
+        "gcn.w1": (2 * d, 2 * d),
+    }
+
+
 def init_params(cfg: DetectorConfig, rng: np.random.Generator) -> ParamStore:
     """Glorot-uniform weights, zero biases. Draw order is fixed by name."""
 
-    def glorot(fan_in: int, fan_out: int) -> np.ndarray:
-        bound = math.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-bound, bound, size=(fan_in, fan_out))
+    def value(name: str, shape: tuple[int, int]) -> np.ndarray:
+        if ".b" in name:
+            return np.zeros(shape)
+        bound = math.sqrt(6.0 / sum(shape))
+        return rng.uniform(-bound, bound, size=shape)
 
-    return ParamStore(
-        {
-            "attn.wk": glorot(cfg.d, cfg.d),
-            "attn.wq": glorot(cfg.d, cfg.d),
-            "attn.wv": glorot(cfg.d, cfg.d),
-            "dec.b0": np.zeros((1, cfg.d)),
-            "dec.b1": np.zeros((1, cfg.k)),
-            "dec.w0": glorot(cfg.d, cfg.d),
-            "dec.w1": glorot(cfg.d, cfg.k),
-            "gcn.w0": glorot(cfg.k, 2 * cfg.d),
-            "gcn.w1": glorot(2 * cfg.d, 2 * cfg.d),
-        }
-    )
+    return ParamStore({name: value(name, shape) for name, shape in _param_shapes(cfg).items()})
 
 
 def gcn_forward(
@@ -602,7 +608,7 @@ def _checkpoint_from_doc(doc) -> tuple[DetectorConfig, ParamStore]:
         )
     cfg = _config_from_doc(doc["config"])
     shapes = {rec["name"]: (rec["rows"], rec["cols"]) for rec in doc["params"]}
-    expected = {name: v.shape for name, v in init_params(cfg, np.random.default_rng(0)).entries()}
+    expected = _param_shapes(cfg)
     for name in sorted(shapes.keys() | expected.keys()):
         if shapes.get(name) != expected.get(name):
             raise DetectorError(

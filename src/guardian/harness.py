@@ -19,8 +19,9 @@ import json
 import os
 import time
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, groupby
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -333,57 +334,39 @@ def compute_metrics(
     """
     if not logs:
         raise HarnessError("compute_metrics requires at least one episode log")
-    correct_episodes = sum(1 for log in logs if log.final_answer == log.task.correct)
-    accuracy = correct_episodes / len(logs)
+    accuracy = sum(log.final_answer == log.task.correct for log in logs) / len(logs)
     api_mean = sum(log.api_calls for log in logs) / len(logs)
+    if any(log.ground_truth is None for log in logs):
+        return MetricsReport(accuracy, None, None, api_mean)
 
-    have_gt = all(log.ground_truth is not None for log in logs)
-    tp = fp = 0
+    hits = removals = 0
     pooled_num = pooled_den = 0.0
     per_episode_rates: list[float] = []
     for log in logs:
-        if log.ground_truth is None:
-            continue
-        total_rounds = len(log.rounds)
-        ep_num = ep_den = 0.0
-        for r_idx, rec in enumerate(log.rounds):
+        gt, ep_num, ep_den = log.ground_truth, 0.0, 0.0
+        for r, rec in enumerate(log.rounds):
             if rec.removed is None:
                 continue
-            agent_idx = rec.agents.index(rec.removed)
-            anomalous = (
-                log.ground_truth.h[r_idx][agent_idx] or log.ground_truth.err[r_idx][agent_idx]
-            )
-            if anomalous:
-                tp += 1
-            else:
-                fp += 1
-            w = _decay_weight(decay, decay_lambda, rec.t, total_rounds)
-            ep_num += w * (1.0 if anomalous else 0.0)
+            i = rec.agents.index(rec.removed)
+            hit = gt.h[r][i] or gt.err[r][i]
+            w = _decay_weight(decay, decay_lambda, rec.t, len(log.rounds))
+            hits += hit
+            removals += 1
+            ep_num += w * hit
             ep_den += w
         if ep_den > 0.0:
             per_episode_rates.append(ep_num / ep_den)
             pooled_num += ep_num
             pooled_den += ep_den
 
-    if not have_gt:
+    fdr = (removals - hits) / removals if removals else 0.0
+    if pooled_den == 0.0:
         detection_rate = None
-        fdr = None
+    elif pooling == "pooled":
+        detection_rate = pooled_num / pooled_den
     else:
-        removals = tp + fp
-        fdr = fp / removals if removals else 0.0
-        if pooled_den == 0.0:
-            detection_rate = None
-        elif pooling == "pooled":
-            detection_rate = pooled_num / pooled_den
-        else:
-            detection_rate = sum(per_episode_rates) / len(per_episode_rates)
-
-    return MetricsReport(
-        accuracy=accuracy,
-        detection_rate=detection_rate,
-        fdr=fdr,
-        api_calls_mean=api_mean,
-    )
+        detection_rate = sum(per_episode_rates) / len(per_episode_rates)
+    return MetricsReport(accuracy, detection_rate, fdr, api_mean)
 
 
 def _embed_fn(cfg: ExperimentConfig):
@@ -598,51 +581,17 @@ def episode_from_json(text: str) -> EpisodeLog:
         doc = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as err:
         raise HarnessError(f"episode JSON invalid: {err}") from err
-    validate_episode_json(doc)
-    try:
-        task = Task(
-            id=doc["task"]["id"],
-            question=doc["task"]["question"],
-            answer_space=tuple(doc["task"]["answer_space"]),
-            correct=doc["task"]["correct"],
-        )
-    except SimulatorError as err:
-        raise HarnessError(f"episode JSON invalid: {err}") from err
-    rounds = [
-        RoundRecord(
-            t=rec["t"],
-            agents=list(rec["agents"]),
-            responses=list(rec["responses"]),
-            answers=list(rec["answers"]),
-            edges=[(src, dst) for src, dst in rec["edges"]],
-            removed=rec["removed"],
-            scores=list(rec["scores"]) if rec["scores"] is not None else None,
-        )
-        for rec in doc["rounds"]
-    ]
-    gt = None
-    if doc["ground_truth"] is not None:
-        g = doc["ground_truth"]
-        gt = GroundTruth(
-            h=[list(row) for row in g["h"]],
-            err=[list(row) for row in g["err"]],
-            corrupted_edges=[tuple(e) for e in g["corrupted_edges"]],
-        )
-    return EpisodeLog(
-        task=task,
-        rounds=rounds,
-        ground_truth=gt,
-        final_answer=doc["final_answer"],
-        api_calls=doc["api_calls"],
-    )
+    return _episode_from_doc(doc)
+
+
+def validate_episode_json(doc) -> None:
+    """Check a parsed episode JSON against the stable schema, down to the
+    type of every element; raises HarnessError naming the first deviation."""
+    _episode_from_doc(doc)
 
 
 # The checks below compare exact types: JSON true/false load as bool, which
 # isinstance would accept as an int.
-
-
-def _is_int(value) -> bool:
-    return type(value) is int
 
 
 def _is_list_of(value, kind, length: int | None = None) -> bool:
@@ -663,74 +612,76 @@ def _is_int_rows(value, width: int) -> bool:
     )
 
 
-def validate_episode_json(doc) -> None:
-    """Check a parsed episode JSON against the stable schema, down to the
-    type of every element; raises HarnessError naming the first deviation."""
+def _need(cond: bool, msg: str) -> None:
+    if not cond:
+        raise HarnessError(f"episode JSON invalid: {msg}")
 
-    def need(cond: bool, msg: str) -> None:
-        if not cond:
-            raise HarnessError(f"episode JSON invalid: {msg}")
 
-    need(type(doc) is dict, "top level must be an object")
-    need(set(doc) == {"task", "rounds", "ground_truth", "final_answer", "api_calls"}, "bad keys")
+def _episode_from_doc(doc) -> EpisodeLog:
+    """The episode a parsed episode JSON holds, each value checked where it
+    is read. The parsed lists become the log's lists; pairs become tuples."""
+    _need(type(doc) is dict, "top level must be an object")
+    _need(set(doc) == {"task", "rounds", "ground_truth", "final_answer", "api_calls"}, "bad keys")
     t = doc["task"]
-    need(type(t) is dict and {"id", "question", "answer_space", "correct"} <= set(t), "bad task")
-    need(
+    _need(type(t) is dict and {"id", "question", "answer_space", "correct"} <= set(t), "bad task")
+    _need(
         all(type(t[key]) is str for key in ("id", "question", "correct")),
         "task id, question and correct must be strings",
     )
-    need(_is_list_of(t["answer_space"], str), "task answer_space must be a list of strings")
-    need(type(doc["final_answer"]) is str, "final_answer must be a string")
-    need(_is_int(doc["api_calls"]) and doc["api_calls"] >= 0, "api_calls must be an int >= 0")
-    rounds = doc["rounds"]
-    need(type(rounds) is list, "rounds must be a list")
-    for rec in rounds:
-        need(
+    _need(_is_list_of(t["answer_space"], str), "task answer_space must be a list of strings")
+    try:
+        task = Task(t["id"], t["question"], tuple(t["answer_space"]), t["correct"])
+    except SimulatorError as err:
+        raise HarnessError(f"episode JSON invalid: {err}") from err
+    _need(type(doc["final_answer"]) is str, "final_answer must be a string")
+    api_calls = doc["api_calls"]
+    _need(type(api_calls) is int and api_calls >= 0, "api_calls must be an int >= 0")
+    _need(type(doc["rounds"]) is list, "rounds must be a list")
+    rounds = []
+    for position, rec in enumerate(doc["rounds"], start=1):
+        _need(
             type(rec) is dict
             and set(rec) == {"t", "agents", "responses", "answers", "edges", "removed", "scores"},
             "each round must be an object with the round keys",
         )
-        need(_is_int(rec["t"]) and rec["t"] >= 1, "round t must be an int >= 1")
-        agents = rec["agents"]
-        need(_is_list_of(agents, int), "agents must be a list of ints")
+        _need(
+            type(rec["t"]) is int and rec["t"] == position,
+            f"round {position} has t = {rec['t']!r}; rounds are numbered 1, 2, ... in order",
+        )
+        agents, removed, scores = rec["agents"], rec["removed"], rec["scores"]
+        _need(_is_list_of(agents, int), "agents must be a list of ints")
         n = len(agents)
-        need(
+        _need(
             _is_list_of(rec["responses"], str, n) and _is_list_of(rec["answers"], str, n),
             "responses and answers must be one string per agent",
         )
-        need(
-            _is_int_rows(rec["edges"], 2),
-            "edges must be [int, int] pairs",
-        )
-        removed = rec["removed"]
-        need(
-            removed is None or (_is_int(removed) and removed in agents),
+        _need(_is_int_rows(rec["edges"], 2), "edges must be [int, int] pairs")
+        _need(
+            removed is None or (type(removed) is int and removed in agents),
             "removed must be null or one of the round's agents",
         )
-        scores = rec["scores"]
-        need(
+        _need(
             scores is None
-            or (
-                type(scores) is list
-                and len(scores) == n
-                and set(map(type, scores)) <= {float, int}
-            ),
+            or (type(scores) is list and len(scores) == n and set(map(type, scores)) <= {float, int}),
             "scores must be null or one number per agent",
+        )
+        edges = list(map(tuple, rec["edges"]))
+        rounds.append(
+            RoundRecord(position, agents, rec["responses"], rec["answers"], edges, removed, scores)
         )
     gt = doc["ground_truth"]
     if gt is not None:
-        need(type(gt) is dict and set(gt) == {"h", "err", "corrupted_edges"}, "bad ground_truth keys")
+        _need(type(gt) is dict and set(gt) == {"h", "err", "corrupted_edges"}, "bad ground_truth keys")
         for key in ("h", "err"):
             rows = gt[key]
-            need(type(rows) is list and len(rows) == len(rounds), f"{key} must have one row per round")
-            need(
-                all(_is_list_of(row, bool, len(rec["agents"])) for row, rec in zip(rows, rounds)),
+            _need(type(rows) is list and len(rows) == len(rounds), f"{key} must have one row per round")
+            _need(
+                all(_is_list_of(row, bool, len(rec.agents)) for row, rec in zip(rows, rounds)),
                 f"{key} rows must be one bool per agent",
             )
-        need(
-            _is_int_rows(gt["corrupted_edges"], 4),
-            "corrupted_edges must be lists of 4 ints",
-        )
+        _need(_is_int_rows(gt["corrupted_edges"], 4), "corrupted_edges must be lists of 4 ints")
+        gt = GroundTruth(gt["h"], gt["err"], list(map(tuple, gt["corrupted_edges"])))
+    return EpisodeLog(task, rounds, gt, doc["final_answer"], api_calls)
 
 
 def metrics_csv(cfg: ExperimentConfig, report: MetricsReport) -> str:
@@ -759,13 +710,11 @@ def metrics_csv(cfg: ExperimentConfig, report: MetricsReport) -> str:
 
 def _render_graph_dot(nodes: list[dict], edges: list[dict]) -> str:
     lines = ["digraph guardian {", "  rankdir=LR;"]
-    rounds = sorted({n["round"] for n in nodes})
-    for t in rounds:
+    # Nodes come in log order, and a log numbers its rounds 1, 2, ... in order.
+    for t, group in groupby(nodes, key=itemgetter("round")):
         lines.append(f"  subgraph cluster_round_{t} {{")
         lines.append(f'    label="round {t}";')
-        for n in nodes:
-            if n["round"] != t:
-                continue
+        for n in group:
             label = f"agent {n['agent']}"
             if n["score"] is not None:
                 label += f"\\ns={n['score']:.3f}"
@@ -792,22 +741,22 @@ def _render_graph_dot(nodes: list[dict], edges: list[dict]) -> str:
 
 
 def export_episode_graph(log: EpisodeLog, fmt: str = "json") -> str:
-    """Graph export rebuilt from an episode log (no re-embedding needed)."""
-    nodes = []
-    removed_at: dict[int, int] = {}
-    for rec in log.rounds:
-        if rec.removed is not None:
-            removed_at[rec.removed] = rec.t
-    for rec in log.rounds:
-        for idx, agent in enumerate(rec.agents):
-            nodes.append(
-                {
-                    "round": rec.t,
-                    "agent": agent,
-                    "score": None if rec.scores is None else rec.scores[idx],
-                    "removed": removed_at.get(agent) == rec.t,
-                }
-            )
+    """Graph export rebuilt from an episode log (no re-embedding needed).
+
+    A node is marked removed when its round's ``removed`` names its agent.
+    The log's rounds must be numbered 1, 2, ... in order, as ``run_episode``
+    writes them and the episode reader requires.
+    """
+    nodes = [
+        {
+            "round": rec.t,
+            "agent": agent,
+            "score": None if rec.scores is None else rec.scores[i],
+            "removed": agent == rec.removed,
+        }
+        for rec in log.rounds
+        for i, agent in enumerate(rec.agents)
+    ]
     corrupted = (
         {tuple(e) for e in log.ground_truth.corrupted_edges} if log.ground_truth else set()
     )

@@ -230,6 +230,26 @@ def test_cli_metrics_malformed_episode_fails_naming_the_file(tmp_path, capsys):
     assert err.startswith("error: ") and str(episodes[-1]) in err
 
 
+def test_cli_metrics_rejects_a_round_numbered_out_of_place(tmp_path, capsys):
+    # Round 2 renumbered 5, with a removal: linear decay would weight it
+    # (3 - 5 + 1) / 3, a negative weight, and exponential decay as round 5.
+    flags = _fast_flags(tmp_path)
+    out = tmp_path / "run"
+    run = ["defend", *flags, "--attack", "agent", "--rounds", "3", "--min-rounds", "3"]
+    assert main([*run, "--out", str(out)]) == 0
+    episode = sorted((out / "episodes").glob("*.json"))[0]
+    doc = json.loads(episode.read_text())
+    doc["rounds"][1].update(t=5, removed=doc["rounds"][1]["agents"][0])
+    episode.write_text(json.dumps(doc))
+    with open(tmp_path / "exp.cfg", "a") as cfg:
+        cfg.write("decay = linear\n")
+    capsys.readouterr()
+    assert main(["metrics", *flags, "--logs", str(out / "episodes")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {episode}: episode JSON invalid: round 2 has t = 5")
+    assert captured.out == ""
+
+
 def test_cli_bad_corpus_fails_fast(tmp_path, capsys):
     code = main(["simulate", "--corpus", str(tmp_path / "missing.tsv")])
     assert code == 2

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import tape
-from guardian import numerics
+from guardian import detector, numerics
 from guardian.detector import (
     CHECKPOINT_MAGIC,
     LOGVAR_MAX,
@@ -1002,6 +1002,22 @@ def test_checkpoint_malformed_record_fails_naming_its_path(tmp_path, edit):
     path = tmp_path / "model.ckpt"
     _write_checkpoint_doc(path, edit)
     with pytest.raises(DetectorError, match=re.escape(f"checkpoint {path}: ")):
+        load_checkpoint(path)
+
+
+def _no_detector(*args, **kwargs):
+    raise AssertionError("loading a checkpoint must not build a detector")
+
+
+def test_checkpoint_shapes_are_checked_against_the_config_without_building_a_detector(
+    tmp_path, monkeypatch
+):
+    # At d = 100000, attn.wk alone is 74.5 GiB; the loader compares the file's
+    # shapes with the config's and allocates none of them.
+    path = tmp_path / "model.ckpt"
+    _write_checkpoint_doc(path, lambda doc: doc["config"].update(d=100_000))
+    monkeypatch.setattr(detector, "init_params", _no_detector)
+    with pytest.raises(DetectorError, match=re.escape(f"checkpoint {path}: parameter 'attn.wk'")):
         load_checkpoint(path)
 
 

@@ -18,6 +18,7 @@ from guardian.harness import (
     TOPOLOGY_FRACTIONS,
     ExperimentConfig,
     HarnessError,
+    MetricsReport,
     _dumps_indent2,
     build_pipeline,
     compute_metrics,
@@ -171,6 +172,68 @@ def test_metrics_pooling_flag():
 def test_metrics_requires_logs():
     with pytest.raises(HarnessError):
         compute_metrics([])
+
+
+def _reference_metrics(logs, decay, decay_lambda, pooling):
+    """README "Metrics", written out. A removal scores 1 when the removed
+    agent carried an h or err label that round, else 0, weighted by
+    ``decay_lambda ** (t - 1)`` or, linear, by ``(R - t + 1) / R`` in an
+    R-round episode. Sums run in round order within an episode, then in
+    episode order."""
+    accuracy = sum(log.final_answer == log.task.correct for log in logs) / len(logs)
+    api_calls_mean = sum(log.api_calls for log in logs) / len(logs)
+    if any(log.ground_truth is None for log in logs):
+        return MetricsReport(accuracy, None, None, api_calls_mean)
+    wrong = total = 0
+    episodes = []  # (weighted score sum, weight sum) of each episode with a removal
+    for log in logs:
+        scored = weights = 0.0
+        for r, rec in enumerate(log.rounds):
+            if rec.removed is None:
+                continue
+            i = rec.agents.index(rec.removed)
+            score = 1.0 if log.ground_truth.h[r][i] or log.ground_truth.err[r][i] else 0.0
+            if decay == "exponential":
+                weight = decay_lambda ** (rec.t - 1)
+            else:
+                weight = (len(log.rounds) - rec.t + 1) / len(log.rounds)
+            scored += weight * score
+            weights += weight
+            wrong += score == 0.0
+            total += 1
+        if weights > 0.0:
+            episodes.append((scored, weights))
+    rate = None
+    if episodes and pooling == "pooled":
+        pooled_scored = pooled_weights = 0.0
+        for scored, weights in episodes:
+            pooled_scored += scored
+            pooled_weights += weights
+        rate = pooled_scored / pooled_weights
+    elif episodes:
+        rate = sum(scored / weights for scored, weights in episodes) / len(episodes)
+    return MetricsReport(accuracy, rate, wrong / total if total else 0.0, api_calls_mean)
+
+
+@st.composite
+def _metric_inputs(draw):
+    """Up to four labelled episode logs, one of them sometimes unlabelled."""
+    logs = draw(st.lists(_episode_logs(labelled=True), min_size=1, max_size=4))
+    if draw(st.integers(0, 3)) == 0:
+        logs[draw(st.integers(0, len(logs) - 1))].ground_truth = None
+    return logs
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    _metric_inputs(),
+    st.sampled_from(["exponential", "linear"]),
+    st.floats(0.01, 1.0),
+    st.sampled_from(["pooled", "per_episode"]),
+)
+def test_metrics_equal_the_readme_definition_exactly(logs, decay, decay_lambda, pooling):
+    report = compute_metrics(logs, decay=decay, decay_lambda=decay_lambda, pooling=pooling)
+    assert report == _reference_metrics(logs, decay, decay_lambda, pooling)
 
 
 # ---------------------------------------------------------------------------
@@ -476,6 +539,8 @@ _MALFORMED = {
     "one candidate answer": _episode_doc(task__answer_space=["8"]),
     "correct answer not a candidate": _episode_doc(task__correct="9"),
     "top level is a list": [],
+    "round numbered out of place": _episode_doc(rounds__1__t=5),
+    "round number is a bool": _episode_doc(rounds__0__t=True),
 }
 
 
@@ -483,6 +548,8 @@ _MALFORMED = {
 def test_episode_from_json_rejects_malformed_docs(case):
     with pytest.raises(HarnessError, match="episode JSON invalid"):
         episode_from_json(json.dumps(_MALFORMED[case]))
+    with pytest.raises(HarnessError, match="episode JSON invalid"):
+        validate_episode_json(_MALFORMED[case])
 
 
 @pytest.mark.parametrize(
@@ -603,7 +670,9 @@ _AGENT = st.integers(-2, 40)
 
 
 @st.composite
-def _episode_logs(draw) -> EpisodeLog:
+def _episode_logs(draw, labelled: bool | None = None) -> EpisodeLog:
+    """An episode log with rounds numbered 1, 2, ...; with ground truth
+    when `labelled`, or drawn either way when it is None."""
     answers = draw(st.lists(_WORDS, min_size=2, max_size=4, unique=True))
     task = Task(
         id=draw(_WORDS),
@@ -632,7 +701,7 @@ def _episode_logs(draw) -> EpisodeLog:
         h.append(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
         err.append(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
     ground_truth = None
-    if draw(st.booleans()):
+    if draw(st.booleans()) if labelled is None else labelled:
         edges = st.lists(st.tuples(st.integers(1, 3), _AGENT, st.integers(1, 3), _AGENT), max_size=3)
         ground_truth = GroundTruth(h=h, err=err, corrupted_edges=draw(edges))
     return EpisodeLog(
@@ -837,6 +906,38 @@ def test_export_episode_graph_marks_corruption_and_removal(tmp_path):
     removed_rounds = [rec.t for rec in log.rounds if rec.removed is not None]
     assert len(removed_nodes) == len(removed_rounds)
     _assert_dot_wellformed(export_episode_graph(log, fmt="dot"))
+
+
+_DOT_CLUSTER = re.compile(r"^  subgraph cluster_round_(-?\d+) \{$")
+_DOT_NODE_ID = re.compile(r'^    "r(-?\d+)_a(-?\d+)" \[(.*)\];$')
+
+
+@settings(max_examples=60, deadline=None)
+@given(_episode_logs())
+def test_export_dot_clusters_each_round_once_in_order_and_marks_exactly_the_removals(log):
+    clusters, nodes, marked = [], [], set()
+    for line in export_episode_graph(log, fmt="dot").split("\n"):
+        if cluster := _DOT_CLUSTER.match(line):
+            clusters.append(int(cluster[1]))
+        elif node := _DOT_NODE_ID.match(line):
+            t, agent = int(node[1]), int(node[2])
+            assert t == clusters[-1]
+            nodes.append((t, agent))
+            if "style=dashed" in node[3]:
+                marked.add((t, agent))
+    assert clusters == [rec.t for rec in log.rounds if rec.agents]
+    assert nodes == [(rec.t, agent) for rec in log.rounds for agent in rec.agents]
+    assert marked == {(rec.t, rec.removed) for rec in log.rounds if rec.removed is not None}
+    doc = json.loads(export_episode_graph(log, fmt="json"))
+    assert [(n["round"], n["agent"]) for n in doc["nodes"]] == nodes
+    assert {(n["round"], n["agent"]) for n in doc["nodes"] if n["removed"]} == marked
+
+
+def test_export_marks_every_round_that_removes_the_agent():
+    first, second = _round(1, []), _round(2, [(0, 1)])
+    first.removed = second.removed = 0
+    doc = json.loads(export_episode_graph(_episode([first, second]), fmt="json"))
+    assert [(n["round"], n["agent"]) for n in doc["nodes"] if n["removed"]] == [(1, 0), (2, 0)]
 
 
 def test_export_rejects_unknown_format():

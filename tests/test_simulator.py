@@ -16,6 +16,7 @@ from guardian.pipeline import Decision, PipelineState
 from guardian.simulator import (
     AgentSpec,
     AttackPlan,
+    COMM_ATTACK_ROUND,
     NO_CONSENSUS,
     RemoteAgentConfig,
     RemoteAgentError,
@@ -304,6 +305,9 @@ _DEBATES = st.fixed_dictionaries(
 )
 
 
+_PICKS = st.lists(st.none() | st.integers(0, 7), max_size=4)
+
+
 def _debate(d, pipeline=None):
     """Run the episode that a `_DEBATES` draw describes, all rounds forced."""
     return run_episode(
@@ -337,7 +341,7 @@ class _PickPruner:
 
 
 @settings(max_examples=60, deadline=None)
-@given(_DEBATES, st.lists(st.none() | st.integers(0, 7), max_size=4))
+@given(_DEBATES, _PICKS)
 def test_api_calls_count_every_active_agent_and_removed_agents_stay_silent(d, picks):
     log = _debate(d, _PickPruner(picks))
     assert log.api_calls == sum(len(rec.agents) for rec in log.rounds)
@@ -356,6 +360,81 @@ def test_undefended_label_counts_never_decrease(d):
     for series in (log.ground_truth.h, log.ground_truth.err):
         counts = [sum(row) for row in series]
         assert counts == sorted(counts), counts
+
+
+def _rounds_seen(log):
+    """Per round: its record, and each agent's answer and label (h, err or None)."""
+    gt = log.ground_truth
+    for rec, h, err in zip(log.rounds, gt.h, gt.err):
+        labels = ["h" if is_h else "err" if is_err else None for is_h, is_err in zip(h, err)]
+        yield rec, dict(zip(rec.agents, rec.answers)), dict(zip(rec.agents, labels))
+
+
+def _debate_victim(d):
+    return _victim(AttackPlan(kind=d["kind"], seed=d["attack_seed"]), TASK, d["n_agents"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_DEBATES, _PICKS)
+def test_an_agent_gains_a_label_only_as_victim_or_from_a_labelled_in_neighbour(d, picks):
+    log, victim = _debate(d, _PickPruner(picks)), _debate_victim(d)
+    answers_before, labels_before = {}, {}
+    for rec, answers, labels in _rounds_seen(log):
+        for agent, label in labels.items():
+            if label is None or label == labels_before.get(agent) or agent == victim:
+                continue
+            # the adopted answer arrived from an in-neighbour that carried this label
+            assert any(
+                dst == agent and labels_before[src] == label and answers_before[src] == answers[agent]
+                for src, dst in rec.edges
+            ), (rec.t, agent)
+        answers_before, labels_before = answers, labels
+
+
+@settings(max_examples=60, deadline=None)
+@given(_DEBATES, _PICKS)
+def test_corrupted_edges_are_the_comm_victims_round_2_in_edges(d, picks):
+    log, victim = _debate(d, _PickPruner(picks)), _debate_victim(d)
+    expected = []
+    if d["kind"] == "comm_targeted" and len(log.rounds) >= COMM_ATTACK_ROUND:
+        rec = log.rounds[COMM_ATTACK_ROUND - 1]
+        expected = [
+            (COMM_ATTACK_ROUND - 1, src, COMM_ATTACK_ROUND, dst) for src, dst in rec.edges if dst == victim
+        ]
+    assert log.ground_truth.corrupted_edges == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(_DEBATES, _PICKS)
+def test_a_tainted_agent_keeps_answer_and_label_while_a_taint_source_is_active(d, picks):
+    log, victim = _debate(d, _PickPruner(picks)), _debate_victim(d)
+    sources: dict[int, set[int]] = {}  # agent -> the agents its current taint came from
+    answers_before, labels_before = {}, {}
+    for rec, answers, labels in _rounds_seen(log):
+        for agent in rec.agents:
+            if not sources.get(agent, set()).isdisjoint(rec.agents):
+                assert answers[agent] == answers_before[agent], (rec.t, agent)
+                assert labels[agent] == labels_before[agent], (rec.t, agent)
+            elif labels[agent] is None:
+                sources.pop(agent, None)
+            elif (answers[agent], labels[agent]) != (answers_before.get(agent), labels_before.get(agent)):
+                # A new taint. A released agent that catches the same one again
+                # looks unchanged; its old sources are gone for good, so it is
+                # only checked less, never wrongly.
+                if agent == victim and d["kind"] != "comm_targeted":
+                    sources[agent] = {agent}
+                else:
+                    corrupted = agent == victim and rec.t == COMM_ATTACK_ROUND
+                    sources[agent] = {
+                        src
+                        for src, dst in rec.edges
+                        if dst == agent
+                        and (
+                            corrupted
+                            or labels_before[src] is not None and answers_before[src] == answers[agent]
+                        )
+                    }
+        answers_before, labels_before = answers, labels
 
 
 _SMALL_DETECTOR = DetectorConfig(k=8, d=4, epochs_initial=1, epochs_incremental=1)
