@@ -476,103 +476,83 @@ def write_artifact(path: Path, text: str) -> None:
 # ---------------------------------------------------------------------------
 # JSON text
 # ---------------------------------------------------------------------------
+# Each artifact's text is ``json.dumps(doc, sort_keys=True, indent=2) + "\n"``
+# of its document, byte for byte, written straight from the log: the keys of
+# the fixed schemas are baked into the templates below in sorted order.
+# Strings go through json's C ``encode_basestring_ascii``, scores through
+# ``_float_text``.
 
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _float_text(value: float) -> str:
+    """A score as json writes it; a score read back from a file may be an int."""
+    if type(value) is int:
+        return int.__repr__(value)
     text = float.__repr__(value)
     return _NONFINITE.get(text, text)
 
 
-# Text of each scalar, by exact type.
-_SCALAR_TEXT = {
-    str: encode_basestring_ascii,
-    int: int.__repr__,
-    float: _float_text,
-    bool: {True: "true", False: "false"}.__getitem__,
-    type(None): {None: "null"}.__getitem__,
-}
-
-
-def _dumps_indent2(doc) -> str:
-    """``json.dumps(doc, sort_keys=True, indent=2)``, byte for byte, for the
-    program's own documents.
-
-    CPython's json encodes in C only without ``indent``; with it, every
-    value passes through generators written in Python. This writer joins
-    strings over one recursion and escapes strings with json's C
-    ``encode_basestring_ascii``. It writes exact JSON types only: a dict
-    with str keys, a list, str, int, float, bool and None. Anything else,
-    a tuple or a subclass (numpy float scalars among them) included, raises
-    TypeError, as does a non-str key. A container that holds itself
-    exhausts the recursion limit; every document written here is a fresh tree.
-    """
-    text = _SCALAR_TEXT.get(type(doc))
-    return text(doc) if text is not None else _nested_text(doc, "\n")
-
-
-def _nested_text(value, indent: str) -> str:
-    """Text of a list or dict; `indent` is the newline and indentation of
-    the line the value starts on."""
+def _array(items: list[str], indent: str) -> str:
+    """A JSON array of written items; `indent` is the newline and indentation
+    of the line the array opens on."""
+    if not items:
+        return "[]"
     inner = indent + "  "
-    if type(value) is list:
-        if not value:
-            return "[]"
-        items = [
-            text(v) if (text := _SCALAR_TEXT.get(type(v))) is not None else _nested_text(v, inner)
-            for v in value
-        ]
-        return "[" + inner + ("," + inner).join(items) + indent + "]"
-    if type(value) is dict:
-        if not value:
-            return "{}"
-        items = [
-            encode_basestring_ascii(k)  # a TypeError unless k is a str
-            + ": "
-            + (text(v) if (text := _SCALAR_TEXT.get(type(v))) is not None else _nested_text(v, inner))
-            for k, v in sorted(value.items())
-        ]
-        return "{" + inner + ("," + inner).join(items) + indent + "}"
-    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+    return "[" + inner + ("," + inner).join(items) + indent + "]"
 
 
 # ---------------------------------------------------------------------------
 # Episode JSON (stable schema)
 # ---------------------------------------------------------------------------
 
+_EPISODE = (
+    '{\n  "api_calls": %d,\n  "final_answer": %s,\n  "ground_truth": %s,\n  "rounds": %s,'
+    '\n  "task": %s\n}\n'
+)
+_TASK = '{\n    "answer_space": %s,\n    "correct": %s,\n    "id": %s,\n    "question": %s\n  }'
+_ROUND = (
+    '{\n      "agents": %s,\n      "answers": %s,\n      "edges": %s,\n      "removed": %s,'
+    '\n      "responses": %s,\n      "scores": %s,\n      "t": %d\n    }'
+)
+_ROUND_EDGE = "[\n          %d,\n          %d\n        ]"
+_TRUTH = '{\n    "corrupted_edges": %s,\n    "err": %s,\n    "h": %s\n  }'
+_CORRUPTED_EDGE = "[\n        %d,\n        %d,\n        %d,\n        %d\n      ]"
+
+
+def _label_rows(rows: list[list[bool]]) -> str:
+    texts = [_array(["true" if label else "false" for label in row], "\n      ") for row in rows]
+    return _array(texts, "\n    ")
+
 
 def episode_to_json(log: EpisodeLog) -> str:
-    doc = {
-        "task": {
-            "id": log.task.id,
-            "question": log.task.question,
-            "answer_space": list(log.task.answer_space),
-            "correct": log.task.correct,
-        },
-        "rounds": [
-            {
-                "t": rec.t,
-                "agents": list(rec.agents),
-                "responses": list(rec.responses),
-                "answers": list(rec.answers),
-                "edges": [[src, dst] for src, dst in rec.edges],
-                "removed": rec.removed,
-                "scores": list(rec.scores) if rec.scores is not None else None,
-            }
-            for rec in log.rounds
-        ],
-        "ground_truth": None
-        if log.ground_truth is None
-        else {
-            "h": [list(row) for row in log.ground_truth.h],
-            "err": [list(row) for row in log.ground_truth.err],
-            "corrupted_edges": [list(e) for e in log.ground_truth.corrupted_edges],
-        },
-        "final_answer": log.final_answer,
-        "api_calls": log.api_calls,
-    }
-    return _dumps_indent2(doc) + "\n"
+    task, gt, text = log.task, log.ground_truth, encode_basestring_ascii
+    key = "\n      "  # the newline and indentation of a round's keys
+    rounds = [
+        _ROUND
+        % (
+            _array(list(map(str, rec.agents)), key),
+            _array(list(map(text, rec.answers)), key),
+            _array([_ROUND_EDGE % (src, dst) for src, dst in rec.edges], key),
+            "null" if rec.removed is None else str(rec.removed),
+            _array(list(map(text, rec.responses)), key),
+            "null" if rec.scores is None else _array(list(map(_float_text, rec.scores)), key),
+            rec.t,
+        )
+        for rec in log.rounds
+    ]
+    truth = "null"
+    if gt is not None:
+        corrupted = [_CORRUPTED_EDGE % tuple(e) for e in gt.corrupted_edges]
+        truth = _TRUTH % (_array(corrupted, "\n    "), _label_rows(gt.err), _label_rows(gt.h))
+    task_text = _TASK % (
+        _array(list(map(text, task.answer_space)), "\n    "),
+        text(task.correct),
+        text(task.id),
+        text(task.question),
+    )
+    rounds_text = _array(rounds, "\n  ")
+    return _EPISODE % (log.api_calls, text(log.final_answer), truth, rounds_text, task_text)
 
 
 def episode_from_json(text: str) -> EpisodeLog:
@@ -619,7 +599,13 @@ def _need(cond: bool, msg: str) -> None:
 
 def _episode_from_doc(doc) -> EpisodeLog:
     """The episode a parsed episode JSON holds, each value checked where it
-    is read. The parsed lists become the log's lists; pairs become tuples."""
+    is read. The parsed lists become the log's lists; pairs become tuples.
+
+    The rounds must form the temporal graph a run records: numbered 1, 2,
+    ... in order, no agent twice in a round, each round listing the agents
+    of the one before less the agent it removed (as
+    ``TemporalGraph.append_snapshot`` requires), and each edge joining two
+    distinct agents of its round, which for round 1 means no edges."""
     _need(type(doc) is dict, "top level must be an object")
     _need(set(doc) == {"task", "rounds", "ground_truth", "final_answer", "api_calls"}, "bad keys")
     t = doc["task"]
@@ -638,6 +624,7 @@ def _episode_from_doc(doc) -> EpisodeLog:
     _need(type(api_calls) is int and api_calls >= 0, "api_calls must be an int >= 0")
     _need(type(doc["rounds"]) is list, "rounds must be a list")
     rounds = []
+    staying = None  # the agents the next round must list: agents only leave
     for position, rec in enumerate(doc["rounds"], start=1):
         _need(
             type(rec) is dict
@@ -650,14 +637,25 @@ def _episode_from_doc(doc) -> EpisodeLog:
         )
         agents, removed, scores = rec["agents"], rec["removed"], rec["scores"]
         _need(_is_list_of(agents, int), "agents must be a list of ints")
-        n = len(agents)
+        n, members = len(agents), set(agents)
+        _need(len(members) == n, f"round {position} lists an agent twice")
+        _need(
+            staying is None or members == staying,
+            f"round {position} must list the agents of round {position - 1}"
+            " less the one it removed",
+        )
         _need(
             _is_list_of(rec["responses"], str, n) and _is_list_of(rec["answers"], str, n),
             "responses and answers must be one string per agent",
         )
         _need(_is_int_rows(rec["edges"], 2), "edges must be [int, int] pairs")
+        _need(position > 1 or not rec["edges"], "round 1 cannot have edges")
         _need(
-            removed is None or (type(removed) is int and removed in agents),
+            all(src != dst and src in members and dst in members for src, dst in rec["edges"]),
+            f"each edge of round {position} must join two distinct agents of the round",
+        )
+        _need(
+            removed is None or (type(removed) is int and removed in members),
             "removed must be null or one of the round's agents",
         )
         _need(
@@ -665,6 +663,7 @@ def _episode_from_doc(doc) -> EpisodeLog:
             or (type(scores) is list and len(scores) == n and set(map(type, scores)) <= {float, int}),
             "scores must be null or one number per agent",
         )
+        staying = members - {removed}
         edges = list(map(tuple, rec["edges"]))
         rounds.append(
             RoundRecord(position, agents, rec["responses"], rec["answers"], edges, removed, scores)
@@ -708,34 +707,41 @@ def metrics_csv(cfg: ExperimentConfig, report: MetricsReport) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _render_graph_dot(nodes: list[dict], edges: list[dict]) -> str:
+_GRAPH = '{\n  "edges": %s,\n  "nodes": %s\n}\n'
+_NODE = '{\n      "agent": %d,\n      "removed": %s,\n      "round": %d,\n      "score": %s\n    }'
+_EDGE = (
+    '{\n      "corrupted": %s,\n      "dst_agent": %d,\n      "dst_round": %d,\n      "kind": "%s",'
+    '\n      "src_agent": %d,\n      "src_round": %d\n    }'
+)
+_DOT_EDGE_ATTRS = {
+    ("comm", False): "",
+    ("comm", True): ' [color=red, label="corrupted"]',
+    ("continuity", False): " [style=dotted, arrowhead=none]",
+}
+
+
+def _render_graph_dot(nodes: list[tuple], edges: list[tuple]) -> str:
     lines = ["digraph guardian {", "  rankdir=LR;"]
     # Nodes come in log order, and a log numbers its rounds 1, 2, ... in order.
-    for t, group in groupby(nodes, key=itemgetter("round")):
+    for t, group in groupby(nodes, key=itemgetter(0)):
         lines.append(f"  subgraph cluster_round_{t} {{")
         lines.append(f'    label="round {t}";')
-        for n in group:
-            label = f"agent {n['agent']}"
-            if n["score"] is not None:
-                label += f"\\ns={n['score']:.3f}"
-            attrs = [f'label="{label}"']
-            if n["removed"]:
-                attrs.append("color=red")
-                attrs.append("style=dashed")
-            lines.append(f'    "r{t}_a{n["agent"]}" [{", ".join(attrs)}];')
+        lines += [
+            '    "r%d_a%d" [label="agent %d%s"%s];'
+            % (
+                t,
+                agent,
+                agent,
+                "" if score is None else "\\ns=%.3f" % score,
+                ", color=red, style=dashed" if removed else "",
+            )
+            for _, agent, score, removed in group
+        ]
         lines.append("  }")
-    for e in edges:
-        attrs = []
-        if e["kind"] == "continuity":
-            attrs.append("style=dotted")
-            attrs.append("arrowhead=none")
-        if e["corrupted"]:
-            attrs.append("color=red")
-            attrs.append('label="corrupted"')
-        suffix = f" [{', '.join(attrs)}]" if attrs else ""
-        lines.append(
-            f'  "r{e["src_round"]}_a{e["src_agent"]}" -> "r{e["dst_round"]}_a{e["dst_agent"]}"{suffix};'
-        )
+    lines += [
+        '  "r%d_a%d" -> "r%d_a%d"%s;' % (src_t, src, dst_t, dst, _DOT_EDGE_ATTRS[kind, corrupted])
+        for src_t, src, dst_t, dst, kind, corrupted in edges
+    ]
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -747,47 +753,31 @@ def export_episode_graph(log: EpisodeLog, fmt: str = "json") -> str:
     The log's rounds must be numbered 1, 2, ... in order, as ``run_episode``
     writes them and the episode reader requires.
     """
+    # Records are tuples: (round, agent, score, removed) for a node and
+    # (src_round, src_agent, dst_round, dst_agent, kind, corrupted) for an edge.
     nodes = [
-        {
-            "round": rec.t,
-            "agent": agent,
-            "score": None if rec.scores is None else rec.scores[i],
-            "removed": agent == rec.removed,
-        }
+        (rec.t, agent, None if rec.scores is None else rec.scores[i], agent == rec.removed)
         for rec in log.rounds
         for i, agent in enumerate(rec.agents)
     ]
-    corrupted = (
-        {tuple(e) for e in log.ground_truth.corrupted_edges} if log.ground_truth else set()
-    )
+    corrupted = set(map(tuple, log.ground_truth.corrupted_edges)) if log.ground_truth else set()
     edges = []
     for prev, cur in zip(log.rounds, log.rounds[1:]):
-        for src, dst in cur.edges:
-            edges.append(
-                {
-                    "src_round": prev.t,
-                    "src_agent": src,
-                    "dst_round": cur.t,
-                    "dst_agent": dst,
-                    "kind": "comm",
-                    "corrupted": (prev.t, src, cur.t, dst) in corrupted,
-                }
-            )
-        for agent in prev.agents:
-            if agent in cur.agents:
-                edges.append(
-                    {
-                        "src_round": prev.t,
-                        "src_agent": agent,
-                        "dst_round": cur.t,
-                        "dst_agent": agent,
-                        "kind": "continuity",
-                        "corrupted": False,
-                    }
-                )
-    edges.sort(key=lambda e: (e["src_round"], e["src_agent"], e["dst_agent"], e["kind"]))
+        s, t = prev.t, cur.t
+        edges += [(s, src, t, dst, "comm", (s, src, t, dst) in corrupted) for src, dst in cur.edges]
+        edges += [(s, a, t, a, "continuity", False) for a in prev.agents if a in cur.agents]
+    edges.sort(key=itemgetter(0, 1, 3, 4))
     if fmt == "json":
-        return _dumps_indent2({"nodes": nodes, "edges": edges}) + "\n"
+        edge_texts = [
+            _EDGE % ("true" if bad else "false", dst, dst_t, kind, src, src_t)
+            for src_t, src, dst_t, dst, kind, bad in edges
+        ]
+        node_texts = [
+            _NODE
+            % (agent, "true" if gone else "false", t, "null" if score is None else _float_text(score))
+            for t, agent, score, gone in nodes
+        ]
+        return _GRAPH % (_array(edge_texts, "\n  "), _array(node_texts, "\n  "))
     if fmt == "dot":
         return _render_graph_dot(nodes, edges)
     raise HarnessError(f"unknown export format {fmt!r}")

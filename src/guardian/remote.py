@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import http.client
 import json
-import urllib.request
 
 __all__ = ["post_json"]
 
@@ -15,6 +13,10 @@ def post_json(url: str, payload: dict, timeout: float, token: str | None = None)
     Only an HTTP 200 reply whose UTF-8 JSON body is an object is returned; a
     failed call or another status raises OSError, any other body ValueError.
     """
+    # Imported here: they pull in email and ssl, which only remote runs need.
+    import http.client
+    import urllib.request
+
     headers = {"Content-Type": "application/json"}
     if token:
         headers["Authorization"] = f"Bearer {token}"

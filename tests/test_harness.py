@@ -1,15 +1,14 @@
 from __future__ import annotations
 
-import collections
 import dataclasses
-import enum
 import hashlib
 import json
 import re
 
+import artifacts
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from guardian.anomaly import POLICY_MODES
@@ -19,7 +18,6 @@ from guardian.harness import (
     ExperimentConfig,
     HarnessError,
     MetricsReport,
-    _dumps_indent2,
     build_pipeline,
     compute_metrics,
     episode_from_json,
@@ -49,28 +47,32 @@ TASK = Task(id="m0", question="q", answer_space=("8", "57"), correct="8")
 
 def _log(removals, hits, total_rounds=3, final="8", api=12, n_agents=4):
     """Synthetic episode: `removals` maps round -> agent, `hits` says whether
-    that agent was truly anomalous at that round."""
+    that agent was truly anomalous at that round. A removed agent leaves the
+    later rounds; each later round has one edge, between its first two agents."""
     rounds = []
     h = []
     err = []
+    active = list(range(n_agents))
     for t in range(1, total_rounds + 1):
-        agents = list(range(n_agents))
+        agents = list(active)
+        n = len(agents)
         removed = removals.get(t)
         rounds.append(
             RoundRecord(
                 t=t,
                 agents=agents,
-                responses=[f"Answer: 8. Reasoning: solver {t}"] * n_agents,
-                answers=["8"] * n_agents,
-                edges=[] if t == 1 else [(0, 1)],
+                responses=[f"Answer: 8. Reasoning: solver {t}"] * n,
+                answers=["8"] * n,
+                edges=[] if t == 1 else [(agents[0], agents[1])],
                 removed=removed,
-                scores=[0.1] * n_agents,
+                scores=[0.1] * n,
             )
         )
-        h.append([False] * n_agents)
-        err_row = [False] * n_agents
-        if removed is not None and hits.get(t, False):
-            err_row[agents.index(removed)] = True
+        h.append([False] * n)
+        err_row = [False] * n
+        if removed is not None:
+            err_row[agents.index(removed)] = hits.get(t, False)
+            active.remove(removed)
         err.append(err_row)
     return EpisodeLog(
         task=TASK,
@@ -79,6 +81,10 @@ def _log(removals, hits, total_rounds=3, final="8", api=12, n_agents=4):
         final_answer=final,
         api_calls=api,
     )
+
+
+def _episode(rounds):
+    return EpisodeLog(task=TASK, rounds=rounds, ground_truth=None, final_answer="8", api_calls=0)
 
 
 def test_metrics_all_removals_correct():
@@ -563,116 +569,22 @@ def test_episode_from_json_rejects_text_that_is_not_json(text):
 
 
 # ---------------------------------------------------------------------------
-# JSON text: the indent-2 writer and the round trip
+# JSON text: the writers against the reference documents, and the round trip
 # ---------------------------------------------------------------------------
 
 
-def _stdlib_text(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2)
-
-
 _ANY_CHAR = st.characters(exclude_categories=())  # control characters and lone surrogates too
-_JSON_SCALARS = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(),
-    st.integers(min_value=2**63),
-    st.floats(),  # NaN and both infinities included
-    st.text(_ANY_CHAR, max_size=6),
-)
-_JSON_DOCS = st.recursive(
-    _JSON_SCALARS,
-    lambda inner: st.one_of(
-        st.lists(inner, max_size=4),
-        st.dictionaries(st.text(_ANY_CHAR, max_size=4), inner, max_size=4),
-    ),
-    max_leaves=24,
-)
-
-
-@settings(max_examples=150, deadline=None)
-@given(_JSON_DOCS)
-def test_dumps_indent2_matches_stdlib(doc):
-    assert _dumps_indent2(doc) == _stdlib_text(doc)
-
-
-def test_dumps_indent2_matches_stdlib_on_edge_cases():
-    deep: object = []
-    for depth in range(60):
-        deep = [deep] if depth % 2 else {"k": deep, "e": [], "o": {}}
-    docs = [
-        deep,
-        [],
-        {},
-        [[], {}, [[]], [{}]],
-        "caf\u00e9 \x00\x1f\u2028 \"quoted\" \\ \ud800",
-        [float("nan"), float("inf"), -float("inf"), -0.0, 1e-320, 1e300, 0.1],
-        [True, False, None, 0, -(10**40), 10**40],
-        {"b": True, "a": [{"c": None}]},
-        None,
-        "top-level string",
-    ]
-    for doc in docs:
-        assert _dumps_indent2(doc) == _stdlib_text(doc), doc
-
-
-@pytest.mark.parametrize(
-    "doc",
-    [np.int64(3), [np.bool_(True)], {"a": {1, 2}}, [object()], {(1, 2): 0}, {1: 0, "a": 1}, {True: 0, None: 1}],
-    ids=["numpy int", "numpy bool", "set", "object", "tuple key", "mixed keys", "bool and null keys"],
-)
-def test_dumps_indent2_raises_what_stdlib_raises(doc):
-    with pytest.raises(TypeError):
-        _stdlib_text(doc)
-    with pytest.raises(TypeError):
-        _dumps_indent2(doc)
-
-
-class _Level(enum.IntEnum):
-    HIGH = 3
-
-
-class _Name(str):
-    pass
-
-
-# json writes these; the writer takes exact JSON types only
-@pytest.mark.parametrize(
-    "doc",
-    [
-        (1, 2),
-        {"t": (1, [2])},
-        [_Name("sub")],
-        _Name("top"),
-        [np.float64(0.25)],
-        np.float64(2.5),
-        [_Level.HIGH],
-        collections.OrderedDict([("z", 1)]),
-        {"a": collections.OrderedDict()},
-        {1: "one"},
-        {"a": {None: "n"}},
-        {1.5: "a", 0.5: "b"},
-    ],
-    ids=[
-        "tuple", "nested tuple", "str subclass", "top-level str subclass", "float subclass",
-        "top-level float subclass", "int subclass", "dict subclass", "empty dict subclass",
-        "int key", "null key", "float keys",
-    ],
-)
-def test_dumps_indent2_rejects_what_is_not_an_exact_json_type(doc):
-    _stdlib_text(doc)
-    with pytest.raises(TypeError):
-        _dumps_indent2(doc)
-
-
 _WORDS = st.text(_ANY_CHAR, max_size=5)
 _AGENT = st.integers(-2, 40)
 
 
 @st.composite
-def _episode_logs(draw, labelled: bool | None = None) -> EpisodeLog:
-    """An episode log with rounds numbered 1, 2, ...; with ground truth
-    when `labelled`, or drawn either way when it is None."""
+def _episode_logs(draw, labelled: bool | None = None, nan: bool = False) -> EpisodeLog:
+    """A log the episode reader accepts: rounds numbered 1, 2, ..., agents
+    that only leave, in any order, and edges between two distinct agents of
+    a round after the first. With ground truth when `labelled`, or drawn
+    either way when it is None. Scores are floats, infinities and -0.0
+    included, or ints (a score read from a file may be one); NaN only with `nan`."""
     answers = draw(st.lists(_WORDS, min_size=2, max_size=4, unique=True))
     task = Task(
         id=draw(_WORDS),
@@ -680,30 +592,36 @@ def _episode_logs(draw, labelled: bool | None = None) -> EpisodeLog:
         answer_space=tuple(answers),
         correct=draw(st.sampled_from(answers)),
     )
-    rounds, h, err = [], [], []
+    scores = st.floats(allow_nan=nan) | st.integers(-(2**70), 2**70)
+    rounds, h, err, comm = [], [], [], []
+    agents = draw(st.lists(_AGENT, max_size=4, unique=True))
     for t in range(1, draw(st.integers(0, 3)) + 1):
-        agents = draw(st.lists(_AGENT, max_size=4, unique=True))
         n = len(agents)
         words = st.lists(_WORDS, min_size=n, max_size=n)
+        pairs = st.permutations(agents).map(lambda order: (order[0], order[1]))
+        edges = draw(st.lists(pairs, max_size=4)) if t > 1 and n > 1 else []
+        removed = draw(st.none() | st.sampled_from(agents)) if agents else None
         rounds.append(
             RoundRecord(
                 t=t,
                 agents=agents,
                 responses=draw(words),
                 answers=draw(words),
-                edges=draw(st.lists(st.tuples(_AGENT, _AGENT), max_size=4)),
-                removed=draw(st.none() | st.sampled_from(agents)) if agents else None,
-                scores=draw(
-                    st.none() | st.lists(st.floats(allow_nan=False), min_size=n, max_size=n)
-                ),
+                edges=edges,
+                removed=removed,
+                scores=draw(st.none() | st.lists(scores, min_size=n, max_size=n)),
             )
         )
         h.append(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
         err.append(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        comm += [(t - 1, src, t, dst) for src, dst in edges]
+        agents = draw(st.permutations([a for a in agents if a != removed]))
     ground_truth = None
     if draw(st.booleans()) if labelled is None else labelled:
-        edges = st.lists(st.tuples(st.integers(1, 3), _AGENT, st.integers(1, 3), _AGENT), max_size=3)
-        ground_truth = GroundTruth(h=h, err=err, corrupted_edges=draw(edges))
+        corrupted = st.tuples(st.integers(1, 3), _AGENT, st.integers(1, 3), _AGENT)
+        if comm:
+            corrupted |= st.sampled_from(comm)
+        ground_truth = GroundTruth(h, err, draw(st.lists(corrupted, max_size=3)))
     return EpisodeLog(
         task=task,
         rounds=rounds,
@@ -713,12 +631,94 @@ def _episode_logs(draw, labelled: bool | None = None) -> EpisodeLog:
     )
 
 
+def _edge_case_log() -> EpisodeLog:
+    """Escapes, non-finite and int scores, negative ids, an empty edge list,
+    a corrupted edge and agents listed out of order."""
+    text = "caf\u00e9 \x00\x1f\u2028 \"quoted\" \\ \ud800"
+    non_finite = [float("nan"), float("inf"), -float("inf")]
+    rounds = [
+        RoundRecord(1, [-2, 0, 7], [text, "", "b"], [text, "8", "8"], [], -2, non_finite),
+        RoundRecord(2, [7, 0], ["x", "y"], ["8", text], [(0, 7), (7, 0)], None, [3, -0.0]),
+        RoundRecord(3, [0, 7], ["x", "y"], ["8", "8"], [], 7, [1e-320, 1e300]),
+    ]
+    h = [[True, False, False], [False, True], [False, False]]
+    err = [[False, False, False], [True, True], [True, False]]
+    truth = GroundTruth(h, err, [(1, 0, 2, 7)])
+    return EpisodeLog(Task(text, text, (text, "8"), "8"), rounds, truth, text, 7)
+
+
+_SPARSE_LOGS = [
+    _edge_case_log(),
+    _episode([]),  # no rounds, no ground truth
+    # the only agent leaves, and the next round is empty
+    _episode([RoundRecord(1, [5], ["a"], ["8"], [], 5, [0.5]), RoundRecord(2, [], [], [], [])]),
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_episode_logs(nan=True))
+@example(_SPARSE_LOGS[0])
+@example(_SPARSE_LOGS[1])
+@example(_SPARSE_LOGS[2])
+def test_episode_json_is_json_dumps_of_the_reference_document(log):
+    assert episode_to_json(log) == artifacts.json_text(artifacts.episode_doc(log))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_episode_logs(nan=True))
+@example(_SPARSE_LOGS[0])
+@example(_SPARSE_LOGS[1])
+@example(_SPARSE_LOGS[2])
+def test_graph_exports_equal_the_reference_renderings(log):
+    doc = artifacts.graph_doc(log)
+    assert export_episode_graph(log, fmt="json") == artifacts.json_text(doc)
+    assert export_episode_graph(log, fmt="dot") == artifacts.graph_dot(doc)
+
+
 @settings(max_examples=60, deadline=None)
 @given(_episode_logs())
 def test_episode_json_round_trip_is_identity(log):
     text = episode_to_json(log)
     assert episode_from_json(text) == log
     assert episode_to_json(episode_from_json(text)) == text
+
+
+def _rounds_text(*rounds) -> str:
+    """Episode JSON of an unlabelled log whose rounds are (agents, edges,
+    removed) triples; the writer takes any log."""
+    records = [
+        RoundRecord(t, agents, ["r"] * len(agents), ["8"] * len(agents), edges, removed)
+        for t, (agents, edges, removed) in enumerate(rounds, start=1)
+    ]
+    return episode_to_json(_episode(records))
+
+
+_LEAVE = "round 2 must list the agents of round 1 less the one it removed"
+_EDGE = "each edge of round 2 must join two distinct agents"
+
+
+@pytest.mark.parametrize(
+    "rounds, message",
+    [
+        ([([0, 1], [], 0), ([0, 1], [(1, 0)], 0)], _LEAVE),
+        ([([0, 1], [], None), ([1], [], None)], _LEAVE),
+        ([([0, 0], [], None)], "round 1 lists an agent twice"),
+        ([([0, 1], [(0, 1)], None)], "round 1 cannot have edges"),
+        ([([0, 1], [], None), ([0, 1], [(9, 9)], None)], _EDGE),
+        ([([0, 1], [], None), ([0, 1], [(1, 1)], None)], _EDGE),
+    ],
+    ids=[
+        "agent back after its removal",
+        "agent gone without a removal",
+        "agent twice in a round",
+        "edge in round 1",
+        "edge between agents outside the round",
+        "edge from an agent to itself",
+    ],
+)
+def test_episode_reader_rejects_logs_that_break_the_graph_invariants(rounds, message):
+    with pytest.raises(HarnessError, match=re.escape(f"episode JSON invalid: {message}")):
+        episode_from_json(_rounds_text(*rounds))
 
 
 # sha256 of what `_artifact_digests` writes, recorded before the indent-2
@@ -858,10 +858,6 @@ def _assert_dot_wellformed(text: str) -> None:
         elif stripped.startswith('"'):
             assert _DOT_NODE.match(line), line
     assert depth == 0
-
-
-def _episode(rounds):
-    return EpisodeLog(task=TASK, rounds=rounds, ground_truth=None, final_answer="8", api_calls=0)
 
 
 def _round(t, edges, scores=None):

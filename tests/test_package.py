@@ -4,7 +4,10 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import guardian
@@ -48,6 +51,22 @@ def test_one_module_speaks_http_and_the_package_reexports_nothing():
     # public names are imported from their modules, never from the package
     assert _imported_modules(ast.parse((package / "__init__.py").read_text())) == set()
     assert guardian.__all__ == ["__version__"]
+
+
+def test_importing_the_cli_loads_no_http_stack():
+    # urllib.request and http.client pull in email and ssl: start-up time
+    # that only remote runs need
+    code = (
+        "import sys, guardian.cli; "
+        "print(sorted({'http.client', 'urllib.request', 'email', 'ssl'} & set(sys.modules)))"
+    )
+    src = str(Path(guardian.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
 
 
 # Every value a caller can set. A new field or parameter is a new option:
