@@ -8,7 +8,7 @@ import re
 import artifacts
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from guardian.anomaly import POLICY_MODES
@@ -657,22 +657,72 @@ _SPARSE_LOGS = [
 
 @settings(max_examples=100, deadline=None)
 @given(_episode_logs(nan=True))
-@example(_SPARSE_LOGS[0])
-@example(_SPARSE_LOGS[1])
-@example(_SPARSE_LOGS[2])
 def test_episode_json_is_json_dumps_of_the_reference_document(log):
     assert episode_to_json(log) == artifacts.json_text(artifacts.episode_doc(log))
 
 
 @settings(max_examples=100, deadline=None)
 @given(_episode_logs(nan=True))
-@example(_SPARSE_LOGS[0])
-@example(_SPARSE_LOGS[1])
-@example(_SPARSE_LOGS[2])
 def test_graph_exports_equal_the_reference_renderings(log):
     doc = artifacts.graph_doc(log)
     assert export_episode_graph(log, fmt="json") == artifacts.json_text(doc)
     assert export_episode_graph(log, fmt="dot") == artifacts.graph_dot(doc)
+
+
+def _json_texts(log: EpisodeLog) -> list[str]:
+    return [episode_to_json(log), export_episode_graph(log, fmt="json")]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_episode_logs(nan=True))
+def test_dumps_indent2_matches_stdlib(log):
+    """Without the reference documents: each JSON artifact is what
+    ``json.dumps(sort_keys=True, indent=2)`` writes of the document it holds."""
+    for text in _json_texts(log):
+        assert text == artifacts.json_text(json.loads(text))
+
+
+def test_dumps_indent2_matches_stdlib_on_edge_cases():
+    for log in _SPARSE_LOGS:
+        episode, graph = _json_texts(log)
+        assert episode == artifacts.json_text(artifacts.episode_doc(log))
+        doc = artifacts.graph_doc(log)
+        assert graph == artifacts.json_text(doc)
+        assert export_episode_graph(log, fmt="dot") == artifacts.graph_dot(doc)
+
+
+def _scored(score) -> EpisodeLog:
+    """The edge-case log with `score` as the first score of its first round."""
+    log = _edge_case_log()
+    log.rounds[0].scores[0] = score
+    return log
+
+
+# a score json cannot write: no artifact either
+@pytest.mark.parametrize(
+    "score", [np.int64(3), np.bool_(True), {1, 2}, object()], ids=["numpy int", "numpy bool", "set", "object"]
+)
+def test_dumps_indent2_raises_what_stdlib_raises(score):
+    log = _scored(score)
+    for doc in (artifacts.episode_doc(log), artifacts.graph_doc(log)):
+        with pytest.raises(TypeError):
+            artifacts.json_text(doc)
+    with pytest.raises(TypeError):
+        episode_to_json(log)
+    with pytest.raises(TypeError):
+        export_episode_graph(log, fmt="json")
+
+
+# json writes these, but a score is an exact int or a float
+@pytest.mark.parametrize("score", [(1, 2), True], ids=["tuple", "int subclass"])
+def test_dumps_indent2_rejects_what_is_not_an_exact_json_type(score):
+    log = _scored(score)
+    artifacts.json_text(artifacts.episode_doc(log))
+    artifacts.json_text(artifacts.graph_doc(log))
+    with pytest.raises(TypeError):
+        episode_to_json(log)
+    with pytest.raises(TypeError):
+        export_episode_graph(log, fmt="json")
 
 
 @settings(max_examples=60, deadline=None)
