@@ -437,14 +437,14 @@ class _Pass:
         # cross-entropy through the sigmoid; the clamp passes gradient straight through
         d_logits = (self.edge_probs - h.target) * (c_stru / (n * n))
 
-        np.matmul(self.dec_h.T, d_x_hat, out=g["dec.w1"])
+        np.dot(self.dec_h.T, d_x_hat, out=g["dec.w1"])
         g["dec.b1"][:] = d_x_hat.sum(axis=0)
         d_dec = (d_x_hat @ w["dec.w1"].T) * (self.dec_pre > 0.0)
-        np.matmul(self.fused.T, d_dec, out=g["dec.w0"])
+        np.dot(self.fused.T, d_dec, out=g["dec.w0"])
         g["dec.b0"][:] = d_dec.sum(axis=0)
         d_fused = d_dec @ w["dec.w0"].T + (d_logits + d_logits.T) @ self.fused
 
-        np.matmul(self.context.T, d_fused, out=g["attn.wv"])
+        np.dot(self.context.T, d_fused, out=g["attn.wv"])
         d_context = d_fused @ w["attn.wv"].T
         if h.single:
             # With the weight 1.0, d_attn - inner == 0 exactly: the scores,
@@ -461,8 +461,8 @@ class _Pass:
             d_seq += d_scores[:, :, None] * self.u[:, None, :]
             d_u = (d_scores[:, None, :] @ self.seq)[:, 0]
             d_q = d_u @ w["attn.wk"]
-            np.matmul(d_u.T, self.q, out=g["attn.wk"])
-            np.matmul(self.seq[:, -1].T, d_q, out=g["attn.wq"])
+            np.dot(d_u.T, self.q, out=g["attn.wk"])
+            np.dot(self.seq[:, -1].T, d_q, out=g["attn.wq"])
             d_seq[:, -1] += d_q @ w["attn.wq"].T
             d_z = np.zeros((h.rows, d))
             d_z[h.gather] = d_seq
@@ -474,15 +474,39 @@ class _Pass:
             d_log_var += d_z * self.noise * self.std * 0.5
         d_hidden[:, d:] = d_log_var * (self.log_var == self.log_var_raw)  # not clamped
 
-        np.matmul(self.a_hat_h1.T, d_hidden, out=g["gcn.w1"])
+        np.dot(self.a_hat_h1.T, d_hidden, out=g["gcn.w1"])
         d_h1 = h.a_hat.T @ (d_hidden @ w["gcn.w1"].T)
         d_h1 *= self.h1_pre > 0.0
-        np.matmul(h.a_hat_x.T, d_h1, out=g["gcn.w0"])
+        np.dot(h.a_hat_x.T, d_h1, out=g["gcn.w0"])
 
 
 # Epochs of noise drawn in one call: a fit at the default epoch counts
 # draws once, and a long one holds at most this many epochs' noise.
 _NOISE_EPOCHS = 64
+
+
+def _movable(history: _History, params: ParamStore) -> dict[str, np.ndarray | None]:
+    """The entries a fit over ``history`` can change: name -> None for the
+    whole entry, or the indices of its rows that can change.
+
+    An entry whose gradient is +-0.0 in every epoch and whose moments are
+    +0.0 keeps its value and moments under Adam bit for bit, so the fit
+    leaves it out. That holds of attn.wk and attn.wq in a one-snapshot
+    fit, whose gradients backward fills with 0, while their moments are
+    zero; and of row i of gcn.w0 while its moments are zero, where column
+    i of ``a_hat_x`` is zero (the embedder fills a few of its buckets), as
+    that row's gradient is the column times a finite ``d_h1``. A
+    non-finite ``d_h1`` makes every row's gradient non-finite in the same
+    column, so stepping any row of gcn.w0 lets Adam's check see it: with
+    no row that can move, gcn.w0 is stepped whole.
+    """
+    rows: dict[str, np.ndarray | None] = dict.fromkeys(params.names())
+    if history.single and all(params.moments_are_zero(n).all() for n in ("attn.wk", "attn.wq")):
+        del rows["attn.wk"], rows["attn.wq"]
+    live = history.a_hat_x.any(axis=0) | ~params.moments_are_zero("gcn.w0")
+    if live.any() and not live.all():
+        rows["gcn.w0"] = np.flatnonzero(live)
+    return rows
 
 
 def fit(
@@ -499,32 +523,49 @@ def fit(
     fit (per ``_NOISE_EPOCHS`` epochs of a longer one): one ``(epochs,
     rows, d)`` draw gives the same values, and leaves ``rng`` in the same
     state, as one ``(rows, d)`` draw per epoch.
+
+    Adam steps only the entries that can move (``_movable``), gathered into
+    one store for the fit and written back when it ends, so the store ends
+    bit for bit as full steps would leave it. The forward pass reads the
+    gathered entries taken whole and the full gcn.w0, whose moving rows are
+    copied back after each step; backward writes the full gcn.w0 gradient,
+    whose moving rows are gathered before it.
     """
     history = _history(batch, cfg)
     coefficients = (cfg.alpha, 1.0 - cfg.alpha, cfg.gamma)
+    rows = _movable(history, params)
+    live = params.gather(rows)
     values = dict(params.entries())
     grads = {name: params.grad(name) for name in values}
-    # attn.wk and attn.wq lead the name-ordered layout. A one-snapshot pass
-    # gives them zero gradients, so while their moments are zero Adam's
-    # update of them is exactly 0, for the whole fit: the step skips them.
-    idle = 2 * cfg.d * cfg.d
-    start = idle if history.single and params.moments_are_zero(idle) else 0
+    subsets = []
+    for name, index in rows.items():
+        if index is None:
+            values[name], grads[name] = live.value(name), live.grad(name)
+        else:
+            subsets.append((index, values[name], grads[name], live.value(name), live.grad(name)))
     trace: list[LossBreakdown] = []
-    with np.errstate(over="ignore", invalid="ignore"):  # the loss check below reports it
-        for epoch in range(epochs):
-            at = epoch % _NOISE_EPOCHS
-            if at == 0:
-                noise = rng.standard_normal(
-                    (min(_NOISE_EPOCHS, epochs - epoch), history.rows, cfg.d)
-                )
-            step = _Pass(history, values, noise[at])
-            if not math.isfinite(step.breakdown.l_total):
-                raise TrainingDiverged(
-                    epoch, trace[-1] if trace else None, f"non-finite loss {step.breakdown}"
-                )
-            trace.append(step.breakdown)
-            step.backward(grads, *coefficients)
-            nm.adam_step(params, lr=cfg.lr, start=start)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # the loss check below reports it
+            for epoch in range(epochs):
+                at = epoch % _NOISE_EPOCHS
+                if at == 0:
+                    noise = rng.standard_normal(
+                        (min(_NOISE_EPOCHS, epochs - epoch), history.rows, cfg.d)
+                    )
+                step = _Pass(history, values, noise[at])
+                if not math.isfinite(step.breakdown.l_total):
+                    raise TrainingDiverged(
+                        epoch, trace[-1] if trace else None, f"non-finite loss {step.breakdown}"
+                    )
+                trace.append(step.breakdown)
+                step.backward(grads, *coefficients)
+                for index, _, grad, _, live_grad in subsets:
+                    np.take(grad, index, axis=0, out=live_grad, mode="clip")
+                nm.adam_step(live, lr=cfg.lr)
+                for index, value, _, live_value, _ in subsets:
+                    value[index] = live_value
+    finally:
+        params.scatter(live)
     return trace
 
 

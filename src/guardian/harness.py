@@ -208,8 +208,8 @@ def parse_config_file(path: str | Path) -> dict[str, object]:
     parsed value; a bad line, key or value raises HarnessError naming the
     file and line."""
     try:
-        text = Path(path).read_text()
-    except OSError as err:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as err:
         raise HarnessError(f"cannot read config {path}: {err}") from err
     result: dict[str, object] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -276,8 +276,8 @@ def load_corpus(path: str | Path) -> list[Task]:
     tasks = []
     first_line: dict[str, int] = {}
     try:
-        text = Path(path).read_text()
-    except OSError as err:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as err:
         raise HarnessError(f"cannot read corpus {path}: {err}") from err
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -605,7 +605,9 @@ def _episode_from_doc(doc) -> EpisodeLog:
     ... in order, no agent twice in a round, each round listing the agents
     of the one before less the agent it removed (as
     ``TemporalGraph.append_snapshot`` requires), and each edge joining two
-    distinct agents of its round, which for round 1 means no edges."""
+    distinct agents of its round, which for round 1 means no edges. Each
+    corrupted edge ``(s, src, s + 1, dst)`` must be the edge ``(src, dst)``
+    of round s + 1."""
     _need(type(doc) is dict, "top level must be an object")
     _need(set(doc) == {"task", "rounds", "ground_truth", "final_answer", "api_calls"}, "bad keys")
     t = doc["task"]
@@ -679,6 +681,13 @@ def _episode_from_doc(doc) -> EpisodeLog:
                 f"{key} rows must be one bool per agent",
             )
         _need(_is_int_rows(gt["corrupted_edges"], 4), "corrupted_edges must be lists of 4 ints")
+        for edge in gt["corrupted_edges"]:
+            src_t, src, dst_t, dst = edge
+            _need(
+                1 <= src_t and dst_t == src_t + 1 <= len(rounds)
+                and (src, dst) in rounds[dst_t - 1].edges,
+                f"corrupted edge {edge} must name a communication edge of the log",
+            )
         gt = GroundTruth(gt["h"], gt["err"], list(map(tuple, gt["corrupted_edges"])))
     return EpisodeLog(task, rounds, gt, doc["final_answer"], api_calls)
 

@@ -79,28 +79,48 @@ class ParamStore:
 
     def __init__(self, entries: Mapping[str, object]) -> None:
         arrays = {name: np.asarray(entries[name], dtype=np.float64) for name in sorted(entries)}
-        total = 0
         for name, arr in arrays.items():
             if arr.ndim != 2:
                 raise NumericsError(f"parameter {name!r} must be 2-D, got ndim={arr.ndim}")
-            total += arr.size
-        self._value, self._grad = np.empty(total), np.zeros(total)
-        self._values: dict[str, np.ndarray] = {}
-        self._grads: dict[str, np.ndarray] = {}
-        offset = 0
+        total = sum(arr.size for arr in arrays.values())
+        self._lay_out(
+            {name: arr.shape for name, arr in arrays.items()},
+            (np.empty(total), np.zeros(total), np.zeros(total), np.zeros(total)),
+            (np.empty(total), np.empty(total)),
+        )
         for name, arr in arrays.items():
-            end = offset + arr.size
-            self._values[name] = self._value[offset:end].reshape(arr.shape)
             self._values[name][...] = arr
-            self._grads[name] = self._grad[offset:end].reshape(arr.shape)
-            offset = end
         if not np.all(np.isfinite(self._value)):
             name = next(n for n, v in self._values.items() if not np.all(np.isfinite(v)))
             raise NonFiniteError(f"parameter {name!r} contains non-finite values")
-        self._m, self._v = np.zeros(total), np.zeros(total)
+
+    def _lay_out(
+        self,
+        shapes: Mapping[str, tuple[int, int]],
+        buffers: tuple[np.ndarray, ...],
+        scratch: tuple[np.ndarray, np.ndarray],
+    ) -> None:
+        """Lay entries of these shapes out, in this order, over the leading
+        elements of flat buffers for the values, gradients and both moments,
+        and of ``adam_step``'s two temporaries."""
+        total = sum(rows * cols for rows, cols in shapes.values())
+        # buffers of the exact size are used as they are: the entries' views are then views of them
+        self._value, self._grad, self._m, self._v = (
+            b if b.size == total else b[:total] for b in buffers
+        )
+        self._scratch = (scratch[0][:total], scratch[1][:total])
+        self._values: dict[str, np.ndarray] = {}
+        self._grads: dict[str, np.ndarray] = {}
+        self._spans: dict[str, slice] = {}
+        offset = 0
+        for name, shape in shapes.items():
+            span = self._spans[name] = slice(offset, offset + shape[0] * shape[1])
+            self._values[name] = self._value[span].reshape(shape)
+            self._grads[name] = self._grad[span].reshape(shape)
+            offset = span.stop
         self.step = 0
-        # adam_step's temporaries
-        self._scratch = (np.empty(total), np.empty(total))
+        self._spare: tuple[np.ndarray, ...] | None = None  # gather's buffers, made on first use
+        self._runs: list[tuple] = []  # for a gathered store, the copies that filled it
 
     def names(self) -> list[str]:
         return list(self._values)
@@ -114,10 +134,67 @@ class ParamStore:
     def zero_grads(self) -> None:
         self._grad[:] = 0.0
 
-    def moments_are_zero(self, stop: int) -> bool:
-        """Whether both Adam moments hold +0.0, bit for bit, in the first
-        ``stop`` entries of the name-ordered layout."""
-        return not (self._m[:stop].view(np.uint64).any() or self._v[:stop].view(np.uint64).any())
+    def moments_are_zero(self, name: str) -> np.ndarray:
+        """Per row of entry ``name``, whether both Adam moments hold +0.0,
+        bit for bit, in every column."""
+        span, shape = self._spans[name], self._values[name].shape
+        bits = self._m[span].view(np.uint64) | self._v[span].view(np.uint64)
+        return np.bitwise_or.reduce(bits.reshape(shape), axis=1) == 0
+
+    def gather(self, rows: Mapping[str, np.ndarray | None]) -> "ParamStore":
+        """A store of the entries named in ``rows``, each whole (None) or
+        only the given rows of it, holding their values, gradients, moments
+        and this store's step; ``scatter`` writes it back.
+
+        Entries taken whole that lie next to each other in this store's
+        layout are copied as one slice. The gathered store lives in buffers
+        this store keeps for it, and steps in this store's temporaries, so
+        it is valid until the next ``gather``.
+        """
+        runs: list[tuple] = []  # (span here, span there, row index or None, columns)
+        shapes = {}
+        at = 0
+        for name, span in self._spans.items():
+            if name not in rows:
+                continue
+            index, shape = rows[name], self._values[name].shape
+            if index is not None:
+                shape = (len(index), shape[1])
+            elif runs and runs[-1][2] is None and runs[-1][0].stop == span.start:
+                src, dst, _, _ = runs.pop()
+                span, at = slice(src.start, span.stop), dst.start
+            shapes[name] = shape
+            size = span.stop - span.start if index is None else shape[0] * shape[1]
+            runs.append((span, slice(at, at + size), index, shape[1]))
+            at += size
+        if self._spare is None:
+            self._spare = tuple(np.empty(self._value.size) for _ in range(4))
+        part = ParamStore.__new__(ParamStore)
+        part._lay_out(shapes, self._spare, self._scratch)
+        for src, dst, index, cols in runs:
+            for mine, theirs in zip(self._buffers(), part._buffers()):
+                if index is None:
+                    theirs[dst] = mine[src]
+                else:
+                    out = theirs[dst].reshape(-1, cols)
+                    np.take(mine[src].reshape(-1, cols), index, axis=0, out=out, mode="clip")
+        part.step = self.step
+        part._runs = runs
+        return part
+
+    def scatter(self, part: "ParamStore") -> None:
+        """Write the values, gradients, moments and step of ``part``, which
+        this store's ``gather`` made, back into the entries and rows it holds."""
+        for src, dst, index, cols in part._runs:
+            for mine, theirs in zip(self._buffers(), part._buffers()):
+                if index is None:
+                    mine[src] = theirs[dst]
+                else:
+                    mine[src].reshape(-1, cols)[index] = theirs[dst].reshape(-1, cols)
+        self.step = part.step
+
+    def _buffers(self) -> tuple[np.ndarray, ...]:
+        return self._value, self._grad, self._m, self._v
 
     def clone(self) -> "ParamStore":
         return ParamStore(self._values)
@@ -131,24 +208,24 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-def adam_step(store: ParamStore, lr: float, start: int) -> None:
-    """One bias-corrected Adam update of the store's entries from flat index
-    ``start`` on, vectorised over them.
+def adam_step(store: ParamStore, lr: float) -> None:
+    """One bias-corrected Adam update of every entry of the store,
+    vectorised over them.
 
     Elementwise it is the textbook per-entry update with ``ADAM_BETA1``,
     ``ADAM_BETA2`` and ``ADAM_EPS``, in the same order of operations, so the
     result is bit-identical to updating entry by entry. An entry whose
-    gradient and both moments are +0.0 gets the update 0 and keeps its
-    moments, so skipping the entries before ``start`` equals the full step
-    bit for bit where that holds of each of them (``moments_are_zero``
-    checks the moments). Temporaries live in the store's two scratch
-    buffers. Gradients are left untouched; the caller decides when to zero
-    them.
+    gradient is +-0.0 and whose moments are +0.0 gets the update 0 and keeps
+    its moments, so stepping a store ``gather``ed without such entries, and
+    scattering it back, equals the full step bit for bit
+    (``moments_are_zero`` checks the moments). Temporaries live in the
+    store's two scratch buffers. Gradients are left untouched; the caller
+    decides when to zero them.
     """
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     store.step += 1
-    value, g, m, v = (a[start:] for a in (store._value, store._grad, store._m, store._v))
-    update, denom = (a[start:] for a in store._scratch)
+    value, g, m, v = store._value, store._grad, store._m, store._v
+    update, denom = store._scratch
     m *= b1
     np.multiply(g, 1.0 - b1, out=update)
     m += update
@@ -165,7 +242,6 @@ def adam_step(store: ParamStore, lr: float, start: int) -> None:
     value -= update
     # A sum is finite only if every element is; finite values whose sum
     # overflows fall through to the elementwise scan, which clears them.
-    # Entries before `start` kept their finite values.
     if not math.isfinite(np.add.reduce(value)) and not np.all(np.isfinite(value)):
         name = next(n for n, e in store.entries() if not np.all(np.isfinite(e)))
         raise NonFiniteError(f"parameter {name!r} diverged during adam_step")

@@ -414,6 +414,27 @@ def test_cli_corpus_line_with_one_answer_fails_naming_the_line(tmp_path, capsys)
     assert capsys.readouterr().err.startswith(f"error: {corpus}:2: ")
 
 
+def test_cli_config_file_not_utf8_fails_naming_it(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_bytes(b"n_tasks = 2\n# caf\xff\n")
+    code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: cannot read config {cfg}: ") and err.count("\n") == 1, err
+    assert "can't decode byte 0xff" in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_cli_corpus_not_utf8_fails_naming_it(tmp_path, capsys):
+    corpus = tmp_path / "corpus.tsv"
+    corpus.write_bytes(b"t0\tq\xff\t8|9\t0\n")
+    code = main(["simulate", *_fast_flags(tmp_path), "--corpus", str(corpus)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: cannot read corpus {corpus}: ") and err.count("\n") == 1, err
+    assert "can't decode byte 0xff" in err
+
+
 def test_cli_flag_overrides_config(tmp_path):
     out = tmp_path / "run"
     cfg = tmp_path / "exp.cfg"

@@ -539,6 +539,8 @@ _MALFORMED = {
     "label row is a number": _episode_doc(ground_truth__h__0=1),
     "label is a number": _episode_doc(ground_truth__err__0__0=0),
     "corrupted edge holds a string": _episode_doc(ground_truth__corrupted_edges=[[1, 0, 2, "1"]]),
+    "corrupted edge names no edge": _episode_doc(ground_truth__corrupted_edges=[[9, 9, 9, 9]]),
+    "corrupted edge runs backwards": _episode_doc(ground_truth__corrupted_edges=[[2, 0, 1, 5]]),
     "task is a list": _episode_doc(task=[]),
     "answer_space is a string": _episode_doc(task__answer_space="8|57"),
     "api_calls is a bool": _episode_doc(api_calls=True),
@@ -582,7 +584,8 @@ _AGENT = st.integers(-2, 40)
 def _episode_logs(draw, labelled: bool | None = None, nan: bool = False) -> EpisodeLog:
     """A log the episode reader accepts: rounds numbered 1, 2, ..., agents
     that only leave, in any order, and edges between two distinct agents of
-    a round after the first. With ground truth when `labelled`, or drawn
+    a round after the first, some of them marked corrupted in the ground
+    truth. With ground truth when `labelled`, or drawn
     either way when it is None. Scores are floats, infinities and -0.0
     included, or ints (a score read from a file may be one); NaN only with `nan`."""
     answers = draw(st.lists(_WORDS, min_size=2, max_size=4, unique=True))
@@ -618,10 +621,8 @@ def _episode_logs(draw, labelled: bool | None = None, nan: bool = False) -> Epis
         agents = draw(st.permutations([a for a in agents if a != removed]))
     ground_truth = None
     if draw(st.booleans()) if labelled is None else labelled:
-        corrupted = st.tuples(st.integers(1, 3), _AGENT, st.integers(1, 3), _AGENT)
-        if comm:
-            corrupted |= st.sampled_from(comm)
-        ground_truth = GroundTruth(h, err, draw(st.lists(corrupted, max_size=3)))
+        corrupted = draw(st.lists(st.sampled_from(comm), max_size=3)) if comm else []
+        ground_truth = GroundTruth(h, err, corrupted)
     return EpisodeLog(
         task=task,
         rounds=rounds,

@@ -120,7 +120,7 @@ def test_softmax_rows_sum_to_one(rows):
 
 def test_adam_zero_gradient_keeps_values():
     store = ParamStore({"w": [[1.5, -2.0]]})
-    adam_step(store, lr=0.1, start=0)
+    adam_step(store, lr=0.1)
     assert store.value("w").tolist() == [[1.5, -2.0]]
 
 
@@ -128,7 +128,7 @@ def test_adam_first_step_hand_computed():
     # grad = 1: m_hat = 1, v_hat = 1, step = lr * 1 / (1 + eps) ~= lr
     store = ParamStore({"w": [[0.0]]})
     store.grad("w")[:] = 1.0
-    adam_step(store, lr=0.1, start=0)
+    adam_step(store, lr=0.1)
     assert abs(store.value("w")[0, 0] + 0.1) < 1e-8
     assert store.step == 1
 
@@ -138,7 +138,7 @@ def test_adam_identical_entries_stay_identical():
     store.grad("a")[:] = [[0.2, -0.1]]
     store.grad("b")[:] = [[0.2, -0.1]]
     for _ in range(5):
-        adam_step(store, lr=0.05, start=0)
+        adam_step(store, lr=0.05)
     assert store.value("a").tolist() == store.value("b").tolist()
 
 
@@ -147,7 +147,7 @@ def test_adam_deterministic():
         store = ParamStore({"w": [[1.0, 2.0]]})
         store.grad("w")[:] = [[0.5, -0.25]]
         for _ in range(3):
-            adam_step(store, lr=0.01, start=0)
+            adam_step(store, lr=0.01)
         return store.value("w").copy()
 
     assert np.array_equal(run(), run())
@@ -182,7 +182,7 @@ def test_adam_flat_store_bit_identical_to_per_entry_update():
     for g in grads:
         for n in shapes:
             store.grad(n)[:] = g[n]
-        adam_step(store, lr=0.02, start=0)
+        adam_step(store, lr=0.02)
     expected = _adam_per_entry(values, grads, len(grads), lr=0.02)
     for n in shapes:
         assert store.value(n).tobytes() == expected[n].tobytes()
@@ -198,35 +198,88 @@ def test_adam_flat_store_bit_identical_to_per_entry_update():
     st.integers(0, 2**32 - 1),
 )
 def test_adam_skipping_an_idle_leading_span_equals_the_full_step(idle_rows, rows, steps, lr, seed):
-    # entries before `start` whose gradients and moments are zero, as attn.wk
-    # and attn.wq are in a one-snapshot fit from fresh moments
+    # entries whose gradients and moments are zero, as attn.wk and attn.wq
+    # are in a one-snapshot fit from fresh moments and the rows of gcn.w0
+    # for empty embedder buckets: a store gathered without them, stepped
+    # and scattered back, equals the full step
     rng = np.random.default_rng(seed)
-    values = {"a": rng.normal(size=(idle_rows, 3)), "b": rng.normal(size=(rows, 2))}
-    values["a"][0, 0] = -0.0  # x - 0.0 keeps the sign of a zero
-    start = values["a"].size
+    values = {
+        "a": rng.normal(size=(idle_rows, 3)),
+        "b": rng.normal(size=(rows, 2)),
+        "c": rng.normal(size=(rows + 2, 2)),
+    }
+    values["a"][0, 0] = values["c"][0, 0] = -0.0  # x - 0.0 keeps the sign of a zero
+    moving = np.sort(rng.choice(rows + 2, size=rng.integers(1, rows + 3), replace=False))
+    kept = {"b": None, "c": moving}
     partial, full = ParamStore(values), ParamStore(values)
-    assert partial.moments_are_zero(start)
+    assert partial.moments_are_zero("a").all() and partial.moments_are_zero("c").all()
+    part = partial.gather(kept)
+    assert part.names() == ["b", "c"] and part.value("c").shape == (len(moving), 2)
     for _ in range(steps):
-        g = rng.normal(size=(rows, 2)) * 10.0 ** rng.integers(-6, 3, size=(rows, 2))
-        g[rng.random((rows, 2)) < 0.2] = 0.0
-        for store in (partial, full):
-            store.grad("b")[:] = g
-        adam_step(partial, lr=lr, start=start)
-        adam_step(full, lr=lr, start=0)
+        g = {}
+        for name in ("b", "c"):
+            shape = values[name].shape
+            g[name] = rng.normal(size=shape) * 10.0 ** rng.integers(-6, 3, size=shape)
+            g[name][rng.random(shape) < 0.2] = 0.0
+        g["c"][np.setdiff1d(np.arange(rows + 2), moving)] = 0.0
+        for name in g:
+            full.grad(name)[:] = g[name]
+        part.grad("b")[:] = g["b"]
+        part.grad("c")[:] = g["c"][moving]
+        adam_step(part, lr=lr)
+        adam_step(full, lr=lr)
+    partial.scatter(part)
+    # the gathered store held no gradient of the rows left out
+    partial.grad("c")[:] = full.grad("c")
     for buffer in ("_value", "_grad", "_m", "_v"):
         assert getattr(partial, buffer).tobytes() == getattr(full, buffer).tobytes(), buffer
     assert partial.step == full.step == steps
-    assert partial.moments_are_zero(start)
+    assert partial.moments_are_zero("a").all()
 
 
 def test_moments_are_zero_compares_bits():
-    store = ParamStore({"a": [[1.0, 2.0]], "b": [[3.0]]})
-    assert store.moments_are_zero(3)
+    store = ParamStore({"a": [[1.0, 2.0], [3.0, 4.0]], "b": [[3.0]]})
+    assert store.moments_are_zero("a").tolist() == [True, True]
+    assert store.moments_are_zero("b").tolist() == [True]
     store.grad("b")[:] = 1.0
-    adam_step(store, lr=0.1, start=0)
-    assert store.moments_are_zero(2) and not store.moments_are_zero(3)
+    store.grad("a")[1, 1] = 1.0
+    adam_step(store, lr=0.1)
+    assert store.moments_are_zero("a").tolist() == [True, False]
+    assert store.moments_are_zero("b").tolist() == [False]
     store._m[0] = -0.0  # a full step would turn it into +0.0
-    assert not store.moments_are_zero(2)
+    assert store.moments_are_zero("a").tolist() == [False, False]
+
+
+def test_gather_copies_the_entries_and_rows_it_names_and_scatter_writes_them_back():
+    rng = np.random.default_rng(8)
+    shapes = {"a": (2, 3), "b": (1, 2), "c": (4, 2), "d": (2, 2), "e": (3, 1)}
+    store = ParamStore({name: rng.normal(size=shape) for name, shape in shapes.items()})
+    for buffer in (store._grad, store._m, store._v):
+        buffer[:] = rng.normal(size=buffer.size)
+    store.step = 7
+    rows = {"a": None, "b": None, "c": np.array([0, 2, 3]), "e": None}
+    part = store.gather(rows)
+    # one slice for a and b, one row gather for c, one slice for e
+    assert [index is None for _, _, index, _ in part._runs] == [True, False, True]
+    assert part.names() == ["a", "b", "c", "e"] and part.step == 7
+    for mine, theirs in zip(store._buffers(), part._buffers()):
+        views = {name: mine[store._spans[name]].reshape(shape) for name, shape in shapes.items()}
+        expected = [views["a"], views["b"], views["c"][rows["c"]], views["e"]]
+        assert theirs.tobytes() == b"".join(v.tobytes() for v in expected)
+    before = [buffer.copy() for buffer in store._buffers()]
+    for buffer in part._buffers():
+        buffer[:] = rng.normal(size=buffer.size)
+    part.step = 9
+    store.scatter(part)
+    assert store.step == 9
+    for old, mine, theirs in zip(before, store._buffers(), part._buffers()):
+        views = {name: mine[store._spans[name]].reshape(shape) for name, shape in shapes.items()}
+        olds = {name: old[store._spans[name]].reshape(shape) for name, shape in shapes.items()}
+        got = [views["a"], views["b"], views["c"][rows["c"]], views["e"]]
+        assert theirs.tobytes() == b"".join(v.tobytes() for v in got)
+        # what was not gathered is untouched
+        assert views["d"].tobytes() == olds["d"].tobytes()
+        assert views["c"][1].tobytes() == olds["c"][1].tobytes()
 
 
 def test_param_store_entries_are_views_of_the_flat_buffers():
@@ -236,7 +289,7 @@ def test_param_store_entries_are_views_of_the_flat_buffers():
     tape.sum_all(tape.scale(leaf, 2.0)).backward()
     assert store.grad("b").tolist() == [[2.0], [2.0]]
     store.grad("a")[:] = 1.0
-    adam_step(store, lr=0.5, start=0)
+    adam_step(store, lr=0.5)
     assert leaf.data.tolist() != [[3.0], [4.0]]  # the leaf sees the update
     store.zero_grads()
     assert not store.grad("a").any() and not store.grad("b").any()
@@ -280,7 +333,7 @@ def test_param_store_from_mapping_rejects_what_add_rejects():
 def test_param_store_clone_is_independent_of_its_source():
     store = ParamStore({"a": [[1.0, 2.0]], "b": [[3.0]]})
     store.grad("a")[:] = 1.0
-    adam_step(store, lr=0.1, start=0)
+    adam_step(store, lr=0.1)
     copy = store.clone()
     assert copy.names() == store.names() and copy.step == 0
     assert not copy.grad("a").any()
@@ -289,7 +342,7 @@ def test_param_store_clone_is_independent_of_its_source():
     before = store.value("a").copy()
     copy.value("a")[:] = 0.0
     copy.grad("b")[:] = 5.0
-    adam_step(copy, lr=0.1, start=0)
+    adam_step(copy, lr=0.1)
     assert store.value("a").tobytes() == before.tobytes()
     assert not store.grad("b").any() and store.step == 1
     store.value("b")[:] = -7.0
@@ -299,7 +352,7 @@ def test_param_store_clone_is_independent_of_its_source():
 def test_adam_steps_a_finite_store_whose_sum_overflows():
     store = ParamStore({"a": [[1e308]], "b": [[1e308]]})
     with np.errstate(over="ignore"):  # the finite check's sum overflows to inf
-        adam_step(store, lr=0.1, start=0)
+        adam_step(store, lr=0.1)
     assert store.value("a").tolist() == [[1e308]] and store.value("b").tolist() == [[1e308]]
 
 
@@ -307,14 +360,14 @@ def test_adam_names_the_parameter_a_nan_reaches():
     store = ParamStore({"a": [[0.0, 1.0]], "b": [[2.0]], "c": [[3.0]]})
     store.grad("b")[:] = np.nan
     with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError, match="'b' diverged"):
-        adam_step(store, lr=0.1, start=0)
+        adam_step(store, lr=0.1)
 
 
 def test_adam_names_the_diverged_parameter():
     store = ParamStore({"a": [[0.0]], "b": [[1e308]]})
     store.grad("b")[:] = -1.0
     with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="'b' diverged"):
-        adam_step(store, lr=1e308, start=0)
+        adam_step(store, lr=1e308)
 
 
 def test_grad_check_quadratic_is_tight():

@@ -88,7 +88,7 @@ _SETTABLE = {
     AgentSpec: ["id", "p_correct", "p_follow", "role_prompt"],
     AttackPlan: ["kind", "seed", "persuasion"],
     RemoteAgentConfig: ["url", "token", "timeout"],
-    adam_step: ["store", "lr", "start"],
+    adam_step: ["store", "lr"],
     fit: ["batch", "cfg", "params", "rng", "epochs"],
     infer: ["batch", "cfg", "params"],
     run_episode: [
