@@ -78,12 +78,12 @@ def _make_out_dir(out: Path | None) -> None:
         raise HarnessError(f"cannot write to {out}: {err}") from err
 
 
-def _report_lines(cfg: ExperimentConfig, report) -> str:
+def _report_lines(episodes: str, report) -> str:
     def show(v):
         return "n/a" if v is None else f"{v:.4f}"
 
     return (
-        f"episodes: {cfg.trials} trial(s) x corpus\n"
+        f"episodes: {episodes}\n"
         f"accuracy:        {show(report.accuracy)}\n"
         f"detection_rate:  {show(report.detection_rate)}\n"
         f"fdr:             {show(report.fdr)}\n"
@@ -96,7 +96,7 @@ def _cmd_run(args: argparse.Namespace, defense: bool) -> int:
     cfg = _config_from_args(args, defense=defense)
     _make_out_dir(args.out)
     report, _ = run_experiment(cfg, out_dir=args.out)
-    sys.stdout.write(_report_lines(cfg, report))
+    sys.stdout.write(_report_lines(f"{cfg.trials} trial(s) x corpus", report))
     if args.out:
         sys.stdout.write(f"artifacts written to {args.out}\n")
     return 0
@@ -128,7 +128,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 def _read_episode(path: Path) -> EpisodeLog:
     """One episode JSON file; every way it can be unusable is a HarnessError naming it."""
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as err:
         raise HarnessError(f"cannot read episode {path}: {err}") from err
     try:
@@ -138,7 +138,10 @@ def _read_episode(path: Path) -> EpisodeLog:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args, defense=True)
+    """Score the episode files under ``--logs``. The metrics CSV's
+    ``config_hash`` and ``trials`` are those of the config given here, so
+    the run's own flags or config file reproduce its row."""
+    cfg = _config_from_args(args)
     _make_out_dir(args.out)
     logs_dir = Path(args.logs)
     paths = sorted(logs_dir.glob("*.json"))
@@ -148,7 +151,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     report = compute_metrics(
         logs, decay=cfg.decay, decay_lambda=cfg.decay_lambda, pooling=cfg.pooling
     )
-    sys.stdout.write(_report_lines(cfg, report))
+    sys.stdout.write(_report_lines(f"{len(logs)} file(s) under {logs_dir}", report))
     if args.out:
         write_artifact(args.out / "metrics.csv", metrics_csv(cfg, report))
         sys.stdout.write(f"metrics written to {args.out / 'metrics.csv'}\n")

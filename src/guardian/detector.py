@@ -158,7 +158,13 @@ def compose_losses(
 
 
 def _param_shapes(cfg: DetectorConfig) -> dict[str, tuple[int, int]]:
-    """Every parameter's (rows, cols), in name order; ``.b*`` names are biases."""
+    """Every parameter's (rows, cols), in the order of the store's layout;
+    ``.b*`` names are biases.
+
+    What a fit can freeze lies at the two ends (see ``_movable``): the
+    attention query and key first, gcn.w0 last, so that Adam steps one
+    contiguous span of the store.
+    """
     k, d = cfg.k, cfg.d
     return {
         "attn.wk": (d, d),
@@ -168,8 +174,8 @@ def _param_shapes(cfg: DetectorConfig) -> dict[str, tuple[int, int]]:
         "dec.b1": (1, k),
         "dec.w0": (d, d),
         "dec.w1": (d, k),
-        "gcn.w0": (k, 2 * d),
         "gcn.w1": (2 * d, 2 * d),
+        "gcn.w0": (k, 2 * d),
     }
 
 
@@ -182,7 +188,9 @@ def init_params(cfg: DetectorConfig, rng: np.random.Generator) -> ParamStore:
         bound = math.sqrt(6.0 / sum(shape))
         return rng.uniform(-bound, bound, size=shape)
 
-    return ParamStore({name: value(name, shape) for name, shape in _param_shapes(cfg).items()})
+    shapes = _param_shapes(cfg)
+    drawn = {name: value(name, shapes[name]) for name in sorted(shapes)}
+    return ParamStore({name: drawn[name] for name in shapes})
 
 
 def gcn_forward(
@@ -485,9 +493,9 @@ class _Pass:
 _NOISE_EPOCHS = 64
 
 
-def _movable(history: _History, params: ParamStore) -> dict[str, np.ndarray | None]:
-    """The entries a fit over ``history`` can change: name -> None for the
-    whole entry, or the indices of its rows that can change.
+def _movable(history: _History, params: ParamStore) -> tuple[str, np.ndarray]:
+    """The first entry a fit over ``history`` can change, in layout order,
+    and per row of gcn.w0 whether the fit can change it.
 
     An entry whose gradient is +-0.0 in every epoch and whose moments are
     +0.0 keeps its value and moments under Adam bit for bit, so the fit
@@ -498,15 +506,13 @@ def _movable(history: _History, params: ParamStore) -> dict[str, np.ndarray | No
     that row's gradient is the column times a finite ``d_h1``. A
     non-finite ``d_h1`` makes every row's gradient non-finite in the same
     column, so stepping any row of gcn.w0 lets Adam's check see it: with
-    no row that can move, gcn.w0 is stepped whole.
+    no row that can move, every row is stepped.
     """
-    rows: dict[str, np.ndarray | None] = dict.fromkeys(params.names())
+    first = "attn.wk"
     if history.single and all(params.moments_are_zero(n).all() for n in ("attn.wk", "attn.wq")):
-        del rows["attn.wk"], rows["attn.wq"]
+        first = "attn.wv"
     live = history.a_hat_x.any(axis=0) | ~params.moments_are_zero("gcn.w0")
-    if live.any() and not live.all():
-        rows["gcn.w0"] = np.flatnonzero(live)
-    return rows
+    return first, live if live.any() else ~live
 
 
 def fit(
@@ -524,26 +530,32 @@ def fit(
     rows, d)`` draw gives the same values, and leaves ``rng`` in the same
     state, as one ``(rows, d)`` draw per epoch.
 
-    Adam steps only the entries that can move (``_movable``), gathered into
-    one store for the fit and written back when it ends, so the store ends
-    bit for bit as full steps would leave it. The forward pass reads the
-    gathered entries taken whole and the full gcn.w0, whose moving rows are
-    copied back after each step; backward writes the full gcn.w0 gradient,
-    whose moving rows are gathered before it.
+    Adam steps only what can move (``_movable``), in place: the fit packs
+    the moving rows of gcn.w0, the last entry of the layout, to the front
+    of its block, and steps the span of the store from the first entry
+    that can move to the last packed row. The forward pass reads, and
+    backward writes, row-ordered copies of gcn.w0's value and gradient;
+    each epoch takes the moving rows of the gradient into the packed block
+    and puts the stepped values back into the copy. The fit puts the rows
+    back in order when it ends, so the store ends bit for bit as full steps
+    would leave it, also when it raises.
     """
     history = _history(batch, cfg)
+    layout = list(_param_shapes(cfg).items())
+    if [(name, value.shape) for name, value in params.entries()] != layout:
+        raise DetectorError(f"fit needs the parameters laid out as {layout}")
     coefficients = (cfg.alpha, 1.0 - cfg.alpha, cfg.gamma)
-    rows = _movable(history, params)
-    live = params.gather(rows)
+    first, live = _movable(history, params)
+    order = np.argsort(~live, kind="stable")  # the moving rows first, both parts in row order
+    moving = order[: np.count_nonzero(live)]
     values = dict(params.entries())
     grads = {name: params.grad(name) for name in values}
-    subsets = []
-    for name, index in rows.items():
-        if index is None:
-            values[name], grads[name] = live.value(name), live.grad(name)
-        else:
-            subsets.append((index, values[name], grads[name], live.value(name), live.grad(name)))
+    w0 = values["gcn.w0"] = params.value("gcn.w0").copy()
+    g0 = grads["gcn.w0"] = params.grad("gcn.w0").copy()
+    stepped = params.tail(first, len(moving))
+    packed_value, packed_grad = stepped.value("gcn.w0"), stepped.grad("gcn.w0")
     trace: list[LossBreakdown] = []
+    params.permute_rows("gcn.w0", order)
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # the loss check below reports it
             for epoch in range(epochs):
@@ -559,13 +571,13 @@ def fit(
                     )
                 trace.append(step.breakdown)
                 step.backward(grads, *coefficients)
-                for index, _, grad, _, live_grad in subsets:
-                    np.take(grad, index, axis=0, out=live_grad, mode="clip")
-                nm.adam_step(live, lr=cfg.lr)
-                for index, value, _, live_value, _ in subsets:
-                    value[index] = live_value
+                np.take(g0, moving, axis=0, out=packed_grad, mode="clip")
+                nm.adam_step(stepped, lr=cfg.lr)
+                w0[moving] = packed_value
     finally:
-        params.scatter(live)
+        params.step = stepped.step
+        params.permute_rows("gcn.w0", np.argsort(order))
+        params.grad("gcn.w0")[:] = g0
     return trace
 
 
@@ -607,6 +619,8 @@ def _config_from_doc(doc: dict) -> DetectorConfig:
 
 
 def save_checkpoint(path: str | Path, cfg: DetectorConfig, params: ParamStore) -> None:
+    """Write the config and parameters to ``path``, one record per
+    parameter in name order, whatever the store's layout."""
     doc = {
         "config": _config_to_doc(cfg),
         "params": [
@@ -616,17 +630,18 @@ def save_checkpoint(path: str | Path, cfg: DetectorConfig, params: ParamStore) -
                 "cols": value.shape[1],
                 "values": value.ravel().tolist(),
             }
-            for name, value in params.entries()
+            for name, value in sorted(params.entries(), key=lambda entry: entry[0])
         ],
     }
     Path(path).write_text(CHECKPOINT_MAGIC + "\n" + json.dumps(doc, sort_keys=True) + "\n")
 
 
 def load_checkpoint(path: str | Path) -> tuple[DetectorConfig, ParamStore]:
-    """The config and parameters `save_checkpoint` wrote to `path`. A file
-    that cannot be read as a checkpoint is a DetectorError naming `path`."""
+    """The config and parameters `save_checkpoint` wrote to `path`, laid
+    out as ``_param_shapes`` says whatever order the file lists them in. A
+    file that cannot be read as a checkpoint is a DetectorError naming `path`."""
     try:
-        header, _, body = Path(path).read_text().partition("\n")
+        header, _, body = Path(path).read_text(encoding="utf-8").partition("\n")
         if header != CHECKPOINT_MAGIC:
             raise DetectorError(f"not a checkpoint file (bad magic {header!r})")
         return _checkpoint_from_doc(json.loads(body))
@@ -668,4 +683,4 @@ def _checkpoint_from_doc(doc) -> tuple[DetectorConfig, ParamStore]:
         values[rec["name"]] = np.asarray(rec["values"], dtype=np.float64).reshape(
             rec["rows"], rec["cols"]
         )
-    return cfg, ParamStore(values)
+    return cfg, ParamStore({name: values[name] for name in expected})

@@ -25,6 +25,8 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .anomaly import DetectionPolicy, PolicyError
 from .detector import DetectorConfig, DetectorError
 from .pipeline import PipelineState
@@ -383,6 +385,18 @@ def _embed_fn(cfg: ExperimentConfig):
 def build_pipeline(cfg: ExperimentConfig, stream_seed: int) -> PipelineState:
     det_cfg = cfg.detector_config(seed=derive_seed(stream_seed, "detector"))
     policy, embed_fn = cfg.detection_policy(), _embed_fn(cfg)
+    # the largest matrix a round builds: the history's dense float64 adjacency
+    snapshots = min(cfg.max_rounds, cfg.history_window or cfg.max_rounds)
+    if cfg.variant == "static":
+        snapshots = 1
+    nodes = cfg.n_agents * snapshots
+    try:
+        np.empty((nodes, nodes))
+    except MemoryError:
+        raise HarnessError(
+            f"n_agents = {cfg.n_agents}: not enough memory for the {nodes} x {nodes} "
+            f"adjacency of a {snapshots}-round history"
+        ) from None
     try:
         return PipelineState(
             det_cfg,

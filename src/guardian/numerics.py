@@ -71,14 +71,14 @@ class ParamStore:
 
     ``ParamStore(entries)`` copies a name -> 2-D matrix mapping, in one
     allocation, into flat float64 buffers for the values, the gradients and
-    both Adam moments, laid out in name order. An entry's value and gradient
-    are reshaped views into them, so an optimizer step is one vectorised
-    update over every parameter. The layout is fixed at construction.
-    ``step`` counts the Adam updates applied to the whole store.
+    both Adam moments, laid out in the mapping's order. An entry's value and
+    gradient are reshaped views into them, so an optimizer step is one
+    vectorised update over every parameter. The layout is fixed at
+    construction. ``step`` counts the Adam updates applied to the store.
     """
 
     def __init__(self, entries: Mapping[str, object]) -> None:
-        arrays = {name: np.asarray(entries[name], dtype=np.float64) for name in sorted(entries)}
+        arrays = {name: np.asarray(value, dtype=np.float64) for name, value in entries.items()}
         for name, arr in arrays.items():
             if arr.ndim != 2:
                 raise NumericsError(f"parameter {name!r} must be 2-D, got ndim={arr.ndim}")
@@ -119,8 +119,6 @@ class ParamStore:
             self._grads[name] = self._grad[span].reshape(shape)
             offset = span.stop
         self.step = 0
-        self._spare: tuple[np.ndarray, ...] | None = None  # gather's buffers, made on first use
-        self._runs: list[tuple] = []  # for a gathered store, the copies that filled it
 
     def names(self) -> list[str]:
         return list(self._values)
@@ -141,57 +139,30 @@ class ParamStore:
         bits = self._m[span].view(np.uint64) | self._v[span].view(np.uint64)
         return np.bitwise_or.reduce(bits.reshape(shape), axis=1) == 0
 
-    def gather(self, rows: Mapping[str, np.ndarray | None]) -> "ParamStore":
-        """A store of the entries named in ``rows``, each whole (None) or
-        only the given rows of it, holding their values, gradients, moments
-        and this store's step; ``scatter`` writes it back.
+    def tail(self, first: str, rows: int) -> "ParamStore":
+        """A store over this one's own buffers: the entries from ``first`` to
+        the last in layout order, the last cut to its leading ``rows`` rows.
 
-        Entries taken whole that lie next to each other in this store's
-        layout are copied as one slice. The gathered store lives in buffers
-        this store keeps for it, and steps in this store's temporaries, so
-        it is valid until the next ``gather``.
+        It starts at this store's step, and ``adam_step`` on it updates what
+        it views in place; the caller copies its step back.
         """
-        runs: list[tuple] = []  # (span here, span there, row index or None, columns)
-        shapes = {}
-        at = 0
-        for name, span in self._spans.items():
-            if name not in rows:
-                continue
-            index, shape = rows[name], self._values[name].shape
-            if index is not None:
-                shape = (len(index), shape[1])
-            elif runs and runs[-1][2] is None and runs[-1][0].stop == span.start:
-                src, dst, _, _ = runs.pop()
-                span, at = slice(src.start, span.stop), dst.start
-            shapes[name] = shape
-            size = span.stop - span.start if index is None else shape[0] * shape[1]
-            runs.append((span, slice(at, at + size), index, shape[1]))
-            at += size
-        if self._spare is None:
-            self._spare = tuple(np.empty(self._value.size) for _ in range(4))
+        names = self.names()
+        shapes = {name: self._values[name].shape for name in names[names.index(first) :]}
+        shapes[names[-1]] = (rows, shapes[names[-1]][1])
+        start = self._spans[first].start
         part = ParamStore.__new__(ParamStore)
-        part._lay_out(shapes, self._spare, self._scratch)
-        for src, dst, index, cols in runs:
-            for mine, theirs in zip(self._buffers(), part._buffers()):
-                if index is None:
-                    theirs[dst] = mine[src]
-                else:
-                    out = theirs[dst].reshape(-1, cols)
-                    np.take(mine[src].reshape(-1, cols), index, axis=0, out=out, mode="clip")
+        part._lay_out(shapes, tuple(b[start:] for b in self._buffers()), self._scratch)
         part.step = self.step
-        part._runs = runs
         return part
 
-    def scatter(self, part: "ParamStore") -> None:
-        """Write the values, gradients, moments and step of ``part``, which
-        this store's ``gather`` made, back into the entries and rows it holds."""
-        for src, dst, index, cols in part._runs:
-            for mine, theirs in zip(self._buffers(), part._buffers()):
-                if index is None:
-                    mine[src] = theirs[dst]
-                else:
-                    mine[src].reshape(-1, cols)[index] = theirs[dst].reshape(-1, cols)
-        self.step = part.step
+    def permute_rows(self, name: str, order: np.ndarray) -> None:
+        """Reorder the rows of entry ``name`` in the values and both moments:
+        row i takes what row ``order[i]`` held. The gradient, which the
+        caller writes before each step, is left as it is."""
+        span, shape = self._spans[name], self._values[name].shape
+        for buffer in (self._value, self._m, self._v):
+            block = buffer[span].reshape(shape)
+            block[:] = block[order]
 
     def _buffers(self) -> tuple[np.ndarray, ...]:
         return self._value, self._grad, self._m, self._v
@@ -216,11 +187,10 @@ def adam_step(store: ParamStore, lr: float) -> None:
     ``ADAM_BETA2`` and ``ADAM_EPS``, in the same order of operations, so the
     result is bit-identical to updating entry by entry. An entry whose
     gradient is +-0.0 and whose moments are +0.0 gets the update 0 and keeps
-    its moments, so stepping a store ``gather``ed without such entries, and
-    scattering it back, equals the full step bit for bit
-    (``moments_are_zero`` checks the moments). Temporaries live in the
-    store's two scratch buffers. Gradients are left untouched; the caller
-    decides when to zero them.
+    its moments, so stepping a ``tail`` that leaves such entries and rows
+    out equals the full step bit for bit (``moments_are_zero`` checks the
+    moments). Temporaries live in the store's two scratch buffers.
+    Gradients are left untouched; the caller decides when to zero them.
     """
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     store.step += 1

@@ -1,9 +1,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import guardian
 from guardian import cli, harness, pipeline
 from guardian.cli import main
 from guardian.detector import CHECKPOINT_MAGIC
@@ -220,6 +226,52 @@ def test_cli_export_malformed_episode_fails_naming_the_file(tmp_path, capsys, co
     assert captured.out == ""
 
 
+def _run_in_the_c_locale(code):
+    """``code`` run by a fresh interpreter whose locale encoding is ASCII."""
+    src = str(Path(guardian.__file__).resolve().parent.parent)
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+        "LC_ALL": "C",
+        "PYTHONCOERCECLOCALE": "0",
+        "PYTHONUTF8": "0",
+    }
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+
+
+def test_episodes_and_checkpoints_are_read_as_utf8_whatever_the_locale(tmp_path):
+    episode = _episode_files(tmp_path)[0]
+    doc = json.loads(episode.read_text())
+    doc["task"]["question"] = "Combien font 2 + 2, café ?"
+    episode.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    ckpt = tmp_path / "model.ckpt"
+    main(["train", *_fast_flags(tmp_path), "--tasks", "1", "--out", str(tmp_path)])
+    (tmp_path / "guardian.ckpt").rename(ckpt)
+    header, _, body = ckpt.read_text().partition("\n")
+    doc = json.loads(body)
+    doc["config"]["variant"] = "tempé"
+    ckpt.write_text(header + "\n" + json.dumps(doc, ensure_ascii=False) + "\n", encoding="utf-8")
+
+    exported = _run_in_the_c_locale(
+        "import sys; from guardian.cli import main; "
+        f"sys.exit(main(['export', '--episode', {str(episode)!r}]))"
+    )
+    assert exported.returncode == 0, exported.stderr
+    assert json.loads(exported.stdout)["nodes"]
+    loaded = _run_in_the_c_locale(
+        "from guardian.detector import DetectorError, load_checkpoint\n"
+        "try:\n"
+        f"    load_checkpoint({str(ckpt)!r})\n"
+        "except DetectorError as err:\n"
+        "    print(ascii(str(err)))\n"
+    )
+    assert loaded.returncode == 0, loaded.stderr
+    # the file decoded, and the config check rejected the value it read
+    assert "unknown variant 'temp\\xe9'" in loaded.stdout, loaded.stdout
+
+
 def test_cli_metrics_malformed_episode_fails_naming_the_file(tmp_path, capsys):
     episodes = _episode_files(tmp_path)
     episodes[-1].write_text(episodes[-1].read_text()[:-10])
@@ -228,6 +280,25 @@ def test_cli_metrics_malformed_episode_fails_naming_the_file(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(episodes[-1]) in err
+
+
+def test_cli_metrics_given_the_runs_flags_or_config_reproduces_its_csv(tmp_path, capsys):
+    # defended: the run's own flags; undefended: its config file, which says so
+    defended = ["--attack", "hallucination", "--trials", "2"]
+    plain = tmp_path / "plain.cfg"
+    plain.write_text("n_tasks = 2\nattack = comm\ndefense = false\n")
+    runs = [("defend", _fast_flags(tmp_path, *defended)), ("simulate", ["--config", str(plain)])]
+    for run, flags in runs:
+        out, again = tmp_path / run, tmp_path / f"{run}-metrics"
+        assert main([run, *flags, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["metrics", *flags, "--logs", str(out / "episodes"), "--out", str(again)]) == 0
+        episodes = len(list((out / "episodes").glob("*.json")))
+        assert capsys.readouterr().out.startswith(
+            f"episodes: {episodes} file(s) under {out / 'episodes'}\n"
+        )
+        assert (again / "metrics.csv").read_bytes() == (out / "metrics.csv").read_bytes(), run
+    assert episodes == 2
 
 
 def test_cli_metrics_rejects_a_round_numbered_out_of_place(tmp_path, capsys):
@@ -365,6 +436,33 @@ def test_cli_detector_too_large_for_memory_fails_naming_k_and_d(tmp_path, capsys
     assert main(["defend", "--config", str(cfg), "--seed", "3"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: k = 64 and d = 100000: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "flags, nodes",
+    [
+        ([], 300_000),
+        (["--rounds", "5"], 500_000),
+        (["--rounds", "5", "--variant", "static"], 100_000),
+    ],
+    ids=["three rounds", "five rounds", "static"],
+)
+def test_cli_too_many_agents_for_memory_fails_naming_n_agents(capsys, monkeypatch, flags, nodes):
+    # a failing np.empty stands in for the allocation that 100000 agents
+    # would fail; nothing large is made
+    real_empty = np.empty
+
+    def empty(shape, *args, **kwargs):
+        if shape == (nodes, nodes):
+            raise MemoryError
+        return real_empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", empty)
+    monkeypatch.setattr(harness, "run_episode", _no_episode)
+    assert main(["defend", "--tasks", "1", "--agents", "100000", *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: n_agents = 100000: not enough memory for the {nodes} x {nodes} ")
+    assert err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("command", ["simulate", "defend", "train", "metrics", "export"])

@@ -795,6 +795,22 @@ def test_attention_query_and_key_lead_the_parameter_layout():
     assert store.value("attn.wk").size + store.value("attn.wq").size == 2 * cfg.d * cfg.d
 
 
+def test_fit_rejects_a_store_not_laid_out_as_the_detector_says():
+    # at the defaults gcn.w0 and gcn.w1 are both 64 x 64, so a store laid
+    # out in name order has every shape right and gcn.w1 where fit packs
+    # the rows of gcn.w0
+    cfg = DetectorConfig()
+    params = init_params(cfg, np.random.default_rng(0))
+    assert params.names()[-1] == "gcn.w0"
+    sorted_store = ParamStore({name: params.value(name) for name in sorted(params.names())})
+    assert sorted_store.value("gcn.w0").shape == sorted_store.value("gcn.w1").shape
+    before = sorted_store._value.copy()
+    batch = _history_with_gaps(np.random.default_rng(1), 4, 1, cfg.k)
+    with pytest.raises(DetectorError, match="laid out"):
+        fit(batch, cfg, sorted_store, np.random.default_rng(2), epochs=1)
+    assert sorted_store._value.tobytes() == before.tobytes() and sorted_store.step == 0
+
+
 # 70 epochs cross the boundary of one noise draw
 @pytest.mark.parametrize("epochs", [0, 1, 12, 70])
 @pytest.mark.parametrize("rounds", [1, 3])
@@ -1064,6 +1080,22 @@ def test_checkpoint_roundtrip(tmp_path):
     # the loaded store trains like a fresh one
     fit(_random_batch(rng, 3, 2, cfg.k), cfg, params2, np.random.default_rng(1), epochs=2)
     assert params2.step == 2
+
+
+def test_checkpoint_lists_names_in_order_and_loads_in_layout_order(tmp_path):
+    cfg = _small_cfg()
+    params = init_params(cfg, np.random.default_rng(20))
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, cfg, params)
+    header, _, body = path.read_text().partition("\n")
+    doc = json.loads(body)
+    names = [rec["name"] for rec in doc["params"]]
+    assert names == sorted(params.names()) != params.names()
+    doc["params"].reverse()
+    path.write_text(header + "\n" + json.dumps(doc) + "\n")
+    _, loaded = load_checkpoint(path)
+    assert loaded.names() == params.names()
+    assert loaded._value.tobytes() == params._value.tobytes()
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path):

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from guardian.anomaly import POLICY_MODES
+from guardian.cli import main
 from guardian.harness import (
     ATTACK_ALIASES,
     TOPOLOGY_FRACTIONS,
@@ -819,6 +820,18 @@ def _artifact_digests(root) -> dict[str, str]:
 
 def test_artifact_bytes_are_pinned(tmp_path):
     assert _artifact_digests(tmp_path) == _PINNED_ARTIFACTS
+
+
+# sha256 of the checkpoint `guardian train --tasks 2 --seed 3` writes,
+# recorded while the parameter store was still laid out in name order: the
+# records stay in name order whatever the layout.
+_PINNED_CHECKPOINT = "1b5d7d615581073feaa775b73b58adec9cf8d2182c326a4bdf36c1386fa74ccd"
+
+
+def test_checkpoint_bytes_are_pinned(tmp_path, capsys):
+    assert main(["train", "--tasks", "2", "--seed", "3", "--out", str(tmp_path)]) == 0
+    digest = hashlib.sha256((tmp_path / "guardian.ckpt").read_bytes()).hexdigest()
+    assert digest == _PINNED_CHECKPOINT
 
 
 def test_run_experiment_clean_accuracy_one(tmp_path):

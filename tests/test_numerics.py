@@ -200,8 +200,9 @@ def test_adam_flat_store_bit_identical_to_per_entry_update():
 def test_adam_skipping_an_idle_leading_span_equals_the_full_step(idle_rows, rows, steps, lr, seed):
     # entries whose gradients and moments are zero, as attn.wk and attn.wq
     # are in a one-snapshot fit from fresh moments and the rows of gcn.w0
-    # for empty embedder buckets: a store gathered without them, stepped
-    # and scattered back, equals the full step
+    # for empty embedder buckets: stepping the tail of the store that
+    # leaves them out, the idle rows of the last entry permuted behind the
+    # moving ones, and permuting them back, equals the full step
     rng = np.random.default_rng(seed)
     values = {
         "a": rng.normal(size=(idle_rows, 3)),
@@ -209,11 +210,14 @@ def test_adam_skipping_an_idle_leading_span_equals_the_full_step(idle_rows, rows
         "c": rng.normal(size=(rows + 2, 2)),
     }
     values["a"][0, 0] = values["c"][0, 0] = -0.0  # x - 0.0 keeps the sign of a zero
-    moving = np.sort(rng.choice(rows + 2, size=rng.integers(1, rows + 3), replace=False))
-    kept = {"b": None, "c": moving}
+    live = rng.random(rows + 2) < 0.5
+    live[rng.integers(rows + 2)] = True
+    order = np.argsort(~live, kind="stable")
+    moving = order[: live.sum()]
     partial, full = ParamStore(values), ParamStore(values)
     assert partial.moments_are_zero("a").all() and partial.moments_are_zero("c").all()
-    part = partial.gather(kept)
+    partial.permute_rows("c", order)
+    part = partial.tail("b", len(moving))
     assert part.names() == ["b", "c"] and part.value("c").shape == (len(moving), 2)
     for _ in range(steps):
         g = {}
@@ -221,15 +225,16 @@ def test_adam_skipping_an_idle_leading_span_equals_the_full_step(idle_rows, rows
             shape = values[name].shape
             g[name] = rng.normal(size=shape) * 10.0 ** rng.integers(-6, 3, size=shape)
             g[name][rng.random(shape) < 0.2] = 0.0
-        g["c"][np.setdiff1d(np.arange(rows + 2), moving)] = 0.0
+        g["c"][~live] = 0.0
         for name in g:
             full.grad(name)[:] = g[name]
         part.grad("b")[:] = g["b"]
         part.grad("c")[:] = g["c"][moving]
         adam_step(part, lr=lr)
         adam_step(full, lr=lr)
-    partial.scatter(part)
-    # the gathered store held no gradient of the rows left out
+    partial.step = part.step
+    partial.permute_rows("c", np.argsort(order))
+    # the tail held no gradient of the rows left out
     partial.grad("c")[:] = full.grad("c")
     for buffer in ("_value", "_grad", "_m", "_v"):
         assert getattr(partial, buffer).tobytes() == getattr(full, buffer).tobytes(), buffer
@@ -250,36 +255,41 @@ def test_moments_are_zero_compares_bits():
     assert store.moments_are_zero("a").tolist() == [False, False]
 
 
-def test_gather_copies_the_entries_and_rows_it_names_and_scatter_writes_them_back():
+def test_tail_views_the_entries_from_first_and_permute_rows_reorders_them():
     rng = np.random.default_rng(8)
-    shapes = {"a": (2, 3), "b": (1, 2), "c": (4, 2), "d": (2, 2), "e": (3, 1)}
+    shapes = {"a": (2, 3), "b": (1, 2), "d": (2, 2), "c": (4, 2)}
     store = ParamStore({name: rng.normal(size=shape) for name, shape in shapes.items()})
     for buffer in (store._grad, store._m, store._v):
         buffer[:] = rng.normal(size=buffer.size)
     store.step = 7
-    rows = {"a": None, "b": None, "c": np.array([0, 2, 3]), "e": None}
-    part = store.gather(rows)
-    # one slice for a and b, one row gather for c, one slice for e
-    assert [index is None for _, _, index, _ in part._runs] == [True, False, True]
-    assert part.names() == ["a", "b", "c", "e"] and part.step == 7
-    for mine, theirs in zip(store._buffers(), part._buffers()):
-        views = {name: mine[store._spans[name]].reshape(shape) for name, shape in shapes.items()}
-        expected = [views["a"], views["b"], views["c"][rows["c"]], views["e"]]
-        assert theirs.tobytes() == b"".join(v.tobytes() for v in expected)
     before = [buffer.copy() for buffer in store._buffers()]
+    part = store.tail("b", 3)
+    assert part.names() == ["b", "d", "c"] and part.step == 7
+    assert part.value("c").shape == part.grad("c").shape == (3, 2)
+    # the tail views this store's buffers from b's first element to c's third row
+    for mine, theirs in zip(store._buffers(), part._buffers()):
+        assert np.shares_memory(mine, theirs)
+        assert theirs.tobytes() == mine[6 : 6 + 2 + 4 + 6].tobytes()
     for buffer in part._buffers():
         buffer[:] = rng.normal(size=buffer.size)
-    part.step = 9
-    store.scatter(part)
-    assert store.step == 9
     for old, mine, theirs in zip(before, store._buffers(), part._buffers()):
-        views = {name: mine[store._spans[name]].reshape(shape) for name, shape in shapes.items()}
-        olds = {name: old[store._spans[name]].reshape(shape) for name, shape in shapes.items()}
-        got = [views["a"], views["b"], views["c"][rows["c"]], views["e"]]
-        assert theirs.tobytes() == b"".join(v.tobytes() for v in got)
-        # what was not gathered is untouched
-        assert views["d"].tobytes() == olds["d"].tobytes()
-        assert views["c"][1].tobytes() == olds["c"][1].tobytes()
+        assert mine[6:18].tobytes() == theirs.tobytes()
+        # what the tail leaves out is untouched: a, and c's last row
+        assert mine[:6].tobytes() == old[:6].tobytes()
+        assert mine[18:].tobytes() == old[18:].tobytes()
+
+    before = [buffer.copy() for buffer in store._buffers()]
+    order = np.array([2, 0, 3, 1])
+    store.permute_rows("c", order)
+    for old, mine in zip(before, store._buffers()):
+        if mine is store._grad:  # the gradient is left as it is
+            assert mine.tobytes() == old.tobytes()
+            continue
+        assert mine[-8:].reshape(4, 2).tobytes() == old[-8:].reshape(4, 2)[order].tobytes()
+        assert mine[:-8].tobytes() == old[:-8].tobytes()
+    store.permute_rows("c", np.argsort(order))
+    for old, mine in zip(before, store._buffers()):
+        assert mine.tobytes() == old.tobytes()
 
 
 def test_param_store_entries_are_views_of_the_flat_buffers():
@@ -305,8 +315,8 @@ def test_param_store_from_mapping_equals_entries_added_one_by_one():
     values = {"w": rng.normal(size=(3, 4)), "b": [[0.5, -1.0]], "u": rng.normal(size=(4, 2))}
     built = ParamStore(values)
     singles = {name: ParamStore({name: value}) for name, value in values.items()}
-    assert built.names() == ["b", "u", "w"]
-    # the layout is the one-entry stores laid one after another in name order
+    assert built.names() == ["w", "b", "u"]
+    # the layout is the one-entry stores laid one after another in the mapping's order
     assert built._value.tobytes() == b"".join(singles[n]._value.tobytes() for n in built.names())
     assert built._value.size == 12 + 2 + 8
     for name in values:
@@ -314,7 +324,8 @@ def test_param_store_from_mapping_equals_entries_added_one_by_one():
         assert built.value(name).base is built._value and built.grad(name).base is built._grad
     assert built.value("b").shape == (1, 2)
     reordered = ParamStore({n: values[n] for n in ["u", "w", "b"]})
-    assert reordered._value.tobytes() == built._value.tobytes()  # insertion order is irrelevant
+    assert reordered.names() == ["u", "w", "b"]
+    assert reordered._value.tobytes() == b"".join(singles[n]._value.tobytes() for n in ["u", "w", "b"])
     values["w"][0, 0] = 99.0  # the store holds a copy
     assert built.value("w")[0, 0] != 99.0
 
