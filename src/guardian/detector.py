@@ -194,17 +194,23 @@ def init_params(cfg: DetectorConfig, rng: np.random.Generator) -> ParamStore:
 
 
 def gcn_forward(
-    a_hat: np.ndarray, a_hat_x: np.ndarray, w0: np.ndarray, w1: np.ndarray
+    a_hat: np.ndarray | None, a_hat_x: np.ndarray, w0: np.ndarray, w1: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Two rounds of propagate-and-transform; the last layer stays linear
     so the downstream mean/log-variance split is sign-unconstrained.
 
-    ``a_hat_x`` is ``a_hat @ features``, which a fit holds fixed. Returns
-    the first layer's pre-activation, ``a_hat`` times its output, and the
-    encoder output.
+    ``a_hat_x`` is ``a_hat @ features``, which a fit holds fixed, in the
+    columns of the filled buckets (``_History.filled``), and ``w0`` the
+    rows of gcn.w0 that meet them.
+    ``a_hat`` None stands for the identity, the normalized adjacency of a
+    history with no edge: the first layer's finite outputs are >= +0.0,
+    so ``I @`` them gives them back bit for bit, and the product is
+    skipped. Returns the first layer's pre-activation, ``a_hat`` times its
+    output, and the encoder output.
     """
     h1_pre = a_hat_x @ w0
-    a_hat_h1 = a_hat @ np.maximum(h1_pre, 0.0)
+    h1 = np.maximum(h1_pre, 0.0)
+    a_hat_h1 = h1 if a_hat is None else a_hat @ h1
     return h1_pre, a_hat_h1, a_hat_h1 @ w1
 
 
@@ -349,8 +355,20 @@ class _History:
             raise DetectorError(
                 f"feature dim {features.shape[1]} does not match encoder input {cfg.k}"
             )
-        self.a_hat = normalized_adjacency(batch).data
-        self.a_hat_x = self.a_hat @ features
+        a_hat = normalized_adjacency(batch).data
+        # with no edge a_hat is exactly the identity, whose products _Pass skips
+        self.a_hat = a_hat if any(s.adjacency.any() for s in snapshots) else None
+        a_hat_x = a_hat @ features
+        # The buckets the embedder filled: the rows of gcn.w0 that meet a
+        # non-zero column of a_hat_x. The others add only exact zeros to
+        # the first layer and get a zero gradient, so the passes leave them
+        # out. With none filled every row is kept, so that a non-finite
+        # d_h1 still reaches every row's gradient, as 0 * inf is NaN.
+        filled = a_hat_x.any(axis=0)
+        if not filled.any():
+            filled[:] = True
+        self.filled, self.unfilled = np.flatnonzero(filled), ~filled
+        self.a_hat_x = a_hat_x[:, self.filled]
         sizes = [len(s.agents) for s in snapshots]
         self.rows = sum(sizes)
         # kl is the mean over snapshots of the per-node average KL
@@ -400,12 +418,18 @@ _history = _LastHistory()
 
 class _Pass:
     """One forward pass over a whole history, through the stage functions,
-    and its hand-written backward pass. ``noise`` is None at inference."""
+    and its hand-written backward pass. ``noise`` is None at inference.
+
+    ``w["gcn.w0"]`` is either the whole entry or only its rows of filled
+    buckets (``h.filled``), as ``fit`` packs them. The first layer
+    multiplies those rows alone, so both give the same products.
+    """
 
     def __init__(self, h: _History, w: dict[str, np.ndarray], noise: np.ndarray | None):
         self.h, self.w, self.noise = h, w, noise
+        w0 = w["gcn.w0"]
         self.h1_pre, self.a_hat_h1, hidden = gcn_forward(
-            h.a_hat, h.a_hat_x, w["gcn.w0"], w["gcn.w1"]
+            h.a_hat, h.a_hat_x, w0 if len(w0) == len(h.filled) else w0[h.filled], w["gcn.w1"]
         )
         self.mean, self.log_var_raw, self.log_var = split_latent(hidden, h.d)
         self.var = np.exp(self.log_var)
@@ -438,7 +462,9 @@ class _Pass:
 
     def backward(self, g: dict[str, np.ndarray], c_att: float, c_stru: float, c_kl: float) -> None:
         """Write d (c_att*l_att + c_stru*l_stru + c_kl*kl) / d parameter into
-        each array of `g`, overwriting it."""
+        each array of `g`, overwriting it. ``g["gcn.w0"]``, like
+        ``w["gcn.w0"]``, is the whole entry, whose rows of empty buckets get
+        +0.0, or its rows of filled buckets."""
         h, w = self.h, self.w
         n, d = len(h.features), h.d
         d_x_hat = self.r_x * (-2.0 * c_att / n)
@@ -483,9 +509,16 @@ class _Pass:
         d_hidden[:, d:] = d_log_var * (self.log_var == self.log_var_raw)  # not clamped
 
         np.dot(self.a_hat_h1.T, d_hidden, out=g["gcn.w1"])
-        d_h1 = h.a_hat.T @ (d_hidden @ w["gcn.w1"].T)
+        d_h1 = d_hidden @ w["gcn.w1"].T
+        if h.a_hat is not None:
+            d_h1 = h.a_hat.T @ d_h1
         d_h1 *= self.h1_pre > 0.0
-        np.dot(h.a_hat_x.T, d_h1, out=g["gcn.w0"])
+        g0 = g["gcn.w0"]
+        if len(g0) == len(h.filled):
+            np.dot(h.a_hat_x.T, d_h1, out=g0)
+        else:
+            g0[h.unfilled] = 0.0
+            g0[h.filled] = np.dot(h.a_hat_x.T, d_h1)
 
 
 # Epochs of noise drawn in one call: a fit at the default epoch counts
@@ -493,26 +526,33 @@ class _Pass:
 _NOISE_EPOCHS = 64
 
 
-def _movable(history: _History, params: ParamStore) -> tuple[str, np.ndarray]:
-    """The first entry a fit over ``history`` can change, in layout order,
-    and per row of gcn.w0 whether the fit can change it.
+def _movable(history: _History, params: ParamStore) -> tuple[str, np.ndarray, int]:
+    """The first entry a fit over ``history`` can change, in layout order;
+    the order it packs the rows of gcn.w0 in, for ``permute_rows``; and
+    how many rows, from the front of that order, it can change.
 
     An entry whose gradient is +-0.0 in every epoch and whose moments are
     +0.0 keeps its value and moments under Adam bit for bit, so the fit
     leaves it out. That holds of attn.wk and attn.wq in a one-snapshot
     fit, whose gradients backward fills with 0, while their moments are
-    zero; and of row i of gcn.w0 while its moments are zero, where column
-    i of ``a_hat_x`` is zero (the embedder fills a few of its buckets), as
-    that row's gradient is the column times a finite ``d_h1``. A
-    non-finite ``d_h1`` makes every row's gradient non-finite in the same
-    column, so stepping any row of gcn.w0 lets Adam's check see it: with
-    no row that can move, every row is stepped.
+    zero; and of the rows of gcn.w0 of empty buckets (not in
+    ``history.filled``) while their moments are zero.
+
+    The order puts the rows of filled buckets first, then the other rows
+    that can move, then the rest, each part in row order.
     """
     first = "attn.wk"
     if history.single and all(params.moments_are_zero(n).all() for n in ("attn.wk", "attn.wq")):
         first = "attn.wv"
-    live = history.a_hat_x.any(axis=0) | ~params.moments_are_zero("gcn.w0")
-    return first, live if live.any() else ~live
+    idle = history.unfilled & params.moments_are_zero("gcn.w0")
+    order = np.argsort(history.unfilled.view(np.int8) + idle, kind="stable")
+    moving = len(order) - np.count_nonzero(idle)
+    return first, order, moving
+
+
+@functools.cache
+def _layout(k: int, d: int) -> tuple:
+    return tuple(_param_shapes(DetectorConfig(k=k, d=d)).items())
 
 
 def fit(
@@ -531,29 +571,26 @@ def fit(
     state, as one ``(rows, d)`` draw per epoch.
 
     Adam steps only what can move (``_movable``), in place: the fit packs
-    the moving rows of gcn.w0, the last entry of the layout, to the front
-    of its block, and steps the span of the store from the first entry
-    that can move to the last packed row. The forward pass reads, and
-    backward writes, row-ordered copies of gcn.w0's value and gradient;
-    each epoch takes the moving rows of the gradient into the packed block
-    and puts the stepped values back into the copy. The fit puts the rows
-    back in order when it ends, so the store ends bit for bit as full steps
-    would leave it, also when it raises.
+    the rows of gcn.w0, the last entry of the layout, in ``_movable``'s
+    order, and steps the span of the store from the first entry that can
+    move to the last row that can. The passes multiply the packed rows of
+    filled buckets where they lie and write their gradient there; the
+    other rows that move get a zero gradient. When the fit ends it restores
+    the row order and writes gcn.w0's whole gradient from the last backward
+    pass, so the store ends bit for bit as full steps would leave it, also
+    when it raises.
     """
     history = _history(batch, cfg)
-    layout = list(_param_shapes(cfg).items())
-    if [(name, value.shape) for name, value in params.entries()] != layout:
-        raise DetectorError(f"fit needs the parameters laid out as {layout}")
+    if params.layout != _layout(cfg.k, cfg.d):
+        raise DetectorError(f"fit needs the parameters laid out as {list(_layout(cfg.k, cfg.d))}")
     coefficients = (cfg.alpha, 1.0 - cfg.alpha, cfg.gamma)
-    first, live = _movable(history, params)
-    order = np.argsort(~live, kind="stable")  # the moving rows first, both parts in row order
-    moving = order[: np.count_nonzero(live)]
+    first, order, moving = _movable(history, params)
+    stepped = params.tail(first, moving)
+    n_filled = len(history.filled)
+    packed_grad = params.grad("gcn.w0")[:moving]
     values = dict(params.entries())
     grads = {name: params.grad(name) for name in values}
-    w0 = values["gcn.w0"] = params.value("gcn.w0").copy()
-    g0 = grads["gcn.w0"] = params.grad("gcn.w0").copy()
-    stepped = params.tail(first, len(moving))
-    packed_value, packed_grad = stepped.value("gcn.w0"), stepped.grad("gcn.w0")
+    values["gcn.w0"], grads["gcn.w0"] = params.value("gcn.w0")[:n_filled], packed_grad[:n_filled]
     trace: list[LossBreakdown] = []
     params.permute_rows("gcn.w0", order)
     try:
@@ -571,13 +608,17 @@ def fit(
                     )
                 trace.append(step.breakdown)
                 step.backward(grads, *coefficients)
-                np.take(g0, moving, axis=0, out=packed_grad, mode="clip")
+                if epoch == 0:  # the rows that move only through their moments
+                    packed_grad[n_filled:] = 0.0
                 nm.adam_step(stepped, lr=cfg.lr)
-                w0[moving] = packed_value
     finally:
         params.step = stepped.step
         params.permute_rows("gcn.w0", np.argsort(order))
-        params.grad("gcn.w0")[:] = g0
+        if trace:  # a backward pass ran
+            last = packed_grad[:n_filled].copy()
+            whole = params.grad("gcn.w0")
+            whole[history.unfilled] = 0.0
+            whole[history.filled] = last
     return trace
 
 

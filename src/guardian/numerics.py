@@ -9,6 +9,7 @@ computed from; the detector's hand-written backward pass supplies it, and
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Iterable, Mapping
 
@@ -102,26 +103,34 @@ class ParamStore:
     ) -> None:
         """Lay entries of these shapes out, in this order, over the leading
         elements of flat buffers for the values, gradients and both moments,
-        and of ``adam_step``'s two temporaries."""
-        total = sum(rows * cols for rows, cols in shapes.values())
-        # buffers of the exact size are used as they are: the entries' views are then views of them
-        self._value, self._grad, self._m, self._v = (
-            b if b.size == total else b[:total] for b in buffers
-        )
-        self._scratch = (scratch[0][:total], scratch[1][:total])
-        self._values: dict[str, np.ndarray] = {}
-        self._grads: dict[str, np.ndarray] = {}
+        and of ``adam_step``'s two temporaries. The entries' views are made
+        on first use."""
+        self.layout = tuple(shapes.items())
         self._spans: dict[str, slice] = {}
         offset = 0
-        for name, shape in shapes.items():
-            span = self._spans[name] = slice(offset, offset + shape[0] * shape[1])
-            self._values[name] = self._value[span].reshape(shape)
-            self._grads[name] = self._grad[span].reshape(shape)
-            offset = span.stop
+        for name, (rows, cols) in self.layout:
+            self._spans[name] = slice(offset, offset + rows * cols)
+            offset += rows * cols
+        # buffers of the exact size are used as they are: the entries' views are then views of them
+        self._value, self._grad, self._m, self._v = (
+            b if b.size == offset else b[:offset] for b in buffers
+        )
+        self._scratch = (scratch[0][:offset], scratch[1][:offset])
         self.step = 0
 
+    def _views(self, buffer: np.ndarray) -> dict[str, np.ndarray]:
+        return {name: buffer[self._spans[name]].reshape(shape) for name, shape in self.layout}
+
+    @functools.cached_property
+    def _values(self) -> dict[str, np.ndarray]:
+        return self._views(self._value)
+
+    @functools.cached_property
+    def _grads(self) -> dict[str, np.ndarray]:
+        return self._views(self._grad)
+
     def names(self) -> list[str]:
-        return list(self._values)
+        return list(self._spans)
 
     def value(self, name: str) -> np.ndarray:
         return self._values[name]
@@ -147,7 +156,7 @@ class ParamStore:
         it views in place; the caller copies its step back.
         """
         names = self.names()
-        shapes = {name: self._values[name].shape for name in names[names.index(first) :]}
+        shapes = dict(self.layout[names.index(first) :])
         shapes[names[-1]] = (rows, shapes[names[-1]][1])
         start = self._spans[first].start
         part = ParamStore.__new__(ParamStore)

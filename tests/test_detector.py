@@ -36,7 +36,7 @@ from guardian.detector import (
     save_checkpoint,
     split_latent,
 )
-from guardian.graph import HistoryBatch, Snapshot, self_looped_adjacency
+from guardian.graph import HistoryBatch, Snapshot, normalized_adjacency, self_looped_adjacency
 from guardian.numerics import NonFiniteError, ParamStore, Tensor2D, adam_step, grad_check
 from tape import Tensor, temporal_fuse
 
@@ -983,6 +983,137 @@ def test_a_real_first_round_fit_leaves_out_the_rows_of_empty_buckets(monkeypatch
     shapes["gcn.w0"] = (filled.sum(), 2 * cfg.d)
     assert stepped == [shapes] * seen["epochs"]
     assert sum(math.prod(shape) for shape in shapes.values()) < params._value.size == 14432
+
+
+def _arrays(step: _Pass) -> dict[str, bytes]:
+    """The bits of every array a pass holds but its inputs."""
+    return {
+        name: value.tobytes()
+        for name, value in vars(step).items()
+        if isinstance(value, np.ndarray) and name != "noise"
+    }
+
+
+def _pass_and_grads(history, values, noise, cfg):
+    """A pass, its loss terms' gradients (one array per entry of `values`)
+    and whether its loss is finite."""
+    with np.errstate(all="ignore"):
+        step = _Pass(history, values, noise)
+        grads = {name: np.full_like(value, np.nan) for name, value in values.items()}
+        step.backward(grads, cfg.alpha, 1.0 - cfg.alpha, cfg.gamma)
+    return step, grads
+
+
+# Each example draws an edge-free history of 1-3 snapshots (1-5 agents, so
+# a one-node history too) and weights at one scale, some of them +-0.0,
+# and compares the pass that skips the identity's products with one that
+# multiplies by np.eye.
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rounds=st.integers(1, 3),
+    scale=st.sampled_from([1e-300, 1e-3, 1.0, 30.0, 1e150]),
+    sampling=st.booleans(),
+)
+def test_an_edge_free_pass_skipping_the_identity_equals_the_dense_product(
+    seed, rounds, scale, sampling
+):
+    rng = np.random.default_rng(seed)
+    cfg = _small_cfg(k=int(rng.integers(1, 9)), d=int(rng.integers(1, 6)), lambda_=0.2)
+    params = init_params(cfg, rng)
+    for _, value in params.entries():
+        value *= scale
+        zeros = rng.random(value.shape) < 0.2
+        value[zeros] = rng.choice([0.0, -0.0], size=np.count_nonzero(zeros))
+    batch = _history_with_gaps(rng, int(rng.integers(1, 6)), rounds, cfg.k)
+    for snapshot in batch.snapshots:
+        snapshot.adjacency[:] = False
+    skipping = _History(batch, cfg)
+    assert skipping.a_hat is None
+    dense = _History(batch, cfg)
+    dense.a_hat = np.eye(dense.rows)
+    assert normalized_adjacency(batch).data.tobytes() == dense.a_hat.tobytes()
+    noise = rng.standard_normal((dense.rows, cfg.d)) if sampling else None
+    values = dict(params.entries())
+    got, got_grads = _pass_and_grads(skipping, values, noise, cfg)
+    expected, expected_grads = _pass_and_grads(dense, values, noise, cfg)
+    if not math.isfinite(expected.breakdown.l_total):
+        # an inf that I @ would spread as NaN stays in its row; the loss overflows either way
+        assert not math.isfinite(got.breakdown.l_total)
+        return
+    assert got.breakdown == expected.breakdown
+    assert _arrays(got) == _arrays(expected)
+    for name, grad in expected_grads.items():
+        assert got_grads[name].tobytes() == grad.tobytes(), name
+
+
+# Each example packs a store as fit does, after an optional earlier fit on
+# another history whose filled buckets differ, so that rows of empty
+# buckets move through their moments, and compares a pass over the packed
+# rows with one over the whole entry, at widths 2d that are and are not
+# multiples of 8.
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rounds=st.sampled_from([1, 3]),
+    earlier_rounds=st.sampled_from([None, 1, 3]),
+    d=st.integers(1, 6),
+)
+def test_a_pass_over_the_packed_rows_of_filled_buckets_equals_one_over_the_whole_entry(
+    seed, rounds, earlier_rounds, d
+):
+    rng = np.random.default_rng(seed)
+    cfg = _small_cfg(k=8, d=d, lambda_=0.2)
+    params = init_params(cfg, rng)
+    if earlier_rounds is not None:
+        fit(_sparse_history(rng, earlier_rounds, cfg.k), cfg, params, rng, epochs=3)
+    history = _History(_sparse_history(rng, rounds, cfg.k), cfg)
+    noise = rng.standard_normal((history.rows, cfg.d))
+    whole, whole_grads = _pass_and_grads(history, dict(params.entries()), noise, cfg)
+
+    first, order, moving = detector._movable(history, params)
+    filled = len(history.filled)
+    # the rows of filled buckets lead, then the other rows that can move
+    assert order[:filled].tolist() == history.filled.tolist()
+    can_move = ~history.unfilled | ~params.moments_are_zero("gcn.w0")
+    assert sorted(order[:moving]) == np.flatnonzero(can_move).tolist()
+    packed = _copy(params)
+    packed.permute_rows("gcn.w0", order)
+    values = dict(packed.entries())
+    values["gcn.w0"] = packed.value("gcn.w0")[:filled]
+    step, grads = _pass_and_grads(history, values, noise, cfg)
+
+    assert step.breakdown == whole.breakdown
+    assert _arrays(step) == _arrays(whole)
+    assert grads["gcn.w0"].tobytes() == whole_grads["gcn.w0"][history.filled].tobytes()
+    # the rows of empty buckets get +0.0 bit for bit
+    assert not whole_grads["gcn.w0"][history.unfilled].view(np.uint64).any()
+    for name in whole_grads.keys() - {"gcn.w0"}:
+        assert grads[name].tobytes() == whole_grads[name].tobytes(), name
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rounds=st.sampled_from([1, 3]))
+def test_at_the_default_width_the_filled_rows_give_the_products_over_every_bucket(seed, rounds):
+    # The products over every bucket, empty ones included, equal those over
+    # the filled buckets at the default 2d = 64. At some other widths (2d
+    # mod 8 in 1..4 with this numpy's OpenBLAS), and in one-node histories,
+    # BLAS sums them in another order, so their last bits can differ.
+    rng = np.random.default_rng(seed)
+    cfg = DetectorConfig(k=64, d=32)
+    w0 = init_params(cfg, rng).value("gcn.w0")
+    batch = _sparse_history(rng, rounds, cfg.k)
+    history = _History(batch, cfg)
+    every = normalized_adjacency(batch).data @ np.vstack([s.features.data for s in batch.snapshots])
+    h1_pre = history.a_hat_x @ w0[history.filled]
+    h1_every = every @ w0
+    # only a zero's sign can differ, which the activation and its mask drop
+    assert np.maximum(h1_pre, 0.0).tobytes() == np.maximum(h1_every, 0.0).tobytes()
+    assert np.array_equal(h1_pre > 0.0, h1_every > 0.0)
+    d_h1 = rng.standard_normal(h1_pre.shape)
+    grad_every = np.dot(every.T, d_h1)
+    assert np.dot(history.a_hat_x.T, d_h1).tobytes() == grad_every[history.filled].tobytes()
+    assert not grad_every[history.unfilled].any()
 
 
 @pytest.mark.parametrize("sampling", [False, True])
