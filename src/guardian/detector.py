@@ -19,9 +19,10 @@ reconstruction residuals to the scoring module.
 The model is one pass in batched numpy over the whole history
 (``_Pass``): the stage functions ``gcn_forward`` through
 ``decode_structure`` run it forward, and its hand-written backward pass
-gives the gradient of any weighted sum of l_att, l_stru and kl. ``fit``
-and ``infer`` run it; ``run_forward`` exposes one pass's loss terms as
-1x1 tensors whose ``backward()`` writes that term's gradient.
+gives the gradient of any weighted sum of l_att, l_stru and kl. The pass
+writes into arrays it allocates once, so ``fit`` runs every epoch in one
+workspace; ``infer`` runs it once, and ``run_forward`` exposes one pass's
+loss terms as 1x1 tensors whose ``backward()`` writes that term's gradient.
 """
 
 from __future__ import annotations
@@ -193,8 +194,28 @@ def init_params(cfg: DetectorConfig, rng: np.random.Generator) -> ParamStore:
     return ParamStore({name: drawn[name] for name in shapes})
 
 
+# Constant operands as 0-d arrays: numpy converts a Python float anew in every call.
+_ZERO, _HALF, _ONE = np.array(0.0), np.array(0.5), np.array(1.0)
+_LOGVAR_MIN, _LOGVAR_MAX = np.array(LOGVAR_MIN), np.array(LOGVAR_MAX)
+_CLAMP_LOW, _CLAMP_HIGH = np.array(-SIGMOID_CLAMP), np.array(SIGMOID_CLAMP)
+
+
+def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """``a @ b`` of 2-D arrays, bit for bit, into ``out`` (None allocates).
+
+    ``np.dot`` costs less per call and gives the same bits, except over an
+    inner dimension of 1: there it scales instead of summing products, so
+    that a -0.0 product stays -0.0 and inf * 0.0 can give 0.0, not NaN.
+    """
+    return (np.matmul if a.shape[1] == 1 else np.dot)(a, b, out=out)
+
+
 def gcn_forward(
-    a_hat: np.ndarray | None, a_hat_x: np.ndarray, w0: np.ndarray, w1: np.ndarray
+    a_hat: np.ndarray | None,
+    a_hat_x: np.ndarray,
+    w0: np.ndarray,
+    w1: np.ndarray,
+    out: tuple = (None,) * 4,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Two rounds of propagate-and-transform; the last layer stays linear
     so the downstream mean/log-variance split is sign-unconstrained.
@@ -207,30 +228,42 @@ def gcn_forward(
     so ``I @`` them gives them back bit for bit, and the product is
     skipped. Returns the first layer's pre-activation, ``a_hat`` times its
     output, and the encoder output.
+
+    ``out`` names the arrays that receive the pre-activation, the first
+    layer's output, ``a_hat`` times it and the encoder output; a None is
+    allocated. The other stages take ``out`` the same way.
     """
-    h1_pre = a_hat_x @ w0
-    h1 = np.maximum(h1_pre, 0.0)
-    a_hat_h1 = h1 if a_hat is None else a_hat @ h1
-    return h1_pre, a_hat_h1, a_hat_h1 @ w1
+    h1_pre, h1, a_hat_h1, hidden = out
+    h1_pre = _matmul(a_hat_x, w0, h1_pre)
+    h1 = np.maximum(h1_pre, _ZERO, out=h1)
+    if a_hat is not None:
+        h1 = _matmul(a_hat, h1, a_hat_h1)
+    return h1_pre, h1, _matmul(h1, w1, hidden)
 
 
-def split_latent(hidden: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def split_latent(
+    hidden: np.ndarray, d: int, out: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Encoder output's mean half, its log-variance half, and that half
-    clamped to [LOGVAR_MIN, LOGVAR_MAX]."""
+    clamped to [LOGVAR_MIN, LOGVAR_MAX] (into ``out``)."""
     log_var_raw = hidden[:, d:]
     # np.minimum/np.maximum clamp like np.clip, at a fraction of its call overhead
-    return hidden[:, :d], log_var_raw, np.minimum(np.maximum(log_var_raw, LOGVAR_MIN), LOGVAR_MAX)
+    log_var = np.maximum(log_var_raw, _LOGVAR_MIN, out=out)
+    return hidden[:, :d], log_var_raw, np.minimum(log_var, _LOGVAR_MAX, out=log_var)
 
 
 def reparameterize(
-    mean: np.ndarray, log_var: np.ndarray, noise: np.ndarray | None
+    mean: np.ndarray, log_var: np.ndarray, noise: np.ndarray | None, out: tuple = (None, None)
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """The sample mean + exp(log_var / 2) * noise and that standard
-    deviation; the mean and None when noise is None (inference)."""
+    deviation, into ``out``; the mean and None when noise is None (inference)."""
     if noise is None:
         return mean, None
-    std = np.exp(log_var * 0.5)
-    return mean + std * noise, std
+    std, sample = out
+    std = np.multiply(log_var, _HALF, out=std)
+    np.exp(std, out=std)
+    sample = np.multiply(std, noise, out=sample)
+    return np.add(mean, sample, out=sample), std
 
 
 def kl_term(mean: Tensor2D, log_variance: Tensor2D) -> Tensor2D:
@@ -259,7 +292,12 @@ def positional_encoding(rounds: list[int], d: int) -> np.ndarray:
 
 
 def temporal_fuse(
-    z: np.ndarray, h: _History, wq: np.ndarray, wk: np.ndarray, wv: np.ndarray
+    z: np.ndarray,
+    h: _History,
+    wq: np.ndarray,
+    wk: np.ndarray,
+    wv: np.ndarray,
+    out: tuple = (None,) * 10,
 ) -> tuple[np.ndarray, ...]:
     """Fuse each final-round agent's latent trajectory with self-attention.
 
@@ -270,31 +308,56 @@ def temporal_fuse(
     projection of that round's latent row. Returns the position-encoded
     sequences, the last queries, ``u`` = query @ wk.T, the attention
     weights, the attended contexts and the fused rows.
+
+    ``out`` receives the position-encoded latents (one row per node), the
+    sequences, the queries, ``u``, the scores (agents x rounds x 1), their
+    row maxima, the weights, their row sums, the contexts (agents x 1 x d)
+    and the fused rows.
     """
-    seq = z[h.gather] + h.pe
-    q = seq[:, -1] @ wq
-    u = q @ wk.T  # q . (seq_t wk) == seq_t . u
-    logits = (seq @ u[:, :, None])[:, :, 0] * h.inv_sqrt_d
-    e = np.exp(logits - logits.max(axis=1, keepdims=True))
-    attn = e / e.sum(axis=1, keepdims=True)
-    context = (attn[:, None, :] @ seq)[:, 0]
-    return seq, q, u, attn, context, context @ wv
+    encoded, seq, q, u, scores, peak, attn, total, context, fused = out
+    # each node's round's encoding added before the gather: the same sums
+    encoded = np.add(z, h.pe_rows, out=encoded)
+    seq = np.take(encoded, h.gather, axis=0, out=seq, mode="clip")  # gather is in range
+    q = _matmul(seq[:, -1], wq, q)
+    u = _matmul(q, wk.T, u)  # q . (seq_t wk) == seq_t . u
+    logits = np.matmul(seq, u[:, :, None], out=scores)[:, :, 0]
+    logits *= h.inv_sqrt_d
+    peak = np.maximum.reduce(logits, axis=1, keepdims=True, out=peak)
+    attn = np.subtract(logits, peak, out=attn)
+    np.exp(attn, out=attn)
+    attn /= np.add.reduce(attn, axis=1, keepdims=True, out=total)
+    context = np.matmul(attn[:, None, :], seq, out=context)[:, 0]
+    return seq, q, u, attn, context, _matmul(context, wv, fused)
 
 
 def decode_attributes(
-    z: np.ndarray, w0: np.ndarray, b0: np.ndarray, w1: np.ndarray, b1: np.ndarray
+    z: np.ndarray,
+    w0: np.ndarray,
+    b0: np.ndarray,
+    w1: np.ndarray,
+    b1: np.ndarray,
+    out: tuple = (None,) * 3,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The attribute decoder's hidden pre-activation, hidden layer and output."""
-    pre = z @ w0 + b0
-    hidden = np.maximum(pre, 0.0)
-    return pre, hidden, hidden @ w1 + b1
+    pre, hidden, x_hat = out
+    pre = _matmul(z, w0, pre)
+    pre += b0
+    hidden = np.maximum(pre, _ZERO, out=hidden)
+    x_hat = _matmul(hidden, w1, x_hat)
+    x_hat += b1
+    return pre, hidden, x_hat
 
 
-def decode_structure(z: np.ndarray) -> np.ndarray:
+def decode_structure(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Edge probabilities sigmoid(z_i . z_j) over all ordered pairs, the
     logits clamped to +-SIGMOID_CLAMP so that both logs of the loss stay finite."""
-    clamped = np.minimum(np.maximum(z @ z.T, -SIGMOID_CLAMP), SIGMOID_CLAMP)
-    return 1.0 / (1.0 + np.exp(-clamped))
+    probs = _matmul(z, z.T, out)
+    np.maximum(probs, _CLAMP_LOW, out=probs)
+    np.minimum(probs, _CLAMP_HIGH, out=probs)
+    np.negative(probs, out=probs)
+    np.exp(probs, out=probs)
+    probs += _ONE
+    return np.divide(_ONE, probs, out=probs)
 
 
 @dataclass(frozen=True)
@@ -371,8 +434,11 @@ class _History:
         self.a_hat_x = a_hat_x[:, self.filled]
         sizes = [len(s.agents) for s in snapshots]
         self.rows = sum(sizes)
-        # kl is the mean over snapshots of the per-node average KL
-        self.kl_weight = np.repeat([0.5 / (n * len(sizes)) for n in sizes], sizes)[:, None]
+        # kl is the mean over snapshots of the per-node average KL; this
+        # constant and the positional rows below are stored at the latents'
+        # shape, so that a pass multiplies and adds them without broadcasting
+        weights = np.repeat([0.5 / (n * len(sizes)) for n in sizes], sizes)
+        self.kl_weight = np.repeat(weights[:, None], cfg.d, axis=1)
         self.gather = np.empty((len(final.agents), len(snapshots)), dtype=np.intp)
         offset = 0
         for t, s in enumerate(snapshots):
@@ -384,7 +450,8 @@ class _History:
             offset += len(s.agents)
         # attention over one snapshot is the identity, which _Pass skips
         self.single = len(snapshots) == 1
-        self.pe = positional_encoding([s.round for s in snapshots], cfg.d)
+        pe = positional_encoding([s.round for s in snapshots], cfg.d)
+        self.pe_rows = np.repeat(pe, sizes, axis=0)  # each node's round's encoding
         self.d, self.alpha, self.gamma = cfg.d, cfg.alpha, cfg.gamma
         self.inv_sqrt_d = 1.0 / math.sqrt(cfg.d)
         self.features = final.features.data
@@ -420,105 +487,219 @@ class _Pass:
     """One forward pass over a whole history, through the stage functions,
     and its hand-written backward pass. ``noise`` is None at inference.
 
+    The pass is its own workspace: it allocates the arrays ``forward``
+    writes when it is built, and those of ``backward`` in the first
+    backward pass, and both overwrite them in place, so that ``fit`` runs
+    all its epochs through one pass and no epoch allocates an array. Built
+    with weights it runs ``forward`` at once. A pass writes only its own
+    arrays and the gradients it is handed; the history it reads may be
+    shared.
+
     ``w["gcn.w0"]`` is either the whole entry or only its rows of filled
     buckets (``h.filled``), as ``fit`` packs them. The first layer
     multiplies those rows alone, so both give the same products.
     """
 
-    def __init__(self, h: _History, w: dict[str, np.ndarray], noise: np.ndarray | None):
-        self.h, self.w, self.noise = h, w, noise
+    def __init__(
+        self, h: _History, w: dict[str, np.ndarray] | None = None, noise: np.ndarray | None = None
+    ):
+        self.h = h
+        rows, d = h.rows, h.d
+        n, k = h.features.shape
+        new = np.empty
+        self.fused = new((n, d))
+        h1 = new((rows, 2 * d))
+        self._gcn = (new((rows, 2 * d)), h1, h1 if h.a_hat is None else new(h1.shape), new(h1.shape))
+        self.log_var, self.var = new((rows, d)), new((rows, d))
+        self._sample = (new((rows, d)), new((rows, d)))
+        self._kl = new((rows, d))
+        if h.single:
+            self.context = new((n, d))
+        else:
+            t = h.gather.shape[1]
+            self._fuse = (
+                new((rows, d)), new((n, t, d)), new((n, d)), new((n, d)),
+                new((n, t, 1)), new((n, 1)), new((n, t)), new((n, 1)),
+                new((n, 1, d)), self.fused,
+            )  # fmt: skip
+        self._decode = (new((n, d)), new((n, d)), new((n, k)))
+        self.edge_probs, self.r_x = new((n, n)), new((n, k))
+        self._squares, self._likelihood = new((n, k)), new((n, n))
+        self._c_kl = None  # the c_kl that _kl_weights were made for
+        if w is not None:
+            self.forward(w, noise)
+
+    # backward's arrays: an inference allocates none
+    @functools.cached_property
+    def _grads(self) -> tuple:
+        rows, d = self.h.rows, self.h.d
+        n, k = self.h.features.shape
+        new = np.empty
+        d_hidden = new((rows, 2 * d))
+        return (
+            new((n, k)), new((n, n)), new((n, n)),
+            new((n, d)), new((n, d), dtype=bool), new((n, d)), new((n, d)), new((n, d)),
+            d_hidden, d_hidden[:, :d], d_hidden[:, d:],
+            new((rows, d)), new((rows, d)), new((rows, d), dtype=bool),
+            new((rows, 2 * d)), None if self.h.a_hat is None else new((rows, 2 * d)),
+            new((rows, 2 * d), dtype=bool),
+        )  # fmt: skip
+
+    @functools.cached_property
+    def _kl_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """(2 * c_kl) * kl_weight and c_kl * kl_weight, for c_kl = ``_c_kl``."""
+        return np.empty(self.h.kl_weight.shape), np.empty(self.h.kl_weight.shape)
+
+    @functools.cached_property
+    def _fuse_grads(self) -> tuple:
+        rows, d = self.h.rows, self.h.d
+        n, t = self.h.gather.shape
+        new = np.empty
+        return (
+            new((n, t, 1)), new((n, t)), new((n, 1)), new((n, t)),
+            new((n, t, d)), new((n, t, d)), new((n, 1, d)),
+            new((n, d)), new((n, d)), new((rows, d)),
+        )  # fmt: skip
+
+    def forward(self, w: dict[str, np.ndarray], noise: np.ndarray | None) -> None:
+        """The pass over weights ``w``; sets ``breakdown``."""
+        h = self.h
+        self.w, self.noise = w, noise
         w0 = w["gcn.w0"]
         self.h1_pre, self.a_hat_h1, hidden = gcn_forward(
-            h.a_hat, h.a_hat_x, w0 if len(w0) == len(h.filled) else w0[h.filled], w["gcn.w1"]
+            h.a_hat,
+            h.a_hat_x,
+            w0 if len(w0) == len(h.filled) else w0[h.filled],
+            w["gcn.w1"],
+            self._gcn,
         )
-        self.mean, self.log_var_raw, self.log_var = split_latent(hidden, h.d)
-        self.var = np.exp(self.log_var)
-        z, self.std = reparameterize(self.mean, self.log_var, noise)
-        kl = float(((self.var + self.mean * self.mean - 1.0 - self.log_var) * h.kl_weight).sum())
+        self.mean, self.log_var_raw, self.log_var = split_latent(hidden, h.d, self.log_var)
+        np.exp(self.log_var, out=self.var)
+        z, self.std = reparameterize(self.mean, self.log_var, noise, self._sample)
+        kl_terms = np.multiply(self.mean, self.mean, out=self._kl)
+        kl_terms += self.var
+        kl_terms -= _ONE
+        kl_terms -= self.log_var
+        kl_terms *= h.kl_weight
+        kl = float(np.add.reduce(kl_terms, axis=None))
 
         if h.single:
             # One snapshot: each agent's last query attends over its one
             # round, with the weight exp(0) / 1 == 1.0 exactly, and
             # 1.0 * x == x, so the context is the position-encoded latent
             # and this equals temporal_fuse bit for bit.
-            self.context = z + h.pe
-            self.fused = self.context @ w["attn.wv"]
+            np.add(z, h.pe_rows, out=self.context)
+            _matmul(self.context, w["attn.wv"], self.fused)
         else:
             self.seq, self.q, self.u, self.attn, self.context, self.fused = temporal_fuse(
-                z, h, w["attn.wq"], w["attn.wk"], w["attn.wv"]
+                z, h, w["attn.wq"], w["attn.wk"], w["attn.wv"], self._fuse
             )
         self.dec_pre, self.dec_h, self.x_hat = decode_attributes(
-            self.fused, w["dec.w0"], w["dec.b0"], w["dec.w1"], w["dec.b1"]
+            self.fused, w["dec.w0"], w["dec.b0"], w["dec.w1"], w["dec.b1"], self._decode
         )
-        self.edge_probs = decode_structure(self.fused)
+        decode_structure(self.fused, self.edge_probs)
 
         n = len(h.features)
-        self.r_x = h.features - self.x_hat
-        l_att = float((self.r_x * self.r_x).sum()) * (1.0 / n)
+        np.subtract(h.features, self.x_hat, out=self.r_x)
+        squares = np.multiply(self.r_x, self.r_x, out=self._squares)
+        l_att = float(np.add.reduce(squares, axis=None)) * (1.0 / n)
         # the target is 0/1, so a log p + (1 - a) log(1 - p) is one of the two logs
-        likelihood = np.where(h.edge, self.edge_probs, 1.0 - self.edge_probs)
-        l_stru = float(np.log(likelihood).sum()) * (-1.0 / (n * n))
+        likelihood = np.subtract(_ONE, self.edge_probs, out=self._likelihood)
+        np.copyto(likelihood, self.edge_probs, where=h.edge)
+        l_stru = float(np.add.reduce(np.log(likelihood, out=likelihood), axis=None)) * (
+            -1.0 / (n * n)
+        )
         self.breakdown = compose_losses(l_att, l_stru, kl, h.alpha, h.gamma)
 
     def backward(self, g: dict[str, np.ndarray], c_att: float, c_stru: float, c_kl: float) -> None:
         """Write d (c_att*l_att + c_stru*l_stru + c_kl*kl) / d parameter into
         each array of `g`, overwriting it. ``g["gcn.w0"]``, like
         ``w["gcn.w0"]``, is the whole entry, whose rows of empty buckets get
-        +0.0, or its rows of filled buckets."""
+        +0.0, or its rows of filled buckets. Over one snapshot ``g`` may
+        leave out attn.wk and attn.wq, whose gradients are zero."""
         h, w = self.h, self.w
-        n, d = len(h.features), h.d
-        d_x_hat = self.r_x * (-2.0 * c_att / n)
+        n = len(h.features)
+        (
+            d_x_hat, d_logits, d_sym, d_dec, dec_live, d_fused, fused_part, d_context,
+            d_hidden, d_mean, d_log_var_in, d_log_var, noise_part, unclamped,
+            d_h1, d_h1_spread, h1_live,
+        ) = self._grads  # fmt: skip
+        np.multiply(self.r_x, -2.0 * c_att / n, out=d_x_hat)
         # cross-entropy through the sigmoid; the clamp passes gradient straight through
-        d_logits = (self.edge_probs - h.target) * (c_stru / (n * n))
+        np.subtract(self.edge_probs, h.target, out=d_logits)
+        d_logits *= c_stru / (n * n)
 
         np.dot(self.dec_h.T, d_x_hat, out=g["dec.w1"])
-        g["dec.b1"][:] = d_x_hat.sum(axis=0)
-        d_dec = (d_x_hat @ w["dec.w1"].T) * (self.dec_pre > 0.0)
+        np.add.reduce(d_x_hat, axis=0, keepdims=True, out=g["dec.b1"])
+        _matmul(d_x_hat, w["dec.w1"].T, d_dec)
+        d_dec *= np.greater(self.dec_pre, _ZERO, out=dec_live)
         np.dot(self.fused.T, d_dec, out=g["dec.w0"])
-        g["dec.b0"][:] = d_dec.sum(axis=0)
-        d_fused = d_dec @ w["dec.w0"].T + (d_logits + d_logits.T) @ self.fused
+        np.add.reduce(d_dec, axis=0, keepdims=True, out=g["dec.b0"])
+        _matmul(d_dec, w["dec.w0"].T, d_fused)
+        d_fused += _matmul(np.add(d_logits, d_logits.T, out=d_sym), self.fused, fused_part)
 
         np.dot(self.context.T, d_fused, out=g["attn.wv"])
-        d_context = d_fused @ w["attn.wv"].T
+        _matmul(d_fused, w["attn.wv"].T, d_context)
         if h.single:
             # With the weight 1.0, d_attn - inner == 0 exactly: the scores,
             # and through them the query and key, get no gradient, and the
             # context's gradient is the latent's.
-            g["attn.wk"].fill(0.0)
-            g["attn.wq"].fill(0.0)
+            for name in ("attn.wk", "attn.wq"):
+                if name in g:
+                    g[name].fill(0.0)
             d_z = d_context
         else:
-            d_attn = (self.seq @ d_context[:, :, None])[:, :, 0]
-            inner = (self.attn * d_attn).sum(axis=1, keepdims=True)
-            d_scores = self.attn * (d_attn - inner) * h.inv_sqrt_d
-            d_seq = self.attn[:, :, None] * d_context[:, None, :]
-            d_seq += d_scores[:, :, None] * self.u[:, None, :]
-            d_u = (d_scores[:, None, :] @ self.seq)[:, 0]
-            d_q = d_u @ w["attn.wk"]
-            np.dot(d_u.T, self.q, out=g["attn.wk"])
-            np.dot(self.seq[:, -1].T, d_q, out=g["attn.wq"])
-            d_seq[:, -1] += d_q @ w["attn.wq"].T
-            d_z = np.zeros((h.rows, d))
-            d_z[h.gather] = d_seq
+            d_z = self._fuse_backward(g, d_context)
 
-        d_hidden = np.empty((h.rows, 2 * d))
-        d_hidden[:, :d] = d_z + (2.0 * c_kl) * h.kl_weight * self.mean
-        d_log_var = c_kl * h.kl_weight * (self.var - 1.0)
+        if c_kl is not self._c_kl:
+            np.multiply(2.0 * c_kl, h.kl_weight, out=self._kl_weights[0])
+            np.multiply(c_kl, h.kl_weight, out=self._kl_weights[1])
+            self._c_kl = c_kl
+        np.add(d_z, np.multiply(self._kl_weights[0], self.mean, out=d_log_var), out=d_mean)
+        np.subtract(self.var, _ONE, out=d_log_var)
+        d_log_var *= self._kl_weights[1]
         if self.noise is not None:
-            d_log_var += d_z * self.noise * self.std * 0.5
-        d_hidden[:, d:] = d_log_var * (self.log_var == self.log_var_raw)  # not clamped
+            np.multiply(d_z, self.noise, out=noise_part)
+            noise_part *= self.std
+            noise_part *= _HALF
+            d_log_var += noise_part
+        np.multiply(d_log_var, np.equal(self.log_var, self.log_var_raw, out=unclamped), out=d_log_var_in)
 
         np.dot(self.a_hat_h1.T, d_hidden, out=g["gcn.w1"])
-        d_h1 = d_hidden @ w["gcn.w1"].T
+        _matmul(d_hidden, w["gcn.w1"].T, d_h1)
         if h.a_hat is not None:
-            d_h1 = h.a_hat.T @ d_h1
-        d_h1 *= self.h1_pre > 0.0
+            d_h1 = _matmul(h.a_hat.T, d_h1, d_h1_spread)
+        d_h1 *= np.greater(self.h1_pre, _ZERO, out=h1_live)
         g0 = g["gcn.w0"]
         if len(g0) == len(h.filled):
             np.dot(h.a_hat_x.T, d_h1, out=g0)
         else:
             g0[h.unfilled] = 0.0
             g0[h.filled] = np.dot(h.a_hat_x.T, d_h1)
+
+    def _fuse_backward(self, g: dict[str, np.ndarray], d_context: np.ndarray) -> np.ndarray:
+        """Backward through ``temporal_fuse``: writes the query's and key's
+        gradients and returns the latents'."""
+        h, w = self.h, self.w
+        d_attn3, weighted, inner, d_scores, d_seq, d_seq_part, d_u3, d_q, d_last, d_z = (
+            self._fuse_grads
+        )
+        d_attn = np.matmul(self.seq, d_context[:, :, None], out=d_attn3)[:, :, 0]
+        np.multiply(self.attn, d_attn, out=weighted)
+        np.add.reduce(weighted, axis=1, keepdims=True, out=inner)
+        np.subtract(d_attn, inner, out=d_scores)
+        d_scores *= self.attn
+        d_scores *= h.inv_sqrt_d
+        np.multiply(self.attn[:, :, None], d_context[:, None, :], out=d_seq)
+        d_seq += np.multiply(d_scores[:, :, None], self.u[:, None, :], out=d_seq_part)
+        d_u = np.matmul(d_scores[:, None, :], self.seq, out=d_u3)[:, 0]
+        _matmul(d_u, w["attn.wk"], d_q)
+        np.dot(d_u.T, self.q, out=g["attn.wk"])
+        np.dot(self.seq[:, -1].T, d_q, out=g["attn.wq"])
+        d_seq[:, -1] += _matmul(d_q, w["attn.wq"].T, d_last)
+        d_z.fill(0.0)
+        d_z[h.gather] = d_seq
+        return d_z
 
 
 # Epochs of noise drawn in one call: a fit at the default epoch counts
@@ -534,7 +715,7 @@ def _movable(history: _History, params: ParamStore) -> tuple[str, np.ndarray, in
     An entry whose gradient is +-0.0 in every epoch and whose moments are
     +0.0 keeps its value and moments under Adam bit for bit, so the fit
     leaves it out. That holds of attn.wk and attn.wq in a one-snapshot
-    fit, whose gradients backward fills with 0, while their moments are
+    fit, whose gradients are zero, while their moments are
     zero; and of the rows of gcn.w0 of empty buckets (not in
     ``history.filled``) while their moments are zero.
 
@@ -575,7 +756,9 @@ def fit(
     order, and steps the span of the store from the first entry that can
     move to the last row that can. The passes multiply the packed rows of
     filled buckets where they lie and write their gradient there; the
-    other rows that move get a zero gradient. When the fit ends it restores
+    other rows that move get a zero gradient, as do attn.wk and attn.wq
+    over one snapshot, written once. Every epoch runs through one
+    ``_Pass``, allocated when the fit starts. When the fit ends it restores
     the row order and writes gcn.w0's whole gradient from the last backward
     pass, so the store ends bit for bit as full steps would leave it, also
     when it raises.
@@ -591,6 +774,12 @@ def fit(
     values = dict(params.entries())
     grads = {name: params.grad(name) for name in values}
     values["gcn.w0"], grads["gcn.w0"] = params.value("gcn.w0")[:n_filled], packed_grad[:n_filled]
+    # zero in every epoch, so written in the first only: the rows that move
+    # only through their moments and, over one snapshot, the query and key
+    zeroed = [packed_grad[n_filled:]]
+    if history.single:
+        zeroed += [grads.pop("attn.wk"), grads.pop("attn.wq")]
+    step = _Pass(history)
     trace: list[LossBreakdown] = []
     params.permute_rows("gcn.w0", order)
     try:
@@ -601,15 +790,16 @@ def fit(
                     noise = rng.standard_normal(
                         (min(_NOISE_EPOCHS, epochs - epoch), history.rows, cfg.d)
                     )
-                step = _Pass(history, values, noise[at])
+                step.forward(values, noise[at])
                 if not math.isfinite(step.breakdown.l_total):
                     raise TrainingDiverged(
                         epoch, trace[-1] if trace else None, f"non-finite loss {step.breakdown}"
                     )
                 trace.append(step.breakdown)
                 step.backward(grads, *coefficients)
-                if epoch == 0:  # the rows that move only through their moments
-                    packed_grad[n_filled:] = 0.0
+                if epoch == 0:
+                    for grad in zeroed:
+                        grad.fill(0.0)
                 nm.adam_step(stepped, lr=cfg.lr)
     finally:
         params.step = stepped.step

@@ -219,7 +219,7 @@ def self_looped_adjacency(s: Snapshot) -> np.ndarray:
 
 
 def truncate_history(batch: HistoryBatch, window: int) -> HistoryBatch:
-    """Keep only the trailing `window` snapshots, recomputing presence masks."""
+    """The trailing `window` snapshots, as stored."""
     if window <= 0:
         raise GraphError(f"history window must be positive, got {window}")
     return HistoryBatch.of(batch.snapshots[-window:])

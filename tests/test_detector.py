@@ -4,12 +4,15 @@ import dataclasses
 import json
 import math
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import allocating
 import tape
 from guardian import detector, harness, numerics, pipeline
 from guardian.detector import (
@@ -1114,6 +1117,166 @@ def test_at_the_default_width_the_filled_rows_give_the_products_over_every_bucke
     grad_every = np.dot(every.T, d_h1)
     assert np.dot(history.a_hat_x.T, d_h1).tobytes() == grad_every[history.filled].tobytes()
     assert not grad_every[history.unfilled].any()
+
+
+# ---------------------------------------------------------------------------
+# the pass's preallocated arrays, against the allocating pass
+# ---------------------------------------------------------------------------
+
+
+def _outcome(run):
+    """What a call returned, or the divergence it raised."""
+    try:
+        return run(), None
+    except (TrainingDiverged, NonFiniteError) as err:
+        return None, err
+
+
+def _assert_same_outcome(got, expected):
+    (value, err), (expected_value, expected_err) = got, expected
+    assert type(err) is type(expected_err) and str(err) == str(expected_err)
+    if isinstance(err, TrainingDiverged):
+        assert (err.epoch, err.breakdown) == (expected_err.epoch, expected_err.breakdown)
+    assert value == expected_value
+
+
+def _recon_bits(result):
+    recon, breakdown = result
+    return recon.agents, recon.r_x.tobytes(), recon.r_e.tobytes(), breakdown
+
+
+# Each example fits copies of one store, after an optional earlier fit on a
+# longer history that leaves moments and query and key gradients, then
+# infers: once through the detector and once through tests/allocating.py.
+# Weights at 1e150 overflow the first loss, and a step size of 1e300 a
+# later one or Adam; at +-0.0 every product is a signed zero.
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 8),
+    d=st.sampled_from([1, 2, 3, 4, 5, 6, 32]),
+    agents=st.integers(1, 5),
+    rounds=st.integers(1, 3),
+    edges=st.booleans(),
+    scale=st.sampled_from([0.0, -0.0, 1e-300, 1.0, 30.0, 1e150]),
+    epochs=st.sampled_from([0, 1, 3, 12]),
+    earlier=st.booleans(),
+    lr=st.sampled_from([0.02, 1e300]),
+)
+def test_fit_and_infer_equal_the_allocating_pass_bit_for_bit(
+    seed, k, d, agents, rounds, edges, scale, epochs, earlier, lr
+):
+    rng = np.random.default_rng(seed)
+    cfg = _small_cfg(k=k, d=d, lambda_=0.2)
+    params = init_params(cfg, rng)
+    if earlier:
+        fit(_history_with_gaps(rng, 3, 3, k), cfg, params, rng, epochs=2)
+    cfg = dataclasses.replace(cfg, lr=lr)
+    for _, value in params.entries():
+        value *= scale
+        zeros = rng.random(value.shape) < 0.2
+        value[zeros] = rng.choice([0.0, -0.0], size=np.count_nonzero(zeros))
+    batch = _history_with_gaps(rng, agents, rounds, k)
+    filled = rng.random(k) < rng.choice([0.0, 0.5, 1.0])
+    for snapshot in batch.snapshots:
+        snapshot.features.data[:, ~filled] = 0.0
+        if not edges:
+            snapshot.adjacency[:] = False
+    reference = _copy(params)
+    noise_seed = int(rng.integers(2**32))
+    got_rng, ref_rng = np.random.default_rng(noise_seed), np.random.default_rng(noise_seed)
+
+    _assert_same_outcome(
+        _outcome(lambda: fit(batch, cfg, params, got_rng, epochs=epochs)),
+        _outcome(lambda: allocating.fit(batch, cfg, reference, ref_rng, epochs)),
+    )
+    _assert_same_bits(params, reference)
+    assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+    with np.errstate(all="ignore"):
+        got, expected = _outcome(lambda: infer(batch, cfg, params)), _outcome(
+            lambda: allocating.infer(batch, cfg, reference)
+        )
+    assert (got[1] is None) == (expected[1] is None)
+    if got[1] is None:
+        assert _recon_bits(got[0]) == _recon_bits(expected[0])
+    else:
+        assert str(got[1]) == str(expected[1])
+
+
+def test_one_pass_writes_each_terms_gradient_whatever_came_before():
+    # one pass, its terms' backward() in turn, each as a fresh pass writes it
+    rng = np.random.default_rng(80)
+    cfg = _small_cfg(lambda_=0.2)
+    params = init_params(cfg, rng)
+    batch = _history_with_gaps(rng, 4, 3, cfg.k)
+    terms = run_forward(batch, cfg, params, np.random.default_rng(81))
+    for term in ("kl", "loss_total", "l_att", "kl", "l_stru"):
+        getattr(run_forward(batch, cfg, params, np.random.default_rng(81)), term).backward()
+        expected = params._grad.copy()
+        params._grad[:] = np.nan
+        getattr(terms, term).backward()
+        assert params._grad.tobytes() == expected.tobytes(), term
+
+
+def _fit_and_infer(batch, cfg, params, seed, epochs):
+    trace = fit(batch, cfg, params, np.random.default_rng(seed), epochs=epochs)
+    return trace, _recon_bits(infer(batch, cfg, params))
+
+
+def test_two_threads_fitting_two_stores_on_one_batch_equal_the_fits_one_after_the_other():
+    # Both threads read the one cached history of the shared batch; each
+    # also fits a one-snapshot batch of its own in between, which replaces
+    # that cache while the other thread may still be using it.
+    rng = np.random.default_rng(50)
+    cfg = _small_cfg(k=8, lambda_=0.2)
+    shared = _history_with_gaps(rng, 5, 3, cfg.k)
+    own = [_history_with_gaps(rng, 4, 1, cfg.k) for _ in range(2)]
+    stores = [init_params(cfg, np.random.default_rng(seed)) for seed in (51, 52)]
+    sequential = [_copy(store) for store in stores]
+
+    def work(i, store):
+        return [
+            _fit_and_infer(batch, cfg, store, 60 + 10 * i + j, epochs=100)
+            for j, batch in enumerate((shared, own[i], shared))
+        ]
+
+    expected = [work(i, store) for i, store in enumerate(sequential)]
+    results = [None, None]
+    start = threading.Barrier(2, timeout=60)
+
+    def worker(i):
+        start.wait()
+        results[i] = work(i, stores[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == expected
+    for store, reference in zip(stores, sequential):
+        _assert_same_bits(store, reference)
+
+
+def test_a_reconstruction_and_a_trace_keep_their_bytes_after_later_fits_and_inferences():
+    rng = np.random.default_rng(70)
+    cfg = _small_cfg(lambda_=0.2)
+    params = init_params(cfg, rng)
+    first, other = _history_with_gaps(rng, 4, 1, cfg.k), _history_with_gaps(rng, 4, 1, cfg.k)
+    trace = fit(first, cfg, params, rng, epochs=5)
+    recon, breakdown = infer(first, cfg, params)
+    kept = (list(trace), _recon_bits((recon, breakdown)))
+    # the same batch again, then another of the same shapes
+    for batch in (first, other):
+        fit(batch, cfg, params, rng, epochs=5)
+        infer(batch, cfg, params)
+    assert (trace, _recon_bits((recon, breakdown))) == kept
 
 
 @pytest.mark.parametrize("sampling", [False, True])
