@@ -33,6 +33,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -96,7 +97,7 @@ def gib_gamma(lambda_: float, beta: float) -> float:
     return lambda_ / (1.0 + lambda_ * beta)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DetectorConfig:
     k: int = 64
     d: int = 32
@@ -141,8 +142,7 @@ class Reconstruction:
     r_e: np.ndarray  # observed (self-looped symmetrized) adjacency minus the edge probabilities
 
 
-@dataclass(frozen=True)
-class LossBreakdown:
+class LossBreakdown(NamedTuple):
     l_att: float
     l_stru: float
     l_rec: float
@@ -155,7 +155,7 @@ def compose_losses(
 ) -> LossBreakdown:
     l_rec = alpha * l_att + (1.0 - alpha) * l_stru
     l_total = l_rec + gamma * kl
-    return LossBreakdown(l_att=l_att, l_stru=l_stru, l_rec=l_rec, kl=kl, l_total=l_total)
+    return LossBreakdown(l_att, l_stru, l_rec, kl, l_total)
 
 
 def _param_shapes(cfg: DetectorConfig) -> dict[str, tuple[int, int]]:
@@ -379,7 +379,7 @@ def run_forward(
     rng: np.random.Generator | None,
 ) -> LossTerms:
     """One pass of the model, as ``fit`` runs it; rng=None disables sampling (inference)."""
-    history = _History(batch, cfg)
+    history = _history(batch, cfg)
     noise = None if rng is None else rng.standard_normal((history.rows, cfg.d))
     step = _Pass(history, dict(params.entries()), noise)
     grads = {name: params.grad(name) for name in params.names()}
@@ -459,28 +459,14 @@ class _History:
         self.edge = self.target > 0.0
 
 
-class _LastHistory:
-    """The last history built, with its batch and the config values it
-    depends on, so that a round's fit and infer share one.
+@functools.lru_cache(maxsize=1)
+def _history(batch: HistoryBatch, cfg: DetectorConfig) -> _History:
+    """The last history built, so that a round's fit and infer share one.
 
-    Keyed by the batch's identity, which the held reference keeps from
-    being reused; a batch is not changed after it is built.
+    Keyed by the batch's identity and the config's value: both are frozen,
+    and the cache's reference keeps the batch's identity from being reused.
     """
-
-    def __init__(self) -> None:
-        # one tuple, read and replaced whole, so concurrent callers never mix entries
-        self.entry: tuple[HistoryBatch | None, tuple, _History | None] = (None, (), None)
-
-    def __call__(self, batch: HistoryBatch, cfg: DetectorConfig) -> _History:
-        key = (cfg.k, cfg.d, cfg.alpha, cfg.gamma)
-        cached_batch, cached_key, history = self.entry
-        if cached_batch is not batch or cached_key != key:
-            history = _History(batch, cfg)
-            self.entry = (batch, key, history)
-        return history
-
-
-_history = _LastHistory()
+    return _History(batch, cfg)
 
 
 class _Pass:

@@ -45,7 +45,7 @@ class GraphError(ValueError):
     """Violation of a temporal-graph precondition."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class Snapshot:
     round: int
     agents: list[AgentId]
@@ -69,9 +69,9 @@ class Snapshot:
             raise GraphError(f"round {self.round}: response/agent count mismatch")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class HistoryBatch:
-    """Snapshots of one history plus per-agent presence masks."""
+    """Snapshots of one history plus per-agent presence masks; equal and hashed by identity."""
 
     snapshots: list[Snapshot]
     presence: dict[AgentId, list[bool]]

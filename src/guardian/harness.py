@@ -80,7 +80,7 @@ class HarnessError(ValueError):
 _DETECTOR_FIELDS = [f.name for f in dataclasses.fields(DetectorConfig) if f.name != "seed"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     n_agents: int = 4
     max_rounds: int = 3
@@ -122,7 +122,7 @@ class ExperimentConfig:
             )
         if self.attack not in ATTACK_ALIASES:
             raise HarnessError(f"unknown attack {self.attack!r}")
-        self.attack = ATTACK_ALIASES[self.attack]
+        object.__setattr__(self, "attack", ATTACK_ALIASES[self.attack])
         if self.decay not in ("exponential", "linear"):
             raise HarnessError(f"unknown decay {self.decay!r}")
         if self.pooling not in ("pooled", "per_episode"):
@@ -375,6 +375,8 @@ def _embed_fn(cfg: ExperimentConfig):
     """Hashing embedder by default; GUARDIAN_EMBEDDER_URL swaps in a service."""
     url = os.environ.get("GUARDIAN_EMBEDDER_URL")
     if url:
+        # one fixed text first, so that a bad service fails before any agent is called
+        remote_embed(url, "probe", dim=cfg.k)
         return lambda text: remote_embed(url, text, dim=cfg.k)
     try:
         return make_embedder(EmbeddingConfig(dim=cfg.k))

@@ -79,6 +79,8 @@ class Task:
             raise SimulatorError(f"task {self.id}: need at least 2 candidate answers")
         if self.correct not in self.answer_space:
             raise SimulatorError(f"task {self.id}: correct answer not in answer space")
+        if all(a == self.correct for a in self.answer_space):
+            raise SimulatorError(f"task {self.id}: answer space has no wrong answer")
 
 
 @dataclass(frozen=True)

@@ -512,6 +512,18 @@ def test_cli_corpus_line_with_one_answer_fails_naming_the_line(tmp_path, capsys)
     assert capsys.readouterr().err.startswith(f"error: {corpus}:2: ")
 
 
+def test_cli_corpus_line_with_no_wrong_answer_fails_naming_the_line(tmp_path, capsys):
+    # an attack draws its payload from the wrong answers, so a task needs one
+    corpus = tmp_path / "corpus.tsv"
+    corpus.write_text("t0\tWhat is 4 plus 4?\t8|8|9\t0\nt1\tWhat is 4 plus 4?\t8|8\t0\n")
+    code = main(
+        ["simulate", *_fast_flags(tmp_path), "--corpus", str(corpus), "--attack", "hallucination"]
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: {corpus}:2: task t1: answer space has no wrong answer\n"
+
+
 def test_cli_config_file_not_utf8_fails_naming_it(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_bytes(b"n_tasks = 2\n# caf\xff\n")

@@ -407,8 +407,28 @@ def test_gib_gamma_rejects_negative():
 def test_config_gamma_tracks_fields():
     cfg = DetectorConfig(lambda_=0.01, beta=1.0)
     assert abs(cfg.gamma - 0.01 / 1.01) < 1e-15
-    cfg.lambda_ = 1.0 / 199.0
+    cfg = dataclasses.replace(cfg, lambda_=1.0 / 199.0)
     assert abs(cfg.gamma - 0.005) < 1e-15
+
+
+def _frozen_values():
+    snapshot = _snapshot(1, [0, 1], np.zeros((2, 3)))
+    batch = HistoryBatch.of([snapshot])
+    return [DetectorConfig(), harness.ExperimentConfig(), snapshot, batch]
+
+
+@pytest.mark.parametrize("value", _frozen_values(), ids=lambda v: type(v).__name__)
+def test_validated_values_cannot_be_assigned(value):
+    for f in dataclasses.fields(value):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, f.name, getattr(value, f.name))
+
+
+def test_a_history_batch_is_equal_and_hashed_by_identity():
+    batch = _frozen_values()[-1]
+    twin = HistoryBatch.of(batch.snapshots)
+    assert batch == batch and batch != twin
+    assert hash(batch) == object.__hash__(batch)
 
 
 # ---------------------------------------------------------------------------
@@ -1216,6 +1236,52 @@ def test_one_pass_writes_each_terms_gradient_whatever_came_before():
         params._grad[:] = np.nan
         getattr(terms, term).backward()
         assert params._grad.tobytes() == expected.tobytes(), term
+
+
+def _count_histories(monkeypatch):
+    """The final round of every history built from here on."""
+    built = []
+
+    class CountingHistory(detector._History):
+        def __init__(self, batch, cfg):
+            built.append(batch.snapshots[-1].round)
+            super().__init__(batch, cfg)
+
+    monkeypatch.setattr(detector, "_History", CountingHistory)
+    detector._history.cache_clear()
+    return built
+
+
+def test_a_grad_check_through_run_forward_builds_one_history(monkeypatch):
+    built = _count_histories(monkeypatch)
+    rng = np.random.default_rng(17)
+    cfg = DetectorConfig(k=5, d=3, lambda_=0.05)
+    params = init_params(cfg, rng)
+    batch = _random_batch(rng, 4, 2, cfg.k)
+    err = grad_check(
+        _loss_fn(run_forward, batch, cfg, "total"),
+        params,
+        eps=1e-4,
+        rng=np.random.default_rng(0),
+        max_coords_per_param=10,
+    )
+    assert err < 1e-4
+    assert built == [2]
+
+
+def test_infer_after_another_batchs_fit_rebuilds_the_history_it_needs(monkeypatch):
+    built = _count_histories(monkeypatch)
+    rng = np.random.default_rng(90)
+    cfg = _small_cfg(lambda_=0.2)
+    first, second = _history_with_gaps(rng, 5, 3, cfg.k), _history_with_gaps(rng, 4, 2, cfg.k)
+    params = init_params(cfg, rng)
+    fit(first, cfg, params, np.random.default_rng(91), epochs=5)
+    fit(second, cfg, params, np.random.default_rng(92), epochs=5)
+    cached = _recon_bits(infer(first, cfg, params))
+    assert built == [3, 2, 3]
+    detector._history.cache_clear()
+    assert _recon_bits(infer(first, cfg, params)) == cached
+    assert built == [3, 2, 3, 3]
 
 
 def _fit_and_infer(batch, cfg, params, seed, epochs):

@@ -9,19 +9,21 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import numpy as np
 import pytest
 
+from guardian.cli import main
 from guardian.harness import ExperimentConfig, run_experiment
 
 
 class _ServiceHandler(BaseHTTPRequestHandler):
     embed_calls = 0
     agent_calls = 0
+    width = 64  # numbers per embedding; the default k is 64
 
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
         if self.path == "/embed":
             _ServiceHandler.embed_calls += 1
             rng = np.random.default_rng(abs(hash(body["text"])) % (2**32))
-            vec = rng.normal(size=64)
+            vec = rng.normal(size=_ServiceHandler.width)
             vec /= np.linalg.norm(vec)
             reply = {"vector": vec.tolist()}
         else:
@@ -41,6 +43,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
 def services(monkeypatch):
     _ServiceHandler.embed_calls = 0
     _ServiceHandler.agent_calls = 0
+    _ServiceHandler.width = 64
     server = HTTPServer(("127.0.0.1", 0), _ServiceHandler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -73,3 +76,11 @@ def test_remote_experiment_end_to_end(services):
     assert report.api_calls_mean == logs[0].api_calls
     # remote agents all answered 13, which is not this task's correct answer
     assert logs[0].final_answer == "13"
+
+
+def test_bad_embedder_fails_before_any_agent_is_called(services, capsys):
+    _ServiceHandler.width = 63
+    assert main(["defend", "--tasks", "1", "--agents", "4"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: embedder at http://127.0.0.1:") and "64 finite numbers" in err, err
+    assert (_ServiceHandler.embed_calls, _ServiceHandler.agent_calls) == (1, 0)
