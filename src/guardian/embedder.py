@@ -71,15 +71,18 @@ def remote_embed(url: str, text: str, dim: int, timeout: float = 30.0) -> np.nda
     """POST {"text": ...} to an encoder service, expect {"vector": [dim numbers]}.
 
     A failed call, any reply but HTTP 200 with a JSON object, and a vector
-    that is not `dim` finite numbers all raise EmbeddingError naming `url`.
+    that is not `dim` finite numbers all raise EmbeddingError naming `url`
+    and GUARDIAN_EMBEDDER_URL, the variable the command line reads it from.
     """
     try:
         vector = post_json(url, {"text": text}, timeout).get("vector")
     except (OSError, ValueError) as err:
-        raise EmbeddingError(f"embedder request to {url} failed: {err}") from err
+        raise EmbeddingError(f"GUARDIAN_EMBEDDER_URL {url}: request failed: {err}") from err
     # type() rejects bools; an int compares with a float exactly, so a huge one cannot overflow
     if not isinstance(vector, list) or len(vector) != dim or not all(
         type(v) in (int, float) and abs(v) <= sys.float_info.max for v in vector
     ):
-        raise EmbeddingError(f"embedder at {url} returned a bad vector (expected {dim} finite numbers)")
+        raise EmbeddingError(
+            f"GUARDIAN_EMBEDDER_URL {url}: returned a bad vector (expected {dim} finite numbers)"
+        )
     return np.array(vector, dtype=np.float64)

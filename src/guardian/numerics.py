@@ -5,12 +5,23 @@ adjacencies, reconstructions and loss values. A 1x1 loss may carry a
 ``backward`` hook that writes its gradient into the ``ParamStore`` it was
 computed from; the detector's hand-written backward pass supplies it, and
 ``grad_check`` holds it to central differences.
+
+``adam_step`` runs a C loop, compiled with the host's gcc on its first call
+and cached beside this module; where none can be built it runs the same
+update in numpy, bit for bit.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
+import hashlib
 import math
+import os
+import platform
+import shutil
+import tempfile
+from pathlib import Path
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -116,6 +127,8 @@ class ParamStore:
             b if b.size == offset else b[:offset] for b in buffers
         )
         self._scratch = (scratch[0][:offset], scratch[1][:offset])
+        # the compiled adam_step's leading arguments: the length and the four buffers' addresses
+        self._kernel_args = (offset, *(b.ctypes.data for b in self._buffers()))
         self.step = 0
 
     def _views(self, buffer: np.ndarray) -> dict[str, np.ndarray]:
@@ -176,6 +189,11 @@ class ParamStore:
     def _buffers(self) -> tuple[np.ndarray, ...]:
         return self._value, self._grad, self._m, self._v
 
+    def __reduce__(self):
+        # copies and pickles are rebuilt over their own buffers: the addresses
+        # that adam_step hands the compiled loop must be the copy's
+        return _rebuilt, (self.layout, self._buffers(), self.step)
+
     def clone(self) -> "ParamStore":
         return ParamStore(self._values)
 
@@ -183,27 +201,139 @@ class ParamStore:
         return self._values.items()
 
 
+def _rebuilt(layout, buffers: tuple[np.ndarray, ...], step: int) -> ParamStore:
+    """A store of this layout over copies of these buffers, at this step."""
+    store = ParamStore.__new__(ParamStore)
+    size = buffers[0].size
+    copies = tuple(np.array(b) for b in buffers)
+    store._lay_out(dict(layout), copies, (np.empty(size), np.empty(size)))
+    store.step = step
+    return store
+
+
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-def adam_step(store: ParamStore, lr: float) -> None:
-    """One bias-corrected Adam update of every entry of the store,
-    vectorised over them.
+# Textbook Adam, one entry per iteration, in the order of operations of
+# _adam_step_numpy. IEEE add, multiply, divide and sqrt are correctly rounded
+# at any vector width, so the vectorised loop gives numpy's bits as long as
+# no multiply and add are fused (-ffp-contract=off). -ffast-math, -Ofast and
+# -funsafe-math-optimizations must never be added: gcc then links
+# crtfastmath.o, which flushes subnormals to zero in the whole process.
+_SOURCE = f"""
+#include <stddef.h>
+#include <stdint.h>
+#include <string.h>
+#include <math.h>
 
-    Elementwise it is the textbook per-entry update with ``ADAM_BETA1``,
-    ``ADAM_BETA2`` and ``ADAM_EPS``, in the same order of operations, so the
-    result is bit-identical to updating entry by entry. An entry whose
-    gradient is +-0.0 and whose moments are +0.0 gets the update 0 and keeps
-    its moments, so stepping a ``tail`` that leaves such entries and rows
-    out equals the full step bit for bit (``moments_are_zero`` checks the
-    moments). Temporaries live in the store's two scratch buffers.
-    Gradients are left untouched; the caller decides when to zero them.
-    """
+#define EXPONENT UINT64_C(0x7ff0000000000000)
+
+#if defined(__x86_64__)
+__attribute__((target_clones("avx512f", "avx2", "default")))
+#endif
+int guardian_adam_step(ptrdiff_t n, double *restrict value, const double *restrict grad,
+                       double *restrict m, double *restrict v,
+                       double lr, double bias1, double bias2)
+{{
+    uint64_t non_finite = 0;
+    for (ptrdiff_t i = 0; i < n; i++) {{
+        double g = grad[i];
+        double mi = m[i] * {ADAM_BETA1!r} + g * (1.0 - {ADAM_BETA1!r});
+        double vi = v[i] * {ADAM_BETA2!r} + g * g * (1.0 - {ADAM_BETA2!r});
+        double x = value[i] - mi / bias1 * lr / (sqrt(vi / bias2) + {ADAM_EPS!r});
+        /* inf and NaN have every exponent bit set; an integer test keeps the loop vectorised */
+        uint64_t bits;
+        memcpy(&bits, &x, sizeof bits);
+        non_finite |= (bits & EXPONENT) == EXPONENT;
+        m[i] = mi;
+        v[i] = vi;
+        value[i] = x;
+    }}
+    return !non_finite;
+}}
+"""
+_CFLAGS = ("-O3", "-shared", "-fPIC", "-ffp-contract=off", "-fno-math-errno")
+_COMPILE_TIMEOUT_S = 60.0
+
+# What adam_step calls: _UNLOADED until its first call, then the compiled
+# step, or None where none could be built or loaded.
+_UNLOADED = object()
+_kernel: object = _UNLOADED
+
+
+def _kernel_path() -> Path:
+    """The cached kernel's path, named by what it is built from."""
+    key = hashlib.sha256("\0".join([_SOURCE, *_CFLAGS, platform.machine()]).encode()).hexdigest()
+    return Path(__file__).with_name("__pycache__") / f"guardian_adam-{key[:16]}.so"
+
+
+def _build(gcc: str, target: Path) -> bool:
+    """Compile the kernel to a temporary file beside ``target`` and publish
+    it there with one rename, so that a concurrent build or load never sees
+    half a file. Raises OSError when that directory cannot be written."""
+    import subprocess  # imported here: only the first adam_step of a host may compile
+
+    handle, temporary = tempfile.mkstemp(prefix=f".{target.name}.", dir=target.parent)
+    os.close(handle)
+    try:
+        done = subprocess.run(
+            [gcc, *_CFLAGS, "-x", "c", "-", "-o", temporary],
+            input=_SOURCE,
+            capture_output=True,
+            text=True,
+            timeout=_COMPILE_TIMEOUT_S,
+        )
+        if done.returncode != 0:
+            return False
+        os.chmod(temporary, 0o755)  # mkstemp made it private to this user
+        os.replace(temporary, target)
+        return True
+    except (OSError, subprocess.SubprocessError):
+        return False
+    finally:
+        if os.path.exists(temporary):
+            os.unlink(temporary)
+
+
+def _bind(path: Path):
+    """The kernel's function in the shared object at ``path``, typed; None if it does not load."""
+    try:
+        step = ctypes.CDLL(str(path)).guardian_adam_step
+    except (OSError, AttributeError):
+        return None
+    step.argtypes = (ctypes.c_ssize_t, *[ctypes.c_void_p] * 4, *[ctypes.c_double] * 3)
+    step.restype = ctypes.c_int
+    return step
+
+
+def _load_kernel():
+    """The compiled step: from the cache, else built into it with the host's
+    gcc, else, where the cache is read-only, built in a temporary directory
+    of this process. None when there is no gcc or the build fails."""
+    cached = _kernel_path()
+    if not cached.exists():
+        gcc = shutil.which("gcc")
+        if gcc is None:
+            return None
+        try:
+            cached.parent.mkdir(exist_ok=True)
+            built = _build(gcc, cached)
+        except OSError:
+            with tempfile.TemporaryDirectory() as private:
+                own = Path(private, cached.name)
+                # the loaded library outlives its file
+                return _bind(own) if _build(gcc, own) else None
+        if not built:
+            return None
+    return _bind(cached)
+
+
+def _adam_step_numpy(store: ParamStore, lr: float, bias1: float, bias2: float) -> bool:
+    """The compiled step in numpy passes; whether every new value is finite."""
     b1, b2 = ADAM_BETA1, ADAM_BETA2
-    store.step += 1
-    value, g, m, v = store._value, store._grad, store._m, store._v
+    value, g, m, v = store._buffers()
     update, denom = store._scratch
     m *= b1
     np.multiply(g, 1.0 - b1, out=update)
@@ -212,16 +342,42 @@ def adam_step(store: ParamStore, lr: float) -> None:
     np.multiply(g, g, out=update)
     update *= 1.0 - b2
     v += update
-    np.divide(m, 1.0 - b1**store.step, out=update)
+    np.divide(m, bias1, out=update)
     update *= lr
-    np.divide(v, 1.0 - b2**store.step, out=denom)
+    np.divide(v, bias2, out=denom)
     np.sqrt(denom, out=denom)
     denom += ADAM_EPS
     update /= denom
     value -= update
     # A sum is finite only if every element is; finite values whose sum
     # overflows fall through to the elementwise scan, which clears them.
-    if not math.isfinite(np.add.reduce(value)) and not np.all(np.isfinite(value)):
+    return math.isfinite(np.add.reduce(value)) or bool(np.all(np.isfinite(value)))
+
+
+def adam_step(store: ParamStore, lr: float) -> None:
+    """One bias-corrected Adam update of every entry of the store, in place.
+
+    Elementwise it is the textbook per-entry update with ``ADAM_BETA1``,
+    ``ADAM_BETA2`` and ``ADAM_EPS``, in the same order of operations, so the
+    result is bit-identical to updating entry by entry. An entry whose
+    gradient is +-0.0 and whose moments are +0.0 gets the update 0 and keeps
+    its moments, so stepping a ``tail`` that leaves such entries and rows
+    out equals the full step bit for bit (``moments_are_zero`` checks the
+    moments). The first call loads the compiled loop (``_load_kernel``);
+    without it, the numpy passes use the store's two scratch buffers.
+    Gradients are left untouched; the caller decides when to zero them.
+    """
+    global _kernel
+    if _kernel is _UNLOADED:
+        _kernel = _load_kernel()
+    store.step += 1
+    bias1 = 1.0 - ADAM_BETA1**store.step
+    bias2 = 1.0 - ADAM_BETA2**store.step
+    if _kernel is None:
+        finite = _adam_step_numpy(store, lr, bias1, bias2)
+    else:
+        finite = _kernel(*store._kernel_args, lr, bias1, bias2)
+    if not finite:
         name = next(n for n, e in store.entries() if not np.all(np.isfinite(e)))
         raise NonFiniteError(f"parameter {name!r} diverged during adam_step")
 

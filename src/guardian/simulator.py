@@ -211,9 +211,13 @@ def _call_remote(
     try:
         response = post_json(remote.url, payload, remote.timeout, remote.token).get("response")
     except (OSError, ValueError) as err:
-        raise RemoteAgentError(f"remote agent {remote.url} failed for agent {spec.id}: {err}") from err
+        raise RemoteAgentError(
+            f"GUARDIAN_REMOTE_AGENT_URL {remote.url}: request for agent {spec.id} failed: {err}"
+        ) from err
     if not isinstance(response, str):
-        raise RemoteAgentError(f"remote agent {remote.url} sent no response text for agent {spec.id}")
+        raise RemoteAgentError(
+            f"GUARDIAN_REMOTE_AGENT_URL {remote.url}: no response text for agent {spec.id}"
+        )
     return response
 
 

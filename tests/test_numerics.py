@@ -1,6 +1,13 @@
 from __future__ import annotations
 
+import copy
 import math
+import os
+import pickle
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tape
+from guardian import cli, numerics
+from guardian.harness import ExperimentConfig, episode_to_json, run_experiment
 from guardian.numerics import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -360,6 +369,29 @@ def test_param_store_clone_is_independent_of_its_source():
     assert copy.value("b")[0, 0] != -7.0
 
 
+@pytest.mark.parametrize(
+    "duplicate", [copy.copy, copy.deepcopy, lambda store: pickle.loads(pickle.dumps(store))]
+)
+def test_a_copied_or_unpickled_store_steps_its_own_buffers(duplicate):
+    # the compiled step writes where the store's addresses point: a copy
+    # must point at its own buffers, or stepping it would change its source
+    source = ParamStore({"a": [[1.0, 2.0]], "b": [[3.0], [-4.0]]})
+    for name in source.names():
+        source.grad(name)[:] = 0.5
+    adam_step(source, lr=0.1)
+    part = source.tail("b", 1)
+    for store in (source, part):
+        before = [buffer.copy() for buffer in store._buffers()]
+        twin = duplicate(store)
+        assert twin.layout == store.layout and twin.step == store.step
+        assert [b.tobytes() for b in twin._buffers()] == [b.tobytes() for b in before]
+        adam_step(twin, lr=0.1)
+        assert [b.tobytes() for b in store._buffers()] == [b.tobytes() for b in before]
+        adam_step(store, lr=0.1)
+        assert [b.tobytes() for b in twin._buffers()] == [b.tobytes() for b in store._buffers()]
+        assert twin.value(twin.names()[-1]).base is twin._value
+
+
 def test_adam_steps_a_finite_store_whose_sum_overflows():
     store = ParamStore({"a": [[1e308]], "b": [[1e308]]})
     with np.errstate(over="ignore"):  # the finite check's sum overflows to inf
@@ -379,6 +411,194 @@ def test_adam_names_the_diverged_parameter():
     store.grad("b")[:] = -1.0
     with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="'b' diverged"):
         adam_step(store, lr=1e308)
+
+
+def _compiled_kernel():
+    """adam_step's compiled step, loaded as its first call loads it."""
+    adam_step(ParamStore({"w": [[0.0]]}), lr=0.1)
+    if numerics._kernel is None:
+        assert shutil.which("gcc") is None, "gcc is on PATH, but the Adam kernel did not build"
+        pytest.skip("no gcc on PATH: adam_step runs its numpy passes")
+    return numerics._kernel
+
+
+def _step_outcome(store, lr, kernel):
+    """The message adam_step raises with, None when it does not, on this kernel."""
+    with pytest.MonkeyPatch.context() as patch, np.errstate(all="ignore"):
+        patch.setattr(numerics, "_kernel", kernel)
+        try:
+            adam_step(store, lr)
+        except NonFiniteError as err:
+            return str(err)
+    return None
+
+
+# gradients a diverging fit can hand Adam: signed zeros, the smallest
+# subnormal, values whose square underflows or overflows, infinities, NaN
+_EDGE_GRADIENTS = [
+    0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e200, -1e200, math.inf, -math.inf, math.nan
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 9),
+    st.integers(0, 120),
+    st.integers(0, 80),
+    st.integers(0, 40),
+    st.one_of(st.floats(1e-3, 1.0), st.floats(1.0, 1e308)),
+    st.integers(0, 2**32 - 1),
+    st.data(),
+)
+def test_compiled_adam_step_equals_the_numpy_step_bit_for_bit(
+    lead, cols, rows, step, lr, seed, data
+):
+    # the compiled step and the numpy passes, over a tail that starts `lead`
+    # entries into its store (odd offsets included) and spans 0 to 200
+    # entries (every vector remainder), agree in every bit of the values and
+    # both moments, in the step count, and in which step raises and how
+    kernel = _compiled_kernel()
+    rng = np.random.default_rng(seed)
+    values = {
+        "lead": rng.normal(size=(1, lead)),
+        "a": rng.normal(size=(1, cols)),
+        "b": rng.normal(size=(rows + 3, 1)),
+    }
+    compiled, reference = ParamStore(values), ParamStore(values)
+    compiled.step = reference.step = step
+    parts = compiled.tail("a", rows), reference.tail("a", rows)
+    size = cols + rows
+    for _ in range(data.draw(st.integers(1, 4))):
+        grad = rng.normal(size=size) * 10.0 ** rng.integers(-8, 4, size=size)
+        edges = data.draw(st.lists(st.sampled_from(_EDGE_GRADIENTS), max_size=3 if size else 0))
+        grad[rng.integers(0, size, size=len(edges))] = edges
+        for part in parts:
+            part._grad[:] = grad
+        outcomes = _step_outcome(parts[0], lr, kernel), _step_outcome(parts[1], lr, None)
+        assert outcomes[0] == outcomes[1]
+        for mine, theirs in zip(compiled._buffers(), reference._buffers()):
+            assert mine.tobytes() == theirs.tobytes()
+        assert parts[0].step == parts[1].step
+        if outcomes[0] is not None:
+            break
+
+
+_DEFEND_C5_ATTACKS = (("hallucination", 1), ("agent_targeted", 1), ("comm_targeted", 3))
+
+
+def test_defend_c5_episodes_write_the_same_json_on_both_steps(monkeypatch):
+    # the benchmark's defend_c5 configurations at seed 7, two tasks each
+    kernel = _compiled_kernel()
+    texts = []
+    for handle in (kernel, None):
+        monkeypatch.setattr(numerics, "_kernel", handle)
+        texts.append([])
+        for attack, min_rounds in _DEFEND_C5_ATTACKS:
+            cfg = ExperimentConfig(
+                attack=attack,
+                min_rounds=min_rounds,
+                n_tasks=2,
+                seed=7,
+                lambda_=1.0 / 199.0,
+                carry_params=False,
+            )
+            texts[-1] += [episode_to_json(log) for log in run_experiment(cfg)[1]]
+    assert len(texts[0]) == 6 and texts[0] == texts[1]
+
+
+def test_the_kernel_is_compiled_without_fast_math():
+    # gcc links crtfastmath.o into a shared object built with any of these,
+    # and loading it flushes subnormals to zero in the whole process
+    assert "-ffp-contract=off" in numerics._CFLAGS
+    assert not {"-ffast-math", "-Ofast", "-funsafe-math-optimizations"} & set(numerics._CFLAGS)
+    _compiled_kernel()
+    assert (np.array([5e-324]) * np.array([1.0]))[0] == 5e-324
+
+
+def _package_copy(tmp_path: Path) -> Path:
+    """A directory holding a copy of the guardian package, with no kernel cached."""
+    root = tmp_path / "src"
+    package = Path(numerics.__file__).parent
+    shutil.copytree(package, root / "guardian", ignore=shutil.ignore_patterns("__pycache__"))
+    return root
+
+
+def _left_in_cache(root: Path) -> list[str]:
+    cache = root / "guardian" / "__pycache__"
+    return sorted(p.name for p in cache.iterdir() if p.suffix != ".pyc") if cache.exists() else []
+
+
+def test_without_gcc_defend_prints_the_same_and_builds_nothing(tmp_path, monkeypatch, capsys):
+    for variable in ("GUARDIAN_REMOTE_AGENT_URL", "GUARDIAN_EMBEDDER_URL"):
+        monkeypatch.delenv(variable, raising=False)
+    argv = ["defend", "--tasks", "2", "--attack", "agent", "--seed", "3", "--out", "run"]
+    (tmp_path / "in_tree").mkdir()
+    monkeypatch.chdir(tmp_path / "in_tree")
+    assert cli.main(argv) == 0
+    printed = capsys.readouterr().out
+    root = _package_copy(tmp_path)
+    (tmp_path / "bin").mkdir()
+    (tmp_path / "bare").mkdir()
+    code = (
+        "import sys; from guardian import cli, numerics; code = cli.main(sys.argv[1:]); "
+        "sys.stderr.write(f'{numerics.__file__} {numerics._kernel}'); sys.exit(code)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        cwd=tmp_path / "bare",
+        env={**os.environ, "PATH": str(tmp_path / "bin"), "PYTHONPATH": str(root)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == f"{root / 'guardian' / 'numerics.py'} None"
+    assert done.stdout == printed
+    episodes = sorted((tmp_path / "in_tree" / "run").rglob("*.json"))
+    assert episodes
+    for path in episodes:
+        twin = tmp_path / "bare" / path.relative_to(tmp_path / "in_tree")
+        assert twin.read_bytes() == path.read_bytes()
+    assert _left_in_cache(root) == []
+
+
+def test_two_processes_building_the_kernel_at_once_both_load_it(tmp_path):
+    _compiled_kernel()
+    root = _package_copy(tmp_path)
+    code = (
+        "from guardian import numerics as n; s = n.ParamStore({'w': [[1.0, 2.0]]}); "
+        "s.grad('w')[:] = 1.0; n.adam_step(s, 0.5); print(n.__file__, n._kernel is not None)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(root)}
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-c", code], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
+        )
+        for _ in range(2)
+    ]
+    for proc in procs:
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        assert out == f"{root / 'guardian' / 'numerics.py'} True\n"
+    # one kernel, readable by every user, and no temporary file of either build
+    assert _left_in_cache(root) == [numerics._kernel_path().name]
+    kernel = root / "guardian" / "__pycache__" / numerics._kernel_path().name
+    assert kernel.stat().st_mode & 0o444 == 0o444
+
+
+def test_a_cache_that_cannot_be_written_builds_the_kernel_for_this_process(tmp_path, monkeypatch):
+    _compiled_kernel()
+    (tmp_path / "file").write_text("")
+    unwritable = tmp_path / "file" / "__pycache__" / numerics._kernel_path().name
+    monkeypatch.setattr(numerics, "_kernel_path", lambda: unwritable)
+    kernel = numerics._load_kernel()
+    assert kernel is not None
+    stores = [ParamStore({"w": [[1.0, -2.0, 3.0]]}) for _ in range(2)]
+    for store in stores:
+        store.grad("w")[:] = [[0.5, 5e-324, -1e3]]
+    for store, handle in zip(stores, (kernel, None)):
+        assert _step_outcome(store, 0.1, handle) is None
+    assert stores[0]._value.tobytes() == stores[1]._value.tobytes()
 
 
 def test_grad_check_quadratic_is_tight():

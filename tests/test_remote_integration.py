@@ -82,5 +82,5 @@ def test_bad_embedder_fails_before_any_agent_is_called(services, capsys):
     _ServiceHandler.width = 63
     assert main(["defend", "--tasks", "1", "--agents", "4"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: embedder at http://127.0.0.1:") and "64 finite numbers" in err, err
+    assert err.startswith("error: GUARDIAN_EMBEDDER_URL http://127.0.0.1:") and "64 finite numbers" in err, err
     assert (_ServiceHandler.embed_calls, _ServiceHandler.agent_calls) == (1, 0)
