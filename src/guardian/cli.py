@@ -106,6 +106,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args, defense=True, attack="none")
     if cfg.trials != 1:
         raise HarnessError(f"train fits one stream: --trials must be 1, got {cfg.trials}")
+    if not cfg.carry_params:
+        raise HarnessError("train fits one stream: carry_params must be true")
     out = args.out or Path(".")
     _make_out_dir(out)
     ckpt = out / "guardian.ckpt"

@@ -400,13 +400,7 @@ def build_pipeline(cfg: ExperimentConfig, stream_seed: int) -> PipelineState:
             f"adjacency of a {snapshots}-round history"
         ) from None
     try:
-        return PipelineState(
-            det_cfg,
-            policy,
-            embed_fn,
-            carry_params=cfg.carry_params,
-            history_window=cfg.history_window,
-        )
+        return PipelineState(det_cfg, policy, embed_fn, history_window=cfg.history_window)
     except MemoryError:
         raise HarnessError(
             f"k = {cfg.k} and d = {cfg.d}: not enough memory for the detector's parameters"
@@ -415,7 +409,11 @@ def build_pipeline(cfg: ExperimentConfig, stream_seed: int) -> PipelineState:
 
 def run_trials(cfg: ExperimentConfig) -> tuple[list[EpisodeLog], PipelineState | None]:
     """Run the corpus once per trial; every trial has its own seeds and,
-    when defended, its own pipeline, carried across the trial's episodes.
+    when defended, its own pipeline. This loop is where the carry policy is
+    read: with ``carry_params`` each episode's detector carries on from the
+    trial's previous episode, else ``begin_episode(index)`` restarts it, so
+    that a carry-off episode depends only on the config, the trial seed
+    and its index.
 
     Returns the episode logs in trial order and the last trial's pipeline
     (None without defense).
@@ -438,9 +436,9 @@ def run_trials(cfg: ExperimentConfig) -> tuple[list[EpisodeLog], PipelineState |
             persuasion=cfg.persuasion,
         )
         state = build_pipeline(cfg, trial_seed) if cfg.defense else None
-        for task in tasks:
+        for index, task in enumerate(tasks):
             if state is not None:
-                state.begin_episode()
+                state.begin_episode(None if cfg.carry_params else index)
             log = run_episode(
                 task,
                 specs,

@@ -272,7 +272,8 @@ def _kernel_path() -> Path:
 def _build(gcc: str, target: Path) -> bool:
     """Compile the kernel to a temporary file beside ``target`` and publish
     it there with one rename, so that a concurrent build or load never sees
-    half a file. Raises OSError when that directory cannot be written."""
+    half a file; then remove the builds of other source or flags beside it.
+    Raises OSError when that directory cannot be written."""
     import subprocess  # imported here: only the first adam_step of a host may compile
 
     handle, temporary = tempfile.mkstemp(prefix=f".{target.name}.", dir=target.parent)
@@ -289,6 +290,12 @@ def _build(gcc: str, target: Path) -> bool:
             return False
         os.chmod(temporary, 0o755)  # mkstemp made it private to this user
         os.replace(temporary, target)
+        for stale in target.parent.glob("guardian_adam-*.so"):
+            if stale != target:
+                try:
+                    stale.unlink()
+                except OSError:
+                    pass
         return True
     except (OSError, subprocess.SubprocessError):
         return False

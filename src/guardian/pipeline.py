@@ -4,8 +4,9 @@ A ``PipelineState`` owns the detector parameters for one stream of
 episodes. Within an episode each round is ingested as a snapshot, the
 detector is fine-tuned on the merged history (minus previously pruned
 agents), the current round is reconstructed and scored, and at most one
-agent is pruned. Parameters persist across rounds and, by default, across
-episodes of the stream; the graph is rebuilt fresh per episode.
+agent is pruned. Parameters persist across rounds and across episodes,
+unless an episode is begun with its index, which restarts the detector;
+the graph is rebuilt fresh per episode.
 """
 
 from __future__ import annotations
@@ -63,21 +64,18 @@ class PipelineState:
         policy: DetectionPolicy,
         embed_fn: Callable[[str], np.ndarray],
         seed: int | None = None,
-        carry_params: bool = True,
         history_window: int | None = None,
     ) -> None:
         self.det_cfg = det_cfg
         self.policy = policy
         self.embed_fn = embed_fn
         self.seed = det_cfg.seed if seed is None else seed
-        self.carry_params = carry_params
         self.history_window = history_window
         self.params = init_params(det_cfg, derive_rng(self.seed, "init"))
         self.noise_rng = derive_rng(self.seed, "noise")
         self.graph = TemporalGraph()
         self.decisions: list[Decision] = []
         self._fitted_once = False
-        self._episode_index = -1
         self._loaded: ParamStore | None = None  # a checkpoint's parameters, kept pristine
 
     def save(self, path) -> None:
@@ -91,40 +89,32 @@ class PipelineState:
         policy: DetectionPolicy,
         embed_fn: Callable[[str], np.ndarray],
         seed: int | None = None,
-        carry_params: bool = True,
         history_window: int | None = None,
     ) -> "PipelineState":
         det_cfg, params = load_checkpoint(path)
-        state = cls(
-            det_cfg,
-            policy,
-            embed_fn,
-            seed=seed,
-            carry_params=carry_params,
-            history_window=history_window,
-        )
+        state = cls(det_cfg, policy, embed_fn, seed=seed, history_window=history_window)
         state.params = params
         state._loaded = params.clone()
         state._fitted_once = True
         return state
 
-    def begin_episode(self) -> None:
-        """Fresh graph; parameters persist unless carry is off.
+    def begin_episode(self, index: int | None = None) -> None:
+        """Fresh graph; without an index the detector carries on.
 
-        With carry off every episode restarts from the same detector: the
+        With the episode's index the detector restarts: from the
         checkpoint's parameters, still fitted, when the state was loaded
-        from one, else a fresh initialisation.
+        from one, else from episode ``index``'s fresh initialisation. The
+        noise is episode ``index``'s either way.
         """
-        self._episode_index += 1
         self.graph = TemporalGraph()
-        if not self.carry_params:
-            ep = self._episode_index
-            if self._loaded is not None:
-                self.params = self._loaded.clone()
-            else:
-                self.params = init_params(self.det_cfg, derive_rng(self.seed, "init", ep))
-                self._fitted_once = False
-            self.noise_rng = derive_rng(self.seed, "noise", ep)
+        if index is None:
+            return
+        if self._loaded is not None:
+            self.params = self._loaded.clone()
+        else:
+            self.params = init_params(self.det_cfg, derive_rng(self.seed, "init", index))
+        self._fitted_once = self._loaded is not None
+        self.noise_rng = derive_rng(self.seed, "noise", index)
 
     def _assemble_batch(self) -> HistoryBatch:
         batch = merge_history(self.graph, self.graph.latest_round)

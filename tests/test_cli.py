@@ -143,6 +143,16 @@ def test_cli_train_rejects_trials_other_than_one(tmp_path, capsys, trials):
     assert not (out / "guardian.ckpt").exists()
 
 
+def test_cli_train_rejects_carry_off(tmp_path, capsys):
+    # with carry off the saved detector would be the last episode's alone
+    cfg = tmp_path / "carry_off.cfg"
+    cfg.write_text("n_tasks = 2\nepochs_initial = 5\nepochs_incremental = 2\ncarry_params = false\n")
+    out = tmp_path / "model"
+    assert main(["train", "--config", str(cfg), "--seed", "3", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: train fits one stream: carry_params must be true\n"
+    assert not (out / "guardian.ckpt").exists()
+
+
 def test_cli_metrics_recomputes_from_logs(tmp_path, capsys):
     out = tmp_path / "run"
     main(["defend", *_fast_flags(tmp_path), "--attack", "agent", "--out", str(out)])

@@ -895,6 +895,31 @@ def test_run_trials_matches_build_pipeline_episodes():
         assert np.array_equal(value, manual.params.value(name)), name
 
 
+@settings(max_examples=10, deadline=None)
+@given(index=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+def test_a_carry_off_episode_is_addressed_by_its_index(index, seed):
+    # a carry-off episode depends only on the config, the trial seed and its index
+    cfg = _fast_cfg(seed=seed, carry_params=False)
+    logs, state = run_trials(cfg)
+    trial_seed = derive_seed(cfg.seed, "trial", 0)
+    task = make_corpus(cfg.n_tasks, cfg.seed)[index]
+    manual = build_pipeline(cfg, trial_seed)
+    manual.begin_episode(index)
+    log = run_episode(
+        task,
+        [AgentSpec(id=i) for i in range(cfg.n_agents)],
+        cfg.topology,
+        AttackPlan(kind=cfg.attack, seed=derive_seed(trial_seed, "attack")),
+        pipeline=manual,
+        max_rounds=cfg.max_rounds,
+        min_rounds=cfg.min_rounds,
+        seed=derive_seed(trial_seed, "episode", task.id),
+    )
+    assert log == logs[index]
+    start = sum(len(earlier.rounds) for earlier in logs[:index])
+    assert manual.decisions == state.decisions[start : start + len(log.rounds)]
+
+
 def test_trials_multiply_episodes():
     report, logs = run_experiment(_fast_cfg(trials=2, attack="none", defense=False))
     assert len(logs) == 6

@@ -586,6 +586,31 @@ def test_two_processes_building_the_kernel_at_once_both_load_it(tmp_path):
     assert kernel.stat().st_mode & 0o444 == 0o444
 
 
+def test_publishing_a_kernel_build_removes_the_builds_of_other_source(tmp_path):
+    _compiled_kernel()
+    root = _package_copy(tmp_path)
+    cache = root / "guardian" / "__pycache__"
+    cache.mkdir()
+    (cache / "guardian_adam-0000000000000000.so").write_bytes(b"stale")
+    # a concurrent build's temporary is its builder's to publish or remove
+    temporary = f".{numerics._kernel_path().name}.0build"
+    (cache / temporary).write_bytes(b"")
+    code = (
+        "from guardian import numerics as n; s = n.ParamStore({'w': [[1.0, 2.0]]}); "
+        "s.grad('w')[:] = 1.0; n.adam_step(s, 0.5); print(n.__file__, n._kernel is not None)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(root)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == f"{root / 'guardian' / 'numerics.py'} True\n"
+    assert _left_in_cache(root) == [temporary, numerics._kernel_path().name]
+
+
 def test_a_cache_that_cannot_be_written_builds_the_kernel_for_this_process(tmp_path, monkeypatch):
     _compiled_kernel()
     (tmp_path / "file").write_text("")

@@ -107,9 +107,9 @@ _SETTABLE = {
         "task", "specs", "topology_fraction", "plan", "pipeline", "max_rounds", "min_rounds",
         "seed", "remote",
     ],
-    PipelineState.__init__: [
-        "self", "det_cfg", "policy", "embed_fn", "seed", "carry_params", "history_window",
-    ],
+    PipelineState.__init__: ["self", "det_cfg", "policy", "embed_fn", "seed", "history_window"],
+    PipelineState.from_checkpoint: ["path", "policy", "embed_fn", "seed", "history_window"],
+    PipelineState.begin_episode: ["self", "index"],
 }
 
 

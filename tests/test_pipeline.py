@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import guardian.pipeline as pipeline_mod
 from guardian.anomaly import DetectionPolicy
-from guardian.detector import DetectorConfig
+from guardian.detector import DetectorConfig, load_checkpoint
 from guardian.embedder import EmbeddingConfig, make_embedder
 from guardian.graph import sample_topology
 from guardian.pipeline import EpisodeExhausted, PipelineError, PipelineState
@@ -218,10 +222,10 @@ def test_params_carry_across_episodes_and_losses_improve():
 
 
 def test_carry_off_reinitializes_per_episode():
-    state = PipelineState(_cfg(), DetectionPolicy(), EMBED, seed=12, carry_params=False)
-    state.begin_episode()
+    state = PipelineState(_cfg(), DetectionPolicy(), EMBED, seed=12)
+    state.begin_episode(0)
     first = state.params
-    state.begin_episode()
+    state.begin_episode(1)
     assert state.params is not first
 
 
@@ -253,13 +257,48 @@ def test_carry_off_restarts_every_episode_from_the_checkpoint(tmp_path):
     state.save(path)
     saved = {name: value.copy() for name, value in state.params.entries()}
 
-    restored = PipelineState.from_checkpoint(
-        path, DetectionPolicy(), EMBED, seed=14, carry_params=False
-    )
-    for _ in range(2):
-        restored.begin_episode()
+    restored = PipelineState.from_checkpoint(path, DetectionPolicy(), EMBED, seed=14)
+    for index in range(2):
+        restored.begin_episode(index)
         for name, value in restored.params.entries():
             assert np.array_equal(value, saved[name])
         restored.ingest_round(_responses(1, {a: "8" for a in range(3)}), {}, True)
         # still treated as fitted: the first round runs the incremental epochs
         assert restored.params.step == restored.det_cfg.epochs_incremental
+
+
+@pytest.fixture(scope="module")
+def trained_checkpoint(tmp_path_factory):
+    state = PipelineState(
+        _cfg(epochs_initial=5, epochs_incremental=2), DetectionPolicy(), EMBED, seed=15
+    )
+    state.begin_episode()
+    state.ingest_round(_responses(1, {a: "8" for a in range(3)}), {}, True)
+    path = tmp_path_factory.mktemp("stream") / "stream.ckpt"
+    state.save(path)
+    return path
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    index=st.integers(0, 40),
+    earlier=st.lists(st.one_of(st.none(), st.integers(0, 40)), max_size=3),
+)
+def test_a_loaded_indexed_begin_restarts_from_the_checkpoint(trained_checkpoint, index, earlier):
+    # whatever episodes ran before, an indexed begin puts back the store a fresh load gives
+    restored = PipelineState.from_checkpoint(trained_checkpoint, DetectionPolicy(), EMBED, seed=15)
+    for begun in earlier:
+        restored.begin_episode(begun)
+        restored.ingest_round(_responses(1, {a: "8" for a in range(3)}), {}, True)
+        restored.ingest_round(_responses(2, {0: "57", 1: "8", 2: "8"}), _topo([0, 1, 2], 2), False)
+    with mock.patch.object(pipeline_mod, "init_params", side_effect=AssertionError("drew params")):
+        restored.begin_episode(index)
+    _, fresh = load_checkpoint(trained_checkpoint)
+    assert restored.params.layout == fresh.layout
+    for got, want in zip(restored.params._buffers(), fresh._buffers()):
+        assert got.tobytes() == want.tobytes()
+    assert restored.params.step == fresh.step
+    assert restored.noise_rng.bit_generator.state == derive_rng(15, "noise", index).bit_generator.state
+    # still fitted: the episode's first round runs the incremental epochs
+    restored.ingest_round(_responses(1, {a: "8" for a in range(3)}), {}, True)
+    assert restored.params.step == restored.det_cfg.epochs_incremental
