@@ -161,11 +161,14 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    log = _read_episode(Path(args.episode))
+    episode = Path(args.episode)
+    target = args.out and args.out / f"{episode.stem}.{args.format}"
+    if target and target.resolve() == episode.resolve():
+        raise HarnessError(f"export to {target} would overwrite the episode it reads")
+    log = _read_episode(episode)
     rendered = export_episode_graph(log, fmt=args.format)
-    if args.out:
+    if target:
         _make_out_dir(args.out)
-        target = args.out / f"{Path(args.episode).stem}.{args.format}"
         write_artifact(target, rendered)
         sys.stdout.write(f"graph written to {target}\n")
     else:

@@ -745,9 +745,9 @@ def fit(
     other rows that move get a zero gradient, as do attn.wk and attn.wq
     over one snapshot, written once. Every epoch runs through one
     ``_Pass``, allocated when the fit starts. When the fit ends it restores
-    the row order and writes gcn.w0's whole gradient from the last backward
-    pass, so the store ends bit for bit as full steps would leave it, also
-    when it raises.
+    the row order, gradient included, and zeroes the gradient of the rows
+    of empty buckets if a backward pass ran, so the store ends bit for bit
+    as full steps would leave it, also when it raises.
     """
     history = _history(batch, cfg)
     if params.layout != _layout(cfg.k, cfg.d):
@@ -791,10 +791,7 @@ def fit(
         params.step = stepped.step
         params.permute_rows("gcn.w0", np.argsort(order))
         if trace:  # a backward pass ran
-            last = packed_grad[:n_filled].copy()
-            whole = params.grad("gcn.w0")
-            whole[history.unfilled] = 0.0
-            whole[history.filled] = last
+            params.grad("gcn.w0")[history.unfilled] = 0.0
     return trace
 
 

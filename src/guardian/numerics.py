@@ -79,14 +79,16 @@ class Tensor2D:
 
 
 class ParamStore:
-    """Named trainable matrices with gradient and Adam moment buffers.
+    """Named trainable matrices with their gradients and Adam moments.
 
-    ``ParamStore(entries)`` copies a name -> 2-D matrix mapping, in one
-    allocation, into flat float64 buffers for the values, the gradients and
-    both Adam moments, laid out in the mapping's order. An entry's value and
-    gradient are reshaped views into them, so an optimizer step is one
-    vectorised update over every parameter. The layout is fixed at
-    construction. ``step`` counts the Adam updates applied to the store.
+    ``ParamStore(entries)`` copies a name -> 2-D matrix mapping into one
+    ``(4, n)`` float64 block, laid out in the mapping's order, whose rows
+    hold the values, the gradients and the first and second moments. An
+    entry's value and gradient are reshaped views into their rows, so an
+    optimizer step is one vectorised update over every parameter. The
+    layout is fixed at construction. ``step`` counts the Adam updates
+    applied to the store. ``copy.copy`` and pickle rebuild a store over its
+    own copy of the block.
     """
 
     def __init__(self, entries: Mapping[str, object]) -> None:
@@ -95,44 +97,35 @@ class ParamStore:
             if arr.ndim != 2:
                 raise NumericsError(f"parameter {name!r} must be 2-D, got ndim={arr.ndim}")
         total = sum(arr.size for arr in arrays.values())
-        self._lay_out(
-            {name: arr.shape for name, arr in arrays.items()},
-            (np.empty(total), np.zeros(total), np.zeros(total), np.zeros(total)),
-            (np.empty(total), np.empty(total)),
-        )
+        self._lay_out({name: arr.shape for name, arr in arrays.items()}, np.zeros((4, total)))
         for name, arr in arrays.items():
             self._values[name][...] = arr
         if not np.all(np.isfinite(self._value)):
             name = next(n for n, v in self._values.items() if not np.all(np.isfinite(v)))
             raise NonFiniteError(f"parameter {name!r} contains non-finite values")
 
-    def _lay_out(
-        self,
-        shapes: Mapping[str, tuple[int, int]],
-        buffers: tuple[np.ndarray, ...],
-        scratch: tuple[np.ndarray, np.ndarray],
-    ) -> None:
+    def _lay_out(self, shapes: Mapping[str, tuple[int, int]], block: np.ndarray) -> None:
         """Lay entries of these shapes out, in this order, over the leading
-        elements of flat buffers for the values, gradients and both moments,
-        and of ``adam_step``'s two temporaries. The entries' views are made
-        on first use."""
+        columns of a ``(4, n)`` block of values, gradients and both moments.
+        The entries' views are made on first use."""
         self.layout = tuple(shapes.items())
         self._spans: dict[str, slice] = {}
         offset = 0
         for name, (rows, cols) in self.layout:
             self._spans[name] = slice(offset, offset + rows * cols)
             offset += rows * cols
-        # buffers of the exact size are used as they are: the entries' views are then views of them
-        self._value, self._grad, self._m, self._v = (
-            b if b.size == offset else b[:offset] for b in buffers
-        )
-        self._scratch = (scratch[0][:offset], scratch[1][:offset])
-        # the compiled adam_step's leading arguments: the length and the four buffers' addresses
-        self._kernel_args = (offset, *(b.ctypes.data for b in self._buffers()))
+        if block.shape[1] < offset:
+            raise NumericsError(f"a block of {block.shape[1]} columns cannot hold {offset} entries")
+        self._block = block[:, :offset]
+        self._value, self._grad, self._m, self._v = self._block
+        # the compiled adam_step's leading arguments: the length and the four
+        # rows' addresses, from one .ctypes lookup (each builds a helper object)
+        address, stride = self._block.ctypes.data, self._block.strides[0]
+        self._kernel_args = (offset, *(address + row * stride for row in range(4)))
         self.step = 0
 
-    def _views(self, buffer: np.ndarray) -> dict[str, np.ndarray]:
-        return {name: buffer[self._spans[name]].reshape(shape) for name, shape in self.layout}
+    def _views(self, row: np.ndarray) -> dict[str, np.ndarray]:
+        return {name: row[self._spans[name]].reshape(shape) for name, shape in self.layout}
 
     @functools.cached_property
     def _values(self) -> dict[str, np.ndarray]:
@@ -141,6 +134,11 @@ class ParamStore:
     @functools.cached_property
     def _grads(self) -> dict[str, np.ndarray]:
         return self._views(self._grad)
+
+    @functools.cached_property
+    def _scratch(self) -> np.ndarray:
+        """The numpy passes' two temporaries, made where they first run."""
+        return np.empty((2, self._kernel_args[0]))
 
     def names(self) -> list[str]:
         return list(self._spans)
@@ -157,56 +155,48 @@ class ParamStore:
     def moments_are_zero(self, name: str) -> np.ndarray:
         """Per row of entry ``name``, whether both Adam moments hold +0.0,
         bit for bit, in every column."""
-        span, shape = self._spans[name], self._values[name].shape
-        bits = self._m[span].view(np.uint64) | self._v[span].view(np.uint64)
-        return np.bitwise_or.reduce(bits.reshape(shape), axis=1) == 0
+        rows, cols = self._values[name].shape
+        bits = self._block[2:, self._spans[name]].view(np.uint64).reshape(2, rows, cols)
+        return np.bitwise_or.reduce(bits, axis=(0, 2)) == 0
 
     def tail(self, first: str, rows: int) -> "ParamStore":
-        """A store over this one's own buffers: the entries from ``first`` to
+        """A store over this one's own block: the entries from ``first`` to
         the last in layout order, the last cut to its leading ``rows`` rows.
 
         It starts at this store's step, and ``adam_step`` on it updates what
         it views in place; the caller copies its step back.
         """
         names = self.names()
+        last, (whole, cols) = self.layout[-1]
+        if not 0 <= rows <= whole:
+            raise NumericsError(f"a tail holds 0 to {whole} rows of {last!r}, not {rows}")
         shapes = dict(self.layout[names.index(first) :])
-        shapes[names[-1]] = (rows, shapes[names[-1]][1])
-        start = self._spans[first].start
+        shapes[last] = (rows, cols)
         part = ParamStore.__new__(ParamStore)
-        part._lay_out(shapes, tuple(b[start:] for b in self._buffers()), self._scratch)
+        part._lay_out(shapes, self._block[:, self._spans[first].start :])
         part.step = self.step
         return part
 
     def permute_rows(self, name: str, order: np.ndarray) -> None:
-        """Reorder the rows of entry ``name`` in the values and both moments:
-        row i takes what row ``order[i]`` held. The gradient, which the
-        caller writes before each step, is left as it is."""
-        span, shape = self._spans[name], self._values[name].shape
-        for buffer in (self._value, self._m, self._v):
-            block = buffer[span].reshape(shape)
-            block[:] = block[order]
-
-    def _buffers(self) -> tuple[np.ndarray, ...]:
-        return self._value, self._grad, self._m, self._v
+        """Reorder the rows of entry ``name`` in its value, gradient and both
+        moments: row i takes what row ``order[i]`` held."""
+        rows, cols = self._values[name].shape
+        entry = self._block[:, self._spans[name]].reshape(4, rows, cols)
+        entry[:] = entry.take(order, axis=1)
 
     def __reduce__(self):
-        # copies and pickles are rebuilt over their own buffers: the addresses
+        # copies and pickles are rebuilt over their own block: the addresses
         # that adam_step hands the compiled loop must be the copy's
-        return _rebuilt, (self.layout, self._buffers(), self.step)
-
-    def clone(self) -> "ParamStore":
-        return ParamStore(self._values)
+        return _rebuilt, (self.layout, self._block, self.step)
 
     def entries(self) -> Iterable[tuple[str, np.ndarray]]:
         return self._values.items()
 
 
-def _rebuilt(layout, buffers: tuple[np.ndarray, ...], step: int) -> ParamStore:
-    """A store of this layout over copies of these buffers, at this step."""
+def _rebuilt(layout, block: np.ndarray, step: int) -> ParamStore:
+    """A store of this layout over a copy of this block, at this step."""
     store = ParamStore.__new__(ParamStore)
-    size = buffers[0].size
-    copies = tuple(np.array(b) for b in buffers)
-    store._lay_out(dict(layout), copies, (np.empty(size), np.empty(size)))
+    store._lay_out(dict(layout), np.array(block))
     store.step = step
     return store
 
@@ -340,7 +330,7 @@ def _load_kernel():
 def _adam_step_numpy(store: ParamStore, lr: float, bias1: float, bias2: float) -> bool:
     """The compiled step in numpy passes; whether every new value is finite."""
     b1, b2 = ADAM_BETA1, ADAM_BETA2
-    value, g, m, v = store._buffers()
+    value, g, m, v = store._block
     update, denom = store._scratch
     m *= b1
     np.multiply(g, 1.0 - b1, out=update)
@@ -371,7 +361,7 @@ def adam_step(store: ParamStore, lr: float) -> None:
     its moments, so stepping a ``tail`` that leaves such entries and rows
     out equals the full step bit for bit (``moments_are_zero`` checks the
     moments). The first call loads the compiled loop (``_load_kernel``);
-    without it, the numpy passes use the store's two scratch buffers.
+    without it, the numpy passes run over the store's block.
     Gradients are left untouched; the caller decides when to zero them.
     """
     global _kernel

@@ -11,6 +11,7 @@ the graph is rebuilt fresh per episode.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -94,7 +95,7 @@ class PipelineState:
         det_cfg, params = load_checkpoint(path)
         state = cls(det_cfg, policy, embed_fn, seed=seed, history_window=history_window)
         state.params = params
-        state._loaded = params.clone()
+        state._loaded = copy.copy(params)
         state._fitted_once = True
         return state
 
@@ -110,7 +111,7 @@ class PipelineState:
         if index is None:
             return
         if self._loaded is not None:
-            self.params = self._loaded.clone()
+            self.params = copy.copy(self._loaded)
         else:
             self.params = init_params(self.det_cfg, derive_rng(self.seed, "init", index))
         self._fitted_once = self._loaded is not None

@@ -205,10 +205,7 @@ def fit(batch, cfg, params, rng, epochs):
         params.step = stepped.step
         params.permute_rows("gcn.w0", np.argsort(order))
         if trace:
-            last = packed_grad[:n_filled].copy()
-            whole = params.grad("gcn.w0")
-            whole[history.unfilled] = 0.0
-            whole[history.filled] = last
+            params.grad("gcn.w0")[history.unfilled] = 0.0
     return trace
 
 

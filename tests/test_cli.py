@@ -197,6 +197,18 @@ def test_cli_export_stdout(tmp_path, capsys):
     assert set(doc) == {"nodes", "edges"}
 
 
+def test_cli_export_refuses_to_overwrite_its_episode(tmp_path, capsys):
+    # the default format's target in the episode's own directory is the episode
+    episode = _episode_files(tmp_path)[0]
+    before = episode.read_bytes()
+    capsys.readouterr()
+    assert main(["export", "--episode", str(episode), "--out", str(episode.parent)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(episode) in captured.err
+    assert episode.read_bytes() == before
+
+
 def _episode_files(tmp_path):
     out = tmp_path / "run"
     main(["simulate", *_fast_flags(tmp_path), "--out", str(out)])

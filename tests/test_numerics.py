@@ -268,41 +268,87 @@ def test_tail_views_the_entries_from_first_and_permute_rows_reorders_them():
     rng = np.random.default_rng(8)
     shapes = {"a": (2, 3), "b": (1, 2), "d": (2, 2), "c": (4, 2)}
     store = ParamStore({name: rng.normal(size=shape) for name, shape in shapes.items()})
-    for buffer in (store._grad, store._m, store._v):
-        buffer[:] = rng.normal(size=buffer.size)
+    store._block[1:] = rng.normal(size=(3, 20))
     store.step = 7
-    before = [buffer.copy() for buffer in store._buffers()]
+    before = store._block.copy()
     part = store.tail("b", 3)
     assert part.names() == ["b", "d", "c"] and part.step == 7
     assert part.value("c").shape == part.grad("c").shape == (3, 2)
-    # the tail views this store's buffers from b's first element to c's third row
-    for mine, theirs in zip(store._buffers(), part._buffers()):
-        assert np.shares_memory(mine, theirs)
-        assert theirs.tobytes() == mine[6 : 6 + 2 + 4 + 6].tobytes()
-    for buffer in part._buffers():
-        buffer[:] = rng.normal(size=buffer.size)
-    for old, mine, theirs in zip(before, store._buffers(), part._buffers()):
-        assert mine[6:18].tobytes() == theirs.tobytes()
-        # what the tail leaves out is untouched: a, and c's last row
-        assert mine[:6].tobytes() == old[:6].tobytes()
-        assert mine[18:].tobytes() == old[18:].tobytes()
+    # the tail views this store's block from b's first column to c's third row
+    assert np.shares_memory(part._block, store._block)
+    assert part._block.tobytes() == store._block[:, 6:18].tobytes()
+    part._block[:] = rng.normal(size=(4, 12))
+    assert store._block[:, 6:18].tobytes() == part._block.tobytes()
+    # what the tail leaves out is untouched: a, and c's last row
+    assert store._block[:, :6].tobytes() == before[:, :6].tobytes()
+    assert store._block[:, 18:].tobytes() == before[:, 18:].tobytes()
 
-    before = [buffer.copy() for buffer in store._buffers()]
+    before = store._block.copy()
     order = np.array([2, 0, 3, 1])
     store.permute_rows("c", order)
-    for old, mine in zip(before, store._buffers()):
-        if mine is store._grad:  # the gradient is left as it is
-            assert mine.tobytes() == old.tobytes()
-            continue
-        assert mine[-8:].reshape(4, 2).tobytes() == old[-8:].reshape(4, 2)[order].tobytes()
-        assert mine[:-8].tobytes() == old[:-8].tobytes()
+    # the rows move in the values, the gradients and both moments alike
+    assert store._block[:, -8:].tobytes() == before[:, -8:].reshape(4, 4, 2)[:, order].tobytes()
+    assert store._block[:, :-8].tobytes() == before[:, :-8].tobytes()
     store.permute_rows("c", np.argsort(order))
-    for old, mine in zip(before, store._buffers()):
-        assert mine.tobytes() == old.tobytes()
+    assert store._block.tobytes() == before.tobytes()
 
 
-def test_param_store_entries_are_views_of_the_flat_buffers():
+def test_a_tail_holds_zero_to_all_rows_of_the_last_entry():
+    # the compiled step would write as far as the tail claims to reach
+    store = ParamStore({"a": np.ones((2, 3)), "b": np.ones((4, 2))})
+    assert store.tail("b", 0)._kernel_args[0] == 0 and store.tail("a", 4)._kernel_args[0] == 14
+    for rows in (-1, 5, 4000):
+        with pytest.raises(NumericsError, match=f"0 to 4 rows of 'b', not {rows}"):
+            store.tail("b", rows)
+
+
+def test_a_layout_wider_than_its_block_is_rejected():
+    store = ParamStore.__new__(ParamStore)
+    with pytest.raises(NumericsError, match="block of 8 columns cannot hold 9 entries"):
+        store._lay_out({"a": (1, 2), "b": (7, 1)}, np.zeros((4, 8)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)), min_size=1, max_size=4),
+    st.integers(0, 2**32 - 1),
+    st.data(),
+)
+def test_a_store_hands_the_kernel_its_block_and_permutes_all_four_rows(shapes, seed, data):
+    # the compiled step's leading arguments are the block's width and its
+    # four rows' addresses, for a store, a tail of it and their copies
+    rng = np.random.default_rng(seed)
+    store = ParamStore({f"e{i}": rng.normal(size=shape) for i, shape in enumerate(shapes)})
+    store._block[1:] = rng.normal(size=(3, store._block.shape[1]))
+    first = data.draw(st.sampled_from(store.names()))
+    part = store.tail(first, data.draw(st.integers(0, shapes[-1][0])))
+    start = store._spans[first].start
+    assert part._kernel_args[1:] == tuple(row[start:].ctypes.data for row in store._block)
+    copies = copy.copy(store), copy.copy(part), pickle.loads(pickle.dumps(part))
+    for twin in copies:
+        assert not np.shares_memory(twin._block, store._block)
+    for view in (store, part, *copies):
+        width, *addresses = view._kernel_args
+        assert width == view._block.shape[1] == sum(r * c for _, (r, c) in view.layout)
+        assert addresses == [row.ctypes.data for row in view._block]
+        name = data.draw(st.sampled_from(view.names()))
+        rows, cols = view.value(name).shape
+        order = rng.permutation(rows)
+        before = view._block.copy()
+        view.permute_rows(name, order)
+        span = view._spans[name]
+        moved = before[:, span].reshape(4, rows, cols)[:, order]
+        assert view._block[:, span].tobytes() == moved.tobytes()
+        view.permute_rows(name, np.argsort(order))
+        assert view._block.tobytes() == before.tobytes()
+
+
+def test_param_store_entries_are_views_of_its_block():
     store = ParamStore({"a": [[1.0, 2.0]], "b": [[3.0], [4.0]]})
+    assert store._block.shape == (4, 4)
+    for name in store.names():
+        assert np.shares_memory(store.value(name), store._block[0])
+        assert np.shares_memory(store.grad(name), store._block[1])
     leaf = tape.leaf(store, "b")
     assert leaf.data is store.value("b") and leaf.grad is store.grad("b")
     tape.sum_all(tape.scale(leaf, 2.0)).backward()
@@ -313,11 +359,6 @@ def test_param_store_entries_are_views_of_the_flat_buffers():
     store.zero_grads()
     assert not store.grad("a").any() and not store.grad("b").any()
 
-    copy = store.clone()
-    assert copy.names() == store.names() and copy.step == 0
-    copy.value("a")[:] = 0.0
-    assert store.value("a").tolist() != [[0.0, 0.0]]
-
 
 def test_param_store_from_mapping_equals_entries_added_one_by_one():
     rng = np.random.default_rng(8)
@@ -327,10 +368,9 @@ def test_param_store_from_mapping_equals_entries_added_one_by_one():
     assert built.names() == ["w", "b", "u"]
     # the layout is the one-entry stores laid one after another in the mapping's order
     assert built._value.tobytes() == b"".join(singles[n]._value.tobytes() for n in built.names())
-    assert built._value.size == 12 + 2 + 8
+    assert built._block.shape == (4, 12 + 2 + 8)
     for name in values:
         assert built.value(name).tobytes() == singles[name].value(name).tobytes()
-        assert built.value(name).base is built._value and built.grad(name).base is built._grad
     assert built.value("b").shape == (1, 2)
     reordered = ParamStore({n: values[n] for n in ["u", "w", "b"]})
     assert reordered.names() == ["u", "w", "b"]
@@ -350,46 +390,40 @@ def test_param_store_from_mapping_rejects_what_add_rejects():
             ParamStore(entries)
 
 
-def test_param_store_clone_is_independent_of_its_source():
-    store = ParamStore({"a": [[1.0, 2.0]], "b": [[3.0]]})
-    store.grad("a")[:] = 1.0
-    adam_step(store, lr=0.1)
-    copy = store.clone()
-    assert copy.names() == store.names() and copy.step == 0
-    assert not copy.grad("a").any()
-    for name in store.names():
-        assert copy.value(name).tobytes() == store.value(name).tobytes()
-    before = store.value("a").copy()
-    copy.value("a")[:] = 0.0
-    copy.grad("b")[:] = 5.0
-    adam_step(copy, lr=0.1)
-    assert store.value("a").tobytes() == before.tobytes()
-    assert not store.grad("b").any() and store.step == 1
-    store.value("b")[:] = -7.0
-    assert copy.value("b")[0, 0] != -7.0
-
-
 @pytest.mark.parametrize(
     "duplicate", [copy.copy, copy.deepcopy, lambda store: pickle.loads(pickle.dumps(store))]
 )
 def test_a_copied_or_unpickled_store_steps_its_own_buffers(duplicate):
     # the compiled step writes where the store's addresses point: a copy
-    # must point at its own buffers, or stepping it would change its source
+    # must point at its own block, or stepping it would change its source
     source = ParamStore({"a": [[1.0, 2.0]], "b": [[3.0], [-4.0]]})
     for name in source.names():
         source.grad(name)[:] = 0.5
     adam_step(source, lr=0.1)
     part = source.tail("b", 1)
     for store in (source, part):
-        before = [buffer.copy() for buffer in store._buffers()]
+        before = store._block.copy()
         twin = duplicate(store)
         assert twin.layout == store.layout and twin.step == store.step
-        assert [b.tobytes() for b in twin._buffers()] == [b.tobytes() for b in before]
+        assert twin._block.tobytes() == before.tobytes()
         adam_step(twin, lr=0.1)
-        assert [b.tobytes() for b in store._buffers()] == [b.tobytes() for b in before]
+        assert store._block.tobytes() == before.tobytes()
         adam_step(store, lr=0.1)
-        assert [b.tobytes() for b in twin._buffers()] == [b.tobytes() for b in store._buffers()]
-        assert twin.value(twin.names()[-1]).base is twin._value
+        assert twin._block.tobytes() == store._block.tobytes()
+        assert np.shares_memory(twin.value(twin.names()[-1]), twin._block)
+
+
+def test_the_numpy_passes_make_their_temporaries_once_per_store(monkeypatch):
+    store = ParamStore({"a": [[1.0, 2.0]], "b": [[3.0], [-4.0]]})
+    store.grad("b")[:] = 0.5
+    part = store.tail("b", 1)
+    monkeypatch.setattr(numerics, "_kernel", None)
+    assert "_scratch" not in vars(store) and "_scratch" not in vars(part)
+    adam_step(part, lr=0.1)
+    scratch = part._scratch
+    assert scratch.shape == (2, 1) and "_scratch" not in vars(store)
+    adam_step(part, lr=0.1)
+    assert part._scratch is scratch
 
 
 def test_adam_steps_a_finite_store_whose_sum_overflows():
@@ -476,8 +510,7 @@ def test_compiled_adam_step_equals_the_numpy_step_bit_for_bit(
             part._grad[:] = grad
         outcomes = _step_outcome(parts[0], lr, kernel), _step_outcome(parts[1], lr, None)
         assert outcomes[0] == outcomes[1]
-        for mine, theirs in zip(compiled._buffers(), reference._buffers()):
-            assert mine.tobytes() == theirs.tobytes()
+        assert compiled._block.tobytes() == reference._block.tobytes()
         assert parts[0].step == parts[1].step
         if outcomes[0] is not None:
             break

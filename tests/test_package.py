@@ -15,7 +15,7 @@ from guardian.anomaly import AnomalyScore, DetectionPolicy
 from guardian.detector import DetectorConfig, Reconstruction, fit, infer
 from guardian.embedder import EmbeddingConfig
 from guardian.harness import ExperimentConfig
-from guardian.numerics import adam_step
+from guardian.numerics import ParamStore, adam_step
 from guardian.pipeline import Decision, PipelineState
 from guardian.simulator import AgentSpec, AttackPlan, RemoteAgentConfig, run_episode
 
@@ -120,6 +120,19 @@ def test_settable_surface_is_pinned():
         else:
             got = list(inspect.signature(owner).parameters)
         assert got == expected, owner.__qualname__
+
+
+# ParamStore's public methods, in definition order. Each one is a way to
+# read or move the block that fits and the compiled Adam step share:
+# adding one means editing this list, where review sees it.
+_PARAM_STORE_METHODS = [
+    "names", "value", "grad", "zero_grads", "moments_are_zero", "tail", "permute_rows", "entries",
+]
+
+
+def test_param_store_methods_are_pinned():
+    got = [name for name, member in vars(ParamStore).items() if callable(member) and name[0] != "_"]
+    assert got == _PARAM_STORE_METHODS
 
 
 # What each round hands on. A new field is something a later step must read:
