@@ -20,9 +20,10 @@ The model is one pass in batched numpy over the whole history
 (``_Pass``): the stage functions ``gcn_forward`` through
 ``decode_structure`` run it forward, and its hand-written backward pass
 gives the gradient of any weighted sum of l_att, l_stru and kl. The pass
-writes into arrays it allocates once, so ``fit`` runs every epoch in one
-workspace; ``infer`` runs it once, and ``run_forward`` exposes one pass's
-loss terms as 1x1 tensors whose ``backward()`` writes that term's gradient.
+writes into arrays it allocates once and binds every operand once, so
+``fit`` runs every epoch in one workspace, as two calls; ``infer`` runs it
+once, and ``run_forward`` exposes one pass's loss terms as 1x1 tensors
+whose ``backward()`` writes that term's gradient.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -200,22 +201,26 @@ _LOGVAR_MIN, _LOGVAR_MAX = np.array(LOGVAR_MIN), np.array(LOGVAR_MAX)
 _CLAMP_LOW, _CLAMP_HIGH = np.array(-SIGMOID_CLAMP), np.array(SIGMOID_CLAMP)
 
 
-def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-    """``a @ b`` of 2-D arrays, bit for bit, into ``out`` (None allocates).
+def _product(a: np.ndarray):
+    """``a @ b`` of 2-D arrays into ``out``, bit for bit, as the call ``(b, out)``.
 
-    ``np.dot`` costs less per call and gives the same bits, except over an
-    inner dimension of 1: there it scales instead of summing products, so
-    that a -0.0 product stays -0.0 and inf * 0.0 can give 0.0, not NaN.
+    ``a.dot`` costs least per call and gives the bits of ``np.dot``, which
+    equal those of ``@`` except over an inner dimension of 1: there it
+    scales instead of summing products, so that a -0.0 product stays -0.0
+    and inf * 0.0 can give 0.0, not NaN. Those products go through
+    ``np.matmul``.
     """
-    return (np.matmul if a.shape[1] == 1 else np.dot)(a, b, out=out)
+    return a.dot if a.shape[1] != 1 else functools.partial(np.matmul, a)
+
+
+# Each stage function runs one stage of the pass. ``bound`` is the stage as
+# its ``_bind_*`` function binds it once to the same operands and to arrays
+# it writes in place: a call that returns the stage's result, the same
+# tuple of those arrays every time. None binds it to new arrays.
 
 
 def gcn_forward(
-    a_hat: np.ndarray | None,
-    a_hat_x: np.ndarray,
-    w0: np.ndarray,
-    w1: np.ndarray,
-    out: tuple = (None,) * 4,
+    a_hat: np.ndarray | None, a_hat_x: np.ndarray, w0: np.ndarray, w1: np.ndarray, bound=None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Two rounds of propagate-and-transform; the last layer stays linear
     so the downstream mean/log-variance split is sign-unconstrained.
@@ -228,42 +233,75 @@ def gcn_forward(
     so ``I @`` them gives them back bit for bit, and the product is
     skipped. Returns the first layer's pre-activation, ``a_hat`` times its
     output, and the encoder output.
-
-    ``out`` names the arrays that receive the pre-activation, the first
-    layer's output, ``a_hat`` times it and the encoder output; a None is
-    allocated. The other stages take ``out`` the same way.
     """
-    h1_pre, h1, a_hat_h1, hidden = out
-    h1_pre = _matmul(a_hat_x, w0, h1_pre)
-    h1 = np.maximum(h1_pre, _ZERO, out=h1)
-    if a_hat is not None:
-        h1 = _matmul(a_hat, h1, a_hat_h1)
-    return h1_pre, h1, _matmul(h1, w1, hidden)
+    return (bound or _bind_gcn(a_hat, a_hat_x, w0, w1)[0])()
+
+
+def _bind_gcn(a_hat, a_hat_x, w0, w1):
+    shape = (len(a_hat_x), w0.shape[1])
+    h1_pre, h1 = np.empty(shape), np.empty(shape)
+    a_hat_h1 = h1 if a_hat is None else np.empty(shape)
+    hidden = np.empty((len(a_hat_x), w1.shape[1]))
+    first, second = _product(a_hat_x), _product(a_hat_h1)
+    spread = None if a_hat is None else _product(a_hat)
+    result = h1_pre, a_hat_h1, hidden
+
+    def run():
+        first(w0, h1_pre)
+        np.maximum(h1_pre, _ZERO, out=h1)
+        if spread is not None:
+            spread(h1, a_hat_h1)
+        second(w1, hidden)
+        return result
+
+    return run, result
 
 
 def split_latent(
-    hidden: np.ndarray, d: int, out: np.ndarray | None = None
+    hidden: np.ndarray, d: int, bound=None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Encoder output's mean half, its log-variance half, and that half
-    clamped to [LOGVAR_MIN, LOGVAR_MAX] (into ``out``)."""
+    clamped to [LOGVAR_MIN, LOGVAR_MAX]."""
+    return (bound or _bind_split_latent(hidden, d)[0])()
+
+
+def _bind_split_latent(hidden, d):
     log_var_raw = hidden[:, d:]
-    # np.minimum/np.maximum clamp like np.clip, at a fraction of its call overhead
-    log_var = np.maximum(log_var_raw, _LOGVAR_MIN, out=out)
-    return hidden[:, :d], log_var_raw, np.minimum(log_var, _LOGVAR_MAX, out=log_var)
+    log_var = np.empty(log_var_raw.shape)
+    result = hidden[:, :d], log_var_raw, log_var
+
+    def run():
+        # np.minimum/np.maximum clamp like np.clip, at a fraction of its call overhead
+        np.maximum(log_var_raw, _LOGVAR_MIN, out=log_var)
+        np.minimum(log_var, _LOGVAR_MAX, out=log_var)
+        return result
+
+    return run, result
 
 
 def reparameterize(
-    mean: np.ndarray, log_var: np.ndarray, noise: np.ndarray | None, out: tuple = (None, None)
+    mean: np.ndarray, log_var: np.ndarray, noise: np.ndarray | None, bound=None
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """The sample mean + exp(log_var / 2) * noise and that standard
-    deviation, into ``out``; the mean and None when noise is None (inference)."""
-    if noise is None:
-        return mean, None
-    std, sample = out
-    std = np.multiply(log_var, _HALF, out=std)
-    np.exp(std, out=std)
-    sample = np.multiply(std, noise, out=sample)
-    return np.add(mean, sample, out=sample), std
+    deviation; the mean and None when noise is None (inference)."""
+    return (bound or _bind_reparameterize(mean, log_var)[0])(noise)
+
+
+def _bind_reparameterize(mean, log_var):
+    """The bound stage takes the noise; its result when it samples."""
+    std, sample = np.empty(log_var.shape), np.empty(log_var.shape)
+    sampled, inferred = (sample, std), (mean, None)
+
+    def run(noise):
+        if noise is None:
+            return inferred
+        np.multiply(log_var, _HALF, std)
+        np.exp(std, std)
+        np.multiply(std, noise, sample)
+        np.add(mean, sample, sample)
+        return sampled
+
+    return run, sampled
 
 
 def kl_term(mean: Tensor2D, log_variance: Tensor2D) -> Tensor2D:
@@ -297,7 +335,7 @@ def temporal_fuse(
     wq: np.ndarray,
     wk: np.ndarray,
     wv: np.ndarray,
-    out: tuple = (None,) * 10,
+    bound=None,
 ) -> tuple[np.ndarray, ...]:
     """Fuse each final-round agent's latent trajectory with self-attention.
 
@@ -307,27 +345,43 @@ def temporal_fuse(
     active in all earlier ones. With a single round this is the value
     projection of that round's latent row. Returns the position-encoded
     sequences, the last queries, ``u`` = query @ wk.T, the attention
-    weights, the attended contexts and the fused rows.
-
-    ``out`` receives the position-encoded latents (one row per node), the
-    sequences, the queries, ``u``, the scores (agents x rounds x 1), their
-    row maxima, the weights, their row sums, the contexts (agents x 1 x d)
-    and the fused rows.
+    weights, the attended contexts and the fused rows. The bound stage
+    takes ``z``.
     """
-    encoded, seq, q, u, scores, peak, attn, total, context, fused = out
-    # each node's round's encoding added before the gather: the same sums
-    encoded = np.add(z, h.pe_rows, out=encoded)
-    seq = np.take(encoded, h.gather, axis=0, out=seq, mode="clip")  # gather is in range
-    q = _matmul(seq[:, -1], wq, q)
-    u = _matmul(q, wk.T, u)  # q . (seq_t wk) == seq_t . u
-    logits = np.matmul(seq, u[:, :, None], out=scores)[:, :, 0]
-    logits *= h.inv_sqrt_d
-    peak = np.maximum.reduce(logits, axis=1, keepdims=True, out=peak)
-    attn = np.subtract(logits, peak, out=attn)
-    np.exp(attn, out=attn)
-    attn /= np.add.reduce(attn, axis=1, keepdims=True, out=total)
-    context = np.matmul(attn[:, None, :], seq, out=context)[:, 0]
-    return seq, q, u, attn, context, _matmul(context, wv, fused)
+    return (bound or _bind_temporal_fuse(h, wq, wk, wv)[0])(z)
+
+
+def _bind_temporal_fuse(h, wq, wk, wv):
+    (n, t), d = h.gather.shape, h.d
+    encoded, seq = np.empty(h.pe_rows.shape), np.empty((n, t, d))
+    q, u, scores, peak = np.empty((n, d)), np.empty((n, d)), np.empty((n, t, 1)), np.empty((n, 1))
+    attn, total, context = np.empty((n, t)), np.empty((n, 1)), np.empty((n, 1, d))
+    fused, context_rows = np.empty((n, wv.shape[1])), context[:, 0]
+    gather, pe_rows, inv_sqrt_d = h.gather, h.pe_rows, np.array(h.inv_sqrt_d)
+    take, query, key = encoded.take, _product(seq[:, -1]), _product(q)
+    wk_t, u_col, logits = wk.T, u[:, :, None], scores[:, :, 0]
+    peak_col, total_col, attn_row = peak.reshape(-1), total.reshape(-1), attn[:, None, :]
+    value = _product(context_rows)
+    result = seq, q, u, attn, context_rows, fused
+
+    def run(z):
+        # each node's round's encoding added before the gather: the same sums
+        np.add(z, pe_rows, encoded)
+        take(gather, 0, seq, "clip")  # gather is in range
+        query(wq, q)
+        key(wk_t, u)  # q . (seq_t wk) == seq_t . u
+        np.matmul(seq, u_col, scores)
+        np.multiply(logits, inv_sqrt_d, logits)
+        np.maximum.reduce(logits, 1, None, peak_col)
+        np.subtract(logits, peak, attn)
+        np.exp(attn, attn)
+        np.add.reduce(attn, 1, None, total_col)
+        np.divide(attn, total, attn)
+        np.matmul(attn_row, seq, context)
+        value(wv, fused)
+        return result
+
+    return run, result
 
 
 def decode_attributes(
@@ -336,28 +390,50 @@ def decode_attributes(
     b0: np.ndarray,
     w1: np.ndarray,
     b1: np.ndarray,
-    out: tuple = (None,) * 3,
+    bound=None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The attribute decoder's hidden pre-activation, hidden layer and output."""
-    pre, hidden, x_hat = out
-    pre = _matmul(z, w0, pre)
-    pre += b0
-    hidden = np.maximum(pre, _ZERO, out=hidden)
-    x_hat = _matmul(hidden, w1, x_hat)
-    x_hat += b1
-    return pre, hidden, x_hat
+    return (bound or _bind_decode_attributes(z, w0, b0, w1, b1)[0])()
 
 
-def decode_structure(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _bind_decode_attributes(z, w0, b0, w1, b1):
+    pre, hidden = np.empty((len(z), w0.shape[1])), np.empty((len(z), w0.shape[1]))
+    x_hat = np.empty((len(z), w1.shape[1]))
+    first, second = _product(z), _product(hidden)
+    result = pre, hidden, x_hat
+
+    def run():
+        first(w0, pre)
+        np.add(pre, b0, pre)
+        np.maximum(pre, _ZERO, out=hidden)
+        second(w1, x_hat)
+        np.add(x_hat, b1, x_hat)
+        return result
+
+    return run, result
+
+
+def decode_structure(z: np.ndarray, bound=None) -> np.ndarray:
     """Edge probabilities sigmoid(z_i . z_j) over all ordered pairs, the
     logits clamped to +-SIGMOID_CLAMP so that both logs of the loss stay finite."""
-    probs = _matmul(z, z.T, out)
-    np.maximum(probs, _CLAMP_LOW, out=probs)
-    np.minimum(probs, _CLAMP_HIGH, out=probs)
-    np.negative(probs, out=probs)
-    np.exp(probs, out=probs)
-    probs += _ONE
-    return np.divide(_ONE, probs, out=probs)
+    return (bound or _bind_decode_structure(z)[0])()
+
+
+def _bind_decode_structure(z):
+    probs = np.empty((len(z), len(z)))
+    gram, z_t = _product(z), z.T  # z.dot(z.T) is one symmetric rank-k update
+
+    def run():
+        gram(z_t, probs)
+        np.maximum(probs, _CLAMP_LOW, out=probs)
+        np.minimum(probs, _CLAMP_HIGH, out=probs)
+        np.negative(probs, probs)
+        np.exp(probs, probs)
+        np.add(probs, _ONE, probs)
+        np.divide(_ONE, probs, probs)
+        return probs
+
+    return run, probs
 
 
 @dataclass(frozen=True)
@@ -381,9 +457,9 @@ def run_forward(
     """One pass of the model, as ``fit`` runs it; rng=None disables sampling (inference)."""
     history = _history(batch, cfg)
     noise = None if rng is None else rng.standard_normal((history.rows, cfg.d))
-    step = _Pass(history, dict(params.entries()), noise)
+    step = _Pass(history, dict(params.entries()))
+    b = step.forward(noise)
     grads = {name: params.grad(name) for name in params.names()}
-    b = step.breakdown
 
     def term(value: float, *coefficients: float) -> Tensor2D:
         return Tensor2D([[value]], backward=lambda: step.backward(grads, *coefficients))
@@ -471,14 +547,20 @@ def _history(batch: HistoryBatch, cfg: DetectorConfig) -> _History:
 
 class _Pass:
     """One forward pass over a whole history, through the stage functions,
-    and its hand-written backward pass. ``noise`` is None at inference.
+    and its hand-written backward pass, bound to the weights ``w``.
 
-    The pass is its own workspace: it allocates the arrays ``forward``
-    writes when it is built, and those of ``backward`` in the first
-    backward pass, and both overwrite them in place, so that ``fit`` runs
-    all its epochs through one pass and no epoch allocates an array. Built
-    with weights it runs ``forward`` at once. A pass writes only its own
-    arrays and the gradients it is handed; the history it reads may be
+    Building a pass binds, once, every operand its forward pass touches:
+    the weights' views, which Adam steps in place, so that they hold for a
+    whole fit; the transposes and views it multiplies or reduces; the
+    constants; and, per product, the call that gives the bits of ``@``
+    (``_product``). ``bound_backward`` binds the backward pass the same
+    way, to the gradients it writes and the loss's coefficients. Both
+    then run as one call each, ``forward(noise)`` and ``backward()``,
+    that only calls numpy into arrays the pass allocated when it was
+    built, so that ``fit`` runs all its epochs through one pass and no
+    epoch allocates an array. The stage functions are looked up at every
+    call, so that they can be wrapped by name. A pass writes only its own
+    arrays and the gradients it is bound to; the history it reads may be
     shared.
 
     ``w["gcn.w0"]`` is either the whole entry or only its rows of filled
@@ -486,36 +568,90 @@ class _Pass:
     multiplies those rows alone, so both give the same products.
     """
 
-    def __init__(
-        self, h: _History, w: dict[str, np.ndarray] | None = None, noise: np.ndarray | None = None
-    ):
-        self.h = h
+    def __init__(self, h: _History, w: dict[str, np.ndarray]):
+        self.h, self.w, self.noise = h, w, None
         rows, d = h.rows, h.d
-        n, k = h.features.shape
-        new = np.empty
-        self.fused = new((n, d))
-        h1 = new((rows, 2 * d))
-        self._gcn = (new((rows, 2 * d)), h1, h1 if h.a_hat is None else new(h1.shape), new(h1.shape))
-        self.log_var, self.var = new((rows, d)), new((rows, d))
-        self._sample = (new((rows, d)), new((rows, d)))
-        self._kl = new((rows, d))
-        if h.single:
-            self.context = new((n, d))
-        else:
-            t = h.gather.shape[1]
-            self._fuse = (
-                new((rows, d)), new((n, t, d)), new((n, d)), new((n, d)),
-                new((n, t, 1)), new((n, 1)), new((n, t)), new((n, 1)),
-                new((n, 1, d)), self.fused,
-            )  # fmt: skip
-        self._decode = (new((n, d)), new((n, d)), new((n, k)))
-        self.edge_probs, self.r_x = new((n, n)), new((n, k))
-        self._squares, self._likelihood = new((n, k)), new((n, n))
-        self._c_kl = None  # the c_kl that _kl_weights were made for
-        if w is not None:
-            self.forward(w, noise)
+        n = len(h.features)
+        a_hat, a_hat_x, single = h.a_hat, h.a_hat_x, h.single
+        w0, w1 = w["gcn.w0"], w["gcn.w1"]
+        wq, wk, wv = w["attn.wq"], w["attn.wk"], w["attn.wv"]
+        dec_w0, dec_b0, dec_w1, dec_b1 = w["dec.w0"], w["dec.b0"], w["dec.w1"], w["dec.b1"]
+        # a whole gcn.w0 gives up its rows of filled buckets in every forward pass
+        filled, rows_of_w0, filled_w0 = h.filled, None, w0
+        if len(w0) != len(filled):
+            rows_of_w0, filled_w0 = w0.take, np.empty((len(filled), w0.shape[1]))
 
-    # backward's arrays: an inference allocates none
+        gcn, (self.h1_pre, self.a_hat_h1, hidden) = _bind_gcn(a_hat, a_hat_x, filled_w0, w1)
+        latent, (mean, self.log_var_raw, log_var) = _bind_split_latent(hidden, d)
+        self.mean, self.log_var = mean, log_var
+        sample, self._sampled = _bind_reparameterize(mean, log_var)
+        var, kl_terms = self.var, self._kl = np.empty((rows, d)), np.empty((rows, d))
+        kl_flat, kl_weight = kl_terms.reshape(-1), h.kl_weight
+        if single:
+            fuse, pe_rows = None, h.pe_rows
+            context, fused = self.context, self.fused = np.empty((n, d)), np.empty((n, wv.shape[1]))
+            attend = _product(context)
+        else:
+            fuse, result = _bind_temporal_fuse(h, wq, wk, wv)
+            self.seq, self.q, self.u, self.attn, self.context, fused = result
+            self.fused = fused
+        decode, (self.dec_pre, self.dec_h, x_hat) = _bind_decode_attributes(
+            fused, dec_w0, dec_b0, dec_w1, dec_b1
+        )
+        self.x_hat = x_hat
+        structure, edge_probs = _bind_decode_structure(fused)
+        self.edge_probs = edge_probs
+        features, edge, alpha, gamma = h.features, h.edge, h.alpha, h.gamma
+        r_x, squares = self.r_x, self._squares = np.empty(x_hat.shape), np.empty(x_hat.shape)
+        likelihood = self._likelihood = np.empty((n, n))
+        squares_flat, likelihood_flat = squares.reshape(-1), likelihood.reshape(-1)
+        per_node, per_pair = 1.0 / n, -1.0 / (n * n)
+
+        def forward(noise: np.ndarray | None) -> LossBreakdown:
+            if rows_of_w0 is not None:
+                rows_of_w0(filled, 0, filled_w0)
+            gcn_forward(a_hat, a_hat_x, filled_w0, w1, gcn)
+            split_latent(hidden, d, latent)
+            np.exp(log_var, var)
+            z = reparameterize(mean, log_var, noise, sample)[0]
+            np.multiply(mean, mean, kl_terms)
+            np.add(kl_terms, var, kl_terms)
+            np.subtract(kl_terms, _ONE, kl_terms)
+            np.subtract(kl_terms, log_var, kl_terms)
+            np.multiply(kl_terms, kl_weight, kl_terms)
+            kl = float(np.add.reduce(kl_flat))
+            if fuse is None:
+                # One snapshot: each agent's last query attends over its one
+                # round, with the weight exp(0) / 1 == 1.0 exactly, and
+                # 1.0 * x == x, so the context is the position-encoded latent
+                # and this equals temporal_fuse bit for bit.
+                np.add(z, pe_rows, context)
+                attend(wv, fused)
+            else:
+                temporal_fuse(z, h, wq, wk, wv, fuse)
+            decode_attributes(fused, dec_w0, dec_b0, dec_w1, dec_b1, decode)
+            decode_structure(fused, structure)
+
+            np.subtract(features, x_hat, r_x)
+            np.multiply(r_x, r_x, squares)
+            l_att = float(np.add.reduce(squares_flat)) * per_node
+            # the target is 0/1, so a log p + (1 - a) log(1 - p) is one of the two logs
+            np.subtract(_ONE, edge_probs, likelihood)
+            np.putmask(likelihood, edge, edge_probs)
+            np.log(likelihood, likelihood)
+            l_stru = float(np.add.reduce(likelihood_flat)) * per_pair
+            return compose_losses(l_att, l_stru, kl, alpha, gamma)
+
+        # bound here and called through forward(), so that it holds no reference to the pass
+        self._forward = forward
+
+    def forward(self, noise: np.ndarray | None) -> LossBreakdown:
+        """The pass with this noise (None: inference); returns and sets ``breakdown``."""
+        self.noise = noise
+        self.breakdown = breakdown = self._forward(noise)
+        return breakdown
+
+    # backward's arrays, shared by every backward bound to the pass: an inference allocates none
     @functools.cached_property
     def _grads(self) -> tuple:
         rows, d = self.h.rows, self.h.d
@@ -532,11 +668,6 @@ class _Pass:
         )  # fmt: skip
 
     @functools.cached_property
-    def _kl_weights(self) -> tuple[np.ndarray, np.ndarray]:
-        """(2 * c_kl) * kl_weight and c_kl * kl_weight, for c_kl = ``_c_kl``."""
-        return np.empty(self.h.kl_weight.shape), np.empty(self.h.kl_weight.shape)
-
-    @functools.cached_property
     def _fuse_grads(self) -> tuple:
         rows, d = self.h.rows, self.h.d
         n, t = self.h.gather.shape
@@ -547,62 +678,19 @@ class _Pass:
             new((n, d)), new((n, d)), new((rows, d)),
         )  # fmt: skip
 
-    def forward(self, w: dict[str, np.ndarray], noise: np.ndarray | None) -> None:
-        """The pass over weights ``w``; sets ``breakdown``."""
-        h = self.h
-        self.w, self.noise = w, noise
-        w0 = w["gcn.w0"]
-        self.h1_pre, self.a_hat_h1, hidden = gcn_forward(
-            h.a_hat,
-            h.a_hat_x,
-            w0 if len(w0) == len(h.filled) else w0[h.filled],
-            w["gcn.w1"],
-            self._gcn,
-        )
-        self.mean, self.log_var_raw, self.log_var = split_latent(hidden, h.d, self.log_var)
-        np.exp(self.log_var, out=self.var)
-        z, self.std = reparameterize(self.mean, self.log_var, noise, self._sample)
-        kl_terms = np.multiply(self.mean, self.mean, out=self._kl)
-        kl_terms += self.var
-        kl_terms -= _ONE
-        kl_terms -= self.log_var
-        kl_terms *= h.kl_weight
-        kl = float(np.add.reduce(kl_terms, axis=None))
-
-        if h.single:
-            # One snapshot: each agent's last query attends over its one
-            # round, with the weight exp(0) / 1 == 1.0 exactly, and
-            # 1.0 * x == x, so the context is the position-encoded latent
-            # and this equals temporal_fuse bit for bit.
-            np.add(z, h.pe_rows, out=self.context)
-            _matmul(self.context, w["attn.wv"], self.fused)
-        else:
-            self.seq, self.q, self.u, self.attn, self.context, self.fused = temporal_fuse(
-                z, h, w["attn.wq"], w["attn.wk"], w["attn.wv"], self._fuse
-            )
-        self.dec_pre, self.dec_h, self.x_hat = decode_attributes(
-            self.fused, w["dec.w0"], w["dec.b0"], w["dec.w1"], w["dec.b1"], self._decode
-        )
-        decode_structure(self.fused, self.edge_probs)
-
-        n = len(h.features)
-        np.subtract(h.features, self.x_hat, out=self.r_x)
-        squares = np.multiply(self.r_x, self.r_x, out=self._squares)
-        l_att = float(np.add.reduce(squares, axis=None)) * (1.0 / n)
-        # the target is 0/1, so a log p + (1 - a) log(1 - p) is one of the two logs
-        likelihood = np.subtract(_ONE, self.edge_probs, out=self._likelihood)
-        np.copyto(likelihood, self.edge_probs, where=h.edge)
-        l_stru = float(np.add.reduce(np.log(likelihood, out=likelihood), axis=None)) * (
-            -1.0 / (n * n)
-        )
-        self.breakdown = compose_losses(l_att, l_stru, kl, h.alpha, h.gamma)
-
     def backward(self, g: dict[str, np.ndarray], c_att: float, c_stru: float, c_kl: float) -> None:
-        """Write d (c_att*l_att + c_stru*l_stru + c_kl*kl) / d parameter into
-        each array of `g`, overwriting it. ``g["gcn.w0"]``, like
-        ``w["gcn.w0"]``, is the whole entry, whose rows of empty buckets get
-        +0.0, or its rows of filled buckets. Over one snapshot ``g`` may
-        leave out attn.wk and attn.wq, whose gradients are zero."""
+        """Run ``bound_backward(g, c_att, c_stru, c_kl)`` once."""
+        self.bound_backward(g, c_att, c_stru, c_kl)()
+
+    def bound_backward(
+        self, g: dict[str, np.ndarray], c_att: float, c_stru: float, c_kl: float
+    ) -> Callable[[], None]:
+        """The call that writes d (c_att*l_att + c_stru*l_stru + c_kl*kl) /
+        d parameter into each array of `g`, overwriting it, after the last
+        ``forward``. ``g["gcn.w0"]``, like ``w["gcn.w0"]``, is the whole
+        entry, whose rows of empty buckets get +0.0, or its rows of filled
+        buckets. Over one snapshot ``g`` may leave out attn.wk and attn.wq,
+        whose gradients are zero."""
         h, w = self.h, self.w
         n = len(h.features)
         (
@@ -610,82 +698,124 @@ class _Pass:
             d_hidden, d_mean, d_log_var_in, d_log_var, noise_part, unclamped,
             d_h1, d_h1_spread, h1_live,
         ) = self._grads  # fmt: skip
-        np.multiply(self.r_x, -2.0 * c_att / n, out=d_x_hat)
-        # cross-entropy through the sigmoid; the clamp passes gradient straight through
-        np.subtract(self.edge_probs, h.target, out=d_logits)
-        d_logits *= c_stru / (n * n)
-
-        np.dot(self.dec_h.T, d_x_hat, out=g["dec.w1"])
-        np.add.reduce(d_x_hat, axis=0, keepdims=True, out=g["dec.b1"])
-        _matmul(d_x_hat, w["dec.w1"].T, d_dec)
-        d_dec *= np.greater(self.dec_pre, _ZERO, out=dec_live)
-        np.dot(self.fused.T, d_dec, out=g["dec.w0"])
-        np.add.reduce(d_dec, axis=0, keepdims=True, out=g["dec.b0"])
-        _matmul(d_dec, w["dec.w0"].T, d_fused)
-        d_fused += _matmul(np.add(d_logits, d_logits.T, out=d_sym), self.fused, fused_part)
-
-        np.dot(self.context.T, d_fused, out=g["attn.wv"])
-        _matmul(d_fused, w["attn.wv"].T, d_context)
+        x_hat_scale, logit_scale = np.array(-2.0 * c_att / n), np.array(c_stru / (n * n))
+        # the gradients of the mean's and the log-variance's KL terms per unit
+        kl_mean, kl_log_var = np.multiply(2.0 * c_kl, h.kl_weight), np.multiply(c_kl, h.kl_weight)
+        r_x, edge_probs, target, dec_pre = self.r_x, self.edge_probs, h.target, self.dec_pre
+        mean, var, log_var, log_var_raw = self.mean, self.var, self.log_var, self.log_var_raw
+        fused, h1_pre, std = self.fused, self.h1_pre, self._sampled[1]
+        g_dec_w1, g_dec_w0, g_wv, g_w1 = g["dec.w1"], g["dec.w0"], g["attn.wv"], g["gcn.w1"]
+        g_dec_b1, g_dec_b0, g_w0 = g["dec.b1"].reshape(-1), g["dec.b0"].reshape(-1), g["gcn.w0"]
+        dec_h_t, fused_t, context_t = self.dec_h.T, fused.T, self.context.T
+        a_hat_h1_t, a_hat_x_t, d_logits_t = self.a_hat_h1.T, h.a_hat_x.T, d_logits.T
+        dec_w1_t, dec_w0_t, wv_t, w1_t = w["dec.w1"].T, w["dec.w0"].T, w["attn.wv"].T, w["gcn.w1"].T
+        to_dec, to_fused, to_sym = _product(d_x_hat), _product(d_dec), _product(d_sym)
+        to_context, to_h1 = _product(d_fused), _product(d_hidden)
         if h.single:
             # With the weight 1.0, d_attn - inner == 0 exactly: the scores,
             # and through them the query and key, get no gradient, and the
             # context's gradient is the latent's.
-            for name in ("attn.wk", "attn.wq"):
-                if name in g:
-                    g[name].fill(0.0)
-            d_z = d_context
+            fuse_backward, d_z = None, d_context
+            zeroed = [g[name] for name in ("attn.wk", "attn.wq") if name in g]
         else:
-            d_z = self._fuse_backward(g, d_context)
+            fuse_backward, d_z = self._bind_fuse_backward(g, d_context)
+        spread = None if h.a_hat is None else _product(h.a_hat.T)
+        d_h1_out = d_h1 if spread is None else d_h1_spread
+        # a whole gcn.w0 takes its rows of filled buckets from a copy
+        filled, unfilled, whole_w0 = h.filled, h.unfilled, None
+        if len(g_w0) != len(filled):
+            whole_w0, g_w0 = g_w0, np.empty((len(filled), g_w0.shape[1]))
 
-        if c_kl is not self._c_kl:
-            np.multiply(2.0 * c_kl, h.kl_weight, out=self._kl_weights[0])
-            np.multiply(c_kl, h.kl_weight, out=self._kl_weights[1])
-            self._c_kl = c_kl
-        np.add(d_z, np.multiply(self._kl_weights[0], self.mean, out=d_log_var), out=d_mean)
-        np.subtract(self.var, _ONE, out=d_log_var)
-        d_log_var *= self._kl_weights[1]
-        if self.noise is not None:
-            np.multiply(d_z, self.noise, out=noise_part)
-            noise_part *= self.std
-            noise_part *= _HALF
-            d_log_var += noise_part
-        np.multiply(d_log_var, np.equal(self.log_var, self.log_var_raw, out=unclamped), out=d_log_var_in)
+        def backward() -> None:
+            np.multiply(r_x, x_hat_scale, d_x_hat)
+            # cross-entropy through the sigmoid; the clamp passes gradient straight through
+            np.subtract(edge_probs, target, d_logits)
+            np.multiply(d_logits, logit_scale, d_logits)
 
-        np.dot(self.a_hat_h1.T, d_hidden, out=g["gcn.w1"])
-        _matmul(d_hidden, w["gcn.w1"].T, d_h1)
-        if h.a_hat is not None:
-            d_h1 = _matmul(h.a_hat.T, d_h1, d_h1_spread)
-        d_h1 *= np.greater(self.h1_pre, _ZERO, out=h1_live)
-        g0 = g["gcn.w0"]
-        if len(g0) == len(h.filled):
-            np.dot(h.a_hat_x.T, d_h1, out=g0)
-        else:
-            g0[h.unfilled] = 0.0
-            g0[h.filled] = np.dot(h.a_hat_x.T, d_h1)
+            dec_h_t.dot(d_x_hat, g_dec_w1)
+            np.add.reduce(d_x_hat, 0, None, g_dec_b1)
+            to_dec(dec_w1_t, d_dec)
+            np.greater(dec_pre, _ZERO, dec_live)
+            np.multiply(d_dec, dec_live, d_dec)
+            fused_t.dot(d_dec, g_dec_w0)
+            np.add.reduce(d_dec, 0, None, g_dec_b0)
+            to_fused(dec_w0_t, d_fused)
+            np.add(d_logits, d_logits_t, d_sym)
+            to_sym(fused, fused_part)
+            np.add(d_fused, fused_part, d_fused)
 
-    def _fuse_backward(self, g: dict[str, np.ndarray], d_context: np.ndarray) -> np.ndarray:
-        """Backward through ``temporal_fuse``: writes the query's and key's
-        gradients and returns the latents'."""
+            context_t.dot(d_fused, g_wv)
+            to_context(wv_t, d_context)
+            if fuse_backward is None:
+                for grad in zeroed:
+                    grad.fill(0.0)
+            else:
+                fuse_backward()
+
+            np.multiply(kl_mean, mean, d_log_var)
+            np.add(d_z, d_log_var, d_mean)
+            np.subtract(var, _ONE, d_log_var)
+            np.multiply(d_log_var, kl_log_var, d_log_var)
+            noise = self.noise
+            if noise is not None:
+                np.multiply(d_z, noise, noise_part)
+                np.multiply(noise_part, std, noise_part)
+                np.multiply(noise_part, _HALF, noise_part)
+                np.add(d_log_var, noise_part, d_log_var)
+            np.equal(log_var, log_var_raw, unclamped)
+            np.multiply(d_log_var, unclamped, d_log_var_in)
+
+            a_hat_h1_t.dot(d_hidden, g_w1)
+            to_h1(w1_t, d_h1)
+            if spread is not None:
+                spread(d_h1, d_h1_spread)
+            np.greater(h1_pre, _ZERO, h1_live)
+            np.multiply(d_h1_out, h1_live, d_h1_out)
+            a_hat_x_t.dot(d_h1_out, g_w0)
+            if whole_w0 is not None:
+                whole_w0[unfilled] = 0.0
+                whole_w0[filled] = g_w0
+
+        return backward
+
+    def _bind_fuse_backward(
+        self, g: dict[str, np.ndarray], d_context: np.ndarray
+    ) -> tuple[Callable[[], None], np.ndarray]:
+        """Backward through ``temporal_fuse``, bound: a call that writes the
+        query's and key's gradients and the latents', and the latents'."""
         h, w = self.h, self.w
         d_attn3, weighted, inner, d_scores, d_seq, d_seq_part, d_u3, d_q, d_last, d_z = (
             self._fuse_grads
         )
-        d_attn = np.matmul(self.seq, d_context[:, :, None], out=d_attn3)[:, :, 0]
-        np.multiply(self.attn, d_attn, out=weighted)
-        np.add.reduce(weighted, axis=1, keepdims=True, out=inner)
-        np.subtract(d_attn, inner, out=d_scores)
-        d_scores *= self.attn
-        d_scores *= h.inv_sqrt_d
-        np.multiply(self.attn[:, :, None], d_context[:, None, :], out=d_seq)
-        d_seq += np.multiply(d_scores[:, :, None], self.u[:, None, :], out=d_seq_part)
-        d_u = np.matmul(d_scores[:, None, :], self.seq, out=d_u3)[:, 0]
-        _matmul(d_u, w["attn.wk"], d_q)
-        np.dot(d_u.T, self.q, out=g["attn.wk"])
-        np.dot(self.seq[:, -1].T, d_q, out=g["attn.wq"])
-        d_seq[:, -1] += _matmul(d_q, w["attn.wq"].T, d_last)
-        d_z.fill(0.0)
-        d_z[h.gather] = d_seq
-        return d_z
+        seq, attn, u, q, gather = self.seq, self.attn, self.u, self.q, h.gather
+        d_attn, inner_col, d_u = d_attn3[:, :, 0], inner.reshape(-1), d_u3[:, 0]
+        d_context_col, d_context_row = d_context[:, :, None], d_context[:, None, :]
+        attn_col, d_scores_col, u_row = attn[:, :, None], d_scores[:, :, None], u[:, None, :]
+        d_scores_row, d_seq_last = d_scores[:, None, :], d_seq[:, -1]
+        to_q, to_last = _product(d_u), _product(d_q)
+        d_u_t, last_t, wk, wq_t = d_u.T, seq[:, -1].T, w["attn.wk"], w["attn.wq"].T
+        g_wk, g_wq, inv_sqrt_d = g["attn.wk"], g["attn.wq"], np.array(h.inv_sqrt_d)
+
+        def fuse_backward() -> None:
+            np.matmul(seq, d_context_col, d_attn3)
+            np.multiply(attn, d_attn, weighted)
+            np.add.reduce(weighted, 1, None, inner_col)
+            np.subtract(d_attn, inner, d_scores)
+            np.multiply(d_scores, attn, d_scores)
+            np.multiply(d_scores, inv_sqrt_d, d_scores)
+            np.multiply(attn_col, d_context_row, d_seq)
+            np.multiply(d_scores_col, u_row, d_seq_part)
+            np.add(d_seq, d_seq_part, d_seq)
+            np.matmul(d_scores_row, seq, d_u3)
+            to_q(wk, d_q)
+            d_u_t.dot(q, g_wk)
+            last_t.dot(d_q, g_wq)
+            to_last(wq_t, d_last)
+            np.add(d_seq_last, d_last, d_seq_last)
+            d_z.fill(0.0)
+            d_z[gather] = d_seq
+
+        return fuse_backward, d_z
 
 
 # Epochs of noise drawn in one call: a fit at the default epoch counts
@@ -744,7 +874,7 @@ def fit(
     filled buckets where they lie and write their gradient there; the
     other rows that move get a zero gradient, as do attn.wk and attn.wq
     over one snapshot, written once. Every epoch runs through one
-    ``_Pass``, allocated when the fit starts. When the fit ends it restores
+    ``_Pass``, allocated and bound when the fit starts. When the fit ends it restores
     the row order, gradient included, and zeroes the gradient of the rows
     of empty buckets if a backward pass ran, so the store ends bit for bit
     as full steps would leave it, also when it raises.
@@ -765,28 +895,26 @@ def fit(
     zeroed = [packed_grad[n_filled:]]
     if history.single:
         zeroed += [grads.pop("attn.wk"), grads.pop("attn.wq")]
-    step = _Pass(history)
+    step = _Pass(history, values)
+    forward, backward, lr = step.forward, step.bound_backward(grads, *coefficients), cfg.lr
     trace: list[LossBreakdown] = []
     params.permute_rows("gcn.w0", order)
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # the loss check below reports it
-            for epoch in range(epochs):
-                at = epoch % _NOISE_EPOCHS
-                if at == 0:
-                    noise = rng.standard_normal(
-                        (min(_NOISE_EPOCHS, epochs - epoch), history.rows, cfg.d)
-                    )
-                step.forward(values, noise[at])
-                if not math.isfinite(step.breakdown.l_total):
-                    raise TrainingDiverged(
-                        epoch, trace[-1] if trace else None, f"non-finite loss {step.breakdown}"
-                    )
-                trace.append(step.breakdown)
-                step.backward(grads, *coefficients)
-                if epoch == 0:
+            for start in range(0, epochs, _NOISE_EPOCHS):
+                block = (min(_NOISE_EPOCHS, epochs - start), history.rows, cfg.d)
+                for noise in rng.standard_normal(block):
+                    breakdown = forward(noise)
+                    if not math.isfinite(breakdown.l_total):
+                        raise TrainingDiverged(
+                            len(trace), trace[-1] if trace else None, f"non-finite loss {breakdown}"
+                        )
+                    trace.append(breakdown)
+                    backward()
                     for grad in zeroed:
                         grad.fill(0.0)
-                nm.adam_step(stepped, lr=cfg.lr)
+                    zeroed = ()
+                    nm.adam_step(stepped, lr)
     finally:
         params.step = stepped.step
         params.permute_rows("gcn.w0", np.argsort(order))
@@ -805,7 +933,8 @@ def infer(
     """
     history = _history(batch, cfg)
     with np.errstate(over="ignore", invalid="ignore"):  # the loss check below reports it
-        result = _Pass(history, dict(params.entries()), noise=None)
+        result = _Pass(history, dict(params.entries()))
+        result.forward(None)
     if not math.isfinite(result.breakdown.l_total):
         raise NonFiniteError(f"non-finite loss at inference: {result.breakdown}")
     recon = Reconstruction(

@@ -399,12 +399,7 @@ def build_pipeline(cfg: ExperimentConfig, stream_seed: int) -> PipelineState:
             f"n_agents = {cfg.n_agents}: not enough memory for the {nodes} x {nodes} "
             f"adjacency of a {snapshots}-round history"
         ) from None
-    try:
-        return PipelineState(det_cfg, policy, embed_fn, history_window=cfg.history_window)
-    except MemoryError:
-        raise HarnessError(
-            f"k = {cfg.k} and d = {cfg.d}: not enough memory for the detector's parameters"
-        ) from None
+    return PipelineState(det_cfg, policy, embed_fn, history_window=cfg.history_window)
 
 
 def run_trials(cfg: ExperimentConfig) -> tuple[list[EpisodeLog], PipelineState | None]:
@@ -438,7 +433,13 @@ def run_trials(cfg: ExperimentConfig) -> tuple[list[EpisodeLog], PipelineState |
         state = build_pipeline(cfg, trial_seed) if cfg.defense else None
         for index, task in enumerate(tasks):
             if state is not None:
-                state.begin_episode(None if cfg.carry_params else index)
+                try:  # where the episode's parameters are drawn
+                    state.begin_episode(None if cfg.carry_params else index)
+                except MemoryError:
+                    raise HarnessError(
+                        f"k = {cfg.k} and d = {cfg.d}: "
+                        "not enough memory for the detector's parameters"
+                    ) from None
             log = run_episode(
                 task,
                 specs,

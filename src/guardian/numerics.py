@@ -118,11 +118,20 @@ class ParamStore:
             raise NumericsError(f"a block of {block.shape[1]} columns cannot hold {offset} entries")
         self._block = block[:, :offset]
         self._value, self._grad, self._m, self._v = self._block
-        # the compiled adam_step's leading arguments: the length and the four
-        # rows' addresses, from one .ctypes lookup (each builds a helper object)
+        # what the compiled adam_step is handed besides its coefficients: the
+        # length and the four rows' addresses, from one .ctypes lookup (each
+        # builds a helper object)
         address, stride = self._block.ctypes.data, self._block.strides[0]
         self._kernel_args = (offset, *(address + row * stride for row in range(4)))
         self.step = 0
+
+    @functools.cached_property
+    def _kernel_call(self) -> tuple["_AdamCall", object]:
+        """The compiled step's one argument, made where it is first used, and
+        a pointer to it: ``_kernel_args`` and the coefficients of a step,
+        which ``adam_step`` writes before every call."""
+        call = _AdamCall(*self._kernel_args)
+        return call, ctypes.byref(call)
 
     def _views(self, row: np.ndarray) -> dict[str, np.ndarray]:
         return {name: row[self._spans[name]].reshape(shape) for name, shape in self.layout}
@@ -206,6 +215,17 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
+class _AdamCall(ctypes.Structure):
+    """``struct guardian_adam_call`` of ``_SOURCE``: one pointer is all a
+    step passes through ctypes, which converts every argument anew."""
+
+    _fields_ = [
+        ("n", ctypes.c_ssize_t),
+        *[(row, ctypes.c_void_p) for row in ("value", "grad", "m", "v")],
+        *[(name, ctypes.c_double) for name in ("lr", "bias1", "bias2")],
+    ]
+
+
 # Textbook Adam, one entry per iteration, in the order of operations of
 # _adam_step_numpy. IEEE add, multiply, divide and sqrt are correctly rounded
 # at any vector width, so the vectorised loop gives numpy's bits as long as
@@ -220,12 +240,19 @@ _SOURCE = f"""
 
 #define EXPONENT UINT64_C(0x7ff0000000000000)
 
-#if defined(__x86_64__)
-__attribute__((target_clones("avx512f", "avx2", "default")))
-#endif
-int guardian_adam_step(ptrdiff_t n, double *restrict value, const double *restrict grad,
-                       double *restrict m, double *restrict v,
-                       double lr, double bias1, double bias2)
+struct guardian_adam_call {{
+    ptrdiff_t n;
+    double *value;
+    const double *grad;
+    double *m;
+    double *v;
+    double lr, bias1, bias2;
+}};
+
+/* inlined into each clone below, and so built for its instruction set */
+static inline __attribute__((always_inline))
+int adam_loop(ptrdiff_t n, double *restrict value, const double *restrict grad,
+              double *restrict m, double *restrict v, double lr, double bias1, double bias2)
 {{
     uint64_t non_finite = 0;
     for (ptrdiff_t i = 0; i < n; i++) {{
@@ -242,6 +269,15 @@ int guardian_adam_step(ptrdiff_t n, double *restrict value, const double *restri
         value[i] = x;
     }}
     return !non_finite;
+}}
+
+#if defined(__x86_64__)
+__attribute__((target_clones("avx512f", "avx2", "default")))
+#endif
+int guardian_adam_step(const struct guardian_adam_call *call)
+{{
+    return adam_loop(call->n, call->value, call->grad, call->m, call->v,
+                     call->lr, call->bias1, call->bias2);
 }}
 """
 _CFLAGS = ("-O3", "-shared", "-fPIC", "-ffp-contract=off", "-fno-math-errno")
@@ -300,7 +336,7 @@ def _bind(path: Path):
         step = ctypes.CDLL(str(path)).guardian_adam_step
     except (OSError, AttributeError):
         return None
-    step.argtypes = (ctypes.c_ssize_t, *[ctypes.c_void_p] * 4, *[ctypes.c_double] * 3)
+    step.argtypes = (ctypes.POINTER(_AdamCall),)
     step.restype = ctypes.c_int
     return step
 
@@ -365,15 +401,20 @@ def adam_step(store: ParamStore, lr: float) -> None:
     Gradients are left untouched; the caller decides when to zero them.
     """
     global _kernel
-    if _kernel is _UNLOADED:
-        _kernel = _load_kernel()
-    store.step += 1
-    bias1 = 1.0 - ADAM_BETA1**store.step
-    bias2 = 1.0 - ADAM_BETA2**store.step
-    if _kernel is None:
+    kernel = _kernel
+    if kernel is _UNLOADED:
+        kernel = _kernel = _load_kernel()
+    store.step = step = store.step + 1
+    bias1 = 1.0 - ADAM_BETA1**step
+    bias2 = 1.0 - ADAM_BETA2**step
+    if kernel is None:
         finite = _adam_step_numpy(store, lr, bias1, bias2)
     else:
-        finite = _kernel(*store._kernel_args, lr, bias1, bias2)
+        call, pointer = store._kernel_call
+        call.lr = lr
+        call.bias1 = bias1
+        call.bias2 = bias2
+        finite = kernel(pointer)
     if not finite:
         name = next(n for n, e in store.entries() if not np.all(np.isfinite(e)))
         raise NonFiniteError(f"parameter {name!r} diverged during adam_step")

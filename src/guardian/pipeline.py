@@ -72,12 +72,37 @@ class PipelineState:
         self.embed_fn = embed_fn
         self.seed = det_cfg.seed if seed is None else seed
         self.history_window = history_window
-        self.params = init_params(det_cfg, derive_rng(self.seed, "init"))
-        self.noise_rng = derive_rng(self.seed, "noise")
+        # the detector's start, drawn when first needed (``_draw_start``), so
+        # that a state started from a checkpoint or an indexed episode never
+        # draws the seed's own
+        self._params: ParamStore | None = None
+        self._noise_rng: np.random.Generator | None = None
         self.graph = TemporalGraph()
         self.decisions: list[Decision] = []
         self._fitted_once = False
         self._loaded: ParamStore | None = None  # a checkpoint's parameters, kept pristine
+
+    @property
+    def params(self) -> ParamStore:
+        """The detector's parameters; the seed's own draw until something replaces them."""
+        if self._params is None:
+            self._draw_start()
+        return self._params
+
+    @property
+    def noise_rng(self) -> np.random.Generator:
+        """The generator a fit samples from; the seed's own until an indexed
+        episode's replaces it."""
+        if self._noise_rng is None:
+            self._draw_start()
+        return self._noise_rng
+
+    def _draw_start(self) -> None:
+        """Draw the seed's own parameters and noise, where nothing has set them."""
+        if self._params is None:
+            self._params = init_params(self.det_cfg, derive_rng(self.seed, "init"))
+        if self._noise_rng is None:
+            self._noise_rng = derive_rng(self.seed, "noise")
 
     def save(self, path) -> None:
         """Checkpoint the detector at a stream boundary."""
@@ -94,7 +119,7 @@ class PipelineState:
     ) -> "PipelineState":
         det_cfg, params = load_checkpoint(path)
         state = cls(det_cfg, policy, embed_fn, seed=seed, history_window=history_window)
-        state.params = params
+        state._params = params
         state._loaded = copy.copy(params)
         state._fitted_once = True
         return state
@@ -105,17 +130,19 @@ class PipelineState:
         With the episode's index the detector restarts: from the
         checkpoint's parameters, still fitted, when the state was loaded
         from one, else from episode ``index``'s fresh initialisation. The
-        noise is episode ``index``'s either way.
+        noise is episode ``index``'s either way. Without one, a state that
+        has not started draws the seed's own start here, before any round.
         """
         self.graph = TemporalGraph()
         if index is None:
+            self._draw_start()
             return
         if self._loaded is not None:
-            self.params = copy.copy(self._loaded)
+            self._params = copy.copy(self._loaded)
         else:
-            self.params = init_params(self.det_cfg, derive_rng(self.seed, "init", index))
+            self._params = init_params(self.det_cfg, derive_rng(self.seed, "init", index))
         self._fitted_once = self._loaded is not None
-        self.noise_rng = derive_rng(self.seed, "noise", index)
+        self._noise_rng = derive_rng(self.seed, "noise", index)
 
     def _assemble_batch(self) -> HistoryBatch:
         batch = merge_history(self.graph, self.graph.latest_round)

@@ -7,6 +7,7 @@ import math
 import re
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -633,7 +634,8 @@ def _kernel(batch, cfg, params, noise_seed):
     noise = None
     if noise_seed is not None:
         noise = np.random.default_rng(noise_seed).standard_normal((history.rows, cfg.d))
-    step = _Pass(history, dict(params.entries()), noise)
+    step = _Pass(history, dict(params.entries()))
+    step.forward(noise)
     grads = {name: np.full_like(value, np.nan) for name, value in params.entries()}
     step.backward(grads, cfg.alpha, 1.0 - cfg.alpha, cfg.gamma)
     return step.breakdown, grads
@@ -710,7 +712,8 @@ def test_single_snapshot_closed_form_equals_temporal_fuse(seed, sampling):
     passes, grads = [], []
     for single in (True, False):  # False: the same history through temporal_fuse
         history.single = single
-        step = _Pass(history, values, noise)
+        step = _Pass(history, values)
+        step.forward(noise)
         g = {name: np.full_like(value, np.nan) for name, value in values.items()}
         step.backward(g, cfg.alpha, 1.0 - cfg.alpha, cfg.gamma)
         passes.append(step)
@@ -735,7 +738,9 @@ def test_kernel_matches_tape_where_log_variance_clamps(sampling):
     params.value("gcn.w1")[:, cfg.d :] *= 40.0
     batch = _history_with_gaps(rng, 6, 4, cfg.k)
     history = _History(batch, cfg)
-    log_var = _Pass(history, dict(params.entries()), None).log_var_raw
+    step = _Pass(history, dict(params.entries()))
+    step.forward(None)
+    log_var = step.log_var_raw
     assert (np.abs(log_var) > LOGVAR_MAX).any() and (np.abs(log_var) < LOGVAR_MAX).any()
 
     breakdown, grads = _kernel(batch, cfg, params, 7 if sampling else None)
@@ -771,7 +776,8 @@ def _reference_fit(batch, cfg, params, rng, epochs):
     trace = []
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(epochs):
-            step = _Pass(history, values, rng.standard_normal((history.rows, cfg.d)))
+            step = _Pass(history, values)
+            step.forward(rng.standard_normal((history.rows, cfg.d)))
             trace.append(step.breakdown)
             if not math.isfinite(step.breakdown.l_total):
                 break
@@ -1015,7 +1021,8 @@ def _pass_and_grads(history, values, noise, cfg):
     """A pass, its loss terms' gradients (one array per entry of `values`)
     and whether its loss is finite."""
     with np.errstate(all="ignore"):
-        step = _Pass(history, values, noise)
+        step = _Pass(history, values)
+        step.forward(noise)
         grads = {name: np.full_like(value, np.nan) for name, value in values.items()}
         step.backward(grads, cfg.alpha, 1.0 - cfg.alpha, cfg.gamma)
     return step, grads
@@ -1217,6 +1224,66 @@ def test_fit_and_infer_equal_the_allocating_pass_bit_for_bit(
         assert str(got[1]) == str(expected[1])
 
 
+def _numpy_data() -> list:
+    """The traced numpy array data alive now."""
+    snapshot = tracemalloc.take_snapshot().filter_traces(
+        [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+    )
+    return snapshot.traces
+
+
+def _data_made_after_the_first_epoch(monkeypatch, fit_fn, batch, cfg, params) -> list[str]:
+    """Where a three-epoch fit holds numpy array data that was not alive
+    when its second epoch began; empty when it holds none.
+
+    Memory is traced from the end of the first epoch, and the traced
+    array data is looked at before every bytecode instruction run after
+    it, so a temporary shows while it is on the stack. What one numpy call
+    allocates and frees again inside itself is not seen. The noise block
+    is drawn before the first epoch and stays alive."""
+    made = []
+
+    def watch(frame, event, arg):
+        if made:
+            return None
+        if event == "call":
+            frame.f_trace_opcodes = True
+        elif event == "opcode" and _numpy_data():
+            made.append(f"{frame.f_code.co_filename}:{frame.f_lineno}")
+        return watch
+
+    original, steps = numerics.adam_step, []
+
+    def adam_step(store, lr):
+        original(store, lr)
+        steps.append(lr)
+        if len(steps) == 1:  # the end of the first epoch: watch the frames called from here on
+            tracemalloc.start()
+            sys.settrace(watch)
+        elif len(steps) == 3:  # the end of the last: what follows is the fit's write-back
+            sys.settrace(None)
+
+    monkeypatch.setattr(numerics, "adam_step", adam_step)
+    try:
+        fit_fn(batch, cfg, params, np.random.default_rng(1), 3)
+    finally:
+        sys.settrace(None)
+        tracemalloc.stop()
+    assert len(steps) == 3
+    return made
+
+
+@pytest.mark.parametrize("rounds", [1, 4])
+def test_no_epoch_after_the_first_allocates_array_data(monkeypatch, rounds):
+    rng = np.random.default_rng(rounds)
+    cfg = _small_cfg(lambda_=0.2)
+    batch = _history_with_gaps(rng, 5, rounds, cfg.k)
+    params = init_params(cfg, rng)
+    # the probe sees the allocating pass's arrays
+    assert _data_made_after_the_first_epoch(monkeypatch, allocating.fit, batch, cfg, copy.copy(params))
+    assert _data_made_after_the_first_epoch(monkeypatch, fit, batch, cfg, params) == []
+
+
 def test_one_pass_writes_each_terms_gradient_whatever_came_before():
     # one pass, its terms' backward() in turn, each as a fresh pass writes it
     rng = np.random.default_rng(80)
@@ -1363,10 +1430,12 @@ def test_kernel_gradients_match_finite_differences(sampling):
             noise = np.random.default_rng(5000 + i).standard_normal((history.rows, d))
         values = dict(params.entries())
         grads = {name: np.empty_like(value) for name, value in values.items()}
-        _Pass(history, values, noise).backward(grads, cfg.alpha, 1.0 - cfg.alpha, cfg.gamma)
+        step = _Pass(history, values)
+        step.forward(noise)
+        step.backward(grads, cfg.alpha, 1.0 - cfg.alpha, cfg.gamma)
 
         def loss():
-            return _Pass(history, values, noise).breakdown.l_total
+            return _Pass(history, values).forward(noise).l_total
 
         coord_rng = np.random.default_rng(4000 + i)
         eps = 1e-4

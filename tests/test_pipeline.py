@@ -11,6 +11,7 @@ import guardian.pipeline as pipeline_mod
 from guardian.anomaly import DetectionPolicy
 from guardian.detector import DetectorConfig, load_checkpoint
 from guardian.embedder import EmbeddingConfig, make_embedder
+from guardian.harness import ExperimentConfig, run_trials
 from guardian.graph import sample_topology
 from guardian.pipeline import EpisodeExhausted, PipelineError, PipelineState
 from guardian.seeding import derive_rng
@@ -277,6 +278,48 @@ def trained_checkpoint(tmp_path_factory):
     path = tmp_path_factory.mktemp("stream") / "stream.ckpt"
     state.save(path)
     return path
+
+
+def _record_draws(monkeypatch):
+    """The labels of every derive_rng call the pipeline makes, and the
+    init_params calls among them, tagged "params"."""
+    draws = []
+    real_rng, real_init = pipeline_mod.derive_rng, pipeline_mod.init_params
+
+    def derive_rng(seed, *labels):
+        draws.append(labels)
+        return real_rng(seed, *labels)
+
+    def init_params(cfg, rng):
+        draws.append("params")
+        return real_init(cfg, rng)
+
+    monkeypatch.setattr(pipeline_mod, "derive_rng", derive_rng)
+    monkeypatch.setattr(pipeline_mod, "init_params", init_params)
+    return draws
+
+
+def test_a_state_draws_only_the_start_it_uses(trained_checkpoint, monkeypatch):
+    draws = _record_draws(monkeypatch)
+    # a loaded state, carried on and then restarted at an index, draws no parameters
+    restored = PipelineState.from_checkpoint(trained_checkpoint, DetectionPolicy(), EMBED, seed=15)
+    for index in (None, 4):
+        restored.begin_episode(index)
+        restored.ingest_round(_responses(1, {a: "8" for a in range(3)}), {}, True)
+    assert draws == [("noise",), ("noise", 4)]
+
+    # a carry-off stream draws each episode's start and nothing else
+    draws.clear()
+    logs, _ = run_trials(
+        ExperimentConfig(n_tasks=3, epochs_initial=2, epochs_incremental=1, carry_params=False)
+    )
+    assert len(logs) == 3
+    assert draws == [step for i in range(3) for step in (("init", i), "params", ("noise", i))]
+
+    # a carried stream draws the seed's own start once, before its first round
+    draws.clear()
+    run_trials(ExperimentConfig(n_tasks=3, epochs_initial=2, epochs_incremental=1))
+    assert draws == [("init",), "params", ("noise",)]
 
 
 @settings(max_examples=15, deadline=None)

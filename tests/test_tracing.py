@@ -69,6 +69,30 @@ def test_tracer_installs_on_the_package_and_restores_it():
     assert tracer.names.count("detector.gcn") == 2
 
 
+def test_a_traced_fit_records_every_stage_of_every_epoch():
+    # A pass that called stage functions it had bound before the tracer was
+    # installed would record none of these spans, and the per-layer metrics
+    # would read 0.
+    modules = load_modules()
+    cfg = DetectorConfig(k=6, d=4)
+    rng = np.random.default_rng(5)
+    epochs = 7
+    for rounds, fused in ((3, epochs), (1, 0)):
+        params = init_params(cfg, rng)
+        patches, tracer = Patches(), Tracer()
+        tracer.install(patches, modules)
+        try:
+            modules.pipeline.fit(_batch(rng, rounds, cfg.k), cfg, params, rng, epochs=epochs)
+        finally:
+            patches.restore()
+        counts = {name: tracer.names.count(name) for name in set(tracer.names)}
+        assert counts.get("detector.temporal_fuse", 0) == fused, rounds
+        assert counts["detector.gcn"] == counts["numerics.adam_step"] == epochs, rounds
+        assert counts["detector.bottleneck"] == counts["detector.decoders"] == 2 * epochs, rounds
+        (fit,) = [i for i, name in enumerate(tracer.names) if name == "detector.fit"]
+        assert all(parent == fit for parent in tracer.parents[fit + 1 :]), rounds
+
+
 def test_round_clock_and_tracer_see_every_round_of_a_defended_run():
     modules = load_modules()
     cfg = modules.harness.ExperimentConfig(
