@@ -20,10 +20,11 @@ The model is one pass in batched numpy over the whole history
 (``_Pass``): the stage functions ``gcn_forward`` through
 ``decode_structure`` run it forward, and its hand-written backward pass
 gives the gradient of any weighted sum of l_att, l_stru and kl. The pass
-writes into arrays it allocates once and binds every operand once, so
-``fit`` runs every epoch in one workspace, as two calls; ``infer`` runs it
-once, and ``run_forward`` exposes one pass's loss terms as 1x1 tensors
-whose ``backward()`` writes that term's gradient.
+writes into arrays it allocates once and binds every operand once, as
+programs of numpy calls that each run as one call (``numerics.program``),
+so ``fit`` runs every epoch in one workspace; ``infer`` runs it once, and
+``run_forward`` exposes one pass's loss terms as 1x1 tensors whose
+``backward()`` writes that term's gradient.
 """
 
 from __future__ import annotations
@@ -214,9 +215,11 @@ def _product(a: np.ndarray):
 
 
 # Each stage function runs one stage of the pass. ``bound`` is the stage as
-# its ``_bind_*`` function binds it once to the same operands and to arrays
-# it writes in place: a call that returns the stage's result, the same
-# tuple of those arrays every time. None binds it to new arrays.
+# its ``_bind_*`` function binds it once to its operands and to arrays it
+# writes in place: a program of the stage's numpy calls (``nm.program``),
+# run as one call, and the stage's result, the same tuple of those arrays
+# every time. None binds it to new arrays. np.maximum and np.minimum take
+# their output as out=: numpy deprecates a third positional argument to them.
 
 
 def gcn_forward(
@@ -234,7 +237,9 @@ def gcn_forward(
     skipped. Returns the first layer's pre-activation, ``a_hat`` times its
     output, and the encoder output.
     """
-    return (bound or _bind_gcn(a_hat, a_hat_x, w0, w1)[0])()
+    run, result = bound or _bind_gcn(a_hat, a_hat_x, w0, w1)
+    run()
+    return result
 
 
 def _bind_gcn(a_hat, a_hat_x, w0, w1):
@@ -242,19 +247,11 @@ def _bind_gcn(a_hat, a_hat_x, w0, w1):
     h1_pre, h1 = np.empty(shape), np.empty(shape)
     a_hat_h1 = h1 if a_hat is None else np.empty(shape)
     hidden = np.empty((len(a_hat_x), w1.shape[1]))
-    first, second = _product(a_hat_x), _product(a_hat_h1)
-    spread = None if a_hat is None else _product(a_hat)
-    result = h1_pre, a_hat_h1, hidden
-
-    def run():
-        first(w0, h1_pre)
-        np.maximum(h1_pre, _ZERO, out=h1)
-        if spread is not None:
-            spread(h1, a_hat_h1)
-        second(w1, hidden)
-        return result
-
-    return run, result
+    steps = [(_product(a_hat_x), (w0, h1_pre)), (np.maximum, (h1_pre, _ZERO), {"out": h1})]
+    if a_hat is not None:
+        steps.append((_product(a_hat), (h1, a_hat_h1)))
+    steps.append((_product(a_hat_h1), (w1, hidden)))
+    return nm.program(steps), (h1_pre, a_hat_h1, hidden)
 
 
 def split_latent(
@@ -262,46 +259,44 @@ def split_latent(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Encoder output's mean half, its log-variance half, and that half
     clamped to [LOGVAR_MIN, LOGVAR_MAX]."""
-    return (bound or _bind_split_latent(hidden, d)[0])()
+    run, result = bound or _bind_split_latent(hidden, d)
+    run()
+    return result
 
 
 def _bind_split_latent(hidden, d):
     log_var_raw = hidden[:, d:]
     log_var = np.empty(log_var_raw.shape)
-    result = hidden[:, :d], log_var_raw, log_var
-
-    def run():
-        # np.minimum/np.maximum clamp like np.clip, at a fraction of its call overhead
-        np.maximum(log_var_raw, _LOGVAR_MIN, out=log_var)
-        np.minimum(log_var, _LOGVAR_MAX, out=log_var)
-        return result
-
-    return run, result
+    # np.minimum/np.maximum clamp like np.clip, at a fraction of its call overhead
+    steps = [
+        (np.maximum, (log_var_raw, _LOGVAR_MIN), {"out": log_var}),
+        (np.minimum, (log_var, _LOGVAR_MAX), {"out": log_var}),
+    ]
+    return nm.program(steps), (hidden[:, :d], log_var_raw, log_var)
 
 
 def reparameterize(
     mean: np.ndarray, log_var: np.ndarray, noise: np.ndarray | None, bound=None
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """The sample mean + exp(log_var / 2) * noise and that standard
-    deviation; the mean and None when noise is None (inference)."""
-    return (bound or _bind_reparameterize(mean, log_var)[0])(noise)
+    deviation; the mean and None when noise is None (inference). The bound
+    stage samples with the noise array it was bound to."""
+    if noise is None:
+        return mean, None
+    run, result = bound or _bind_reparameterize(mean, log_var, noise)
+    run()
+    return result
 
 
-def _bind_reparameterize(mean, log_var):
-    """The bound stage takes the noise; its result when it samples."""
+def _bind_reparameterize(mean, log_var, noise):
     std, sample = np.empty(log_var.shape), np.empty(log_var.shape)
-    sampled, inferred = (sample, std), (mean, None)
-
-    def run(noise):
-        if noise is None:
-            return inferred
-        np.multiply(log_var, _HALF, std)
-        np.exp(std, std)
-        np.multiply(std, noise, sample)
-        np.add(mean, sample, sample)
-        return sampled
-
-    return run, sampled
+    steps = [
+        (np.multiply, (log_var, _HALF, std)),
+        (np.exp, (std, std)),
+        (np.multiply, (std, noise, sample)),
+        (np.add, (mean, sample, sample)),
+    ]
+    return nm.program(steps), (sample, std)
 
 
 def kl_term(mean: Tensor2D, log_variance: Tensor2D) -> Tensor2D:
@@ -346,42 +341,36 @@ def temporal_fuse(
     projection of that round's latent row. Returns the position-encoded
     sequences, the last queries, ``u`` = query @ wk.T, the attention
     weights, the attended contexts and the fused rows. The bound stage
-    takes ``z``.
+    reads the ``z`` it was bound to.
     """
-    return (bound or _bind_temporal_fuse(h, wq, wk, wv)[0])(z)
+    run, result = bound or _bind_temporal_fuse(z, h, wq, wk, wv)
+    run()
+    return result
 
 
-def _bind_temporal_fuse(h, wq, wk, wv):
+def _bind_temporal_fuse(z, h, wq, wk, wv):
     (n, t), d = h.gather.shape, h.d
     encoded, seq = np.empty(h.pe_rows.shape), np.empty((n, t, d))
     q, u, scores, peak = np.empty((n, d)), np.empty((n, d)), np.empty((n, t, 1)), np.empty((n, 1))
     attn, total, context = np.empty((n, t)), np.empty((n, 1)), np.empty((n, 1, d))
-    fused, context_rows = np.empty((n, wv.shape[1])), context[:, 0]
-    gather, pe_rows, inv_sqrt_d = h.gather, h.pe_rows, np.array(h.inv_sqrt_d)
-    take, query, key = encoded.take, _product(seq[:, -1]), _product(q)
-    wk_t, u_col, logits = wk.T, u[:, :, None], scores[:, :, 0]
-    peak_col, total_col, attn_row = peak.reshape(-1), total.reshape(-1), attn[:, None, :]
-    value = _product(context_rows)
-    result = seq, q, u, attn, context_rows, fused
-
-    def run(z):
+    fused, context_rows, logits = np.empty((n, wv.shape[1])), context[:, 0], scores[:, :, 0]
+    steps = [
         # each node's round's encoding added before the gather: the same sums
-        np.add(z, pe_rows, encoded)
-        take(gather, 0, seq, "clip")  # gather is in range
-        query(wq, q)
-        key(wk_t, u)  # q . (seq_t wk) == seq_t . u
-        np.matmul(seq, u_col, scores)
-        np.multiply(logits, inv_sqrt_d, logits)
-        np.maximum.reduce(logits, 1, None, peak_col)
-        np.subtract(logits, peak, attn)
-        np.exp(attn, attn)
-        np.add.reduce(attn, 1, None, total_col)
-        np.divide(attn, total, attn)
-        np.matmul(attn_row, seq, context)
-        value(wv, fused)
-        return result
-
-    return run, result
+        (np.add, (z, h.pe_rows, encoded)),
+        (encoded.take, (h.gather, 0, seq, "clip")),  # gather is in range
+        (_product(seq[:, -1]), (wq, q)),
+        (_product(q), (wk.T, u)),  # q . (seq_t wk) == seq_t . u
+        (np.matmul, (seq, u[:, :, None], scores)),
+        (np.multiply, (logits, np.array(h.inv_sqrt_d), logits)),
+        (np.maximum.reduce, (logits, 1, None, peak.reshape(-1))),
+        (np.subtract, (logits, peak, attn)),
+        (np.exp, (attn, attn)),
+        (np.add.reduce, (attn, 1, None, total.reshape(-1))),
+        (np.divide, (attn, total, attn)),
+        (np.matmul, (attn[:, None, :], seq, context)),
+        (_product(context_rows), (wv, fused)),
+    ]
+    return nm.program(steps), (seq, q, u, attn, context_rows, fused)
 
 
 def decode_attributes(
@@ -393,47 +382,44 @@ def decode_attributes(
     bound=None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The attribute decoder's hidden pre-activation, hidden layer and output."""
-    return (bound or _bind_decode_attributes(z, w0, b0, w1, b1)[0])()
+    run, result = bound or _bind_decode_attributes(z, w0, b0, w1, b1)
+    run()
+    return result
 
 
 def _bind_decode_attributes(z, w0, b0, w1, b1):
     pre, hidden = np.empty((len(z), w0.shape[1])), np.empty((len(z), w0.shape[1]))
     x_hat = np.empty((len(z), w1.shape[1]))
-    first, second = _product(z), _product(hidden)
-    result = pre, hidden, x_hat
-
-    def run():
-        first(w0, pre)
-        np.add(pre, b0, pre)
-        np.maximum(pre, _ZERO, out=hidden)
-        second(w1, x_hat)
-        np.add(x_hat, b1, x_hat)
-        return result
-
-    return run, result
+    steps = [
+        (_product(z), (w0, pre)),
+        (np.add, (pre, b0, pre)),
+        (np.maximum, (pre, _ZERO), {"out": hidden}),
+        (_product(hidden), (w1, x_hat)),
+        (np.add, (x_hat, b1, x_hat)),
+    ]
+    return nm.program(steps), (pre, hidden, x_hat)
 
 
 def decode_structure(z: np.ndarray, bound=None) -> np.ndarray:
     """Edge probabilities sigmoid(z_i . z_j) over all ordered pairs, the
     logits clamped to +-SIGMOID_CLAMP so that both logs of the loss stay finite."""
-    return (bound or _bind_decode_structure(z)[0])()
+    run, probs = bound or _bind_decode_structure(z)
+    run()
+    return probs
 
 
 def _bind_decode_structure(z):
     probs = np.empty((len(z), len(z)))
-    gram, z_t = _product(z), z.T  # z.dot(z.T) is one symmetric rank-k update
-
-    def run():
-        gram(z_t, probs)
-        np.maximum(probs, _CLAMP_LOW, out=probs)
-        np.minimum(probs, _CLAMP_HIGH, out=probs)
-        np.negative(probs, probs)
-        np.exp(probs, probs)
-        np.add(probs, _ONE, probs)
-        np.divide(_ONE, probs, probs)
-        return probs
-
-    return run, probs
+    steps = [
+        (_product(z), (z.T, probs)),  # z.dot(z.T) is one symmetric rank-k update
+        (np.maximum, (probs, _CLAMP_LOW), {"out": probs}),
+        (np.minimum, (probs, _CLAMP_HIGH), {"out": probs}),
+        (np.negative, (probs, probs)),
+        (np.exp, (probs, probs)),
+        (np.add, (probs, _ONE, probs)),
+        (np.divide, (_ONE, probs, probs)),
+    ]
+    return nm.program(steps), probs
 
 
 @dataclass(frozen=True)
@@ -553,15 +539,20 @@ class _Pass:
     the weights' views, which Adam steps in place, so that they hold for a
     whole fit; the transposes and views it multiplies or reduces; the
     constants; and, per product, the call that gives the bits of ``@``
-    (``_product``). ``bound_backward`` binds the backward pass the same
-    way, to the gradients it writes and the loss's coefficients. Both
-    then run as one call each, ``forward(noise)`` and ``backward()``,
-    that only calls numpy into arrays the pass allocated when it was
-    built, so that ``fit`` runs all its epochs through one pass and no
-    epoch allocates an array. The stage functions are looked up at every
-    call, so that they can be wrapped by name. A pass writes only its own
-    arrays and the gradients it is bound to; the history it reads may be
-    shared.
+    (``_product``). Each stage, and the KL and loss segments between them,
+    is a program of numpy calls into arrays the pass allocated when it was
+    built (``nm.program``), run as one call, so that ``fit`` runs all its
+    epochs through one pass and no epoch allocates an array.
+    ``bound_backward`` binds the backward pass the same way, as one
+    program, to the gradients it writes and the loss's coefficients. The
+    programs hold the arrays and calls they run, never the pass. The stage
+    functions are looked up at every call, so that they can be wrapped by
+    name. A pass writes only its own arrays and the gradients it is bound
+    to; the history it reads may be shared.
+
+    A sampled pass copies its noise into an array of its own, which the
+    programs read; the latent ``z`` the decoders read is one array too:
+    the sample, or at inference a copy of the mean.
 
     ``w["gcn.w0"]`` is either the whole entry or only its rows of filled
     buckets (``h.filled``), as ``fit`` packs them. The first layer
@@ -572,7 +563,7 @@ class _Pass:
         self.h, self.w, self.noise = h, w, None
         rows, d = h.rows, h.d
         n = len(h.features)
-        a_hat, a_hat_x, single = h.a_hat, h.a_hat_x, h.single
+        a_hat, a_hat_x = h.a_hat, h.a_hat_x
         w0, w1 = w["gcn.w0"], w["gcn.w1"]
         wq, wk, wv = w["attn.wq"], w["attn.wk"], w["attn.wv"]
         dec_w0, dec_b0, dec_w1, dec_b1 = w["dec.w0"], w["dec.b0"], w["dec.w1"], w["dec.b1"]
@@ -581,66 +572,84 @@ class _Pass:
         if len(w0) != len(filled):
             rows_of_w0, filled_w0 = w0.take, np.empty((len(filled), w0.shape[1]))
 
-        gcn, (self.h1_pre, self.a_hat_h1, hidden) = _bind_gcn(a_hat, a_hat_x, filled_w0, w1)
-        latent, (mean, self.log_var_raw, log_var) = _bind_split_latent(hidden, d)
+        gcn = _bind_gcn(a_hat, a_hat_x, filled_w0, w1)
+        self.h1_pre, self.a_hat_h1, hidden = gcn[1]
+        latent = _bind_split_latent(hidden, d)
+        mean, self.log_var_raw, log_var = latent[1]
         self.mean, self.log_var = mean, log_var
-        sample, self._sampled = _bind_reparameterize(mean, log_var)
+        own_noise = np.empty((rows, d))
+        sample = _bind_reparameterize(mean, log_var, own_noise)
+        z, std = sample[1]
+        self._sampled = z, std, own_noise
         var, kl_terms = self.var, self._kl = np.empty((rows, d)), np.empty((rows, d))
-        kl_flat, kl_weight = kl_terms.reshape(-1), h.kl_weight
-        if single:
-            fuse, pe_rows = None, h.pe_rows
+        # what the three sums of the loss reduce into: kl, the squared
+        # residuals and the log-likelihoods
+        sums = np.empty(3)
+        add_reduce = np.add.reduce
+        kl_steps = [
+            (np.exp, (log_var, var)),
+            (np.multiply, (mean, mean, kl_terms)),
+            (np.add, (kl_terms, var, kl_terms)),
+            (np.subtract, (kl_terms, _ONE, kl_terms)),
+            (np.subtract, (kl_terms, log_var, kl_terms)),
+            (np.multiply, (kl_terms, h.kl_weight, kl_terms)),
+            (add_reduce, (kl_terms.reshape(-1), 0, None, sums[0, ...])),
+        ]
+        if h.single:
+            # One snapshot: each agent's last query attends over its one
+            # round, with the weight exp(0) / 1 == 1.0 exactly, and
+            # 1.0 * x == x, so the context is the position-encoded latent
+            # and this equals temporal_fuse bit for bit. It ends the KL
+            # segment's program.
+            fuse = None
             context, fused = self.context, self.fused = np.empty((n, d)), np.empty((n, wv.shape[1]))
-            attend = _product(context)
+            kl_steps += [(np.add, (z, h.pe_rows, context)), (_product(context), (wv, fused))]
         else:
-            fuse, result = _bind_temporal_fuse(h, wq, wk, wv)
-            self.seq, self.q, self.u, self.attn, self.context, fused = result
+            fuse = _bind_temporal_fuse(z, h, wq, wk, wv)
+            self.seq, self.q, self.u, self.attn, self.context, fused = fuse[1]
             self.fused = fused
-        decode, (self.dec_pre, self.dec_h, x_hat) = _bind_decode_attributes(
-            fused, dec_w0, dec_b0, dec_w1, dec_b1
-        )
+        kl = nm.program(kl_steps)
+        decode = _bind_decode_attributes(fused, dec_w0, dec_b0, dec_w1, dec_b1)
+        self.dec_pre, self.dec_h, x_hat = decode[1]
         self.x_hat = x_hat
-        structure, edge_probs = _bind_decode_structure(fused)
-        self.edge_probs = edge_probs
-        features, edge, alpha, gamma = h.features, h.edge, h.alpha, h.gamma
+        structure = _bind_decode_structure(fused)
+        edge_probs = self.edge_probs = structure[1]
         r_x, squares = self.r_x, self._squares = np.empty(x_hat.shape), np.empty(x_hat.shape)
         likelihood = self._likelihood = np.empty((n, n))
-        squares_flat, likelihood_flat = squares.reshape(-1), likelihood.reshape(-1)
-        per_node, per_pair = 1.0 / n, -1.0 / (n * n)
+        loss = nm.program(
+            [
+                (np.subtract, (h.features, x_hat, r_x)),
+                (np.multiply, (r_x, r_x, squares)),
+                (add_reduce, (squares.reshape(-1), 0, None, sums[1, ...])),
+                # the target is 0/1, so a log p + (1 - a) log(1 - p) is one of the two logs
+                (np.subtract, (_ONE, edge_probs, likelihood)),
+                (np.putmask, (likelihood, h.edge, edge_probs)),
+                (np.log, (likelihood, likelihood)),
+                (add_reduce, (likelihood.reshape(-1), 0, None, sums[2, ...])),
+            ]
+        )
+        alpha, gamma, per_node, per_pair = h.alpha, h.gamma, 1.0 / n, -1.0 / (n * n)
+        copy = np.copyto
 
         def forward(noise: np.ndarray | None) -> LossBreakdown:
             if rows_of_w0 is not None:
                 rows_of_w0(filled, 0, filled_w0)
             gcn_forward(a_hat, a_hat_x, filled_w0, w1, gcn)
             split_latent(hidden, d, latent)
-            np.exp(log_var, var)
-            z = reparameterize(mean, log_var, noise, sample)[0]
-            np.multiply(mean, mean, kl_terms)
-            np.add(kl_terms, var, kl_terms)
-            np.subtract(kl_terms, _ONE, kl_terms)
-            np.subtract(kl_terms, log_var, kl_terms)
-            np.multiply(kl_terms, kl_weight, kl_terms)
-            kl = float(np.add.reduce(kl_flat))
-            if fuse is None:
-                # One snapshot: each agent's last query attends over its one
-                # round, with the weight exp(0) / 1 == 1.0 exactly, and
-                # 1.0 * x == x, so the context is the position-encoded latent
-                # and this equals temporal_fuse bit for bit.
-                np.add(z, pe_rows, context)
-                attend(wv, fused)
+            if noise is None:
+                copy(z, mean)  # inference: the latent is the mean
             else:
+                copy(own_noise, noise)
+                noise = own_noise
+            reparameterize(mean, log_var, noise, sample)
+            kl()
+            if fuse is not None:
                 temporal_fuse(z, h, wq, wk, wv, fuse)
             decode_attributes(fused, dec_w0, dec_b0, dec_w1, dec_b1, decode)
             decode_structure(fused, structure)
-
-            np.subtract(features, x_hat, r_x)
-            np.multiply(r_x, r_x, squares)
-            l_att = float(np.add.reduce(squares_flat)) * per_node
-            # the target is 0/1, so a log p + (1 - a) log(1 - p) is one of the two logs
-            np.subtract(_ONE, edge_probs, likelihood)
-            np.putmask(likelihood, edge, edge_probs)
-            np.log(likelihood, likelihood)
-            l_stru = float(np.add.reduce(likelihood_flat)) * per_pair
-            return compose_losses(l_att, l_stru, kl, alpha, gamma)
+            loss()
+            kl_sum, squared, likelihoods = sums.tolist()
+            return compose_losses(squared * per_node, likelihoods * per_pair, kl_sum, alpha, gamma)
 
         # bound here and called through forward(), so that it holds no reference to the pass
         self._forward = forward
@@ -679,18 +688,18 @@ class _Pass:
         )  # fmt: skip
 
     def backward(self, g: dict[str, np.ndarray], c_att: float, c_stru: float, c_kl: float) -> None:
-        """Run ``bound_backward(g, c_att, c_stru, c_kl)`` once."""
-        self.bound_backward(g, c_att, c_stru, c_kl)()
+        """Run ``bound_backward`` once, after the last ``forward``, as it sampled or not."""
+        self.bound_backward(g, c_att, c_stru, c_kl, self.noise is not None)()
 
     def bound_backward(
-        self, g: dict[str, np.ndarray], c_att: float, c_stru: float, c_kl: float
+        self, g: dict[str, np.ndarray], c_att: float, c_stru: float, c_kl: float, sampled: bool
     ) -> Callable[[], None]:
         """The call that writes d (c_att*l_att + c_stru*l_stru + c_kl*kl) /
         d parameter into each array of `g`, overwriting it, after the last
-        ``forward``. ``g["gcn.w0"]``, like ``w["gcn.w0"]``, is the whole
-        entry, whose rows of empty buckets get +0.0, or its rows of filled
-        buckets. Over one snapshot ``g`` may leave out attn.wk and attn.wq,
-        whose gradients are zero."""
+        ``forward``, which sampled if ``sampled``. ``g["gcn.w0"]``, like
+        ``w["gcn.w0"]``, is the whole entry, whose rows of empty buckets
+        get +0.0, or its rows of filled buckets. Over one snapshot ``g``
+        may leave out attn.wk and attn.wq, whose gradients are zero."""
         h, w = self.h, self.w
         n = len(h.features)
         (
@@ -698,124 +707,108 @@ class _Pass:
             d_hidden, d_mean, d_log_var_in, d_log_var, noise_part, unclamped,
             d_h1, d_h1_spread, h1_live,
         ) = self._grads  # fmt: skip
-        x_hat_scale, logit_scale = np.array(-2.0 * c_att / n), np.array(c_stru / (n * n))
         # the gradients of the mean's and the log-variance's KL terms per unit
         kl_mean, kl_log_var = np.multiply(2.0 * c_kl, h.kl_weight), np.multiply(c_kl, h.kl_weight)
-        r_x, edge_probs, target, dec_pre = self.r_x, self.edge_probs, h.target, self.dec_pre
-        mean, var, log_var, log_var_raw = self.mean, self.var, self.log_var, self.log_var_raw
-        fused, h1_pre, std = self.fused, self.h1_pre, self._sampled[1]
-        g_dec_w1, g_dec_w0, g_wv, g_w1 = g["dec.w1"], g["dec.w0"], g["attn.wv"], g["gcn.w1"]
-        g_dec_b1, g_dec_b0, g_w0 = g["dec.b1"].reshape(-1), g["dec.b0"].reshape(-1), g["gcn.w0"]
-        dec_h_t, fused_t, context_t = self.dec_h.T, fused.T, self.context.T
-        a_hat_h1_t, a_hat_x_t, d_logits_t = self.a_hat_h1.T, h.a_hat_x.T, d_logits.T
-        dec_w1_t, dec_w0_t, wv_t, w1_t = w["dec.w1"].T, w["dec.w0"].T, w["attn.wv"].T, w["gcn.w1"].T
-        to_dec, to_fused, to_sym = _product(d_x_hat), _product(d_dec), _product(d_sym)
-        to_context, to_h1 = _product(d_fused), _product(d_hidden)
+        fused, g_w0, add_reduce = self.fused, g["gcn.w0"], np.add.reduce
+        steps = [
+            (np.multiply, (self.r_x, np.array(-2.0 * c_att / n), d_x_hat)),
+            # cross-entropy through the sigmoid; the clamp passes gradient straight through
+            (np.subtract, (self.edge_probs, h.target, d_logits)),
+            (np.multiply, (d_logits, np.array(c_stru / (n * n)), d_logits)),
+            (self.dec_h.T.dot, (d_x_hat, g["dec.w1"])),
+            (add_reduce, (d_x_hat, 0, None, g["dec.b1"].reshape(-1))),
+            (_product(d_x_hat), (w["dec.w1"].T, d_dec)),
+            (np.greater, (self.dec_pre, _ZERO, dec_live)),
+            (np.multiply, (d_dec, dec_live, d_dec)),
+            (fused.T.dot, (d_dec, g["dec.w0"])),
+            (add_reduce, (d_dec, 0, None, g["dec.b0"].reshape(-1))),
+            (_product(d_dec), (w["dec.w0"].T, d_fused)),
+            (np.add, (d_logits, d_logits.T, d_sym)),
+            (_product(d_sym), (fused, fused_part)),
+            (np.add, (d_fused, fused_part, d_fused)),
+            (self.context.T.dot, (d_fused, g["attn.wv"])),
+            (_product(d_fused), (w["attn.wv"].T, d_context)),
+        ]
         if h.single:
             # With the weight 1.0, d_attn - inner == 0 exactly: the scores,
             # and through them the query and key, get no gradient, and the
             # context's gradient is the latent's.
-            fuse_backward, d_z = None, d_context
-            zeroed = [g[name] for name in ("attn.wk", "attn.wq") if name in g]
+            d_z = d_context
+            steps += [(g[name].fill, (0.0,)) for name in ("attn.wk", "attn.wq") if name in g]
         else:
-            fuse_backward, d_z = self._bind_fuse_backward(g, d_context)
-        spread = None if h.a_hat is None else _product(h.a_hat.T)
-        d_h1_out = d_h1 if spread is None else d_h1_spread
+            fuse_steps, d_z = self._bind_fuse_backward(g, d_context)
+            steps += fuse_steps
+        steps += [
+            (np.multiply, (kl_mean, self.mean, d_log_var)),
+            (np.add, (d_z, d_log_var, d_mean)),
+            (np.subtract, (self.var, _ONE, d_log_var)),
+            (np.multiply, (d_log_var, kl_log_var, d_log_var)),
+        ]
+        if sampled:
+            _, std, noise = self._sampled
+            steps += [
+                (np.multiply, (d_z, noise, noise_part)),
+                (np.multiply, (noise_part, std, noise_part)),
+                (np.multiply, (noise_part, _HALF, noise_part)),
+                (np.add, (d_log_var, noise_part, d_log_var)),
+            ]
+        steps += [
+            (np.equal, (self.log_var, self.log_var_raw, unclamped)),
+            (np.multiply, (d_log_var, unclamped, d_log_var_in)),
+            (self.a_hat_h1.T.dot, (d_hidden, g["gcn.w1"])),
+            (_product(d_hidden), (w["gcn.w1"].T, d_h1)),
+        ]
+        d_h1_out = d_h1
+        if h.a_hat is not None:
+            d_h1_out = d_h1_spread
+            steps.append((_product(h.a_hat.T), (d_h1, d_h1_spread)))
+        steps += [
+            (np.greater, (self.h1_pre, _ZERO, h1_live)),
+            (np.multiply, (d_h1_out, h1_live, d_h1_out)),
+        ]
         # a whole gcn.w0 takes its rows of filled buckets from a copy
-        filled, unfilled, whole_w0 = h.filled, h.unfilled, None
-        if len(g_w0) != len(filled):
-            whole_w0, g_w0 = g_w0, np.empty((len(filled), g_w0.shape[1]))
-
-        def backward() -> None:
-            np.multiply(r_x, x_hat_scale, d_x_hat)
-            # cross-entropy through the sigmoid; the clamp passes gradient straight through
-            np.subtract(edge_probs, target, d_logits)
-            np.multiply(d_logits, logit_scale, d_logits)
-
-            dec_h_t.dot(d_x_hat, g_dec_w1)
-            np.add.reduce(d_x_hat, 0, None, g_dec_b1)
-            to_dec(dec_w1_t, d_dec)
-            np.greater(dec_pre, _ZERO, dec_live)
-            np.multiply(d_dec, dec_live, d_dec)
-            fused_t.dot(d_dec, g_dec_w0)
-            np.add.reduce(d_dec, 0, None, g_dec_b0)
-            to_fused(dec_w0_t, d_fused)
-            np.add(d_logits, d_logits_t, d_sym)
-            to_sym(fused, fused_part)
-            np.add(d_fused, fused_part, d_fused)
-
-            context_t.dot(d_fused, g_wv)
-            to_context(wv_t, d_context)
-            if fuse_backward is None:
-                for grad in zeroed:
-                    grad.fill(0.0)
-            else:
-                fuse_backward()
-
-            np.multiply(kl_mean, mean, d_log_var)
-            np.add(d_z, d_log_var, d_mean)
-            np.subtract(var, _ONE, d_log_var)
-            np.multiply(d_log_var, kl_log_var, d_log_var)
-            noise = self.noise
-            if noise is not None:
-                np.multiply(d_z, noise, noise_part)
-                np.multiply(noise_part, std, noise_part)
-                np.multiply(noise_part, _HALF, noise_part)
-                np.add(d_log_var, noise_part, d_log_var)
-            np.equal(log_var, log_var_raw, unclamped)
-            np.multiply(d_log_var, unclamped, d_log_var_in)
-
-            a_hat_h1_t.dot(d_hidden, g_w1)
-            to_h1(w1_t, d_h1)
-            if spread is not None:
-                spread(d_h1, d_h1_spread)
-            np.greater(h1_pre, _ZERO, h1_live)
-            np.multiply(d_h1_out, h1_live, d_h1_out)
-            a_hat_x_t.dot(d_h1_out, g_w0)
-            if whole_w0 is not None:
-                whole_w0[unfilled] = 0.0
-                whole_w0[filled] = g_w0
-
-        return backward
+        if len(g_w0) == len(h.filled):
+            steps.append((h.a_hat_x.T.dot, (d_h1_out, g_w0)))
+        else:
+            packed = np.empty((len(h.filled), g_w0.shape[1]))
+            steps += [
+                (h.a_hat_x.T.dot, (d_h1_out, packed)),
+                (g_w0.__setitem__, (h.unfilled, 0.0)),
+                (g_w0.__setitem__, (h.filled, packed)),
+            ]
+        return nm.program(steps)
 
     def _bind_fuse_backward(
         self, g: dict[str, np.ndarray], d_context: np.ndarray
-    ) -> tuple[Callable[[], None], np.ndarray]:
-        """Backward through ``temporal_fuse``, bound: a call that writes the
+    ) -> tuple[list[tuple], np.ndarray]:
+        """Backward through ``temporal_fuse``: the steps that write the
         query's and key's gradients and the latents', and the latents'."""
         h, w = self.h, self.w
         d_attn3, weighted, inner, d_scores, d_seq, d_seq_part, d_u3, d_q, d_last, d_z = (
             self._fuse_grads
         )
-        seq, attn, u, q, gather = self.seq, self.attn, self.u, self.q, h.gather
-        d_attn, inner_col, d_u = d_attn3[:, :, 0], inner.reshape(-1), d_u3[:, 0]
-        d_context_col, d_context_row = d_context[:, :, None], d_context[:, None, :]
-        attn_col, d_scores_col, u_row = attn[:, :, None], d_scores[:, :, None], u[:, None, :]
-        d_scores_row, d_seq_last = d_scores[:, None, :], d_seq[:, -1]
-        to_q, to_last = _product(d_u), _product(d_q)
-        d_u_t, last_t, wk, wq_t = d_u.T, seq[:, -1].T, w["attn.wk"], w["attn.wq"].T
-        g_wk, g_wq, inv_sqrt_d = g["attn.wk"], g["attn.wq"], np.array(h.inv_sqrt_d)
-
-        def fuse_backward() -> None:
-            np.matmul(seq, d_context_col, d_attn3)
-            np.multiply(attn, d_attn, weighted)
-            np.add.reduce(weighted, 1, None, inner_col)
-            np.subtract(d_attn, inner, d_scores)
-            np.multiply(d_scores, attn, d_scores)
-            np.multiply(d_scores, inv_sqrt_d, d_scores)
-            np.multiply(attn_col, d_context_row, d_seq)
-            np.multiply(d_scores_col, u_row, d_seq_part)
-            np.add(d_seq, d_seq_part, d_seq)
-            np.matmul(d_scores_row, seq, d_u3)
-            to_q(wk, d_q)
-            d_u_t.dot(q, g_wk)
-            last_t.dot(d_q, g_wq)
-            to_last(wq_t, d_last)
-            np.add(d_seq_last, d_last, d_seq_last)
-            d_z.fill(0.0)
-            d_z[gather] = d_seq
-
-        return fuse_backward, d_z
+        seq, attn, u, q = self.seq, self.attn, self.u, self.q
+        d_attn, d_u, d_seq_last = d_attn3[:, :, 0], d_u3[:, 0], d_seq[:, -1]
+        steps = [
+            (np.matmul, (seq, d_context[:, :, None], d_attn3)),
+            (np.multiply, (attn, d_attn, weighted)),
+            (np.add.reduce, (weighted, 1, None, inner.reshape(-1))),
+            (np.subtract, (d_attn, inner, d_scores)),
+            (np.multiply, (d_scores, attn, d_scores)),
+            (np.multiply, (d_scores, np.array(h.inv_sqrt_d), d_scores)),
+            (np.multiply, (attn[:, :, None], d_context[:, None, :], d_seq)),
+            (np.multiply, (d_scores[:, :, None], u[:, None, :], d_seq_part)),
+            (np.add, (d_seq, d_seq_part, d_seq)),
+            (np.matmul, (d_scores[:, None, :], seq, d_u3)),
+            (_product(d_u), (w["attn.wk"], d_q)),
+            (d_u.T.dot, (q, g["attn.wk"])),
+            (seq[:, -1].T.dot, (d_q, g["attn.wq"])),
+            (_product(d_q), (w["attn.wq"].T, d_last)),
+            (np.add, (d_seq_last, d_last, d_seq_last)),
+            (d_z.fill, (0.0,)),
+            (d_z.__setitem__, (h.gather, d_seq)),
+        ]
+        return steps, d_z
 
 
 # Epochs of noise drawn in one call: a fit at the default epoch counts
@@ -896,7 +889,7 @@ def fit(
     if history.single:
         zeroed += [grads.pop("attn.wk"), grads.pop("attn.wq")]
     step = _Pass(history, values)
-    forward, backward, lr = step.forward, step.bound_backward(grads, *coefficients), cfg.lr
+    forward, backward, lr = step.forward, step.bound_backward(grads, *coefficients, True), cfg.lr
     trace: list[LossBreakdown] = []
     params.permute_rows("gcn.w0", order)
     try:

@@ -9,6 +9,13 @@ computed from; the detector's hand-written backward pass supplies it, and
 ``adam_step`` runs a C loop, compiled with the host's gcc on its first call
 and cached beside this module; where none can be built it runs the same
 update in numpy, bit for bit.
+
+``program`` turns a list of numpy calls into one call. On its first use it
+builds and loads the runner in ``runner.c`` the same way, against the
+headers of this Python and numpy, and lowers each ufunc call over
+contiguous float64 or bool operands to a direct call of the ufunc's own
+inner loop; where the runner cannot be built or loaded, the calls run in a
+Python loop, with the same arguments and bits.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ __all__ = [
     "ParamStore",
     "adam_step",
     "grad_check",
+    "program",
 ]
 
 
@@ -289,25 +297,32 @@ _UNLOADED = object()
 _kernel: object = _UNLOADED
 
 
+def _cache_path(name: str, *parts: str) -> Path:
+    """Where the build of ``name`` from these source and flags is cached:
+    ``__pycache__/{name}-{key}.so``, the key a digest of them."""
+    key = hashlib.sha256("\0".join(parts).encode()).hexdigest()
+    return Path(__file__).with_name("__pycache__") / f"{name}-{key[:16]}.so"
+
+
 def _kernel_path() -> Path:
     """The cached kernel's path, named by what it is built from."""
-    key = hashlib.sha256("\0".join([_SOURCE, *_CFLAGS, platform.machine()]).encode()).hexdigest()
-    return Path(__file__).with_name("__pycache__") / f"guardian_adam-{key[:16]}.so"
+    return _cache_path("guardian_adam", _SOURCE, *_CFLAGS, platform.machine())
 
 
-def _build(gcc: str, target: Path) -> bool:
-    """Compile the kernel to a temporary file beside ``target`` and publish
-    it there with one rename, so that a concurrent build or load never sees
-    half a file; then remove the builds of other source or flags beside it.
+def _build(gcc: str, target: Path, source: str, flags: Iterable[str]) -> bool:
+    """Compile ``source`` with ``flags`` to a temporary file beside
+    ``target`` and publish it there with one rename, so that a concurrent
+    build or load never sees half a file; then remove the other builds of
+    its name beside it (``{name}-*.so``, built from other source or flags).
     Raises OSError when that directory cannot be written."""
-    import subprocess  # imported here: only the first adam_step of a host may compile
+    import subprocess  # imported here: only a first use on a host may compile
 
     handle, temporary = tempfile.mkstemp(prefix=f".{target.name}.", dir=target.parent)
     os.close(handle)
     try:
         done = subprocess.run(
-            [gcc, *_CFLAGS, "-x", "c", "-", "-o", temporary],
-            input=_SOURCE,
+            [gcc, *flags, "-x", "c", "-", "-o", temporary],
+            input=source,
             capture_output=True,
             text=True,
             timeout=_COMPILE_TIMEOUT_S,
@@ -316,7 +331,8 @@ def _build(gcc: str, target: Path) -> bool:
             return False
         os.chmod(temporary, 0o755)  # mkstemp made it private to this user
         os.replace(temporary, target)
-        for stale in target.parent.glob("guardian_adam-*.so"):
+        name = target.name.rpartition("-")[0]
+        for stale in target.parent.glob(f"{name}-*.so"):
             if stale != target:
                 try:
                     stale.unlink()
@@ -341,26 +357,114 @@ def _bind(path: Path):
     return step
 
 
-def _load_kernel():
-    """The compiled step: from the cache, else built into it with the host's
-    gcc, else, where the cache is read-only, built in a temporary directory
-    of this process. None when there is no gcc or the build fails."""
-    cached = _kernel_path()
+def _load(cached: Path, source: str, flags: Iterable[str], bind: Callable[[Path], object]):
+    """What ``bind`` loads from the shared object built from ``source`` with
+    ``flags``: from the cache at ``cached``, else built into it with the
+    host's gcc, else, where the cache is read-only, built in a temporary
+    directory of this process. None when there is no gcc, the build fails
+    or ``bind`` loads nothing."""
     if not cached.exists():
         gcc = shutil.which("gcc")
         if gcc is None:
             return None
         try:
             cached.parent.mkdir(exist_ok=True)
-            built = _build(gcc, cached)
+            built = _build(gcc, cached, source, flags)
         except OSError:
             with tempfile.TemporaryDirectory() as private:
                 own = Path(private, cached.name)
                 # the loaded library outlives its file
-                return _bind(own) if _build(gcc, own) else None
+                return bind(own) if _build(gcc, own, source, flags) else None
         if not built:
             return None
-    return _bind(cached)
+    return bind(cached)
+
+
+def _load_kernel():
+    """The compiled step (``_load``)."""
+    return _load(_kernel_path(), _SOURCE, _CFLAGS, _bind)
+
+
+# The runner reads numpy's ufunc objects, so its build is keyed by this
+# Python's extension ABI and numpy's version as well as by its source.
+_RUNNER_SOURCE = Path(__file__).with_name("runner.c")
+_RUNNER_CFLAGS = ("-O2", "-shared", "-fPIC", "-fno-strict-aliasing", "-lm")
+
+# What program() lowers with: _UNLOADED until its first call, then the
+# compiled runner module, or None where none could be built or loaded.
+_runner: object = _UNLOADED
+
+
+def _runner_path(source: str) -> Path:
+    """The cached runner's path, named by what it is built from and against."""
+    import sysconfig
+
+    abi = sysconfig.get_config_var("EXT_SUFFIX") or ""
+    return _cache_path("guardian_runner", source, *_RUNNER_CFLAGS, abi, np.__version__)
+
+
+def _runner_includes() -> list[str]:
+    """The header directories of this Python and of numpy."""
+    import sysconfig
+
+    paths = sysconfig.get_paths()
+    return list(dict.fromkeys([paths["include"], paths["platinclude"], np.get_include()]))
+
+
+def _import_runner(path: Path):
+    """The runner module in the shared object at ``path``; None if it does not load."""
+    import importlib.machinery
+    import importlib.util
+
+    loader = importlib.machinery.ExtensionFileLoader("guardian_runner", str(path))
+    spec = importlib.util.spec_from_file_location("guardian_runner", path, loader=loader)
+    try:
+        module = importlib.util.module_from_spec(spec)
+        loader.exec_module(module)
+    except ImportError:
+        return None
+    return module
+
+
+def _load_runner():
+    """The compiled runner (``_load``); None also where its source is missing."""
+    try:
+        source = _RUNNER_SOURCE.read_text()
+    except OSError:
+        return None
+    includes = [f"-I{directory}" for directory in _runner_includes()]
+    return _load(_runner_path(source), source, (*_RUNNER_CFLAGS, *includes), _import_runner)
+
+
+def _run_steps(steps: tuple) -> None:
+    """The steps of a program, run in a Python loop."""
+    for step in steps:
+        if len(step) == 2:
+            step[0](*step[1])
+        else:
+            step[0](*step[1], **step[2])
+
+
+def program(steps: Iterable[tuple]) -> Callable[[], None]:
+    """A call that runs ``steps`` in order and returns None; each step is a
+    ``(callable, args)`` pair or a ``(callable, args, kwargs)`` triple, run
+    as ``callable(*args, **kwargs)``. The call holds the steps, and through
+    them their callables and arguments, which must not change.
+
+    The first call loads the compiled runner (``_load_runner``), which
+    runs each ufunc step whose operands are float64 or bool arrays,
+    contiguous at the output's shape or 0-d, through the ufunc's own inner
+    loop, as numpy would, and every other step as the call it is. Such a
+    step gives numpy's bits but emits no floating-point warning. Without
+    the runner, the steps run in a Python loop.
+    """
+    global _runner
+    runner = _runner
+    if runner is _UNLOADED:
+        runner = _runner = _load_runner()
+    if runner is None:
+        return functools.partial(_run_steps, tuple(steps))
+    return runner.lower(steps)
 
 
 def _adam_step_numpy(store: ParamStore, lr: float, bias1: float, bias2: float) -> bool:

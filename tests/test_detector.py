@@ -8,6 +8,7 @@ import re
 import sys
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -1222,6 +1223,91 @@ def test_fit_and_infer_equal_the_allocating_pass_bit_for_bit(
         assert _recon_bits(got[0]) == _recon_bits(expected[0])
     else:
         assert str(got[1]) == str(expected[1])
+
+
+# Each example fits and infers twice from one seed: through the compiled
+# runner and, with it forced off, through the programs' Python loop.
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.sampled_from([1, 3, 32]),
+    rounds=st.integers(1, 3),
+    edges=st.booleans(),
+    scale=st.sampled_from([-0.0, 1e-300, 1.0, 1e150]),
+    epochs=st.sampled_from([0, 1, 4]),
+)
+def test_fit_and_infer_on_the_python_loop_equal_the_compiled_runner(
+    seed, d, rounds, edges, scale, epochs
+):
+    numerics.program(())
+    runner = numerics._runner
+    if runner is None:
+        pytest.skip("no compiled runner: programs run in a Python loop")
+    runs = []
+    for handle in (runner, None):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(numerics, "_runner", handle)
+            rng = np.random.default_rng(seed)
+            cfg = _small_cfg(k=5, d=d, lambda_=0.2)
+            params = init_params(cfg, rng)
+            for _, value in params.entries():
+                value *= scale
+            batch = _history_with_gaps(rng, 4, rounds, cfg.k)
+            if not edges:
+                for snapshot in batch.snapshots:
+                    snapshot.adjacency[:] = False
+            trace = _outcome(lambda: fit(batch, cfg, params, rng, epochs=epochs))
+            with np.errstate(all="ignore"):
+                inferred = _outcome(lambda: infer(batch, cfg, params))
+        runs.append(
+            (
+                repr(trace),
+                params._block.tobytes(),
+                params.step,
+                repr(inferred[1]),
+                None if inferred[0] is None else _recon_bits(inferred[0]),
+            )
+        )
+    assert runs[0] == runs[1]
+
+
+def test_a_pass_lowers_its_elementwise_steps_over_contiguous_arrays():
+    numerics.program(())
+    if numerics._runner is None:
+        pytest.skip("no compiled runner: programs run in a Python loop")
+    rng = np.random.default_rng(9)
+    cfg = _small_cfg(lambda_=0.2)
+    params = init_params(cfg, rng)
+    structure = detector._bind_decode_structure(rng.normal(size=(5, cfg.d)))[0]
+    # the product stays numpy's; the clamp and the sigmoid are six loops
+    assert (len(structure.steps), structure.lowered) == (7, 6)
+    history = _History(_history_with_gaps(rng, 5, 3, cfg.k), cfg)
+    step = _Pass(history, dict(params.entries()))
+    grads = {name: np.empty_like(value) for name, value in params.entries()}
+    backward = step.bound_backward(grads, cfg.alpha, 1.0 - cfg.alpha, cfg.gamma, True)
+    assert 0 < backward.lowered < len(backward.steps)
+
+
+def test_a_passs_programs_hold_its_arrays_but_not_the_pass():
+    # a program that held the pass would keep every array of it alive as
+    # long as a call bound from it
+    rng = np.random.default_rng(12)
+    cfg = _small_cfg(lambda_=0.2)
+    params = init_params(cfg, rng)
+    history = _History(_history_with_gaps(rng, 4, 3, cfg.k), cfg)
+    noise = rng.standard_normal((history.rows, cfg.d))
+    step = _Pass(history, dict(params.entries()))
+    grads = {name: np.empty_like(value) for name, value in params.entries()}
+    forward, backward = step._forward, step.bound_backward(grads, 0.4, 0.6, 0.01, True)
+    expected = step.forward(noise)
+    step.backward(grads, 0.4, 0.6, 0.01)
+    expected_grads = {name: grad.tobytes() for name, grad in grads.items()}
+    gone = weakref.ref(step)
+    del step
+    assert gone() is None
+    assert forward(noise) == expected
+    backward()
+    assert {name: grad.tobytes() for name, grad in grads.items()} == expected_grads
 
 
 def _numpy_data() -> list:

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import copy
+import ctypes
+import ctypes.util
 import math
 import os
 import pickle
+import platform
 import shutil
 import subprocess
 import sys
@@ -657,6 +660,259 @@ def test_a_cache_that_cannot_be_written_builds_the_kernel_for_this_process(tmp_p
     for store, handle in zip(stores, (kernel, None)):
         assert _step_outcome(store, 0.1, handle) is None
     assert stores[0]._value.tobytes() == stores[1]._value.tobytes()
+
+
+def _compiled_runner():
+    """The runner program() lowers with, loaded as its first call loads it."""
+    numerics.program(())
+    if numerics._runner is None:
+        assert shutil.which("gcc") is None, "gcc is on PATH, but the runner did not build"
+        pytest.skip("no gcc on PATH: programs run in a Python loop")
+    return numerics._runner
+
+
+# every elementwise ufunc a detector pass calls, by its loop signature:
+# d->d, dd->d and dd->?
+_UNARY_UFUNCS = (np.exp, np.log, np.negative)
+_BINARY_UFUNCS = (np.add, np.subtract, np.multiply, np.divide, np.maximum, np.minimum)
+_COMPARISONS = (np.greater, np.equal)
+_EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-308, math.inf, -math.inf, math.nan, -math.nan]
+
+
+def _edge_floats(rng, shape) -> np.ndarray:
+    """float64 over the whole exponent range, about a tenth of it +-0,
+    subnormal, +-inf or NaN."""
+    with np.errstate(over="ignore"):
+        values = rng.normal(size=shape) * 10.0 ** rng.integers(-320, 309, size=shape)
+    values = np.asarray(values, dtype=np.float64)
+    special = rng.random(shape) < 0.1
+    values[special] = rng.choice(_EDGE_VALUES, size=np.count_nonzero(special))
+    return values
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    ufunc=st.sampled_from(_UNARY_UFUNCS + _BINARY_UFUNCS + _COMPARISONS),
+    shape=st.one_of(
+        st.just(()), st.tuples(st.integers(1, 300)), st.tuples(st.integers(1, 20), st.integers(1, 15))
+    ),
+    zero_d=st.sampled_from([None, 0, 1]),
+    in_place=st.booleans(),
+    keyword_out=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_lowered_step_gives_the_bits_of_the_numpy_call(
+    ufunc, shape, zero_d, in_place, keyword_out, seed
+):
+    runner = _compiled_runner()
+    comparison = ufunc in _COMPARISONS
+
+    def operands():
+        rng = np.random.default_rng(seed)
+        inputs = [_edge_floats(rng, shape) for _ in range(ufunc.nin)]
+        if zero_d is not None and zero_d < ufunc.nin:
+            inputs[zero_d] = np.array(_edge_floats(rng, ()))
+        if in_place and not comparison and inputs[0].shape == shape:
+            return inputs, inputs[0]
+        return inputs, np.empty(shape, dtype=bool if comparison else np.float64)
+
+    inputs, out = operands()
+    step = (ufunc, tuple(inputs), {"out": out}) if keyword_out else (ufunc, (*inputs, out))
+    program = runner.lower([step])
+    assert program.lowered == 1
+    assert program() is None
+    expected_inputs, expected = operands()
+    with np.errstate(all="ignore"):
+        ufunc(*expected_inputs, out=expected)
+    assert out.tobytes() == expected.tobytes()
+    for got, want in zip(inputs, expected_inputs):
+        assert got.tobytes() == want.tobytes()
+
+
+# Steps the runner must leave to numpy: each makes the step's callable,
+# arguments and keywords over the array it is given.
+_NOT_LOWERED = {
+    "strided input": lambda a: (np.add, (a[:, :3].copy(order="F"), a[:, 3:], np.empty((4, 3))), {}),
+    "column views": lambda a: (np.add, (a[:, :3], a[:, 3:], np.empty((4, 3))), {}),
+    "broadcast row": lambda a: (np.add, (a, a[:1], np.empty((4, 6))), {}),
+    "bool times float": lambda a: (np.multiply, (a, a > 0, np.empty((4, 6))), {}),
+    "float32 operand": lambda a: (np.add, (a, a.astype(np.float32), np.empty((4, 6))), {}),
+    "byte-swapped operand": lambda a: (np.add, (a, a.astype(">f8"), np.empty((4, 6))), {}),
+    "overlapping output": lambda a: (np.negative, (a.reshape(-1)[:-1], a.reshape(-1)[1:]), {}),
+    "0-d input at the output": lambda a: (np.add, (a.reshape(-1)[0, ...], a, a), {}),
+    "tuple out": lambda a: (np.exp, (a,), {"out": (a,)}),
+    "another keyword": lambda a: (np.add, (a, a), {"out": a, "where": a > 0}),
+    "Python float": lambda a: (np.add, (a, 1.0, np.empty((4, 6))), {}),
+    "reduction": lambda a: (np.add.reduce, (a.reshape(-1), 0, None, np.empty(())), {}),
+    "method": lambda a: (a.dot, (a.T, np.empty((4, 4))), {}),
+}
+
+
+def _arrays_in(*values) -> list[bytes]:
+    found = []
+    for value in values:
+        if isinstance(value, (tuple, list)):
+            found += _arrays_in(*value)
+        elif isinstance(value, np.ndarray):
+            found.append(value.tobytes())
+    return found
+
+
+@pytest.mark.parametrize("case", sorted(_NOT_LOWERED))
+def test_a_step_the_runner_cannot_lower_is_the_call_it_is(case):
+    runner = _compiled_runner()
+    a = np.arange(24.0).reshape(4, 6) - 7.5
+    call, args, kwargs = _NOT_LOWERED[case](a)
+    program = runner.lower([(call, args, kwargs)])
+    assert program.lowered == 0
+    program()
+    b = np.arange(24.0).reshape(4, 6) - 7.5
+    expected_call, expected_args, expected_kwargs = _NOT_LOWERED[case](b)
+    expected_call(*expected_args, **expected_kwargs)
+    expected_arrays = _arrays_in(b, expected_args, expected_kwargs.values())
+    assert _arrays_in(a, args, kwargs.values()) == expected_arrays
+
+
+def test_a_program_runs_its_steps_in_order_on_both_paths(monkeypatch):
+    compiled = _compiled_runner()
+    made = []
+    for runner in (compiled, None):
+        monkeypatch.setattr(numerics, "_runner", runner)
+        x, calls = np.array([1.0, -2.0, 3.0]), []
+        steps = [
+            (np.multiply, (x, np.array(2.0), x)),
+            (calls.append, ("appended",)),
+            (np.maximum, (x, np.array(0.0)), {"out": x}),
+            (np.add.reduce, (x, 0, None, x[0, ...])),
+        ]
+        program = numerics.program(steps)
+        assert program() is None and program() is None
+        made.append((x.tolist(), calls))
+    assert made[0] == made[1] == ([28.0, 0.0, 12.0], ["appended", "appended"])
+    with pytest.raises(TypeError, match="step 1"):
+        compiled.lower([(np.exp, (x, x)), (np.exp, [x])])
+
+
+def test_a_failing_step_raises_and_stops_the_program():
+    runner = _compiled_runner()
+    x, after = np.zeros(3), []
+    program = runner.lower([(np.exp, (x, x)), (x.reshape, (5,)), (after.append, (1,))])
+    with pytest.raises(ValueError):
+        program()
+    assert x.tolist() == [1.0, 1.0, 1.0] and after == []
+
+
+def test_lowered_steps_warn_of_nothing_and_leave_no_floating_point_status():
+    runner = _compiled_runner()
+    big, out, total = np.array([1000.0, -1.0]), np.empty(2), np.empty(())
+    overflowing = runner.lower([(np.exp, (big, out))])
+    then_reduced = runner.lower([(np.exp, (big, out)), (np.add.reduce, (big, 0, None, total))])
+    with np.errstate(all="raise"):
+        overflowing()
+        then_reduced()  # numpy's own check after the reduction sees no overflow
+        np.multiply(np.array([2.0]), 3.0)
+    assert out[0] == math.inf and total == 999.0
+    with pytest.raises(FloatingPointError), np.errstate(over="raise"):
+        runner.lower([(np.exp, (big,), {})])()  # a step left to numpy still checks
+
+
+@pytest.mark.skipif(
+    sys.platform != "linux" or platform.machine() != "x86_64", reason="x86-64 <fenv.h> flag values"
+)
+def test_a_program_returns_with_the_floating_point_status_clear():
+    runner = _compiled_runner()
+    fetestexcept = ctypes.CDLL(ctypes.util.find_library("m")).fetestexcept
+    invalid, divbyzero, overflow, underflow = 0x01, 0x04, 0x08, 0x10
+    x, out = np.array([1000.0, -1.0, 0.0, -745.5]), np.empty(4)
+    runner.lower([(np.exp, (x, out)), (np.log, (x, out))])()
+    assert fetestexcept(invalid | divbyzero | overflow | underflow) == 0
+    # exp overflows and underflows; log of -1 is invalid and of 0 divides by zero
+    assert out[0] == math.log(1000.0) and math.isnan(out[1]) and out[2] == -math.inf
+
+
+def test_the_runner_is_built_without_fast_math():
+    assert not {"-ffast-math", "-Ofast", "-funsafe-math-optimizations"} & set(numerics._RUNNER_CFLAGS)
+    _compiled_runner()
+    assert (np.array([5e-324]) * np.array([1.0]))[0] == 5e-324
+
+
+def test_publishing_a_build_removes_stale_builds_of_its_own_kind_only(tmp_path):
+    _compiled_kernel()
+    _compiled_runner()
+    root = _package_copy(tmp_path)
+    cache = root / "guardian" / "__pycache__"
+    cache.mkdir()
+    stale = ["guardian_adam-0000000000000000.so", "guardian_runner-0000000000000000.so"]
+    for name in stale:
+        (cache / name).write_bytes(b"stale")
+    runner = numerics._runner_path(numerics._RUNNER_SOURCE.read_text()).name
+    uses = {
+        "adam": "s = n.ParamStore({'w': [[1.0]]}); n.adam_step(s, 0.5); print(n._kernel is not None)",
+        "runner": "n.program(()); print(n._runner is not None)",
+    }
+    expected = {
+        "runner": sorted([stale[0], runner]),
+        "adam": sorted([runner, numerics._kernel_path().name]),
+    }
+    for kind in ("runner", "adam"):
+        done = subprocess.run(
+            [sys.executable, "-c", f"from guardian import numerics as n; {uses[kind]}"],
+            env={**os.environ, "PYTHONPATH": str(root)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "True\n"
+        assert _left_in_cache(root) == expected[kind], kind
+
+
+def test_a_failed_runner_build_leaves_adam_compiled_and_programs_on_the_python_loop(tmp_path):
+    _compiled_kernel()
+    root = _package_copy(tmp_path)
+    code = (
+        "import numpy as np; from guardian import numerics as n, detector as d, graph as g; "
+        f"n._runner_includes = lambda: [{str(tmp_path / 'missing')!r}]; "
+        "cfg = d.DetectorConfig(k=6, d=4); rng = np.random.default_rng(3); "
+        "params = d.init_params(cfg, rng); "
+        "snaps = [g.Snapshot(round=t, agents=[0, 1, 2], features=n.Tensor2D(rng.normal(size=(3, 6))), "
+        "adjacency=np.zeros((3, 3), dtype=bool), response_texts=['r'] * 3) for t in (1, 2)]; "
+        "trace = d.fit(g.HistoryBatch.of(snaps), cfg, params, rng, 3); "
+        "print(n._kernel is not None, n._runner is None, [b.l_total.hex() for b in trace], "
+        "params._block.tobytes().hex())"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(root)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    compiled = subprocess.run(
+        [sys.executable, "-c", code.replace("n._runner_includes = ", "unused = ")],
+        env={**os.environ, "PYTHONPATH": str(Path(numerics.__file__).parents[1])},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert compiled.returncode == 0, compiled.stderr
+    kernel, no_runner, *trace_and_block = done.stdout.split()
+    assert (kernel, no_runner) == ("True", "True")
+    assert compiled.stdout.split()[:2] == ["True", "False"]
+    assert trace_and_block == compiled.stdout.split()[2:]
+    assert _left_in_cache(root) == [numerics._kernel_path().name]
+
+
+def test_a_cache_that_cannot_be_written_builds_the_runner_for_this_process(tmp_path, monkeypatch):
+    _compiled_runner()
+    (tmp_path / "file").write_text("")
+    unwritable = tmp_path / "file" / "__pycache__" / "guardian_runner-0.so"
+    monkeypatch.setattr(numerics, "_runner_path", lambda source: unwritable)
+    runner = numerics._load_runner()
+    assert runner is not None
+    x = np.array([1.0, -2.0])
+    assert runner.lower([(np.negative, (x, x))]).lowered == 1
 
 
 def test_grad_check_quadratic_is_tight():

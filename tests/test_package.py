@@ -70,15 +70,19 @@ def test_importing_the_cli_loads_no_http_stack():
 
 
 def test_importing_the_cli_neither_compiles_nor_loads_the_adam_kernel():
-    # the first adam_step builds or loads it, so set-up pays nothing for it
-    code = "import guardian.cli, guardian.numerics as n; print(n._kernel is n._UNLOADED)"
+    # the first adam_step builds or loads it, and the first program the
+    # runner, so set-up pays nothing for either
+    code = (
+        "import guardian.cli, guardian.numerics as n; "
+        "print(n._kernel is n._UNLOADED, n._runner is n._UNLOADED)"
+    )
     src = str(Path(guardian.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "True\n"
+    assert result.stdout == "True True\n"
 
 
 # Every value a caller can set. A new field or parameter is a new option:

@@ -48,6 +48,10 @@ def _batch(rng, rounds: int, k: int) -> HistoryBatch:
 
 def test_tracer_installs_on_the_package_and_restores_it():
     modules = load_modules()
+    # numerics loads its compiled Adam step and runner into module globals
+    # on their first use; load both before the snapshot
+    modules.numerics.adam_step(modules.numerics.ParamStore({"w": [[0.0]]}), lr=0.1)
+    modules.numerics.program(())
     owners = [vars(m) for m in vars(modules).values()]
     owners += [vars(modules.numerics.Tensor2D), vars(modules.pipeline.PipelineState)]
     before = [dict(owner) for owner in owners]
