@@ -384,10 +384,9 @@ def _embed_fn(cfg: ExperimentConfig):
         raise HarnessError(f"k = {cfg.k} is too small for the hashing embedder: {err}") from None
 
 
-def build_pipeline(cfg: ExperimentConfig, stream_seed: int) -> PipelineState:
-    det_cfg = cfg.detector_config(seed=derive_seed(stream_seed, "detector"))
-    policy, embed_fn = cfg.detection_policy(), _embed_fn(cfg)
-    # the largest matrix a round builds: the history's dense float64 adjacency
+def _check_adjacency_fits(cfg: ExperimentConfig) -> None:
+    """Raise unless the largest matrix a defended round builds, the
+    history's dense float64 adjacency, can be allocated."""
     snapshots = min(cfg.max_rounds, cfg.history_window or cfg.max_rounds)
     if cfg.variant == "static":
         snapshots = 1
@@ -399,6 +398,11 @@ def build_pipeline(cfg: ExperimentConfig, stream_seed: int) -> PipelineState:
             f"n_agents = {cfg.n_agents}: not enough memory for the {nodes} x {nodes} "
             f"adjacency of a {snapshots}-round history"
         ) from None
+
+
+def build_pipeline(cfg: ExperimentConfig, stream_seed: int) -> PipelineState:
+    det_cfg = cfg.detector_config(seed=derive_seed(stream_seed, "detector"))
+    policy, embed_fn = cfg.detection_policy(), _embed_fn(cfg)
     return PipelineState(det_cfg, policy, embed_fn, history_window=cfg.history_window)
 
 
@@ -417,6 +421,8 @@ def run_trials(cfg: ExperimentConfig) -> tuple[list[EpisodeLog], PipelineState |
     # With a remote endpoint configured, every agent is driven over HTTP
     # (ground-truth labels are then unavailable; see simulator docs).
     remote = RemoteAgentConfig.from_env()
+    if cfg.defense:  # before the specs, which take memory in proportion to n_agents
+        _check_adjacency_fits(cfg)
     specs = [
         AgentSpec(id=i, p_correct=cfg.p_correct, p_follow=cfg.p_follow)
         for i in range(cfg.n_agents)

@@ -6,26 +6,25 @@ adjacencies, reconstructions and loss values. A 1x1 loss may carry a
 computed from; the detector's hand-written backward pass supplies it, and
 ``grad_check`` holds it to central differences.
 
-``adam_step`` runs a C loop, compiled with the host's gcc on its first call
-and cached beside this module; where none can be built it runs the same
-update in numpy, bit for bit.
-
-``program`` turns a list of numpy calls into one call. On its first use it
-builds and loads the runner in ``runner.c`` the same way, against the
-headers of this Python and numpy, and lowers each ufunc call over
-contiguous float64 or bool operands to a direct call of the ufunc's own
-inner loop; where the runner cannot be built or loaded, the calls run in a
-Python loop, with the same arguments and bits.
+``adam_step`` and ``program`` run on one compiled module, the runner in
+``runner.c``. The host's gcc builds it against the headers of this Python
+and numpy on the first use of either, never at import, and it is cached in
+the ``__pycache__`` directory beside this module (``_load_runner``). Its
+``adam_step`` runs the update as one C loop over a store's block, and
+``program`` lowers each ufunc call over contiguous float64 or bool
+operands to a direct call of the ufunc's own inner loop. Where the runner
+cannot be built or loaded (no gcc, no Python headers, a failed build),
+Adam runs as numpy passes and programs as a Python loop, with the same
+arguments and bits; after the first use ``_runner`` tells which ran, None
+for numpy. No flag, environment variable or config key chooses the path.
 """
 
 from __future__ import annotations
 
-import ctypes
 import functools
 import hashlib
 import math
 import os
-import platform
 import shutil
 import tempfile
 from pathlib import Path
@@ -114,8 +113,9 @@ class ParamStore:
 
     def _lay_out(self, shapes: Mapping[str, tuple[int, int]], block: np.ndarray) -> None:
         """Lay entries of these shapes out, in this order, over the leading
-        columns of a ``(4, n)`` block of values, gradients and both moments.
-        The entries' views are made on first use."""
+        columns of a ``(4, n)`` block of values, gradients and both moments;
+        a layout wider than the block raises ``NumericsError``. The entries'
+        views are made on first use."""
         self.layout = tuple(shapes.items())
         self._spans: dict[str, slice] = {}
         offset = 0
@@ -126,20 +126,7 @@ class ParamStore:
             raise NumericsError(f"a block of {block.shape[1]} columns cannot hold {offset} entries")
         self._block = block[:, :offset]
         self._value, self._grad, self._m, self._v = self._block
-        # what the compiled adam_step is handed besides its coefficients: the
-        # length and the four rows' addresses, from one .ctypes lookup (each
-        # builds a helper object)
-        address, stride = self._block.ctypes.data, self._block.strides[0]
-        self._kernel_args = (offset, *(address + row * stride for row in range(4)))
         self.step = 0
-
-    @functools.cached_property
-    def _kernel_call(self) -> tuple["_AdamCall", object]:
-        """The compiled step's one argument, made where it is first used, and
-        a pointer to it: ``_kernel_args`` and the coefficients of a step,
-        which ``adam_step`` writes before every call."""
-        call = _AdamCall(*self._kernel_args)
-        return call, ctypes.byref(call)
 
     def _views(self, row: np.ndarray) -> dict[str, np.ndarray]:
         return {name: row[self._spans[name]].reshape(shape) for name, shape in self.layout}
@@ -155,7 +142,7 @@ class ParamStore:
     @functools.cached_property
     def _scratch(self) -> np.ndarray:
         """The numpy passes' two temporaries, made where they first run."""
-        return np.empty((2, self._kernel_args[0]))
+        return np.empty((2, self._block.shape[1]))
 
     def names(self) -> list[str]:
         return list(self._spans)
@@ -181,7 +168,8 @@ class ParamStore:
         the last in layout order, the last cut to its leading ``rows`` rows.
 
         It starts at this store's step, and ``adam_step`` on it updates what
-        it views in place; the caller copies its step back.
+        it views in place; the caller copies its step back. A row count
+        outside the last entry's raises ``NumericsError``.
         """
         names = self.names()
         last, (whole, cols) = self.layout[-1]
@@ -202,8 +190,8 @@ class ParamStore:
         entry[:] = entry.take(order, axis=1)
 
     def __reduce__(self):
-        # copies and pickles are rebuilt over their own block: the addresses
-        # that adam_step hands the compiled loop must be the copy's
+        # copies and pickles are rebuilt over their own block: a copy of the
+        # attributes would share the block, and the cached views, with its source
         return _rebuilt, (self.layout, self._block, self.step)
 
     def entries(self) -> Iterable[tuple[str, np.ndarray]]:
@@ -223,90 +211,42 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-class _AdamCall(ctypes.Structure):
-    """``struct guardian_adam_call`` of ``_SOURCE``: one pointer is all a
-    step passes through ctypes, which converts every argument anew."""
-
-    _fields_ = [
-        ("n", ctypes.c_ssize_t),
-        *[(row, ctypes.c_void_p) for row in ("value", "grad", "m", "v")],
-        *[(name, ctypes.c_double) for name in ("lr", "bias1", "bias2")],
-    ]
-
-
-# Textbook Adam, one entry per iteration, in the order of operations of
-# _adam_step_numpy. IEEE add, multiply, divide and sqrt are correctly rounded
-# at any vector width, so the vectorised loop gives numpy's bits as long as
-# no multiply and add are fused (-ffp-contract=off). -ffast-math, -Ofast and
-# -funsafe-math-optimizations must never be added: gcc then links
-# crtfastmath.o, which flushes subnormals to zero in the whole process.
-_SOURCE = f"""
-#include <stddef.h>
-#include <stdint.h>
-#include <string.h>
-#include <math.h>
-
-#define EXPONENT UINT64_C(0x7ff0000000000000)
-
-struct guardian_adam_call {{
-    ptrdiff_t n;
-    double *value;
-    const double *grad;
-    double *m;
-    double *v;
-    double lr, bias1, bias2;
-}};
-
-/* inlined into each clone below, and so built for its instruction set */
-static inline __attribute__((always_inline))
-int adam_loop(ptrdiff_t n, double *restrict value, const double *restrict grad,
-              double *restrict m, double *restrict v, double lr, double bias1, double bias2)
-{{
-    uint64_t non_finite = 0;
-    for (ptrdiff_t i = 0; i < n; i++) {{
-        double g = grad[i];
-        double mi = m[i] * {ADAM_BETA1!r} + g * (1.0 - {ADAM_BETA1!r});
-        double vi = v[i] * {ADAM_BETA2!r} + g * g * (1.0 - {ADAM_BETA2!r});
-        double x = value[i] - mi / bias1 * lr / (sqrt(vi / bias2) + {ADAM_EPS!r});
-        /* inf and NaN have every exponent bit set; an integer test keeps the loop vectorised */
-        uint64_t bits;
-        memcpy(&bits, &x, sizeof bits);
-        non_finite |= (bits & EXPONENT) == EXPONENT;
-        m[i] = mi;
-        v[i] = vi;
-        value[i] = x;
-    }}
-    return !non_finite;
-}}
-
-#if defined(__x86_64__)
-__attribute__((target_clones("avx512f", "avx2", "default")))
-#endif
-int guardian_adam_step(const struct guardian_adam_call *call)
-{{
-    return adam_loop(call->n, call->value, call->grad, call->m, call->v,
-                     call->lr, call->bias1, call->bias2);
-}}
-"""
-_CFLAGS = ("-O3", "-shared", "-fPIC", "-ffp-contract=off", "-fno-math-errno")
+# The runner reads numpy's ufunc objects, so its build is keyed by this
+# Python's extension ABI and numpy's version as well as by its source and
+# flags. Its Adam loop needs -ffp-contract=off, and the build must never take
+# -ffast-math, -Ofast or -funsafe-math-optimizations (runner.c says why).
+# Adam's constants reach it as -D definitions, so they are stated only here.
+_RUNNER_SOURCE = Path(__file__).with_name("runner.c")
+_RUNNER_CFLAGS = (
+    "-O3", "-shared", "-fPIC", "-fno-strict-aliasing", "-ffp-contract=off", "-fno-math-errno", "-lm",
+    f"-DADAM_BETA1={ADAM_BETA1!r}", f"-DADAM_BETA2={ADAM_BETA2!r}", f"-DADAM_EPS={ADAM_EPS!r}",
+)
 _COMPILE_TIMEOUT_S = 60.0
 
-# What adam_step calls: _UNLOADED until its first call, then the compiled
-# step, or None where none could be built or loaded.
+# What program() and adam_step run on: _UNLOADED until the first use of
+# either, then the compiled runner module, or None where none could be built
+# or loaded.
 _UNLOADED = object()
-_kernel: object = _UNLOADED
+_runner: object = _UNLOADED
 
 
-def _cache_path(name: str, *parts: str) -> Path:
-    """Where the build of ``name`` from these source and flags is cached:
-    ``__pycache__/{name}-{key}.so``, the key a digest of them."""
+def _runner_path(source: str) -> Path:
+    """Where the runner built from ``source`` is cached:
+    ``__pycache__/guardian_runner-{key}.so``, the key a digest of the source,
+    the flags, this Python's extension suffix and numpy's version."""
+    import sysconfig
+
+    parts = (source, *_RUNNER_CFLAGS, sysconfig.get_config_var("EXT_SUFFIX") or "", np.__version__)
     key = hashlib.sha256("\0".join(parts).encode()).hexdigest()
-    return Path(__file__).with_name("__pycache__") / f"{name}-{key[:16]}.so"
+    return Path(__file__).with_name("__pycache__") / f"guardian_runner-{key[:16]}.so"
 
 
-def _kernel_path() -> Path:
-    """The cached kernel's path, named by what it is built from."""
-    return _cache_path("guardian_adam", _SOURCE, *_CFLAGS, platform.machine())
+def _runner_includes() -> list[str]:
+    """The header directories of this Python and of numpy."""
+    import sysconfig
+
+    paths = sysconfig.get_paths()
+    return list(dict.fromkeys([paths["include"], paths["platinclude"], np.get_include()]))
 
 
 def _build(gcc: str, target: Path, source: str, flags: Iterable[str]) -> bool:
@@ -346,71 +286,6 @@ def _build(gcc: str, target: Path, source: str, flags: Iterable[str]) -> bool:
             os.unlink(temporary)
 
 
-def _bind(path: Path):
-    """The kernel's function in the shared object at ``path``, typed; None if it does not load."""
-    try:
-        step = ctypes.CDLL(str(path)).guardian_adam_step
-    except (OSError, AttributeError):
-        return None
-    step.argtypes = (ctypes.POINTER(_AdamCall),)
-    step.restype = ctypes.c_int
-    return step
-
-
-def _load(cached: Path, source: str, flags: Iterable[str], bind: Callable[[Path], object]):
-    """What ``bind`` loads from the shared object built from ``source`` with
-    ``flags``: from the cache at ``cached``, else built into it with the
-    host's gcc, else, where the cache is read-only, built in a temporary
-    directory of this process. None when there is no gcc, the build fails
-    or ``bind`` loads nothing."""
-    if not cached.exists():
-        gcc = shutil.which("gcc")
-        if gcc is None:
-            return None
-        try:
-            cached.parent.mkdir(exist_ok=True)
-            built = _build(gcc, cached, source, flags)
-        except OSError:
-            with tempfile.TemporaryDirectory() as private:
-                own = Path(private, cached.name)
-                # the loaded library outlives its file
-                return bind(own) if _build(gcc, own, source, flags) else None
-        if not built:
-            return None
-    return bind(cached)
-
-
-def _load_kernel():
-    """The compiled step (``_load``)."""
-    return _load(_kernel_path(), _SOURCE, _CFLAGS, _bind)
-
-
-# The runner reads numpy's ufunc objects, so its build is keyed by this
-# Python's extension ABI and numpy's version as well as by its source.
-_RUNNER_SOURCE = Path(__file__).with_name("runner.c")
-_RUNNER_CFLAGS = ("-O2", "-shared", "-fPIC", "-fno-strict-aliasing", "-lm")
-
-# What program() lowers with: _UNLOADED until its first call, then the
-# compiled runner module, or None where none could be built or loaded.
-_runner: object = _UNLOADED
-
-
-def _runner_path(source: str) -> Path:
-    """The cached runner's path, named by what it is built from and against."""
-    import sysconfig
-
-    abi = sysconfig.get_config_var("EXT_SUFFIX") or ""
-    return _cache_path("guardian_runner", source, *_RUNNER_CFLAGS, abi, np.__version__)
-
-
-def _runner_includes() -> list[str]:
-    """The header directories of this Python and of numpy."""
-    import sysconfig
-
-    paths = sysconfig.get_paths()
-    return list(dict.fromkeys([paths["include"], paths["platinclude"], np.get_include()]))
-
-
 def _import_runner(path: Path):
     """The runner module in the shared object at ``path``; None if it does not load."""
     import importlib.machinery
@@ -427,13 +302,40 @@ def _import_runner(path: Path):
 
 
 def _load_runner():
-    """The compiled runner (``_load``); None also where its source is missing."""
+    """The runner module: from the cache at ``_runner_path``, else built into
+    it with the host's gcc against the headers of this Python and numpy,
+    else, where the cache is read-only, built in a temporary directory of
+    this process. None when its source is missing, there is no gcc, the
+    build fails or the module does not load."""
     try:
         source = _RUNNER_SOURCE.read_text()
     except OSError:
         return None
-    includes = [f"-I{directory}" for directory in _runner_includes()]
-    return _load(_runner_path(source), source, (*_RUNNER_CFLAGS, *includes), _import_runner)
+    cached = _runner_path(source)
+    if not cached.exists():
+        gcc = shutil.which("gcc")
+        if gcc is None:
+            return None
+        flags = (*_RUNNER_CFLAGS, *(f"-I{directory}" for directory in _runner_includes()))
+        try:
+            cached.parent.mkdir(exist_ok=True)
+            built = _build(gcc, cached, source, flags)
+        except OSError:
+            with tempfile.TemporaryDirectory() as private:
+                own = Path(private, cached.name)
+                # the loaded library outlives its file
+                return _import_runner(own) if _build(gcc, own, source, flags) else None
+        if not built:
+            return None
+    return _import_runner(cached)
+
+
+def _loaded_runner():
+    """``_runner``, loaded by the first call (``_load_runner``)."""
+    global _runner
+    if _runner is _UNLOADED:
+        _runner = _load_runner()
+    return _runner
 
 
 def _run_steps(steps: tuple) -> None:
@@ -458,10 +360,7 @@ def program(steps: Iterable[tuple]) -> Callable[[], None]:
     step gives numpy's bits but emits no floating-point warning. Without
     the runner, the steps run in a Python loop.
     """
-    global _runner
-    runner = _runner
-    if runner is _UNLOADED:
-        runner = _runner = _load_runner()
+    runner = _loaded_runner()
     if runner is None:
         return functools.partial(_run_steps, tuple(steps))
     return runner.lower(steps)
@@ -500,25 +399,18 @@ def adam_step(store: ParamStore, lr: float) -> None:
     gradient is +-0.0 and whose moments are +0.0 gets the update 0 and keeps
     its moments, so stepping a ``tail`` that leaves such entries and rows
     out equals the full step bit for bit (``moments_are_zero`` checks the
-    moments). The first call loads the compiled loop (``_load_kernel``);
-    without it, the numpy passes run over the store's block.
+    moments). The first call loads the runner (``_loaded_runner``), whose
+    C loop steps the store's block; without it, the numpy passes do.
     Gradients are left untouched; the caller decides when to zero them.
     """
-    global _kernel
-    kernel = _kernel
-    if kernel is _UNLOADED:
-        kernel = _kernel = _load_kernel()
+    runner = _loaded_runner()
     store.step = step = store.step + 1
     bias1 = 1.0 - ADAM_BETA1**step
     bias2 = 1.0 - ADAM_BETA2**step
-    if kernel is None:
+    if runner is None:
         finite = _adam_step_numpy(store, lr, bias1, bias2)
     else:
-        call, pointer = store._kernel_call
-        call.lr = lr
-        call.bias1 = bias1
-        call.bias2 = bias2
-        finite = kernel(pointer)
+        finite = runner.adam_step(store._block, lr, bias1, bias2)
     if not finite:
         name = next(n for n, e in store.entries() if not np.all(np.isfinite(e)))
         raise NonFiniteError(f"parameter {name!r} diverged during adam_step")

@@ -1,8 +1,10 @@
 /*
- * guardian_runner: runs a program, a sequence of steps, in one call, as
- * calling each step's callable in turn with its arguments would. A step is
- * a (callable, args) pair or a (callable, args, kwargs) triple, args a
- * tuple and kwargs a dict; the steps must not change once lowered.
+ * guardian_runner, the one compiled module of guardian.numerics: it runs a
+ * program, a sequence of steps, in one call, as calling each step's
+ * callable in turn with its arguments would, and Adam's update (adam_step,
+ * below). numerics._load_runner builds it. A step is a (callable, args)
+ * pair or a (callable, args, kwargs) triple, args a tuple and kwargs a
+ * dict; the steps must not change once lowered.
  *
  * lower(steps) makes a Program. A step whose callable is a numpy ufunc is
  * lowered to one call of the ufunc's own inner loop over the whole output
@@ -26,12 +28,31 @@
  * A Program holds the steps, and through them every callable and operand,
  * and nothing else; lowering keeps raw pointers into those operands. It
  * runs holding the GIL.
+ *
+ * adam_step(block, lr, bias1, bias2) runs one bias-corrected Adam update
+ * over a (4, n) float64 block whose rows hold the values, the gradients
+ * and the first and second moments (ParamStore._block), and returns
+ * whether every new value is finite. It reads n and the rows' addresses
+ * from the block, and raises before writing unless the block is an
+ * aligned, writeable, native-endian float64 array of 4 rows, each row
+ * contiguous and apart from the others. The loop is the per-entry update
+ * in the order of operations of numerics._adam_step_numpy. IEEE add,
+ * multiply, divide and sqrt are correctly rounded at any vector width, so
+ * its bits are numpy's as long as no multiply and add are fused: the
+ * build passes -ffp-contract=off, and beta1, beta2 and eps as -D
+ * definitions of ADAM_BETA1, ADAM_BETA2 and ADAM_EPS. It must never be
+ * built with -ffast-math, -Ofast or -funsafe-math-optimizations: gcc then
+ * links crtfastmath.o, which flushes subnormals to zero in the whole
+ * process. On x86-64 glibc the loop is cloned for avx512f, avx2 and a
+ * default, one picked at load time; a libc without ifunc gets the default.
  */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <structmember.h>
 #include <fenv.h>
+#include <math.h>
+#include <stdint.h>
 #include <string.h>
 
 #define NPY_NO_DEPRECATED_API NPY_1_22_API_VERSION
@@ -286,16 +307,83 @@ static PyObject *lower(PyObject *module, PyObject *arg)
     return (PyObject *)program;
 }
 
+#define EXPONENT UINT64_C(0x7ff0000000000000)
+
+#if defined(__x86_64__) && defined(__GLIBC__)
+__attribute__((target_clones("avx512f", "avx2", "default")))
+#endif
+static int adam_loop(npy_intp n, double *restrict value, const double *restrict grad,
+                     double *restrict m, double *restrict v, double lr, double bias1, double bias2)
+{
+    uint64_t non_finite = 0;
+    for (npy_intp i = 0; i < n; i++) {
+        double g = grad[i];
+        double mi = m[i] * ADAM_BETA1 + g * (1.0 - ADAM_BETA1);
+        double vi = v[i] * ADAM_BETA2 + g * g * (1.0 - ADAM_BETA2);
+        double x = value[i] - mi / bias1 * lr / (sqrt(vi / bias2) + ADAM_EPS);
+        /* inf and NaN have every exponent bit set; an integer test keeps the loop vectorised */
+        uint64_t bits;
+        memcpy(&bits, &x, sizeof bits);
+        non_finite |= (bits & EXPONENT) == EXPONENT;
+        m[i] = mi;
+        v[i] = vi;
+        value[i] = x;
+    }
+    return !non_finite;
+}
+
+static PyObject *adam_step(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    PyArrayObject *block;
+    double lr, bias1, bias2;
+    npy_intp n, stride;
+    char *row;
+
+    if (nargs != 4) {
+        PyErr_SetString(PyExc_TypeError, "adam_step takes a block, lr, bias1 and bias2");
+        return NULL;
+    }
+    lr = PyFloat_AsDouble(args[1]);
+    bias1 = PyFloat_AsDouble(args[2]);
+    bias2 = PyFloat_AsDouble(args[3]);
+    if (PyErr_Occurred()) {
+        return NULL;
+    }
+    block = (PyArrayObject *)args[0];
+    if (!PyArray_Check(block) || PyArray_NDIM(block) != 2 || PyArray_DIM(block, 0) != 4
+        || PyArray_TYPE(block) != NPY_DOUBLE || !PyArray_ISNOTSWAPPED(block)
+        || !PyArray_ISALIGNED(block) || !PyArray_ISWRITEABLE(block)) {
+        PyErr_SetString(PyExc_ValueError, "adam_step takes a writeable, aligned, native-endian "
+                                          "(4, n) float64 block");
+        return NULL;
+    }
+    n = PyArray_DIM(block, 1);
+    stride = PyArray_STRIDE(block, 0);
+    if ((n > 1 && PyArray_STRIDE(block, 1) != sizeof(double))
+        || (n > 0 && (stride < 0 ? -stride : stride) < n * (npy_intp)sizeof(double))) {
+        PyErr_SetString(PyExc_ValueError, "adam_step takes a block whose rows are contiguous "
+                                          "and do not overlap");
+        return NULL;
+    }
+    row = PyArray_BYTES(block);
+    return PyBool_FromLong(adam_loop(n, (double *)row, (double *)(row + stride),
+                                     (double *)(row + 2 * stride), (double *)(row + 3 * stride),
+                                     lr, bias1, bias2));
+}
+
 static PyMethodDef methods[] = {
     {"lower", lower, METH_O,
      "lower(steps) -> Program: the steps, as one call."},
+    {"adam_step", (PyCFunction)(void (*)(void))adam_step, METH_FASTCALL,
+     "adam_step(block, lr, bias1, bias2) -> bool: one Adam update of a (4, n) block, in place; "
+     "whether every new value is finite."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef runner_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "guardian_runner",
-    .m_doc = "Runs programs of numpy calls, ufunc steps through their inner loops.",
+    .m_doc = "Runs programs of numpy calls, ufunc steps through their inner loops, and Adam steps.",
     .m_size = -1,
     .m_methods = methods,
 };

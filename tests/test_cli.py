@@ -479,8 +479,12 @@ def test_cli_too_many_agents_for_memory_fails_naming_n_agents(capsys, monkeypatc
             raise MemoryError
         return real_empty(shape, *args, **kwargs)
 
+    def spec(*args, **kwargs):
+        raise AssertionError("an AgentSpec was built before the memory check")
+
     monkeypatch.setattr(np, "empty", empty)
     monkeypatch.setattr(harness, "run_episode", _no_episode)
+    monkeypatch.setattr(harness, "AgentSpec", spec)
     assert main(["defend", "--tasks", "1", "--agents", "100000", *flags]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: n_agents = 100000: not enough memory for the {nodes} x {nodes} ")

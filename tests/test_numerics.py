@@ -297,9 +297,9 @@ def test_tail_views_the_entries_from_first_and_permute_rows_reorders_them():
 
 
 def test_a_tail_holds_zero_to_all_rows_of_the_last_entry():
-    # the compiled step would write as far as the tail claims to reach
+    # adam_step steps the whole of a tail's block, so it is as wide as the tail's entries
     store = ParamStore({"a": np.ones((2, 3)), "b": np.ones((4, 2))})
-    assert store.tail("b", 0)._kernel_args[0] == 0 and store.tail("a", 4)._kernel_args[0] == 14
+    assert store.tail("b", 0)._block.shape == (4, 0) and store.tail("a", 4)._block.shape == (4, 14)
     for rows in (-1, 5, 4000):
         with pytest.raises(NumericsError, match=f"0 to 4 rows of 'b', not {rows}"):
             store.tail("b", rows)
@@ -318,22 +318,24 @@ def test_a_layout_wider_than_its_block_is_rejected():
     st.data(),
 )
 def test_a_store_hands_the_kernel_its_block_and_permutes_all_four_rows(shapes, seed, data):
-    # the compiled step's leading arguments are the block's width and its
-    # four rows' addresses, for a store, a tail of it and their copies
+    # adam_step is handed the block: for a store, a tail of it and their
+    # copies, it is as wide as the entries, and its rows are the values, the
+    # gradients and both moments
     rng = np.random.default_rng(seed)
     store = ParamStore({f"e{i}": rng.normal(size=shape) for i, shape in enumerate(shapes)})
     store._block[1:] = rng.normal(size=(3, store._block.shape[1]))
     first = data.draw(st.sampled_from(store.names()))
     part = store.tail(first, data.draw(st.integers(0, shapes[-1][0])))
     start = store._spans[first].start
-    assert part._kernel_args[1:] == tuple(row[start:].ctypes.data for row in store._block)
+    assert [row.ctypes.data for row in part._block] == [row[start:].ctypes.data for row in store._block]
     copies = copy.copy(store), copy.copy(part), pickle.loads(pickle.dumps(part))
     for twin in copies:
         assert not np.shares_memory(twin._block, store._block)
     for view in (store, part, *copies):
-        width, *addresses = view._kernel_args
-        assert width == view._block.shape[1] == sum(r * c for _, (r, c) in view.layout)
-        assert addresses == [row.ctypes.data for row in view._block]
+        width = view._block.shape[1]
+        assert width == sum(r * c for _, (r, c) in view.layout)
+        for row, named in zip(view._block, (view._value, view._grad, view._m, view._v)):
+            assert named.shape == (width,) and named.ctypes.data == row.ctypes.data
         name = data.draw(st.sampled_from(view.names()))
         rows, cols = view.value(name).shape
         order = rng.permutation(rows)
@@ -397,8 +399,8 @@ def test_param_store_from_mapping_rejects_what_add_rejects():
     "duplicate", [copy.copy, copy.deepcopy, lambda store: pickle.loads(pickle.dumps(store))]
 )
 def test_a_copied_or_unpickled_store_steps_its_own_buffers(duplicate):
-    # the compiled step writes where the store's addresses point: a copy
-    # must point at its own block, or stepping it would change its source
+    # adam_step writes the store's block in place: a copy must have its
+    # own block, or stepping it would change its source
     source = ParamStore({"a": [[1.0, 2.0]], "b": [[3.0], [-4.0]]})
     for name in source.names():
         source.grad(name)[:] = 0.5
@@ -420,7 +422,7 @@ def test_the_numpy_passes_make_their_temporaries_once_per_store(monkeypatch):
     store = ParamStore({"a": [[1.0, 2.0]], "b": [[3.0], [-4.0]]})
     store.grad("b")[:] = 0.5
     part = store.tail("b", 1)
-    monkeypatch.setattr(numerics, "_kernel", None)
+    monkeypatch.setattr(numerics, "_runner", None)
     assert "_scratch" not in vars(store) and "_scratch" not in vars(part)
     adam_step(part, lr=0.1)
     scratch = part._scratch
@@ -450,19 +452,23 @@ def test_adam_names_the_diverged_parameter():
         adam_step(store, lr=1e308)
 
 
-def _compiled_kernel():
-    """adam_step's compiled step, loaded as its first call loads it."""
-    adam_step(ParamStore({"w": [[0.0]]}), lr=0.1)
-    if numerics._kernel is None:
-        assert shutil.which("gcc") is None, "gcc is on PATH, but the Adam kernel did not build"
-        pytest.skip("no gcc on PATH: adam_step runs its numpy passes")
-    return numerics._kernel
+def _compiled_runner():
+    """The runner adam_step and program() run on, loaded as their first use loads it."""
+    numerics.program(())
+    if numerics._runner is None:
+        assert shutil.which("gcc") is None, "gcc is on PATH, but the runner did not build"
+        pytest.skip("no gcc on PATH: Adam runs its numpy passes and programs a Python loop")
+    return numerics._runner
 
 
-def _step_outcome(store, lr, kernel):
-    """The message adam_step raises with, None when it does not, on this kernel."""
+def _runner_name() -> str:
+    return numerics._runner_path(numerics._RUNNER_SOURCE.read_text()).name
+
+
+def _step_outcome(store, lr, runner):
+    """The message adam_step raises with, None when it does not, on this runner."""
     with pytest.MonkeyPatch.context() as patch, np.errstate(all="ignore"):
-        patch.setattr(numerics, "_kernel", kernel)
+        patch.setattr(numerics, "_runner", runner)
         try:
             adam_step(store, lr)
         except NonFiniteError as err:
@@ -494,7 +500,7 @@ def test_compiled_adam_step_equals_the_numpy_step_bit_for_bit(
     # entries into its store (odd offsets included) and spans 0 to 200
     # entries (every vector remainder), agree in every bit of the values and
     # both moments, in the step count, and in which step raises and how
-    kernel = _compiled_kernel()
+    runner = _compiled_runner()
     rng = np.random.default_rng(seed)
     values = {
         "lead": rng.normal(size=(1, lead)),
@@ -511,7 +517,7 @@ def test_compiled_adam_step_equals_the_numpy_step_bit_for_bit(
         grad[rng.integers(0, size, size=len(edges))] = edges
         for part in parts:
             part._grad[:] = grad
-        outcomes = _step_outcome(parts[0], lr, kernel), _step_outcome(parts[1], lr, None)
+        outcomes = _step_outcome(parts[0], lr, runner), _step_outcome(parts[1], lr, None)
         assert outcomes[0] == outcomes[1]
         assert compiled._block.tobytes() == reference._block.tobytes()
         assert parts[0].step == parts[1].step
@@ -519,15 +525,45 @@ def test_compiled_adam_step_equals_the_numpy_step_bit_for_bit(
             break
 
 
+def _read_only(block: np.ndarray) -> np.ndarray:
+    block.flags.writeable = False
+    return block
+
+
+# Blocks the compiled step must reject before it writes: a (4, n) float64
+# array is all it can step, and it steps rows of n contiguous entries that
+# do not overlap.
+_BAD_BLOCKS = {
+    "3 rows": lambda: np.ones((3, 6)),
+    "float32": lambda: np.ones((4, 6), dtype=np.float32),
+    "int64": lambda: np.ones((4, 6), dtype=np.int64),
+    "byte-swapped": lambda: np.ones((4, 6), dtype=">f8"),
+    "Fortran-ordered": lambda: np.asfortranarray(np.ones((4, 6))),
+    "column-strided": lambda: np.ones((4, 12))[:, ::2],
+    "read-only": lambda: _read_only(np.ones((4, 6))),
+    "overlapping rows": lambda: np.lib.stride_tricks.as_strided(np.ones(9), (4, 6), (8, 8)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_BLOCKS))
+def test_the_compiled_step_rejects_any_other_block_before_writing(case):
+    runner = _compiled_runner()
+    block = _BAD_BLOCKS[case]()
+    before = bytes(np.ascontiguousarray(block).data)
+    with pytest.raises(ValueError, match="^adam_step takes a "):
+        runner.adam_step(block, 0.1, 0.1, 0.001)
+    assert bytes(np.ascontiguousarray(block).data) == before
+
+
 _DEFEND_C5_ATTACKS = (("hallucination", 1), ("agent_targeted", 1), ("comm_targeted", 3))
 
 
 def test_defend_c5_episodes_write_the_same_json_on_both_steps(monkeypatch):
     # the benchmark's defend_c5 configurations at seed 7, two tasks each
-    kernel = _compiled_kernel()
+    runner = _compiled_runner()
     texts = []
-    for handle in (kernel, None):
-        monkeypatch.setattr(numerics, "_kernel", handle)
+    for handle in (runner, None):
+        monkeypatch.setattr(numerics, "_runner", handle)
         texts.append([])
         for attack, min_rounds in _DEFEND_C5_ATTACKS:
             cfg = ExperimentConfig(
@@ -542,17 +578,8 @@ def test_defend_c5_episodes_write_the_same_json_on_both_steps(monkeypatch):
     assert len(texts[0]) == 6 and texts[0] == texts[1]
 
 
-def test_the_kernel_is_compiled_without_fast_math():
-    # gcc links crtfastmath.o into a shared object built with any of these,
-    # and loading it flushes subnormals to zero in the whole process
-    assert "-ffp-contract=off" in numerics._CFLAGS
-    assert not {"-ffast-math", "-Ofast", "-funsafe-math-optimizations"} & set(numerics._CFLAGS)
-    _compiled_kernel()
-    assert (np.array([5e-324]) * np.array([1.0]))[0] == 5e-324
-
-
 def _package_copy(tmp_path: Path) -> Path:
-    """A directory holding a copy of the guardian package, with no kernel cached."""
+    """A directory holding a copy of the guardian package, with no runner cached."""
     root = tmp_path / "src"
     package = Path(numerics.__file__).parent
     shutil.copytree(package, root / "guardian", ignore=shutil.ignore_patterns("__pycache__"))
@@ -577,7 +604,7 @@ def test_without_gcc_defend_prints_the_same_and_builds_nothing(tmp_path, monkeyp
     (tmp_path / "bare").mkdir()
     code = (
         "import sys; from guardian import cli, numerics; code = cli.main(sys.argv[1:]); "
-        "sys.stderr.write(f'{numerics.__file__} {numerics._kernel}'); sys.exit(code)"
+        "sys.stderr.write(f'{numerics.__file__} {numerics._runner}'); sys.exit(code)"
     )
     done = subprocess.run(
         [sys.executable, "-c", code, *argv],
@@ -598,12 +625,13 @@ def test_without_gcc_defend_prints_the_same_and_builds_nothing(tmp_path, monkeyp
     assert _left_in_cache(root) == []
 
 
-def test_two_processes_building_the_kernel_at_once_both_load_it(tmp_path):
-    _compiled_kernel()
+def test_two_processes_building_the_runner_at_once_both_load_it(tmp_path):
+    _compiled_runner()
     root = _package_copy(tmp_path)
     code = (
         "from guardian import numerics as n; s = n.ParamStore({'w': [[1.0, 2.0]]}); "
-        "s.grad('w')[:] = 1.0; n.adam_step(s, 0.5); print(n.__file__, n._kernel is not None)"
+        "s.grad('w')[:] = 1.0; n.adam_step(s, 0.5); n.program(()); "
+        "print(n.__file__, n._runner is not None)"
     )
     env = {**os.environ, "PYTHONPATH": str(root)}
     procs = [
@@ -616,59 +644,10 @@ def test_two_processes_building_the_kernel_at_once_both_load_it(tmp_path):
         out, err = proc.communicate(timeout=120)
         assert proc.returncode == 0, err
         assert out == f"{root / 'guardian' / 'numerics.py'} True\n"
-    # one kernel, readable by every user, and no temporary file of either build
-    assert _left_in_cache(root) == [numerics._kernel_path().name]
-    kernel = root / "guardian" / "__pycache__" / numerics._kernel_path().name
-    assert kernel.stat().st_mode & 0o444 == 0o444
-
-
-def test_publishing_a_kernel_build_removes_the_builds_of_other_source(tmp_path):
-    _compiled_kernel()
-    root = _package_copy(tmp_path)
-    cache = root / "guardian" / "__pycache__"
-    cache.mkdir()
-    (cache / "guardian_adam-0000000000000000.so").write_bytes(b"stale")
-    # a concurrent build's temporary is its builder's to publish or remove
-    temporary = f".{numerics._kernel_path().name}.0build"
-    (cache / temporary).write_bytes(b"")
-    code = (
-        "from guardian import numerics as n; s = n.ParamStore({'w': [[1.0, 2.0]]}); "
-        "s.grad('w')[:] = 1.0; n.adam_step(s, 0.5); print(n.__file__, n._kernel is not None)"
-    )
-    done = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": str(root)},
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout == f"{root / 'guardian' / 'numerics.py'} True\n"
-    assert _left_in_cache(root) == [temporary, numerics._kernel_path().name]
-
-
-def test_a_cache_that_cannot_be_written_builds_the_kernel_for_this_process(tmp_path, monkeypatch):
-    _compiled_kernel()
-    (tmp_path / "file").write_text("")
-    unwritable = tmp_path / "file" / "__pycache__" / numerics._kernel_path().name
-    monkeypatch.setattr(numerics, "_kernel_path", lambda: unwritable)
-    kernel = numerics._load_kernel()
-    assert kernel is not None
-    stores = [ParamStore({"w": [[1.0, -2.0, 3.0]]}) for _ in range(2)]
-    for store in stores:
-        store.grad("w")[:] = [[0.5, 5e-324, -1e3]]
-    for store, handle in zip(stores, (kernel, None)):
-        assert _step_outcome(store, 0.1, handle) is None
-    assert stores[0]._value.tobytes() == stores[1]._value.tobytes()
-
-
-def _compiled_runner():
-    """The runner program() lowers with, loaded as its first call loads it."""
-    numerics.program(())
-    if numerics._runner is None:
-        assert shutil.which("gcc") is None, "gcc is on PATH, but the runner did not build"
-        pytest.skip("no gcc on PATH: programs run in a Python loop")
-    return numerics._runner
+    # one runner, readable by every user, and no temporary file of either build
+    assert _left_in_cache(root) == [_runner_name()]
+    runner = root / "guardian" / "__pycache__" / _runner_name()
+    assert runner.stat().st_mode & 0o444 == 0o444
 
 
 # every elementwise ufunc a detector pass calls, by its loop signature:
@@ -831,44 +810,44 @@ def test_a_program_returns_with_the_floating_point_status_clear():
 
 
 def test_the_runner_is_built_without_fast_math():
+    # Adam's loop needs its multiplies and adds unfused, and gcc links
+    # crtfastmath.o into a shared object built with any of the others: loading
+    # it flushes subnormals to zero in the whole process
+    assert "-ffp-contract=off" in numerics._RUNNER_CFLAGS
     assert not {"-ffast-math", "-Ofast", "-funsafe-math-optimizations"} & set(numerics._RUNNER_CFLAGS)
     _compiled_runner()
     assert (np.array([5e-324]) * np.array([1.0]))[0] == 5e-324
 
 
 def test_publishing_a_build_removes_stale_builds_of_its_own_kind_only(tmp_path):
-    _compiled_kernel()
     _compiled_runner()
     root = _package_copy(tmp_path)
     cache = root / "guardian" / "__pycache__"
     cache.mkdir()
-    stale = ["guardian_adam-0000000000000000.so", "guardian_runner-0000000000000000.so"]
-    for name in stale:
+    # a build of other source goes; what earlier versions built under
+    # another name stays, and so does a concurrent build's temporary, which
+    # that build publishes or removes
+    kept = ["guardian_adam-0000000000000000.so", f".{_runner_name()}.0build"]
+    for name in [*kept, "guardian_runner-0000000000000000.so"]:
         (cache / name).write_bytes(b"stale")
-    runner = numerics._runner_path(numerics._RUNNER_SOURCE.read_text()).name
-    uses = {
-        "adam": "s = n.ParamStore({'w': [[1.0]]}); n.adam_step(s, 0.5); print(n._kernel is not None)",
-        "runner": "n.program(()); print(n._runner is not None)",
-    }
-    expected = {
-        "runner": sorted([stale[0], runner]),
-        "adam": sorted([runner, numerics._kernel_path().name]),
-    }
-    for kind in ("runner", "adam"):
-        done = subprocess.run(
-            [sys.executable, "-c", f"from guardian import numerics as n; {uses[kind]}"],
-            env={**os.environ, "PYTHONPATH": str(root)},
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout == "True\n"
-        assert _left_in_cache(root) == expected[kind], kind
+    code = (
+        "from guardian import numerics as n; s = n.ParamStore({'w': [[1.0]]}); "
+        "n.adam_step(s, 0.5); print(n._runner is not None)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(root)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "True\n"
+    assert _left_in_cache(root) == sorted([*kept, _runner_name()])
 
 
-def test_a_failed_runner_build_leaves_adam_compiled_and_programs_on_the_python_loop(tmp_path):
-    _compiled_kernel()
+def test_a_failed_build_leaves_adam_on_the_numpy_passes_and_programs_on_the_python_loop(tmp_path):
+    _compiled_runner()
     root = _package_copy(tmp_path)
     code = (
         "import numpy as np; from guardian import numerics as n, detector as d, graph as g; "
@@ -878,8 +857,7 @@ def test_a_failed_runner_build_leaves_adam_compiled_and_programs_on_the_python_l
         "snaps = [g.Snapshot(round=t, agents=[0, 1, 2], features=n.Tensor2D(rng.normal(size=(3, 6))), "
         "adjacency=np.zeros((3, 3), dtype=bool), response_texts=['r'] * 3) for t in (1, 2)]; "
         "trace = d.fit(g.HistoryBatch.of(snaps), cfg, params, rng, 3); "
-        "print(n._kernel is not None, n._runner is None, [b.l_total.hex() for b in trace], "
-        "params._block.tobytes().hex())"
+        "print(n._runner is None, [b.l_total.hex() for b in trace], params._block.tobytes().hex())"
     )
     done = subprocess.run(
         [sys.executable, "-c", code],
@@ -897,11 +875,10 @@ def test_a_failed_runner_build_leaves_adam_compiled_and_programs_on_the_python_l
         timeout=120,
     )
     assert compiled.returncode == 0, compiled.stderr
-    kernel, no_runner, *trace_and_block = done.stdout.split()
-    assert (kernel, no_runner) == ("True", "True")
-    assert compiled.stdout.split()[:2] == ["True", "False"]
-    assert trace_and_block == compiled.stdout.split()[2:]
-    assert _left_in_cache(root) == [numerics._kernel_path().name]
+    no_runner, *trace_and_block = done.stdout.split()
+    assert no_runner == "True" and compiled.stdout.split()[0] == "False"
+    assert trace_and_block == compiled.stdout.split()[1:]
+    assert _left_in_cache(root) == []
 
 
 def test_a_cache_that_cannot_be_written_builds_the_runner_for_this_process(tmp_path, monkeypatch):
@@ -913,6 +890,12 @@ def test_a_cache_that_cannot_be_written_builds_the_runner_for_this_process(tmp_p
     assert runner is not None
     x = np.array([1.0, -2.0])
     assert runner.lower([(np.negative, (x, x))]).lowered == 1
+    stores = [ParamStore({"w": [[1.0, -2.0, 3.0]]}) for _ in range(2)]
+    for store in stores:
+        store.grad("w")[:] = [[0.5, 5e-324, -1e3]]
+    for store, handle in zip(stores, (runner, None)):
+        assert _step_outcome(store, 0.1, handle) is None
+    assert stores[0]._value.tobytes() == stores[1]._value.tobytes()
 
 
 def test_grad_check_quadratic_is_tight():

@@ -70,19 +70,16 @@ def test_importing_the_cli_loads_no_http_stack():
 
 
 def test_importing_the_cli_neither_compiles_nor_loads_the_adam_kernel():
-    # the first adam_step builds or loads it, and the first program the
-    # runner, so set-up pays nothing for either
-    code = (
-        "import guardian.cli, guardian.numerics as n; "
-        "print(n._kernel is n._UNLOADED, n._runner is n._UNLOADED)"
-    )
+    # the first adam_step or program builds or loads the runner that holds
+    # Adam's loop, so set-up pays nothing for it
+    code = "import guardian.cli, guardian.numerics as n; print(n._runner is n._UNLOADED)"
     src = str(Path(guardian.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "True True\n"
+    assert result.stdout == "True\n"
 
 
 # Every value a caller can set. A new field or parameter is a new option:
@@ -127,7 +124,7 @@ def test_settable_surface_is_pinned():
 
 
 # ParamStore's public methods, in definition order. Each one is a way to
-# read or move the block that fits and the compiled Adam step share:
+# read or move the block that fits run on and adam_step updates in place:
 # adding one means editing this list, where review sees it.
 _PARAM_STORE_METHODS = [
     "names", "value", "grad", "zero_grads", "moments_are_zero", "tail", "permute_rows", "entries",
