@@ -11,12 +11,15 @@ computed from; the detector's hand-written backward pass supplies it, and
 and numpy on the first use of either, never at import, and it is cached in
 the ``__pycache__`` directory beside this module (``_load_runner``). Its
 ``adam_step`` runs the update as one C loop over a store's block, and
-``program`` lowers each ufunc call over contiguous float64 or bool
-operands to a direct call of the ufunc's own inner loop. Where the runner
-cannot be built or loaded (no gcc, no Python headers, a failed build),
-Adam runs as numpy passes and programs as a Python loop, with the same
-arguments and bits; after the first use ``_runner`` tells which ran, None
-for numpy. No flag, environment variable or config key chooses the path.
+``program`` lowers each ufunc call over float64 or bool arrays to the
+calls of the ufunc's own inner loop that numpy would make, and each 2-D
+``ndarray.dot(b, out)`` to the call numpy would make of its own BLAS,
+found in the library numpy loaded; without that BLAS, products stay numpy
+calls. Where the runner cannot be built or loaded (no gcc, no Python
+headers, a failed build), Adam runs as numpy passes and programs as a
+Python loop, with the same arguments and bits; after the first use
+``_runner`` tells which ran, None for numpy. No flag, environment variable
+or config key chooses the path.
 """
 
 from __future__ import annotations
@@ -216,6 +219,8 @@ ADAM_EPS = 1e-8
 # flags. Its Adam loop needs -ffp-contract=off, and the build must never take
 # -ffast-math, -Ofast or -funsafe-math-optimizations (runner.c says why).
 # Adam's constants reach it as -D definitions, so they are stated only here.
+# It needs no -ldl: the dl* calls it makes to find numpy's BLAS resolve, as it
+# loads, to those of the process that loaded numpy.
 _RUNNER_SOURCE = Path(__file__).with_name("runner.c")
 _RUNNER_CFLAGS = (
     "-O3", "-shared", "-fPIC", "-fno-strict-aliasing", "-ffp-contract=off", "-fno-math-errno", "-lm",
@@ -354,11 +359,14 @@ def program(steps: Iterable[tuple]) -> Callable[[], None]:
     them their callables and arguments, which must not change.
 
     The first call loads the compiled runner (``_load_runner``), which
-    runs each ufunc step whose operands are float64 or bool arrays,
-    contiguous at the output's shape or 0-d, through the ufunc's own inner
-    loop, as numpy would, and every other step as the call it is. Such a
-    step gives numpy's bits but emits no floating-point warning. Without
-    the runner, the steps run in a Python loop.
+    runs each ufunc step over float64 or bool arrays as the calls numpy
+    would make of the ufunc's own inner loop, broadcast, strided and
+    transposed operands and a bool times a float64 included, and each 2-D
+    ``ndarray.dot(b, out)`` as numpy's own BLAS call; every other step
+    (reductions, ``np.matmul``, other methods, steps numpy would copy an
+    operand for) runs as the call it is. A lowered step gives numpy's bits
+    but emits no floating-point warning. Without the runner, the steps run
+    in a Python loop.
     """
     runner = _loaded_runner()
     if runner is None:

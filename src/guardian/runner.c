@@ -6,19 +6,43 @@
  * pair or a (callable, args, kwargs) triple, args a tuple and kwargs a
  * dict; the steps must not change once lowered.
  *
- * lower(steps) makes a Program. A step whose callable is a numpy ufunc is
- * lowered to one call of the ufunc's own inner loop over the whole output
- * when its operands are given positionally, or all but the output, given
- * as the only keyword, out=; every operand is an exact ndarray of float64
- * or bool, aligned and in
- * native byte order; the output is C-contiguous and writeable; each input
- * is C-contiguous at the output's shape (stride its item size) or 0-d
- * (stride 0) and lies at the output's address or apart from it; and the
- * operands' dtypes, in order, are one signature of the ufunc's loop table.
- * numpy runs such a call through that same loop in one pass, so the bits
- * are numpy's. Every other step stays a vectorcall of its callable with
- * its arguments: products, reductions, casts, broadcasts, strided operands
- * that numpy may buffer, and any method.
+ * lower(steps) makes a Program. Two kinds of step are lowered to the code
+ * numpy itself would run, with numpy's arguments, so the bits are numpy's;
+ * every other step stays a vectorcall of its callable with its arguments.
+ *
+ * A ufunc step is lowered to calls of the ufunc's own inner loop when its
+ * operands are given positionally, or all but the output, given as the
+ * only keyword, out=; every operand is an exact ndarray of float64 or bool
+ * with numpy's own descriptor for it, aligned, in native byte order and of
+ * non-negative strides; the output is writeable; and the operands' dtypes,
+ * in order, are one signature of the ufunc's loop table, or a bool and a
+ * float64 operand of np.multiply, which numpy runs by dd->d. The runner
+ * makes the calls numpy's ufunc machinery makes. Where numpy takes its
+ * fast path (try_trivial_single_output_loop: no cast, operands of one
+ * shape, each contiguous in one order or 1-D, inputs 0-d), that is one
+ * call over the whole output. Otherwise the step keeps numpy's own
+ * iterator, built with the flags its ufunc builds it with
+ * (execute_ufunc_loop), and resets and runs it each time: the loop sees
+ * numpy's counts, pointers and strides, and the iterator buffers what
+ * numpy's buffers, a broadcast (stride 0), transposed or strided operand
+ * copied out contiguously, a bool cast to exact 0.0 and 1.0. This matters
+ * where a loop picks its code by its strides: exp and log with a strided
+ * output, maximum and minimum on +-0. A step stays a vectorcall where that
+ * iterator would copy an operand that overlaps the output, or where an
+ * input overlaps the output in a way numpy settles with its overlap solver.
+ *
+ * ndarray.dot(b, out) of 2-D float64 arrays is lowered to the call of
+ * numpy's own BLAS that numpy's cblas_matrixproduct makes: the output
+ * zeroed, then gemm, with the transpose flags and leading dimensions of
+ * the operands' layouts (transposed views included), or gemv where one
+ * operand is a row or a column, or, for a matrix times its own transpose,
+ * syrk and a copy of the upper triangle into the lower one. The BLAS is
+ * the ILP64 scipy_cblas_{dgemm,dgemv,dsyrk}64_ that numpy's own module was
+ * linked with, looked up through that already loaded module
+ * (dlopen(RTLD_NOLOAD)), so no second BLAS is ever loaded. Where numpy has
+ * no such symbols, products stay vectorcalls; so do products over an
+ * inner dimension of 1, a row times a column, operands numpy would copy
+ * and an output that shares memory with an operand.
  *
  * A lowered step skips numpy's floating-point error check, so it emits no
  * warning. The runner clears the floating-point status it leaves before
@@ -26,8 +50,8 @@
  * before it returns.
  *
  * A Program holds the steps, and through them every callable and operand,
- * and nothing else; lowering keeps raw pointers into those operands. It
- * runs holding the GIL.
+ * and the iterators it keeps, which hold their operands too; lowering keeps
+ * raw pointers into those operands. It runs holding the GIL.
  *
  * adam_step(block, lr, bias1, bias2) runs one bias-corrected Adam update
  * over a (4, n) float64 block whose rows hold the values, the gradients
@@ -50,6 +74,7 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <structmember.h>
+#include <dlfcn.h>
 #include <fenv.h>
 #include <math.h>
 #include <stdint.h>
@@ -61,12 +86,54 @@
 
 #define MAX_OPERANDS 3
 
+enum kind { VECTORCALL, LOOP, GEMM, GEMV, SYRK };
+
+/* CBLAS's enumerations */
+enum { ROW_MAJOR = 101, COL_MAJOR = 102, NO_TRANS = 111, TRANS = 112, UPPER = 121 };
+
+typedef void (*gemm_fn)(int, int, int, int64_t, int64_t, int64_t, double, const double *,
+                        int64_t, const double *, int64_t, double, double *, int64_t);
+typedef void (*gemv_fn)(int, int, int64_t, int64_t, double, const double *, int64_t,
+                        const double *, int64_t, double, double *, int64_t);
+typedef void (*syrk_fn)(int, int, int, int64_t, int64_t, double, const double *, int64_t,
+                        double, double *, int64_t);
+
+static gemm_fn dgemm; /* numpy's BLAS, or all three NULL */
+static gemv_fn dgemv;
+static syrk_fn dsyrk;
+
+/* A ufunc step: its inner loop, and either the one call of numpy's fast
+ * path or numpy's own iterator, which is reset and run each time. */
 typedef struct {
-    PyUFuncGenericFunction loop; /* NULL: the step is a vectorcall */
+    PyUFuncGenericFunction function;
     void *data;
-    npy_intp size;
+    npy_intp count;
     char *operands[MAX_OPERANDS];
     npy_intp strides[MAX_OPERANDS];
+    NpyIter *iter; /* NULL on the fast path */
+    NpyIter_IterNextFunc *iternext;
+    char **pointers;
+    npy_intp *iter_strides, *iter_count;
+} Loop;
+
+/* A BLAS call, as numpy's cblas_matrixproduct makes it: gemm(order, trans_a,
+ * trans_b, m, n, k, 1, a, lda, b, ldb, 0, c, ldc), gemv(order, trans_a, m, n,
+ * 1, a, lda, b, ldb, 0, c, 1) and syrk(order, UPPER, trans_a, n, k, 1, a,
+ * lda, 0, c, ldc). */
+typedef struct {
+    int order, trans_a, trans_b;
+    npy_intp m, n, k, lda, ldb, ldc;
+    const double *a, *b;
+    double *c;
+    size_t c_bytes;
+} Product;
+
+typedef struct {
+    enum kind kind;
+    union {
+        Loop loop;
+        Product product;
+    };
     PyObject *callable; /* borrowed, as are args and kwargs, from the program's steps */
     PyObject *const *args;
     Py_ssize_t nargs;
@@ -82,27 +149,193 @@ typedef struct {
 } Program;
 
 static PyObject *out_keyword; /* "out", interned */
+static PyObject *multiply;    /* np.multiply */
+static PyCFunction ndarray_dot; /* the C function of ndarray.dot */
 
 static void clear_fp_status(void)
 {
     feclearexcept(FE_DIVBYZERO | FE_OVERFLOW | FE_UNDERFLOW | FE_INVALID);
 }
 
-/* Lower the step to its ufunc's inner loop if it qualifies; 1 if it did. */
-static int lower_step(Step *s)
+/* The bytes an array of non-negative strides spans, as [*start, *end). */
+static void extent(PyArrayObject *array, char **start, char **end)
 {
+    npy_intp last = 0;
+    int i;
+
+    for (i = 0; i < PyArray_NDIM(array); i++) {
+        last += (PyArray_DIM(array, i) - 1) * PyArray_STRIDE(array, i);
+    }
+    *start = PyArray_BYTES(array);
+    *end = *start + (PyArray_SIZE(array) == 0 ? 0 : last + PyArray_ITEMSIZE(array));
+}
+
+static int overlap(PyArrayObject *x, PyArrayObject *y)
+{
+    char *x_start, *x_end, *y_start, *y_end;
+
+    extent(x, &x_start, &x_end);
+    extent(y, &y_start, &y_end);
+    return x_start < y_end && y_start < x_end;
+}
+
+static int same_view(PyArrayObject *x, PyArrayObject *y)
+{
+    return PyArray_BYTES(x) == PyArray_BYTES(y) && PyArray_NDIM(x) == PyArray_NDIM(y)
+        && PyArray_CompareLists(PyArray_DIMS(x), PyArray_DIMS(y), PyArray_NDIM(x))
+        && PyArray_CompareLists(PyArray_STRIDES(x), PyArray_STRIDES(y), PyArray_NDIM(x));
+}
+
+/* The canonical descriptor of a builtin type, borrowed: numpy keeps one for the process. */
+static PyArray_Descr *canonical(int type)
+{
+    PyArray_Descr *descr = PyArray_DescrFromType(type);
+    Py_DECREF(descr);
+    return descr;
+}
+
+static int negative_stride(PyArrayObject *array)
+{
+    int i;
+
+    for (i = 0; i < PyArray_NDIM(array); i++) {
+        if (PyArray_STRIDE(array, i) < 0) {
+            return 1;
+        }
+    }
+    return 0;
+}
+
+/* The stride numpy's fast path pairs an operand's elements by
+ * (PyArray_TRIVIAL_PAIR_ITERATION_STRIDE). */
+static npy_intp pair_stride(PyArrayObject *array)
+{
+    if (PyArray_SIZE(array) == 1) {
+        return 0;
+    }
+    return PyArray_NDIM(array) == 1 ? PyArray_STRIDE(array, 0) : PyArray_ITEMSIZE(array);
+}
+
+/* Whether numpy's ufunc runs these operands (inputs, then the output) of
+ * these loop types as one call of its loop (try_trivial_single_output_loop),
+ * with these strides; -1 where an input's memory overlaps the output's, other
+ * than as the same view, and numpy's answer hangs on its overlap solver. */
+static int numpy_fast_path(PyArrayObject **ops, PyObject **given, const char *types, int nin,
+                           npy_intp *strides)
+{
+    PyArrayObject *out = ops[nin];
+    npy_intp *shape = NULL;
+    int order = 0, ndim = 0, k;
+
+    for (k = 0; k <= nin; k++) {
+        int nd = PyArray_NDIM(ops[k]);
+        if (PyArray_TYPE(ops[k]) != types[k]) {
+            return 0; /* a cast */
+        }
+        if (nd == 0 && k < nin) {
+            strides[k] = 0;
+            continue;
+        }
+        if (shape == NULL) {
+            ndim = nd;
+            shape = PyArray_DIMS(ops[k]);
+        }
+        else if (nd != ndim || !PyArray_CompareLists(shape, PyArray_DIMS(ops[k]), nd)) {
+            return 0;
+        }
+        if (nd == 1) {
+            strides[k] = PyArray_STRIDE(ops[k], 0);
+        }
+        else {
+            int flags = PyArray_FLAGS(ops[k]) & (NPY_ARRAY_C_CONTIGUOUS | NPY_ARRAY_F_CONTIGUOUS);
+            strides[k] = PyArray_ITEMSIZE(ops[k]);
+            if (flags == 0 || (order != 0 && flags != order
+                               && flags != (NPY_ARRAY_C_CONTIGUOUS | NPY_ARRAY_F_CONTIGUOUS))) {
+                return 0;
+            }
+            if (order == 0 && flags != (NPY_ARRAY_C_CONTIGUOUS | NPY_ARRAY_F_CONTIGUOUS)) {
+                order = flags;
+            }
+        }
+    }
+    /* PyArray_EQUIVALENTLY_ITERABLE_OVERLAP_OK(input, out, read, not read) */
+    for (k = 0; k < nin; k++) {
+        npy_intp in_stride = pair_stride(ops[k]), out_stride = pair_stride(out);
+        if (!overlap(ops[k], out) || (given[k] == given[nin] && in_stride != 0)) {
+            continue;
+        }
+        if (!(in_stride > 0 && in_stride >= out_stride && PyArray_BYTES(ops[k]) >= PyArray_BYTES(out))) {
+            /* the same view certainly shares memory with itself */
+            return same_view(ops[k], out) ? 0 : -1;
+        }
+    }
+    return 1;
+}
+
+/* numpy's iterator over the operands, as its ufunc builds it
+ * (execute_ufunc_loop), and what the runner calls the loop with; 0 where it
+ * cannot be built, would copy an operand or iterates over nothing. Its
+ * buffers are made by its first reset, when the step first runs. */
+static int ufunc_iterator(Loop *loop, PyArrayObject **ops, PyArray_Descr **dtypes, int nargs)
+{
+    npy_uint32 op_flags[MAX_OPERANDS];
+    NpyIter *iter;
+    PyArrayObject **used;
+    int k, copied = 0;
+
+    for (k = 0; k < nargs - 1; k++) {
+        op_flags[k] = NPY_ITER_READONLY | NPY_ITER_ALIGNED | NPY_ITER_OVERLAP_ASSUME_ELEMENTWISE;
+    }
+    op_flags[nargs - 1] = NPY_ITER_WRITEONLY | NPY_ITER_ALIGNED | NPY_ITER_ALLOCATE
+        | NPY_ITER_NO_BROADCAST | NPY_ITER_NO_SUBTYPE | NPY_ITER_OVERLAP_ASSUME_ELEMENTWISE;
+    iter = NpyIter_AdvancedNew(nargs, ops,
+                               NPY_ITER_EXTERNAL_LOOP | NPY_ITER_REFS_OK | NPY_ITER_ZEROSIZE_OK
+                                   | NPY_ITER_BUFFERED | NPY_ITER_GROWINNER
+                                   | NPY_ITER_DELAY_BUFALLOC | NPY_ITER_COPY_IF_OVERLAP,
+                               NPY_KEEPORDER, NPY_UNSAFE_CASTING, op_flags, dtypes, -1, NULL,
+                               NULL, 0);
+    if (iter == NULL) {
+        PyErr_Clear(); /* numpy would raise: the vectorcall will */
+        return 0;
+    }
+    /* a copy made now, of an operand that overlaps the output, would be stale when the step runs */
+    used = NpyIter_GetOperandArray(iter);
+    for (k = 0; k < nargs; k++) {
+        if (used[k] != ops[k]) {
+            PyArray_DiscardWritebackIfCopy(used[k]); /* never written back into the operand */
+            copied = 1;
+        }
+    }
+    if (copied || NpyIter_GetIterSize(iter) == 0
+        || (loop->iternext = NpyIter_GetIterNext(iter, NULL)) == NULL) {
+        NpyIter_Deallocate(iter);
+        PyErr_Clear();
+        return 0;
+    }
+    loop->iter = iter;
+    loop->pointers = NpyIter_GetDataPtrArray(iter);
+    loop->iter_strides = NpyIter_GetInnerStrideArray(iter);
+    loop->iter_count = NpyIter_GetInnerLoopSizePtr(iter);
+    return 1;
+}
+
+/* Lower a ufunc step to its inner loop (kind LOOP) if it qualifies; 1 if it did. */
+static int lower_loop(Step *s)
+{
+    Loop *loop = &s->loop;
     PyUFuncObject *ufunc;
     PyObject *given[MAX_OPERANDS];
     PyArrayObject *ops[MAX_OPERANDS], *out;
+    PyArray_Descr *dtypes[MAX_OPERANDS];
     char types[MAX_OPERANDS];
-    char *out_start, *out_end;
-    int k, i, nargs;
+    int k, i, nargs, nin, fast;
 
     if (Py_TYPE(s->callable) != &PyUFunc_Type) {
         return 0;
     }
     ufunc = (PyUFuncObject *)s->callable;
     nargs = ufunc->nargs;
+    nin = nargs - 1;
     if (ufunc->core_enabled || ufunc->nout != 1 || nargs > MAX_OPERANDS) {
         return 0;
     }
@@ -110,13 +343,13 @@ static int lower_step(Step *s)
     if (s->kwargs == NULL && s->nargs == nargs) {
         memcpy(given, s->args, sizeof(PyObject *) * nargs);
     }
-    else if (s->kwargs != NULL && s->nargs == nargs - 1 && PyDict_GET_SIZE(s->kwargs) == 1) {
+    else if (s->kwargs != NULL && s->nargs == nin && PyDict_GET_SIZE(s->kwargs) == 1) {
         PyObject *value = PyDict_GetItem(s->kwargs, out_keyword);
         if (value == NULL) {
             return 0;
         }
-        memcpy(given, s->args, sizeof(PyObject *) * (nargs - 1));
-        given[nargs - 1] = value;
+        memcpy(given, s->args, sizeof(PyObject *) * nin);
+        given[nin] = value;
     }
     else {
         return 0;
@@ -128,41 +361,20 @@ static int lower_step(Step *s)
         }
         ops[k] = (PyArrayObject *)given[k];
         type = PyArray_TYPE(ops[k]);
-        if ((type != NPY_DOUBLE && type != NPY_BOOL) || !PyArray_ISNOTSWAPPED(ops[k])
-            || !PyArray_ISALIGNED(ops[k])) {
+        /* numpy's fast path needs the very descriptor its loop takes */
+        if ((type != NPY_DOUBLE && type != NPY_BOOL) || PyArray_DESCR(ops[k]) != canonical(type)
+            || !PyArray_ISNOTSWAPPED(ops[k]) || !PyArray_ISALIGNED(ops[k]) || negative_stride(ops[k])) {
             return 0;
         }
         types[k] = (char)type;
     }
-    out = ops[nargs - 1];
-    if (!PyArray_IS_C_CONTIGUOUS(out) || !PyArray_ISWRITEABLE(out)) {
+    out = ops[nin];
+    if (!PyArray_ISWRITEABLE(out)) {
         return 0;
     }
-    out_start = PyArray_BYTES(out);
-    out_end = out_start + PyArray_NBYTES(out);
-    s->strides[nargs - 1] = PyArray_ITEMSIZE(out);
-    s->operands[nargs - 1] = out_start;
-    for (k = 0; k < nargs - 1; k++) {
-        PyArrayObject *in = ops[k];
-        char *start = PyArray_BYTES(in);
-        if (PyArray_NDIM(in) == 0) {
-            s->strides[k] = 0;
-        }
-        else if (PyArray_NDIM(in) == PyArray_NDIM(out)
-                 && PyArray_CompareLists(PyArray_DIMS(in), PyArray_DIMS(out), PyArray_NDIM(out))
-                 && PyArray_IS_C_CONTIGUOUS(in)) {
-            s->strides[k] = PyArray_ITEMSIZE(in);
-        }
-        else {
-            return 0;
-        }
-        /* an input that overlaps the output other than element for element: numpy copies it */
-        if (start < out_end && out_start < start + PyArray_ITEMSIZE(in) * PyArray_SIZE(in)
-            && (start != out_start
-                || (s->strides[k] != s->strides[nargs - 1] && PyArray_SIZE(out) > 1))) {
-            return 0;
-        }
-        s->operands[k] = start;
+    if (s->callable == multiply && types[nin] == NPY_DOUBLE && types[0] != types[1]) {
+        /* numpy multiplies a bool by a float64 with dd->d, the bool cast in its iterator's buffer */
+        types[types[0] == NPY_BOOL ? 0 : 1] = NPY_DOUBLE;
     }
     for (i = 0; i < ufunc->ntypes; i++) {
         const char *signature = ufunc->types + (size_t)i * nargs;
@@ -175,10 +387,190 @@ static int lower_step(Step *s)
     if (i == ufunc->ntypes || ufunc->functions[i] == NULL) {
         return 0;
     }
-    s->loop = ufunc->functions[i];
-    s->data = ufunc->data == NULL ? NULL : ufunc->data[i];
-    s->size = PyArray_SIZE(out);
+    fast = numpy_fast_path(ops, given, types, nin, loop->strides);
+    if (fast < 0) {
+        return 0;
+    }
+    if (fast > 0) {
+        loop->count = PyArray_SIZE(out);
+        for (k = 0; k < nargs; k++) {
+            loop->operands[k] = PyArray_BYTES(ops[k]);
+        }
+    }
+    else {
+        for (k = 0; k < nargs; k++) {
+            dtypes[k] = canonical(types[k]);
+        }
+        if (!ufunc_iterator(loop, ops, dtypes, nargs)) {
+            return 0;
+        }
+    }
+    loop->function = ufunc->functions[i];
+    loop->data = ufunc->data == NULL ? NULL : ufunc->data[i];
+    s->kind = LOOP;
     return 1;
+}
+
+/* Run a ufunc step; 0 with an exception set if numpy's iterator failed. */
+static int run_loop(Loop *loop)
+{
+    if (loop->iter == NULL) {
+        loop->function(loop->operands, &loop->count, loop->strides, loop->data);
+        return 1;
+    }
+    if (NpyIter_Reset(loop->iter, NULL) != NPY_SUCCEED) {
+        return 0;
+    }
+    do {
+        loop->function(loop->pointers, loop->iter_count, loop->iter_strides, loop->data);
+    } while (loop->iternext(loop->iter));
+    return !PyErr_Occurred();
+}
+
+/* An operand numpy's cblas_matrixproduct copies before it calls BLAS (_bad_strides). */
+static int bad_strides(PyArrayObject *array)
+{
+    int i;
+
+    if ((uintptr_t)PyArray_DATA(array) % sizeof(double) != 0) {
+        return 1;
+    }
+    for (i = 0; i < PyArray_NDIM(array); i++) {
+        npy_intp stride = PyArray_STRIDE(array, i);
+        if (stride < 0 || stride % (npy_intp)sizeof(double) != 0
+            || (stride == 0 && PyArray_DIM(array, i) > 1)) {
+            return 1;
+        }
+    }
+    return 0;
+}
+
+static int is_float64_matrix(PyObject *object)
+{
+    return PyArray_CheckExact(object) && PyArray_NDIM((PyArrayObject *)object) == 2
+        && PyArray_TYPE((PyArrayObject *)object) == NPY_DOUBLE
+        && PyArray_ISNOTSWAPPED((PyArrayObject *)object)
+        && PyArray_DIM((PyArrayObject *)object, 0) < INT_MAX
+        && PyArray_DIM((PyArrayObject *)object, 1) < INT_MAX;
+}
+
+#define LEADING(dim) ((dim) > 1 ? (dim) : 1)
+
+/* Lower a step a.dot(b, out) to numpy's BLAS call (kind GEMM, GEMV or SYRK) if it
+ * qualifies; 1 if it did. */
+static int lower_product(Step *s)
+{
+    Product *p = &s->product;
+    PyObject *self;
+    PyArrayObject *a, *b, *out;
+    int a_c, a_f, b_c, b_f;
+
+    if (dgemm == NULL || !PyCFunction_Check(s->callable)
+        || PyCFunction_GET_FUNCTION(s->callable) != ndarray_dot || s->kwargs != NULL || s->nargs != 2) {
+        return 0;
+    }
+    self = PyCFunction_GET_SELF(s->callable);
+    if (self == NULL || !is_float64_matrix(self) || !is_float64_matrix(s->args[0])
+        || !is_float64_matrix(s->args[1])) {
+        return 0;
+    }
+    a = (PyArrayObject *)self;
+    b = (PyArrayObject *)s->args[0];
+    out = (PyArrayObject *)s->args[1];
+    p->m = PyArray_DIM(a, 0);
+    p->k = PyArray_DIM(a, 1);
+    p->n = PyArray_DIM(b, 1);
+    /* an inner dimension of 1 is numpy's scalar path; a row times a column, its dot */
+    if (PyArray_DIM(b, 0) != p->k || p->k < 2 || p->m < 1 || p->n < 1 || (p->m == 1 && p->n == 1)
+        || PyArray_DIM(out, 0) != p->m || PyArray_DIM(out, 1) != p->n) {
+        return 0;
+    }
+    if (!PyArray_ISCARRAY(out) || bad_strides(a) || bad_strides(b) || overlap(out, a) || overlap(out, b)) {
+        return 0;
+    }
+    a_c = PyArray_IS_C_CONTIGUOUS(a);
+    a_f = PyArray_IS_F_CONTIGUOUS(a);
+    b_c = PyArray_IS_C_CONTIGUOUS(b);
+    b_f = PyArray_IS_F_CONTIGUOUS(b);
+    p->c = (double *)PyArray_DATA(out);
+    p->c_bytes = (size_t)PyArray_NBYTES(out);
+    p->ldc = LEADING(p->n);
+    if (p->n == 1) {
+        /* a matrix times a column: gemv of a's layout over the column's stride */
+        if (!a_c && !a_f) {
+            return 0;
+        }
+        s->kind = GEMV;
+        p->order = a_c ? ROW_MAJOR : COL_MAJOR;
+        p->trans_a = NO_TRANS;
+        p->lda = a_c ? LEADING(p->k) : LEADING(p->m);
+        p->a = (const double *)PyArray_DATA(a);
+        p->b = (const double *)PyArray_DATA(b);
+        p->ldb = PyArray_STRIDE(b, 0) / (npy_intp)sizeof(double);
+        p->n = p->k;
+        return 1;
+    }
+    if (p->m == 1) {
+        /* a row times a matrix: gemv of b's layout, transposed, over the row's stride */
+        if (!b_c && !b_f) {
+            return 0;
+        }
+        s->kind = GEMV;
+        p->order = b_c ? ROW_MAJOR : COL_MAJOR;
+        p->trans_a = TRANS;
+        p->lda = b_c ? LEADING(p->n) : LEADING(p->k);
+        p->a = (const double *)PyArray_DATA(b);
+        p->b = (const double *)PyArray_DATA(a);
+        p->ldb = PyArray_STRIDE(a, 1) / (npy_intp)sizeof(double);
+        p->m = p->k;
+        return 1;
+    }
+    if ((!a_c && !a_f) || (!b_c && !b_f)) {
+        return 0;
+    }
+    p->order = ROW_MAJOR;
+    p->trans_a = a_f ? TRANS : NO_TRANS;
+    p->trans_b = b_f ? TRANS : NO_TRANS;
+    p->lda = a_f ? LEADING(p->m) : LEADING(p->k);
+    p->ldb = b_f ? LEADING(p->k) : LEADING(p->n);
+    p->a = (const double *)PyArray_DATA(a);
+    p->b = (const double *)PyArray_DATA(b);
+    if (PyArray_BYTES(a) == PyArray_BYTES(b) && p->m == p->n
+        && PyArray_STRIDE(a, 0) == PyArray_STRIDE(b, 1) && PyArray_STRIDE(a, 1) == PyArray_STRIDE(b, 0)
+        && p->trans_a != p->trans_b) {
+        /* a matrix times its own transpose */
+        s->kind = SYRK;
+        if (p->trans_a == TRANS) {
+            p->a = p->b;
+            p->lda = p->ldb;
+        }
+        return 1;
+    }
+    s->kind = GEMM;
+    return 1;
+}
+
+static void run_product(enum kind kind, const Product *p)
+{
+    npy_intp i, j;
+
+    memset(p->c, 0, p->c_bytes);
+    switch (kind) {
+    case GEMM:
+        dgemm(p->order, p->trans_a, p->trans_b, p->m, p->n, p->k, 1.0, p->a, p->lda, p->b, p->ldb,
+              0.0, p->c, p->ldc);
+        break;
+    case GEMV:
+        dgemv(p->order, p->trans_a, p->m, p->n, 1.0, p->a, p->lda, p->b, p->ldb, 0.0, p->c, 1);
+        break;
+    default:
+        dsyrk(p->order, UPPER, p->trans_a, p->n, p->k, 1.0, p->a, p->lda, 0.0, p->c, p->ldc);
+        for (i = 0; i < p->n; i++) {
+            for (j = i + 1; j < p->n; j++) {
+                p->c[j * p->ldc + i] = p->c[i * p->ldc + j];
+            }
+        }
+    }
 }
 
 static PyObject *program_call(PyObject *self, PyObject *const *args, size_t nargsf,
@@ -195,8 +587,16 @@ static PyObject *program_call(PyObject *self, PyObject *const *args, size_t narg
     for (i = 0; i < n; i++) {
         Step *s = &program->step[i];
         PyObject *result;
-        if (s->loop != NULL) {
-            s->loop(s->operands, &s->size, s->strides, s->data);
+        if (s->kind != VECTORCALL) {
+            if (s->kind == LOOP) {
+                if (!run_loop(&s->loop)) {
+                    clear_fp_status();
+                    return NULL;
+                }
+            }
+            else {
+                run_product(s->kind, &s->product);
+            }
             dirty = 1;
             continue;
         }
@@ -224,9 +624,23 @@ static int program_traverse(Program *self, visitproc visit, void *arg)
     return 0;
 }
 
+/* Free what lowering made, and drop the steps' borrowed pointers with them. */
+static void release_steps(Program *self)
+{
+    Py_ssize_t i;
+
+    for (i = 0; i < Py_SIZE(self); i++) {
+        Step *s = &self->step[i];
+        if (s->kind == LOOP && s->loop.iter != NULL) {
+            NpyIter_Deallocate(s->loop.iter);
+        }
+    }
+    Py_SET_SIZE(self, 0);
+}
+
 static int program_clear(Program *self)
 {
-    Py_SET_SIZE(self, 0); /* the steps' borrowed pointers go with them */
+    release_steps(self);
     Py_CLEAR(self->steps);
     return 0;
 }
@@ -234,6 +648,7 @@ static int program_clear(Program *self)
 static void program_dealloc(Program *self)
 {
     PyObject_GC_UnTrack(self);
+    release_steps(self);
     Py_XDECREF(self->steps);
     PyObject_GC_Del(self);
 }
@@ -242,7 +657,7 @@ static PyMemberDef program_members[] = {
     {"steps", T_OBJECT, offsetof(Program, steps), READONLY,
      "the steps, in the order they run"},
     {"lowered", T_PYSSIZET, offsetof(Program, lowered), READONLY,
-     "how many steps call a ufunc's inner loop directly"},
+     "how many steps run as numpy's own inner loops or BLAS calls, without a vectorcall"},
     {NULL},
 };
 
@@ -291,17 +706,20 @@ static PyObject *lower(PyObject *module, PyObject *arg)
     program->vectorcall = program_call;
     program->steps = steps;
     program->lowered = 0;
+    memset(program->step, 0, n * sizeof(Step)); /* every step a VECTORCALL until lowered */
     for (i = 0; i < n; i++) {
         PyObject *step = PyTuple_GET_ITEM(steps, i);
         PyObject *args = PyTuple_GET_ITEM(step, 1);
         PyObject *kwargs = PyTuple_GET_SIZE(step) == 3 ? PyTuple_GET_ITEM(step, 2) : NULL;
         Step *s = &program->step[i];
-        memset(s, 0, sizeof *s);
         s->callable = PyTuple_GET_ITEM(step, 0);
         s->args = &PyTuple_GET_ITEM(args, 0);
         s->nargs = PyTuple_GET_SIZE(args);
         s->kwargs = kwargs != NULL && PyDict_GET_SIZE(kwargs) != 0 ? kwargs : NULL;
-        program->lowered += lower_step(s);
+        if (!lower_loop(s)) {
+            lower_product(s);
+        }
+        program->lowered += s->kind != VECTORCALL;
     }
     PyObject_GC_Track(program);
     return (PyObject *)program;
@@ -383,10 +801,65 @@ static PyMethodDef methods[] = {
 static struct PyModuleDef runner_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "guardian_runner",
-    .m_doc = "Runs programs of numpy calls, ufunc steps through their inner loops, and Adam steps.",
+    .m_doc = "Runs programs of numpy calls, ufunc steps through their inner loops and products "
+             "through numpy's BLAS, and Adam steps.",
     .m_size = -1,
     .m_methods = methods,
 };
+
+/* numpy's BLAS, looked up through numpy's own, already loaded module:
+ * dlopen(RTLD_NOLOAD) never loads a library, and dlsym searches the module
+ * and the libraries it was linked with. */
+static void find_blas(void)
+{
+    Dl_info info;
+    void *numpy;
+
+    if (dladdr((void *)&PyArray_Type, &info) == 0 || info.dli_fname == NULL) {
+        return;
+    }
+    numpy = dlopen(info.dli_fname, RTLD_LAZY | RTLD_NOLOAD);
+    if (numpy == NULL) {
+        return;
+    }
+    dgemm = (gemm_fn)dlsym(numpy, "scipy_cblas_dgemm64_");
+    dgemv = (gemv_fn)dlsym(numpy, "scipy_cblas_dgemv64_");
+    dsyrk = (syrk_fn)dlsym(numpy, "scipy_cblas_dsyrk64_");
+    if (dgemm == NULL || dgemv == NULL || dsyrk == NULL) {
+        dgemm = NULL;
+        dgemv = NULL;
+        dsyrk = NULL;
+    }
+}
+
+/* np.multiply and the C function of ndarray.dot, which lowering recognises */
+static int find_callables(void)
+{
+    npy_intp one = 1;
+    PyObject *numpy, *probe, *dot;
+
+    numpy = PyImport_ImportModule("numpy");
+    if (numpy == NULL) {
+        return -1;
+    }
+    multiply = PyObject_GetAttrString(numpy, "multiply");
+    Py_DECREF(numpy);
+    probe = PyArray_ZEROS(1, &one, NPY_DOUBLE, 0);
+    if (multiply == NULL || probe == NULL) {
+        Py_XDECREF(probe);
+        return -1;
+    }
+    dot = PyObject_GetAttrString(probe, "dot");
+    Py_DECREF(probe);
+    if (dot == NULL) {
+        return -1;
+    }
+    if (PyCFunction_Check(dot)) {
+        ndarray_dot = PyCFunction_GET_FUNCTION(dot);
+    }
+    Py_DECREF(dot);
+    return 0;
+}
 
 PyMODINIT_FUNC PyInit_guardian_runner(void)
 {
@@ -395,9 +868,10 @@ PyMODINIT_FUNC PyInit_guardian_runner(void)
     import_array();
     import_umath();
     out_keyword = PyUnicode_InternFromString("out");
-    if (out_keyword == NULL) {
+    if (out_keyword == NULL || find_callables() < 0) {
         return NULL;
     }
+    find_blas();
     if (PyType_Ready(&ProgramType) < 0) {
         return NULL;
     }

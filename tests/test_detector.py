@@ -1273,19 +1273,37 @@ def test_fit_and_infer_on_the_python_loop_equal_the_compiled_runner(
 
 def test_a_pass_lowers_its_elementwise_steps_over_contiguous_arrays():
     numerics.program(())
-    if numerics._runner is None:
+    runner = numerics._runner
+    if runner is None:
         pytest.skip("no compiled runner: programs run in a Python loop")
+    if np.show_config(mode="dicts")["Build Dependencies"]["blas"].get("name") != "scipy-openblas":
+        pytest.skip("numpy is not built on scipy-openblas: products stay numpy calls")
     rng = np.random.default_rng(9)
     cfg = _small_cfg(lambda_=0.2)
     params = init_params(cfg, rng)
     structure = detector._bind_decode_structure(rng.normal(size=(5, cfg.d)))[0]
-    # the product stays numpy's; the clamp and the sigmoid are six loops
-    assert (len(structure.steps), structure.lowered) == (7, 6)
-    history = _History(_history_with_gaps(rng, 5, 3, cfg.k), cfg)
-    step = _Pass(history, dict(params.entries()))
-    grads = {name: np.empty_like(value) for name, value in params.entries()}
-    backward = step.bound_backward(grads, cfg.alpha, 1.0 - cfg.alpha, cfg.gamma, True)
-    assert 0 < backward.lowered < len(backward.steps)
+    # z.dot(z.T) is numpy's syrk; the clamp and the sigmoid are six loops
+    assert (len(structure.steps), structure.lowered) == (7, 7)
+    # what a fit's pass leaves to numpy: over one snapshot, the reductions
+    # and putmask; over three, attention's too, its take, its 3-D products,
+    # the two products over strided rows of seq and the latents' scatter
+    left_to_numpy = {
+        1: ["putmask"] + ["reduce"] * 5,
+        3: ["__setitem__", "dot", "dot", "fill"] + ["matmul"] * 4 + ["putmask"] + ["reduce"] * 8 + ["take"],
+    }
+    for rounds, left in left_to_numpy.items():
+        history = _History(_history_with_gaps(rng, 5, rounds, cfg.k), cfg)
+        step = _Pass(history, dict(params.entries()))
+        grads = {name: np.empty_like(value) for name, value in params.entries()}
+        if history.single:  # as fit leaves them out
+            del grads["attn.wk"], grads["attn.wq"]
+        backward = step.bound_backward(grads, cfg.alpha, 1.0 - cfg.alpha, cfg.gamma, True)
+        stages = [cell.cell_contents for cell in step._forward.__closure__]
+        programs = [stage[0] if isinstance(stage, tuple) else stage for stage in stages]
+        programs = [p for p in programs if isinstance(p, runner.Program)] + [backward]
+        steps = [s for p in programs for s in p.steps]
+        assert len(steps) - sum(p.lowered for p in programs) == len(left)
+        assert sorted(s[0].__name__ for s in steps if runner.lower([s]).lowered == 0) == left
 
 
 def test_a_passs_programs_hold_its_arrays_but_not_the_pass():

@@ -708,13 +708,200 @@ def test_a_lowered_step_gives_the_bits_of_the_numpy_call(
         assert got.tobytes() == want.tobytes()
 
 
-# Steps the runner must leave to numpy: each makes the step's callable,
-# arguments and keywords over the array it is given.
-_NOT_LOWERED = {
-    "strided input": lambda a: (np.add, (a[:, :3].copy(order="F"), a[:, 3:], np.empty((4, 3))), {}),
+def _numpy_has_scipy_openblas64() -> bool:
+    """Whether numpy was built on the ILP64 scipy-openblas, whose cblas
+    entry points the runner calls for products."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return blas.get("name") == "scipy-openblas" and "USE64BITINT" in blas.get("openblas configuration", "")
+
+
+def _skip_without_numpy_blas() -> None:
+    if not _numpy_has_scipy_openblas64():
+        pytest.skip("numpy is not built on the ILP64 scipy-openblas: products stay numpy calls")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.integers(1, 90),
+    k=st.integers(2, 90),
+    n=st.integers(1, 90),
+    a_layout=st.sampled_from(["C", "transposed"]),
+    b_layout=st.sampled_from(["C", "transposed", "a.T"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_lowered_product_gives_the_bits_of_ndarray_dot(m, k, n, a_layout, b_layout, seed):
+    # gemm over C-order and transposed operands, gemv where one side is a
+    # row or a column, and syrk for a matrix times its own transpose
+    runner = _compiled_runner()
+    _skip_without_numpy_blas()
+    # a row times a column is numpy's dot, left to numpy
+    if b_layout == "a.T":
+        m = n = max(m, 2)
+    elif m == 1 and n == 1:
+        m = 2
+
+    def operands():
+        rng = np.random.default_rng(seed)
+        a = _edge_floats(rng, (m, k)) if a_layout == "C" else _edge_floats(rng, (k, m)).T
+        if b_layout == "a.T":
+            b = a.T
+        else:
+            b = _edge_floats(rng, (k, n)) if b_layout == "C" else _edge_floats(rng, (n, k)).T
+        return a, b, np.full((m, n), np.nan)
+
+    a, b, out = operands()
+    program = runner.lower([(a.dot, (b, out))])
+    assert program.lowered == 1
+    program()
+    expected_a, expected_b, expected = operands()
+    with np.errstate(all="ignore"):
+        expected_a.dot(expected_b, expected)
+    assert out.tobytes() == expected.tobytes()
+    assert (a.tobytes(), b.tobytes()) == (expected_a.tobytes(), expected_b.tobytes())
+
+
+_LAYOUTS = ("C", "transposed", "half", "broadcast", "0-d")
+
+
+def _laid_out(rng, layout: str, shape: tuple, broadcast: int, dtype=np.float64) -> np.ndarray:
+    """Values of ``shape`` as the pass lays its operands out: an array of
+    their own, a transposed view, the right half of an array twice as wide
+    (as the log-variance is of the encoder output), the shape with the axes
+    in the bits of ``broadcast`` cut to 1 (a bias row), or 0-d."""
+
+    def values(size):
+        if dtype == bool:  # any non-zero byte is True
+            return rng.integers(0, 3, size, dtype=np.uint8).view(bool)
+        return _edge_floats(rng, size)
+
+    if layout == "0-d":
+        return np.array(values(()))
+    if layout == "transposed":
+        return values(shape[::-1]).T
+    if layout == "half":
+        return values((*shape[:-1], 2 * shape[-1]))[..., shape[-1] :]
+    if layout == "broadcast":
+        return values(tuple(1 if broadcast >> i & 1 else size for i, size in enumerate(shape)))
+    return values(shape)
+
+
+def _run_twice_against_numpy(runner, ufunc, operands, keyword_out):
+    """Lower the ufunc's step over ``operands()``, run it, refill its inputs
+    in place and run it again; after each run, the step's bits are numpy's
+    over operands made alike."""
+    inputs, out = operands()
+    step = (ufunc, tuple(inputs), {"out": out}) if keyword_out else (ufunc, (*inputs, out))
+    program = runner.lower([step])
+    assert program.lowered == 1
+    expected_inputs, expected = operands()
+    for run in range(2):
+        if run:
+            for arrays in (inputs, expected_inputs):
+                rng = np.random.default_rng(run)
+                for array in arrays:
+                    mask = array.dtype == bool
+                    array[...] = rng.random(array.shape) < 0.5 if mask else _edge_floats(rng, array.shape)
+        assert program() is None
+        with np.errstate(all="ignore"):
+            ufunc(*expected_inputs, out=expected)
+        assert out.tobytes() == expected.tobytes()
+        for got, want in zip(inputs, expected_inputs):
+            assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    ufunc=st.sampled_from(_UNARY_UFUNCS + _BINARY_UFUNCS + _COMPARISONS),
+    shape=st.one_of(st.tuples(st.integers(1, 12), st.integers(1, 40)), st.tuples(*[st.integers(1, 5)] * 3)),
+    layouts=st.lists(st.sampled_from(_LAYOUTS), min_size=2, max_size=2),
+    out_layout=st.sampled_from(("C", "transposed", "half")),
+    broadcast=st.lists(st.integers(1, 7), min_size=2, max_size=2),
+    in_place=st.booleans(),
+    keyword_out=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_lowered_step_over_broadcast_or_strided_operands_gives_numpys_bits(
+    ufunc, shape, layouts, out_layout, broadcast, in_place, keyword_out, seed
+):
+    # broadcast rows and columns (stride 0), transposed views and strided
+    # halves, as inputs and as outputs, through numpy's own iterator
+    runner = _compiled_runner()
+    comparison = ufunc in _COMPARISONS
+    in_place = in_place and not comparison and layouts[0] in ("C", "transposed", "half")
+
+    def operands():
+        rng = np.random.default_rng(seed)
+        inputs = [_laid_out(rng, layouts[i], shape, broadcast[i]) for i in range(ufunc.nin)]
+        if in_place:
+            return inputs, inputs[0]
+        out = _laid_out(rng, out_layout, shape, 0, dtype=bool if comparison else np.float64)
+        return inputs, out
+
+    _run_twice_against_numpy(runner, ufunc, operands, keyword_out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shape=st.one_of(st.tuples(st.integers(1, 12), st.integers(1, 40)), st.tuples(*[st.integers(1, 5)] * 3)),
+    mask_layout=st.sampled_from(("C", "transposed", "half", "broadcast")),
+    float_layout=st.sampled_from(_LAYOUTS),
+    out_layout=st.sampled_from(("C", "transposed", "half")),
+    broadcast=st.lists(st.integers(1, 7), min_size=2, max_size=2),
+    mask_first=st.booleans(),
+    in_place=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_lowered_bool_mask_product_gives_numpys_bits(
+    shape, mask_layout, float_layout, out_layout, broadcast, mask_first, in_place, seed
+):
+    # numpy casts the mask to exact 0.0 and 1.0 (any non-zero byte is True)
+    # and multiplies by dd->d
+    runner = _compiled_runner()
+    in_place = in_place and float_layout in ("C", "transposed", "half")
+
+    def operands():
+        rng = np.random.default_rng(seed)
+        mask = _laid_out(rng, mask_layout, shape, broadcast[0], dtype=bool)
+        values = _laid_out(rng, float_layout, shape, broadcast[1])
+        inputs = [mask, values] if mask_first else [values, mask]
+        return inputs, values if in_place else _laid_out(rng, out_layout, shape, 0)
+
+    _run_twice_against_numpy(runner, np.multiply, operands, keyword_out=False)
+
+
+# Steps over column views, a broadcast row and a bool mask, each made over
+# the array it is given: the runner lowers them through numpy's iterator.
+_LOWERED_OVER_VIEWS = {
     "column views": lambda a: (np.add, (a[:, :3], a[:, 3:], np.empty((4, 3))), {}),
     "broadcast row": lambda a: (np.add, (a, a[:1], np.empty((4, 6))), {}),
     "bool times float": lambda a: (np.multiply, (a, a > 0, np.empty((4, 6))), {}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LOWERED_OVER_VIEWS))
+def test_a_lowered_step_over_views_gives_numpys_bits(case):
+    runner = _compiled_runner()
+    a = np.arange(24.0).reshape(4, 6) - 7.5
+    call, args, kwargs = _LOWERED_OVER_VIEWS[case](a)
+    program = runner.lower([(call, args, kwargs)])
+    assert program.lowered == 1
+    assert program() is None
+    b = np.arange(24.0).reshape(4, 6) - 7.5
+    expected_call, expected_args, expected_kwargs = _LOWERED_OVER_VIEWS[case](b)
+    expected_call(*expected_args, **expected_kwargs)
+    assert [x.tobytes() for x in (a, *args)] == [x.tobytes() for x in (b, *expected_args)]
+
+
+def _into_an_operand(a):
+    part = a.reshape(-1)[:16].reshape(4, 4)
+    return part.dot, (np.eye(4) * 2.0, part), {}
+
+
+# Steps the runner must leave to numpy: each makes the step's callable,
+# arguments and keywords over the array it is given.
+_NOT_LOWERED = {
+    "strided input": lambda a: (np.add, (a[:, ::-1], a, np.empty((4, 6))), {}),
+    "bool plus float": lambda a: (np.add, (a, a > 0, np.empty((4, 6))), {}),
     "float32 operand": lambda a: (np.add, (a, a.astype(np.float32), np.empty((4, 6))), {}),
     "byte-swapped operand": lambda a: (np.add, (a, a.astype(">f8"), np.empty((4, 6))), {}),
     "overlapping output": lambda a: (np.negative, (a.reshape(-1)[:-1], a.reshape(-1)[1:]), {}),
@@ -723,7 +910,12 @@ _NOT_LOWERED = {
     "another keyword": lambda a: (np.add, (a, a), {"out": a, "where": a > 0}),
     "Python float": lambda a: (np.add, (a, 1.0, np.empty((4, 6))), {}),
     "reduction": lambda a: (np.add.reduce, (a.reshape(-1), 0, None, np.empty(())), {}),
-    "method": lambda a: (a.dot, (a.T, np.empty((4, 4))), {}),
+    "method": lambda a: (a.take, ([0, 2], 0, np.empty((2, 6))), {}),
+    "inner dimension 1": lambda a: (a[:, :1].copy().dot, (a[:1].copy(), np.empty((4, 6))), {}),
+    "row times column": lambda a: (a[:1].dot, (a[:1].T.copy(), np.empty((1, 1))), {}),
+    "product over a copied operand": lambda a: (a[:, ::2].dot, (a[:3, :2].copy(), np.empty((4, 2))), {}),
+    "product into an operand": _into_an_operand,
+    "3-D matmul": lambda a: (np.matmul, (a.reshape(2, 2, 6), a.reshape(2, 6, 2), np.empty((2, 2, 2))), {}),
 }
 
 
@@ -791,6 +983,19 @@ def test_lowered_steps_warn_of_nothing_and_leave_no_floating_point_status():
         then_reduced()  # numpy's own check after the reduction sees no overflow
         np.multiply(np.array([2.0]), 3.0)
     assert out[0] == math.inf and total == 999.0
+    # a broadcast step and a product, each overflowing, then numpy's own check
+    rows, bias, summed = np.full((3, 2), 1e308), np.full((1, 2), 1e308), np.empty((3, 2))
+    huge, product = np.full((2, 3), 1e300), np.empty((2, 2))
+    steps = [(np.add, (rows, bias, summed)), (np.add.reduce, (big, 0, None, total))]
+    if _numpy_has_scipy_openblas64():
+        steps.insert(1, (huge.dot, (huge.T.copy(), product)))
+    overflowing_then_reduced = runner.lower(steps)
+    assert overflowing_then_reduced.lowered == len(steps) - 1
+    with np.errstate(all="raise"):
+        overflowing_then_reduced()
+        np.multiply(np.array([2.0]), 3.0)
+    assert (summed == math.inf).all() and total == 999.0
+    assert len(steps) == 2 or (product == math.inf).all()
     with pytest.raises(FloatingPointError), np.errstate(over="raise"):
         runner.lower([(np.exp, (big,), {})])()  # a step left to numpy still checks
 
@@ -807,6 +1012,18 @@ def test_a_program_returns_with_the_floating_point_status_clear():
     assert fetestexcept(invalid | divbyzero | overflow | underflow) == 0
     # exp overflows and underflows; log of -1 is invalid and of 0 divides by zero
     assert out[0] == math.log(1000.0) and math.isnan(out[1]) and out[2] == -math.inf
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/maps")
+def test_lowered_products_run_on_the_one_blas_numpy_loaded():
+    runner = _compiled_runner()
+    _skip_without_numpy_blas()
+    a = np.arange(6.0).reshape(2, 3)
+    program = runner.lower([(a.dot, (a.T.copy(), np.empty((2, 2))))])
+    assert program.lowered == 1
+    program()
+    maps = Path("/proc/self/maps").read_text().splitlines()
+    assert len({line.split()[-1] for line in maps if "libscipy_openblas" in line}) == 1
 
 
 def test_the_runner_is_built_without_fast_math():
