@@ -22,17 +22,17 @@ The model is one pass in batched numpy over the whole history
 gives the gradient of any weighted sum of l_att, l_stru and kl. The pass
 writes into arrays it allocates once and binds every operand once, as
 programs of numpy calls that each run as one call (``numerics.program``),
-so ``fit`` runs every epoch in one workspace; ``infer`` runs it once, and
-``run_forward`` exposes one pass's loss terms as 1x1 tensors whose
-``backward()`` writes that term's gradient. A round's fit and infer share
-one history (``_history``).
+so ``fit`` runs every epoch in one workspace, its noise drawn into the
+pass's own array; ``infer`` runs it once, and ``run_forward`` exposes one
+pass's loss terms as 1x1 tensors whose ``backward()`` writes that term's
+gradient. A round's fit and infer share one history (``_history``).
 
-An epoch is seven or eight program calls forward, one backward and one
-compiled Adam step, with no dict lookup, per-epoch view or new array
-(``tests/test_detector.py`` traces numpy's allocations to check it). The
-compiled runner runs a program's ufunc steps as numpy's own inner loops
-and its 2-D ``ndarray.dot`` products as numpy's own BLAS calls, bit for
-bit. Of the 68 steps of a round-1 fit's pass on seed-7 ``defend_c5``, it
+An epoch is one noise draw, seven or eight program calls forward, one
+backward and one compiled Adam step, with no dict lookup, per-epoch view
+or new array (``tests/test_detector.py`` traces numpy's allocations to
+check it). The compiled runner runs a program's ufunc steps as numpy's
+own inner loops and its 2-D ``ndarray.dot`` products as numpy's own BLAS
+calls, bit for bit. Of the 68 steps of a round-1 fit's pass on seed-7 ``defend_c5``, it
 runs 62 so, all but the five reductions and ``putmask``. Of a
 two-snapshot pass's 98 it runs 80: attention adds 12 numpy calls, three
 reductions, its ``take``, four 3-D ``np.matmul`` calls, two products over
@@ -42,12 +42,13 @@ of the allocating pass that ``tests/allocating.py`` keeps as the reference.
 
 Every pass skips the products whose operands are exact zeros or the
 identity: the first layer multiplies only the rows of gcn.w0 of filled
-embedder buckets (``_History.filled``), and a history with no edge, such
-as every first round, skips both products with its identity adjacency. At
-the default width (d = 32) the scores are bit for bit those of the full
-products. At some other widths (2d mod 8 in 1..4, with the OpenBLAS numpy
-ships) and in a one-node history, BLAS sums the shorter products in
-another order, so the last bits of a score can differ.
+embedder buckets (``_History.filled``), the only rows a pass is handed,
+and a history with no edge, such as every first round, skips both
+products with its identity adjacency. At the default width (d = 32) the
+scores are bit for bit those of the full products. At some other widths
+(2d mod 8 in 1..4, with the OpenBLAS numpy ships) and in a one-node
+history, BLAS sums the shorter products in another order, so the last
+bits of a score can differ.
 """
 
 from __future__ import annotations
@@ -464,15 +465,30 @@ def run_forward(
     params: ParamStore,
     rng: np.random.Generator | None,
 ) -> LossTerms:
-    """One pass of the model, as ``fit`` runs it; rng=None disables sampling (inference)."""
+    """One pass of the model, as ``fit`` runs it; rng=None disables sampling (inference).
+
+    The pass multiplies a copy of the rows of gcn.w0 of filled buckets; a
+    term's ``backward()`` writes their gradient into the whole entry, and
+    +0.0 into the rows of empty buckets.
+    """
     history = _history(batch, cfg)
-    noise = None if rng is None else rng.standard_normal((history.rows, cfg.d))
-    step = _Pass(history, dict(params.entries()))
-    b = step.forward(noise)
+    values = dict(params.entries())
+    values["gcn.w0"] = params.value("gcn.w0")[history.filled]
+    step = _Pass(history, values)
+    if rng is not None:
+        rng.standard_normal(out=step.noise)
+    b = step.forward(rng is not None)
     grads = {name: params.grad(name) for name in params.names()}
+    g_w0, packed = grads["gcn.w0"], np.empty(values["gcn.w0"].shape)
+    grads["gcn.w0"] = packed
+
+    def backward(*coefficients: float) -> None:
+        step.backward(grads, *coefficients)
+        g_w0[history.unfilled] = 0.0
+        g_w0[history.filled] = packed
 
     def term(value: float, *coefficients: float) -> Tensor2D:
-        return Tensor2D([[value]], backward=lambda: step.backward(grads, *coefficients))
+        return Tensor2D([[value]], backward=lambda: backward(*coefficients))
 
     return LossTerms(
         l_att=term(b.l_att, 1.0, 0.0, 0.0),
@@ -572,39 +588,34 @@ class _Pass:
     programs hold the arrays and calls they run, never the pass. The stage
     functions are looked up at every call, so that they can be wrapped by
     name. A pass writes only its own arrays and the gradients it is bound
-    to; the history it reads may be shared.
+    to.
 
-    A sampled pass copies its noise into an array of its own, which the
-    programs read; the latent ``z`` the decoders read is one array too:
-    the sample, or at inference a copy of the mean.
-
-    ``w["gcn.w0"]`` is either the whole entry or only its rows of filled
-    buckets (``h.filled``), as ``fit`` packs them. The first layer
-    multiplies those rows alone, so both give the same products.
+    ``w["gcn.w0"]`` is the rows of gcn.w0 of filled buckets, in
+    ``h.filled`` order: ``fit`` hands the rows it packed, ``infer`` and
+    ``run_forward`` a copy gathered from the whole entry. A sampled
+    forward reads the pass's own ``noise`` array, one standard-normal row
+    per node, which its caller draws into first. The latent ``z`` the
+    decoders read is one array too: the sample, or at inference a copy of
+    the mean.
     """
 
     def __init__(self, h: _History, w: dict[str, np.ndarray]):
-        self.h, self.w, self.noise = h, w, None
+        self.h, self.w, self.sampled = h, w, False
         rows, d = h.rows, h.d
         n = len(h.features)
         a_hat, a_hat_x = h.a_hat, h.a_hat_x
         w0, w1 = w["gcn.w0"], w["gcn.w1"]
         wq, wk, wv = w["attn.wq"], w["attn.wk"], w["attn.wv"]
         dec_w0, dec_b0, dec_w1, dec_b1 = w["dec.w0"], w["dec.b0"], w["dec.w1"], w["dec.b1"]
-        # a whole gcn.w0 gives up its rows of filled buckets in every forward pass
-        filled, rows_of_w0, filled_w0 = h.filled, None, w0
-        if len(w0) != len(filled):
-            rows_of_w0, filled_w0 = w0.take, np.empty((len(filled), w0.shape[1]))
 
-        gcn = _bind_gcn(a_hat, a_hat_x, filled_w0, w1)
+        gcn = _bind_gcn(a_hat, a_hat_x, w0, w1)
         self.h1_pre, self.a_hat_h1, hidden = gcn[1]
         latent = _bind_split_latent(hidden, d)
         mean, self.log_var_raw, log_var = latent[1]
         self.mean, self.log_var = mean, log_var
-        own_noise = np.empty((rows, d))
-        sample = _bind_reparameterize(mean, log_var, own_noise)
-        z, std = sample[1]
-        self._sampled = z, std, own_noise
+        noise = self.noise = np.empty((rows, d))
+        sample = _bind_reparameterize(mean, log_var, noise)
+        z, self.std = sample[1]
         var, kl_terms = self.var, self._kl = np.empty((rows, d)), np.empty((rows, d))
         # what the three sums of the loss reduce into: kl, the squared
         # residuals and the log-likelihoods
@@ -655,17 +666,12 @@ class _Pass:
         alpha, gamma, per_node, per_pair = h.alpha, h.gamma, 1.0 / n, -1.0 / (n * n)
         copy = np.copyto
 
-        def forward(noise: np.ndarray | None) -> LossBreakdown:
-            if rows_of_w0 is not None:
-                rows_of_w0(filled, 0, filled_w0)
-            gcn_forward(a_hat, a_hat_x, filled_w0, w1, gcn)
+        def forward(sampled: bool) -> LossBreakdown:
+            gcn_forward(a_hat, a_hat_x, w0, w1, gcn)
             split_latent(hidden, d, latent)
-            if noise is None:
+            if not sampled:
                 copy(z, mean)  # inference: the latent is the mean
-            else:
-                copy(own_noise, noise)
-                noise = own_noise
-            reparameterize(mean, log_var, noise, sample)
+            reparameterize(mean, log_var, noise if sampled else None, sample)
             kl()
             if fuse is not None:
                 temporal_fuse(z, h, wq, wk, wv, fuse)
@@ -678,42 +684,16 @@ class _Pass:
         # bound here and called through forward(), so that it holds no reference to the pass
         self._forward = forward
 
-    def forward(self, noise: np.ndarray | None) -> LossBreakdown:
-        """The pass with this noise (None: inference); returns and sets ``breakdown``."""
-        self.noise = noise
-        self.breakdown = breakdown = self._forward(noise)
+    def forward(self, sampled: bool) -> LossBreakdown:
+        """The pass, sampling with ``noise`` if ``sampled`` (else inference);
+        returns and sets ``breakdown``."""
+        self.sampled = sampled
+        self.breakdown = breakdown = self._forward(sampled)
         return breakdown
-
-    # backward's arrays, shared by every backward bound to the pass: an inference allocates none
-    @functools.cached_property
-    def _grads(self) -> tuple:
-        rows, d = self.h.rows, self.h.d
-        n, k = self.h.features.shape
-        new = np.empty
-        d_hidden = new((rows, 2 * d))
-        return (
-            new((n, k)), new((n, n)), new((n, n)),
-            new((n, d)), new((n, d), dtype=bool), new((n, d)), new((n, d)), new((n, d)),
-            d_hidden, d_hidden[:, :d], d_hidden[:, d:],
-            new((rows, d)), new((rows, d)), new((rows, d), dtype=bool),
-            new((rows, 2 * d)), None if self.h.a_hat is None else new((rows, 2 * d)),
-            new((rows, 2 * d), dtype=bool),
-        )  # fmt: skip
-
-    @functools.cached_property
-    def _fuse_grads(self) -> tuple:
-        rows, d = self.h.rows, self.h.d
-        n, t = self.h.gather.shape
-        new = np.empty
-        return (
-            new((n, t, 1)), new((n, t)), new((n, 1)), new((n, t)),
-            new((n, t, d)), new((n, t, d)), new((n, 1, d)),
-            new((n, d)), new((n, d)), new((rows, d)),
-        )  # fmt: skip
 
     def backward(self, g: dict[str, np.ndarray], c_att: float, c_stru: float, c_kl: float) -> None:
         """Run ``bound_backward`` once, after the last ``forward``, as it sampled or not."""
-        self.bound_backward(g, c_att, c_stru, c_kl, self.noise is not None)()
+        self.bound_backward(g, c_att, c_stru, c_kl, self.sampled)()
 
     def bound_backward(
         self, g: dict[str, np.ndarray], c_att: float, c_stru: float, c_kl: float, sampled: bool
@@ -721,19 +701,18 @@ class _Pass:
         """The call that writes d (c_att*l_att + c_stru*l_stru + c_kl*kl) /
         d parameter into each array of `g`, overwriting it, after the last
         ``forward``, which sampled if ``sampled``. ``g["gcn.w0"]``, like
-        ``w["gcn.w0"]``, is the whole entry, whose rows of empty buckets
-        get +0.0, or its rows of filled buckets. Over one snapshot ``g``
-        may leave out attn.wk and attn.wq, whose gradients are zero."""
+        ``w["gcn.w0"]``, is the rows of filled buckets. Over one snapshot
+        ``g`` may leave out attn.wk and attn.wq, whose gradients are zero.
+        The arrays it writes between the gradients are its own."""
         h, w = self.h, self.w
-        n = len(h.features)
-        (
-            d_x_hat, d_logits, d_sym, d_dec, dec_live, d_fused, fused_part, d_context,
-            d_hidden, d_mean, d_log_var_in, d_log_var, noise_part, unclamped,
-            d_h1, d_h1_spread, h1_live,
-        ) = self._grads  # fmt: skip
+        rows, d, (n, k) = h.rows, h.d, h.features.shape
+        new = np.empty
+        d_x_hat, d_logits, d_sym = new((n, k)), new((n, n)), new((n, n))
+        d_dec, dec_live = new((n, d)), new((n, d), dtype=bool)
+        d_fused, fused_part, d_context = new((n, d)), new((n, d)), new((n, d))
         # the gradients of the mean's and the log-variance's KL terms per unit
         kl_mean, kl_log_var = np.multiply(2.0 * c_kl, h.kl_weight), np.multiply(c_kl, h.kl_weight)
-        fused, g_w0, add_reduce = self.fused, g["gcn.w0"], np.add.reduce
+        fused, add_reduce = self.fused, np.add.reduce
         steps = [
             (np.multiply, (self.r_x, np.array(-2.0 * c_att / n), d_x_hat)),
             # cross-entropy through the sigmoid; the clamp passes gradient straight through
@@ -762,6 +741,8 @@ class _Pass:
         else:
             fuse_steps, d_z = self._bind_fuse_backward(g, d_context)
             steps += fuse_steps
+        d_hidden, d_log_var = new((rows, 2 * d)), new((rows, d))
+        d_mean, d_log_var_in = d_hidden[:, :d], d_hidden[:, d:]
         steps += [
             (np.multiply, (kl_mean, self.mean, d_log_var)),
             (np.add, (d_z, d_log_var, d_mean)),
@@ -769,37 +750,30 @@ class _Pass:
             (np.multiply, (d_log_var, kl_log_var, d_log_var)),
         ]
         if sampled:
-            _, std, noise = self._sampled
+            noise_part = new((rows, d))
             steps += [
-                (np.multiply, (d_z, noise, noise_part)),
-                (np.multiply, (noise_part, std, noise_part)),
+                (np.multiply, (d_z, self.noise, noise_part)),
+                (np.multiply, (noise_part, self.std, noise_part)),
                 (np.multiply, (noise_part, _HALF, noise_part)),
                 (np.add, (d_log_var, noise_part, d_log_var)),
             ]
+        unclamped, d_h1 = new((rows, d), dtype=bool), new((rows, 2 * d))
         steps += [
             (np.equal, (self.log_var, self.log_var_raw, unclamped)),
             (np.multiply, (d_log_var, unclamped, d_log_var_in)),
             (self.a_hat_h1.T.dot, (d_hidden, g["gcn.w1"])),
             (_product(d_hidden), (w["gcn.w1"].T, d_h1)),
         ]
-        d_h1_out = d_h1
         if h.a_hat is not None:
-            d_h1_out = d_h1_spread
+            d_h1_spread = new((rows, 2 * d))
             steps.append((_product(h.a_hat.T), (d_h1, d_h1_spread)))
+            d_h1 = d_h1_spread
+        h1_live = new((rows, 2 * d), dtype=bool)
         steps += [
             (np.greater, (self.h1_pre, _ZERO, h1_live)),
-            (np.multiply, (d_h1_out, h1_live, d_h1_out)),
+            (np.multiply, (d_h1, h1_live, d_h1)),
+            (h.a_hat_x.T.dot, (d_h1, g["gcn.w0"])),
         ]
-        # a whole gcn.w0 takes its rows of filled buckets from a copy
-        if len(g_w0) == len(h.filled):
-            steps.append((h.a_hat_x.T.dot, (d_h1_out, g_w0)))
-        else:
-            packed = np.empty((len(h.filled), g_w0.shape[1]))
-            steps += [
-                (h.a_hat_x.T.dot, (d_h1_out, packed)),
-                (g_w0.__setitem__, (h.unfilled, 0.0)),
-                (g_w0.__setitem__, (h.filled, packed)),
-            ]
         return nm.program(steps)
 
     def _bind_fuse_backward(
@@ -808,9 +782,11 @@ class _Pass:
         """Backward through ``temporal_fuse``: the steps that write the
         query's and key's gradients and the latents', and the latents'."""
         h, w = self.h, self.w
-        d_attn3, weighted, inner, d_scores, d_seq, d_seq_part, d_u3, d_q, d_last, d_z = (
-            self._fuse_grads
-        )
+        (n, t), d = h.gather.shape, h.d
+        new = np.empty
+        d_attn3, weighted, inner, d_scores = new((n, t, 1)), new((n, t)), new((n, 1)), new((n, t))
+        d_seq, d_seq_part, d_u3 = new((n, t, d)), new((n, t, d)), new((n, 1, d))
+        d_q, d_last, d_z = new((n, d)), new((n, d)), new((h.rows, d))
         seq, attn, u, q = self.seq, self.attn, self.u, self.q
         d_attn, d_u, d_seq_last = d_attn3[:, :, 0], d_u3[:, 0], d_seq[:, -1]
         steps = [
@@ -833,11 +809,6 @@ class _Pass:
             (d_z.__setitem__, (h.gather, d_seq)),
         ]
         return steps, d_z
-
-
-# Epochs of noise drawn in one call: a fit at the default epoch counts
-# draws once, and a long one holds at most this many epochs' noise.
-_NOISE_EPOCHS = 64
 
 
 def _movable(history: _History, params: ParamStore) -> tuple[str, np.ndarray, int]:
@@ -879,10 +850,10 @@ def fit(
     """Full-batch Adam on l_total for `epochs` epochs; returns per-epoch losses.
 
     Each epoch samples with one standard-normal row per node, snapshot
-    after snapshot, as ``run_forward`` does. The noise is drawn once per
-    fit (per ``_NOISE_EPOCHS`` epochs of a longer one): one ``(epochs,
-    rows, d)`` draw gives the same values, and leaves ``rng`` in the same
-    state, as one ``(rows, d)`` draw per epoch.
+    after snapshot, as ``run_forward`` does: it draws one ``(rows, d)``
+    block from ``rng`` straight into the pass's noise array. So a fit
+    that raises in epoch e, TrainingDiverged included, leaves ``rng``
+    after e + 1 draws.
 
     Adam steps only what can move (``_movable``), in place: the fit packs
     the rows of gcn.w0, the last entry of the layout, in ``_movable``'s
@@ -914,24 +885,24 @@ def fit(
         zeroed += [grads.pop("attn.wk"), grads.pop("attn.wq")]
     step = _Pass(history, values)
     forward, backward, lr = step.forward, step.bound_backward(grads, *coefficients, True), cfg.lr
+    draw, noise = rng.standard_normal, step.noise
     trace: list[LossBreakdown] = []
     params.permute_rows("gcn.w0", order)
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # the loss check below reports it
-            for start in range(0, epochs, _NOISE_EPOCHS):
-                block = (min(_NOISE_EPOCHS, epochs - start), history.rows, cfg.d)
-                for noise in rng.standard_normal(block):
-                    breakdown = forward(noise)
-                    if not math.isfinite(breakdown.l_total):
-                        raise TrainingDiverged(
-                            len(trace), trace[-1] if trace else None, f"non-finite loss {breakdown}"
-                        )
-                    trace.append(breakdown)
-                    backward()
-                    for grad in zeroed:
-                        grad.fill(0.0)
-                    zeroed = ()
-                    nm.adam_step(stepped, lr)
+            for _ in range(epochs):
+                draw(out=noise)
+                breakdown = forward(True)
+                if not math.isfinite(breakdown.l_total):
+                    raise TrainingDiverged(
+                        len(trace), trace[-1] if trace else None, f"non-finite loss {breakdown}"
+                    )
+                trace.append(breakdown)
+                backward()
+                for grad in zeroed:
+                    grad.fill(0.0)
+                zeroed = ()
+                nm.adam_step(stepped, lr)
     finally:
         params.step = stepped.step
         params.permute_rows("gcn.w0", np.argsort(order))
@@ -945,13 +916,16 @@ def infer(
 ) -> tuple[Reconstruction, LossBreakdown]:
     """Deterministic reconstruction of the final snapshot (no sampling).
 
-    A finite l_total is a finite sum of squared attribute residuals and of
+    The pass multiplies a copy of the rows of gcn.w0 of filled buckets. A
+    finite l_total is a finite sum of squared attribute residuals and of
     logs of clamped edge probabilities, so both residuals are finite too.
     """
     history = _history(batch, cfg)
+    values = dict(params.entries())
+    values["gcn.w0"] = params.value("gcn.w0")[history.filled]
     with np.errstate(over="ignore", invalid="ignore"):  # the loss check below reports it
-        result = _Pass(history, dict(params.entries()))
-        result.forward(None)
+        result = _Pass(history, values)
+        result.forward(False)
     if not math.isfinite(result.breakdown.l_total):
         raise NonFiniteError(f"non-finite loss at inference: {result.breakdown}")
     recon = Reconstruction(

@@ -8,7 +8,9 @@ The tests hold the detector to these, bit for bit.
 
 The pass reads the same ``detector._History``, whose constants are now
 stored at the latents' shape: ``kl_weight`` multiplies the same values as
-its one column did, and the encodings are read back from ``pe_rows``.
+its one column did, and the encodings are read back from ``pe_rows``. Like
+the detector's, it takes the rows of gcn.w0 of filled buckets and writes
+their gradient only.
 """
 
 from __future__ import annotations
@@ -31,9 +33,6 @@ from guardian.detector import (
     compose_losses,
 )
 from guardian.numerics import NonFiniteError
-
-_NOISE_EPOCHS = 64
-
 
 def gcn_forward(a_hat, a_hat_x, w0, w1):
     h1_pre = a_hat_x @ w0
@@ -83,13 +82,13 @@ def decode_structure(z):
 
 class Pass:
     """One forward pass over a whole history and its backward pass, every
-    intermediate a new array."""
+    intermediate a new array. ``w["gcn.w0"]`` and ``g["gcn.w0"]`` are the
+    rows of filled buckets."""
 
     def __init__(self, h: _History, w: dict[str, np.ndarray], noise: np.ndarray | None):
         self.h, self.w, self.noise = h, w, noise
-        w0 = w["gcn.w0"]
         self.h1_pre, self.a_hat_h1, hidden = gcn_forward(
-            h.a_hat, h.a_hat_x, w0 if len(w0) == len(h.filled) else w0[h.filled], w["gcn.w1"]
+            h.a_hat, h.a_hat_x, w["gcn.w0"], w["gcn.w1"]
         )
         self.mean, self.log_var_raw, self.log_var = split_latent(hidden, h.d)
         self.var = np.exp(self.log_var)
@@ -160,12 +159,7 @@ class Pass:
         if h.a_hat is not None:
             d_h1 = h.a_hat.T @ d_h1
         d_h1 *= self.h1_pre > 0.0
-        g0 = g["gcn.w0"]
-        if len(g0) == len(h.filled):
-            np.dot(h.a_hat_x.T, d_h1, out=g0)
-        else:
-            g0[h.unfilled] = 0.0
-            g0[h.filled] = np.dot(h.a_hat_x.T, d_h1)
+        np.dot(h.a_hat_x.T, d_h1, out=g["gcn.w0"])
 
 
 def fit(batch, cfg, params, rng, epochs):
@@ -186,12 +180,7 @@ def fit(batch, cfg, params, rng, epochs):
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             for epoch in range(epochs):
-                at = epoch % _NOISE_EPOCHS
-                if at == 0:
-                    noise = rng.standard_normal(
-                        (min(_NOISE_EPOCHS, epochs - epoch), history.rows, cfg.d)
-                    )
-                step = Pass(history, values, noise[at])
+                step = Pass(history, values, rng.standard_normal((history.rows, cfg.d)))
                 if not math.isfinite(step.breakdown.l_total):
                     raise TrainingDiverged(
                         epoch, trace[-1] if trace else None, f"non-finite loss {step.breakdown}"
@@ -212,8 +201,10 @@ def fit(batch, cfg, params, rng, epochs):
 def infer(batch, cfg, params):
     """``detector.infer`` over ``Pass``."""
     history = _History(batch, cfg)
+    values = dict(params.entries())
+    values["gcn.w0"] = params.value("gcn.w0")[history.filled]
     with np.errstate(over="ignore", invalid="ignore"):
-        result = Pass(history, dict(params.entries()), noise=None)
+        result = Pass(history, values, noise=None)
     if not math.isfinite(result.breakdown.l_total):
         raise NonFiniteError(f"non-finite loss at inference: {result.breakdown}")
     recon = Reconstruction(

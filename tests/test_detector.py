@@ -635,10 +635,7 @@ def _kernel(batch, cfg, params, noise_seed):
     noise = None
     if noise_seed is not None:
         noise = np.random.default_rng(noise_seed).standard_normal((history.rows, cfg.d))
-    step = _Pass(history, dict(params.entries()))
-    step.forward(noise)
-    grads = {name: np.full_like(value, np.nan) for name, value in params.entries()}
-    step.backward(grads, cfg.alpha, 1.0 - cfg.alpha, cfg.gamma)
+    step, grads = _pass_and_grads(history, dict(params.entries()), noise, cfg)
     return step.breakdown, grads
 
 
@@ -713,10 +710,7 @@ def test_single_snapshot_closed_form_equals_temporal_fuse(seed, sampling):
     passes, grads = [], []
     for single in (True, False):  # False: the same history through temporal_fuse
         history.single = single
-        step = _Pass(history, values)
-        step.forward(noise)
-        g = {name: np.full_like(value, np.nan) for name, value in values.items()}
-        step.backward(g, cfg.alpha, 1.0 - cfg.alpha, cfg.gamma)
+        step, g = _pass_and_grads(history, values, noise, cfg)
         passes.append(step)
         grads.append(g)
     closed, general = passes
@@ -738,9 +732,7 @@ def test_kernel_matches_tape_where_log_variance_clamps(sampling):
     params = init_params(cfg, rng)
     params.value("gcn.w1")[:, cfg.d :] *= 40.0
     batch = _history_with_gaps(rng, 6, 4, cfg.k)
-    history = _History(batch, cfg)
-    step = _Pass(history, dict(params.entries()))
-    step.forward(None)
+    step, _ = _pass_and_grads(_History(batch, cfg), dict(params.entries()), None)
     log_var = step.log_var_raw
     assert (np.abs(log_var) > LOGVAR_MAX).any() and (np.abs(log_var) < LOGVAR_MAX).any()
 
@@ -773,16 +765,16 @@ def _reference_fit(batch, cfg, params, rng, epochs):
     where ``fit`` raises TrainingDiverged."""
     history = _History(batch, cfg)
     values = dict(params.entries())
-    grads = {name: params.grad(name) for name in values}
     trace = []
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(epochs):
-            step = _Pass(history, values)
-            step.forward(rng.standard_normal((history.rows, cfg.d)))
+            noise = rng.standard_normal((history.rows, cfg.d))
+            step, grads = _pass_and_grads(history, values, noise, cfg)
             trace.append(step.breakdown)
             if not math.isfinite(step.breakdown.l_total):
                 break
-            step.backward(grads, cfg.alpha, 1.0 - cfg.alpha, cfg.gamma)
+            for name, grad in grads.items():
+                params.grad(name)[...] = grad
             adam_step(params, lr=cfg.lr)
     return trace
 
@@ -833,7 +825,6 @@ def test_fit_rejects_a_store_not_laid_out_as_the_detector_says():
     assert sorted_store._value.tobytes() == before.tobytes() and sorted_store.step == 0
 
 
-# 70 epochs cross the boundary of one noise draw
 @pytest.mark.parametrize("epochs", [0, 1, 12, 70])
 @pytest.mark.parametrize("rounds", [1, 3])
 def test_fit_equals_a_loop_drawing_noise_per_epoch_with_full_adam_steps(
@@ -1010,22 +1001,34 @@ def test_a_real_first_round_fit_leaves_out_the_rows_of_empty_buckets(monkeypatch
 
 
 def _arrays(step: _Pass) -> dict[str, bytes]:
-    """The bits of every array a pass holds but its inputs."""
+    """The bits of every array a pass holds, but the noise and standard
+    deviation of an unsampled pass, which it never writes."""
+    unwritten = () if step.sampled else ("noise", "std")
     return {
         name: value.tobytes()
         for name, value in vars(step).items()
-        if isinstance(value, np.ndarray) and name != "noise"
+        if isinstance(value, np.ndarray) and name not in unwritten
     }
 
 
-def _pass_and_grads(history, values, noise, cfg):
-    """A pass, its loss terms' gradients (one array per entry of `values`)
-    and whether its loss is finite."""
+def _pass_and_grads(history, values, noise, cfg=None):
+    """A pass over `history`, given the whole entries `values`, run as
+    ``run_forward`` runs one: over a copy of the rows of gcn.w0 of filled
+    buckets, sampling with `noise` unless it is None. With `cfg`, also its
+    l_total's gradients, one whole array per entry of `values`, with +0.0
+    in the rows of gcn.w0 of empty buckets; without, None."""
     with np.errstate(all="ignore"):
-        step = _Pass(history, values)
-        step.forward(noise)
-        grads = {name: np.full_like(value, np.nan) for name, value in values.items()}
+        step = _Pass(history, {**values, "gcn.w0": values["gcn.w0"][history.filled]})
+        if noise is not None:
+            step.noise[...] = noise
+        step.forward(noise is not None)
+        if cfg is None:
+            return step, None
+        grads = {name: np.full_like(value, np.nan) for name, value in step.w.items()}
         step.backward(grads, cfg.alpha, 1.0 - cfg.alpha, cfg.gamma)
+    whole = np.zeros_like(values["gcn.w0"])
+    whole[history.filled] = grads["gcn.w0"]
+    grads["gcn.w0"] = whole
     return step, grads
 
 
@@ -1075,8 +1078,9 @@ def test_an_edge_free_pass_skipping_the_identity_equals_the_dense_product(
 # Each example packs a store as fit does, after an optional earlier fit on
 # another history whose filled buckets differ, so that rows of empty
 # buckets move through their moments, and compares a pass over the packed
-# rows with one over the whole entry, at widths 2d that are and are not
-# multiples of 8.
+# rows, as fit hands them, with one over the rows infer and run_forward
+# gather from the whole entry, at widths 2d that are and are not multiples
+# of 8; then run_forward's gradient of the whole entry.
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -1092,9 +1096,11 @@ def test_a_pass_over_the_packed_rows_of_filled_buckets_equals_one_over_the_whole
     params = init_params(cfg, rng)
     if earlier_rounds is not None:
         fit(_sparse_history(rng, earlier_rounds, cfg.k), cfg, params, rng, epochs=3)
-    history = _History(_sparse_history(rng, rounds, cfg.k), cfg)
-    noise = rng.standard_normal((history.rows, cfg.d))
-    whole, whole_grads = _pass_and_grads(history, dict(params.entries()), noise, cfg)
+    batch = _sparse_history(rng, rounds, cfg.k)
+    history = _History(batch, cfg)
+    noise_seed = int(rng.integers(2**32))
+    noise = np.random.default_rng(noise_seed).standard_normal((history.rows, cfg.d))
+    gathered, _ = _pass_and_grads(history, dict(params.entries()), noise)
 
     first, order, moving = detector._movable(history, params)
     filled = len(history.filled)
@@ -1106,15 +1112,25 @@ def test_a_pass_over_the_packed_rows_of_filled_buckets_equals_one_over_the_whole
     packed.permute_rows("gcn.w0", order)
     values = dict(packed.entries())
     values["gcn.w0"] = packed.value("gcn.w0")[:filled]
-    step, grads = _pass_and_grads(history, values, noise, cfg)
+    with np.errstate(all="ignore"):
+        step = _Pass(history, values)
+        step.noise[...] = noise
+        step.forward(True)
+        grads = {name: np.full_like(value, np.nan) for name, value in values.items()}
+        step.backward(grads, cfg.alpha, 1.0 - cfg.alpha, cfg.gamma)
+    assert step.breakdown == gathered.breakdown
+    assert _arrays(step) == _arrays(gathered)
 
-    assert step.breakdown == whole.breakdown
-    assert _arrays(step) == _arrays(whole)
-    assert grads["gcn.w0"].tobytes() == whole_grads["gcn.w0"][history.filled].tobytes()
+    params._grad[:] = np.nan
+    with np.errstate(all="ignore"):
+        terms = run_forward(batch, cfg, params, np.random.default_rng(noise_seed))
+        terms.loss_total.backward()
+    assert terms.breakdown == step.breakdown
+    assert params.grad("gcn.w0")[history.filled].tobytes() == grads["gcn.w0"].tobytes()
     # the rows of empty buckets get +0.0 bit for bit
-    assert not whole_grads["gcn.w0"][history.unfilled].view(np.uint64).any()
-    for name in whole_grads.keys() - {"gcn.w0"}:
-        assert grads[name].tobytes() == whole_grads[name].tobytes(), name
+    assert not params.grad("gcn.w0")[history.unfilled].view(np.uint64).any()
+    for name in grads.keys() - {"gcn.w0"}:
+        assert params.grad(name).tobytes() == grads[name].tobytes(), name
 
 
 @settings(max_examples=40, deadline=None)
@@ -1293,8 +1309,8 @@ def test_a_pass_lowers_its_elementwise_steps_over_contiguous_arrays():
     }
     for rounds, left in left_to_numpy.items():
         history = _History(_history_with_gaps(rng, 5, rounds, cfg.k), cfg)
-        step = _Pass(history, dict(params.entries()))
-        grads = {name: np.empty_like(value) for name, value in params.entries()}
+        step, _ = _pass_and_grads(history, dict(params.entries()), None)
+        grads = {name: np.empty_like(value) for name, value in step.w.items()}
         if history.single:  # as fit leaves them out
             del grads["attn.wk"], grads["attn.wq"]
         backward = step.bound_backward(grads, cfg.alpha, 1.0 - cfg.alpha, cfg.gamma, True)
@@ -1314,16 +1330,16 @@ def test_a_passs_programs_hold_its_arrays_but_not_the_pass():
     params = init_params(cfg, rng)
     history = _History(_history_with_gaps(rng, 4, 3, cfg.k), cfg)
     noise = rng.standard_normal((history.rows, cfg.d))
-    step = _Pass(history, dict(params.entries()))
-    grads = {name: np.empty_like(value) for name, value in params.entries()}
+    step, _ = _pass_and_grads(history, dict(params.entries()), noise)
+    grads = {name: np.empty_like(value) for name, value in step.w.items()}
     forward, backward = step._forward, step.bound_backward(grads, 0.4, 0.6, 0.01, True)
-    expected = step.forward(noise)
+    expected = step.breakdown
     step.backward(grads, 0.4, 0.6, 0.01)
     expected_grads = {name: grad.tobytes() for name, grad in grads.items()}
     gone = weakref.ref(step)
     del step
     assert gone() is None
-    assert forward(noise) == expected
+    assert forward(True) == expected
     backward()
     assert {name: grad.tobytes() for name, grad in grads.items()} == expected_grads
 
@@ -1343,8 +1359,7 @@ def _data_made_after_the_first_epoch(monkeypatch, fit_fn, batch, cfg, params) ->
     Memory is traced from the end of the first epoch, and the traced
     array data is looked at before every bytecode instruction run after
     it, so a temporary shows while it is on the stack. What one numpy call
-    allocates and frees again inside itself is not seen. The noise block
-    is drawn before the first epoch and stays alive."""
+    allocates and frees again inside itself is not seen."""
     made = []
 
     def watch(frame, event, arg):
@@ -1533,13 +1548,10 @@ def test_kernel_gradients_match_finite_differences(sampling):
         if sampling:
             noise = np.random.default_rng(5000 + i).standard_normal((history.rows, d))
         values = dict(params.entries())
-        grads = {name: np.empty_like(value) for name, value in values.items()}
-        step = _Pass(history, values)
-        step.forward(noise)
-        step.backward(grads, cfg.alpha, 1.0 - cfg.alpha, cfg.gamma)
+        _, grads = _pass_and_grads(history, values, noise, cfg)
 
         def loss():
-            return _Pass(history, values).forward(noise).l_total
+            return _pass_and_grads(history, values, noise)[0].breakdown.l_total
 
         coord_rng = np.random.default_rng(4000 + i)
         eps = 1e-4
@@ -1567,6 +1579,29 @@ def test_fit_overflowing_loss_diverges_at_epoch_zero():
         fit(_random_batch(rng, 3, 2, cfg.k), cfg, params, rng, epochs=10)
     assert info.value.epoch == 0
     assert info.value.breakdown is None
+
+
+# "loss" overflows the first loss; "step size" takes Adam steps of 1e300,
+# so that a later loss overflows
+@pytest.mark.parametrize("push", ["loss", "step size"])
+def test_a_diverged_fit_leaves_the_generator_after_one_draw_per_epoch_run(push):
+    rng = np.random.default_rng(26)
+    cfg = _small_cfg()
+    params = init_params(cfg, rng)
+    batch = _history_with_gaps(rng, 4, 2, cfg.k)
+    if push == "loss":
+        params.value("dec.b1")[:] = 1e200
+    else:
+        cfg = dataclasses.replace(cfg, lr=1e300)
+    got = np.random.default_rng(27)
+    with pytest.raises(TrainingDiverged) as info:
+        fit(batch, cfg, params, got, epochs=12)
+    epoch = info.value.epoch
+    assert (epoch == 0) == (push == "loss") and epoch < 11
+    expected = np.random.default_rng(27)
+    for _ in range(epoch + 1):
+        expected.standard_normal((_History(batch, cfg).rows, cfg.d))
+    assert got.bit_generator.state == expected.bit_generator.state
 
 
 def test_fit_builds_no_tape(monkeypatch):
