@@ -10,7 +10,12 @@ computed from; the detector's hand-written backward pass supplies it, and
 ``runner.c``. The host's gcc builds it against the headers of this Python
 and numpy on the first use of either, never at import, and it is cached in
 the ``__pycache__`` directory beside this module (``_load_runner``). Its
-``adam_step`` runs the update as one C loop over a store's block, and
+``adam_step`` runs the update as one C loop over a store's block; where
+``fma`` is one instruction (avx512f, or avx2 with fma, on x86-64 glibc;
+builds that define ``__FP_FAST_FMA``), it divides by the two bias
+corrections as reciprocal products corrected by ``fma`` to the correctly
+rounded quotient, in each 16-entry chunk whose new moments are +-0 or lie
+in [2^-968, 2^1000), and divides elsewhere, with the same bits. Its
 ``program`` lowers each ufunc call over float64 or bool arrays to the
 calls of the ufunc's own inner loop that numpy would make, and each 2-D
 ``ndarray.dot(b, out)`` to the call numpy would make of its own BLAS,
@@ -408,7 +413,12 @@ def adam_step(store: ParamStore, lr: float) -> None:
     its moments, so stepping a ``tail`` that leaves such entries and rows
     out equals the full step bit for bit (``moments_are_zero`` checks the
     moments). The first call loads the runner (``_loaded_runner``), whose
-    C loop steps the store's block; without it, the numpy passes do.
+    C loop steps the store's block; without it, the numpy passes do. Where
+    the CPU has fused multiply-add, the loop turns ``m / bias1`` and
+    ``v / bias2`` into products by ``1 / bias``, each corrected by ``fma``
+    to the correctly rounded quotient; a 16-entry chunk with a new moment
+    that is neither +-0 nor of magnitude in [2^-968, 2^1000) (a subnormal,
+    inf or NaN, say) divides, so the bits are the numpy passes' either way.
     Gradients are left untouched; the caller decides when to zero them.
     """
     runner = _loaded_runner()

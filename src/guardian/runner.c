@@ -60,15 +60,27 @@
  * from the block, and raises before writing unless the block is an
  * aligned, writeable, native-endian float64 array of 4 rows, each row
  * contiguous and apart from the others. The loop is the per-entry update
- * in the order of operations of numerics._adam_step_numpy. IEEE add,
- * multiply, divide and sqrt are correctly rounded at any vector width, so
- * its bits are numpy's as long as no multiply and add are fused: the
- * build passes -ffp-contract=off, and beta1, beta2 and eps as -D
- * definitions of ADAM_BETA1, ADAM_BETA2 and ADAM_EPS. It must never be
- * built with -ffast-math, -Ofast or -funsafe-math-optimizations: gcc then
- * links crtfastmath.o, which flushes subnormals to zero in the whole
- * process. On x86-64 glibc the loop is cloned for avx512f, avx2 and a
- * default, one picked at load time; a libc without ifunc gets the default.
+ * in the order of operations of numerics._adam_step_numpy, with its bits.
+ * IEEE add, multiply, divide and sqrt are correctly rounded at any vector
+ * width, and the build passes -ffp-contract=off, so no multiply and add
+ * are fused but where the loop calls fma() itself; beta1, beta2 and eps
+ * come as -D definitions of ADAM_BETA1, ADAM_BETA2 and ADAM_EPS. The
+ * divisions by bias1 and bias2, the same for every entry of a step, run as
+ * products by their reciprocals, each corrected by two fma() calls to the
+ * correctly rounded quotient (Markstein, IBM J. Res. Dev. 34(1), 1990).
+ * That is exact while quotient and remainder stay normal, so it is guarded:
+ * a chunk of 16 entries takes the products only when both biases lie in
+ * [2^-10, 1] and each of its new moments is +-0 or has 2^-968 <= |a| <
+ * 2^1000; any other chunk (subnormals, inf, NaN, a square that overflows)
+ * and the last n mod 16 entries divide. The products are compiled only
+ * where fma() is one instruction: on x86-64 glibc a loop for avx512f and
+ * one for avx2 with fma take them, and a loop of divisions, cloned for avx2
+ * and a default, runs on any other CPU, one picked as the module loads;
+ * elsewhere the products are compiled where the build defines
+ * __FP_FAST_FMA (aarch64, say) and the divisions where it does not. The
+ * build must never take -ffast-math, -Ofast or
+ * -funsafe-math-optimizations: gcc then links crtfastmath.o, which flushes
+ * subnormals to zero in the whole process.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -727,28 +739,143 @@ static PyObject *lower(PyObject *module, PyObject *arg)
 
 #define EXPONENT UINT64_C(0x7ff0000000000000)
 
-#if defined(__x86_64__) && defined(__GLIBC__)
-__attribute__((target_clones("avx512f", "avx2", "default")))
-#endif
-static int adam_loop(npy_intp n, double *restrict value, const double *restrict grad,
-                     double *restrict m, double *restrict v, double lr, double bias1, double bias2)
+/* Each loop below compiles these for its own target, so they must always inline. */
+#define ADAM_INLINE static inline __attribute__((always_inline))
+
+/* Stores one entry's new moments and value; whether the value is inf or NaN. */
+ADAM_INLINE uint64_t adam_store(npy_intp i, double *restrict value, double *restrict m,
+                                double *restrict v, double mi, double vi, double x)
+{
+    /* inf and NaN have every exponent bit set; an integer test keeps the loop vectorised */
+    uint64_t bits;
+    memcpy(&bits, &x, sizeof bits);
+    m[i] = mi;
+    v[i] = vi;
+    value[i] = x;
+    return (bits & EXPONENT) == EXPONENT;
+}
+
+/* Entries [start, end) of the update, its three divisions as written. */
+ADAM_INLINE uint64_t adam_divided(npy_intp start, npy_intp end, double *restrict value,
+                                  const double *restrict grad, double *restrict m,
+                                  double *restrict v, double lr, double bias1, double bias2)
 {
     uint64_t non_finite = 0;
-    for (npy_intp i = 0; i < n; i++) {
+    for (npy_intp i = start; i < end; i++) {
         double g = grad[i];
         double mi = m[i] * ADAM_BETA1 + g * (1.0 - ADAM_BETA1);
         double vi = v[i] * ADAM_BETA2 + g * g * (1.0 - ADAM_BETA2);
         double x = value[i] - mi / bias1 * lr / (sqrt(vi / bias2) + ADAM_EPS);
-        /* inf and NaN have every exponent bit set; an integer test keeps the loop vectorised */
-        uint64_t bits;
-        memcpy(&bits, &x, sizeof bits);
-        non_finite |= (bits & EXPONENT) == EXPONENT;
-        m[i] = mi;
-        v[i] = vi;
-        value[i] = x;
+        non_finite |= adam_store(i, value, m, v, mi, vi, x);
     }
-    return !non_finite;
+    return non_finite;
 }
+
+#define ADAM_CHUNK 16
+
+/* Whether adam_quotient(a, b, 1.0 / b) is a / b for every bias b in
+ * [2^-10, 1]: a is +-0, or the quotient and the remainder stay normal. */
+ADAM_INLINE int adam_exact(double a)
+{
+    double size = fabs(a);
+    return (a == 0.0) | ((size >= 0x1p-968) & (size < 0x1p1000));
+}
+
+/* a / b from r = 1.0 / b: the product a * r is within an ulp of the
+ * quotient, fma(-q, b, a) is its remainder exactly, and adding the
+ * remainder times r rounds to the quotient (Markstein); copysign keeps
+ * -0.0, which the correction would turn into +0.0. */
+ADAM_INLINE double adam_quotient(double a, double b, double r)
+{
+    double q = a * r;
+    return copysign(fma(fma(-q, b, a), r, q), a);
+}
+
+/* The update with its divisions by bias1 and bias2 as adam_quotient in
+ * each chunk whose new moments all pass adam_exact, and as divisions
+ * elsewhere. Only code where fma() is one instruction may inline this. */
+ADAM_INLINE int adam_fused(npy_intp n, double *restrict value, const double *restrict grad,
+                           double *restrict m, double *restrict v, double lr, double bias1,
+                           double bias2)
+{
+    uint64_t non_finite = 0;
+    npy_intp i = 0;
+    if (bias1 >= 0x1p-10 && bias1 <= 1.0 && bias2 >= 0x1p-10 && bias2 <= 1.0) {
+        double r1 = 1.0 / bias1, r2 = 1.0 / bias2;
+        for (; i + ADAM_CHUNK <= n; i += ADAM_CHUNK) {
+            double mi[ADAM_CHUNK], vi[ADAM_CHUNK];
+            int exact = 1;
+            for (int j = 0; j < ADAM_CHUNK; j++) {
+                double g = grad[i + j];
+                mi[j] = m[i + j] * ADAM_BETA1 + g * (1.0 - ADAM_BETA1);
+                vi[j] = v[i + j] * ADAM_BETA2 + g * g * (1.0 - ADAM_BETA2);
+                exact &= adam_exact(mi[j]) & adam_exact(vi[j]);
+            }
+            if (!exact) {
+                non_finite |= adam_divided(i, i + ADAM_CHUNK, value, grad, m, v, lr, bias1, bias2);
+                continue;
+            }
+            for (int j = 0; j < ADAM_CHUNK; j++) {
+                double x = value[i + j] - adam_quotient(mi[j], bias1, r1) * lr
+                                              / (sqrt(adam_quotient(vi[j], bias2, r2)) + ADAM_EPS);
+                non_finite |= adam_store(i + j, value, m, v, mi[j], vi[j], x);
+            }
+        }
+    }
+    return !(non_finite | adam_divided(i, n, value, grad, m, v, lr, bias1, bias2));
+}
+
+#define ADAM_PARAMETERS                                                                    \
+    npy_intp n, double *restrict value, const double *restrict grad, double *restrict m,  \
+        double *restrict v, double lr, double bias1, double bias2
+
+typedef int (*adam_fn)(ADAM_PARAMETERS);
+
+/* The loop adam_step runs, picked as the module loads (find_adam_loop). */
+#if defined(__x86_64__) && defined(__GLIBC__)
+__attribute__((target("avx512f"))) static int adam_avx512f(ADAM_PARAMETERS)
+{
+    return adam_fused(n, value, grad, m, v, lr, bias1, bias2);
+}
+
+__attribute__((target("avx2,fma"))) static int adam_avx2_fma(ADAM_PARAMETERS)
+{
+    return adam_fused(n, value, grad, m, v, lr, bias1, bias2);
+}
+
+__attribute__((target_clones("avx2", "default"))) static int adam_divisions(ADAM_PARAMETERS)
+{
+    return !adam_divided(0, n, value, grad, m, v, lr, bias1, bias2);
+}
+
+static adam_fn find_adam_loop(void)
+{
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx512f")) {
+        return adam_avx512f;
+    }
+    if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
+        return adam_avx2_fma;
+    }
+    return adam_divisions;
+}
+#else
+static int adam_built(ADAM_PARAMETERS)
+{
+#ifdef __FP_FAST_FMA
+    return adam_fused(n, value, grad, m, v, lr, bias1, bias2);
+#else
+    return !adam_divided(0, n, value, grad, m, v, lr, bias1, bias2);
+#endif
+}
+
+static adam_fn find_adam_loop(void)
+{
+    return adam_built;
+}
+#endif
+
+static adam_fn adam_loop;
 
 static PyObject *adam_step(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
@@ -872,6 +999,7 @@ PyMODINIT_FUNC PyInit_guardian_runner(void)
         return NULL;
     }
     find_blas();
+    adam_loop = find_adam_loop();
     if (PyType_Ready(&ProgramType) < 0) {
         return NULL;
     }

@@ -525,6 +525,106 @@ def test_compiled_adam_step_equals_the_numpy_step_bit_for_bit(
             break
 
 
+# values, gradients and moments around the range where the runner divides by
+# the biases as corrected products (+-0 or 2^-968 <= |a| < 2^1000): the edge
+# gradients, more subnormals, the bounds and their neighbours, the extremes
+_EDGE_MAGNITUDES = [
+    *_EDGE_GRADIENTS, -2e-323, 1e-310, 2.0**-1022, 2.0**-969, -(2.0**-969), 2.0**-968,
+    -(2.0**-968), 2.0**999, -(2.0**999), 2.0**1000, -(2.0**1000), 1e300, -1e300,
+    1.7976931348623157e308,
+]
+
+
+def _twin_stores(block: np.ndarray) -> tuple[ParamStore, ParamStore]:
+    """Two stores of one (1, n) entry whose blocks both hold ``block``."""
+    stores = tuple(ParamStore({"w": np.zeros((1, block.shape[1]))}) for _ in range(2))
+    for store in stores:
+        store._block[:] = block
+    return stores
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(48, 130),
+    st.one_of(st.integers(1, 40_000), st.sampled_from([1, 2, 37_411, 37_412, 40_000])),
+    st.one_of(st.floats(1e-3, 1.0), st.floats(1.0, 1e308)),
+    st.integers(0, 2**32 - 1),
+    st.data(),
+)
+def test_compiled_adam_step_equals_the_numpy_step_at_every_magnitude(size, step, lr, seed, data):
+    # the runner divides by bias1 and bias2 as corrected products in each
+    # 16-entry chunk whose new moments all lie in that range, and divides in
+    # every other chunk and in the tail. The first chunk here holds random
+    # magnitudes and one entry whose value, gradient and first moment are
+    # -0.0 (its update keeps the sign of -0.0 / bias1), so it takes the
+    # products; a first moment at the smallest subnormal with a zero
+    # gradient sends a later chunk to the division; the rest of the block
+    # draws from the edge set. Steps reach past 37,412, from where bias2 is 1.0.
+    runner = _compiled_runner()
+    rng = np.random.default_rng(seed)
+    block = rng.normal(size=(4, size)) * 10.0 ** rng.integers(-8, 4, size=(4, size))
+    block[3] = np.abs(block[3])
+    block[:3, rng.integers(16)] = -0.0
+    for row in block:
+        edges = data.draw(st.lists(st.sampled_from(_EDGE_MAGNITUDES), max_size=size - 16))
+        row[rng.integers(16, size, size=len(edges))] = edges
+    guarded = data.draw(st.integers(16, size - 1))
+    block[1:3, guarded] = 0.0, 5e-324
+    compiled, reference = _twin_stores(block)
+    compiled.step = reference.step = step - 1
+    outcomes = _step_outcome(compiled, lr, runner), _step_outcome(reference, lr, None)
+    assert outcomes[0] == outcomes[1]
+    assert compiled._block.tobytes() == reference._block.tobytes()
+    assert compiled.step == reference.step == step
+
+
+def test_compiled_adam_step_equals_the_numpy_step_at_the_subnormal_fixed_point():
+    # m * 0.9 rounds back to m for the four smallest positive subnormals, so
+    # with zero gradients those first moments never change and the entries
+    # keep being stepped; their chunks divide, beside chunks of normal moments
+    # that take the corrected products
+    runner = _compiled_runner()
+    rng = np.random.default_rng(11)
+    block = rng.normal(size=(4, 64))
+    block[3] = np.abs(block[3])
+    fixed = np.resize(np.array([1.0, 2.0, 3.0, 4.0, -1.0]) * 5e-324, 32)
+    block[1, :32], block[2, :32] = 0.0, fixed
+    compiled, reference = _twin_stores(block)
+    compiled.step = reference.step = 5_000
+    for _ in range(20):
+        assert _step_outcome(compiled, 0.01, runner) is _step_outcome(reference, 0.01, None) is None
+        assert compiled._block.tobytes() == reference._block.tobytes()
+    assert compiled._m[:32].tobytes() == fixed.tobytes()
+
+
+@pytest.mark.parametrize("biases", [(0.1, 0.0), (1e-300, 0.5), (-0.5, 2.0), (0.5, 2.0**-10)])
+def test_compiled_adam_step_equals_the_numpy_step_for_any_biases(biases):
+    # adam_step's biases lie in [0.001, 1]; the runner takes the corrected
+    # products only for biases in [2^-10, 1] (the last case is on its lower
+    # bound), and divides by any others
+    runner = _compiled_runner()
+    block = np.random.default_rng(5).normal(size=(4, 48))
+    block[3] = np.abs(block[3])
+    compiled, reference = _twin_stores(block)
+    with np.errstate(all="ignore"):
+        finite = numerics._adam_step_numpy(reference, 0.01, *biases)
+    assert runner.adam_step(compiled._block, 0.01, *biases) is finite
+    assert compiled._block.tobytes() == reference._block.tobytes()
+
+
+def test_no_build_of_the_adam_loop_calls_a_library_fma():
+    # the corrected products pay off only where fma() is one instruction, so
+    # the loops built for a CPU without fma divide and never call libm's fma
+    runner = _compiled_runner()
+    nm = shutil.which("nm")
+    if nm is None:
+        pytest.skip("no nm on PATH")
+    symbols = subprocess.run(
+        [nm, "-D", "--undefined-only", runner.__file__], capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert not [name for name in symbols if name.split("@")[0] in ("fma", "fmaf", "fmal")]
+
+
 def _read_only(block: np.ndarray) -> np.ndarray:
     block.flags.writeable = False
     return block

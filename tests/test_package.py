@@ -69,17 +69,32 @@ def test_importing_the_cli_loads_no_http_stack():
     assert result.stdout == "[]\n"
 
 
-def test_importing_the_cli_neither_compiles_nor_loads_the_adam_kernel():
-    # the first adam_step or program builds or loads the runner that holds
-    # Adam's loop, so set-up pays nothing for it
-    code = "import guardian.cli, guardian.numerics as n; print(n._runner is n._UNLOADED)"
+def _runner_unloaded_after(code: str) -> bool:
+    """Whether a fresh process that runs ``code`` leaves the runner unloaded."""
+    code += "; import guardian.numerics as n; print(n._runner is n._UNLOADED)"
     src = str(Path(guardian.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "True\n"
+    return result.stdout == "True\n"
+
+
+def test_importing_the_cli_neither_compiles_nor_loads_the_adam_kernel():
+    # the first adam_step or program builds or loads the runner that holds
+    # Adam's loop, so set-up pays nothing for it
+    assert _runner_unloaded_after("import guardian.cli")
+
+
+def test_setting_up_a_defended_run_neither_compiles_nor_loads_the_runner():
+    # the corpus and a defended pipeline with its detector, what a run sets
+    # up before its first episode, never touch the runner, so no change to
+    # runner.c moves the time a run takes to set up
+    assert _runner_unloaded_after(
+        "from guardian import harness as h; cfg = h.ExperimentConfig(seed=7); "
+        "h.make_corpus(20, 7); h.build_pipeline(cfg, 7)"
+    )
 
 
 # Every value a caller can set. A new field or parameter is a new option:
