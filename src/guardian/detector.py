@@ -31,9 +31,10 @@ An epoch is one noise draw, seven or eight program calls forward, one
 backward and one compiled Adam step, with no dict lookup, per-epoch view
 or new array (``tests/test_detector.py`` traces numpy's allocations to
 check it). The compiled runner runs a program's ufunc steps as numpy's
-own inner loops and its 2-D ``ndarray.dot`` products as numpy's own BLAS
-calls, bit for bit. Of the 68 steps of a round-1 fit's pass on seed-7 ``defend_c5``, it
-runs 62 so, all but the five reductions and ``putmask``. Of a
+own inner loops and its ``a.dot`` of two matrices as numpy's gemm or syrk
+call, bit for bit; a row's, a column's (one agent, say) or ``a.T.dot(a)``
+stays a numpy call. Of a round-1 fit's 68 steps on seed-7 ``defend_c5``
+it runs 62 so, all but the five reductions and ``putmask``. Of a
 two-snapshot pass's 98 it runs 80: attention adds 12 numpy calls, three
 reductions, its ``take``, four 3-D ``np.matmul`` calls, two products over
 the strided last rows of ``seq`` (numpy copies them first) and the fill and
@@ -233,8 +234,8 @@ def _product(a: np.ndarray):
     equal those of ``@`` except over an inner dimension of 1: there it
     scales instead of summing products, so that a -0.0 product stays -0.0
     and inf * 0.0 can give 0.0, not NaN. Those products go through
-    ``np.matmul``. A program runs ``a.dot`` as numpy's own BLAS call and
-    ``np.matmul`` as the numpy call it is.
+    ``np.matmul``. A program runs ``a.dot`` of two matrices as numpy's
+    gemm or syrk call, and any other product as the numpy call it is.
     """
     return a.dot if a.shape[1] != 1 else functools.partial(np.matmul, a)
 

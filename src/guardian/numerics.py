@@ -17,14 +17,14 @@ corrections as reciprocal products corrected by ``fma`` to the correctly
 rounded quotient, in each 16-entry chunk whose new moments are +-0 or lie
 in [2^-968, 2^1000), and divides elsewhere, with the same bits. Its
 ``program`` lowers each ufunc call over float64 or bool arrays to the
-calls of the ufunc's own inner loop that numpy would make, and each 2-D
-``ndarray.dot(b, out)`` to the call numpy would make of its own BLAS,
-found in the library numpy loaded; without that BLAS, products stay numpy
-calls. Where the runner cannot be built or loaded (no gcc, no Python
-headers, a failed build), Adam runs as numpy passes and programs as a
-Python loop, with the same arguments and bits; after the first use
-``_runner`` tells which ran, None for numpy. No flag, environment variable
-or config key chooses the path.
+calls of the ufunc's own inner loop that numpy would make, and each
+``a.dot(b, out)`` of two matrices to numpy's own gemm or syrk call, from
+the BLAS numpy loaded; a row, a column, ``a.T.dot(a)`` and, without that
+BLAS, every product stay numpy calls. Where the runner cannot be built or
+loaded (no gcc, no Python headers, a failed build), Adam runs as numpy
+passes and programs as a Python loop, with the same arguments and bits;
+after the first use ``_runner`` tells which ran, None for numpy. No flag,
+environment variable or config key chooses the path.
 """
 
 from __future__ import annotations
@@ -366,12 +366,12 @@ def program(steps: Iterable[tuple]) -> Callable[[], None]:
     The first call loads the compiled runner (``_load_runner``), which
     runs each ufunc step over float64 or bool arrays as the calls numpy
     would make of the ufunc's own inner loop, broadcast, strided and
-    transposed operands and a bool times a float64 included, and each 2-D
-    ``ndarray.dot(b, out)`` as numpy's own BLAS call; every other step
-    (reductions, ``np.matmul``, other methods, steps numpy would copy an
-    operand for) runs as the call it is. A lowered step gives numpy's bits
-    but emits no floating-point warning. Without the runner, the steps run
-    in a Python loop.
+    transposed operands and a bool times a float64 included, and each
+    ``a.dot(b, out)`` of two matrices as numpy's gemm or syrk call. Every
+    other step (reductions, ``np.matmul``, other methods, products of a
+    row, a column or ``a.T.dot(a)``, steps numpy would copy an operand for)
+    runs as the call it is. A lowered step gives numpy's bits and warns of
+    nothing; without the runner, the steps run in a Python loop.
     """
     runner = _loaded_runner()
     if runner is None:

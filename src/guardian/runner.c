@@ -31,18 +31,19 @@
  * iterator would copy an operand that overlaps the output, or where an
  * input overlaps the output in a way numpy settles with its overlap solver.
  *
- * ndarray.dot(b, out) of 2-D float64 arrays is lowered to the call of
- * numpy's own BLAS that numpy's cblas_matrixproduct makes: the output
- * zeroed, then gemm, with the transpose flags and leading dimensions of
- * the operands' layouts (transposed views included), or gemv where one
- * operand is a row or a column, or, for a matrix times its own transpose,
- * syrk and a copy of the upper triangle into the lower one. The BLAS is
- * the ILP64 scipy_cblas_{dgemm,dgemv,dsyrk}64_ that numpy's own module was
- * linked with, looked up through that already loaded module
- * (dlopen(RTLD_NOLOAD)), so no second BLAS is ever loaded. Where numpy has
- * no such symbols, products stay vectorcalls; so do products over an
- * inner dimension of 1, a row times a column, operands numpy would copy
- * and an output that shares memory with an operand.
+ * ndarray.dot(b, out) of an m x k and a k x n float64 matrix, m, n and k
+ * all at least 2, is lowered to the call of numpy's own BLAS that numpy's
+ * cblas_matrixproduct makes for two matrices: the output zeroed, then gemm,
+ * with the transpose flags and leading dimensions of the operands' layouts
+ * (transposed views included), or, for a matrix times its own transpose
+ * a.dot(a.T), syrk and a copy of the upper triangle into the lower one. The
+ * BLAS is the ILP64 scipy_cblas_{dgemm,dsyrk}64_ that numpy's own module
+ * was linked with, looked up through that already loaded module
+ * (dlopen(RTLD_NOLOAD)), so no second BLAS is ever loaded. Every other
+ * product stays a vectorcall of ndarray.dot, numpy's own call with its
+ * bits: a row or a column (numpy's gemv or dot), an inner dimension of 1,
+ * a.T.dot(a), operands numpy would copy, an output that shares memory with
+ * an operand, and every product where numpy has no such symbols.
  *
  * A lowered step skips numpy's floating-point error check, so it emits no
  * warning. The runner clears the floating-point status it leaves before
@@ -98,20 +99,17 @@
 
 #define MAX_OPERANDS 3
 
-enum kind { VECTORCALL, LOOP, GEMM, GEMV, SYRK };
+enum kind { VECTORCALL, LOOP, GEMM, SYRK };
 
 /* CBLAS's enumerations */
-enum { ROW_MAJOR = 101, COL_MAJOR = 102, NO_TRANS = 111, TRANS = 112, UPPER = 121 };
+enum { ROW_MAJOR = 101, NO_TRANS = 111, TRANS = 112, UPPER = 121 };
 
 typedef void (*gemm_fn)(int, int, int, int64_t, int64_t, int64_t, double, const double *,
                         int64_t, const double *, int64_t, double, double *, int64_t);
-typedef void (*gemv_fn)(int, int, int64_t, int64_t, double, const double *, int64_t,
-                        const double *, int64_t, double, double *, int64_t);
 typedef void (*syrk_fn)(int, int, int, int64_t, int64_t, double, const double *, int64_t,
                         double, double *, int64_t);
 
-static gemm_fn dgemm; /* numpy's BLAS, or all three NULL */
-static gemv_fn dgemv;
+static gemm_fn dgemm; /* numpy's BLAS, or both NULL */
 static syrk_fn dsyrk;
 
 /* A ufunc step: its inner loop, and either the one call of numpy's fast
@@ -128,12 +126,11 @@ typedef struct {
     npy_intp *iter_strides, *iter_count;
 } Loop;
 
-/* A BLAS call, as numpy's cblas_matrixproduct makes it: gemm(order, trans_a,
- * trans_b, m, n, k, 1, a, lda, b, ldb, 0, c, ldc), gemv(order, trans_a, m, n,
- * 1, a, lda, b, ldb, 0, c, 1) and syrk(order, UPPER, trans_a, n, k, 1, a,
- * lda, 0, c, ldc). */
+/* A BLAS call, as numpy's cblas_matrixproduct makes it for two matrices:
+ * gemm(ROW_MAJOR, trans_a, trans_b, m, n, k, 1, a, lda, b, ldb, 0, c, ldc)
+ * and syrk(ROW_MAJOR, UPPER, NO_TRANS, n, k, 1, a, lda, 0, c, ldc). */
 typedef struct {
-    int order, trans_a, trans_b;
+    int trans_a, trans_b;
     npy_intp m, n, k, lda, ldb, ldc;
     const double *a, *b;
     double *c;
@@ -466,16 +463,14 @@ static int is_float64_matrix(PyObject *object)
         && PyArray_DIM((PyArrayObject *)object, 1) < INT_MAX;
 }
 
-#define LEADING(dim) ((dim) > 1 ? (dim) : 1)
-
-/* Lower a step a.dot(b, out) to numpy's BLAS call (kind GEMM, GEMV or SYRK) if it
- * qualifies; 1 if it did. */
+/* Lower a step a.dot(b, out) of two matrices to numpy's BLAS call (kind GEMM
+ * or SYRK) if it qualifies; 1 if it did. */
 static int lower_product(Step *s)
 {
     Product *p = &s->product;
     PyObject *self;
     PyArrayObject *a, *b, *out;
-    int a_c, a_f, b_c, b_f;
+    int a_f, b_f;
 
     if (dgemm == NULL || !PyCFunction_Check(s->callable)
         || PyCFunction_GET_FUNCTION(s->callable) != ndarray_dot || s->kwargs != NULL || s->nargs != 2) {
@@ -492,70 +487,36 @@ static int lower_product(Step *s)
     p->m = PyArray_DIM(a, 0);
     p->k = PyArray_DIM(a, 1);
     p->n = PyArray_DIM(b, 1);
-    /* an inner dimension of 1 is numpy's scalar path; a row times a column, its dot */
-    if (PyArray_DIM(b, 0) != p->k || p->k < 2 || p->m < 1 || p->n < 1 || (p->m == 1 && p->n == 1)
+    /* a row or a column is numpy's gemv or dot; an inner dimension of 1, its scalar path */
+    if (PyArray_DIM(b, 0) != p->k || p->m < 2 || p->n < 2 || p->k < 2
         || PyArray_DIM(out, 0) != p->m || PyArray_DIM(out, 1) != p->n) {
         return 0;
     }
     if (!PyArray_ISCARRAY(out) || bad_strides(a) || bad_strides(b) || overlap(out, a) || overlap(out, b)) {
         return 0;
     }
-    a_c = PyArray_IS_C_CONTIGUOUS(a);
     a_f = PyArray_IS_F_CONTIGUOUS(a);
-    b_c = PyArray_IS_C_CONTIGUOUS(b);
     b_f = PyArray_IS_F_CONTIGUOUS(b);
-    p->c = (double *)PyArray_DATA(out);
-    p->c_bytes = (size_t)PyArray_NBYTES(out);
-    p->ldc = LEADING(p->n);
-    if (p->n == 1) {
-        /* a matrix times a column: gemv of a's layout over the column's stride */
-        if (!a_c && !a_f) {
-            return 0;
-        }
-        s->kind = GEMV;
-        p->order = a_c ? ROW_MAJOR : COL_MAJOR;
-        p->trans_a = NO_TRANS;
-        p->lda = a_c ? LEADING(p->k) : LEADING(p->m);
-        p->a = (const double *)PyArray_DATA(a);
-        p->b = (const double *)PyArray_DATA(b);
-        p->ldb = PyArray_STRIDE(b, 0) / (npy_intp)sizeof(double);
-        p->n = p->k;
-        return 1;
-    }
-    if (p->m == 1) {
-        /* a row times a matrix: gemv of b's layout, transposed, over the row's stride */
-        if (!b_c && !b_f) {
-            return 0;
-        }
-        s->kind = GEMV;
-        p->order = b_c ? ROW_MAJOR : COL_MAJOR;
-        p->trans_a = TRANS;
-        p->lda = b_c ? LEADING(p->n) : LEADING(p->k);
-        p->a = (const double *)PyArray_DATA(b);
-        p->b = (const double *)PyArray_DATA(a);
-        p->ldb = PyArray_STRIDE(a, 1) / (npy_intp)sizeof(double);
-        p->m = p->k;
-        return 1;
-    }
-    if ((!a_c && !a_f) || (!b_c && !b_f)) {
+    if ((!PyArray_IS_C_CONTIGUOUS(a) && !a_f) || (!PyArray_IS_C_CONTIGUOUS(b) && !b_f)) {
         return 0;
     }
-    p->order = ROW_MAJOR;
     p->trans_a = a_f ? TRANS : NO_TRANS;
     p->trans_b = b_f ? TRANS : NO_TRANS;
-    p->lda = a_f ? LEADING(p->m) : LEADING(p->k);
-    p->ldb = b_f ? LEADING(p->k) : LEADING(p->n);
+    p->lda = a_f ? p->m : p->k;
+    p->ldb = b_f ? p->k : p->n;
+    p->ldc = p->n;
     p->a = (const double *)PyArray_DATA(a);
     p->b = (const double *)PyArray_DATA(b);
+    p->c = (double *)PyArray_DATA(out);
+    p->c_bytes = (size_t)PyArray_NBYTES(out);
     if (PyArray_BYTES(a) == PyArray_BYTES(b) && p->m == p->n
         && PyArray_STRIDE(a, 0) == PyArray_STRIDE(b, 1) && PyArray_STRIDE(a, 1) == PyArray_STRIDE(b, 0)
         && p->trans_a != p->trans_b) {
-        /* a matrix times its own transpose */
-        s->kind = SYRK;
+        /* a matrix times its own transpose: numpy's syrk, a.T.dot(a) left to numpy */
         if (p->trans_a == TRANS) {
-            p->a = p->b;
-            p->lda = p->ldb;
+            return 0;
         }
+        s->kind = SYRK;
         return 1;
     }
     s->kind = GEMM;
@@ -567,20 +528,15 @@ static void run_product(enum kind kind, const Product *p)
     npy_intp i, j;
 
     memset(p->c, 0, p->c_bytes);
-    switch (kind) {
-    case GEMM:
-        dgemm(p->order, p->trans_a, p->trans_b, p->m, p->n, p->k, 1.0, p->a, p->lda, p->b, p->ldb,
+    if (kind == GEMM) {
+        dgemm(ROW_MAJOR, p->trans_a, p->trans_b, p->m, p->n, p->k, 1.0, p->a, p->lda, p->b, p->ldb,
               0.0, p->c, p->ldc);
-        break;
-    case GEMV:
-        dgemv(p->order, p->trans_a, p->m, p->n, 1.0, p->a, p->lda, p->b, p->ldb, 0.0, p->c, 1);
-        break;
-    default:
-        dsyrk(p->order, UPPER, p->trans_a, p->n, p->k, 1.0, p->a, p->lda, 0.0, p->c, p->ldc);
-        for (i = 0; i < p->n; i++) {
-            for (j = i + 1; j < p->n; j++) {
-                p->c[j * p->ldc + i] = p->c[i * p->ldc + j];
-            }
+        return;
+    }
+    dsyrk(ROW_MAJOR, UPPER, NO_TRANS, p->n, p->k, 1.0, p->a, p->lda, 0.0, p->c, p->ldc);
+    for (i = 0; i < p->n; i++) {
+        for (j = i + 1; j < p->n; j++) {
+            p->c[j * p->ldc + i] = p->c[i * p->ldc + j];
         }
     }
 }
@@ -950,11 +906,9 @@ static void find_blas(void)
         return;
     }
     dgemm = (gemm_fn)dlsym(numpy, "scipy_cblas_dgemm64_");
-    dgemv = (gemv_fn)dlsym(numpy, "scipy_cblas_dgemv64_");
     dsyrk = (syrk_fn)dlsym(numpy, "scipy_cblas_dsyrk64_");
-    if (dgemm == NULL || dgemv == NULL || dsyrk == NULL) {
+    if (dgemm == NULL || dsyrk == NULL) {
         dgemm = NULL;
-        dgemv = NULL;
         dsyrk = NULL;
     }
 }
