@@ -25,7 +25,12 @@ programs of numpy calls that each run as one call (``numerics.program``),
 so ``fit`` runs every epoch in one workspace, its noise drawn into the
 pass's own array; ``infer`` runs it once, and ``run_forward`` exposes one
 pass's loss terms as 1x1 tensors whose ``backward()`` writes that term's
-gradient. A round's fit and infer share one history (``_history``).
+gradient. A round's fit and infer share one history (``_history``) and
+one pass: the pass owns its rows of gcn.w0, which a sampled forward first
+copies from the rows it was handed (in a fit, the store's packed rows that
+Adam steps), and ``infer`` on the history and store of the last fit
+(``_fitted``) gathers the store's current rows into that pass and runs it
+once, unsampled, where any other call binds a pass of its own.
 
 An epoch is one noise draw, seven or eight program calls forward, one
 backward and one compiled Adam step, with no dict lookup, per-epoch view
@@ -33,9 +38,9 @@ or new array (``tests/test_detector.py`` traces numpy's allocations to
 check it). The compiled runner runs a program's ufunc steps as numpy's
 own inner loops and its ``a.dot`` of two matrices as numpy's gemm or syrk
 call, bit for bit; a row's, a column's (one agent, say) or ``a.T.dot(a)``
-stays a numpy call. Of a round-1 fit's 68 steps on seed-7 ``defend_c5``
-it runs 62 so, all but the five reductions and ``putmask``. Of a
-two-snapshot pass's 98 it runs 80: attention adds 12 numpy calls, three
+stays a numpy call. Of a round-1 fit's 69 steps on seed-7 ``defend_c5``
+it runs 63 so, all but the five reductions and ``putmask``. Of a
+two-snapshot fit's 99 it runs 81: attention adds 12 numpy calls, three
 reductions, its ``take``, four 3-D ``np.matmul`` calls, two products over
 the strided last rows of ``seq`` (numpy copies them first) and the fill and
 scatter of the latents' gradient. The pass's results are bit for bit those
@@ -65,7 +70,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import numerics as nm
-from .graph import HistoryBatch, normalized_adjacency, self_looped_adjacency
+from .graph import HistoryBatch, normalized_adjacency
 from .numerics import NonFiniteError, ParamStore, Tensor2D
 
 __all__ = [
@@ -208,17 +213,14 @@ def _param_shapes(cfg: DetectorConfig) -> dict[str, tuple[int, int]]:
 
 
 def init_params(cfg: DetectorConfig, rng: np.random.Generator) -> ParamStore:
-    """Glorot-uniform weights, zero biases. Draw order is fixed by name."""
-
-    def value(name: str, shape: tuple[int, int]) -> np.ndarray:
-        if ".b" in name:
-            return np.zeros(shape)
-        bound = math.sqrt(6.0 / sum(shape))
-        return rng.uniform(-bound, bound, size=shape)
-
-    shapes = _param_shapes(cfg)
-    drawn = {name: value(name, shapes[name]) for name in sorted(shapes)}
-    return ParamStore({name: drawn[name] for name in shapes})
+    """Glorot-uniform weights, zero biases. Draw order is fixed by name:
+    each weight is drawn and copied into a store laid out once."""
+    params = nm.zero_store(_layout(cfg.k, cfg.d))
+    for name, shape in sorted(params.layout):
+        if ".b" not in name:
+            bound = math.sqrt(6.0 / sum(shape))
+            params.value(name)[...] = rng.uniform(-bound, bound, size=shape)
+    return params
 
 
 # Constant operands as 0-d arrays: numpy converts a Python float anew in every call.
@@ -269,6 +271,11 @@ def gcn_forward(
 
 
 def _bind_gcn(a_hat, a_hat_x, w0, w1):
+    steps, result = _gcn_steps(a_hat, a_hat_x, w0, w1)
+    return nm.program(steps), result
+
+
+def _gcn_steps(a_hat, a_hat_x, w0, w1):
     shape = (len(a_hat_x), w0.shape[1])
     h1_pre, h1 = np.empty(shape), np.empty(shape)
     a_hat_h1 = h1 if a_hat is None else np.empty(shape)
@@ -277,7 +284,7 @@ def _bind_gcn(a_hat, a_hat_x, w0, w1):
     if a_hat is not None:
         steps.append((_product(a_hat), (h1, a_hat_h1)))
     steps.append((_product(a_hat_h1), (w1, hidden)))
-    return nm.program(steps), (h1_pre, a_hat_h1, hidden)
+    return steps, (h1_pre, a_hat_h1, hidden)
 
 
 def split_latent(
@@ -344,9 +351,15 @@ def _pe_divisors(d: int) -> np.ndarray:
 def positional_encoding(rounds: list[int], d: int) -> np.ndarray:
     """Sinusoidal encodings of absolute round numbers, one row per round:
     sin in even columns, cos in odd ones, of ``t / 10000 ** (2 * (j // 2) / d)``."""
+    return _pe_table(tuple(rounds), d).copy()
+
+
+@functools.lru_cache(maxsize=64)  # every episode's histories encode the same rounds
+def _pe_table(rounds: tuple[int, ...], d: int) -> np.ndarray:
     angles = np.asarray(rounds, dtype=np.float64)[:, None] / _pe_divisors(d)
     pe = np.cos(angles)
     pe[:, 0::2] = np.sin(angles[:, 0::2])
+    pe.flags.writeable = False
     return pe
 
 
@@ -516,14 +529,22 @@ class _History:
         final = snapshots[-1]
         if not final.agents:
             raise DetectorError("no active agents at the final round")
-        features = np.vstack([s.features.data for s in snapshots])
+        features = np.concatenate([s.features.data for s in snapshots])
         if features.shape[1] != cfg.k:
             raise DetectorError(
                 f"feature dim {features.shape[1]} does not match encoder input {cfg.k}"
             )
+        sizes = [len(s.agents) for s in snapshots]
+        self.rows, n = len(features), sizes[-1]
         a_hat = normalized_adjacency(batch).data
-        # with no edge a_hat is exactly the identity, whose products _Pass skips
-        self.a_hat = a_hat if any(s.adjacency.any() for s in snapshots) else None
+        # Its diagonal is positive and an entry off it is non-zero exactly
+        # where an edge is (snapshots have no self-loop), so with no edge
+        # a_hat is exactly the identity, whose products _Pass skips. The
+        # final block's non-zero entries are the final snapshot's
+        # self-looped, symmetrized adjacency: the structure target.
+        self.a_hat = a_hat if np.count_nonzero(a_hat) > self.rows else None
+        self.edge = a_hat[-n:, -n:] > 0.0
+        self.target = self.edge.astype(np.float64)
         a_hat_x = a_hat @ features
         # The buckets the embedder filled: the rows of gcn.w0 that meet a
         # non-zero column of a_hat_x. The others add only exact zeros to
@@ -534,23 +555,13 @@ class _History:
         if not filled.any():
             filled[:] = True
         self.filled, self.unfilled = np.flatnonzero(filled), ~filled
-        self.a_hat_x = a_hat_x[:, self.filled]
-        sizes = [len(s.agents) for s in snapshots]
-        self.rows = sum(sizes)
+        self.a_hat_x = a_hat_x.take(self.filled, 1)
+        self.gather = _gather(snapshots)
         # kl is the mean over snapshots of the per-node average KL; this
         # constant and the positional rows below are stored at the latents'
         # shape, so that a pass multiplies and adds them without broadcasting
-        weights = np.repeat([0.5 / (n * len(sizes)) for n in sizes], sizes)
+        weights = np.repeat([0.5 / (size * len(sizes)) for size in sizes], sizes)
         self.kl_weight = np.repeat(weights[:, None], cfg.d, axis=1)
-        self.gather = np.empty((len(final.agents), len(snapshots)), dtype=np.intp)
-        offset = 0
-        for t, s in enumerate(snapshots):
-            row_of = {a: offset + i for i, a in enumerate(s.agents)}
-            for i, agent in enumerate(final.agents):
-                if agent not in row_of:
-                    raise DetectorError(f"final agent {agent} is absent from round {s.round}")
-                self.gather[i, t] = row_of[agent]
-            offset += len(s.agents)
         # attention over one snapshot is the identity, which _Pass skips
         self.single = len(snapshots) == 1
         pe = positional_encoding([s.round for s in snapshots], cfg.d)
@@ -558,8 +569,22 @@ class _History:
         self.d, self.alpha, self.gamma = cfg.d, cfg.alpha, cfg.gamma
         self.inv_sqrt_d = 1.0 / math.sqrt(cfg.d)
         self.features = final.features.data
-        self.target = self_looped_adjacency(final)
-        self.edge = self.target > 0.0
+
+
+def _gather(snapshots: list) -> np.ndarray:
+    """``gather[i, t]``, the row of the final snapshot's agent i in snapshot
+    t, the snapshots stacked row-wise; a final agent missing from an
+    earlier snapshot is a DetectorError."""
+    final, offset, rows = snapshots[-1].agents, 0, []
+    for s in snapshots:
+        row_of = dict(zip(s.agents, range(offset, offset + len(s.agents))))
+        try:
+            rows.append([row_of[agent] for agent in final])
+        except KeyError:
+            agent = next(a for a in final if a not in row_of)
+            raise DetectorError(f"final agent {agent} is absent from round {s.round}") from None
+        offset += len(s.agents)
+    return np.array(rows, dtype=np.intp).T.copy()
 
 
 @functools.lru_cache(maxsize=1)
@@ -593,11 +618,14 @@ class _Pass:
 
     ``w["gcn.w0"]`` is the rows of gcn.w0 of filled buckets, in
     ``h.filled`` order: ``fit`` hands the rows it packed, ``infer`` and
-    ``run_forward`` a copy gathered from the whole entry. A sampled
-    forward reads the pass's own ``noise`` array, one standard-normal row
-    per node, which its caller draws into first. The latent ``z`` the
-    decoders read is one array too: the sample, or at inference a copy of
-    the mean.
+    ``run_forward`` a copy gathered from the whole entry. The first layer
+    multiplies the pass's own copy of them, ``w0``, which a sampled
+    forward refreshes from ``w["gcn.w0"]`` first and an unsampled one reads
+    as it stands, so that ``infer`` can gather other rows into it. A
+    sampled forward reads the pass's own ``noise`` array, one
+    standard-normal row per node, which its caller draws into first. The
+    latent ``z`` the decoders read is one array too: the sample, or at
+    inference a copy of the mean.
     """
 
     def __init__(self, h: _History, w: dict[str, np.ndarray]):
@@ -605,12 +633,19 @@ class _Pass:
         rows, d = h.rows, h.d
         n = len(h.features)
         a_hat, a_hat_x = h.a_hat, h.a_hat_x
-        w0, w1 = w["gcn.w0"], w["gcn.w1"]
+        rows_in, w1 = w["gcn.w0"], w["gcn.w1"]
+        w0 = self.w0 = np.array(rows_in)
         wq, wk, wv = w["attn.wq"], w["attn.wk"], w["attn.wv"]
         dec_w0, dec_b0, dec_w1, dec_b1 = w["dec.w0"], w["dec.b0"], w["dec.w1"], w["dec.b1"]
 
-        gcn = _bind_gcn(a_hat, a_hat_x, w0, w1)
-        self.h1_pre, self.a_hat_h1, hidden = gcn[1]
+        gcn_steps, gcn_result = _gcn_steps(a_hat, a_hat_x, w0, w1)
+        gcn = nm.program(gcn_steps), gcn_result
+        # A sampled forward first copies the rows it was handed into w0, in
+        # one more step at the head of the stage's program: in a fit they
+        # are the store's packed rows, which Adam steps in place. An
+        # unsampled one multiplies w0 as it stands (see ``infer``).
+        refreshing = nm.program([(np.positive, (rows_in, w0)), *gcn_steps]), gcn_result
+        self.h1_pre, self.a_hat_h1, hidden = gcn_result
         latent = _bind_split_latent(hidden, d)
         mean, self.log_var_raw, log_var = latent[1]
         self.mean, self.log_var = mean, log_var
@@ -668,7 +703,7 @@ class _Pass:
         copy = np.copyto
 
         def forward(sampled: bool) -> LossBreakdown:
-            gcn_forward(a_hat, a_hat_x, w0, w1, gcn)
+            gcn_forward(a_hat, a_hat_x, w0, w1, refreshing if sampled else gcn)
             split_latent(hidden, d, latent)
             if not sampled:
                 copy(z, mean)  # inference: the latent is the mean
@@ -828,7 +863,11 @@ def _movable(history: _History, params: ParamStore) -> tuple[str, np.ndarray, in
     that can move, then the rest, each part in row order.
     """
     first = "attn.wk"
-    if history.single and all(params.moments_are_zero(n).all() for n in ("attn.wk", "attn.wq")):
+    if (
+        history.single
+        and params.moments_are_zero("attn.wk").all()
+        and params.moments_are_zero("attn.wq").all()
+    ):
         first = "attn.wv"
     idle = history.unfilled & params.moments_are_zero("gcn.w0")
     order = np.argsort(history.unfilled.view(np.int8) + idle, kind="stable")
@@ -839,6 +878,13 @@ def _movable(history: _History, params: ParamStore) -> tuple[str, np.ndarray, in
 @functools.cache
 def _layout(k: int, d: int) -> tuple:
     return tuple(_param_shapes(DetectorConfig(k=k, d=d)).items())
+
+
+# One slot: the last fit's history, store and pass, which ``infer`` takes
+# on that history and store. It holds one tuple under one key, set whole by
+# ``fit`` and taken whole by ``infer`` in one atomic pop, so that a thread
+# never sees the parts of two fits and no two inferences share a pass.
+_fitted: dict[str, tuple[_History, ParamStore, _Pass]] = {}
 
 
 def fit(
@@ -863,10 +909,13 @@ def fit(
     filled buckets where they lie and write their gradient there; the
     other rows that move get a zero gradient, as do attn.wk and attn.wq
     over one snapshot, written once. Every epoch runs through one
-    ``_Pass``, allocated and bound when the fit starts. When the fit ends it restores
-    the row order, gradient included, and zeroes the gradient of the rows
-    of empty buckets if a backward pass ran, so the store ends bit for bit
-    as full steps would leave it, also when it raises.
+    ``_Pass``, allocated and bound when the fit starts, whose sampled
+    forward first copies the packed rows into the pass's own. When the fit
+    ends it restores the row order, gradient included, and zeroes the
+    gradient of the rows of empty buckets if a backward pass ran, so the
+    store ends bit for bit as full steps would leave it, also when it
+    raises. The pass stays in ``_fitted`` for the round's ``infer``: a
+    round's fit and infer share one history and one pass.
     """
     history = _history(batch, cfg)
     if params.layout != _layout(cfg.k, cfg.d):
@@ -885,6 +934,7 @@ def fit(
     if history.single:
         zeroed += [grads.pop("attn.wk"), grads.pop("attn.wq")]
     step = _Pass(history, values)
+    _fitted["pass"] = (history, params, step)
     forward, backward, lr = step.forward, step.bound_backward(grads, *coefficients, True), cfg.lr
     draw, noise = rng.standard_normal, step.noise
     trace: list[LossBreakdown] = []
@@ -917,15 +967,24 @@ def infer(
 ) -> tuple[Reconstruction, LossBreakdown]:
     """Deterministic reconstruction of the final snapshot (no sampling).
 
-    The pass multiplies a copy of the rows of gcn.w0 of filled buckets. A
-    finite l_total is a finite sum of squared attribute residuals and of
-    logs of clamped edge probabilities, so both residuals are finite too.
+    The pass multiplies a copy of the rows of gcn.w0 of filled buckets, as
+    the store holds them when it is called. The first call after a fit
+    takes that fit's pass (``_fitted``): on the fit's history and store it
+    gathers the rows into it, so a round's fit and infer share one history
+    and one pass. Every other call binds a pass of its own; the bits are
+    the same. A finite l_total is a finite sum of squared attribute
+    residuals and of logs of clamped edge probabilities, so both residuals
+    are finite too.
     """
-    history = _history(batch, cfg)
-    values = dict(params.entries())
-    values["gcn.w0"] = params.value("gcn.w0")[history.filled]
-    with np.errstate(over="ignore", invalid="ignore"):  # the loss check below reports it
+    history, fitted = _history(batch, cfg), _fitted.pop("pass", None)
+    if fitted is not None and fitted[0] is history and fitted[1] is params:
+        result = fitted[2]
+        params.value("gcn.w0").take(history.filled, 0, result.w0)
+    else:
+        values = dict(params.entries())
+        values["gcn.w0"] = params.value("gcn.w0")[history.filled]
         result = _Pass(history, values)
+    with np.errstate(over="ignore", invalid="ignore"):  # the loss check below reports it
         result.forward(False)
     if not math.isfinite(result.breakdown.l_total):
         raise NonFiniteError(f"non-finite loss at inference: {result.breakdown}")

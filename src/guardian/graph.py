@@ -207,9 +207,14 @@ def normalized_adjacency(s: Snapshot | HistoryBatch) -> Tensor2D:
     Of a batch it is block-diagonal, one snapshot's normalized adjacency
     per block, because no edge crosses a snapshot.
     """
-    a_hat = (s.adjacency | s.adjacency.T).astype(np.float64) + np.eye(len(s.adjacency))
-    d_inv_sqrt = 1.0 / np.sqrt(a_hat.sum(axis=1))
-    return Tensor2D(a_hat * d_inv_sqrt[:, None] * d_inv_sqrt[None, :])
+    adjacency = s.adjacency  # a batch builds it on every read
+    # A_sym as 0.0 and 1.0, the maximum of the two directions, and + I
+    a_hat = np.maximum(adjacency, adjacency.T, dtype=np.float64)
+    a_hat.reshape(-1)[:: len(a_hat) + 1] += 1.0
+    d_inv_sqrt = np.divide(1.0, np.sqrt(np.add.reduce(a_hat, 1)))
+    np.multiply(a_hat, d_inv_sqrt[:, None], out=a_hat)
+    np.multiply(a_hat, d_inv_sqrt, out=a_hat)
+    return Tensor2D(a_hat)
 
 
 def self_looped_adjacency(s: Snapshot) -> np.ndarray:

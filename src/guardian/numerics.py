@@ -6,10 +6,11 @@ adjacencies, reconstructions and loss values. A 1x1 loss may carry a
 computed from; the detector's hand-written backward pass supplies it, and
 ``grad_check`` holds it to central differences.
 
-``adam_step`` and ``program`` run on one compiled module, the runner in
-``runner.c``. The host's gcc builds it against the headers of this Python
-and numpy on the first use of either, never at import, and it is cached in
-the ``__pycache__`` directory beside this module (``_load_runner``). Its
+``adam_step``, ``program`` and ``ParamStore.permute_rows`` run on one
+compiled module, the runner in ``runner.c``. The host's gcc builds it
+against the headers of this Python and numpy on the first use of any of
+them, never at import, and it is cached in the ``__pycache__`` directory
+beside this module (``_load_runner``). Its
 ``adam_step`` runs the update as one C loop over a store's block; where
 ``fma`` is one instruction (avx512f, or avx2 with fma, on x86-64 glibc;
 builds that define ``__FP_FAST_FMA``), it divides by the two bias
@@ -20,9 +21,11 @@ in [2^-968, 2^1000), and divides elsewhere, with the same bits. Its
 calls of the ufunc's own inner loop that numpy would make, and each
 ``a.dot(b, out)`` of two matrices to numpy's own gemm or syrk call, from
 the BLAS numpy loaded; a row, a column, ``a.T.dot(a)`` and, without that
-BLAS, every product stay numpy calls. Where the runner cannot be built or
-loaded (no gcc, no Python headers, a failed build), Adam runs as numpy
-passes and programs as a Python loop, with the same arguments and bits;
+BLAS, every product stay numpy calls, as every step does on a numpy not
+in ``VERIFIED_NUMPY``. Its ``permute_rows`` moves a permutation's rows in
+place. Where the runner cannot be built or loaded (no gcc, no Python
+headers, a failed build), Adam runs as numpy passes, programs as a Python
+loop and permutations as numpy gathers, with the same arguments and bits;
 after the first use ``_runner`` tells which ran, None for numpy. No flag,
 environment variable or config key chooses the path.
 """
@@ -45,6 +48,7 @@ __all__ = [
     "NonFiniteError",
     "Tensor2D",
     "ParamStore",
+    "zero_store",
     "adam_step",
     "grad_check",
     "program",
@@ -72,7 +76,9 @@ class Tensor2D:
         arr = np.asarray(data, dtype=np.float64)
         if arr.ndim != 2:
             raise NumericsError(f"Tensor2D requires 2-D data, got ndim={arr.ndim}")
-        if not np.all(np.isfinite(arr)):
+        # a finite sum has no inf or NaN term; finite values whose sum
+        # overflows fall through to the elementwise scan
+        if not (math.isfinite(np.add.reduce(arr, None)) or np.isfinite(arr).all()):
             raise NonFiniteError("Tensor2D contains non-finite values")
         self.data = arr
         self._backward = backward
@@ -125,11 +131,7 @@ class ParamStore:
         a layout wider than the block raises ``NumericsError``. The entries'
         views are made on first use."""
         self.layout = tuple(shapes.items())
-        self._spans: dict[str, slice] = {}
-        offset = 0
-        for name, (rows, cols) in self.layout:
-            self._spans[name] = slice(offset, offset + rows * cols)
-            offset += rows * cols
+        self._spans, offset = _spans_of(self.layout)
         if block.shape[1] < offset:
             raise NumericsError(f"a block of {block.shape[1]} columns cannot hold {offset} entries")
         self._block = block[:, :offset]
@@ -146,6 +148,11 @@ class ParamStore:
     @functools.cached_property
     def _grads(self) -> dict[str, np.ndarray]:
         return self._views(self._grad)
+
+    @functools.cached_property
+    def _moment_bits(self) -> np.ndarray:
+        """Both moments' rows as the bits of their values."""
+        return self._block[2:].view(np.uint64)
 
     @functools.cached_property
     def _scratch(self) -> np.ndarray:
@@ -168,8 +175,10 @@ class ParamStore:
         """Per row of entry ``name``, whether both Adam moments hold +0.0,
         bit for bit, in every column."""
         rows, cols = self._values[name].shape
-        bits = self._block[2:, self._spans[name]].view(np.uint64).reshape(2, rows, cols)
-        return np.bitwise_or.reduce(bits, axis=(0, 2)) == 0
+        bits = self._moment_bits[:, self._spans[name]]
+        if not np.count_nonzero(bits):  # as in a fresh store: no row to reduce
+            return np.ones(rows, dtype=bool)
+        return np.bitwise_or.reduce(bits.reshape(2, rows, cols), axis=(0, 2)) == 0
 
     def tail(self, first: str, rows: int) -> "ParamStore":
         """A store over this one's own block: the entries from ``first`` to
@@ -192,10 +201,15 @@ class ParamStore:
 
     def permute_rows(self, name: str, order: np.ndarray) -> None:
         """Reorder the rows of entry ``name`` in its value, gradient and both
-        moments: row i takes what row ``order[i]`` held."""
+        moments: row i takes what row ``order[i]`` held. The runner
+        (``_loaded_runner``) moves a permutation's rows in place, each row
+        that moves copied once; numpy gathers any other order, and every
+        order where there is no runner."""
         rows, cols = self._values[name].shape
         entry = self._block[:, self._spans[name]].reshape(4, rows, cols)
-        entry[:] = entry.take(order, axis=1)
+        runner = _loaded_runner()
+        if runner is None or not runner.permute_rows(entry, np.asarray(order, dtype=np.intp)):
+            entry[:] = entry.take(order, axis=1)
 
     def __reduce__(self):
         # copies and pickles are rebuilt over their own block: a copy of the
@@ -206,11 +220,32 @@ class ParamStore:
         return self._values.items()
 
 
+@functools.lru_cache(maxsize=256)  # a fit lays out a tail of one of a few layouts
+def _spans_of(layout: tuple) -> tuple[dict[str, slice], int]:
+    """Each entry's columns in a block laid out as ``layout``, and their
+    total; the dict is shared, never written."""
+    spans, offset = {}, 0
+    for name, (rows, cols) in layout:
+        spans[name] = slice(offset, offset + rows * cols)
+        offset += rows * cols
+    return spans, offset
+
+
 def _rebuilt(layout, block: np.ndarray, step: int) -> ParamStore:
     """A store of this layout over a copy of this block, at this step."""
     store = ParamStore.__new__(ParamStore)
     store._lay_out(dict(layout), np.array(block))
     store.step = step
+    return store
+
+
+def zero_store(layout: Iterable[tuple[str, tuple[int, int]]]) -> ParamStore:
+    """A store laid out as ``layout``, (name, (rows, cols)) pairs in order,
+    whose values, gradients and moments are all +0.0, at step 0: what a
+    caller draws its values straight into."""
+    shapes = dict(layout)
+    store = ParamStore.__new__(ParamStore)
+    store._lay_out(shapes, np.zeros((4, sum(rows * cols for rows, cols in shapes.values()))))
     return store
 
 
@@ -232,6 +267,14 @@ _RUNNER_CFLAGS = (
     f"-DADAM_BETA1={ADAM_BETA1!r}", f"-DADAM_BETA2={ADAM_BETA2!r}", f"-DADAM_EPS={ADAM_EPS!r}",
 )
 _COMPILE_TIMEOUT_S = 60.0
+
+# The numpy versions the runner's lowering mirrors: their ufunc loops, fast
+# path and iterator flags, and the BLAS symbols their module links. The
+# properties in tests/test_numerics.py hold lowered steps to numpy's own calls
+# bit for bit on these only. On any other numpy, program() lowers no step:
+# each stays the numpy call it is, with that numpy's bits, and runs slower.
+# Adam's loop and the row permutation use no numpy internals and stay compiled.
+VERIFIED_NUMPY = ("2.4.6",)
 
 # What program() and adam_step run on: _UNLOADED until the first use of
 # either, then the compiled runner module, or None where none could be built
@@ -370,13 +413,14 @@ def program(steps: Iterable[tuple]) -> Callable[[], None]:
     ``a.dot(b, out)`` of two matrices as numpy's gemm or syrk call. Every
     other step (reductions, ``np.matmul``, other methods, products of a
     row, a column or ``a.T.dot(a)``, steps numpy would copy an operand for)
-    runs as the call it is. A lowered step gives numpy's bits and warns of
+    runs as the call it is, as every step does on a numpy not in
+    ``VERIFIED_NUMPY``. A lowered step gives numpy's bits and warns of
     nothing; without the runner, the steps run in a Python loop.
     """
     runner = _loaded_runner()
     if runner is None:
         return functools.partial(_run_steps, tuple(steps))
-    return runner.lower(steps)
+    return runner.lower(steps, np.__version__ in VERIFIED_NUMPY)
 
 
 def _adam_step_numpy(store: ParamStore, lr: float, bias1: float, bias2: float) -> bool:

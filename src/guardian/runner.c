@@ -8,7 +8,9 @@
  *
  * lower(steps) makes a Program. Two kinds of step are lowered to the code
  * numpy itself would run, with numpy's arguments, so the bits are numpy's;
- * every other step stays a vectorcall of its callable with its arguments.
+ * every other step stays a vectorcall of its callable with its arguments,
+ * as every step does in lower(steps, False) (numerics.program asks for that
+ * on a numpy whose internals this file was not checked against).
  *
  * A ufunc step is lowered to calls of the ufunc's own inner loop when its
  * operands are given positionally, or all but the output, given as the
@@ -82,6 +84,11 @@
  * build must never take -ffast-math, -Ofast or
  * -funsafe-math-optimizations: gcc then links crtfastmath.o, which flushes
  * subnormals to zero in the whole process.
+ *
+ * permute_rows(entry, order) reorders the rows of each C-contiguous matrix
+ * of an entry (ParamStore.permute_rows) in place, following the cycles of
+ * the permutation, so that each row that moves is copied once and a row
+ * that keeps its place is not touched.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -644,12 +651,21 @@ static PyTypeObject ProgramType = {
     .tp_members = program_members,
 };
 
-static PyObject *lower(PyObject *module, PyObject *arg)
+static PyObject *lower(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
-    PyObject *steps = PySequence_Tuple(arg);
+    PyObject *steps;
     Program *program;
     Py_ssize_t i, n;
+    int lowering = 1;
 
+    if (nargs < 1 || nargs > 2) {
+        PyErr_SetString(PyExc_TypeError, "lower takes the steps and whether to lower them");
+        return NULL;
+    }
+    if (nargs == 2 && (lowering = PyObject_IsTrue(args[1])) < 0) {
+        return NULL;
+    }
+    steps = PySequence_Tuple(args[0]);
     if (steps == NULL) {
         return NULL;
     }
@@ -684,7 +700,7 @@ static PyObject *lower(PyObject *module, PyObject *arg)
         s->args = &PyTuple_GET_ITEM(args, 0);
         s->nargs = PyTuple_GET_SIZE(args);
         s->kwargs = kwargs != NULL && PyDict_GET_SIZE(kwargs) != 0 ? kwargs : NULL;
-        if (!lower_loop(s)) {
+        if (lowering && !lower_loop(s)) {
             lower_product(s);
         }
         program->lowered += s->kind != VECTORCALL;
@@ -872,12 +888,94 @@ static PyObject *adam_step(PyObject *module, PyObject *const *args, Py_ssize_t n
                                      lr, bias1, bias2));
 }
 
+/* permute_rows(entry, order): row i of each of entry's matrices takes what
+ * row order[i] held, in place, one cycle of the permutation at a time, each
+ * row copied once. entry is an aligned, writeable, native-endian float64
+ * array of C-contiguous (rows, cols) matrices; order is a 1-D intp array of
+ * rows. Returns False, with nothing written, when order is not a
+ * permutation of range(rows): numerics then gathers as numpy does. */
+static PyObject *permute_rows(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    PyArrayObject *entry, *order_array;
+    npy_intp matrices, rows, cols, i, j, k, m;
+    const npy_intp *order;
+    size_t bytes;
+    char *seen;
+    double *scratch;
+
+    if (nargs != 2 || !PyArray_Check(args[0]) || !PyArray_Check(args[1])) {
+        PyErr_SetString(PyExc_TypeError, "permute_rows takes an entry and an order");
+        return NULL;
+    }
+    entry = (PyArrayObject *)args[0];
+    order_array = (PyArrayObject *)args[1];
+    if (PyArray_NDIM(entry) != 3 || PyArray_TYPE(entry) != NPY_DOUBLE
+        || !PyArray_ISNOTSWAPPED(entry) || !PyArray_ISALIGNED(entry)
+        || !PyArray_ISWRITEABLE(entry)
+        || (PyArray_DIM(entry, 2) > 1 && PyArray_STRIDE(entry, 2) != sizeof(double))
+        || (PyArray_DIM(entry, 1) > 1
+            && PyArray_STRIDE(entry, 1) != PyArray_DIM(entry, 2) * (npy_intp)sizeof(double))) {
+        PyErr_SetString(PyExc_ValueError, "permute_rows takes a writeable, aligned, native-endian "
+                                          "float64 array of C-contiguous matrices");
+        return NULL;
+    }
+    matrices = PyArray_DIM(entry, 0);
+    rows = PyArray_DIM(entry, 1);
+    cols = PyArray_DIM(entry, 2);
+    if (PyArray_NDIM(order_array) != 1 || PyArray_TYPE(order_array) != NPY_INTP
+        || !PyArray_ISCARRAY_RO(order_array) || PyArray_DIM(order_array, 0) != rows) {
+        PyErr_SetString(PyExc_ValueError, "permute_rows takes an order of one intp per row");
+        return NULL;
+    }
+    order = (const npy_intp *)PyArray_DATA(order_array);
+    bytes = (size_t)cols * sizeof(double);
+    seen = PyMem_Calloc((size_t)rows + 1, 1);
+    scratch = PyMem_Malloc(bytes + 1);
+    if (seen == NULL || scratch == NULL) {
+        PyMem_Free(seen);
+        PyMem_Free(scratch);
+        return PyErr_NoMemory();
+    }
+    for (i = 0; i < rows; i++) {
+        if (order[i] < 0 || order[i] >= rows || seen[order[i]]) {
+            PyMem_Free(seen);
+            PyMem_Free(scratch);
+            Py_RETURN_FALSE;
+        }
+        seen[order[i]] = 1;
+    }
+    for (m = 0; m < matrices; m++) {
+        char *base = PyArray_BYTES(entry) + m * PyArray_STRIDE(entry, 0);
+        memset(seen, 0, (size_t)rows);
+        for (i = 0; i < rows; i++) {
+            if (seen[i] || order[i] == i) {
+                continue;
+            }
+            /* the cycle through i: each row takes the next, the last row i's */
+            memcpy(scratch, base + i * bytes, bytes);
+            for (j = i; (k = order[j]) != i; j = k) {
+                seen[j] = 1;
+                memcpy(base + j * bytes, base + k * bytes, bytes);
+            }
+            seen[j] = 1;
+            memcpy(base + j * bytes, scratch, bytes);
+        }
+    }
+    PyMem_Free(seen);
+    PyMem_Free(scratch);
+    Py_RETURN_TRUE;
+}
+
 static PyMethodDef methods[] = {
-    {"lower", lower, METH_O,
-     "lower(steps) -> Program: the steps, as one call."},
+    {"lower", (PyCFunction)(void (*)(void))lower, METH_FASTCALL,
+     "lower(steps, lowering=True) -> Program: the steps, as one call; with lowering false, "
+     "every step stays a vectorcall."},
     {"adam_step", (PyCFunction)(void (*)(void))adam_step, METH_FASTCALL,
      "adam_step(block, lr, bias1, bias2) -> bool: one Adam update of a (4, n) block, in place; "
      "whether every new value is finite."},
+    {"permute_rows", (PyCFunction)(void (*)(void))permute_rows, METH_FASTCALL,
+     "permute_rows(entry, order) -> bool: row i of each matrix takes row order[i], in place; "
+     "False, with nothing written, unless order is a permutation."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -885,7 +983,7 @@ static struct PyModuleDef runner_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "guardian_runner",
     .m_doc = "Runs programs of numpy calls, ufunc steps through their inner loops and products "
-             "through numpy's BLAS, and Adam steps.",
+             "through numpy's BLAS, Adam steps and in-place row permutations.",
     .m_size = -1,
     .m_methods = methods,
 };

@@ -1287,6 +1287,40 @@ def test_fit_and_infer_on_the_python_loop_equal_the_compiled_runner(
     assert runs[0] == runs[1]
 
 
+@pytest.mark.parametrize("rounds", [1, 3])
+def test_on_a_numpy_the_runner_was_not_checked_against_no_step_is_lowered_and_the_bits_hold(
+    rounds,
+):
+    numerics.program(())
+    if numerics._runner is None:
+        pytest.skip("no compiled runner: programs run in a Python loop")
+    runs = []
+    for version in (np.__version__, "2.5.0"):
+        programs = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np, "__version__", version)
+            original = numerics.program
+
+            def recording(steps):
+                programs.append(original(steps))
+                return programs[-1]
+
+            patch.setattr(numerics, "program", recording)
+            rng = np.random.default_rng(31 + rounds)
+            cfg = _small_cfg(k=5, d=3, lambda_=0.2)
+            params = init_params(cfg, rng)
+            batch = _history_with_gaps(rng, 4, rounds, cfg.k)
+            trace = _outcome(lambda: fit(batch, cfg, params, rng, epochs=4))
+            inferred = _outcome(lambda: infer(batch, cfg, params))
+        lowered = sum(program.lowered for program in programs)
+        runs.append((repr(trace), params._block.tobytes(), params.step, _inference_bits(inferred)))
+        if version in numerics.VERIFIED_NUMPY:
+            assert lowered > 0
+        else:
+            assert lowered == 0 and len(programs) > 0
+    assert runs[0] == runs[1]
+
+
 def test_a_pass_lowers_its_elementwise_steps_over_contiguous_arrays():
     numerics.program(())
     runner = numerics._runner
@@ -1524,6 +1558,61 @@ def test_a_reconstruction_and_a_trace_keep_their_bytes_after_later_fits_and_infe
         fit(batch, cfg, params, rng, epochs=5)
         infer(batch, cfg, params)
     assert (trace, _recon_bits((recon, breakdown))) == kept
+
+
+def _inference_bits(outcome):
+    """An inference's reconstruction and loss bytes, or its error."""
+    result, err = outcome
+    if err is not None:
+        return type(err), str(err)
+    recon, breakdown = result
+    return recon.agents, recon.r_x.tobytes(), recon.r_e.tobytes(), np.array(breakdown).tobytes()
+
+
+# Each example fits a store, then infers through the pass the fit left and
+# through a history and pass built afresh: as fitted; with the store written
+# in between; on another store or another batch, which bind their own pass;
+# and after a fit that diverged.
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    agents=st.integers(1, 6),
+    rounds=st.integers(1, 4),
+    d=st.sampled_from([2, 5, 6, 32]),
+    epochs=st.sampled_from([0, 1, 4]),
+    case=st.sampled_from(["as fitted", "store written", "another store", "another batch", "diverged"]),
+)
+def test_infer_after_fit_equals_an_infer_that_binds_its_own_pass(seed, agents, rounds, d, epochs, case):
+    rng = np.random.default_rng(seed)
+    cfg = _small_cfg(k=8, d=d, lambda_=0.2)
+    if case == "diverged":
+        cfg, epochs = dataclasses.replace(cfg, lr=1e300), 12
+    params = init_params(cfg, rng)
+    batch = _history_with_gaps(rng, agents, rounds, cfg.k)
+    fitted = _outcome(lambda: fit(batch, cfg, params, rng, epochs=epochs))
+    assert (fitted[1] is not None) == (case == "diverged")
+    if case == "diverged":
+        assert isinstance(fitted[1], TrainingDiverged)
+    history, store, step = detector._fitted["pass"]
+    assert history is detector._history(batch, cfg) and store is params
+    infer_batch, infer_params = batch, params
+    if case == "store written":
+        for name in ("gcn.w0", "dec.w1"):
+            params.value(name)[...] = rng.normal(size=params.value(name).shape)
+    elif case == "another store":
+        infer_params = copy.copy(params)
+    elif case == "another batch":
+        infer_batch = _history_with_gaps(rng, agents, rounds, cfg.k)
+    with np.errstate(all="ignore"):
+        got = _outcome(lambda: infer(infer_batch, cfg, infer_params))
+    # an inference on the fit's history and store runs on its pass, and no other does
+    reused = got[0] is not None and got[0][0].r_x is step.r_x
+    assert reused == (case in ("as fitted", "store written") or case == "diverged" and got[1] is None)
+    assert "pass" not in detector._fitted
+    detector._history.cache_clear()
+    with np.errstate(all="ignore"):
+        expected = _outcome(lambda: infer(infer_batch, cfg, infer_params))
+    assert _inference_bits(got) == _inference_bits(expected)
 
 
 @pytest.mark.parametrize("sampling", [False, True])

@@ -296,6 +296,49 @@ def test_tail_views_the_entries_from_first_and_permute_rows_reorders_them():
     assert store._block.tobytes() == before.tobytes()
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    rows=st.integers(1, 12),
+    cols=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+    order=st.sampled_from(["permutation", "fixed points", "repeats", "out of range"]),
+)
+def test_the_runner_permutes_rows_in_place_as_numpy_gathers_them(rows, cols, seed, order):
+    numerics.program(())
+    runner = numerics._runner
+    if runner is None:
+        pytest.skip("no compiled runner: numpy gathers every order")
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(4, rows, cols))
+    values[rng.random(values.shape) < 0.2] = rng.choice([-0.0, np.nan, np.inf])
+    index = {
+        "permutation": rng.permutation(rows),
+        "fixed points": np.where(rng.random(rows) < 0.5, np.arange(rows), np.arange(rows)[::-1]),
+        "repeats": rng.integers(0, rows, rows),
+        "out of range": np.append(rng.permutation(rows)[1:], rows),
+    }[order]
+    is_permutation = sorted(index.tolist()) == list(range(rows))
+    # an entry as a store lays it out: each matrix a run of one row of the block
+    store = ParamStore({"a": np.ones((1, 3)), "e": np.zeros((rows, cols))})
+    store._block[:, 3:] = values.reshape(4, -1)
+    entry = store._block[:, 3:].reshape(4, rows, cols)
+    before = store._block.copy()
+    assert runner.permute_rows(entry, index.astype(np.intp)) is is_permutation
+    if is_permutation:
+        assert entry.tobytes() == values[:, index].tobytes()
+        assert store._block[:, :3].tobytes() == before[:, :3].tobytes()
+    else:
+        assert store._block.tobytes() == before.tobytes()
+    # the store gathers what the runner does not permute, as numpy does
+    store._block[:, 3:] = values.reshape(4, -1)
+    if order == "out of range":
+        with pytest.raises(IndexError):
+            store.permute_rows("e", index)
+    else:
+        store.permute_rows("e", index)
+        assert entry.tobytes() == values[:, index].tobytes()
+
+
 def test_a_tail_holds_zero_to_all_rows_of_the_last_entry():
     # adam_step steps the whole of a tail's block, so it is as wide as the tail's entries
     store = ParamStore({"a": np.ones((2, 3)), "b": np.ones((4, 2))})

@@ -9,7 +9,7 @@ wrapped names fails here instead of emptying the benchmark's round metrics.
 One more defended episode runs under the benchmark's score capture, whose
 ``infer`` takes exactly three positional arguments, and its tracer, whose
 ``fit`` span reads ``epochs`` as a keyword: a round must still build one
-history for both.
+history and bind one pass for both.
 """
 
 from __future__ import annotations
@@ -148,3 +148,30 @@ def test_a_round_builds_one_history_under_the_benchmarks_wrappers(monkeypatch):
     assert tracer.names.count("detector.fit") == tracer.names.count("detector.infer") == 3
     assert tracer.names.count("graph.normalized_adjacency") == 3
     assert built == rounds
+
+
+def test_a_round_binds_one_pass_under_the_benchmarks_wrappers(monkeypatch):
+    # the round's infer runs on the pass its fit bound
+    modules = load_modules()
+    bound = []
+
+    class CountingPass(modules.detector._Pass):
+        def __init__(self, h, w):
+            bound.append(h)
+            super().__init__(h, w)
+
+    monkeypatch.setattr(modules.detector, "_Pass", CountingPass)
+    cfg = modules.harness.ExperimentConfig(
+        n_tasks=1, min_rounds=3, attack="hallucination", epochs_initial=2, epochs_incremental=1
+    )
+    patches, tracer, capture = Patches(), Tracer(), ScoreCapture()
+    tracer.install(patches, modules)
+    capture.install(patches, modules.pipeline)
+    try:
+        _, logs = modules.harness.run_experiment(cfg)
+    finally:
+        patches.restore()
+
+    assert len(logs[0].rounds) == len(capture.rounds) == 3
+    assert tracer.names.count("detector.fit") == tracer.names.count("detector.infer") == 3
+    assert len(bound) == 3 and len({id(h) for h in bound}) == 3
