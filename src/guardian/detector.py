@@ -35,16 +35,20 @@ once, unsampled, where any other call binds a pass of its own.
 An epoch is one noise draw, seven or eight program calls forward, one
 backward and one compiled Adam step, with no dict lookup, per-epoch view
 or new array (``tests/test_detector.py`` traces numpy's allocations to
-check it). The compiled runner runs a program's ufunc steps as numpy's
-own inner loops and its ``a.dot`` of two matrices as numpy's gemm or syrk
-call, bit for bit; a row's, a column's (one agent, say) or ``a.T.dot(a)``
-stays a numpy call. Of a round-1 fit's 69 steps on seed-7 ``defend_c5``
-it runs 63 so, all but the five reductions and ``putmask``. Of a
-two-snapshot fit's 99 it runs 81: attention adds 12 numpy calls, three
-reductions, its ``take``, four 3-D ``np.matmul`` calls, two products over
-the strided last rows of ``seq`` (numpy copies them first) and the fill and
-scatter of the latents' gradient. The pass's results are bit for bit those
-of the allocating pass that ``tests/allocating.py`` keeps as the reference.
+check it). The runner runs all of a fit's epochs in one call
+(``numerics.fit_epochs``), with no return to Python between them, while
+the stage functions and ``numerics.adam_step`` are this module's own; a
+wrapped one, or no runner, gets the Python loop, with the same bits. The
+compiled runner runs a program's ufunc steps as numpy's own inner loops,
+its ``a.dot`` of two matrices as numpy's gemm or syrk call, the loss's
+three sums and the biases' gradients as numpy's reduction runs them and
+``putmask`` as numpy's copies, bit for bit; a row's, a column's (one
+agent, say) or ``a.T.dot(a)`` stays a numpy call. Of a round-1 fit's 69
+steps on seed-7 ``defend_c5`` it runs all 69 so. Of a two-snapshot fit's
+98 it runs 89: attention leaves nine numpy calls, its three reductions
+along rows, its ``take``, four 3-D ``np.matmul`` calls and the scatter of
+the latents' gradient. The pass's results are bit for bit those of the
+allocating pass that ``tests/allocating.py`` keeps as the reference.
 
 Every pass skips the products whose operands are exact zeros or the
 identity: the first layer multiplies only the rows of gcn.w0 of filled
@@ -188,6 +192,14 @@ def compose_losses(
     l_rec = alpha * l_att + (1.0 - alpha) * l_stru
     l_total = l_rec + gamma * kl
     return LossBreakdown(l_att, l_stru, l_rec, kl, l_total)
+
+
+def _breakdown(sums: list[float], scales: tuple[float, float, float, float]) -> LossBreakdown:
+    """The losses of a pass's three sums (kl, the squared residuals and the
+    log-likelihoods) and its scales (per node, per pair, alpha, gamma)."""
+    kl_sum, squared, likelihoods = sums
+    per_node, per_pair, alpha, gamma = scales
+    return compose_losses(squared * per_node, likelihoods * per_pair, kl_sum, alpha, gamma)
 
 
 def _param_shapes(cfg: DetectorConfig) -> dict[str, tuple[int, int]]:
@@ -388,8 +400,17 @@ def temporal_fuse(
 
 
 def _bind_temporal_fuse(z, h, wq, wk, wv):
+    steps, result, _ = _fuse_steps(z, h, wq, wk, wv)
+    return nm.program(steps), result
+
+
+def _fuse_steps(z, h, wq, wk, wv):
+    """The stage's steps, its result and ``seq[:, -1]`` as a contiguous view:
+    the final snapshot's rows are the last of the history, in agent order,
+    so that row of every sequence is a row of ``encoded``."""
     (n, t), d = h.gather.shape, h.d
     encoded, seq = np.empty(h.pe_rows.shape), np.empty((n, t, d))
+    last = encoded[-n:]
     q, u, scores, peak = np.empty((n, d)), np.empty((n, d)), np.empty((n, t, 1)), np.empty((n, 1))
     attn, total, context = np.empty((n, t)), np.empty((n, 1)), np.empty((n, 1, d))
     fused, context_rows, logits = np.empty((n, wv.shape[1])), context[:, 0], scores[:, :, 0]
@@ -397,7 +418,7 @@ def _bind_temporal_fuse(z, h, wq, wk, wv):
         # each node's round's encoding added before the gather: the same sums
         (np.add, (z, h.pe_rows, encoded)),
         (encoded.take, (h.gather, 0, seq, "clip")),  # gather is in range
-        (_product(seq[:, -1]), (wq, q)),
+        (_product(last), (wq, q)),
         (_product(q), (wk.T, u)),  # q . (seq_t wk) == seq_t . u
         (np.matmul, (seq, u[:, :, None], scores)),
         (np.multiply, (logits, np.array(h.inv_sqrt_d), logits)),
@@ -409,7 +430,7 @@ def _bind_temporal_fuse(z, h, wq, wk, wv):
         (np.matmul, (attn[:, None, :], seq, context)),
         (_product(context_rows), (wv, fused)),
     ]
-    return nm.program(steps), (seq, q, u, attn, context_rows, fused)
+    return steps, (seq, q, u, attn, context_rows, fused), last
 
 
 def decode_attributes(
@@ -655,7 +676,7 @@ class _Pass:
         var, kl_terms = self.var, self._kl = np.empty((rows, d)), np.empty((rows, d))
         # what the three sums of the loss reduce into: kl, the squared
         # residuals and the log-likelihoods
-        sums = np.empty(3)
+        sums = self.sums = np.empty(3)
         add_reduce = np.add.reduce
         kl_steps = [
             (np.exp, (log_var, var)),
@@ -676,8 +697,9 @@ class _Pass:
             context, fused = self.context, self.fused = np.empty((n, d)), np.empty((n, wv.shape[1]))
             kl_steps += [(np.add, (z, h.pe_rows, context)), (_product(context), (wv, fused))]
         else:
-            fuse = _bind_temporal_fuse(z, h, wq, wk, wv)
-            self.seq, self.q, self.u, self.attn, self.context, fused = fuse[1]
+            fuse_steps, fuse_result, self.last = _fuse_steps(z, h, wq, wk, wv)
+            fuse = nm.program(fuse_steps), fuse_result
+            self.seq, self.q, self.u, self.attn, self.context, fused = fuse_result
             self.fused = fused
         kl = nm.program(kl_steps)
         decode = _bind_decode_attributes(fused, dec_w0, dec_b0, dec_w1, dec_b1)
@@ -699,7 +721,10 @@ class _Pass:
                 (add_reduce, (likelihood.reshape(-1), 0, None, sums[2, ...])),
             ]
         )
-        alpha, gamma, per_node, per_pair = h.alpha, h.gamma, 1.0 / n, -1.0 / (n * n)
+        scales = self.scales = (1.0 / n, -1.0 / (n * n), h.alpha, h.gamma)
+        # a sampled forward's programs, in order: what nm.fit_epochs runs
+        fusing = () if fuse is None else (fuse[0],)
+        self.programs = (refreshing[0], latent[0], sample[0], kl, *fusing, decode[0], structure[0], loss)
         copy = np.copyto
 
         def forward(sampled: bool) -> LossBreakdown:
@@ -714,8 +739,7 @@ class _Pass:
             decode_attributes(fused, dec_w0, dec_b0, dec_w1, dec_b1, decode)
             decode_structure(fused, structure)
             loss()
-            kl_sum, squared, likelihoods = sums.tolist()
-            return compose_losses(squared * per_node, likelihoods * per_pair, kl_sum, alpha, gamma)
+            return _breakdown(sums.tolist(), scales)
 
         # bound here and called through forward(), so that it holds no reference to the pass
         self._forward = forward
@@ -822,7 +846,9 @@ class _Pass:
         new = np.empty
         d_attn3, weighted, inner, d_scores = new((n, t, 1)), new((n, t)), new((n, 1)), new((n, t))
         d_seq, d_seq_part, d_u3 = new((n, t, d)), new((n, t, d)), new((n, 1, d))
-        d_q, d_last, d_z = new((n, d)), new((n, d)), new((h.rows, d))
+        # the scatter rewrites every gathered row each epoch, and the rows
+        # of agents pruned before the final snapshot stay +0.0
+        d_q, d_last, d_z = new((n, d)), new((n, d)), np.zeros((h.rows, d))
         seq, attn, u, q = self.seq, self.attn, self.u, self.q
         d_attn, d_u, d_seq_last = d_attn3[:, :, 0], d_u3[:, 0], d_seq[:, -1]
         steps = [
@@ -838,10 +864,9 @@ class _Pass:
             (np.matmul, (d_scores[:, None, :], seq, d_u3)),
             (_product(d_u), (w["attn.wk"], d_q)),
             (d_u.T.dot, (q, g["attn.wk"])),
-            (seq[:, -1].T.dot, (d_q, g["attn.wq"])),
+            (self.last.T.dot, (d_q, g["attn.wq"])),
             (_product(d_q), (w["attn.wq"].T, d_last)),
             (np.add, (d_seq_last, d_last, d_seq_last)),
-            (d_z.fill, (0.0,)),
             (d_z.__setitem__, (h.gather, d_seq)),
         ]
         return steps, d_z
@@ -885,6 +910,60 @@ def _layout(k: int, d: int) -> tuple:
 # ``fit`` and taken whole by ``infer`` in one atomic pop, so that a thread
 # never sees the parts of two fits and no two inferences share a pass.
 _fitted: dict[str, tuple[_History, ParamStore, _Pass]] = {}
+
+
+# The functions a fit's epochs call by module-level name. The runner runs the
+# epochs (``nm.fit_epochs``) only while each name is bound to its own
+# function; a wrapper, such as the benchmark's tracer, gets the Python loop,
+# which calls it every epoch.
+_OWN = {
+    name: globals()[name]
+    for name in ("gcn_forward", "split_latent", "reparameterize", "temporal_fuse")
+    + ("decode_attributes", "decode_structure")
+}
+_OWN_ADAM_STEP = nm.adam_step
+
+
+def _unwrapped() -> bool:
+    names = globals()
+    return nm.adam_step is _OWN_ADAM_STEP and all(names[name] is own for name, own in _OWN.items())
+
+
+def _python_epochs(step, backward, zeroed, stepped, lr, draw, epochs, trace) -> None:
+    """A fit's epochs in a Python loop, through the stage functions and
+    ``nm.adam_step`` as they are bound now; each finite loss is appended
+    to ``trace``."""
+    forward, noise = step.forward, step.noise
+    for _ in range(epochs):
+        draw(out=noise)
+        breakdown = forward(True)
+        if not math.isfinite(breakdown.l_total):
+            _diverge(trace, breakdown)
+        trace.append(breakdown)
+        backward()
+        for grad in zeroed:
+            grad.fill(0.0)
+        zeroed = ()
+        nm.adam_step(stepped, lr)
+
+
+def _compiled_epochs(step, backward, zeroed, stepped, lr, draw, epochs, trace) -> None:
+    """The same epochs in one call of the runner (``nm.fit_epochs``), which
+    runs the pass's programs in place of the stage functions that call
+    them; the losses reach ``trace`` when it returns or raises."""
+    out, progress, scales = np.empty((epochs, 3)), np.zeros(2, dtype=np.intp), step.scales
+    try:
+        diverged = nm.fit_epochs(
+            stepped, lr, draw, step.noise, step.programs, step.sums, scales, backward, zeroed, out, progress
+        )
+    finally:
+        trace += [_breakdown(sums, scales) for sums in out[: progress[0]].tolist()]
+    if diverged:
+        _diverge(trace, _breakdown(out[len(trace)].tolist(), scales))
+
+
+def _diverge(trace: list[LossBreakdown], breakdown: LossBreakdown):
+    raise TrainingDiverged(len(trace), trace[-1] if trace else None, f"non-finite loss {breakdown}")
 
 
 def fit(
@@ -935,25 +1014,13 @@ def fit(
         zeroed += [grads.pop("attn.wk"), grads.pop("attn.wq")]
     step = _Pass(history, values)
     _fitted["pass"] = (history, params, step)
-    forward, backward, lr = step.forward, step.bound_backward(grads, *coefficients, True), cfg.lr
-    draw, noise = rng.standard_normal, step.noise
+    backward = step.bound_backward(grads, *coefficients, True)
+    run = _compiled_epochs if nm.compiled() and _unwrapped() else _python_epochs
     trace: list[LossBreakdown] = []
     params.permute_rows("gcn.w0", order)
     try:
-        with np.errstate(over="ignore", invalid="ignore"):  # the loss check below reports it
-            for _ in range(epochs):
-                draw(out=noise)
-                breakdown = forward(True)
-                if not math.isfinite(breakdown.l_total):
-                    raise TrainingDiverged(
-                        len(trace), trace[-1] if trace else None, f"non-finite loss {breakdown}"
-                    )
-                trace.append(breakdown)
-                backward()
-                for grad in zeroed:
-                    grad.fill(0.0)
-                zeroed = ()
-                nm.adam_step(stepped, lr)
+        with np.errstate(over="ignore", invalid="ignore"):  # the loss check reports it
+            run(step, backward, tuple(zeroed), stepped, cfg.lr, rng.standard_normal, epochs, trace)
     finally:
         params.step = stepped.step
         params.permute_rows("gcn.w0", np.argsort(order))

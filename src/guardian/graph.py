@@ -33,7 +33,6 @@ __all__ = [
     "topology_edges",
     "build_snapshot",
     "normalized_adjacency",
-    "self_looped_adjacency",
     "merge_history",
     "truncate_history",
 ]
@@ -215,12 +214,6 @@ def normalized_adjacency(s: Snapshot | HistoryBatch) -> Tensor2D:
     np.multiply(a_hat, d_inv_sqrt[:, None], out=a_hat)
     np.multiply(a_hat, d_inv_sqrt, out=a_hat)
     return Tensor2D(a_hat)
-
-
-def self_looped_adjacency(s: Snapshot) -> np.ndarray:
-    """Binary symmetrized adjacency with the diagonal set, as a float matrix."""
-    n = len(s.agents)
-    return ((s.adjacency | s.adjacency.T) | np.eye(n, dtype=bool)).astype(np.float64)
 
 
 def truncate_history(batch: HistoryBatch, window: int) -> HistoryBatch:

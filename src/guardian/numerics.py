@@ -6,8 +6,8 @@ adjacencies, reconstructions and loss values. A 1x1 loss may carry a
 computed from; the detector's hand-written backward pass supplies it, and
 ``grad_check`` holds it to central differences.
 
-``adam_step``, ``program`` and ``ParamStore.permute_rows`` run on one
-compiled module, the runner in ``runner.c``. The host's gcc builds it
+``adam_step``, ``program``, ``fit_epochs`` and ``ParamStore.permute_rows``
+run on one compiled module, the runner in ``runner.c``. The host's gcc builds it
 against the headers of this Python and numpy on the first use of any of
 them, never at import, and it is cached in the ``__pycache__`` directory
 beside this module (``_load_runner``). Its
@@ -18,14 +18,20 @@ corrections as reciprocal products corrected by ``fma`` to the correctly
 rounded quotient, in each 16-entry chunk whose new moments are +-0 or lie
 in [2^-968, 2^1000), and divides elsewhere, with the same bits. Its
 ``program`` lowers each ufunc call over float64 or bool arrays to the
-calls of the ufunc's own inner loop that numpy would make, and each
+calls of the ufunc's own inner loop that numpy would make, each
 ``a.dot(b, out)`` of two matrices to numpy's own gemm or syrk call, from
-the BLAS numpy loaded; a row, a column, ``a.T.dot(a)`` and, without that
-BLAS, every product stay numpy calls, as every step does on a numpy not
-in ``VERIFIED_NUMPY``. Its ``permute_rows`` moves a permutation's rows in
+the BLAS numpy loaded, each ``np.add.reduce`` of a whole vector or along
+axis 0 of a matrix that numpy reduces in one chunk to the calls of
+``np.add``'s loop numpy's reduction makes, and ``np.putmask`` to numpy's
+copies; a row, a column, ``a.T.dot(a)`` and, without that BLAS, every
+product stay numpy calls, as every step does on a numpy not in
+``VERIFIED_NUMPY``. Its ``fit_epochs`` runs a fit's epochs, each a noise
+draw, programs, a loss check and an Adam step, without returning to
+Python between them. Its ``permute_rows`` moves a permutation's rows in
 place. Where the runner cannot be built or loaded (no gcc, no Python
 headers, a failed build), Adam runs as numpy passes, programs as a Python
-loop and permutations as numpy gathers, with the same arguments and bits;
+loop, a fit's epochs in detector's Python loop and permutations as numpy
+gathers, with the same arguments and bits;
 after the first use ``_runner`` tells which ran, None for numpy. No flag,
 environment variable or config key chooses the path.
 """
@@ -50,6 +56,8 @@ __all__ = [
     "ParamStore",
     "zero_store",
     "adam_step",
+    "compiled",
+    "fit_epochs",
     "grad_check",
     "program",
 ]
@@ -409,12 +417,17 @@ def program(steps: Iterable[tuple]) -> Callable[[], None]:
     The first call loads the compiled runner (``_load_runner``), which
     runs each ufunc step over float64 or bool arrays as the calls numpy
     would make of the ufunc's own inner loop, broadcast, strided and
-    transposed operands and a bool times a float64 included, and each
-    ``a.dot(b, out)`` of two matrices as numpy's gemm or syrk call. Every
-    other step (reductions, ``np.matmul``, other methods, products of a
-    row, a column or ``a.T.dot(a)``, steps numpy would copy an operand for)
-    runs as the call it is, as every step does on a numpy not in
-    ``VERIFIED_NUMPY``. A lowered step gives numpy's bits and warns of
+    transposed operands and a bool times a float64 included; each
+    ``a.dot(b, out)`` of two matrices as numpy's gemm or syrk call; each
+    ``np.add.reduce(x, 0, None, out)`` of a contiguous vector of at most
+    8,192 entries into a 0-d ``out``, or of the rows of a C-contiguous
+    matrix of 2 to 8,192 columns, as numpy's reduction runs it: ``out`` set
+    to +0.0, then ``np.add``'s loop pairwise over the vector or row by row;
+    and each ``np.putmask`` over C-contiguous arrays of one size as numpy's
+    copies. Every other step (other reductions, ``np.matmul``, other
+    methods, products of a row, a column or ``a.T.dot(a)``, steps numpy
+    would copy an operand for or buffer) runs as the call it is, as every
+    step does on a numpy not in ``VERIFIED_NUMPY``. A lowered step gives numpy's bits and warns of
     nothing; without the runner, the steps run in a Python loop.
     """
     runner = _loaded_runner()
@@ -447,6 +460,16 @@ def _adam_step_numpy(store: ParamStore, lr: float, bias1: float, bias2: float) -
     return math.isfinite(np.add.reduce(value)) or bool(np.all(np.isfinite(value)))
 
 
+def _biases(step: int) -> tuple[float, float]:
+    """Adam's two bias corrections at this step, 1 - beta ** step."""
+    return 1.0 - ADAM_BETA1**step, 1.0 - ADAM_BETA2**step
+
+
+def _diverged(store: ParamStore) -> NonFiniteError:
+    name = next(n for n, e in store.entries() if not np.all(np.isfinite(e)))
+    return NonFiniteError(f"parameter {name!r} diverged during adam_step")
+
+
 def adam_step(store: ParamStore, lr: float) -> None:
     """One bias-corrected Adam update of every entry of the store, in place.
 
@@ -466,16 +489,63 @@ def adam_step(store: ParamStore, lr: float) -> None:
     Gradients are left untouched; the caller decides when to zero them.
     """
     runner = _loaded_runner()
-    store.step = step = store.step + 1
-    bias1 = 1.0 - ADAM_BETA1**step
-    bias2 = 1.0 - ADAM_BETA2**step
+    store.step += 1
+    bias1, bias2 = _biases(store.step)
     if runner is None:
         finite = _adam_step_numpy(store, lr, bias1, bias2)
     else:
         finite = runner.adam_step(store._block, lr, bias1, bias2)
     if not finite:
-        name = next(n for n, e in store.entries() if not np.all(np.isfinite(e)))
-        raise NonFiniteError(f"parameter {name!r} diverged during adam_step")
+        raise _diverged(store)
+
+
+def compiled() -> bool:
+    """Whether the runner is loaded (``_loaded_runner``), so that
+    ``fit_epochs`` can run."""
+    return _loaded_runner() is not None
+
+
+def fit_epochs(
+    store: ParamStore,
+    lr: float,
+    draw: Callable,
+    noise: np.ndarray,
+    forward: tuple,
+    sums: np.ndarray,
+    scales: tuple[float, float, float, float],
+    backward: Callable[[], None],
+    zeroed: tuple,
+    out: np.ndarray,
+    progress: np.ndarray,
+) -> bool:
+    """Run a fit's epochs in the runner, one per row of ``out``, with no
+    return to Python between them; True where it stopped at a loss that is
+    not finite. Needs the runner (``compiled``).
+
+    Each epoch calls ``draw(out=noise)``, then each call of ``forward``,
+    which leaves the loss's three sums (kl, the squared residuals and the
+    log-likelihoods) in ``sums``. It copies them into the epoch's row of
+    ``out`` and stops there if the total loss composed from them with
+    ``scales`` = (per_node, per_pair, alpha, gamma), in the order of
+    operations of ``detector.compose_losses``, is not finite. Then it calls
+    ``backward``, sets each array of ``zeroed`` to +0.0 after the first,
+    and takes ``adam_step(store, lr)``'s update with the bias corrections
+    Python computes for each step. ``progress`` gets the number of finite
+    losses and of Adam steps, also when a call raises, and ``store.step``
+    counts the steps. An update that leaves a value not finite raises
+    ``NonFiniteError`` naming the entry, as ``adam_step`` does.
+    """
+    start = store.step
+    biases = np.array([_biases(step) for step in range(start + 1, start + 1 + len(out))])
+    try:
+        status = _loaded_runner().fit_epochs(
+            draw, noise, forward, sums, scales, backward, zeroed, store._block, lr, biases, out, progress
+        )
+    finally:
+        store.step = start + int(progress[1])
+    if status == 2:
+        raise _diverged(store)
+    return status == 1
 
 
 def grad_check(

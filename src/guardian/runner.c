@@ -1,12 +1,12 @@
 /*
  * guardian_runner, the one compiled module of guardian.numerics: it runs a
  * program, a sequence of steps, in one call, as calling each step's
- * callable in turn with its arguments would, and Adam's update (adam_step,
- * below). numerics._load_runner builds it. A step is a (callable, args)
- * pair or a (callable, args, kwargs) triple, args a tuple and kwargs a
- * dict; the steps must not change once lowered.
+ * callable in turn with its arguments would, a fit's epochs (fit_epochs)
+ * and Adam's update (adam_step, below). numerics._load_runner builds it. A
+ * step is a (callable, args) pair or a (callable, args, kwargs) triple,
+ * args a tuple and kwargs a dict; the steps must not change once lowered.
  *
- * lower(steps) makes a Program. Two kinds of step are lowered to the code
+ * lower(steps) makes a Program. Four kinds of step are lowered to the code
  * numpy itself would run, with numpy's arguments, so the bits are numpy's;
  * every other step stays a vectorcall of its callable with its arguments,
  * as every step does in lower(steps, False) (numerics.program asks for that
@@ -47,6 +47,20 @@
  * a.T.dot(a), operands numpy would copy, an output that shares memory with
  * an operand, and every product where numpy has no such symbols.
  *
+ * np.add.reduce(in, 0, None, out) of float64 arrays runs as numpy's
+ * reduction does where numpy needs no buffer and no second chunk: out set
+ * to the identity +0.0, then the dd->d loop of np.add called with the
+ * operands (out, in, out). A contiguous vector of 1 to 8,192 entries into a
+ * 0-d out is one call with the strides (0, 8, 0), the binary reduce in
+ * which numpy's loop sums pairwise; axis 0 of a C-contiguous matrix of 2 to
+ * 8,192 columns into a contiguous vector is one call per row, strides
+ * (8, 8, 8). Other axes, a single column (numpy coalesces it into a
+ * vector), longer rows (numpy chunks them at its buffer) and outputs that
+ * share memory with the input stay vectorcalls. np.putmask(dest, mask,
+ * values) of C-contiguous arrays of one size, dest and values float64 and
+ * mask bool, sharing no memory with dest, copies values[i] into dest[i] as
+ * bytes where mask[i] is non-zero, as numpy does.
+ *
  * A lowered step skips numpy's floating-point error check, so it emits no
  * warning. The runner clears the floating-point status it leaves before
  * the next vectorcall, which numpy's own check then starts from, and
@@ -85,6 +99,15 @@
  * -funsafe-math-optimizations: gcc then links crtfastmath.o, which flushes
  * subnormals to zero in the whole process.
  *
+ * fit_epochs(...) runs detector.fit's epochs as its Python loop would, one
+ * after another, with no return to Python between them: each draws the
+ * noise through a vectorcall of rng.standard_normal(out=noise), calls the
+ * forward programs, composes the total loss from their three sums with the
+ * double operations of detector.compose_losses and stops at the first that
+ * is not finite, calls the backward program, zeroes what the fit zeroes
+ * after the first backward only, and runs adam_step's loop with the bias
+ * corrections Python computed, so that no C pow() has to match Python's.
+ *
  * permute_rows(entry, order) reorders the rows of each C-contiguous matrix
  * of an entry (ParamStore.permute_rows) in place, following the cycles of
  * the permutation, so that each row that moves is copied once and a row
@@ -106,7 +129,10 @@
 
 #define MAX_OPERANDS 3
 
-enum kind { VECTORCALL, LOOP, GEMM, SYRK };
+enum kind { VECTORCALL, LOOP, GEMM, SYRK, REDUCE, PUTMASK };
+
+/* numpy's default buffer, in elements: a reduction over more may be chunked */
+#define NUMPY_BUFFER 8192
 
 /* CBLAS's enumerations */
 enum { ROW_MAJOR = 101, NO_TRANS = 111, TRANS = 112, UPPER = 121 };
@@ -144,11 +170,37 @@ typedef struct {
     size_t c_bytes;
 } Product;
 
+/* np.add.reduce(in, 0, None, out), as numpy's reduction runs it: out set
+ * to the identity +0.0, then one call of the dd->d loop per row of in, its
+ * operands (out, row, out). A whole vector into a 0-d out is one row with
+ * the strides (0, 8, 0) of numpy's binary reduce, which sums pairwise; axis
+ * 0 of a matrix into a vector adds the rows one by one, strides (8, 8, 8). */
+typedef struct {
+    PyUFuncGenericFunction function;
+    void *data;
+    char *out;
+    const char *in;
+    npy_intp rows, count, row_bytes;
+    npy_intp strides[MAX_OPERANDS];
+    size_t out_bytes;
+} Reduction;
+
+/* np.putmask(dest, mask, values) over arrays of one size: dest[i] takes
+ * values[i] where mask[i] is non-zero, each copied as bytes, as numpy does. */
+typedef struct {
+    char *dest;
+    const npy_bool *mask;
+    const char *values;
+    npy_intp count;
+} Putmask;
+
 typedef struct {
     enum kind kind;
     union {
         Loop loop;
         Product product;
+        Reduction reduction;
+        Putmask putmask;
     };
     PyObject *callable; /* borrowed, as are args and kwargs, from the program's steps */
     PyObject *const *args;
@@ -165,8 +217,12 @@ typedef struct {
 } Program;
 
 static PyObject *out_keyword; /* "out", interned */
+static PyObject *out_kwnames; /* ("out",), a vectorcall's keyword names */
 static PyObject *multiply;    /* np.multiply */
+static PyObject *add;         /* np.add */
+static PyObject *putmask;     /* np.putmask */
 static PyCFunction ndarray_dot; /* the C function of ndarray.dot */
+static PyCFunction ufunc_reduce; /* the C function of a ufunc's reduce */
 
 static void clear_fp_status(void)
 {
@@ -335,6 +391,22 @@ static int ufunc_iterator(Loop *loop, PyArrayObject **ops, PyArray_Descr **dtype
     return 1;
 }
 
+/* The index of the ufunc's loop for these operand types, in order; -1 if it has none. */
+static int find_loop(PyUFuncObject *ufunc, const char *types)
+{
+    int i, k;
+
+    for (i = 0; i < ufunc->ntypes; i++) {
+        const char *signature = ufunc->types + (size_t)i * ufunc->nargs;
+        for (k = 0; k < ufunc->nargs && signature[k] == types[k]; k++) {
+        }
+        if (k == ufunc->nargs) {
+            return ufunc->functions[i] == NULL ? -1 : i;
+        }
+    }
+    return -1;
+}
+
 /* Lower a ufunc step to its inner loop (kind LOOP) if it qualifies; 1 if it did. */
 static int lower_loop(Step *s)
 {
@@ -392,15 +464,8 @@ static int lower_loop(Step *s)
         /* numpy multiplies a bool by a float64 with dd->d, the bool cast in its iterator's buffer */
         types[types[0] == NPY_BOOL ? 0 : 1] = NPY_DOUBLE;
     }
-    for (i = 0; i < ufunc->ntypes; i++) {
-        const char *signature = ufunc->types + (size_t)i * nargs;
-        for (k = 0; k < nargs && signature[k] == types[k]; k++) {
-        }
-        if (k == nargs) {
-            break;
-        }
-    }
-    if (i == ufunc->ntypes || ufunc->functions[i] == NULL) {
+    i = find_loop(ufunc, types);
+    if (i < 0) {
         return 0;
     }
     fast = numpy_fast_path(ops, given, types, nin, loop->strides);
@@ -548,6 +613,130 @@ static void run_product(enum kind kind, const Product *p)
     }
 }
 
+/* An exact ndarray of this type with numpy's own descriptor for it, aligned
+ * and in native byte order. */
+static int plain_array(PyObject *object, int type)
+{
+    return PyArray_CheckExact(object) && PyArray_TYPE((PyArrayObject *)object) == type
+        && PyArray_DESCR((PyArrayObject *)object) == canonical(type)
+        && PyArray_ISNOTSWAPPED((PyArrayObject *)object)
+        && PyArray_ISALIGNED((PyArrayObject *)object);
+}
+
+/* Lower a step np.add.reduce(in, 0, None, out) to numpy's reduction (kind
+ * REDUCE) if it qualifies; 1 if it did. in is a contiguous float64 vector
+ * of 1 to NUMPY_BUFFER entries and out 0-d, or in is a C-contiguous float64
+ * matrix of 2 to NUMPY_BUFFER columns and out a contiguous vector of one
+ * entry per column: numpy runs both in one chunk, without a buffer. */
+static int lower_reduce(Step *s)
+{
+    static const char types[MAX_OPERANDS] = {NPY_DOUBLE, NPY_DOUBLE, NPY_DOUBLE};
+    Reduction *r = &s->reduction;
+    PyArrayObject *in, *out;
+    int overflow, i;
+
+    if (!PyCFunction_Check(s->callable) || PyCFunction_GET_FUNCTION(s->callable) != ufunc_reduce
+        || PyCFunction_GET_SELF(s->callable) != add || s->kwargs != NULL || s->nargs != 4
+        || !PyLong_CheckExact(s->args[1]) || PyLong_AsLongAndOverflow(s->args[1], &overflow) != 0
+        || overflow != 0 || s->args[2] != Py_None || !plain_array(s->args[0], NPY_DOUBLE)
+        || !plain_array(s->args[3], NPY_DOUBLE)) {
+        return 0;
+    }
+    in = (PyArrayObject *)s->args[0];
+    out = (PyArrayObject *)s->args[3];
+    if (!PyArray_ISWRITEABLE(out) || overlap(in, out)) {
+        return 0;
+    }
+    if (PyArray_NDIM(in) == 1 && PyArray_NDIM(out) == 0) {
+        r->rows = 1;
+        r->count = PyArray_DIM(in, 0);
+        if (r->count < 1 || r->count > NUMPY_BUFFER
+            || (r->count > 1 && PyArray_STRIDE(in, 0) != sizeof(double))) {
+            return 0;
+        }
+        r->strides[0] = r->strides[2] = 0;
+    }
+    else if (PyArray_NDIM(in) == 2 && PyArray_NDIM(out) == 1) {
+        /* a single column would be coalesced into numpy's binary reduce */
+        r->rows = PyArray_DIM(in, 0);
+        r->count = PyArray_DIM(in, 1);
+        if (r->rows < 1 || r->count < 2 || r->count > NUMPY_BUFFER || !PyArray_IS_C_CONTIGUOUS(in)
+            || PyArray_DIM(out, 0) != r->count || PyArray_STRIDE(out, 0) != sizeof(double)) {
+            return 0;
+        }
+        r->strides[0] = r->strides[2] = sizeof(double);
+    }
+    else {
+        return 0;
+    }
+    i = find_loop((PyUFuncObject *)add, types);
+    if (i < 0) {
+        return 0;
+    }
+    r->function = ((PyUFuncObject *)add)->functions[i];
+    r->data = ((PyUFuncObject *)add)->data == NULL ? NULL : ((PyUFuncObject *)add)->data[i];
+    r->strides[1] = sizeof(double);
+    r->row_bytes = r->count * (npy_intp)sizeof(double);
+    r->out = PyArray_BYTES(out);
+    r->in = PyArray_BYTES(in);
+    r->out_bytes = (size_t)PyArray_NBYTES(out);
+    s->kind = REDUCE;
+    return 1;
+}
+
+static void run_reduce(const Reduction *r)
+{
+    char *operands[MAX_OPERANDS];
+    npy_intp i;
+
+    memset(r->out, 0, r->out_bytes); /* the identity, +0.0 */
+    for (i = 0; i < r->rows; i++) {
+        operands[0] = operands[2] = r->out;
+        operands[1] = (char *)r->in + i * r->row_bytes;
+        r->function(operands, &r->count, r->strides, r->data);
+    }
+}
+
+/* Lower a step np.putmask(dest, mask, values) (kind PUTMASK) if it
+ * qualifies; 1 if it did: C-contiguous arrays of one non-zero size, dest
+ * and values float64, the mask bool, neither sharing memory with dest. */
+static int lower_putmask(Step *s)
+{
+    Putmask *p = &s->putmask;
+    PyArrayObject *dest, *mask, *values;
+
+    if (s->callable != putmask || s->kwargs != NULL || s->nargs != 3
+        || !plain_array(s->args[0], NPY_DOUBLE) || !plain_array(s->args[1], NPY_BOOL)
+        || !plain_array(s->args[2], NPY_DOUBLE)) {
+        return 0;
+    }
+    dest = (PyArrayObject *)s->args[0];
+    mask = (PyArrayObject *)s->args[1];
+    values = (PyArrayObject *)s->args[2];
+    p->count = PyArray_SIZE(dest);
+    if (!PyArray_ISWRITEABLE(dest) || !PyArray_IS_C_CONTIGUOUS(dest) || !PyArray_IS_C_CONTIGUOUS(mask)
+        || !PyArray_IS_C_CONTIGUOUS(values) || p->count == 0 || PyArray_SIZE(mask) != p->count
+        || PyArray_SIZE(values) != p->count || overlap(dest, mask) || overlap(dest, values)) {
+        return 0;
+    }
+    p->dest = PyArray_BYTES(dest);
+    p->mask = (const npy_bool *)PyArray_DATA(mask);
+    p->values = PyArray_BYTES(values);
+    s->kind = PUTMASK;
+    return 1;
+}
+
+static void run_putmask(const Putmask *p)
+{
+    npy_intp i;
+
+    for (i = 0; i < p->count; i++) {
+        if (p->mask[i]) {
+            memcpy(p->dest + i * sizeof(double), p->values + i * sizeof(double), sizeof(double));
+        }
+    }
+}
+
 static PyObject *program_call(PyObject *self, PyObject *const *args, size_t nargsf,
                               PyObject *kwnames)
 {
@@ -563,13 +752,20 @@ static PyObject *program_call(PyObject *self, PyObject *const *args, size_t narg
         Step *s = &program->step[i];
         PyObject *result;
         if (s->kind != VECTORCALL) {
-            if (s->kind == LOOP) {
+            switch (s->kind) {
+            case LOOP:
                 if (!run_loop(&s->loop)) {
                     clear_fp_status();
                     return NULL;
                 }
-            }
-            else {
+                break;
+            case REDUCE:
+                run_reduce(&s->reduction);
+                break;
+            case PUTMASK:
+                run_putmask(&s->putmask);
+                break;
+            default:
                 run_product(s->kind, &s->product);
             }
             dirty = 1;
@@ -632,7 +828,8 @@ static PyMemberDef program_members[] = {
     {"steps", T_OBJECT, offsetof(Program, steps), READONLY,
      "the steps, in the order they run"},
     {"lowered", T_PYSSIZET, offsetof(Program, lowered), READONLY,
-     "how many steps run as numpy's own inner loops or BLAS calls, without a vectorcall"},
+     "how many steps run as numpy's own inner loops, reductions, putmask or BLAS calls, "
+     "without a vectorcall"},
     {NULL},
 };
 
@@ -700,8 +897,8 @@ static PyObject *lower(PyObject *module, PyObject *const *args, Py_ssize_t nargs
         s->args = &PyTuple_GET_ITEM(args, 0);
         s->nargs = PyTuple_GET_SIZE(args);
         s->kwargs = kwargs != NULL && PyDict_GET_SIZE(kwargs) != 0 ? kwargs : NULL;
-        if (lowering && !lower_loop(s)) {
-            lower_product(s);
+        if (lowering && !lower_loop(s) && !lower_product(s) && !lower_reduce(s)) {
+            lower_putmask(s);
         }
         program->lowered += s->kind != VECTORCALL;
     }
@@ -849,12 +1046,40 @@ static adam_fn find_adam_loop(void)
 
 static adam_fn adam_loop;
 
+/* The length of a store's (4, n) block and its rows' addresses; 0, with an
+ * exception set, unless it is an aligned, writeable, native-endian float64
+ * array of 4 rows, each contiguous and apart from the others. */
+static int adam_rows(PyObject *object, npy_intp *n, double **rows)
+{
+    PyArrayObject *block = (PyArrayObject *)object;
+    npy_intp stride;
+    int i;
+
+    if (!PyArray_Check(block) || PyArray_NDIM(block) != 2 || PyArray_DIM(block, 0) != 4
+        || PyArray_TYPE(block) != NPY_DOUBLE || !PyArray_ISNOTSWAPPED(block)
+        || !PyArray_ISALIGNED(block) || !PyArray_ISWRITEABLE(block)) {
+        PyErr_SetString(PyExc_ValueError, "adam_step takes a writeable, aligned, native-endian "
+                                          "(4, n) float64 block");
+        return 0;
+    }
+    *n = PyArray_DIM(block, 1);
+    stride = PyArray_STRIDE(block, 0);
+    if ((*n > 1 && PyArray_STRIDE(block, 1) != sizeof(double))
+        || (*n > 0 && (stride < 0 ? -stride : stride) < *n * (npy_intp)sizeof(double))) {
+        PyErr_SetString(PyExc_ValueError, "adam_step takes a block whose rows are contiguous "
+                                          "and do not overlap");
+        return 0;
+    }
+    for (i = 0; i < 4; i++) {
+        rows[i] = (double *)(PyArray_BYTES(block) + i * stride);
+    }
+    return 1;
+}
+
 static PyObject *adam_step(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
-    PyArrayObject *block;
-    double lr, bias1, bias2;
-    npy_intp n, stride;
-    char *row;
+    double lr, bias1, bias2, *rows[4];
+    npy_intp n;
 
     if (nargs != 4) {
         PyErr_SetString(PyExc_TypeError, "adam_step takes a block, lr, bias1 and bias2");
@@ -863,29 +1088,154 @@ static PyObject *adam_step(PyObject *module, PyObject *const *args, Py_ssize_t n
     lr = PyFloat_AsDouble(args[1]);
     bias1 = PyFloat_AsDouble(args[2]);
     bias2 = PyFloat_AsDouble(args[3]);
-    if (PyErr_Occurred()) {
+    if (PyErr_Occurred() || !adam_rows(args[0], &n, rows)) {
         return NULL;
     }
-    block = (PyArrayObject *)args[0];
-    if (!PyArray_Check(block) || PyArray_NDIM(block) != 2 || PyArray_DIM(block, 0) != 4
-        || PyArray_TYPE(block) != NPY_DOUBLE || !PyArray_ISNOTSWAPPED(block)
-        || !PyArray_ISALIGNED(block) || !PyArray_ISWRITEABLE(block)) {
-        PyErr_SetString(PyExc_ValueError, "adam_step takes a writeable, aligned, native-endian "
-                                          "(4, n) float64 block");
+    return PyBool_FromLong(adam_loop(n, rows[0], rows[1], rows[2], rows[3], lr, bias1, bias2));
+}
+
+/* A C-contiguous, aligned, writeable float64 array, or NULL with an exception set. */
+static double *float64_data(PyObject *object, const char *what)
+{
+    PyArrayObject *array = (PyArrayObject *)object;
+
+    if (!PyArray_Check(array) || PyArray_TYPE(array) != NPY_DOUBLE || !PyArray_ISNOTSWAPPED(array)
+        || !PyArray_ISCARRAY(array)) {
+        PyErr_Format(PyExc_ValueError, "fit_epochs takes %s as a C-contiguous, aligned, writeable, "
+                                       "native-endian float64 array", what);
         return NULL;
     }
-    n = PyArray_DIM(block, 1);
-    stride = PyArray_STRIDE(block, 0);
-    if ((n > 1 && PyArray_STRIDE(block, 1) != sizeof(double))
-        || (n > 0 && (stride < 0 ? -stride : stride) < n * (npy_intp)sizeof(double))) {
-        PyErr_SetString(PyExc_ValueError, "adam_step takes a block whose rows are contiguous "
-                                          "and do not overlap");
+    return (double *)PyArray_DATA(array);
+}
+
+/* Call each of a tuple's callables with no argument, in order; 0 with an
+ * exception set if one raised. */
+static int call_each(PyObject *callables)
+{
+    Py_ssize_t i;
+
+    for (i = 0; i < PyTuple_GET_SIZE(callables); i++) {
+        PyObject *result = PyObject_Vectorcall(PyTuple_GET_ITEM(callables, i), NULL, 0, NULL);
+        if (result == NULL) {
+            return 0;
+        }
+        Py_DECREF(result);
+    }
+    return 1;
+}
+
+enum { EPOCHS_RAN, LOSS_NOT_FINITE, STEP_NOT_FINITE };
+
+/* fit_epochs(draw, noise, forward, sums, scales, backward, zeroed, block, lr,
+ * biases, out, progress) runs a fit's epochs, one per row of biases, each as
+ * detector.fit's Python loop runs it:
+ *   draw(out=noise);
+ *   each program of the tuple forward, which writes the loss's three sums,
+ *   kl, the squared residuals and the log-likelihoods, into sums; they are
+ *   copied into the epoch's row of out, and l_total is composed from them
+ *   with scales = (per_node, per_pair, alpha, gamma) in the order of
+ *   operations of detector.compose_losses: the loop stops, returning
+ *   LOSS_NOT_FINITE, at the first l_total that is not finite;
+ *   backward(), then, after the first only, each array of the tuple zeroed
+ *   set to +0.0;
+ *   Adam's update of block at lr with the epoch's row (bias1, bias2) of
+ *   biases, as adam_step runs it: the loop stops, returning STEP_NOT_FINITE,
+ *   after an update with a value that is not finite.
+ * It returns EPOCHS_RAN after the last epoch. progress, two intp, counts
+ * the epochs whose l_total was finite and the Adam updates, also when a
+ * call raises. Nothing between the epochs returns to Python but a signal
+ * handler. */
+static PyObject *fit_epochs(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    PyObject *draw, *noise, *forward, *backward, *zeroed, *result;
+    double per_node, per_pair, alpha, gamma, lr, *sums, *biases, *out, *rows[4];
+    npy_intp n, epochs, e, *progress;
+    Py_ssize_t i;
+    int status = EPOCHS_RAN;
+
+    if (nargs != 12 || !PyTuple_Check(args[2]) || !PyTuple_Check(args[4])
+        || PyTuple_GET_SIZE(args[4]) != 4 || !PyTuple_Check(args[6])) {
+        PyErr_SetString(PyExc_TypeError, "fit_epochs takes draw, noise, a tuple of forward calls, "
+                                         "sums, four scales, backward, a tuple of arrays to zero, "
+                                         "block, lr, biases, out and progress");
         return NULL;
     }
-    row = PyArray_BYTES(block);
-    return PyBool_FromLong(adam_loop(n, (double *)row, (double *)(row + stride),
-                                     (double *)(row + 2 * stride), (double *)(row + 3 * stride),
-                                     lr, bias1, bias2));
+    draw = args[0];
+    noise = args[1];
+    forward = args[2];
+    backward = args[5];
+    zeroed = args[6];
+    per_node = PyFloat_AsDouble(PyTuple_GET_ITEM(args[4], 0));
+    per_pair = PyFloat_AsDouble(PyTuple_GET_ITEM(args[4], 1));
+    alpha = PyFloat_AsDouble(PyTuple_GET_ITEM(args[4], 2));
+    gamma = PyFloat_AsDouble(PyTuple_GET_ITEM(args[4], 3));
+    lr = PyFloat_AsDouble(args[8]);
+    if (PyErr_Occurred() || !adam_rows(args[7], &n, rows) || (sums = float64_data(args[3], "sums")) == NULL
+        || (biases = float64_data(args[9], "biases")) == NULL
+        || (out = float64_data(args[10], "out")) == NULL) {
+        return NULL;
+    }
+    epochs = PyArray_SIZE((PyArrayObject *)args[9]) / 2;
+    if (PyArray_SIZE((PyArrayObject *)args[3]) != 3 || PyArray_SIZE((PyArrayObject *)args[9]) != 2 * epochs
+        || PyArray_SIZE((PyArrayObject *)args[10]) != 3 * epochs) {
+        PyErr_SetString(PyExc_ValueError, "fit_epochs takes 3 sums, and 2 biases and 3 sums out per epoch");
+        return NULL;
+    }
+    if (!PyArray_Check(args[11]) || PyArray_TYPE((PyArrayObject *)args[11]) != NPY_INTP
+        || !PyArray_ISCARRAY((PyArrayObject *)args[11]) || PyArray_SIZE((PyArrayObject *)args[11]) != 2) {
+        PyErr_SetString(PyExc_ValueError, "fit_epochs takes progress as two writeable intp");
+        return NULL;
+    }
+    progress = (npy_intp *)PyArray_DATA((PyArrayObject *)args[11]);
+    for (i = 0; i < PyTuple_GET_SIZE(zeroed); i++) {
+        if (float64_data(PyTuple_GET_ITEM(zeroed, i), "each array to zero") == NULL) {
+            return NULL;
+        }
+    }
+    progress[0] = progress[1] = 0;
+    for (e = 0; e < epochs; e++) {
+        double l_att, l_stru, l_rec, l_total;
+        if (PyErr_CheckSignals() < 0) {
+            goto fail;
+        }
+        result = PyObject_Vectorcall(draw, &noise, 0, out_kwnames);
+        if (result == NULL) {
+            goto fail;
+        }
+        Py_DECREF(result);
+        if (!call_each(forward)) {
+            goto fail;
+        }
+        memcpy(out + 3 * e, sums, 3 * sizeof(double));
+        l_att = sums[1] * per_node;
+        l_stru = sums[2] * per_pair;
+        l_rec = alpha * l_att + (1.0 - alpha) * l_stru;
+        l_total = l_rec + gamma * sums[0];
+        if (!isfinite(l_total)) {
+            status = LOSS_NOT_FINITE;
+            break;
+        }
+        progress[0] = e + 1;
+        result = PyObject_Vectorcall(backward, NULL, 0, NULL);
+        if (result == NULL) {
+            goto fail;
+        }
+        Py_DECREF(result);
+        for (i = 0; e == 0 && i < PyTuple_GET_SIZE(zeroed); i++) {
+            PyArrayObject *array = (PyArrayObject *)PyTuple_GET_ITEM(zeroed, i);
+            memset(PyArray_DATA(array), 0, (size_t)PyArray_NBYTES(array)); /* +0.0 */
+        }
+        progress[1] = e + 1;
+        if (!adam_loop(n, rows[0], rows[1], rows[2], rows[3], lr, biases[2 * e], biases[2 * e + 1])) {
+            status = STEP_NOT_FINITE;
+            break;
+        }
+    }
+    clear_fp_status();
+    return PyLong_FromLong(status);
+fail:
+    clear_fp_status();
+    return NULL;
 }
 
 /* permute_rows(entry, order): row i of each of entry's matrices takes what
@@ -973,6 +1323,10 @@ static PyMethodDef methods[] = {
     {"adam_step", (PyCFunction)(void (*)(void))adam_step, METH_FASTCALL,
      "adam_step(block, lr, bias1, bias2) -> bool: one Adam update of a (4, n) block, in place; "
      "whether every new value is finite."},
+    {"fit_epochs", (PyCFunction)(void (*)(void))fit_epochs, METH_FASTCALL,
+     "fit_epochs(draw, noise, forward, sums, scales, backward, zeroed, block, lr, biases, out, "
+     "progress) -> int: a fit's epochs, one per row of biases; 0 when all ran, 1 at a loss that "
+     "is not finite, 2 at an Adam update that is not."},
     {"permute_rows", (PyCFunction)(void (*)(void))permute_rows, METH_FASTCALL,
      "permute_rows(entry, order) -> bool: row i of each matrix takes row order[i], in place; "
      "False, with nothing written, unless order is a permutation."},
@@ -983,7 +1337,7 @@ static struct PyModuleDef runner_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "guardian_runner",
     .m_doc = "Runs programs of numpy calls, ufunc steps through their inner loops and products "
-             "through numpy's BLAS, Adam steps and in-place row permutations.",
+             "through numpy's BLAS, a fit's epochs, Adam steps and in-place row permutations.",
     .m_size = -1,
     .m_methods = methods,
 };
@@ -1011,21 +1365,34 @@ static void find_blas(void)
     }
 }
 
-/* np.multiply and the C function of ndarray.dot, which lowering recognises */
+/* np.multiply, np.add, np.putmask and the C functions of ndarray.dot and
+ * ufunc.reduce, which lowering recognises */
 static int find_callables(void)
 {
     npy_intp one = 1;
-    PyObject *numpy, *probe, *dot;
+    PyObject *numpy, *probe, *dot, *reduce;
 
     numpy = PyImport_ImportModule("numpy");
     if (numpy == NULL) {
         return -1;
     }
     multiply = PyObject_GetAttrString(numpy, "multiply");
+    add = PyObject_GetAttrString(numpy, "add");
+    putmask = PyObject_GetAttrString(numpy, "putmask");
     Py_DECREF(numpy);
+    if (multiply == NULL || add == NULL || putmask == NULL) {
+        return -1;
+    }
+    reduce = PyObject_GetAttrString(add, "reduce");
+    if (reduce == NULL) {
+        return -1;
+    }
+    if (PyCFunction_Check(reduce) && Py_TYPE(add) == &PyUFunc_Type) {
+        ufunc_reduce = PyCFunction_GET_FUNCTION(reduce);
+    }
+    Py_DECREF(reduce);
     probe = PyArray_ZEROS(1, &one, NPY_DOUBLE, 0);
-    if (multiply == NULL || probe == NULL) {
-        Py_XDECREF(probe);
+    if (probe == NULL) {
         return -1;
     }
     dot = PyObject_GetAttrString(probe, "dot");
@@ -1047,7 +1414,8 @@ PyMODINIT_FUNC PyInit_guardian_runner(void)
     import_array();
     import_umath();
     out_keyword = PyUnicode_InternFromString("out");
-    if (out_keyword == NULL || find_callables() < 0) {
+    if (out_keyword == NULL || (out_kwnames = PyTuple_Pack(1, out_keyword)) == NULL
+        || find_callables() < 0) {
         return NULL;
     }
     find_blas();

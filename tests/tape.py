@@ -29,7 +29,7 @@ from guardian.detector import (
     compose_losses,
     positional_encoding,
 )
-from guardian.graph import HistoryBatch, normalized_adjacency, self_looped_adjacency
+from guardian.graph import HistoryBatch, Snapshot, normalized_adjacency
 from guardian.numerics import NonFiniteError, NumericsError, ParamStore, Tensor2D
 
 
@@ -471,6 +471,13 @@ def attribute_loss(features: Tensor, x_hat: Tensor) -> Tensor:
     return scale(sum_all(mul(r, r)), 1.0 / features.rows)
 
 
+def self_looped_target(s: Snapshot) -> np.ndarray:
+    """The structure loss's target: the snapshot's binary symmetrized
+    adjacency with the diagonal set, as a float matrix."""
+    n = len(s.agents)
+    return ((s.adjacency | s.adjacency.T) | np.eye(n, dtype=bool)).astype(np.float64)
+
+
 def structure_loss(adj_target: np.ndarray, edge_probs: Tensor) -> Tensor:
     n = edge_probs.rows
     pos = Tensor(adj_target)
@@ -525,7 +532,7 @@ def run_forward(
 
     final = batch.snapshots[-1]
     l_att = attribute_loss(Tensor(final.features.data), x_hat)
-    l_stru = structure_loss(self_looped_adjacency(final), edge_probs)
+    l_stru = structure_loss(self_looped_target(final), edge_probs)
     l_rec = add(scale(l_att, cfg.alpha), scale(l_stru, 1.0 - cfg.alpha))
     loss_total = add(l_rec, scale(kl, cfg.gamma))
     breakdown = compose_losses(l_att.item(), l_stru.item(), kl.item(), cfg.alpha, cfg.gamma)

@@ -42,7 +42,7 @@ from guardian.detector import (
     save_checkpoint,
     split_latent,
 )
-from guardian.graph import HistoryBatch, Snapshot, normalized_adjacency, self_looped_adjacency
+from guardian.graph import HistoryBatch, Snapshot, normalized_adjacency
 from guardian.numerics import NonFiniteError, ParamStore, Tensor2D, adam_step, grad_check
 from tape import Tensor, temporal_fuse
 
@@ -349,7 +349,7 @@ def test_decode_structure_symmetric():
 
 def _losses(x, x_hat, adjacency, edge_probs, alpha=0.4):
     """The training losses of one reconstruction, through the tape's loss functions."""
-    target = self_looped_adjacency(_snapshot(1, range(len(x)), x, adjacency))
+    target = tape.self_looped_target(_snapshot(1, range(len(x)), x, adjacency))
     l_att = tape.attribute_loss(Tensor(x), Tensor(x_hat)).item()
     l_stru = tape.structure_loss(target, Tensor(edge_probs)).item()
     return compose_losses(l_att, l_stru, 0.0, alpha, 0.0)
@@ -542,7 +542,7 @@ def test_infer_residual_definitions():
     assert type(recon.r_x) is np.ndarray and type(recon.r_e) is np.ndarray
     assert recon.agents == list(final.agents)
     assert np.allclose(recon.r_x, final.features.data - reference.x_hat.data)
-    target = self_looped_adjacency(final)
+    target = tape.self_looped_target(final)
     assert np.allclose(recon.r_e, target - reference.edge_probs.data)
     edge_probs = target - recon.r_e
     assert np.all(edge_probs > 0.0) and np.all(edge_probs < 1.0)
@@ -1287,6 +1287,106 @@ def test_fit_and_infer_on_the_python_loop_equal_the_compiled_runner(
     assert runs[0] == runs[1]
 
 
+def _fit_bits(outcome):
+    """A fit's trace as bytes, or the type, message, epoch and last losses of its error."""
+    trace, err = outcome
+    if err is None:
+        return np.array(trace).reshape(-1).tobytes()
+    breakdown = getattr(err, "breakdown", None)
+    return type(err), str(err), getattr(err, "epoch", None), np.array(breakdown or ()).tobytes()
+
+
+def _pushed(push, cfg, params, batch):
+    """The config of a fit that ``push`` drives to diverge: its first loss
+    overflows ("loss"), a later one does ("step size"), or its first Adam
+    update leaves a value that is not finite ("moment")."""
+    if push == "loss":
+        params.value("dec.b1")[:] = 1e200
+    elif push == "step size":
+        return dataclasses.replace(cfg, lr=1e300)
+    elif push == "moment":
+        return _huge_moment("dec.w1", 0)(cfg, params, batch)
+    elif push == "signed zeros":
+        for _, value in params.entries():
+            value *= -0.0
+    return cfg
+
+
+# Each example fits one store twice from one seed: through the runner's
+# epoch loop and, with one stage function wrapped, so that the fit calls it
+# every epoch, through the Python loop.
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.sampled_from([1, 2, 5, 32]),
+    agents=st.integers(1, 5),
+    rounds=st.integers(1, 3),
+    epochs=st.sampled_from([0, 1, 3, 12]),
+    earlier=st.booleans(),
+    push=st.sampled_from([None, "loss", "step size", "moment", "signed zeros"]),
+)
+def test_the_runners_epoch_loop_equals_the_python_loop(seed, d, agents, rounds, epochs, earlier, push):
+    numerics.program(())
+    if numerics._runner is None:
+        pytest.skip("no compiled runner: a fit runs its Python loop")
+    runs, loops = [], []
+    for wrapped in (False, True):
+        calls = []
+        with pytest.MonkeyPatch.context() as patch:
+            original_loop = numerics.fit_epochs
+            patch.setattr(numerics, "fit_epochs", lambda *a: calls.append("runner") or original_loop(*a))
+            if wrapped:
+                original = detector.decode_structure
+
+                def decode_structure(*args, **kwargs):
+                    calls.append("stage")
+                    return original(*args, **kwargs)
+
+                patch.setattr(detector, "decode_structure", decode_structure)
+            rng = np.random.default_rng(seed)
+            cfg = _small_cfg(k=5, d=d, lambda_=0.2)
+            params = init_params(cfg, rng)
+            if earlier:  # moments, and the query's and key's gradients
+                fit(_history_with_gaps(rng, 3, 3, cfg.k), cfg, params, rng, epochs=2)
+            batch = _history_with_gaps(rng, agents, rounds, cfg.k)
+            cfg = _pushed(push, cfg, params, batch)
+            calls.clear()
+            outcome = _outcome(lambda: fit(batch, cfg, params, rng, epochs=epochs))
+        loops.append(set(calls))
+        runs.append((_fit_bits(outcome), params._block.tobytes(), params.step, rng.bit_generator.state))
+    assert loops[0] == {"runner"} and loops[1] <= {"stage"}
+    assert runs[0] == runs[1]
+    if push in ("loss", "step size") and epochs > 1:
+        assert runs[0][0][0] is TrainingDiverged
+    if push == "moment" and epochs > 0:
+        assert runs[0][0][:2] == (NonFiniteError, "parameter 'dec.w1' diverged during adam_step")
+
+
+def test_a_fits_epochs_make_no_python_call_inside_the_runner():
+    numerics.program(())
+    if numerics._runner is None:
+        pytest.skip("no compiled runner: a fit runs its Python loop")
+    rng = np.random.default_rng(14)
+    cfg = _small_cfg(lambda_=0.2)
+    params = init_params(cfg, rng)
+    events = []
+
+    def profile(frame, event, arg):
+        events.append((event, arg.__name__ if event.startswith("c_") else frame.f_code.co_name))
+
+    for rounds in (1, 3):  # attention's steps stay numpy calls
+        batch = _history_with_gaps(rng, 4, rounds, cfg.k)
+        events.clear()
+        sys.setprofile(profile)
+        try:
+            fit(batch, cfg, params, rng, epochs=5)
+        finally:
+            sys.setprofile(None)
+        start = events.index(("c_call", "fit_epochs"))
+        assert events[start + 1] == ("c_return", "fit_epochs")
+        assert events.count(("c_call", "fit_epochs")) == 1
+
+
 @pytest.mark.parametrize("rounds", [1, 3])
 def test_on_a_numpy_the_runner_was_not_checked_against_no_step_is_lowered_and_the_bits_hold(
     rounds,
@@ -1335,12 +1435,12 @@ def test_a_pass_lowers_its_elementwise_steps_over_contiguous_arrays():
     structure = detector._bind_decode_structure(rng.normal(size=(5, cfg.d)))[0]
     # z.dot(z.T) is numpy's syrk; the clamp and the sigmoid are six loops
     assert (len(structure.steps), structure.lowered) == (7, 7)
-    # what a fit's pass leaves to numpy: over one snapshot, the reductions
-    # and putmask; over three, attention's too, its take, its 3-D products,
-    # the two products over strided rows of seq and the latents' scatter
+    # what a fit's pass leaves to numpy: over one snapshot, nothing; over
+    # three, attention's three reductions along its rows, its take, its 3-D
+    # products and the latents' scatter
     left_to_numpy = {
-        1: ["putmask"] + ["reduce"] * 5,
-        3: ["__setitem__", "dot", "dot", "fill"] + ["matmul"] * 4 + ["putmask"] + ["reduce"] * 8 + ["take"],
+        1: [],
+        3: ["__setitem__"] + ["matmul"] * 4 + ["reduce"] * 3 + ["take"],
     }
     for rounds, left in left_to_numpy.items():
         history = _History(_history_with_gaps(rng, 5, rounds, cfg.k), cfg)
@@ -1349,9 +1449,7 @@ def test_a_pass_lowers_its_elementwise_steps_over_contiguous_arrays():
         if history.single:  # as fit leaves them out
             del grads["attn.wk"], grads["attn.wq"]
         backward = step.bound_backward(grads, cfg.alpha, 1.0 - cfg.alpha, cfg.gamma, True)
-        stages = [cell.cell_contents for cell in step._forward.__closure__]
-        programs = [stage[0] if isinstance(stage, tuple) else stage for stage in stages]
-        programs = [p for p in programs if isinstance(p, runner.Program)] + [backward]
+        programs = [*step.programs, backward]
         steps = [s for p in programs for s in p.steps]
         assert len(steps) - sum(p.lowered for p in programs) == len(left)
         assert sorted(s[0].__name__ for s in steps if runner.lower([s]).lowered == 0) == left

@@ -5,16 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from guardian.detector import DetectorConfig, _History
 from guardian.embedder import EmbeddingConfig, make_embedder
 from guardian.graph import (
     GraphError,
+    HistoryBatch,
     Snapshot,
     TemporalGraph,
     build_snapshot,
     merge_history,
     normalized_adjacency,
     sample_topology,
-    self_looped_adjacency,
     topology_edges,
     truncate_history,
 )
@@ -119,7 +120,9 @@ def test_normalized_adjacency_symmetric_entries_bounded():
 def test_self_looped_adjacency_is_binary_symmetric():
     agents = [0, 1, 2, 3]
     s = _snapshot(2, agents, _full_topology(agents))
-    target = self_looped_adjacency(s)
+    # the structure target the detector builds from the normalized adjacency
+    target = _History(HistoryBatch.of([s]), DetectorConfig(k=16, d=2)).target
+    assert target.dtype == np.float64
     assert np.array_equal(target, np.ones((4, 4)))
 
 

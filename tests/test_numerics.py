@@ -1009,6 +1009,87 @@ def test_a_lowered_bool_mask_product_gives_numpys_bits(
     _run_twice_against_numpy(runner, np.multiply, operands, keyword_out=False)
 
 
+def _summed_values(rng, shape, kind: str) -> np.ndarray:
+    """float64 of ``shape``: normal values, whose sums round by the order
+    they are added in; the same with +-0.0, NaN of either sign and +-inf
+    among them; only signed zeros; or values over the whole exponent range."""
+    if kind == "edge":
+        return _edge_floats(rng, shape)
+    if kind == "signed zeros":
+        return rng.choice([0.0, -0.0], size=shape)
+    values = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+    if kind == "specials":
+        special = rng.random(shape) < 0.05
+        specials = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan]
+        values[special] = rng.choice(specials, size=np.count_nonzero(special))
+    return values
+
+
+# numpy reduces a vector of at most 8,192 entries in one call of its loop
+# and sums a matrix's rows one by one; longer rows it chunks at its buffer,
+# and a single column it sums as a vector: those steps stay numpy calls.
+_SIZES = st.one_of(st.integers(1, 2), st.integers(3, 300), st.integers(8185, 8200), st.just(20000))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    axis_0_of=st.one_of(st.none(), st.integers(1, 12)),
+    size=_SIZES,
+    kind=st.sampled_from(["normal", "specials", "signed zeros", "edge"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_lowered_add_reduce_gives_the_bits_of_numpys(axis_0_of, size, kind, seed):
+    # a whole vector into a 0-d array, or axis 0 of axis_0_of rows into a vector
+    runner = _compiled_runner()
+
+    def operands():
+        rng = np.random.default_rng(seed)
+        if axis_0_of is None:
+            return _summed_values(rng, (size,), kind), np.full((), np.nan)
+        return _summed_values(rng, (axis_0_of, size), kind), np.full(size, np.nan)
+
+    values, out = operands()
+    program = runner.lower([(np.add.reduce, (values, 0, None, out))])
+    assert program.lowered == (size <= 8192 and (axis_0_of is None or size > 1))
+    expected_values, expected = operands()
+    for _ in range(2):  # each run starts again from the identity
+        with np.errstate(all="ignore"):  # a step left to numpy warns as numpy's does
+            program()
+            np.add.reduce(expected_values, 0, None, expected)
+        assert out.tobytes() == expected.tobytes()
+    assert values.tobytes() == expected_values.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.integers(1, 3),
+    size=_SIZES,
+    overlapping=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_lowered_putmask_gives_the_bits_of_numpys(rows, size, overlapping, seed):
+    # values copied as bytes where the mask has any non-zero byte; values
+    # one entry on in the destination's own memory (which they then share
+    # unless there is one entry) are left to numpy
+    runner = _compiled_runner()
+
+    def operands():
+        rng = np.random.default_rng(seed)
+        memory = _edge_floats(rng, rows * size + 1)
+        mask = rng.integers(0, 3, (rows, size), dtype=np.uint8).view(bool)
+        values = memory[1:] if overlapping else _edge_floats(rng, rows * size)
+        return memory, memory[:-1].reshape(rows, size), mask, values.reshape(rows, size)
+
+    memory, dest, mask, values = operands()
+    program = runner.lower([(np.putmask, (dest, mask, values))])
+    assert program.lowered == (not overlapping or rows * size == 1)
+    program()
+    expected_memory, expected_dest, expected_mask, expected_values = operands()
+    np.putmask(expected_dest, expected_mask, expected_values)
+    assert memory.tobytes() == expected_memory.tobytes()
+    assert (mask.tobytes(), values.tobytes()) == (expected_mask.tobytes(), expected_values.tobytes())
+
+
 # Steps over column views, a broadcast row and a bool mask, each made over
 # the array it is given: the runner lowers them through numpy's iterator.
 _LOWERED_OVER_VIEWS = {
@@ -1049,7 +1130,7 @@ _NOT_LOWERED = {
     "tuple out": lambda a: (np.exp, (a,), {"out": (a,)}),
     "another keyword": lambda a: (np.add, (a, a), {"out": a, "where": a > 0}),
     "Python float": lambda a: (np.add, (a, 1.0, np.empty((4, 6))), {}),
-    "reduction": lambda a: (np.add.reduce, (a.reshape(-1), 0, None, np.empty(())), {}),
+    "reduction": lambda a: (np.add.reduce, (a, 1, None, np.empty(4)), {}),
     "method": lambda a: (a.take, ([0, 2], 0, np.empty((2, 6))), {}),
     "inner dimension 1": lambda a: (a[:, :1].copy().dot, (a[:1].copy(), np.empty((4, 6))), {}),
     "row times column": lambda a: (a[:1].dot, (a[:1].T.copy(), np.empty((1, 1))), {}),
@@ -1119,8 +1200,10 @@ def test_a_failing_step_raises_and_stops_the_program():
 def test_lowered_steps_warn_of_nothing_and_leave_no_floating_point_status():
     runner = _compiled_runner()
     big, out, total = np.array([1000.0, -1.0]), np.empty(2), np.empty(())
+    # a reduction along rows, which stays numpy's call
+    reduction = (np.add.reduce, (big.reshape(1, 2), 1, None, total.reshape(1)))
     overflowing = runner.lower([(np.exp, (big, out))])
-    then_reduced = runner.lower([(np.exp, (big, out)), (np.add.reduce, (big, 0, None, total))])
+    then_reduced = runner.lower([(np.exp, (big, out)), reduction])
     with np.errstate(all="raise"):
         overflowing()
         then_reduced()  # numpy's own check after the reduction sees no overflow
@@ -1129,7 +1212,7 @@ def test_lowered_steps_warn_of_nothing_and_leave_no_floating_point_status():
     # a broadcast step and a product, each overflowing, then numpy's own check
     rows, bias, summed = np.full((3, 2), 1e308), np.full((1, 2), 1e308), np.empty((3, 2))
     huge, product = np.full((2, 3), 1e300), np.empty((2, 2))
-    steps = [(np.add, (rows, bias, summed)), (np.add.reduce, (big, 0, None, total))]
+    steps = [(np.add, (rows, bias, summed)), reduction]
     if _lowers_products(runner):
         steps.insert(1, (huge.dot, (huge.T.copy(), product)))
     overflowing_then_reduced = runner.lower(steps)
